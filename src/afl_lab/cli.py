@@ -26,7 +26,7 @@ from .errors import VerifierError, InputError
 from .forge import (
     instance_from_spec,
     parse_instance,
-    parse_signature,
+    parse_spec,
     random_coxeter_instance,
     serialize_instance,
     signature_dim,
@@ -92,10 +92,8 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
     grid = []
     for q in config.qs:
         for spec in config.signatures:
-            if spec.startswith("coxeter:"):
-                dim = int(spec.split(":")[1])
-            else:
-                dim = signature_dim(parse_signature(spec))
+            parsed = parse_spec(spec)
+            dim = parsed if isinstance(parsed, int) else signature_dim(parsed)
             if dim <= config.max_dim:
                 grid.append((q, spec))
     if not grid:
@@ -220,8 +218,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    try:
+        qs = tuple(int(q) for q in args.q.split(","))
+    except ValueError as exc:
+        raise InputError(f"--q must be comma-joined integers, got {args.q!r}") from exc
     config = SweepConfig(
-        qs=tuple(int(q) for q in args.q.split(",")),
+        qs=qs,
         max_dim=args.max_dim,
         count=args.count,
         seed=_resolve_seed(args),

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from . import gf
 from .errors import CrossCheckError, InputError
 from .hermitian import HermitianSpace
-from .linalg import Matrix, Subspace, charpoly, kernel, kernel_of_poly, minpoly, rref
-from .poly import Poly, is_irreducible, plain_factor, poly_gcd
+from .linalg import Matrix, charpoly, kernel, rref
+from .poly import Poly, is_irreducible, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -149,68 +149,3 @@ def galois_orbit_check(records: list[EigenlineRecord]) -> bool:
         if seen > len(records):
             return False
     return seen == len(records)
-
-
-@dataclass(frozen=True)
-class ProbeDiagnosis:
-    status: str  # not_semisimple | not_regular | regular_elliptic | regular_split
-    fixed_set: str  # empty | infinite | finite
-    detail: str
-    line_fixed: bool | None = None
-
-    def to_json(self):
-        return {
-            "status": self.status,
-            "fixed_set": self.fixed_set,
-            "detail": self.detail,
-            "line_fixed": self.line_fixed,
-        }
-
-
-def semisimplicity_probe(space: HermitianSpace, s: Matrix, line: Subspace | None = None, seed=0) -> ProbeDiagnosis:
-    """Classify s by the finiteness dichotomy of its fixed set.
-
-    Non-semisimple elements have empty fixed sets, semisimple non-regular
-    ones have infinite fixed sets (a witness eigenspace of excess dimension
-    is exhibited), and regular elements split by irreducibility of the
-    characteristic polynomial.
-    """
-    cp = charpoly(s)
-    mp = minpoly(s)
-    line_fixed = None
-    if line is not None:
-        image = [s.apply(r) for r in line.rows]
-        from .linalg import span
-
-        line_fixed = span(line.ambient, image) == line
-    if poly_gcd(mp, mp.derivative()).degree > 0:
-        rep = next(f for f, a in plain_factor(mp, seed) if a > 1)
-        return ProbeDiagnosis(
-            "not_semisimple", "empty",
-            f"minimal polynomial has the repeated factor of degree {rep.degree}; "
-            "a non-semisimple element fixes nothing",
-            line_fixed,
-        )
-    if mp != cp:
-        witness = next(
-            (f, kernel_of_poly(s, f).dim)
-            for f, _ in plain_factor(mp, seed)
-            if kernel_of_poly(s, f).dim > f.degree
-        )
-        return ProbeDiagnosis(
-            "not_regular", "infinite",
-            f"eigenspace of dimension {witness[1]} > {witness[0].degree}; "
-            "a non-regular semisimple element fixes a positive-dimensional set",
-            line_fixed,
-        )
-    if is_irreducible(cp):
-        return ProbeDiagnosis(
-            "regular_elliptic", "finite",
-            f"irreducible characteristic polynomial; exactly {space.dim} fixed lines",
-            line_fixed,
-        )
-    return ProbeDiagnosis(
-        "regular_split", "empty",
-        "regular with reducible characteristic polynomial; no eigenline survives the chain",
-        line_fixed,
-    )

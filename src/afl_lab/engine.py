@@ -84,15 +84,23 @@ def m_counts(sw: ScriptW, n: int) -> dict[int, int]:
     return counts
 
 
+def _analytic(sw: ScriptW) -> int:
+    return -sum((-1) ** d * d for d in sw.dims())
+
+
+def _alternating(sw: ScriptW) -> int:
+    return sum((-1) ** d for d in sw.dims())
+
+
 def analytic_count(inst: MinusculeInstance) -> int:
     """A = -sum_W (-1)^{dim W} dim W over the g- and tau-stable subspaces."""
     if inst.n % 2 == 0:
         raise InputError("the analytic count lives on odd dimensions")
-    return -sum((-1) ** d * d for _, d in script_w(inst).members)
+    return _analytic(script_w(inst))
 
 
 def alternating_sum(inst: MinusculeInstance) -> int:
-    return sum((-1) ** d for _, d in script_w(inst).members)
+    return _alternating(script_w(inst))
 
 
 def afl_support(fact: FactoredPoly):
@@ -211,8 +219,12 @@ def orbital_polynomial(inst: MinusculeInstance, ell_gamma: int = 0) -> dict[int,
     The coefficient of u^{i + ell_gamma} is (-1)^{i + ell_gamma} |M_i| where
     |M_i| counts the stable subspaces of dimension i.
     """
+    return _orbital(m_counts(script_w(inst), inst.n), ell_gamma)
+
+
+def _orbital(counts: dict[int, int], ell_gamma: int) -> dict[int, int]:
     coeffs: dict[int, int] = {}
-    for i, cnt in m_counts(script_w(inst), inst.n).items():
+    for i, cnt in counts.items():
         if cnt:
             e = i + ell_gamma
             coeffs[e] = coeffs.get(e, 0) + (-1) ** e * cnt
@@ -329,14 +341,14 @@ def afl_verdict(inst: MinusculeInstance, cross_check: bool = True) -> Verificati
     if inst.n % 2 == 0:
         raise InputError("verdicts are for odd-dimensional instances; use fl_check")
     fact = inst.fact
-    a_count = analytic_count(inst)
+    sw = script_w(inst)
+    a_count = _analytic(sw)
     geo = geometric_count(inst, cross_check=cross_check)
     i0 = afl_support(fact)
     support = "Finite" if i0 is not None else "Empty"
-    sw = script_w(inst)
     counts = m_counts(sw, inst.n)
-    alt = alternating_sum(inst)
-    orb = orbital_polynomial(inst, 0)
+    alt = _alternating(sw)
+    orb = _orbital(counts, 0)
 
     checks = [Check("analytic_equals_geometric", a_count == geo.total, f"A={a_count} G={geo.total}")]
     if i0 is not None:
@@ -403,13 +415,3 @@ def fl_report(inst: MinusculeInstance) -> dict:
         "seed": inst.seed,
     }
 
-
-def duality_involution_orbits(inst: MinusculeInstance) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The map W -> W-perp restricted to the stable set, as exponent-vector
-    pairs; it must send dimension i to n - i."""
-    fact = inst.fact
-    out = []
-    for vec, _ in script_w(inst).members:
-        dual = tuple(a - vec[j] for (_, a), j in zip(fact.factors, fact.pairing))
-        out.append((vec, dual))
-    return out

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import gf
 from .errors import ForgeError, InputError, InvariantError
-from .gf import FieldElem, FieldTower, make_tower
+from .gf import FieldElem
 from .hermitian import (
     AntiInvolution,
     HermitianSpace,
@@ -84,9 +84,21 @@ def signature_dim(sig) -> int:
     return sum(b.dim for b in sig)
 
 
+def parse_spec(spec: str) -> int | tuple[BlockSpec, ...]:
+    """'coxeter:<n>' parses to the dimension n, anything else to a block
+    signature; malformed specs raise InputError."""
+    spec = spec.strip()
+    if spec.startswith("coxeter:"):
+        try:
+            return int(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise InputError(f"bad coxeter spec {spec!r}") from exc
+    return parse_signature(spec)
+
+
 @dataclass(frozen=True)
 class MinusculeInstance:
-    tower: FieldTower
+    p: int
     space: HermitianSpace
     g: Matrix
     tau: AntiInvolution
@@ -94,10 +106,6 @@ class MinusculeInstance:
     seed: int
     signature: tuple[str, ...]
     provenance: str
-
-    @property
-    def p(self) -> int:
-        return self.tower.p
 
     @property
     def n(self) -> int:
@@ -134,7 +142,6 @@ def _random_self_paired_irreducible(p: int, degree: int, rng) -> Poly:
     """Sample a norm-one element of F_{q^{2d}} and take its minimal polynomial;
     guaranteed self-paired, retried until the degree is exactly d."""
     level = 2 * degree
-    make_tower(p, level)
     while True:
         y = _random_elem(p, level, rng)
         if y.is_zero:
@@ -147,7 +154,6 @@ def _random_self_paired_irreducible(p: int, degree: int, rng) -> Poly:
 
 def _random_pair_irreducible(p: int, degree: int, rng) -> Poly:
     level = 2 * degree
-    make_tower(p, level)
     while True:
         z = _random_elem(p, level, rng)
         if z.is_zero:
@@ -204,32 +210,22 @@ def _poly_power(f: Poly, a: int) -> Poly:
 
 
 def _inverse_t_powers(modulus: Poly):
-    """Coefficient columns of T^{-j} mod modulus for j = 0..deg-1."""
+    """Coefficient columns of T^{-j} mod modulus for j = 0..deg-1.
+
+    Writing modulus = f0 + T h(T), the inverse of T is -h(T)/f0, already
+    reduced since deg h < deg modulus."""
     p, level = modulus.p, modulus.level
     s = modulus.degree
-    # invert T via extended Euclid in F_{q^2}[T]/modulus
-    t = Poly.x(p, level)
-    g, inv_t = _poly_gcdext_mod(t, modulus)
-    if g.degree != 0:
+    f0 = modulus.coeffs[0]
+    if f0.is_zero:
         raise InputError("T is not invertible modulo the block polynomial")
-    inv_t = inv_t.scale(g.coeffs[0].inverse()) % modulus
+    inv_t = Poly.from_elems(p, level, modulus.coeffs[1:]).scale(-f0.inverse())
     cols = []
     cur = Poly.one(p, level)
     for _ in range(s):
         cols.append([cur.coeff(i) for i in range(s)])
         cur = (cur * inv_t) % modulus
     return cols
-
-
-def _poly_gcdext_mod(a: Poly, b: Poly):
-    # returns (g, u) with u*a = g mod b
-    r0, r1 = a, b
-    s0, s1 = Poly.one(a.p, a.level), Poly.zero(a.p, a.level)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    return r0, s0
 
 
 def _assemble_blocks(specs, polys):
@@ -376,7 +372,7 @@ def _solve_gram(g: Matrix, s: Matrix, seed, label) -> HermitianSpace:
     for values in candidates[:GRAM_TRIES]:
         gm = _unpack_gram(values, slots, p, n)
         if not gm.det().is_zero:
-            return validate_space(gm)
+            return HermitianSpace(gm)  # certified with the rest of the instance
     raise ForgeError(
         f"no nondegenerate Gram matrix found for {label} within {GRAM_TRIES} tries "
         f"(solution space dimension {len(basis)} over F_{p})"
@@ -387,18 +383,19 @@ def _solve_gram(g: Matrix, s: Matrix, seed, label) -> HermitianSpace:
 # builders
 
 
-def certify_instance(inst: MinusculeInstance) -> None:
-    """Re-derive every instance invariant; raises InvariantError naming the
-    first broken axiom.  Serialized certificates are never trusted."""
-    validate_space(inst.space.gram)
-    if not is_unitary(inst.g, inst.space):
+def certify_instance(space: HermitianSpace, g: Matrix, tau: AntiInvolution, seed: int) -> FactoredPoly:
+    """Check every instance axiom and return the factorization of charpoly(g).
+
+    Raises InvariantError naming the first broken axiom.  Every builder
+    stores the factorization returned here, so serialized certificates are
+    never trusted and the invariant has a single source."""
+    validate_space(space.gram)
+    if not is_unitary(g, space):
         raise InvariantError("g is not unitary for the hermitian form")
-    if not is_regular(inst.g, seed=inst.seed):
+    if not is_regular(g, seed=seed):
         raise InvariantError("g is not regular")
-    validate_anti_involution(inst.tau, inst.space, inst.g)
-    fact = factor(charpoly(inst.g), inst.seed)
-    if fact != inst.fact:
-        raise InvariantError("stored factorization disagrees with charpoly(g)")
+    validate_anti_involution(tau, space, g)
+    return factor(charpoly(g), seed)
 
 
 def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
@@ -416,13 +413,11 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
             raise InputError("self-paired irreducibles have odd degree")
     sig_string = ",".join(b.spec_string() for b in sig)
     rng = random.Random(f"forge:{p}:{sig_string}:{seed}")
-    max_deg = max(b.degree for b in sig)
-    tower = make_tower(p, max(2, 2 * max_deg))
     polys = _resolve_polys(sig, p, rng)
     g, s = _assemble_blocks(sig, polys)
     space = _solve_gram(g, s, seed, sig_string)
     tau = AntiInvolution(s)
-    fact = factor(charpoly(g), seed)
+    fact = certify_instance(space, g, tau, seed)
     expected = sorted(
         [(b.degree, b.exponent) for b in sig]
         + [(b.degree, b.exponent) for b in sig if b.kind == "cp"]
@@ -430,8 +425,8 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
     got = sorted((f.degree, a) for f, a in fact.factors)
     if expected != got:
         raise AssertionError("factorization does not match the requested signature")
-    inst = MinusculeInstance(
-        tower=make_tower(p, 2),
+    return MinusculeInstance(
+        p=p,
         space=space,
         g=g,
         tau=tau,
@@ -440,8 +435,6 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
         signature=tuple(b.spec_string() for b in sig),
         provenance="block",
     )
-    certify_instance(inst)
-    return inst
 
 
 def random_coxeter_instance(p: int, n: int, seed: int, s_value=None) -> MinusculeInstance:
@@ -456,7 +449,6 @@ def random_coxeter_instance(p: int, n: int, seed: int, s_value=None) -> Minuscul
     if n < 1 or n % 2 == 0:
         raise InputError("the torus model needs odd n >= 1")
     level = 2 * n
-    make_tower(p, level)
     b = gf.gen(p, level)
     emb_gen = gf.embed(gf.gen(p, 2), level)
 
@@ -517,20 +509,18 @@ def random_coxeter_instance(p: int, n: int, seed: int, s_value=None) -> Minuscul
             for bb in powers:
                 row.append(gf.descend(_trace_to_quadratic(ba * (bb ** (p**n)))))
             gram_rows.append(row)
-        space = validate_space(Matrix.from_rows(p, 2, gram_rows))
-        fact = factor(charpoly(g), seed)
-        inst = MinusculeInstance(
-            tower=make_tower(p, 2),
+        space = HermitianSpace(Matrix.from_rows(p, 2, gram_rows))
+        tau = AntiInvolution(s_mat)
+        return MinusculeInstance(
+            p=p,
             space=space,
             g=g,
-            tau=AntiInvolution(s_mat),
-            fact=fact,
+            tau=tau,
+            fact=certify_instance(space, g, tau, seed),
             seed=seed,
             signature=(f"coxeter:{n}",),
             provenance="coxeter",
         )
-        certify_instance(inst)
-        return inst
     raise ForgeError(
         "exhausted attempts to find a generating norm-one element; "
         f"last witness has minimal polynomial of degree {_witness_degree(witness)} < {n}"
@@ -565,14 +555,10 @@ def _transpose_rows(cols):
 
 def instance_from_spec(spec: str, p: int, seed: int) -> MinusculeInstance:
     """Dispatch 'coxeter:<n>' or a comma-joined block signature."""
-    spec = spec.strip()
-    if spec.startswith("coxeter:"):
-        try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(f"bad coxeter spec {spec!r}") from exc
-        return random_coxeter_instance(p, n, seed)
-    return build_block_instance(parse_signature(spec), p, seed)
+    parsed = parse_spec(spec)
+    if isinstance(parsed, int):
+        return random_coxeter_instance(p, parsed, seed)
+    return build_block_instance(parsed, p, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -629,17 +615,15 @@ def parse_instance(data: dict) -> MinusculeInstance:
         raise InputError("schema: seed must be an integer")
     gram = _matrix_from_json(p, data["gram"], n, "gram")
     g = _matrix_from_json(p, data["g"], n, "g")
-    tau = _matrix_from_json(p, data["tau"], n, "tau")
-    space = validate_space(gram)
-    inst = MinusculeInstance(
-        tower=make_tower(p, 2),
+    tau = AntiInvolution(_matrix_from_json(p, data["tau"], n, "tau"))
+    space = HermitianSpace(gram)
+    return MinusculeInstance(
+        p=p,
         space=space,
         g=g,
-        tau=AntiInvolution(tau),
-        fact=factor(charpoly(g), seed),
+        tau=tau,
+        fact=certify_instance(space, g, tau, seed),
         seed=seed,
         signature=tuple(str(s) for s in data["signature"]),
         provenance="parsed",
     )
-    certify_instance(inst)
-    return inst

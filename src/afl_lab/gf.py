@@ -32,16 +32,6 @@ def _trim(v):
     return v
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
-
-
 def _psub(a, b, p):
     n = max(len(a), len(b))
     out = [0] * n
@@ -410,37 +400,12 @@ def descend(x: FieldElem) -> FieldElem:
 # towers
 
 
-@dataclass(frozen=True)
-class FieldTower:
-    """Descriptor of F_p < F_{p^2} < ... < F_{p^max_level} (even levels)."""
-
-    p: int
-    max_level: int
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(range(2, self.max_level + 1, 2))
-
-    def poly(self, level: int) -> tuple[int, ...]:
-        if level not in self.levels:
-            raise InputError(f"level {level} is not part of this tower")
-        return defining_poly(self.p, level)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "levels": list(self.levels),
-            "polys": {str(d): list(defining_poly(self.p, d)) for d in self.levels},
-        }
-
-
-def make_tower(p: int, max_level: int) -> FieldTower:
-    """Validate (p, max_level) and realize every even level up to max_level."""
+def make_tower(p: int, max_level: int) -> None:
+    """Validate (p, max_level) and realize F_p < F_{p^2} < ... < F_{p^max_level}:
+    the defining polynomial of every even level is computed and cached."""
     if not is_odd_prime(p):
         raise InputError(f"p must be an odd prime, got {p}")
     if max_level < 2 or max_level % 2:
         raise InputError("max_level must be even and >= 2")
-    tower = FieldTower(p, max_level)
-    for lv in tower.levels:
+    for lv in range(2, max_level + 1, 2):
         defining_poly(p, lv)
-    return tower

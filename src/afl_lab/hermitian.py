@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from . import gf
 from .errors import InputError, InvariantError
-from .linalg import Matrix, Subspace, charpoly, kernel, rref
-from .poly import Poly
+from .linalg import Matrix, Subspace, kernel, rref
 
 
 @dataclass(frozen=True)
@@ -138,18 +137,16 @@ def restrict_to_invariant(m: Matrix, w: Subspace) -> Matrix:
 
 
 def complete_basis(base_rows, extension_rows):
-    """Extend a basis by the first echelon rows that enlarge the span."""
-    current = list(base_rows)
-    reps = []
-    rank = len(rref(current)[0]) if current else 0
-    for r in extension_rows:
-        trial = current + [r]
-        new_rank = len(rref(trial)[0])
-        if new_rank > rank:
-            current = trial
-            rank = new_rank
-            reps.append(r)
-    return reps
+    """Extend a basis by the first echelon rows that enlarge the span.
+
+    With every vector laid out as a column, a column is a pivot of the
+    echelon form exactly when it lies outside the span of the columns before
+    it, so the pivots past the base columns pick the same rows as adding
+    the extension rows greedily in order."""
+    k = len(base_rows)
+    vectors = list(base_rows) + list(extension_rows)
+    _, pivots = rref(list(zip(*vectors)))
+    return [vectors[c] for c in pivots if c >= k]
 
 
 def quotient_matrix(m: Matrix, w: Subspace, reps) -> Matrix:
@@ -184,23 +181,3 @@ def induced_subquotient(w: Subspace, space: HermitianSpace, m: Matrix):
     sub_space = validate_space(Matrix.from_rows(space.p, space.level, gram_rows))
     induced = quotient_matrix(m, w, reps)
     return sub_space, induced
-
-
-def full_quotient_matrix(m: Matrix, w: Subspace) -> Matrix:
-    """Action of M on V/W, with coset representatives completed from the
-    standard basis in order."""
-    n = m.n
-    ident = Matrix.identity(m.p, m.level, n)
-    reps = complete_basis(list(w.rows), list(ident.rows))
-    return quotient_matrix(m, w, reps)
-
-
-def charpoly_filtration(m: Matrix, w: Subspace, space: HermitianSpace):
-    """The three factors charpoly(M|W), charpoly(M|W-perp/W), charpoly(M|V/W-perp)."""
-    wp = orth_complement(w, space)
-    inner = charpoly(restrict_to_invariant(m, w)) if w.dim else Poly.one(m.p, m.level)
-    _, mid_m = induced_subquotient(w, space, m)
-    mid = charpoly(mid_m) if mid_m.n else Poly.one(m.p, m.level)
-    outer_m = full_quotient_matrix(m, wp)
-    outer = charpoly(outer_m) if outer_m.n else Poly.one(m.p, m.level)
-    return inner, mid, outer

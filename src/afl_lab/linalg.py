@@ -261,25 +261,6 @@ def kernel(m: Matrix) -> Subspace:
     return span(n, basis)
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return span(a.ambient, list(a.rows) + list(b.rows))
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    if a.dim == 0 or b.dim == 0:
-        return Subspace(a.ambient, ())
-    # Zassenhaus: rows of [A|A] and [B|0]; echelon rows with zero left half
-    # carry intersection vectors in the right half.
-    p = a.rows[0][0].p
-    level = a.rows[0][0].level
-    z = gf.zero(p, level)
-    n = a.ambient
-    stacked = [list(r) + list(r) for r in a.rows] + [list(r) + [z] * n for r in b.rows]
-    red, _ = rref(stacked)
-    vecs = [row[n:] for row in red if all(c.is_zero for c in row[:n])]
-    return span(n, vecs)
-
-
 def transform_subspace(sub: Subspace, fn) -> Subspace:
     """Image of a subspace under a linear (or conjugate-linear) vector map."""
     return span(sub.ambient, [fn(r) for r in sub.rows])

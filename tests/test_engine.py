@@ -7,7 +7,6 @@ from afl_lab.engine import (
     analytic_count,
     closed_form_cardinality,
     closed_form_derivative_magnitude,
-    duality_involution_orbits,
     fl_check,
     fl_report,
     geometric_count,
@@ -20,12 +19,23 @@ from afl_lab.engine import (
     script_w_direct,
 )
 from afl_lab.errors import InputError
-from afl_lab.forge import instance_from_spec
+from afl_lab.forge import MinusculeInstance, instance_from_spec
 from afl_lab.linalg import transform_subspace
 
 
 def inst_of(spec, q=3, seed=0):
     return instance_from_spec(spec, q, seed)
+
+
+def duality_involution_orbits(inst: MinusculeInstance) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The map W -> W-perp restricted to the stable set, as exponent-vector
+    pairs; it must send dimension i to n - i."""
+    fact = inst.fact
+    out = []
+    for vec, _ in script_w(inst).members:
+        dual = tuple(a - vec[j] for (_, a), j in zip(fact.factors, fact.pairing))
+        out.append((vec, dual))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from afl_lab.forge import (
     serialize_instance,
     signature_dim,
 )
+from afl_lab.hermitian import AntiInvolution, HermitianSpace
 from afl_lab.linalg import Matrix, transform_subspace
 from afl_lab.poly import Poly, divisor_poly, star
 from afl_lab.linalg import kernel_of_poly
@@ -201,4 +202,32 @@ def test_wrong_poly2_is_schema_error():
 
 def test_certify_passes_on_fresh_instances():
     for spec, q in [("sp:1:3", 3), ("coxeter:3", 3), ("cp:2:1,sp:1:1", 5)]:
-        certify_instance(instance_from_spec(spec, q, 3))
+        inst = instance_from_spec(spec, q, 3)
+        assert certify_instance(inst.space, inst.g, inst.tau, inst.seed) == inst.fact
+
+
+def _zero_matrix(n):
+    return Matrix.from_rows(3, 2, [[gf.zero(3, 2)] * n for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "part,broken,axiom",
+    [
+        ("gram", _zero_matrix, "gram is degenerate"),
+        ("g", _zero_matrix, "g is not unitary"),
+        ("g", lambda n: Matrix.identity(3, 2, n), "g is not regular"),
+        ("tau", _zero_matrix, "anti-involution is not involutive"),
+    ],
+    ids=["degenerate_gram", "non_unitary_g", "non_regular_g", "tau_not_anti_involution"],
+)
+def test_every_certifier_check_can_fail(part, broken, axiom):
+    # each broken part passes every check before the one it targets
+    inst = instance_from_spec("sp:1:3", 3, 8)
+    bad = broken(inst.n)
+    parts = {"gram": inst.space.gram, "g": inst.g, "tau": inst.tau.mat, part: bad}
+    with pytest.raises(InvariantError, match=axiom):
+        certify_instance(HermitianSpace(parts["gram"]), parts["g"], AntiInvolution(parts["tau"]), inst.seed)
+    data = serialize_instance(inst)
+    data[part] = bad.to_json()
+    with pytest.raises(InvariantError, match=axiom):
+        parse_instance(data)

@@ -4,16 +4,20 @@ from afl_lab import gf
 from afl_lab.errors import InputError, InvariantError
 from afl_lab.forge import build_block_instance, parse_signature
 from afl_lab.hermitian import (
-    charpoly_filtration,
+    HermitianSpace,
+    complete_basis,
     herm_product,
     induced_subquotient,
     is_isotropic,
     is_unitary,
     orth_complement,
+    quotient_matrix,
+    restrict_to_invariant,
     validate_space,
 )
 from afl_lab.linalg import Matrix, Subspace, charpoly, invariant_subspaces, span
-from afl_lab.poly import star
+from afl_lab.poly import Poly, star
+from conftest import random_matrix
 
 
 def hyperbolic_plane(p=3):
@@ -108,6 +112,20 @@ def test_zero_subspace_isotropic_full_not():
 # subquotients
 
 
+def test_complete_basis_matches_greedy_rank_growth(rng):
+    # reference: take each extension row in order when it raises the rank
+    for _ in range(20):
+        n = rng.randrange(1, 5)
+        vecs = random_matrix(3, 2, n, rng).rows
+        base = list(span(n, vecs[: rng.randrange(n + 1)]).rows)
+        ext = [vecs[rng.randrange(n)] for _ in range(n + 2)]
+        greedy = []
+        for r in ext:
+            if span(n, base + greedy + [r]).dim > len(base) + len(greedy):
+                greedy.append(r)
+        assert complete_basis(base, ext) == greedy
+
+
 def test_subquotient_of_zero_is_identity():
     inst = build_block_instance(parse_signature("sp:1:3"), 3, 4)
     sub_space, induced = induced_subquotient(Subspace(3, ()), inst.space, inst.g)
@@ -141,6 +159,26 @@ def test_subquotient_rejects_non_isotropic():
     full = span(3, Matrix.identity(3, 2, 3).rows)
     with pytest.raises(InputError):
         induced_subquotient(full, inst.space, inst.g)
+
+
+def full_quotient_matrix(m: Matrix, w: Subspace) -> Matrix:
+    """Action of M on V/W, with coset representatives completed from the
+    standard basis in order."""
+    n = m.n
+    ident = Matrix.identity(m.p, m.level, n)
+    reps = complete_basis(list(w.rows), list(ident.rows))
+    return quotient_matrix(m, w, reps)
+
+
+def charpoly_filtration(m: Matrix, w: Subspace, space: HermitianSpace):
+    """The three factors charpoly(M|W), charpoly(M|W-perp/W), charpoly(M|V/W-perp)."""
+    wp = orth_complement(w, space)
+    inner = charpoly(restrict_to_invariant(m, w)) if w.dim else Poly.one(m.p, m.level)
+    _, mid_m = induced_subquotient(w, space, m)
+    mid = charpoly(mid_m) if mid_m.n else Poly.one(m.p, m.level)
+    outer_m = full_quotient_matrix(m, wp)
+    outer = charpoly(outer_m) if outer_m.n else Poly.one(m.p, m.level)
+    return inner, mid, outer
 
 
 def test_charpoly_multiplicativity_and_star_duality():

@@ -4,6 +4,7 @@ from afl_lab import gf
 from afl_lab.errors import InputError
 from afl_lab.linalg import (
     Matrix,
+    Subspace,
     all_subspaces,
     charpoly,
     invariant_subspaces,
@@ -12,9 +13,8 @@ from afl_lab.linalg import (
     krylov_rank,
     minpoly,
     naive_subspace_scan,
+    rref,
     span,
-    subspace_intersection,
-    subspace_sum,
 )
 from afl_lab.poly import Poly, is_irreducible, plain_factor, poly_gcd, poly_lcm
 from conftest import random_matrix, random_monic
@@ -138,6 +138,25 @@ def test_kernel_dim_equals_divisor_degree_for_regular(rng):
                 for _ in range(e):
                     q = q * f
                 assert kernel_of_poly(m, q).dim == q.degree
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    return span(a.ambient, list(a.rows) + list(b.rows))
+
+
+def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
+    if a.dim == 0 or b.dim == 0:
+        return Subspace(a.ambient, ())
+    # Zassenhaus: rows of [A|A] and [B|0]; echelon rows with zero left half
+    # carry intersection vectors in the right half.
+    p = a.rows[0][0].p
+    level = a.rows[0][0].level
+    z = gf.zero(p, level)
+    n = a.ambient
+    stacked = [list(r) + list(r) for r in a.rows] + [list(r) + [z] * n for r in b.rows]
+    red, _ = rref(stacked)
+    vecs = [row[n:] for row in red if all(c.is_zero for c in row[:n])]
+    return span(n, vecs)
 
 
 def test_kernel_lattice_morphisms(rng):
