@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .dl import dl_fixed_points
 from .errors import CrossCheckError, InputError
 from .forge import MinusculeInstance, serialize_instance
-from .hermitian import induced_subquotient, is_isotropic, orth_complement
+from .hermitian import induced_subquotient, isotropic_divisors, orth_complement
 from .linalg import Subspace, charpoly, invariant_subspaces
 from .poly import Poly, FactoredPoly, divisor_exponents, poly_key
 
@@ -182,8 +182,10 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
     factor_index = {poly_key(f): (i, a) for i, (f, a) in enumerate(inst.fact.factors)}
     strata = []
     total = 0
-    for vec, sub in sorted(invariant_subspaces(inst.g, inst.fact).items()):
-        if not is_isotropic(sub, inst.space):
+    lattice = invariant_subspaces(inst.g, inst.fact)
+    isotropic = isotropic_divisors(lattice, inst.fact, inst.space)
+    for vec, sub in sorted(lattice.items()):
+        if vec not in isotropic:
             continue
         quotient_space, quotient_m = induced_subquotient(sub, inst.space, inst.g)
         t = quotient_space.dim

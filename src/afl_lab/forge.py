@@ -27,6 +27,7 @@ by commas; "coxeter:<n>" routes to the second builder.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from . import gf
@@ -161,6 +162,47 @@ def _random_pair_irreducible(p: int, degree: int, rng) -> Poly:
         cand = _min_poly_over_quadratic(z)
         if cand is not None and cand.degree == degree and star(cand) != cand:
             return cand
+
+
+def _mobius(n: int) -> int:
+    out = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def irreducible_supply(p: int, kind: str, degree: int) -> int:
+    """How many blocks of this kind and degree F_{q^2} can realize at once.
+
+    With N(d) monic irreducibles of degree d over F_{q^2} and SP(d) of them
+    self-paired, SP(d) = (1/d) sum_{e|d} mu(d/e) (q^e + 1) for odd d (and 0
+    for even d); "sp" blocks draw on those, "cp" blocks on the
+    (N(d) - [d = 1] - SP(d)) / 2 conjugate pairs, T itself having no star."""
+    divisors = [e for e in range(1, degree + 1) if degree % e == 0]
+    self_paired = 0
+    if degree % 2:
+        self_paired = sum(_mobius(degree // e) * (p**e + 1) for e in divisors) // degree
+    if kind == "sp":
+        return self_paired
+    total = sum(_mobius(degree // e) * p ** (2 * e) for e in divisors) // degree
+    return (total - (degree == 1) - self_paired) // 2
+
+
+def _check_realizable(sig, p) -> None:
+    for (kind, degree), need in sorted(Counter((b.kind, b.degree) for b in sig).items()):
+        have = irreducible_supply(p, kind, degree)
+        if need > have:
+            what = "self-paired irreducibles" if kind == "sp" else "conjugate pairs of irreducibles"
+            raise InputError(
+                f"signature is not realizable over q = {p}: it needs {need} {kind} blocks of "
+                f"degree {degree}, but F_{p * p} has only {have} {what} of degree {degree}"
+            )
 
 
 def _resolve_polys(sig, p, rng) -> list[Poly]:
@@ -334,28 +376,47 @@ def _unpack_gram(values, slots, p, n) -> Matrix:
     return Matrix.from_rows(p, 2, rows)
 
 
+def _gram_columns(g: Matrix, s: Matrix, slots) -> list[list[int]]:
+    """One column of F_p coefficients per slot: the entries of
+    g^T E conj(g) - E, then of S^T E conj(S) - conj(E), for the slot's unit
+    Gram matrix E.
+
+    E has at most two nonzero entries e at (i, j), and
+    (X^T E conj(Y))[a][b] = sum e X[i][a] conj(Y)[j][b] runs only over the
+    nonzero entries of row i of X and row j of conj(Y)."""
+    p, n = g.p, g.n
+    z = gf.zero(p, 2)
+
+    def nonzero(mat):
+        return [[(c, a) for c, a in enumerate(row) if not a.is_zero] for row in mat.rows]
+
+    laws = ((nonzero(g), nonzero(g.conj()), False), (nonzero(s), nonzero(s.conj()), True))
+    columns = []
+    for kind, i, j, comp in slots:
+        e = gf.elem(p, 2, [1, 0] if comp == 0 else [0, 1])
+        entries = [(i, i, e)] if kind == "diag" else [(i, j, e), (j, i, gf.conj(e))]
+        col = []
+        for x_rows, ybar_rows, conjugated in laws:
+            r = [[z] * n for _ in range(n)]
+            for a, b, c in entries:
+                r[a][b] = r[a][b] - (gf.conj(c) if conjugated else c)
+                for ca, x in x_rows[a]:
+                    xc = x * c
+                    for cb, y in ybar_rows[b]:
+                        r[ca][cb] = r[ca][cb] + xc * y
+            for row in r:
+                for entry in row:
+                    col.extend(entry.coeffs)
+        columns.append(col)
+    return columns
+
+
 def _solve_gram(g: Matrix, s: Matrix, seed, label) -> HermitianSpace:
     """Sample a nondegenerate Gram matrix satisfying unitarity of g and the
     anti-isometry law of tau; conjugate symmetry is built into the packing."""
     p, n = g.p, g.n
     slots = _gram_unknowns(n)
-    gt = g.transpose()
-    gbar = g.conj()
-    st = s.transpose()
-    sbar = s.conj()
-    columns = []
-    for idx in range(len(slots)):
-        probe = [0] * len(slots)
-        probe[idx] = 1
-        gm = _unpack_gram(probe, slots, p, n)
-        r_unit = gt @ gm @ gbar - gm
-        r_anti = st @ gm @ sbar - gm.conj()
-        col = []
-        for mat in (r_unit, r_anti):
-            for row in mat.rows:
-                for entry in row:
-                    col.extend(entry.coeffs)
-        columns.append(col)
+    columns = _gram_columns(g, s, slots)
     system_rows = [list(r) for r in zip(*columns)]
     basis = _int_kernel_basis(system_rows, len(slots), p)
     if not basis:
@@ -411,6 +472,7 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
             raise InputError("signature degrees and exponents must be positive")
         if block.kind == "sp" and block.degree % 2 == 0:
             raise InputError("self-paired irreducibles have odd degree")
+    _check_realizable(sig, p)
     sig_string = ",".join(b.spec_string() for b in sig)
     rng = random.Random(f"forge:{p}:{sig_string}:{seed}")
     polys = _resolve_polys(sig, p, rng)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from . import gf
 from .errors import InputError, InvariantError
 from .linalg import Matrix, Subspace, kernel, rref
+from .poly import factor_pairs
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,11 @@ def validate_space(gram: Matrix) -> HermitianSpace:
     return HermitianSpace(gram)
 
 
-def herm_product(space: HermitianSpace, x, y) -> gf.FieldElem:
-    gy = space.gram.apply([gf.conj(c) for c in y])
-    acc = gf.zero(space.p, space.level)
-    for a, b in zip(x, gy):
-        acc = acc + a * b
-    return acc
+def gram_of_rows(space: HermitianSpace, rows) -> Matrix:
+    """The matrix [h(a, b)] over the given rows, the product R G conj(R)^T
+    with G conj(b) formed once per row."""
+    g_conj = Matrix.from_rows(space.p, space.level, [space.gram.apply([gf.conj(c) for c in b]) for b in rows])
+    return Matrix.from_rows(space.p, space.level, [g_conj.apply(a) for a in rows])
 
 
 def is_unitary(m: Matrix, space: HermitianSpace) -> bool:
@@ -101,39 +101,37 @@ def orth_complement(w: Subspace, space: HermitianSpace) -> Subspace:
 
 
 def is_isotropic(w: Subspace, space: HermitianSpace) -> bool:
-    return all(
-        herm_product(space, a, b).is_zero for a in w.rows for b in w.rows
-    )
+    """h vanishes on W x W, tested as the one product W G conj(W)^T."""
+    return gram_of_rows(space, w.rows).is_zero
 
 
-def _solve_in_rows(rows, target):
-    """Coefficients expressing target as a combination of the given rows."""
-    if not rows:
-        return [] if all(c.is_zero for c in target) else None
-    n = len(target)
-    aug = [list(col) for col in zip(*rows)] if rows else []
-    aug = [row + [t] for row, t in zip(aug, target)]
-    red, pivots = rref(aug)
-    k = len(rows)
-    if k in pivots:
-        return None  # inconsistent
-    coeffs = [None] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = red[r][k]
-    p, level = rows[0][0].p, rows[0][0].level
-    return [c if c is not None else gf.zero(p, level) for c in coeffs]
+def isotropic_divisors(lattice, fact, space: HermitianSpace) -> set[tuple[int, ...]]:
+    """Divisor vectors of an invariant lattice whose subspace is isotropic.
 
-
-def restrict_to_invariant(m: Matrix, w: Subspace) -> Matrix:
-    """Matrix of M on an invariant subspace, in the echelon basis of W."""
-    rows = []
-    for r in w.rows:
-        coeffs = _solve_in_rows(list(w.rows), list(m.apply(r)))
-        if coeffs is None:
-            raise InputError("subspace is not invariant")
-        rows.append(coeffs)
-    # rows[a][b] = coefficient of w_b in M w_a; transpose to act on columns
-    return Matrix.from_rows(m.p, m.level, list(zip(*rows))) if rows else Matrix(m.p, m.level, ())
+    lattice is invariant_subspaces(g, fact).  Its members W(m) are direct
+    sums of the primary chain members W(k e_i) = ker P_i(g)^k, so one basis B
+    adapted to every chain (the first k deg P_i rows of chain i span
+    W(k e_i)) turns isotropy of each W(m) into a zero principal block of the
+    single Gram matrix H = B G conj(B)^T, the actual form in that basis.
+    is_isotropic is the definition this is checked against.
+    """
+    pairs = factor_pairs(fact)
+    basis = []
+    offsets = []
+    for i, (_, a) in enumerate(pairs):
+        offsets.append(len(basis))
+        chain = []
+        for k in range(1, a + 1):
+            unit = tuple(k if j == i else 0 for j in range(len(pairs)))
+            chain += complete_basis(chain, lattice[unit].rows)
+        basis += chain
+    h = gram_of_rows(space, basis).rows
+    out = set()
+    for vec in lattice:
+        idx = [off + r for off, (f, _), m in zip(offsets, pairs, vec) for r in range(m * f.degree)]
+        if all(h[a][b].is_zero for a in idx for b in idx):
+            out.add(vec)
+    return out
 
 
 def complete_basis(base_rows, extension_rows):
@@ -150,34 +148,39 @@ def complete_basis(base_rows, extension_rows):
 
 
 def quotient_matrix(m: Matrix, w: Subspace, reps) -> Matrix:
-    """Action induced by M on span(W + reps)/W, in the coset basis reps."""
-    rows = []
+    """Action induced by M on span(W + reps)/W, in the coset basis reps.
+
+    Every image M r is solved for at once, as the right-hand sides of one
+    echelon form of [W, reps | M reps] laid out as columns."""
+    if not reps:
+        return Matrix(m.p, m.level, ())
     basis = list(w.rows) + list(reps)
-    for r in reps:
-        coeffs = _solve_in_rows(basis, list(m.apply(r)))
-        if coeffs is None:
-            raise InputError("representatives do not span an invariant subspace")
-        rows.append(coeffs[w.dim :])
-    return Matrix.from_rows(m.p, m.level, list(zip(*rows))) if rows else Matrix(m.p, m.level, ())
+    k = len(basis)
+    images = [m.apply(r) for r in reps]
+    red, pivots = rref([list(b) + list(i) for b, i in zip(zip(*basis), zip(*images))])
+    if pivots and pivots[-1] >= k:
+        raise InputError("representatives do not span an invariant subspace")
+    # coeffs[j][c] = coefficient of basis vector j in the image of reps[c]
+    z = gf.zero(m.p, m.level)
+    coeffs = [[z] * len(reps) for _ in range(k)]
+    for r, pc in enumerate(pivots):
+        coeffs[pc] = list(red[r][k:])
+    return Matrix.from_rows(m.p, m.level, coeffs[w.dim :])
 
 
 def induced_subquotient(w: Subspace, space: HermitianSpace, m: Matrix):
     """Hermitian space on W-perp/W with the endomorphism M induces there.
 
-    W must be isotropic and M-invariant; the result has dimension
-    dim V - 2 dim W, is nondegenerate, and its characteristic polynomial is
-    the middle factor of the filtration 0 < W < W-perp < V.
+    W must be isotropic (W inside W-perp) and M-invariant; the result has
+    dimension dim V - 2 dim W, is nondegenerate, and its characteristic
+    polynomial is the middle factor of the filtration 0 < W < W-perp < V.
     """
-    if not is_isotropic(w, space):
-        raise InputError("subspace is not isotropic")
-    _ = restrict_to_invariant(m, w)  # raises if W is not invariant
     wp = orth_complement(w, space)
     if not w.is_subset(wp):
-        raise AssertionError("isotropic subspace escaped its complement")
+        raise InputError("subspace is not isotropic")
+    if not all(w.contains(m.apply(r)) for r in w.rows):
+        raise InputError("subspace is not invariant")
     reps = complete_basis(list(w.rows), list(wp.rows))
     if len(reps) != space.dim - 2 * w.dim:
         raise AssertionError("complement completion has the wrong size")
-    gram_rows = [[herm_product(space, a, b) for b in reps] for a in reps]
-    sub_space = validate_space(Matrix.from_rows(space.p, space.level, gram_rows))
-    induced = quotient_matrix(m, w, reps)
-    return sub_space, induced
+    return validate_space(gram_of_rows(space, reps)), quotient_matrix(m, w, reps)

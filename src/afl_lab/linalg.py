@@ -8,7 +8,9 @@ hashes an algebraic value.
 The characteristic polynomial goes through a deterministic Hessenberg
 reduction followed by the classical recurrence on leading principal minors;
 regularity (cyclicity) is decided by a seeded Krylov-rank probe with an exact
-minimal-polynomial fallback, so there are no false negatives.
+minimal-polynomial fallback, so there are no false negatives.  The invariant
+subspace lattice is built from the primary chains ker P_i(M)^k, whose
+dimensions decide regularity exactly on the way.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from . import gf
 from .errors import InputError
-from .poly import Poly, divisor_exponents, divisor_poly, poly_lcm
+from .poly import Poly, divisor_exponents, factor_pairs, poly_lcm
 
 
 @dataclass(frozen=True, slots=True)
@@ -373,6 +375,27 @@ def kernel_of_poly(m: Matrix, f: Poly) -> Subspace:
     return kernel(m.eval_poly(f))
 
 
+def _primary_chains(m: Matrix, fact) -> list[list[Subspace]]:
+    """chains[i][k] = ker P_i(M)^k for k = 0..a_i, one chain per factor.
+
+    Regularity is decided exactly on the way: M is cyclic iff every primary
+    component is, iff dim ker P_i(M)^k = k deg P_i at every step."""
+    chains = []
+    for f, a in factor_pairs(fact):
+        base = m.eval_poly(f)
+        power = base
+        chain = [Subspace(m.n, ())]
+        for k in range(1, a + 1):
+            if k > 1:
+                power = power @ base
+            ker = kernel(power)
+            if ker.dim != k * f.degree:
+                raise InputError("invariant subspace enumeration requires a regular matrix")
+            chain.append(ker)
+        chains.append(chain)
+    return chains
+
+
 def invariant_subspaces(m: Matrix, fact) -> dict[tuple[int, ...], Subspace]:
     """The full lattice of M-invariant subspaces of a regular M.
 
@@ -380,10 +403,18 @@ def invariant_subspaces(m: Matrix, fact) -> dict[tuple[int, ...], Subspace]:
     sequence of (irreducible, multiplicity) pairs.  Keys are divisor exponent
     vectors; the map is a lattice isomorphism from monic divisors of the
     characteristic polynomial ordered by divisibility.
+
+    The factors are pairwise coprime, so by Bezout the subspace of the
+    divisor prod P_i^{m_i} is the direct sum of the primary chain members
+    ker P_i(M)^{m_i} (Brickman-Fillmore), and each divisor costs one echelon
+    form of their concatenated bases.  kernel_of_poly(m, divisor_poly(fact,
+    vec)) is the definition this is checked against.
     """
-    if not is_regular(m):
-        raise InputError("invariant subspace enumeration requires a regular matrix")
-    return {vec: kernel_of_poly(m, divisor_poly(fact, vec)) for vec in divisor_exponents(fact)}
+    chains = _primary_chains(m, fact)
+    return {
+        vec: span(m.n, [r for chain, k in zip(chains, vec) for r in chain[k].rows])
+        for vec in divisor_exponents(fact)
+    }
 
 
 # ---------------------------------------------------------------------------

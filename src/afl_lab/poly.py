@@ -409,19 +409,19 @@ def factor(f: Poly, seed) -> FactoredPoly:
     return fact
 
 
-def _factor_pairs(fact) -> list[tuple[Poly, int]]:
+def factor_pairs(fact) -> list[tuple[Poly, int]]:
     # accepts a FactoredPoly or a plain sequence of (poly, multiplicity)
     return list(fact.factors) if isinstance(fact, FactoredPoly) else list(fact)
 
 
 def divisor_exponents(fact) -> list[tuple[int, ...]]:
     """All exponent vectors (m_1..m_l), 0 <= m_i <= a_i, in lexicographic order."""
-    ranges = [range(a + 1) for _, a in _factor_pairs(fact)]
+    ranges = [range(a + 1) for _, a in factor_pairs(fact)]
     return list(itertools.product(*ranges))
 
 
 def divisor_poly(fact, exponents) -> Poly:
-    pairs = _factor_pairs(fact)
+    pairs = factor_pairs(fact)
     p, level = pairs[0][0].p, pairs[0][0].level
     out = Poly.one(p, level)
     for (g, _), m in zip(pairs, exponents):

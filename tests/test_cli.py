@@ -84,6 +84,15 @@ def test_verify_corrupted_instance_exit2(tmp_path):
     assert "conjugate-symmetric" in proc.stderr
 
 
+def test_verify_unrealizable_signature_exit2():
+    proc = run_cli("verify", "--q", "3", "--sig", "cp:1:1,cp:1:1,cp:1:1,sp:1:1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "InputError"
+    assert "needs 3 cp blocks of degree 1, but F_9 has only 2" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # fl / dl / orbital
 

@@ -1,0 +1,143 @@
+"""Every structured fast path against its slow definition, exhaustively on
+small fields: every DEFAULT_SIGNATURES instance at q = 3 and q = 5 for seeds
+0-2, plus Coxeter instances, Jordan blocks and random regular matrices."""
+
+import itertools
+import random
+from functools import lru_cache
+
+import pytest
+
+from afl_lab import gf
+from afl_lab.cli import DEFAULT_SIGNATURES
+from afl_lab.errors import InputError
+from afl_lab.forge import _gram_columns, _gram_unknowns, _unpack_gram, instance_from_spec
+from afl_lab.hermitian import (
+    complete_basis,
+    is_isotropic,
+    isotropic_divisors,
+    orth_complement,
+    quotient_matrix,
+)
+from afl_lab.linalg import Matrix, charpoly, invariant_subspaces, is_regular, kernel_of_poly, span
+from afl_lab.poly import divisor_poly, plain_factor
+from conftest import random_matrix
+from test_hermitian import _solve_in_rows, herm_product
+from test_linalg import jordan_block
+
+GRID = [(spec, q, seed) for q in (3, 5) for spec in DEFAULT_SIGNATURES for seed in range(3)]
+COXETER = [("coxeter:3", 3, seed) for seed in range(2)] + [("coxeter:3", 5, 0)]
+
+
+@lru_cache(maxsize=None)
+def instance(spec, q, seed):
+    return instance_from_spec(spec, q, seed)
+
+
+@lru_cache(maxsize=None)
+def lattice(spec, q, seed):
+    inst = instance(spec, q, seed)
+    return invariant_subspaces(inst.g, inst.fact)
+
+
+def probe_gram_columns(g, s, slots):
+    """The constraint columns by definition: unpack each slot's unit Gram
+    matrix E and form g^T E conj(g) - E and S^T E conj(S) - conj(E) with
+    full matrix products."""
+    p, n = g.p, g.n
+    gt, gbar, st, sbar = g.transpose(), g.conj(), s.transpose(), s.conj()
+    columns = []
+    for idx in range(len(slots)):
+        probe = [0] * len(slots)
+        probe[idx] = 1
+        gm = _unpack_gram(probe, slots, p, n)
+        col = []
+        for mat in (gt @ gm @ gbar - gm, st @ gm @ sbar - gm.conj()):
+            for row in mat.rows:
+                for entry in row:
+                    col.extend(entry.coeffs)
+        columns.append(col)
+    return columns
+
+
+def quotient_by_solves(m, w, reps):
+    """quotient_matrix by definition: one solve per representative."""
+    rows = []
+    for r in reps:
+        coeffs = _solve_in_rows(list(w.rows) + list(reps), list(m.apply(r)))
+        assert coeffs is not None
+        rows.append(coeffs[w.dim :])
+    return Matrix.from_rows(m.p, m.level, list(zip(*rows)))
+
+
+def regular_matrices():
+    out = []
+    for lam, n in [(gf.gen(3, 2), 3), (gf.one(3, 2), 4), (gf.gen(5, 2), 2)]:
+        out.append(jordan_block(lam.p, 2, lam, n))
+    rng = random.Random(20)
+    while len(out) < 15:
+        m = random_matrix(3, 2, rng.randrange(1, 5), rng)
+        if is_regular(m):
+            out.append(m)
+    return out
+
+
+def assert_lattice_is_kernels(m, fact):
+    subs = invariant_subspaces(m, fact)
+    for vec, sub in subs.items():
+        assert sub == kernel_of_poly(m, divisor_poly(fact, vec)), vec
+
+
+@pytest.mark.parametrize("spec,q,seed", GRID + COXETER)
+def test_lattice_equals_kernels_of_divisors(spec, q, seed):
+    inst = instance(spec, q, seed)
+    assert_lattice_is_kernels(inst.g, inst.fact)
+
+
+def test_lattice_equals_kernels_on_jordan_and_random_regular():
+    for m in regular_matrices():
+        assert_lattice_is_kernels(m, plain_factor(charpoly(m), 0))
+
+
+@pytest.mark.parametrize("spec,q,seed", GRID + COXETER)
+def test_adapted_isotropy_equals_definition(spec, q, seed):
+    inst = instance(spec, q, seed)
+    subs = lattice(spec, q, seed)
+    expected = {vec for vec, sub in subs.items() if is_isotropic(sub, inst.space)}
+    assert isotropic_divisors(subs, inst.fact, inst.space) == expected
+    for sub in subs.values():
+        pairs = itertools.product(sub.rows, repeat=2)
+        pairwise = all(herm_product(inst.space, a, b).is_zero for a, b in pairs)
+        assert is_isotropic(sub, inst.space) == pairwise
+
+
+@pytest.mark.parametrize("spec,q,seed", GRID + COXETER)
+def test_gram_columns_equal_probe_products(spec, q, seed):
+    inst = instance(spec, q, seed)
+    slots = _gram_unknowns(inst.n)
+    s = inst.tau.mat
+    assert _gram_columns(inst.g, s, slots) == probe_gram_columns(inst.g, s, slots)
+
+
+@pytest.mark.parametrize("spec,q,seed", GRID)
+def test_batched_quotient_equals_per_representative_solves(spec, q, seed):
+    inst = instance(spec, q, seed)
+    ident = Matrix.identity(q, 2, inst.n).rows
+    for sub in lattice(spec, q, seed).values():
+        # V/W for every invariant W, and W-perp/W for the isotropic ones
+        reps_sets = [complete_basis(list(sub.rows), list(ident))]
+        if is_isotropic(sub, inst.space):
+            wp = orth_complement(sub, inst.space)
+            reps_sets.append(complete_basis(list(sub.rows), list(wp.rows)))
+        for reps in reps_sets:
+            if reps:
+                assert quotient_matrix(inst.g, sub, reps) == quotient_by_solves(inst.g, sub, reps)
+
+
+def test_batched_quotient_rejects_non_invariant_span():
+    inst = instance("cp:1:1,sp:1:1", 3, 0)
+    sub = span(inst.n, [])
+    line = (gf.one(3, 2), gf.one(3, 2), gf.one(3, 2))
+    assert _solve_in_rows([line], list(inst.g.apply(line))) is None
+    with pytest.raises(InputError, match="invariant"):
+        quotient_matrix(inst.g, sub, [line])

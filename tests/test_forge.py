@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from afl_lab.forge import (
     build_block_instance,
     certify_instance,
     instance_from_spec,
+    irreducible_supply,
     parse_instance,
     parse_signature,
     random_coxeter_instance,
@@ -17,7 +19,7 @@ from afl_lab.forge import (
 )
 from afl_lab.hermitian import AntiInvolution, HermitianSpace
 from afl_lab.linalg import Matrix, transform_subspace
-from afl_lab.poly import Poly, divisor_poly, star
+from afl_lab.poly import Poly, divisor_poly, is_irreducible, star
 from afl_lab.linalg import kernel_of_poly
 
 
@@ -81,6 +83,38 @@ def test_random_self_paired_cubic():
 def test_rejects_impossible_random_type():
     with pytest.raises(InputError):
         build_block_instance((BlockSpec("sp", 2, 1),), 3, 0)
+
+
+@pytest.mark.parametrize("q,degree,sp,pairs", [
+    (3, 1, 4, 2), (3, 2, 0, 18), (3, 3, 8, 116), (5, 1, 6, 9), (5, 2, 0, 150),
+])
+def test_irreducible_supply_matches_enumeration(q, degree, sp, pairs):
+    # brute force: every monic degree-d polynomial over F_{q^2} with a
+    # nonzero constant term, sorted into self-paired and paired irreducibles
+    elems = [gf.elem_from_encoding(q, 2, c) for c in range(q * q)]
+    self_paired = paired = 0
+    for low in itertools.product(elems, repeat=degree):
+        if low[0].is_zero:
+            continue
+        f = Poly.from_elems(q, 2, list(low) + [gf.one(q, 2)])
+        if is_irreducible(f):
+            if star(f) == f:
+                self_paired += 1
+            else:
+                paired += 1
+    assert (self_paired, paired // 2) == (sp, pairs)
+    assert irreducible_supply(q, "sp", degree) == sp
+    assert irreducible_supply(q, "cp", degree) == pairs
+
+
+@pytest.mark.parametrize("sig,q,message", [
+    ("cp:1:1,cp:1:1,cp:1:1,sp:1:1", 3, "needs 3 cp blocks of degree 1, but F_9 has only 2"),
+    ("sp:1:1,sp:1:1,sp:1:1,sp:1:1,sp:1:1", 3, "needs 5 sp blocks of degree 1, but F_9 has only 4"),
+    (",".join(["sp:3:1"] + ["cp:1:1"] * 10), 5, "needs 10 cp blocks of degree 1, but F_25 has only 9"),
+])
+def test_unrealizable_signature_is_named_before_sampling(sig, q, message):
+    with pytest.raises(InputError, match=message):
+        build_block_instance(parse_signature(sig), q, 0)
 
 
 def test_rejects_duplicate_explicit_polys():

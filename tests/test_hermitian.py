@@ -6,18 +6,55 @@ from afl_lab.forge import build_block_instance, parse_signature
 from afl_lab.hermitian import (
     HermitianSpace,
     complete_basis,
-    herm_product,
     induced_subquotient,
     is_isotropic,
     is_unitary,
     orth_complement,
     quotient_matrix,
-    restrict_to_invariant,
     validate_space,
 )
-from afl_lab.linalg import Matrix, Subspace, charpoly, invariant_subspaces, span
+from afl_lab.linalg import Matrix, Subspace, charpoly, invariant_subspaces, rref, span
 from afl_lab.poly import Poly, star
 from conftest import random_matrix
+
+
+def herm_product(space: HermitianSpace, x, y) -> gf.FieldElem:
+    """h(x, y) = x^T G conj(y), one pair at a time: the definition the
+    batched Gram products are checked against."""
+    gy = space.gram.apply([gf.conj(c) for c in y])
+    acc = gf.zero(space.p, space.level)
+    for a, b in zip(x, gy):
+        acc = acc + a * b
+    return acc
+
+
+def _solve_in_rows(rows, target):
+    """Coefficients expressing target as a combination of the given rows."""
+    if not rows:
+        return [] if all(c.is_zero for c in target) else None
+    aug = [list(col) for col in zip(*rows)]
+    aug = [row + [t] for row, t in zip(aug, target)]
+    red, pivots = rref(aug)
+    k = len(rows)
+    if k in pivots:
+        return None  # inconsistent
+    coeffs = [None] * k
+    for r, pc in enumerate(pivots):
+        coeffs[pc] = red[r][k]
+    p, level = rows[0][0].p, rows[0][0].level
+    return [c if c is not None else gf.zero(p, level) for c in coeffs]
+
+
+def restrict_to_invariant(m: Matrix, w: Subspace) -> Matrix:
+    """Matrix of M on an invariant subspace, in the echelon basis of W."""
+    rows = []
+    for r in w.rows:
+        coeffs = _solve_in_rows(list(w.rows), list(m.apply(r)))
+        if coeffs is None:
+            raise InputError("subspace is not invariant")
+        rows.append(coeffs)
+    # rows[a][b] = coefficient of w_b in M w_a; transpose to act on columns
+    return Matrix.from_rows(m.p, m.level, list(zip(*rows))) if rows else Matrix(m.p, m.level, ())
 
 
 def hyperbolic_plane(p=3):
@@ -159,6 +196,27 @@ def test_subquotient_rejects_non_isotropic():
     full = span(3, Matrix.identity(3, 2, 3).rows)
     with pytest.raises(InputError):
         induced_subquotient(full, inst.space, inst.g)
+
+
+def test_subquotient_rejects_isotropic_line_that_is_not_invariant():
+    inst = build_block_instance(parse_signature("cp:1:1"), 3, 2)
+    z, o = gf.zero(3, 2), gf.one(3, 2)
+    lines = [span(2, [(o, gf.elem_from_encoding(3, 2, c))]) for c in range(9)] + [span(2, [(z, o)])]
+    line = next(
+        w for w in lines
+        if is_isotropic(w, inst.space) and not w.contains(inst.g.apply(w.rows[0]))
+    )
+    with pytest.raises(InputError, match="not invariant"):
+        induced_subquotient(line, inst.space, inst.g)
+
+
+def test_subquotient_rejects_invariant_subspace_that_is_not_isotropic():
+    inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
+    subs = [s for s in invariant_subspaces(inst.g, inst.fact).values() if not is_isotropic(s, inst.space)]
+    assert any(0 < s.dim < inst.n for s in subs)
+    for sub in subs:
+        with pytest.raises(InputError, match="not isotropic"):
+            induced_subquotient(sub, inst.space, inst.g)
 
 
 def full_quotient_matrix(m: Matrix, w: Subspace) -> Matrix:

@@ -1,6 +1,6 @@
 import pytest
 
-from afl_lab import gf
+from afl_lab import gf, linalg
 from afl_lab.errors import InputError
 from afl_lab.linalg import (
     Matrix,
@@ -192,6 +192,22 @@ def test_invariant_subspaces_three_eigenvalues():
 def test_invariant_subspaces_requires_regular():
     with pytest.raises(InputError):
         invariant_subspaces(Matrix.identity(3, 2, 2), plain_factor(charpoly(Matrix.identity(3, 2, 2)), 0))
+
+
+@pytest.mark.parametrize("diag", [(0, 0), (0, 0, 1)], ids=["identity_2x2", "diag_1_1_i"])
+def test_lattice_decides_regularity_without_the_probe(diag, monkeypatch):
+    # the primary kernels alone must reject a non-cyclic matrix
+    z, entries = gf.zero(3, 2), [gf.one(3, 2), gf.gen(3, 2)]
+    n = len(diag)
+    m = Matrix.from_rows(3, 2, [[entries[d] if i == j else z for j in range(n)] for i, d in enumerate(diag)])
+    fact = plain_factor(charpoly(m), 0)
+
+    def probe(*args, **kwargs):
+        raise AssertionError("is_regular must not run inside the lattice walk")
+
+    monkeypatch.setattr(linalg, "is_regular", probe)
+    with pytest.raises(InputError, match="regular"):
+        invariant_subspaces(m, fact)
 
 
 def test_divisibility_matches_inclusion(rng):
