@@ -84,11 +84,19 @@ def _sweep_task(args) -> dict:
     return report
 
 
+def pool_size(jobs: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes for a sweep: a fork pool starts every worker up
+    front, so never more than the CPUs (1 if unknown) or the tasks."""
+    return max(1, min(jobs, cpus or 1, tasks))
+
+
 def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
     """Deterministic seeded sweep; reports merge in task order regardless of
     the parallelism degree."""
     if config.count < 1:
         raise InputError("sweep count must be >= 1")
+    if config.jobs < 1:
+        raise InputError("--jobs must be >= 1")
     grid = []
     for q in config.qs:
         for spec in config.signatures:
@@ -102,9 +110,10 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
         (grid[i % len(grid)][0], grid[i % len(grid)][1], config.seed + i, config.cross_check)
         for i in range(config.count)
     ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * config.jobs))))
+    workers = pool_size(config.jobs, len(tasks), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         reports = [_sweep_task(t) for t in tasks]
     findings = []
@@ -366,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--count", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--signatures", help="semicolon-joined signature specs")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPUs and the tasks")
     p_sweep.add_argument("--out", help="write full reports to this file")
     p_sweep.add_argument("--no-cross-check", action="store_true")
     p_sweep.add_argument("--pretty", action="store_true")

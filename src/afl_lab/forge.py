@@ -640,6 +640,10 @@ def serialize_instance(inst: MinusculeInstance) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _matrix_from_json(p, data, n, name) -> Matrix:
     if not isinstance(data, list) or len(data) != n:
         raise InputError(f"schema: {name} must be a {n}x{n} matrix")
@@ -651,7 +655,9 @@ def _matrix_from_json(p, data, n, name) -> Matrix:
         for entry in row:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise InputError(f"schema: {name} entries must be coefficient pairs")
-            out.append(gf.elem(p, 2, entry))
+            if not all(_is_int(c) and 0 <= c < p for c in entry):
+                raise InputError(f"schema: {name} coefficients must be integers in [0, {p})")
+            out.append(gf.FieldElem(p, 2, tuple(entry)))
         rows.append(out)
     return Matrix.from_rows(p, 2, rows)
 
@@ -665,16 +671,19 @@ def parse_instance(data: dict) -> MinusculeInstance:
             raise InputError(f"schema: missing key {key!r}")
     p = data["p"]
     n = data["n"]
-    if not gf.is_odd_prime(p):
+    if not _is_int(p) or not gf.is_odd_prime(p):
         raise InputError("schema: p must be an odd prime")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError("schema: n must be a positive integer")
     poly2 = data["field"].get("poly2") if isinstance(data["field"], dict) else None
     if poly2 != list(gf.defining_poly(p, 2)):
         raise InputError("schema: poly2 violates the deterministic tower contract")
     seed = data["seed"]
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise InputError("schema: seed must be an integer")
+    signature = data["signature"]
+    if not isinstance(signature, list) or not all(isinstance(s, str) for s in signature):
+        raise InputError("schema: signature must be a list of strings")
     gram = _matrix_from_json(p, data["gram"], n, "gram")
     g = _matrix_from_json(p, data["g"], n, "g")
     tau = AntiInvolution(_matrix_from_json(p, data["tau"], n, "tau"))
@@ -686,6 +695,6 @@ def parse_instance(data: dict) -> MinusculeInstance:
         tau=tau,
         fact=certify_instance(space, g, tau, seed),
         seed=seed,
-        signature=tuple(str(s) for s in data["signature"]),
+        signature=tuple(signature),
         provenance="parsed",
     )

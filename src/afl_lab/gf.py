@@ -13,11 +13,20 @@ extension with its q-power conjugation (q = p), and even levels 2t carry
 the fields the eigenline enumeration works in, where tau is the q^2-power
 Frobenius.  Defining polynomials are pure cached functions of (p, degree),
 so independently built towers with the same p agree on shared levels.
+
+Small fields compute by table (Lidl-Niederreiter, Finite Fields, ch. 9):
+when p**level <= TABLE_CAP (F_9 up to F_169 at level 2, and F_81) every
+value is one interned FieldElem indexed by its encode_int, and add, sub,
+neg, mul, inverse and frob_q are single lookups in Cayley tables built from
+exp/log of a primitive element on the first operation in that field, never
+at import or in make_tower.  Larger levels (the eigenline fields) keep the
+polynomial path: products reduced modulo the defining polynomial, inverses
+by extended Euclid.  Both paths share the one FieldElem class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
 from .errors import InputError
@@ -153,20 +162,98 @@ def defining_poly(p: int, degree: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # field elements
 
+# Fields with at most this many elements compute by table lookup.
+TABLE_CAP = 256
 
-@dataclass(frozen=True, slots=True)
+
+def _encode(p, coeffs):
+    v = 0
+    for c in reversed(coeffs):
+        v = v * p + c
+    return v
+
+
+def _decode(p, level, enc):
+    coeffs = []
+    for _ in range(level):
+        coeffs.append(enc % p)
+        enc //= p
+    return tuple(coeffs)
+
+
+def _pad(coeffs, level):
+    return tuple(coeffs[:level]) + (0,) * max(0, level - len(coeffs))
+
+
+# the polynomial path: coefficient tuples in, coefficient tuples out
+
+
+def _poly_mul(p, level, a, b):
+    f = list(defining_poly(p, level))
+    return _pad(_pmod(_pmul(list(a), list(b), p), f, p), level)
+
+
+def _poly_inverse(p, level, a):
+    # extended Euclid on the defining polynomial
+    f = list(defining_poly(p, level))
+    g, u, _ = _pgcdext(_trim(list(a)), f, p)
+    if len(g) != 1:
+        raise AssertionError("defining polynomial is not irreducible")
+    return _pad(_pmod(u, f, p), level)
+
+
+def _poly_frob(p, level, a):
+    # x -> x^p is F_p-linear: sum c_i (gen^i)^p
+    out = [0] * level
+    for c, img in zip(a, _frob_images(p, level)):
+        if c:
+            for i, v in enumerate(img):
+                out[i] = (out[i] + c * v) % p
+    return tuple(out)
+
+
 class FieldElem:
-    """Element of F_{p^level} in the power basis of defining_poly(p, level)."""
+    """Element of F_{p^level} in the power basis of defining_poly(p, level).
 
-    p: int
-    level: int
-    coeffs: tuple[int, ...]
+    Immutable; equal, hashed and printed by (p, level, coeffs).  When
+    p**level <= TABLE_CAP each value has exactly one instance, which carries
+    its encode_int and its field's _Tables, and every operation is one list
+    lookup returning another such instance.  Larger fields reduce polynomial
+    products modulo the defining polynomial.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.level:
+    __slots__ = ("p", "level", "coeffs", "_enc", "_tables")
+
+    def __new__(cls, p: int, level: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != level:
             raise InputError("coefficient vector length must equal the level")
-        if any(c < 0 or c >= self.p for c in self.coeffs):
+        if any(c < 0 or c >= p for c in coeffs):
             raise InputError("coefficients must be residues in [0, p)")
+        if p**level <= TABLE_CAP:
+            return _tables(p, level).elems[_encode(p, coeffs)]
+        return _new_elem(p, level, coeffs, None, None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return FieldElem, (self.p, self.level, self.coeffs)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not FieldElem:
+            return NotImplemented
+        return self.p == other.p and self.level == other.level and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.p, self.level, self.coeffs))
+
+    def __repr__(self):
+        return f"FieldElem(p={self.p!r}, level={self.level!r}, coeffs={self.coeffs!r})"
 
     def _check(self, other: "FieldElem"):
         if self.p != other.p or self.level != other.level:
@@ -174,40 +261,49 @@ class FieldElem:
 
     @property
     def is_zero(self) -> bool:
+        if self._tables is not None:
+            return not self._enc
         return not any(self.coeffs)
 
     def __bool__(self):
         return not self.is_zero
 
     def __add__(self, other):
+        t = self._tables
+        if t is not None and t is other._tables:
+            return t.add[self._enc][other._enc]
         self._check(other)
         p = self.p
         return FieldElem(p, self.level, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
+        t = self._tables
+        if t is not None and t is other._tables:
+            return t.sub[self._enc][other._enc]
         self._check(other)
         p = self.p
         return FieldElem(p, self.level, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
+        if self._tables is not None:
+            return self._tables.neg[self._enc]
         p = self.p
         return FieldElem(p, self.level, tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other):
+        t = self._tables
+        if t is not None and t is other._tables:
+            return t.mul[self._enc][other._enc]
         self._check(other)
-        f = defining_poly(self.p, self.level)
-        prod = _pmod(_pmul(list(self.coeffs), list(other.coeffs), self.p), list(f), self.p)
-        return _from_list(self.p, self.level, prod)
+        return FieldElem(self.p, self.level, _poly_mul(self.p, self.level, self.coeffs, other.coeffs))
 
     def inverse(self) -> "FieldElem":
-        """Multiplicative inverse via extended Euclid on the defining polynomial."""
+        """Multiplicative inverse."""
         if self.is_zero:
             raise ZeroDivisionError("zero has no inverse")
-        f = list(defining_poly(self.p, self.level))
-        g, u, _ = _pgcdext(_trim(list(self.coeffs)), f, self.p)
-        if len(g) != 1:
-            raise AssertionError("defining polynomial is not irreducible")
-        return _from_list(self.p, self.level, _pmod(u, f, self.p))
+        if self._tables is not None:
+            return self._tables.inv[self._enc]
+        return FieldElem(self.p, self.level, _poly_inverse(self.p, self.level, self.coeffs))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -225,14 +321,70 @@ class FieldElem:
         return result
 
 
-def _from_list(p, level, coeffs):
-    c = list(coeffs[:level]) + [0] * max(0, level - len(coeffs))
-    return FieldElem(p, level, tuple(c))
+def _new_elem(p, level, coeffs, enc, tables):
+    x = object.__new__(FieldElem)
+    for name, value in zip(FieldElem.__slots__, (p, level, coeffs, enc, tables)):
+        object.__setattr__(x, name, value)
+    return x
+
+
+class _Tables:
+    """One interned element per value of a small field and its Cayley tables.
+
+    Every table is indexed by encode_int: add[a][b], sub[a][b], mul[a][b],
+    neg[a], inv[a] (None at zero) and frob[a] hold the result elements.  The
+    tables are built on the first access to any of them, so creating
+    elements (make_tower, gf.zero, parsing) never pays for them.
+    """
+
+    __slots__ = ("p", "level", "elems", "add", "sub", "neg", "mul", "inv", "frob")
+
+    def __init__(self, p, level):
+        self.p, self.level = p, level
+        self.elems = [_new_elem(p, level, _decode(p, level, k), k, self) for k in range(p**level)]
+
+    def __getattr__(self, name):
+        # reached only for an unset slot, i.e. before the first arithmetic
+        if name not in ("add", "sub", "neg", "mul", "inv", "frob"):
+            raise AttributeError(name)
+        self._build()
+        return getattr(self, name)
+
+    def _build(self):
+        p, level, els = self.p, self.level, self.elems
+        q = len(els)
+        vecs = [x.coeffs for x in els]
+        self.add = [[els[_encode(p, [(a + b) % p for a, b in zip(u, v)])] for v in vecs] for u in vecs]
+        self.neg = [els[_encode(p, [-a % p for a in u])] for u in vecs]
+        self.sub = [[row[y._enc] for y in self.neg] for row in self.add]
+        # F^* is cyclic: the powers of the first element of order q - 1 give
+        # exp, and products, inverses and p-th powers are sums of logs
+        for g in els[2:]:
+            powers = [els[1]]
+            x = g
+            while x is not els[1]:
+                powers.append(x)
+                x = els[_encode(p, _poly_mul(p, level, x.coeffs, g.coeffs))]
+            if len(powers) == q - 1:
+                break
+        m = q - 1
+        log = [0] * q
+        for i, x in enumerate(powers):
+            log[x._enc] = i
+        zero = els[0]
+        self.mul = [[zero] * q] + [[zero] + [powers[(log[a] + log[b]) % m] for b in range(1, q)] for a in range(1, q)]
+        self.inv = [None] + [powers[-log[a] % m] for a in range(1, q)]
+        self.frob = [zero] + [powers[p * log[a] % m] for a in range(1, q)]
+
+
+@lru_cache(maxsize=None)
+def _tables(p, level):
+    return _Tables(p, level)
 
 
 def elem(p: int, level: int, coeffs) -> FieldElem:
     """Build an element from an iterable of integers (reduced mod p, padded)."""
-    return _from_list(p, level, [int(c) % p for c in coeffs])
+    return FieldElem(p, level, _pad([int(c) % p for c in coeffs], level))
 
 
 def zero(p: int, level: int) -> FieldElem:
@@ -240,33 +392,28 @@ def zero(p: int, level: int) -> FieldElem:
 
 
 def one(p: int, level: int) -> FieldElem:
-    return _from_list(p, level, [1])
+    return FieldElem(p, level, _pad((1,), level))
 
 
 def gen(p: int, level: int) -> FieldElem:
     """The power-basis generator, i.e. a root of defining_poly(p, level)."""
-    return _from_list(p, level, [0, 1])
+    return FieldElem(p, level, _pad((0, 1), level))
 
 
 def from_base(p: int, level: int, c: int) -> FieldElem:
     """Embed the F_p scalar c."""
-    return _from_list(p, level, [c % p])
+    return FieldElem(p, level, _pad((c % p,), level))
 
 
 def encode_int(x: FieldElem) -> int:
     """Canonical integer encoding sum(c_i * p^i); total order used everywhere."""
-    v = 0
-    for c in reversed(x.coeffs):
-        v = v * x.p + c
-    return v
+    if x._tables is not None:
+        return x._enc
+    return _encode(x.p, x.coeffs)
 
 
 def elem_from_encoding(p: int, level: int, enc: int) -> FieldElem:
-    coeffs = []
-    for _ in range(level):
-        coeffs.append(enc % p)
-        enc //= p
-    return FieldElem(p, level, tuple(coeffs))
+    return FieldElem(p, level, _decode(p, level, enc))
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +435,9 @@ def _frob_images(p, level):
 
 def frob_q(x: FieldElem) -> FieldElem:
     """The q-power map x -> x^p on any level (the tower-wide conjugation)."""
-    imgs = _frob_images(x.p, x.level)
-    out = [0] * x.level
-    for c, img in zip(x.coeffs, imgs):
-        if c:
-            for i, v in enumerate(img):
-                out[i] = (out[i] + c * v) % x.p
-    return FieldElem(x.p, x.level, tuple(out))
+    if x._tables is not None:
+        return x._tables.frob[x._enc]
+    return FieldElem(x.p, x.level, _poly_frob(x.p, x.level, x.coeffs))
 
 
 def conj(x: FieldElem) -> FieldElem:

@@ -167,11 +167,12 @@ class Matrix:
         return Matrix.from_rows(self.p, self.level, [r[n:] for r in red])
 
     def eval_poly(self, f: Poly) -> "Matrix":
-        """Horner evaluation f(M)."""
-        n = self.n
-        acc = Matrix.identity(self.p, self.level, n).scale(gf.zero(self.p, self.level))
-        ident = Matrix.identity(self.p, self.level, n)
-        for c in reversed(f.coeffs):
+        """Horner evaluation f(M), starting from the leading coefficient."""
+        ident = Matrix.identity(self.p, self.level, self.n)
+        if f.is_zero:
+            return ident.scale(gf.zero(self.p, self.level))
+        acc = ident.scale(f.leading)
+        for c in reversed(f.coeffs[:-1]):
             acc = acc @ self + ident.scale(c)
         return acc
 
@@ -180,12 +181,12 @@ class Matrix:
 
 
 def _dot(r, v):
-    it = iter(zip(r, v))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
+    # terms with a zero row entry are skipped: g and the Gram matrix are sparse
+    acc = None
+    for a, b in zip(r, v):
+        if not a.is_zero:
+            acc = a * b if acc is None else acc + a * b
+    return gf.zero(r[0].p, r[0].level) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from afl_lab.cli import DEFAULT_SIGNATURES, SweepConfig, main, run_sweep
+from afl_lab.cli import DEFAULT_SIGNATURES, SweepConfig, main, pool_size, run_sweep
 from afl_lab.errors import InputError
+from afl_lab.forge import instance_from_spec, serialize_instance
 
 
 def run_cli(*args, env_extra=None):
@@ -93,6 +94,38 @@ def test_verify_unrealizable_signature_exit2():
     assert "needs 3 cp blocks of degree 1, but F_9 has only 2" in err["message"]
 
 
+@pytest.fixture(scope="module")
+def instance_json():
+    return serialize_instance(instance_from_spec("cp:1:1,sp:1:1", 3, 3))
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("signature", 5),
+        ("p", 3.0),
+        ("p", "3"),
+        ("g", ["a", 0]),
+        ("seed", True),
+        ("g", [-1, 0]),
+        ("g", [2 + 3 * 10**30, 0]),
+    ],
+    ids=["signature_int", "p_float", "p_str", "entry_str", "seed_bool", "entry_negative", "entry_huge"],
+)
+def test_verify_rejects_malformed_input_exit2(key, value, instance_json, tmp_path):
+    data = json.loads(json.dumps(instance_json))
+    if key == "g":
+        data["g"][0][0] = value
+    else:
+        data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("verify", "--in", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "InputError"
+
+
 # ---------------------------------------------------------------------------
 # fl / dl / orbital
 
@@ -157,6 +190,21 @@ def test_sweep_non_integer_is_input_error(flag, value, capsys):
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "InputError"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "jobs,tasks,cpus,expected",
+    [(8, 12, 2, 2), (8, 3, 64, 3), (1, 100, 8, 1), (4, 10, None, 1), (2, 1, 2, 1), (16, 40, 16, 16)],
+)
+def test_pool_size_is_clamped_to_cpus_and_tasks(jobs, tasks, cpus, expected):
+    assert pool_size(jobs, tasks, cpus) == expected
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_nonpositive_jobs(jobs, capsys):
+    assert main(["sweep", "--count", "1", "--q", "3", "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "InputError" and "--jobs" in err
 
 
 def test_run_sweep_rejects_empty_grid():

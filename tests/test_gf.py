@@ -1,3 +1,7 @@
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,3 +188,138 @@ def test_pow_matches_repeated_product(x):
     for k in range(5):
         assert x**k == acc
         acc = acc * x
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables of the small fields, against independent definitions
+
+
+def odd_primes(limit):
+    return [p for p in range(3, limit + 1, 2) if all(p % d for d in range(3, int(p**0.5) + 1, 2))]
+
+
+# every field with level >= 2 that computes by table, and the prime fields
+# up to 31 (level 1 is tabled by the same rule but the tower never uses it)
+TABLED = [(p, lv) for lv in range(2, 8) for p in odd_primes(gf.TABLE_CAP) if p**lv <= gf.TABLE_CAP]
+TABLED += [(p, 1) for p in odd_primes(31)]
+LEVEL2 = [(p, lv) for p, lv in TABLED if lv == 2]
+
+
+def field(p, level):
+    return [gf.elem_from_encoding(p, level, k) for k in range(p**level)]
+
+
+def test_tabled_fields_are_the_expected_ones():
+    assert LEVEL2 == [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2)]
+    assert 3**6 > gf.TABLE_CAP and (3, 4) in TABLED
+
+
+@pytest.mark.parametrize("p,level", LEVEL2, ids=[f"F{p * p}" for p, _ in LEVEL2])
+def test_level2_mul_table_matches_closed_form(p, level):
+    # (a0 + a1 T)(c0 + c1 T) = a0 c0 + (a0 c1 + a1 c0) T + a1 c1 T^2
+    # with T^2 = -b1 T - b0 for the defining polynomial T^2 + b1 T + b0
+    b0, b1, lead = gf.defining_poly(p, 2)
+    assert lead == 1
+    elems = field(p, 2)
+    for x in elems:
+        a0, a1 = x.coeffs
+        for y in elems:
+            c0, c1 = y.coeffs
+            expected = ((a0 * c0 - a1 * c1 * b0) % p, (a0 * c1 + a1 * c0 - a1 * c1 * b1) % p)
+            assert (x * y).coeffs == expected
+
+
+@pytest.mark.parametrize("p,level", TABLED, ids=[f"F{p}^{lv}" for p, lv in TABLED])
+def test_tables_match_polynomial_path(p, level):
+    elems = field(p, level)
+    by_coeffs = {x.coeffs: x for x in elems}
+    assert [gf.encode_int(x) for x in elems] == list(range(p**level))
+    for x in elems:
+        assert x.is_zero == (not any(x.coeffs))
+        assert -x is by_coeffs[tuple(-a % p for a in x.coeffs)]
+        assert gf.frob_q(x) is by_coeffs[gf._poly_frob(p, level, x.coeffs)]
+        if x.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        else:
+            assert x.inverse() is by_coeffs[gf._poly_inverse(p, level, x.coeffs)]
+        for y in elems:
+            assert x + y is by_coeffs[tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))]
+            assert x - y is by_coeffs[tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs))]
+            assert x * y is by_coeffs[gf._poly_mul(p, level, x.coeffs, y.coeffs)]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_tables_are_associative_and_distributive(p):
+    elems = field(p, 2)
+    for x in elems:
+        for y in elems:
+            xy, x_plus_y = x * y, x + y
+            for z in elems:
+                assert xy * z is x * (y * z)
+                assert x_plus_y + z is x + (y + z)
+                assert x * (y + z) is xy + x * z
+
+
+def test_interned_element_behaves_like_a_value():
+    x = gf.elem(3, 2, [1, 2])
+    assert x is gf.elem_from_encoding(3, 2, 7) is gf.FieldElem(3, 2, (1, 2)) is gf.elem(3, 2, [4, -1])
+    assert x == gf.elem_from_encoding(3, 2, 7) and x != gf.elem(3, 2, [2, 1]) and x != gf.elem(5, 2, [1, 2])
+    assert hash(x) == hash((3, 2, (1, 2)))
+    assert repr(x) == "FieldElem(p=3, level=2, coeffs=(1, 2))"
+    assert pickle.loads(pickle.dumps(x)) is x
+    with pytest.raises(AttributeError):
+        x.coeffs = (0, 0)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    with pytest.raises(AttributeError):
+        del x.p
+    assert x.coeffs == (1, 2)
+
+
+def test_elements_above_the_cap_are_plain_values():
+    x, y = gf.elem(3, 6, [1, 2]), gf.elem(3, 6, [1, 2])
+    assert x is not y and x == y and hash(x) == hash(y) == hash((3, 6, (1, 2, 0, 0, 0, 0)))
+    assert repr(x) == "FieldElem(p=3, level=6, coeffs=(1, 2, 0, 0, 0, 0))"
+    assert gf.encode_int(x) == 1 + 2 * 3
+    with pytest.raises(AttributeError):
+        x.p = 5
+
+
+@pytest.mark.parametrize("p,level", [(3, 2), (3, 6)])
+def test_constructor_validates(p, level):
+    with pytest.raises(InputError):
+        gf.FieldElem(p, level, (0,) * (level + 1))
+    with pytest.raises(InputError):
+        gf.FieldElem(p, level, (p,) + (0,) * (level - 1))
+    with pytest.raises(InputError):
+        gf.FieldElem(p, level, (-1,) + (0,) * (level - 1))
+    with pytest.raises(InputError):
+        gf.elem(p, 2, [1]) + gf.elem(5, 2, [1])
+
+
+def test_tables_are_built_on_first_arithmetic_only():
+    # a fresh interpreter: nothing at import or make_tower, the elements of
+    # F_9 on the first construction, its tables on the first operation
+    code = """
+from afl_lab import gf
+gf.make_tower(3, 18)
+print(gf._tables.cache_info().currsize)
+x = gf.gen(3, 2)
+t = gf._tables(3, 2)
+def built():
+    out = []
+    for name in ("add", "sub", "neg", "mul", "inv", "frob"):
+        try:
+            object.__getattribute__(t, name)
+            out.append(name)
+        except AttributeError:
+            pass
+    return " ".join(out) or "-"
+print(gf._tables.cache_info().currsize, len(t.elems), built())
+x * x
+print(built())
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["0", "1 9 -", "add sub neg mul inv frob"]

@@ -272,3 +272,56 @@ def test_rref_canonical(rng):
         shuffled = rows[::-1]
         sub2 = span(4, shuffled)
         assert sub1 == sub2
+
+
+# ---------------------------------------------------------------------------
+# Horner evaluation and sparse products, against their definitions
+
+
+def power_sum(m: Matrix, f: Poly) -> Matrix:
+    """sum c_i M^i with M^i by repeated matmul: the definition of f(M)."""
+    acc = Matrix.identity(m.p, m.level, m.n).scale(gf.zero(m.p, m.level))
+    power = Matrix.identity(m.p, m.level, m.n)
+    for c in f.coeffs:
+        acc = acc + power.scale(c)
+        power = power @ m
+    return acc
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_eval_poly_matches_power_sum(p, rng):
+    m = random_matrix(p, 2, 4, rng)
+    zero_poly = Poly.from_elems(p, 2, [])
+    assert zero_poly.is_zero and m.eval_poly(zero_poly).is_zero
+    const = Poly.from_elems(p, 2, [gf.elem(p, 2, [1, 2])])
+    assert m.eval_poly(const) == power_sum(m, const)
+    for degree in range(1, 5):
+        for _ in range(3):
+            f = random_monic(p, 2, degree, rng, nonzero_constant=False).scale(gf.elem(p, 2, [2, 1]))
+            assert f.degree == degree
+            assert m.eval_poly(f) == power_sum(m, f)
+
+
+def unskipped_dot(r, v):
+    acc = gf.zero(r[0].p, r[0].level)
+    for a, b in zip(r, v):
+        acc = acc + a * b
+    return acc
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0], ids=["all_zero", "sparse", "dense"])
+def test_apply_and_matmul_match_unskipped_dot(density, rng):
+    p, n = 3, 5
+    def entry():
+        return gf.elem(p, 2, [rng.randrange(p), rng.randrange(p)]) if rng.random() < density else gf.zero(p, 2)
+    for _ in range(5):
+        m = Matrix.from_rows(p, 2, [[entry() for _ in range(n)] for _ in range(n)])
+        rows = [list(r) for r in m.rows]
+        rows[0] = [gf.zero(p, 2)] * n  # an all-zero row still yields the zero element
+        m = Matrix.from_rows(p, 2, rows)
+        other = random_matrix(p, 2, n, rng)
+        v = other.rows[0]
+        assert m.apply(v) == tuple(unskipped_dot(r, v) for r in m.rows)
+        assert m.apply(v)[0] == gf.zero(p, 2)
+        cols = list(zip(*other.rows))
+        assert (m @ other).rows == tuple(tuple(unskipped_dot(r, c) for c in cols) for r in m.rows)
