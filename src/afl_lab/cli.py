@@ -242,8 +242,7 @@ def cmd_sweep(args) -> int:
         cross_check=not args.no_cross_check,
     )
     for q in config.qs:
-        if not gf.is_odd_prime(q):
-            raise InputError(f"q must be an odd prime, got {q}")
+        gf.require_odd_prime(q, "q")
     started = time.time()
     summary, reports = run_sweep(config)
     if config.out:

@@ -447,22 +447,23 @@ def _solve_gram(g: Matrix, s: Matrix, seed, label) -> HermitianSpace:
 def certify_instance(space: HermitianSpace, g: Matrix, tau: AntiInvolution, seed: int) -> FactoredPoly:
     """Check every instance axiom and return the factorization of charpoly(g).
 
-    Raises InvariantError naming the first broken axiom.  Every builder
-    stores the factorization returned here, so serialized certificates are
-    never trusted and the invariant has a single source."""
+    Raises InvariantError naming the first broken axiom.  Regularity is
+    decided exactly on that factorization.  Every builder stores the
+    factorization returned here, so serialized certificates are never
+    trusted and the invariant has a single source."""
     validate_space(space.gram)
     if not is_unitary(g, space):
         raise InvariantError("g is not unitary for the hermitian form")
-    if not is_regular(g, seed=seed):
+    fact = factor(charpoly(g), seed)
+    if not is_regular(g, fact):
         raise InvariantError("g is not regular")
     validate_anti_involution(tau, space, g)
-    return factor(charpoly(g), seed)
+    return fact
 
 
 def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
     """Certified instance realizing a factorization signature exactly."""
-    if not gf.is_odd_prime(p):
-        raise InputError(f"q must be an odd prime, got {p}")
+    gf.require_odd_prime(p, "q")
     if not sig:
         raise InputError("empty signature")
     for block in sig:
@@ -506,8 +507,7 @@ def random_coxeter_instance(p: int, n: int, seed: int, s_value=None) -> Minuscul
     or its integer encoding.  A non-generating s (e.g. s = 1 with n > 1)
     raises ForgeError carrying the witness.
     """
-    if not gf.is_odd_prime(p):
-        raise InputError(f"q must be an odd prime, got {p}")
+    gf.require_odd_prime(p, "q")
     if n < 1 or n % 2 == 0:
         raise InputError("the torus model needs odd n >= 1")
     level = 2 * n
@@ -671,8 +671,9 @@ def parse_instance(data: dict) -> MinusculeInstance:
             raise InputError(f"schema: missing key {key!r}")
     p = data["p"]
     n = data["n"]
-    if not _is_int(p) or not gf.is_odd_prime(p):
-        raise InputError("schema: p must be an odd prime")
+    if not _is_int(p):
+        raise InputError("schema: p must be an integer")
+    gf.require_odd_prime(p, "schema: p")
     if not _is_int(n) or n < 1:
         raise InputError("schema: n must be a positive integer")
     poly2 = data["field"].get("poly2") if isinstance(data["field"], dict) else None

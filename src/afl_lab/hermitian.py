@@ -77,7 +77,9 @@ def validate_anti_involution(tau: AntiInvolution, space: HermitianSpace, g: Matr
     ident = Matrix.identity(s.p, s.level, n)
     if s @ s.conj() != ident:
         raise InvariantError("anti-involution is not involutive")
-    if s @ g.conj() @ s.conj() != g.inverse():
+    # g is invertible (unitary for a nondegenerate form), so S conj(g) conj(S)
+    # = g^{-1} iff S conj(g) conj(S) g = I
+    if s @ g.conj() @ s.conj() @ g != ident:
         raise InvariantError("anti-involution does not conjugate g to its inverse")
     if s.transpose() @ space.gram @ s.conj() != space.gram.conj():
         raise InvariantError("anti-involution is not an anti-isometry")

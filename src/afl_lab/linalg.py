@@ -6,22 +6,22 @@ subspace, so subspace equality is representative equality and nothing ever
 hashes an algebraic value.
 
 The characteristic polynomial goes through a deterministic Hessenberg
-reduction followed by the classical recurrence on leading principal minors;
-regularity (cyclicity) is decided by a seeded Krylov-rank probe with an exact
-minimal-polynomial fallback, so there are no false negatives.  The invariant
-subspace lattice is built from the primary chains ker P_i(M)^k, whose
-dimensions decide regularity exactly on the way.
+reduction followed by the classical recurrence on leading principal minors.
+Regularity (cyclicity) is decided exactly on the factorization of the
+characteristic polynomial: M is regular iff dim ker P_i(M) = deg P_i for every
+irreducible factor P_i.  The invariant subspace lattice of a regular M is
+built from the primary chains ker P_i(M)^k, whose dimensions the walk checks
+again on the way.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from . import gf
 from .errors import InputError
-from .poly import Poly, divisor_exponents, factor_pairs, poly_lcm
+from .poly import Poly, divisor_exponents, factor_pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,7 +31,6 @@ class Matrix:
     rows: tuple[tuple[gf.FieldElem, ...], ...]
 
     def __post_init__(self):
-        n = len(self.rows)
         if any(len(r) != len(self.rows[0]) for r in self.rows):
             raise InputError("ragged matrix")
 
@@ -39,10 +38,6 @@ class Matrix:
     @staticmethod
     def from_rows(p, level, rows) -> "Matrix":
         return Matrix(p, level, tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def from_ints(p, level, rows) -> "Matrix":
-        return Matrix.from_rows(p, level, [[gf.elem(p, level, c) for c in r] for r in rows])
 
     @staticmethod
     def identity(p, level, n) -> "Matrix":
@@ -158,14 +153,6 @@ class Matrix:
             acc = -acc
         return acc
 
-    def inverse(self) -> "Matrix":
-        n = self.n
-        aug = [list(r) + list(Matrix.identity(self.p, self.level, n).rows[i]) for i, r in enumerate(self.rows)]
-        red, pivots = rref(aug)
-        if pivots != tuple(range(n)):
-            raise InputError("matrix is singular")
-        return Matrix.from_rows(self.p, self.level, [r[n:] for r in red])
-
     def eval_poly(self, f: Poly) -> "Matrix":
         """Horner evaluation f(M), starting from the leading coefficient."""
         ident = Matrix.identity(self.p, self.level, self.n)
@@ -270,7 +257,7 @@ def transform_subspace(sub: Subspace, fn) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# characteristic and minimal polynomials
+# characteristic polynomial and regularity
 
 
 def charpoly(m: Matrix) -> Poly:
@@ -310,65 +297,12 @@ def charpoly(m: Matrix) -> Poly:
     return chain[n]
 
 
-def vector_annihilator(m: Matrix, v) -> Poly:
-    """Monic polynomial of least degree with f(M) v = 0."""
-    z = gf.zero(m.p, m.level)
-    pivots: list[tuple[int, list, list]] = []  # (pivot col, vector, combo over M^i v)
-    cur = list(v)
-    j = 0
-    while True:
-        w = list(cur)
-        c = [z] * j + [gf.one(m.p, m.level)]
-        for piv, vec, cmb in pivots:
-            if not w[piv].is_zero:
-                f = w[piv]
-                w = [a - f * b for a, b in zip(w, vec)]
-                for i, b in enumerate(cmb):
-                    c[i] = c[i] - f * b
-        if all(a.is_zero for a in w):
-            return Poly.from_elems(m.p, m.level, c)
-        piv = next(i for i, a in enumerate(w) if not a.is_zero)
-        inv = w[piv].inverse()
-        w = [a * inv for a in w]
-        c = [a * inv for a in c]
-        pivots.append((piv, w, c))
-        cur = list(m.apply(cur))
-        j += 1
-
-
-def minpoly(m: Matrix) -> Poly:
-    n = m.n
-    acc = Poly.one(m.p, m.level)
-    ident = Matrix.identity(m.p, m.level, n)
-    for i in range(n):
-        acc = poly_lcm(acc, vector_annihilator(m, ident.rows[i]))
-        if acc.degree == n:
-            break
-    return acc
-
-
-def krylov_rank(m: Matrix, v) -> int:
-    rows = []
-    cur = tuple(v)
-    for _ in range(m.n):
-        rows.append(cur)
-        cur = m.apply(cur)
-    red, _ = rref(rows)
-    return len(red)
-
-
-def is_regular(m: Matrix, seed=0) -> bool:
-    """True iff the minimal polynomial equals the characteristic polynomial.
-
-    A seeded random vector of full Krylov rank certifies regularity at once;
-    otherwise the exact minimal polynomial decides, so a False is never wrong.
-    """
-    n = m.n
-    rng = random.Random(f"regular:{m.p}:{m.level}:{seed}")
-    v = [gf.elem(m.p, m.level, [rng.randrange(m.p) for _ in range(m.level)]) for _ in range(n)]
-    if krylov_rank(m, v) == n:
-        return True
-    return minpoly(m).degree == n
+def is_regular(m: Matrix, fact) -> bool:
+    """True iff M is cyclic, decided exactly from the factorization of its
+    characteristic polynomial: dim ker P_i(M) = deg P_i for every irreducible
+    factor P_i, i.e. each primary component has a single elementary divisor.
+    One echelon form per factor."""
+    return all(m.n - len(rref(m.eval_poly(f).rows)[1]) == f.degree for f, _ in factor_pairs(fact))
 
 
 def kernel_of_poly(m: Matrix, f: Poly) -> Subspace:

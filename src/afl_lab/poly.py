@@ -43,10 +43,6 @@ class Poly:
         return Poly(p, level, tuple(c))
 
     @staticmethod
-    def from_ints(p, level, rows) -> "Poly":
-        return Poly.from_elems(p, level, [gf.elem(p, level, r) for r in rows])
-
-    @staticmethod
     def zero(p, level) -> "Poly":
         return Poly(p, level, ())
 
@@ -184,12 +180,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero or b.is_zero:
-        return Poly.zero(a.p, a.level)
-    return ((a * b) // poly_gcd(a, b)).monic()
 
 
 def poly_key(f: Poly):

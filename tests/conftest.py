@@ -11,6 +11,10 @@ def felem(p, level, *coeffs):
     return gf.elem(p, level, coeffs)
 
 
+def poly_from_ints(p, level, rows):
+    return Poly.from_elems(p, level, [gf.elem(p, level, r) for r in rows])
+
+
 def random_matrix(p, level, n, rng):
     return Matrix.from_rows(
         p, level,

@@ -24,12 +24,12 @@ from afl_lab.forge import random_coxeter_instance
 from afl_lab.linalg import (
     Matrix,
     invariant_subspaces,
-    is_regular,
     naive_subspace_scan,
 )
 from afl_lab.poly import plain_factor
 from afl_lab.linalg import charpoly
 from conftest import random_matrix
+from test_linalg import probe_is_regular
 
 
 def report(criterion, ok, detail=""):
@@ -136,7 +136,7 @@ def test_criterion_6_oracle_equivalence():
     while checked < 50:
         n = rng.randrange(1, 4)
         m = random_matrix(3, 2, n, rng)
-        if not is_regular(m):
+        if not probe_is_regular(m):
             continue
         checked += 1
         fact = plain_factor(charpoly(m), checked)

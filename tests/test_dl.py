@@ -7,8 +7,9 @@ from afl_lab.dl import dl_fixed_points, galois_orbit_check
 from afl_lab.errors import InputError
 from afl_lab.forge import build_block_instance, parse_signature, random_coxeter_instance
 from afl_lab.hermitian import HermitianSpace, validate_space
-from afl_lab.linalg import Matrix, Subspace, charpoly, kernel_of_poly, minpoly, span
+from afl_lab.linalg import Matrix, Subspace, charpoly, kernel_of_poly, span
 from afl_lab.poly import is_irreducible, plain_factor, poly_gcd
+from test_linalg import minpoly
 
 
 def coxeter(q, t, seed):

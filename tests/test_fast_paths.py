@@ -19,11 +19,11 @@ from afl_lab.hermitian import (
     orth_complement,
     quotient_matrix,
 )
-from afl_lab.linalg import Matrix, charpoly, invariant_subspaces, is_regular, kernel_of_poly, span
+from afl_lab.linalg import Matrix, charpoly, invariant_subspaces, kernel_of_poly, span
 from afl_lab.poly import divisor_poly, plain_factor
 from conftest import random_matrix
 from test_hermitian import _solve_in_rows, herm_product
-from test_linalg import jordan_block
+from test_linalg import jordan_block, probe_is_regular
 
 GRID = [(spec, q, seed) for q in (3, 5) for spec in DEFAULT_SIGNATURES for seed in range(3)]
 COXETER = [("coxeter:3", 3, seed) for seed in range(2)] + [("coxeter:3", 5, 0)]
@@ -77,7 +77,7 @@ def regular_matrices():
     rng = random.Random(20)
     while len(out) < 15:
         m = random_matrix(3, 2, rng.randrange(1, 5), rng)
-        if is_regular(m):
+        if probe_is_regular(m):
             out.append(m)
     return out
 

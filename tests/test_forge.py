@@ -240,6 +240,23 @@ def test_certify_passes_on_fresh_instances():
         assert certify_instance(inst.space, inst.g, inst.tau, inst.seed) == inst.fact
 
 
+def test_certify_rejects_unitary_non_scalar_non_regular_g():
+    # diag(1, 1, -1) is unitary for the identity form; its eigenvalue 1 has a
+    # 2-dimensional eigenspace, so dim ker(g - 1) exceeds deg(T - 1)
+    one, z = gf.one(3, 2), gf.zero(3, 2)
+    g = Matrix.from_rows(3, 2, [[one, z, z], [z, one, z], [z, z, -one]])
+    ident = Matrix.identity(3, 2, 3)
+    with pytest.raises(InvariantError, match="g is not regular"):
+        certify_instance(HermitianSpace(ident), g, AntiInvolution(ident), 0)
+
+
+def test_parse_rejects_p_above_the_bound():
+    data = serialize_instance(instance_from_spec("sp:1:1", 3, 8))
+    data["p"] = 16411  # the least prime above gf.P_MAX
+    with pytest.raises(InputError, match=f"schema: p must be at most {gf.P_MAX}"):
+        parse_instance(data)
+
+
 def _zero_matrix(n):
     return Matrix.from_rows(3, 2, [[gf.zero(3, 2)] * n for _ in range(n)])
 

@@ -36,6 +36,26 @@ def test_tower_rejects_even_p():
         gf.make_tower(2, 2)
 
 
+def test_prime_bound_around_p_max():
+    assert gf.P_MAX == 16381
+    gf.require_odd_prime(gf.P_MAX)
+    with pytest.raises(InputError, match="must be an odd prime"):
+        gf.require_odd_prime(gf.P_MAX - 1)
+    with pytest.raises(InputError, match=f"must be at most {gf.P_MAX}, got {gf.P_MAX + 1}"):
+        gf.require_odd_prime(gf.P_MAX + 1)
+
+
+class _NoTrialDivision(int):
+    def __mod__(self, other):
+        raise AssertionError("primality tested before the bound")
+
+
+def test_prime_bound_is_tested_before_primality():
+    # 2^61 - 1 is prime: trial division up to its square root never ends
+    with pytest.raises(InputError, match="at most"):
+        gf.require_odd_prime(_NoTrialDivision(2**61 - 1), "q")
+
+
 def test_tower_rejects_odd_level():
     with pytest.raises(InputError):
         gf.make_tower(3, 3)

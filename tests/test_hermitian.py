@@ -4,6 +4,7 @@ from afl_lab import gf
 from afl_lab.errors import InputError, InvariantError
 from afl_lab.forge import build_block_instance, parse_signature
 from afl_lab.hermitian import (
+    AntiInvolution,
     HermitianSpace,
     complete_basis,
     induced_subquotient,
@@ -11,6 +12,7 @@ from afl_lab.hermitian import (
     is_unitary,
     orth_complement,
     quotient_matrix,
+    validate_anti_involution,
     validate_space,
 )
 from afl_lab.linalg import Matrix, Subspace, charpoly, invariant_subspaces, rref, span
@@ -109,6 +111,45 @@ def test_non_norm_one_diag_fails():
     space = validate_space(Matrix.identity(3, 2, 2))
     m = Matrix.from_rows(3, 2, [[c, z], [z, gf.one(3, 2)]])
     assert not is_unitary(m, space)
+
+
+# ---------------------------------------------------------------------------
+# anti-involution axioms
+
+
+def _not_inverting():
+    # g = [[1, b], [0, 1]] is unitary for the hyperbolic form when b + conj(b)
+    # = 0, and the swap S is an involutive anti-isometry, but S conj(g) conj(S)
+    # is the lower unipotent [[1, 0], [-b, 1]], not g^{-1} = [[1, -b], [0, 1]]
+    z, o, b = gf.zero(3, 2), gf.one(3, 2), gf.gen(3, 2)
+    assert (b + gf.conj(b)).is_zero and not b.is_zero
+    g = Matrix.from_rows(3, 2, [[o, b], [z, o]])
+    swap = Matrix.from_rows(3, 2, [[z, o], [o, z]])
+    assert is_unitary(g, hyperbolic_plane())
+    return hyperbolic_plane(), g, swap
+
+
+def _not_anti_isometric():
+    # S = [[0, s], [conj(s)^{-1}, 0]] is involutive and commutes with g = I,
+    # but S^T conj(S) = diag(N(s)^{-1}, N(s)) differs from I when N(s) != 1
+    z, s = gf.zero(3, 2), gf.one(3, 2) + gf.gen(3, 2)
+    assert s * gf.conj(s) != gf.one(3, 2)
+    tau = Matrix.from_rows(3, 2, [[z, s], [gf.conj(s).inverse(), z]])
+    return validate_space(Matrix.identity(3, 2, 2)), Matrix.identity(3, 2, 2), tau
+
+
+@pytest.mark.parametrize(
+    "case,axiom",
+    [
+        (_not_inverting, "does not conjugate g to its inverse"),
+        (_not_anti_isometric, "is not an anti-isometry"),
+    ],
+    ids=["not_inverting", "not_anti_isometric"],
+)
+def test_anti_involution_axiom_can_fail(case, axiom):
+    space, g, s = case()
+    with pytest.raises(InvariantError, match=axiom):
+        validate_anti_involution(AntiInvolution(s), space, g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from afl_lab import gf, linalg
@@ -10,14 +12,12 @@ from afl_lab.linalg import (
     invariant_subspaces,
     is_regular,
     kernel_of_poly,
-    krylov_rank,
-    minpoly,
     naive_subspace_scan,
     rref,
     span,
 )
-from afl_lab.poly import Poly, is_irreducible, plain_factor, poly_gcd, poly_lcm
-from conftest import random_matrix, random_monic
+from afl_lab.poly import Poly, is_irreducible, plain_factor, poly_gcd
+from conftest import poly_from_ints, random_matrix, random_monic
 
 
 def jordan_block(p, level, lam, n):
@@ -50,7 +50,7 @@ def test_charpoly_diag_i_minus_i():
     i = gf.gen(3, 2)
     z = gf.zero(3, 2)
     m = Matrix.from_rows(3, 2, [[i, z], [z, -i]])
-    assert charpoly(m) == Poly.from_ints(3, 2, [[1, 0], [0, 0], [1, 0]])
+    assert charpoly(m) == poly_from_ints(3, 2, [[1, 0], [0, 0], [1, 0]])
 
 
 def test_charpoly_det_constant_term(rng):
@@ -71,21 +71,97 @@ def test_cayley_hamilton(rng):
 
 
 # ---------------------------------------------------------------------------
-# regularity
+# regularity: the seeded Krylov probe with its exact minimal-polynomial
+# fallback is the oracle for the factorization-based is_regular
+
+
+def poly_lcm(a: Poly, b: Poly) -> Poly:
+    if a.is_zero or b.is_zero:
+        return Poly.zero(a.p, a.level)
+    return ((a * b) // poly_gcd(a, b)).monic()
+
+
+def vector_annihilator(m: Matrix, v) -> Poly:
+    """Monic polynomial of least degree with f(M) v = 0."""
+    z = gf.zero(m.p, m.level)
+    pivots: list[tuple[int, list, list]] = []  # (pivot col, vector, combo over M^i v)
+    cur = list(v)
+    j = 0
+    while True:
+        w = list(cur)
+        c = [z] * j + [gf.one(m.p, m.level)]
+        for piv, vec, cmb in pivots:
+            if not w[piv].is_zero:
+                f = w[piv]
+                w = [a - f * b for a, b in zip(w, vec)]
+                for i, b in enumerate(cmb):
+                    c[i] = c[i] - f * b
+        if all(a.is_zero for a in w):
+            return Poly.from_elems(m.p, m.level, c)
+        piv = next(i for i, a in enumerate(w) if not a.is_zero)
+        inv = w[piv].inverse()
+        w = [a * inv for a in w]
+        c = [a * inv for a in c]
+        pivots.append((piv, w, c))
+        cur = list(m.apply(cur))
+        j += 1
+
+
+def minpoly(m: Matrix) -> Poly:
+    n = m.n
+    acc = Poly.one(m.p, m.level)
+    ident = Matrix.identity(m.p, m.level, n)
+    for i in range(n):
+        acc = poly_lcm(acc, vector_annihilator(m, ident.rows[i]))
+        if acc.degree == n:
+            break
+    return acc
+
+
+def krylov_rank(m: Matrix, v) -> int:
+    rows = []
+    cur = tuple(v)
+    for _ in range(m.n):
+        rows.append(cur)
+        cur = m.apply(cur)
+    red, _ = rref(rows)
+    return len(red)
+
+
+def probe_is_regular(m: Matrix, seed=0) -> bool:
+    """True iff the minimal polynomial equals the characteristic polynomial.
+
+    A seeded random vector of full Krylov rank certifies regularity at once;
+    otherwise the exact minimal polynomial decides, so a False is never wrong.
+    """
+    n = m.n
+    rng = random.Random(f"regular:{m.p}:{m.level}:{seed}")
+    v = [gf.elem(m.p, m.level, [rng.randrange(m.p) for _ in range(m.level)]) for _ in range(n)]
+    if krylov_rank(m, v) == n:
+        return True
+    return minpoly(m).degree == n
+
+
+def exact_is_regular(m: Matrix) -> bool:
+    return is_regular(m, plain_factor(charpoly(m), 0))
 
 
 def test_identity_2x2_not_regular():
-    assert not is_regular(Matrix.identity(3, 2, 2))
+    ident = Matrix.identity(3, 2, 2)
+    assert not probe_is_regular(ident)
+    assert not exact_is_regular(ident)
 
 
 def test_companion_is_regular(rng):
     f = random_monic(3, 2, 4, rng)
-    assert is_regular(Matrix.companion(f))
+    assert probe_is_regular(Matrix.companion(f))
+    assert exact_is_regular(Matrix.companion(f))
 
 
 def test_jordan_block_is_regular():
     j = jordan_block(3, 2, gf.gen(3, 2), 3)
-    assert is_regular(j)
+    assert probe_is_regular(j)
+    assert exact_is_regular(j)
     e1 = (gf.one(3, 2), gf.zero(3, 2), gf.zero(3, 2))
     assert krylov_rank(j.transpose(), e1) == 3
 
@@ -93,13 +169,49 @@ def test_jordan_block_is_regular():
 def test_minpoly_agrees_with_charpoly_iff_regular(rng):
     for _ in range(10):
         m = random_matrix(3, 2, 3, rng)
-        assert (minpoly(m) == charpoly(m)) == is_regular(m)
+        assert (minpoly(m) == charpoly(m)) == probe_is_regular(m)
 
 
 def test_minpoly_divides_charpoly(rng):
     for _ in range(10):
         m = random_matrix(3, 2, 3, rng)
         assert charpoly(m) % minpoly(m) == Poly.zero(3, 2)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_exact_regularity_matches_probe_on_random_matrices(p, rng):
+    for _ in range(30):
+        m = random_matrix(p, 2, rng.randrange(1, 5), rng)
+        assert exact_is_regular(m) == probe_is_regular(m)
+
+
+def _quadratic_irreducible(p):
+    enc = gf.elem_from_encoding
+    return next(
+        f
+        for c0 in range(1, p * p)
+        for c1 in range(p * p)
+        if is_irreducible(f := Poly.from_elems(p, 2, [enc(p, 2, c0), enc(p, 2, c1), gf.one(p, 2)]))
+    )
+
+
+def _derogatory(name):
+    one, i = gf.one(3, 2), gf.gen(3, 2)
+    if name == "identity":
+        return Matrix.identity(3, 2, 3)
+    if name == "diag_1_1_i":
+        return Matrix.block_diag([Matrix.identity(3, 2, 2), Matrix.identity(3, 2, 1).scale(i)])
+    if name == "jordan_2_1":
+        return Matrix.block_diag([jordan_block(3, 2, i + one, 2), jordan_block(3, 2, i + one, 1)])
+    block = Matrix.companion(_quadratic_irreducible(3))
+    return Matrix.block_diag([block, block])
+
+
+@pytest.mark.parametrize("name", ["identity", "diag_1_1_i", "jordan_2_1", "equal_companions"])
+def test_exact_regularity_matches_probe_on_derogatory_matrices(name):
+    m = _derogatory(name)
+    assert not probe_is_regular(m)
+    assert not exact_is_regular(m)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +242,7 @@ def test_kernel_of_jordan_square():
 def test_kernel_dim_equals_divisor_degree_for_regular(rng):
     for _ in range(10):
         m = random_matrix(3, 2, 3, rng)
-        if not is_regular(m):
+        if not probe_is_regular(m):
             continue
         for f, a in plain_factor(charpoly(m), 0):
             for e in range(1, a + 1):
@@ -213,7 +325,7 @@ def test_lattice_decides_regularity_without_the_probe(diag, monkeypatch):
 def test_divisibility_matches_inclusion(rng):
     for _ in range(5):
         m = random_matrix(3, 2, 3, rng)
-        if not is_regular(m):
+        if not probe_is_regular(m):
             continue
         subs = invariant_subspaces(m, plain_factor(charpoly(m), 0))
         vecs = list(subs)
@@ -238,18 +350,7 @@ def test_naive_scan_identity_2x2_over_f9():
 
 
 def test_naive_scan_irreducible_charpoly():
-    f = next(
-        cand
-        for c0 in range(1, 81)
-        for c1 in range(81)
-        if is_irreducible(
-            cand := Poly.from_elems(
-                3, 2,
-                [gf.elem_from_encoding(3, 2, c0), gf.elem_from_encoding(3, 2, c1), gf.one(3, 2)],
-            )
-        )
-    )
-    m = Matrix.companion(f)
+    m = Matrix.companion(_quadratic_irreducible(3))
     assert len(naive_subspace_scan(m)) == 2
 
 

@@ -16,7 +16,7 @@ from afl_lab.poly import (
     poly_gcd,
     star,
 )
-from conftest import random_monic
+from conftest import poly_from_ints, random_monic
 
 
 def x_minus_enc(p, enc):
@@ -96,7 +96,7 @@ def test_factor_three_linears_with_swap():
 
 
 def test_factor_quadratic_splits_into_plus_minus_i():
-    f = Poly.from_ints(3, 2, [[1, 0], [0, 0], [1, 0]])  # T^2 + 1
+    f = poly_from_ints(3, 2, [[1, 0], [0, 0], [1, 0]])  # T^2 + 1
     i = gf.gen(3, 2)
     fact = factor(f, 0)
     assert {g for g, _ in fact.factors} == {Poly.x_minus(i), Poly.x_minus(-i)}
