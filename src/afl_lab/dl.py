@@ -14,6 +14,11 @@ with d = (t-1)/2, evaluated through the sesquilinear extension of the form
 chain convention corresponds to one fixed Coxeter element; other choices
 differ by a power of Frobenius and are out of scope.
 
+An irreducible polynomial of degree t over F_{q^2} splits into distinct
+linear factors over F_{q^{2t}}, so no gcd with x^{q^{2t}} - x is taken: the
+splitting keeps only the smaller factor of each split, down to degree one,
+and the orbit is cross-checked instead (t distinct members, each a root).
+
 Nothing here consults the closed-form counting formulas, so this is a true
 second route for the per-stratum counts.
 """
@@ -44,31 +49,37 @@ class EigenlineRecord:
         }
 
 
-def _roots_in_field(f: Poly, rng) -> list[gf.FieldElem]:
-    """All roots of f in its own coefficient field, by equal-degree splitting."""
+def _one_root(f: Poly, rng) -> gf.FieldElem:
+    """A root of f, which must split into distinct linear factors over its field.
+
+    Each successful equal-degree split keeps the smaller factor, so about
+    log2(deg f) splits reach a linear factor."""
     p, level = f.p, f.level
-    q_size = p**level
-    x = Poly.x(p, level)
-    linear_part = poly_gcd(x.powmod(q_size, f) - (x % f), f)
-    roots = []
+    e = (p**level - 1) // 2
+    g = f.monic()
+    while g.degree > 1:
+        shift = gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
+        cand = (Poly.x(p, level) + Poly.constant(shift)).powmod(e, g) - Poly.one(p, level)
+        h = poly_gcd(cand, g)
+        if 0 < h.degree < g.degree:
+            g = min(h, (g // h).monic(), key=lambda k: k.degree)
+    return -g.coeffs[0]
 
-    def split(g: Poly):
-        if g.degree == 0:
-            return
-        if g.degree == 1:
-            roots.append(-g.coeffs[0] * g.coeffs[1].inverse())
-            return
-        while True:
-            shift = gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
-            cand = (Poly.x(p, level) + Poly.constant(shift)).powmod((q_size - 1) // 2, g) - Poly.one(p, level)
-            h = poly_gcd(cand, g)
-            if 0 < h.degree < g.degree:
-                split(h)
-                split((g // h).monic())
-                return
 
-    split(linear_part.monic())
-    return sorted(roots, key=gf.encode_int)
+def _eigenvalue_orbit(f: Poly, rng) -> list[gf.FieldElem]:
+    """The roots of f as the q^2-Frobenius orbit of one root, sorted by encoding.
+
+    f has its coefficients in the embedded F_{q^2} and splits into distinct
+    linear factors over its field; the orbit must have deg f distinct members,
+    each a root of f, else CrossCheckError."""
+    orbit = [_one_root(f, rng)]
+    for _ in range(f.degree - 1):
+        orbit.append(gf.tau_frob(orbit[-1]))
+    if len(set(orbit)) != f.degree:
+        raise CrossCheckError(f"expected {f.degree} eigenvalues in the orbit of a root, found {len(set(orbit))}")
+    if any(f(mu) for mu in orbit):
+        raise CrossCheckError("a Frobenius image of an eigenvalue is not a root of the characteristic polynomial")
+    return sorted(orbit, key=gf.encode_int)
 
 
 def _sesquilinear(gram_big: Matrix, x, y) -> gf.FieldElem:
@@ -99,9 +110,7 @@ def dl_fixed_points(space: HermitianSpace, s: Matrix, seed=0) -> list[EigenlineR
     gf.make_tower(p, big)
     rng = random.Random(f"dl:{p}:{t}:{seed}")
     f_big = cp.lift(big)
-    eigenvalues = _roots_in_field(f_big, rng)
-    if len(eigenvalues) != t:
-        raise CrossCheckError(f"expected {t} eigenvalues in the tower, found {len(eigenvalues)}")
+    eigenvalues = _eigenvalue_orbit(f_big, rng)
     s_big = Matrix.from_rows(p, big, [[gf.embed(a, big) for a in row] for row in s.rows])
     gram_big = Matrix.from_rows(p, big, [[gf.embed(a, big) for a in row] for row in space.gram.rows])
     ident = Matrix.identity(p, big, t)

@@ -20,8 +20,12 @@ value is one interned FieldElem indexed by its encode_int, and add, sub,
 neg, mul, inverse and frob_q are single lookups in Cayley tables built from
 exp/log of a primitive element on the first operation in that field, never
 at import or in make_tower.  Larger levels (the eigenline fields) keep the
-polynomial path: products reduced modulo the defining polynomial, inverses
-by extended Euclid.  Both paths share the one FieldElem class.
+polynomial path: inverses by extended Euclid, and products by Kronecker
+substitution (von zur Gathen-Gerhard, Modern Computer Algebra): both
+coefficient vectors are packed into one integer each, multiplied once, and
+the high slots of the product are folded back with precomputed x^i mod f.
+The schoolbook _poly_mul still builds the Cayley tables and is the oracle.
+Both paths share the one FieldElem class.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from math import isqrt
+from struct import Struct
 
 from .errors import InputError
 
@@ -112,9 +117,10 @@ def _ppowmod(a, e, m, p):
     return result
 
 
-# Largest accepted p, itself prime: `afl-lab dl --q 16381 --t 3` takes 29 s
-# on a 2-vCPU host, growing about linearly in p (the non-residue scan in
-# _field_sqrt and the scan in defining_poly each try about p candidates).
+# Largest accepted p, itself prime.  On a 2-vCPU host `afl-lab dl --q Q --t 3`
+# takes 0.3 s at Q = 16381 and 8-9 s at Q = 16319, the slowest prime near the
+# bound: defining_poly tries about p binomials T^d + c first, and at p = 3
+# mod 4 (level 4) or p = 2 mod 3 (level 6) none of them is irreducible.
 P_MAX = 16381
 
 
@@ -198,6 +204,35 @@ def _poly_mul(p, level, a, b):
     return _pad(_pmod(_pmul(list(a), list(b), p), f, p), level)
 
 
+@lru_cache(maxsize=None)
+def _kronecker(p, level):
+    # A slot holds one coefficient of a product (at most level * (p-1)^2)
+    # plus the reduction terms folded into it, so 2 * level * (p-1)^2 bounds
+    # every slot; slots are whole bytes so struct packs and unpacks them.
+    bound = 2 * level * (p - 1) ** 2
+    width, code = next((w, "<%d" + c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if bound < 256**w)
+    vec = Struct(code % level)
+    f = list(defining_poly(p, level))
+    # rows[i - level] packs x^i mod f, for level <= i <= 2 level - 2
+    rows, cur = [], _pmod([0] * level + [1], f, p)
+    for _ in range(level - 1):
+        rows.append(int.from_bytes(vec.pack(*_pad(cur, level)), "little"))
+        cur = _pmod([0] + cur, f, p)
+    return 8 * width * level, vec, Struct(code % (level - 1)), tuple(rows)
+
+
+def _kronecker_mul(p, level, a, b):
+    # one integer product, then each high slot c_i adds c_i * (x^i mod f)
+    cut, vec, high, rows = _kronecker(p, level)
+    prod = int.from_bytes(vec.pack(*a), "little") * int.from_bytes(vec.pack(*b), "little")
+    acc = prod & ((1 << cut) - 1)
+    for c, row in zip(high.unpack((prod >> cut).to_bytes(high.size, "little")), rows):
+        c %= p
+        if c:
+            acc += c * row
+    return tuple(c % p for c in vec.unpack(acc.to_bytes(vec.size, "little")))
+
+
 def _poly_inverse(p, level, a):
     # extended Euclid on the defining polynomial
     f = list(defining_poly(p, level))
@@ -223,8 +258,9 @@ class FieldElem:
     Immutable; equal, hashed and printed by (p, level, coeffs).  When
     p**level <= TABLE_CAP each value has exactly one instance, which carries
     its encode_int and its field's _Tables, and every operation is one list
-    lookup returning another such instance.  Larger fields reduce polynomial
-    products modulo the defining polynomial.
+    lookup returning another such instance.  Larger fields compute on the
+    coefficient tuples and wrap the residues they return with _new_elem;
+    only the constructor validates, for inputs from outside.
     """
 
     __slots__ = ("p", "level", "coeffs", "_enc", "_tables")
@@ -279,7 +315,7 @@ class FieldElem:
             return t.add[self._enc][other._enc]
         self._check(other)
         p = self.p
-        return FieldElem(p, self.level, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return _new_elem(p, self.level, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)), None, None)
 
     def __sub__(self, other):
         t = self._tables
@@ -287,20 +323,20 @@ class FieldElem:
             return t.sub[self._enc][other._enc]
         self._check(other)
         p = self.p
-        return FieldElem(p, self.level, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return _new_elem(p, self.level, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)), None, None)
 
     def __neg__(self):
         if self._tables is not None:
             return self._tables.neg[self._enc]
         p = self.p
-        return FieldElem(p, self.level, tuple((-a) % p for a in self.coeffs))
+        return _new_elem(p, self.level, tuple((-a) % p for a in self.coeffs), None, None)
 
     def __mul__(self, other):
         t = self._tables
         if t is not None and t is other._tables:
             return t.mul[self._enc][other._enc]
         self._check(other)
-        return FieldElem(self.p, self.level, _poly_mul(self.p, self.level, self.coeffs, other.coeffs))
+        return _new_elem(self.p, self.level, _kronecker_mul(self.p, self.level, self.coeffs, other.coeffs), None, None)
 
     def inverse(self) -> "FieldElem":
         """Multiplicative inverse."""
@@ -308,7 +344,7 @@ class FieldElem:
             raise ZeroDivisionError("zero has no inverse")
         if self._tables is not None:
             return self._tables.inv[self._enc]
-        return FieldElem(self.p, self.level, _poly_inverse(self.p, self.level, self.coeffs))
+        return _new_elem(self.p, self.level, _poly_inverse(self.p, self.level, self.coeffs), None, None)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -326,10 +362,17 @@ class FieldElem:
         return result
 
 
+# the slot descriptors write past the frozen __setattr__
+_set_p, _set_level, _set_coeffs, _set_enc, _set_tables = (getattr(FieldElem, s).__set__ for s in FieldElem.__slots__)
+
+
 def _new_elem(p, level, coeffs, enc, tables):
     x = object.__new__(FieldElem)
-    for name, value in zip(FieldElem.__slots__, (p, level, coeffs, enc, tables)):
-        object.__setattr__(x, name, value)
+    _set_p(x, p)
+    _set_level(x, level)
+    _set_coeffs(x, coeffs)
+    _set_enc(x, enc)
+    _set_tables(x, tables)
     return x
 
 
@@ -442,7 +485,7 @@ def frob_q(x: FieldElem) -> FieldElem:
     """The q-power map x -> x^p on any level (the tower-wide conjugation)."""
     if x._tables is not None:
         return x._tables.frob[x._enc]
-    return FieldElem(x.p, x.level, _poly_frob(x.p, x.level, x.coeffs))
+    return _new_elem(x.p, x.level, _poly_frob(x.p, x.level, x.coeffs), None, None)
 
 
 def conj(x: FieldElem) -> FieldElem:
@@ -459,9 +502,21 @@ def tau_frob(x: FieldElem) -> FieldElem:
     return frob_q(frob_q(x))
 
 
+def _non_residue(p, level):
+    # A quadratic non-residue, the first by integer encoding from p on.  The
+    # encodings below p are the F_p elements, squares at every even level
+    # (the only levels embed reaches), so scanning them would only waste one
+    # exponentiation each.
+    q = p**level
+    for k in range(p, q):
+        cand = elem_from_encoding(p, level, k)
+        if encode_int(cand ** ((q - 1) // 2)) != 1:
+            return cand
+    raise AssertionError("no quadratic non-residue found")  # unreachable
+
+
 def _field_sqrt(d: FieldElem) -> FieldElem | None:
-    # Tonelli-Shanks; the non-residue is found by scanning integer encodings,
-    # so the result is deterministic.
+    # Tonelli-Shanks on an even level, with a deterministic non-residue.
     p, level = d.p, d.level
     if d.is_zero:
         return d
@@ -473,19 +528,15 @@ def _field_sqrt(d: FieldElem) -> FieldElem | None:
     while m % 2 == 0:
         m //= 2
         e += 1
-    z = None
-    for k in range(1, q):
-        cand = elem_from_encoding(p, level, k)
-        if encode_int(cand ** ((q - 1) // 2)) != 1:
-            z = cand
-            break
-    c = z**m
+    c = _non_residue(p, level) ** m
     t = d**m
     r = d ** ((m + 1) // 2)
     while encode_int(t) != 1:
         i = 0
         t2 = t
         while encode_int(t2) != 1:
+            if i == e:  # t has order 2^i < 2^e unless the arithmetic is broken
+                raise AssertionError("Tonelli-Shanks did not converge")
             t2 = t2 * t2
             i += 1
         b = c ** (2 ** (e - i - 1))

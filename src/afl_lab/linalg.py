@@ -154,12 +154,14 @@ class Matrix:
         return acc
 
     def eval_poly(self, f: Poly) -> "Matrix":
-        """Horner evaluation f(M), starting from the leading coefficient."""
+        """Horner evaluation f(M), starting from f_d M + f_{d-1} I.
+
+        A polynomial of degree d costs d - 1 matmuls, none for d <= 1."""
         ident = Matrix.identity(self.p, self.level, self.n)
-        if f.is_zero:
-            return ident.scale(gf.zero(self.p, self.level))
-        acc = ident.scale(f.leading)
-        for c in reversed(f.coeffs[:-1]):
+        if f.degree < 1:
+            return ident.scale(f.coeff(0))
+        acc = self.scale(f.leading) + ident.scale(f.coeffs[-2])
+        for c in reversed(f.coeffs[:-2]):
             acc = acc @ self + ident.scale(c)
         return acc
 

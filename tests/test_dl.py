@@ -1,14 +1,15 @@
+import random
 from dataclasses import dataclass
 
 import pytest
 
-from afl_lab import gf
+from afl_lab import dl, gf
 from afl_lab.dl import dl_fixed_points, galois_orbit_check
-from afl_lab.errors import InputError
+from afl_lab.errors import CrossCheckError, InputError
 from afl_lab.forge import build_block_instance, parse_signature, random_coxeter_instance
 from afl_lab.hermitian import HermitianSpace, validate_space
 from afl_lab.linalg import Matrix, Subspace, charpoly, kernel_of_poly, span
-from afl_lab.poly import is_irreducible, plain_factor, poly_gcd
+from afl_lab.poly import Poly, is_irreducible, plain_factor, poly_gcd
 from test_linalg import minpoly
 
 
@@ -78,6 +79,76 @@ def test_chain_semilinearity():
         tx = tuple(gf.tau_frob(c) for c in x)
         ty = tuple(gf.tau_frob(c) for c in y)
         assert _sesquilinear(gram_big, tx, ty) == gf.tau_frob(_sesquilinear(gram_big, x, y))
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalues: one root and its Frobenius orbit, against all roots
+
+
+def _roots_in_field(f: Poly, rng) -> list[gf.FieldElem]:
+    """All roots of f in its own coefficient field, by equal-degree splitting.
+
+    The oracle for dl._eigenvalue_orbit: it takes gcd(x^Q - x, f) and splits
+    it into every linear factor, using neither irreducibility nor Frobenius."""
+    p, level = f.p, f.level
+    q_size = p**level
+    x = Poly.x(p, level)
+    linear_part = poly_gcd(x.powmod(q_size, f) - (x % f), f)
+    roots = []
+
+    def split(g: Poly):
+        if g.degree == 0:
+            return
+        if g.degree == 1:
+            roots.append(-g.coeffs[0] * g.coeffs[1].inverse())
+            return
+        while True:
+            shift = gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
+            cand = (Poly.x(p, level) + Poly.constant(shift)).powmod((q_size - 1) // 2, g) - Poly.one(p, level)
+            h = poly_gcd(cand, g)
+            if 0 < h.degree < g.degree:
+                split(h)
+                split((g // h).monic())
+                return
+
+    split(linear_part.monic())
+    return sorted(roots, key=gf.encode_int)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("t", [3, 5, 7])
+def test_eigenvalue_orbit_equals_all_roots(q, t):
+    inst = coxeter(q, t, 7)
+    f = charpoly(inst.g).lift(2 * t)
+    orbit = dl._eigenvalue_orbit(f, random.Random(1))
+    assert len(orbit) == t
+    assert orbit == _roots_in_field(f, random.Random(2))
+
+
+def test_orbit_shorter_than_degree_is_a_cross_check_failure():
+    # two distinct roots already in F_{q^2}: each is its own orbit under tau
+    a, b = (gf.embed(gf.elem(3, 2, c), 6) for c in ([1, 0], [0, 1]))
+    f = Poly.x_minus(a) * Poly.x_minus(b)
+    with pytest.raises(CrossCheckError, match="found 1"):
+        dl._eigenvalue_orbit(f, random.Random(0))
+
+
+def test_orbit_member_that_is_not_a_root_is_a_cross_check_failure(monkeypatch):
+    inst = coxeter(3, 3, 1)
+    f = charpoly(inst.g).lift(6)
+    tau = gf.tau_frob
+    calls = []
+
+    def tau_off_by_one(x):
+        # the last member of the orbit mu, tau mu, tau^2 mu is moved off by one
+        calls.append(x)
+        y = tau(x)
+        return y + gf.one(x.p, x.level) if len(calls) == 2 else y
+
+    monkeypatch.setattr(gf, "tau_frob", tau_off_by_one)
+    with pytest.raises(CrossCheckError, match="not a root"):
+        dl._eigenvalue_orbit(f, random.Random(0))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

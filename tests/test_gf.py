@@ -1,4 +1,5 @@
 import pickle
+import random
 import subprocess
 import sys
 
@@ -343,3 +344,71 @@ print(built())
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == ["0", "1 9 -", "add sub neg mul inv frob"]
+
+
+# ---------------------------------------------------------------------------
+# Kronecker products above the cap, against the schoolbook _poly_mul
+
+
+# every even level from 6 up to the largest the eigenline counter reaches in
+# the tests and the benchmark: 2t for q = 3, t <= 11 and q = 5, t <= 7
+KRONECKER = [(3, lv) for lv in range(6, 23, 2)] + [(5, lv) for lv in range(6, 15, 2)]
+
+
+@pytest.mark.parametrize("p,level", KRONECKER, ids=[f"F{p}^{lv}" for p, lv in KRONECKER])
+def test_kronecker_product_matches_schoolbook(p, level):
+    rng = random.Random(f"kronecker:{p}:{level}")
+    basis = [tuple(int(i == j) for j in range(level)) for i in range(level)]
+    top = (p - 1,) * level  # the largest value every slot can reach
+    pairs = [(a, b) for a in basis for b in basis] + [(top, top), (top, basis[-1])]
+    pairs += [tuple(tuple(rng.randrange(p) for _ in range(level)) for _ in "ab") for _ in range(40)]
+    for a, b in pairs:
+        assert gf._kronecker_mul(p, level, a, b) == gf._poly_mul(p, level, a, b)
+        assert (gf.FieldElem(p, level, a) * gf.FieldElem(p, level, b)).coeffs == gf._poly_mul(p, level, a, b)
+
+
+@pytest.mark.parametrize("p,level", [(3, 6), (3, 22), (5, 14), (31, 2), (16381, 6)])
+def test_kronecker_slots_hold_the_worst_case(p, level):
+    # a slot holds a product coefficient (<= level (p-1)^2) plus the folded
+    # reduction terms (<= (level - 1) (p-1)^2), with no carry into the next
+    cut, vec, high, rows = gf._kronecker(p, level)
+    width = cut // level
+    assert vec.size * 8 == cut and high.size * 8 == width * (level - 1) and len(rows) == level - 1
+    assert 2**width > level * (p - 1) ** 2 + (level - 1) * (p - 1) ** 2
+
+
+@pytest.mark.parametrize("p,level", [(3, 6), (3, 18), (5, 6), (17, 2)])
+def test_results_above_the_cap_equal_validated_elements(p, level):
+    # __mul__, inverse, frob_q, +, - and negation skip the constructor's
+    # checks; each result must still be what the validating constructor makes
+    rng = random.Random(f"validated:{p}:{level}")
+    for _ in range(20):
+        x, y = (gf.elem(p, level, [rng.randrange(p) for _ in range(level)]) for _ in "xy")
+        results = [x * y, gf.frob_q(x), x + y, x - y, -x]
+        if not x.is_zero:
+            results.append(x.inverse())
+        for r in results:
+            assert r._tables is None and r == gf.FieldElem(p, level, r.coeffs)
+            assert all(type(c) is int for c in r.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the quadratic non-residue behind embed
+
+
+def first_non_residue(p, level):
+    """The scan from encoding 1: the definition _non_residue shortcuts."""
+    q = p**level
+    for k in range(1, q):
+        cand = gf.elem_from_encoding(p, level, k)
+        if gf.encode_int(cand ** ((q - 1) // 2)) != 1:
+            return cand
+    raise AssertionError("no non-residue")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("level", [2, 4, 6])
+def test_non_residue_scan_skips_only_squares(p, level):
+    # the levels embed reaches are even; the encodings below p are F_p
+    # elements and squares there, so starting at p finds the same element
+    assert gf._non_residue(p, level) == first_non_residue(p, level)

@@ -403,6 +403,21 @@ def test_eval_poly_matches_power_sum(p, rng):
             assert m.eval_poly(f) == power_sum(m, f)
 
 
+@pytest.mark.parametrize("degree", range(0, 6))
+def test_eval_poly_matmul_count(degree, rng, monkeypatch):
+    # Horner starts at f_d M + f_{d-1} I: d - 1 matmuls, none for d <= 1
+    m = random_matrix(3, 2, 4, rng)
+    f = random_monic(3, 2, degree, rng, nonzero_constant=False) if degree else Poly.one(3, 2)
+    f = f.scale(gf.elem(3, 2, [2, 1]))
+    calls = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    value = m.eval_poly(f)
+    monkeypatch.undo()
+    assert len(calls) == max(degree - 1, 0)
+    assert value == power_sum(m, f)
+
+
 def unskipped_dot(r, v):
     acc = gf.zero(r[0].p, r[0].level)
     for a, b in zip(r, v):
