@@ -3,8 +3,8 @@
 All machine output is JSON on stdout, rendered with sorted keys and fixed
 separators so identical (command, seed) pairs produce byte-identical bytes
 across runs and across parallelism settings; wall-clock timings therefore
-stay out of reports unless --timings asks for them.  --pretty appends a
-small human table after the JSON.
+stay out of reports unless --timings (verify, sweep) asks for them.
+--pretty (gen, verify, sweep) appends a small human table after the JSON.
 
 Exit codes: 0 all identities hold, 1 an identity failed (a finding),
 2 bad input or a broken invariant.  AFL_LAB_SEED overrides --seed.
@@ -350,11 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
         if with_q:
             p.add_argument("--q", type=int, default=3, help="odd prime residue size")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--pretty", action="store_true")
-        p.add_argument("--timings", action="store_true")
 
     p_gen = sub.add_parser("gen", help="generate a certified instance")
     common(p_gen)
+    p_gen.add_argument("--pretty", action="store_true")
     p_gen.add_argument("--sig", help="signature, e.g. 'cp:1:2,sp:1:1'")
     p_gen.add_argument("--coxeter", action="store_true")
     p_gen.add_argument("--n", type=int, default=3, help="dimension for --coxeter")
@@ -366,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--in", dest="infile", help="instance JSON file")
     p_verify.add_argument("--sig")
     p_verify.add_argument("--no-cross-check", action="store_true")
+    p_verify.add_argument("--pretty", action="store_true")
+    p_verify.add_argument("--timings", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="seeded sweep over a signature grid")
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.set_defaults(func=cmd_orbital)
 
     p_self = sub.add_parser("selftest", help="small fixed verification battery")
-    common(p_self)
+    common(p_self, with_q=False)
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

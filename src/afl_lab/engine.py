@@ -303,9 +303,6 @@ class VerificationReport:
     def verdict(self) -> str:
         return "PASS" if all(c.ok for c in self.checks) else "FAIL"
 
-    def failed_checks(self) -> list[str]:
-        return [c.name for c in self.checks if not c.ok]
-
     def to_json(self) -> dict:
         deriv = orbital_derivative_at_one(self.orbital)
         return {

@@ -10,9 +10,10 @@ companion blocks per conjugate pair {P^a, star(P)^a}.  tau is defined first,
 blockwise, as Q(T) e -> conj(Q)(T^{-1}) e (swapping the two blocks of a
 pair); the Gram matrix is then *solved for*: conjugate symmetry, unitarity
 of g and the anti-isometry law are F_p-linear constraints on the entries of
-G, and seeded samples of the solution space are drawn until one has nonzero
-determinant.  Defining tau first and solving for h avoids the case analysis
-the opposite order would need.
+G, solved by linalg.rref over F_p embedded in F_{q^2}, and seeded samples
+of the solution space are drawn until one has nonzero determinant.
+Defining tau first and solving for h avoids the case analysis the opposite
+order would need.
 
 random_coxeter_instance uses the field model instead: V = F_{q^{2n}} with
 basis 1, b, ..., b^{n-1}, the trace form h(x, y) = Tr(x y^{q^n}), g given by
@@ -40,7 +41,7 @@ from .hermitian import (
     validate_anti_involution,
     validate_space,
 )
-from .linalg import Matrix, charpoly, is_regular
+from .linalg import Matrix, charpoly, is_regular, null_basis, rref
 from .poly import FactoredPoly, Poly, factor, poly_key, star
 
 GRAM_TRIES = 64
@@ -310,42 +311,11 @@ def _assemble_blocks(specs, polys):
 # solving for the Gram matrix
 
 
-def _int_rref(rows, p):
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] % p), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][col], -1, p)
-        mat[r] = [(a * inv) % p for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] % p:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def _int_kernel_basis(rows, ncols, p):
-    red, pivots = _int_rref(rows, p)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [0] * ncols
-        v[j] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][j]) % p
-        basis.append(v)
-    return basis
+def _fp_rows(p, rows):
+    """Rows of residues in [0, p) as rows of F_p elements of F_{q^2}, one
+    element built per distinct residue."""
+    elems = {c: gf.from_base(p, 2, c) for c in set().union(*rows)}
+    return [[elems[c] for c in r] for r in rows]
 
 
 def _gram_unknowns(n):
@@ -416,9 +386,10 @@ def _solve_gram(g: Matrix, s: Matrix, seed, label) -> HermitianSpace:
     anti-isometry law of tau; conjugate symmetry is built into the packing."""
     p, n = g.p, g.n
     slots = _gram_unknowns(n)
-    columns = _gram_columns(g, s, slots)
-    system_rows = [list(r) for r in zip(*columns)]
-    basis = _int_kernel_basis(system_rows, len(slots), p)
+    system = Matrix.from_rows(p, 2, _fp_rows(p, list(zip(*_gram_columns(g, s, slots)))))
+    # the free-column basis, not kernel()'s canonical one: the seeded
+    # candidates below are drawn from it
+    basis = [[gf.encode_int(a) for a in v] for v in null_basis(system)]
     if not basis:
         raise ForgeError(f"no compatible Gram matrix exists for {label} (solution space is trivial)")
     rng = random.Random(f"gram:{p}:{label}:{seed}")
@@ -522,12 +493,11 @@ def random_coxeter_instance(p: int, n: int, seed: int, s_value=None) -> Minuscul
     for bj in powers:
         cols.append(list(bj.coeffs))
         cols.append(list((emb_gen * bj).coeffs))
-    coord_rows = [[cols[c][r] for c in range(level)] for r in range(level)]
-    aug = [row + [1 if i == j else 0 for j in range(level)] for i, row in enumerate(coord_rows)]
-    red, pivots = _int_rref(aug, p)
-    if list(pivots) != list(range(level)):
+    aug = [[cols[c][r] for c in range(level)] + [int(r == j) for j in range(level)] for r in range(level)]
+    red, pivots = rref(_fp_rows(p, aug))
+    if pivots != tuple(range(level)):
         raise AssertionError("power basis failed to span the field")
-    binv = [row[level:] for row in red]
+    binv = [[gf.encode_int(a) for a in row[level:]] for row in red]
 
     def coords(z: FieldElem):
         vec = [sum(binv[i][j] * z.coeffs[j] for j in range(level)) % p for i in range(level)]

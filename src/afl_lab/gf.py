@@ -117,10 +117,9 @@ def _ppowmod(a, e, m, p):
     return result
 
 
-# Largest accepted p, itself prime.  On a 2-vCPU host `afl-lab dl --q Q --t 3`
-# takes 0.3 s at Q = 16381 and 8-9 s at Q = 16319, the slowest prime near the
-# bound: defining_poly tries about p binomials T^d + c first, and at p = 3
-# mod 4 (level 4) or p = 2 mod 3 (level 6) none of them is irreducible.
+# Largest accepted p, itself prime.  The cost that grows with p is the scan
+# in defining_poly, which tries the monic polynomials from T^d upwards; see
+# there for how it avoids the binomials T^d + c that cannot be irreducible.
 P_MAX = 16381
 
 
@@ -154,11 +153,18 @@ def defining_poly(p: int, degree: int) -> tuple[int, ...]:
 
     Polynomials T^d + c_{d-1} T^{d-1} + ... + c_0 are scanned in increasing
     order of the integer encoding sum(c_i * p^i); the first irreducible wins.
+
+    The encodings below p are the binomials T^d + c.  One is irreducible only
+    if every prime factor of d divides p - 1, and 4 | p - 1 when 4 | d
+    (Lidl-Niederreiter, Finite Fields, Thm 3.75); otherwise the scan starts
+    at p, which picks the same polynomial without p irreducibility tests.
     """
     require_odd_prime(p)
     if degree < 1:
         raise InputError("degree must be positive")
-    for enc in range(p**degree):
+    primes = [r for r in range(2, degree + 1) if degree % r == 0 and all(r % s for s in range(2, r))]
+    no_binomial_irreducible = any((p - 1) % r for r in primes) or (degree % 4 == 0 and (p - 1) % 4)
+    for enc in range(p if no_binomial_irreducible else 0, p**degree):
         coeffs = []
         e = enc
         for _ in range(degree):
@@ -435,10 +441,12 @@ def elem(p: int, level: int, coeffs) -> FieldElem:
     return FieldElem(p, level, _pad([int(c) % p for c in coeffs], level))
 
 
+@lru_cache(maxsize=None)
 def zero(p: int, level: int) -> FieldElem:
     return FieldElem(p, level, (0,) * level)
 
 
+@lru_cache(maxsize=None)
 def one(p: int, level: int) -> FieldElem:
     return FieldElem(p, level, _pad((1,), level))
 

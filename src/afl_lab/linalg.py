@@ -195,12 +195,17 @@ def rref(rows) -> tuple[tuple, tuple[int, ...]]:
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col].inverse()
-        mat[r] = [a * inv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][col].is_zero:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        inv = prow[col].inverse()
+        # the pivot row is zero left of col; only its nonzero entries update
+        nz = [(j, prow[j] * inv) for j in range(col, ncols) if not prow[j].is_zero]
+        for j, b in nz:
+            prow[j] = b
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != r and not f.is_zero:
+                for j, b in nz:
+                    row[j] = row[j] - f * b
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -237,8 +242,10 @@ def span(ambient: int, vectors) -> Subspace:
     return Subspace(ambient, rows)
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Null space {v : M v = 0} as a canonical subspace."""
+def null_basis(m: Matrix) -> list[list[gf.FieldElem]]:
+    """Basis of {v : M v = 0} with one vector per free column j of rref(M):
+    1 at j, zero at the other free columns, minus column j of the echelon
+    form at the pivot columns."""
     red, pivots = rref(m.rows)
     n = m.ncols
     free = [j for j in range(n) if j not in pivots]
@@ -250,7 +257,12 @@ def kernel(m: Matrix) -> Subspace:
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][j]
         basis.append(v)
-    return span(n, basis)
+    return basis
+
+
+def kernel(m: Matrix) -> Subspace:
+    """Null space {v : M v = 0} as a canonical subspace."""
+    return span(m.ncols, null_basis(m))
 
 
 def transform_subspace(sub: Subspace, fn) -> Subspace:

@@ -301,43 +301,33 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _plain_factor_certified(f: Poly, seed) -> list[tuple[Poly, int, int]]:
-    if not f.is_monic or f.degree < 1:
-        raise InputError("factorization requires a monic polynomial of positive degree")
-    rng = random.Random(f"factor:{f.p}:{f.level}:{seed}")
-    found: dict[tuple, tuple[Poly, int, int]] = {}
-    for g, mult in _squarefree(f):
-        for h, d in _distinct_degree(g):
-            for irr in _equal_degree(h, d, rng):
-                key = poly_key(irr)
-                if key in found:
-                    prev, m0, _ = found[key]
-                    found[key] = (prev, m0 + mult, d)
-                else:
-                    found[key] = (irr, mult, d)
-    return [(irr, m, d) for _, (irr, m, d) in sorted(found.items())]
-
-
 def plain_factor(f: Poly, seed) -> list[tuple[Poly, int]]:
     """Complete factorization into monic irreducibles, canonically sorted.
 
     No star-pairing constraints: this is the route for polynomials that do
     not come from unitary elements."""
-    return [(g, m) for g, m, _ in _plain_factor_certified(f, seed)]
+    if not f.is_monic or f.degree < 1:
+        raise InputError("factorization requires a monic polynomial of positive degree")
+    rng = random.Random(f"factor:{f.p}:{f.level}:{seed}")
+    found: dict[tuple, tuple[Poly, int]] = {}
+    for g, mult in _squarefree(f):
+        for h, d in _distinct_degree(g):
+            for irr in _equal_degree(h, d, rng):
+                key = poly_key(irr)
+                prev, m0 = found.get(key, (irr, 0))
+                found[key] = (prev, m0 + mult)
+    return [pair for _, pair in sorted(found.items())]
 
 
 @dataclass(frozen=True)
 class FactoredPoly:
     """Factorization P = prod P_i^{a_i} plus the star involution on indices.
 
-    pairing[i] = j means star(P_i) = P_j; split_degrees retains the degree at
-    which the distinct-degree stage isolated each factor (its irreducibility
-    certificate).
+    pairing[i] = j means star(P_i) = P_j.
     """
 
     factors: tuple[tuple[Poly, int], ...]
     pairing: tuple[int, ...]
-    split_degrees: tuple[int, ...]
 
     def __len__(self):
         return len(self.factors)
@@ -356,13 +346,6 @@ class FactoredPoly:
                 out = out * f
         return out
 
-    def to_json(self):
-        return {
-            "factors": [{"poly": f.to_json(), "exponent": a} for f, a in self.factors],
-            "pairing": list(self.pairing),
-            "split_degrees": list(self.split_degrees),
-        }
-
 
 def factor(f: Poly, seed) -> FactoredPoly:
     """Factor a characteristic polynomial of a unitary element.
@@ -372,9 +355,9 @@ def factor(f: Poly, seed) -> FactoredPoly:
     same exponent, constant terms are nonzero, and self-paired factors have
     odd degree.
     """
-    flat = _plain_factor_certified(f, seed)
-    polys = [g for g, _, _ in flat]
-    mults = [m for _, m, _ in flat]
+    flat = plain_factor(f, seed)
+    polys = [g for g, _ in flat]
+    mults = [m for _, m in flat]
     keys = {poly_key(g): i for i, g in enumerate(polys)}
     pairing = []
     for i, g in enumerate(polys):
@@ -389,11 +372,7 @@ def factor(f: Poly, seed) -> FactoredPoly:
             raise InvariantError("star pairing inconsistent: exponents differ across the involution")
         if i == j and polys[i].degree % 2 == 0:
             raise InvariantError("self-paired factor of even degree")
-    fact = FactoredPoly(
-        factors=tuple((g, m) for g, m in zip(polys, mults)),
-        pairing=tuple(pairing),
-        split_degrees=tuple(d for _, _, d in flat),
-    )
+    fact = FactoredPoly(factors=tuple(flat), pairing=tuple(pairing))
     if fact.product() != f.monic():
         raise AssertionError("factorization does not reconstruct the input")
     return fact

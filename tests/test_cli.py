@@ -85,6 +85,48 @@ def test_verify_corrupted_instance_exit2(tmp_path):
     assert "conjugate-symmetric" in proc.stderr
 
 
+def test_verify_timings_key_only_on_request(capsys):
+    assert main(["verify", "--q", "3", "--sig", "sp:1:3", "--seed", "2"]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert main(["verify", "--q", "3", "--sig", "sp:1:3", "--seed", "2", "--timings"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert "timings" not in default
+    assert set(timed["timings"]) == {"wall_s"}
+    del timed["timings"]
+    assert timed == default
+
+
+def test_verify_pretty_appends_one_line_per_check(capsys):
+    assert main(["verify", "--q", "3", "--sig", "sp:1:3", "--seed", "2", "--pretty"]) == 0
+    first, *rest = capsys.readouterr().out.splitlines()
+    names = [c["name"] for c in json.loads(first)["checks"]]
+    assert [line.split(":")[0] for line in rest] == [f"# {name}" for name in names]
+    assert all(line.endswith(")") and ": ok (" in line for line in rest)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--timings"],
+        ["fl", "--timings"],
+        ["dl", "--timings"],
+        ["orbital", "--timings"],
+        ["selftest", "--timings"],
+        ["fl", "--pretty"],
+        ["dl", "--pretty"],
+        ["orbital", "--pretty"],
+        ["selftest", "--pretty"],
+        ["selftest", "--q", "3"],
+    ],
+    ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+)
+def test_flags_a_subcommand_never_reads_exit2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_unrealizable_signature_exit2():
     proc = run_cli("verify", "--q", "3", "--sig", "cp:1:1,cp:1:1,cp:1:1,sp:1:1")
     assert proc.returncode == 2

@@ -412,3 +412,44 @@ def test_non_residue_scan_skips_only_squares(p, level):
     # the levels embed reaches are even; the encodings below p are F_p
     # elements and squares there, so starting at p finds the same element
     assert gf._non_residue(p, level) == first_non_residue(p, level)
+
+
+# ---------------------------------------------------------------------------
+# the binomials defining_poly skips
+
+
+def unskipped_defining_poly(p, degree):
+    """The scan over every encoding from 0: the definition defining_poly shortcuts."""
+    for enc in range(p**degree):
+        f = list(gf._decode(p, degree, enc)) + [1]
+        if gf._is_irreducible_int(f, p):
+            return tuple(f)
+    raise AssertionError("no irreducible polynomial")
+
+
+def binomial_may_be_irreducible(p, degree):
+    # Lidl-Niederreiter, Finite Fields, Thm 3.75, necessary half
+    primes = [r for r in odd_primes(degree) + [2] if degree % r == 0]
+    return all((p - 1) % r == 0 for r in primes) and (degree % 4 or (p - 1) % 4 == 0)
+
+
+@pytest.mark.parametrize("p", odd_primes(59))
+def test_defining_poly_matches_unskipped_scan(p):
+    for degree in range(1, 9):
+        assert gf.defining_poly.__wrapped__(p, degree) == unskipped_defining_poly(p, degree)
+
+
+@pytest.mark.parametrize("p", odd_primes(59))
+def test_no_binomial_is_irreducible_where_the_scan_skips_them(p):
+    skipped = [d for d in range(2, 23) if not binomial_may_be_irreducible(p, d)]
+    assert skipped
+    for degree in skipped:
+        assert not any(gf._is_irreducible_int([c] + [0] * (degree - 1) + [1], p) for c in range(p))
+
+
+def test_binomial_skip_near_p_max():
+    # 16318 = 2 * 8159: degrees 4 and 6 skip all 16319 binomials
+    assert not binomial_may_be_irreducible(16319, 4) and not binomial_may_be_irreducible(16319, 6)
+    for degree in (4, 6):
+        f = gf.defining_poly(16319, degree)
+        assert gf._encode(16319, f[:-1]) >= 16319 and gf._is_irreducible_int(list(f), 16319)

@@ -13,6 +13,7 @@ from afl_lab.linalg import (
     is_regular,
     kernel_of_poly,
     naive_subspace_scan,
+    null_basis,
     rref,
     span,
 )
@@ -373,6 +374,130 @@ def test_rref_canonical(rng):
         shuffled = rows[::-1]
         sub2 = span(4, shuffled)
         assert sub1 == sub2
+
+
+# ---------------------------------------------------------------------------
+# echelon forms against two references: a dense elimination over the field,
+# and an elimination over plain ints mod p for systems with F_p entries
+
+
+def dense_rref(rows):
+    """Reduced row echelon form updating every entry of every row."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return (), ()
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = mat[r][col].inverse()
+        mat[r] = [a * inv for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][col].is_zero:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+def int_rref(rows, p):
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] % p), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][col], -1, p)
+        mat[r] = [(a * inv) % p for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] % p:
+                f = mat[i][col]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def int_kernel_basis(rows, ncols, p):
+    """Free-column null basis of an F_p system given as int rows."""
+    red, pivots = int_rref(rows, p)
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for j in free:
+        v = [0] * ncols
+        v[j] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-red[r][j]) % p
+        basis.append(v)
+    return basis
+
+
+def random_rows(p, level, nrows, ncols, density, rng):
+    def entry():
+        if rng.random() < density:
+            return gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
+        return gf.zero(p, level)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    rows[rng.randrange(nrows)] = [gf.zero(p, level)] * ncols
+    return rows
+
+
+@pytest.mark.parametrize("level", [2, 14])
+@pytest.mark.parametrize("density", [0.25, 1.0], ids=["sparse", "dense"])
+def test_rref_matches_dense_reference(level, density, rng):
+    shapes = [(3, 5), (5, 5), (7, 4)] if level == 2 else [(3, 4), (5, 3)]
+    for nrows, ncols in shapes:
+        for _ in range(4 if level == 2 else 1):
+            rows = random_rows(3, level, nrows, ncols, density, rng)
+            assert rref(rows) == dense_rref(rows)
+    # repeated rows leave zero rows behind in the elimination
+    rows = random_rows(3, level, 3, 4, density, rng)
+    assert rref(rows + rows) == dense_rref(rows + rows)
+
+
+def int_systems(p, rng):
+    """(name, int rows, ncols): rank 0, full rank, zero rows, tall, wide."""
+    def rand(nrows, ncols):
+        return [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+
+    square = [[rng.randrange(p) if j > i else int(i == j) for j in range(5)] for i in range(5)]
+    rng.shuffle(square)
+    low_rank = rand(2, 6)
+    tall = [[(a * x + b * y) % p for x, y in zip(*low_rank)] for a, b in rand(8, 2)]
+    with_zero_rows = rand(4, 6) + [[0] * 6, [0] * 6]
+    rng.shuffle(with_zero_rows)
+    return [
+        ("rank_0", [[0] * 4 for _ in range(3)], 4),
+        ("full_rank", square, 5),
+        ("zero_rows", with_zero_rows, 6),
+        ("tall", tall, 6),
+        ("wide", rand(3, 7), 7),
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 17])
+def test_null_basis_matches_int_oracle(p, rng):
+    base = [gf.from_base(p, 2, c) for c in range(p)]
+    for name, rows, ncols in int_systems(p, rng) + int_systems(p, rng):
+        m = Matrix.from_rows(p, 2, [[base[c] for c in r] for r in rows])
+        got = [[gf.encode_int(a) for a in v] for v in null_basis(m)]
+        assert got == int_kernel_basis(rows, ncols, p), name
+        assert all(m.apply(v).count(base[0]) == m.n for v in null_basis(m))
 
 
 # ---------------------------------------------------------------------------
