@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import engine, gf
-from .dl import dl_fixed_points, galois_orbit_check
+from .dl import T_MAX, dl_fixed_points, galois_orbit_check
 from .errors import VerifierError, InputError
 from .forge import (
     instance_from_spec,
@@ -214,15 +214,17 @@ def cmd_verify(args) -> int:
     if inst.n % 2:
         report = engine.afl_verdict(inst, cross_check=not args.no_cross_check)
         payload = report.to_json()
-        if args.timings:
-            payload["timings"] = {"wall_s": round(time.time() - started, 6)}
-        pretty = None
-        if args.pretty:
-            pretty = [f"# {c.name}: {'ok' if c.ok else 'FAIL'} ({c.detail})" for c in report.checks]
-        _emit(payload, pretty)
-        return 0 if report.verdict == "PASS" else 1
-    payload = engine.fl_report(inst)
-    _emit(payload)
+        checks = [(c.name, c.ok, c.detail) for c in report.checks]
+    else:
+        payload = engine.fl_report(inst)
+        ok = payload["verdict"] == "PASS"
+        checks = [("counting_identity", ok, f"lhs={payload['lhs']} rhs={payload['rhs']}")]
+    if args.timings:
+        payload["timings"] = {"wall_s": round(time.time() - started, 6)}
+    pretty = None
+    if args.pretty:
+        pretty = [f"# {name}: {'ok' if ok else 'FAIL'} ({detail})" for name, ok, detail in checks]
+    _emit(payload, pretty)
     return 0 if payload["verdict"] == "PASS" else 1
 
 
@@ -268,6 +270,8 @@ def cmd_fl(args) -> int:
 
 def cmd_dl(args) -> int:
     seed = _resolve_seed(args)
+    if args.t > T_MAX:
+        raise InputError(f"--t must be at most {T_MAX}, got {args.t}")
     inst = random_coxeter_instance(args.q, args.t, seed)
     records = dl_fixed_points(inst.space, inst.g, seed=seed)
     transitive = galois_orbit_check(records)
@@ -390,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dl = sub.add_parser("dl", help="eigenline count for a Coxeter-torus element")
     common(p_dl)
-    p_dl.add_argument("--t", type=int, default=3, help="odd dimension")
+    p_dl.add_argument("--t", type=int, default=3, help=f"odd dimension, at most {T_MAX}")
     p_dl.set_defaults(func=cmd_dl)
 
     p_orb = sub.add_parser("orbital", help="orbital polynomial of an instance")

@@ -3,9 +3,9 @@
 For a regular unitary s of odd dimension t with irreducible characteristic
 polynomial, the fixed lines in the ambient variety are the t eigenlines of s
 over F_{q^{2t}}.  This module finds them explicitly: one root of the
-characteristic polynomial in the big field by seeded equal-degree splitting,
-its q^2-Frobenius orbit as the full eigenvalue set, a canonical eigenvector
-per eigenvalue, then the isotropy chain
+characteristic polynomial in the big field by a seeded trace split, its
+q^2-Frobenius orbit as the full eigenvalue set, the eigenvectors as the
+Frobenius orbit of one kernel row, then the isotropy chain
 
     h(l, l) = h(l, tau l) = ... = h(l, tau^{d-1} l) = 0,  h(l, tau^d l) != 0
 
@@ -15,9 +15,20 @@ chain convention corresponds to one fixed Coxeter element; other choices
 differ by a power of Frobenius and are out of scope.
 
 An irreducible polynomial of degree t over F_{q^2} splits into distinct
-linear factors over F_{q^{2t}}, so no gcd with x^{q^{2t}} - x is taken: the
-splitting keeps only the smaller factor of each split, down to degree one,
-and the orbit is cross-checked instead (t distinct members, each a root).
+linear factors over F_{q^{2t}}, so no gcd with x^{q^{2t}} - x is taken.
+The root comes from Berlekamp's trace algorithm (Factoring polynomials over
+large finite fields, Math. Comp. 1970): with x^{p^i} mod g cached, the
+absolute trace Tr(a x) mod g is a sum of scaled residues, and
+gcd(Tr^{(p-1)/2} - 1, g) splits g with no powmod to (Q-1)/2.  Each split
+keeps the smaller factor, down to degree one, and the orbit is
+cross-checked instead (t distinct members, each a root).
+
+s and G have their entries in F_{q^2}, which tau fixes, so tau maps the
+mu-eigenline to the tau(mu)-eigenline and keeps the leading 1 of a
+canonical row: one kernel of s - mu_0 I (a line, else CrossCheckError)
+gives every eigenvector, and each derived v_k is checked against
+s v_k = mu_k v_k.  With tau^i v_k = v_{k+i}, the chain values are dot
+products with the t cached vectors G conj(v_j), still computed per record.
 
 Nothing here consults the closed-form counting formulas, so this is a true
 second route for the per-stratum counts.
@@ -35,6 +46,17 @@ from .linalg import Matrix, charpoly, kernel, rref
 from .poly import Poly, is_irreducible, poly_gcd
 
 
+# Largest dimension `afl-lab dl` accepts.  On a 2-vCPU host t = 27 takes
+# about 5 s at q = 3, 31-40 s at q = 16381 and 52 s at q = 16319, the
+# slowest prime near P_MAX; the cost grows about as t^3.5.
+T_MAX = 27
+
+# A try separates two distinct roots with probability at least 1/3, so a
+# factor left unsplit after this many tries (odds (2/3)^64 < 1e-11) means
+# broken arithmetic or a factor without roots in its field.
+SPLIT_TRIES = 64
+
+
 @dataclass(frozen=True)
 class EigenlineRecord:
     eigenvalue: gf.FieldElem  # lives at level 2t
@@ -49,25 +71,66 @@ class EigenlineRecord:
         }
 
 
+def _linear_combination(scalars, polys: list[Poly]) -> Poly:
+    """sum(c * f) over the pairs of scalars and polynomials, zeros skipped."""
+    f0 = polys[0]
+    acc = [gf.zero(f0.p, f0.level)] * max(len(f.coeffs) for f in polys)
+    for c, f in zip(scalars, polys):
+        if not c.is_zero:
+            for j, b in enumerate(f.coeffs):
+                acc[j] = acc[j] + c * b
+    return Poly.from_elems(f0.p, f0.level, acc)
+
+
+def _frobenius_powers(g: Poly) -> list[Poly]:
+    """x^(p^i) mod g for i < level, g monic of degree >= 1.
+
+    The p-power map is additive, so x^(p^(i+1)) = sum c_j^p (x^p)^j when
+    x^(p^i) = sum c_j x^j: one table of (x^p)^j mod g and no powmod to Q."""
+    p, level = g.p, g.level
+    xp = Poly.x(p, level).powmod(p, g)
+    powers = [Poly.one(p, level)]
+    for _ in range(1, g.degree):
+        powers.append((powers[-1] * xp) % g)
+    xs = [Poly.x(p, level) % g]
+    for _ in range(1, level):
+        xs.append(_linear_combination([gf.frob_q(c) for c in xs[-1].coeffs], powers))
+    return xs
+
+
 def _one_root(f: Poly, rng) -> gf.FieldElem:
     """A root of f, which must split into distinct linear factors over its field.
 
-    Each successful equal-degree split keeps the smaller factor, so about
+    Berlekamp's trace split: for a random a, Tr(a x) mod g is sum a^(p^i) x^(p^i)
+    and takes the value Tr(a r) in F_p at each root r, uniform over F_p for
+    the difference of two distinct roots; gcd(Tr^((p-1)/2) - 1, g) collects
+    the roots where that value is a nonzero square.  Each successful split
+    keeps the smaller factor and reduces the x^(p^i) modulo it, so about
     log2(deg f) splits reach a linear factor."""
     p, level = f.p, f.level
-    e = (p**level - 1) // 2
     g = f.monic()
+    if g.degree == 1:
+        return -g.coeffs[0]  # t = 1: the root needs no Frobenius table
+    xs = _frobenius_powers(g)
     while g.degree > 1:
-        shift = gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
-        cand = (Poly.x(p, level) + Poly.constant(shift)).powmod(e, g) - Poly.one(p, level)
-        h = poly_gcd(cand, g)
-        if 0 < h.degree < g.degree:
-            g = min(h, (g // h).monic(), key=lambda k: k.degree)
+        for _ in range(SPLIT_TRIES):
+            a = gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
+            conjugates = [a]
+            for _ in range(1, level):
+                conjugates.append(gf.frob_q(conjugates[-1]))
+            trace = _linear_combination(conjugates, xs)
+            h = poly_gcd(trace.powmod((p - 1) // 2, g) - Poly.one(p, level), g)
+            if 0 < h.degree < g.degree:
+                break
+        else:
+            raise CrossCheckError(f"no trace split of a degree-{g.degree} factor in {SPLIT_TRIES} tries")
+        g = min(h, (g // h).monic(), key=lambda k: k.degree)
+        xs = [x % g for x in xs]
     return -g.coeffs[0]
 
 
 def _eigenvalue_orbit(f: Poly, rng) -> list[gf.FieldElem]:
-    """The roots of f as the q^2-Frobenius orbit of one root, sorted by encoding.
+    """The roots of f as the q^2-Frobenius orbit mu, tau mu, tau^2 mu, ... of one root.
 
     f has its coefficients in the embedded F_{q^2} and splits into distinct
     linear factors over its field; the orbit must have deg f distinct members,
@@ -79,13 +142,30 @@ def _eigenvalue_orbit(f: Poly, rng) -> list[gf.FieldElem]:
         raise CrossCheckError(f"expected {f.degree} eigenvalues in the orbit of a root, found {len(set(orbit))}")
     if any(f(mu) for mu in orbit):
         raise CrossCheckError("a Frobenius image of an eigenvalue is not a root of the characteristic polynomial")
-    return sorted(orbit, key=gf.encode_int)
+    return orbit
 
 
-def _sesquilinear(gram_big: Matrix, x, y) -> gf.FieldElem:
-    gy = gram_big.apply([gf.frob_q(c) for c in y])
-    acc = gf.zero(gram_big.p, gram_big.level)
-    for a, b in zip(x, gy):
+def _orbit_eigenvectors(s_big: Matrix, orbit: list[gf.FieldElem]) -> list[tuple[gf.FieldElem, ...]]:
+    """The canonical eigenvector of each orbit member: one kernel, then tau.
+
+    The kernel of s - mu_0 I must be a line; v_{k+1} = tau(v_k) coordinatewise,
+    and each v_k must satisfy s v_k = mu_k v_k, else CrossCheckError.  tau
+    fixes 0 and 1, so tau keeps the leading 1 of the canonical row."""
+    eig = kernel(s_big - Matrix.identity(s_big.p, s_big.level, s_big.n).scale(orbit[0]))
+    if eig.dim != 1:
+        raise CrossCheckError("eigenspace of dimension != 1 for an irreducible charpoly")
+    vectors = [eig.rows[0]]
+    for _ in orbit[1:]:
+        vectors.append(tuple(gf.tau_frob(c) for c in vectors[-1]))
+    for mu, v in zip(orbit, vectors):
+        if s_big.apply(v) != tuple(mu * c for c in v):
+            raise CrossCheckError("a Frobenius image of the eigenvector is not an eigenvector of its eigenvalue")
+    return vectors
+
+
+def _dot(x, y) -> gf.FieldElem:
+    acc = gf.zero(x[0].p, x[0].level)
+    for a, b in zip(x, y):
         acc = acc + a * b
     return acc
 
@@ -95,7 +175,7 @@ def dl_fixed_points(space: HermitianSpace, s: Matrix, seed=0) -> list[EigenlineR
 
     Requires odd dimension and irreducible characteristic polynomial; every
     returned record carries its chain values, and for valid input all t
-    eigenlines qualify.
+    eigenlines qualify.  Records are sorted by eigenvalue encoding.
     """
     t = space.dim
     if t % 2 == 0:
@@ -107,27 +187,20 @@ def dl_fixed_points(space: HermitianSpace, s: Matrix, seed=0) -> list[EigenlineR
         raise InputError("characteristic polynomial is reducible; the fixed count is 0 by the split criterion")
     p = space.p
     big = 2 * t
-    gf.make_tower(p, big)
     rng = random.Random(f"dl:{p}:{t}:{seed}")
-    f_big = cp.lift(big)
-    eigenvalues = _eigenvalue_orbit(f_big, rng)
+    orbit = _eigenvalue_orbit(cp.lift(big), rng)
     s_big = Matrix.from_rows(p, big, [[gf.embed(a, big) for a in row] for row in s.rows])
     gram_big = Matrix.from_rows(p, big, [[gf.embed(a, big) for a in row] for row in space.gram.rows])
-    ident = Matrix.identity(p, big, t)
+    vectors = _orbit_eigenvectors(s_big, orbit)
+    # h(x, y) = x . G conj(y), and tau^i v_k = v_{(k+i) mod t}
+    gram_conj = [gram_big.apply([gf.frob_q(c) for c in v]) for v in vectors]
     d = (t - 1) // 2
     records = []
-    for mu in eigenvalues:
-        eig = kernel(s_big - ident.scale(mu))
-        if eig.dim != 1:
-            raise CrossCheckError("eigenspace of dimension != 1 for an irreducible charpoly")
-        v = eig.rows[0]
-        taus = [v]
-        for _ in range(d):
-            taus.append(tuple(gf.tau_frob(c) for c in taus[-1]))
-        chain = tuple(_sesquilinear(gram_big, v, tv) for tv in taus)
+    for k, (mu, v) in enumerate(zip(orbit, vectors)):
+        chain = tuple(_dot(v, gram_conj[(k + i) % t]) for i in range(d + 1))
         if all(c.is_zero for c in chain[:d]) and not chain[d].is_zero:
             records.append(EigenlineRecord(mu, v, chain))
-    return records
+    return sorted(records, key=lambda rec: gf.encode_int(rec.eigenvalue))
 
 
 def _line_key(vector) -> tuple:

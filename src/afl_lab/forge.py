@@ -535,12 +535,8 @@ def random_coxeter_instance(p: int, n: int, seed: int, s_value=None) -> Minuscul
         for _ in range(1, n):
             tau_images.append(tau_images[-1] * bq)
         s_mat = Matrix.from_rows(p, 2, _transpose_rows([coords(img) for img in tau_images]))
-        gram_rows = []
-        for ba in powers:
-            row = []
-            for bb in powers:
-                row.append(gf.descend(_trace_to_quadratic(ba * (bb ** (p**n)))))
-            gram_rows.append(row)
+        # h(b^i, b^j) = Tr(b^i (b^j)^(q^n)), and (b^j)^(q^n) is tau_images[j]
+        gram_rows = [[gf.descend(_trace_to_quadratic(ba * bq_j)) for bq_j in tau_images] for ba in powers]
         space = HermitianSpace(Matrix.from_rows(p, 2, gram_rows))
         tau = AntiInvolution(s_mat)
         return MinusculeInstance(

@@ -24,8 +24,11 @@ polynomial path: inverses by extended Euclid, and products by Kronecker
 substitution (von zur Gathen-Gerhard, Modern Computer Algebra): both
 coefficient vectors are packed into one integer each, multiplied once, and
 the high slots of the product are folded back with precomputed x^i mod f.
-The schoolbook _poly_mul still builds the Cayley tables and is the oracle.
-Both paths share the one FieldElem class.
+The q-power and q^2-power Frobenius maps are F_p-linear, so each is one
+cached table of the images of gen^i packed in the same slots: applying it
+is one multiply-accumulate per nonzero coefficient and one unpack.  The
+schoolbook _poly_mul still builds the Cayley tables and, with _poly_frob,
+is the oracle.  Both paths share the one FieldElem class.
 """
 
 from __future__ import annotations
@@ -489,11 +492,36 @@ def _frob_images(p, level):
     return tuple(tuple(v) for v in imgs)
 
 
+@lru_cache(maxsize=None)
+def _packed_frob(p, level, power):
+    # rows[i] packs (gen^i)^(p^power) in the _kronecker slots; a combination
+    # with coefficients below p fills a slot to at most level (p-1)^2
+    _, vec, _, _ = _kronecker(p, level)
+    rows = []
+    for i in range(level):
+        img = _pad((0,) * i + (1,), level)
+        for _ in range(power):
+            img = _poly_frob(p, level, img)
+        rows.append(int.from_bytes(vec.pack(*img), "little"))
+    return vec, tuple(rows)
+
+
+def _frob_apply(p, level, power, a):
+    # x -> x^(p^power) is F_p-linear: one multiply-accumulate per nonzero
+    # coefficient of a, then one unpack
+    vec, rows = _packed_frob(p, level, power)
+    acc = 0
+    for c, row in zip(a, rows):
+        if c:
+            acc += c * row
+    return tuple(c % p for c in vec.unpack(acc.to_bytes(vec.size, "little")))
+
+
 def frob_q(x: FieldElem) -> FieldElem:
     """The q-power map x -> x^p on any level (the tower-wide conjugation)."""
     if x._tables is not None:
         return x._tables.frob[x._enc]
-    return _new_elem(x.p, x.level, _poly_frob(x.p, x.level, x.coeffs), None, None)
+    return _new_elem(x.p, x.level, _frob_apply(x.p, x.level, 1, x.coeffs), None, None)
 
 
 def conj(x: FieldElem) -> FieldElem:
@@ -507,7 +535,9 @@ def tau_frob(x: FieldElem) -> FieldElem:
     """The q^2-power Frobenius on an even level; identity on embedded F_{q^2}."""
     if x.level % 2:
         raise InputError("tau_frob requires an even level")
-    return frob_q(frob_q(x))
+    if x._tables is not None:
+        return frob_q(frob_q(x))
+    return _new_elem(x.p, x.level, _frob_apply(x.p, x.level, 2, x.coeffs), None, None)
 
 
 def _non_residue(p, level):

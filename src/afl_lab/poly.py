@@ -121,7 +121,8 @@ class Poly:
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
         q = [gf.zero(self.p, self.level)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        inv = other.leading.inverse()
+        # a monic divisor needs no inverse
+        inv = None if other.is_monic else other.leading.inverse()
         d = other.degree
         while len(rem) > d:
             while rem and rem[-1].is_zero:
@@ -129,7 +130,7 @@ class Poly:
             if len(rem) <= d:
                 break
             k = len(rem) - 1 - d
-            c = rem[-1] * inv
+            c = rem[-1] if inv is None else rem[-1] * inv
             q[k] = c
             for j, bj in enumerate(other.coeffs):
                 rem[k + j] = rem[k + j] - c * bj

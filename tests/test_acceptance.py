@@ -207,6 +207,13 @@ def test_golden_sweep_hashes(sweep_reports):
          "ead14de6be6de815a31c75d8e14ed0648084ce2ca97bbb4d09e8f9fba203d34b"),
         (["gen", "--q", "3", "--coxeter", "--n", "5", "--seed", "1"],
          "444ee1365db0f29fb1f8d498b7f188894abe1dc1bef93b7f1b5585c2eeb6cf66"),
+        (["dl", "--q", "5", "--t", "7", "--seed", "0"],
+         "ccbf1c6815bde64efa35227308a220aa5d29e61911c6bcba77ddb4f627a61bdd"),
+        (["dl", "--q", "3", "--t", "11", "--seed", "0"],
+         "ffe7e12405857879caa3207091f2d15c10452b5892ec931a7df47ea1ac8106e0"),
+        # the trace split at the largest prime: (p - 1)/2 = 8190
+        (["dl", "--q", "16381", "--t", "3", "--seed", "0"],
+         "3eaf92e9624f1c7e03be6828da02036f6ea6ea3982a609ffac855a01fad9c762"),
     ],
 )
 def test_golden_command_hashes(argv, digest, capsys, monkeypatch):

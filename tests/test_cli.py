@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from afl_lab import cli, dl, gf
 from afl_lab.cli import DEFAULT_SIGNATURES, SweepConfig, main, pool_size, run_sweep
+from afl_lab.dl import T_MAX
 from afl_lab.errors import InputError
 from afl_lab.forge import instance_from_spec, serialize_instance
 
@@ -104,6 +106,26 @@ def test_verify_pretty_appends_one_line_per_check(capsys):
     assert all(line.endswith(")") and ": ok (" in line for line in rest)
 
 
+def test_verify_even_dimension_timings_key_only_on_request(capsys):
+    argv = ["verify", "--q", "3", "--sig", "cp:1:1", "--seed", "1"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--timings"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert "timings" not in json.loads(default)
+    assert set(timed["timings"]) == {"wall_s"}
+    del timed["timings"]
+    assert timed == json.loads(default)
+    assert run_cli(*argv).stdout == default  # the default bytes of the fl report
+
+
+def test_verify_even_dimension_pretty_appends_the_counting_identity(capsys):
+    assert main(["verify", "--q", "3", "--sig", "cp:1:1", "--seed", "1", "--pretty"]) == 0
+    first, *rest = capsys.readouterr().out.splitlines()
+    report = json.loads(first)
+    assert rest == [f"# counting_identity: ok (lhs={report['lhs']} rhs={report['rhs']})"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -184,6 +206,59 @@ def test_dl_subcommand():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["count"] == 3 and data["galois_transitive"] is True
+
+
+class BuilderReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("excess", [1, 2])
+def test_dl_above_t_max_exits_2_before_building(excess, capsys, monkeypatch):
+    def builder(*args):
+        raise AssertionError("the builder must not run above the bound")
+
+    monkeypatch.setattr(cli, "random_coxeter_instance", builder)
+    assert main(["dl", "--q", "3", "--t", str(T_MAX + excess)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and f"at most {T_MAX}" in err["message"]
+
+
+def test_dl_at_t_max_reaches_the_builder(monkeypatch):
+    calls = []
+
+    def builder(*args):
+        calls.append(args)
+        raise BuilderReached  # stands in for the slow build at t = T_MAX
+
+    monkeypatch.setattr(cli, "random_coxeter_instance", builder)
+    with pytest.raises(BuilderReached):
+        main(["dl", "--q", "16381", "--t", str(T_MAX)])
+    assert calls == [(16381, T_MAX, 0)]
+
+
+def test_dl_exits_1_when_one_record_fails_the_chain(capsys, monkeypatch):
+    dot = dl._dot
+    calls = []
+
+    def dot_breaking_the_first_chain(x, y):
+        # h(v, v) of the first eigenline becomes nonzero, so it leaves the count
+        calls.append(1)
+        value = dot(x, y)
+        return value + gf.one(value.p, value.level) if len(calls) == 1 else value
+
+    monkeypatch.delenv("AFL_LAB_SEED", raising=False)
+    monkeypatch.setattr(dl, "_dot", dot_breaking_the_first_chain)
+    monkeypatch.setattr(cli, "galois_orbit_check", lambda records: True)  # only the count decides
+    assert main(["dl", "--q", "3", "--t", "3", "--seed", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["count"] == 2
+
+
+def test_dl_exits_1_when_the_orbit_is_not_transitive(capsys, monkeypatch):
+    monkeypatch.delenv("AFL_LAB_SEED", raising=False)
+    monkeypatch.setattr(cli, "galois_orbit_check", lambda records: False)
+    assert main(["dl", "--q", "3", "--t", "3", "--seed", "1"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["count"] == 3 and data["galois_transitive"] is False
 
 
 def test_orbital_subcommand():

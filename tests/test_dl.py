@@ -8,7 +8,7 @@ from afl_lab.dl import dl_fixed_points, galois_orbit_check
 from afl_lab.errors import CrossCheckError, InputError
 from afl_lab.forge import build_block_instance, parse_signature, random_coxeter_instance
 from afl_lab.hermitian import HermitianSpace, validate_space
-from afl_lab.linalg import Matrix, Subspace, charpoly, kernel_of_poly, span
+from afl_lab.linalg import Matrix, Subspace, charpoly, kernel, kernel_of_poly, span
 from afl_lab.poly import Poly, is_irreducible, plain_factor, poly_gcd
 from test_linalg import minpoly
 
@@ -66,11 +66,23 @@ def test_eigenvalues_form_tau_orbit():
     assert values == orbit
 
 
+def _sesquilinear(gram_big: Matrix, x, y) -> gf.FieldElem:
+    """The definition h(x, y) = x^T G conj(y), conj the q-power on each entry."""
+    gy = gram_big.apply([gf.frob_q(c) for c in y])
+    acc = gf.zero(gram_big.p, gram_big.level)
+    for a, b in zip(x, gy):
+        acc = acc + a * b
+    return acc
+
+
+def _big(m: Matrix, level: int) -> Matrix:
+    return Matrix.from_rows(m.p, level, [[gf.embed(a, level) for a in row] for row in m.rows])
+
+
 def test_chain_semilinearity():
     # h(tau x, tau y) = tau(h(x, y))
     inst = coxeter(3, 3, 3)
     records = dl_fixed_points(inst.space, inst.g, seed=3)
-    from afl_lab.dl import _sesquilinear
 
     gram_big = Matrix.from_rows(3, 6, [[gf.embed(a, 6) for a in row] for row in inst.space.gram.rows])
     for rec in records:
@@ -79,6 +91,63 @@ def test_chain_semilinearity():
         tx = tuple(gf.tau_frob(c) for c in x)
         ty = tuple(gf.tau_frob(c) for c in y)
         assert _sesquilinear(gram_big, tx, ty) == gf.tau_frob(_sesquilinear(gram_big, x, y))
+
+
+@pytest.mark.parametrize("q,t,seed", [(3, 1, 0), (3, 3, 1), (3, 5, 2), (5, 5, 3), (7, 3, 4), (3, 7, 5)])
+def test_chain_values_equal_the_definition(q, t, seed):
+    # every record's chain h(v, tau^i v), i = 0..d, from the form itself
+    inst = coxeter(q, t, seed)
+    records = dl_fixed_points(inst.space, inst.g, seed=seed)
+    gram_big = _big(inst.space.gram, 2 * t)
+    assert len(records) == t
+    for rec in records:
+        image = rec.vector
+        for value in rec.chain_values:
+            assert value == _sesquilinear(gram_big, rec.vector, image)
+            image = tuple(gf.tau_frob(c) for c in image)
+
+
+@pytest.mark.parametrize("q,t,seed", [(3, 1, 0), (3, 3, 1), (5, 3, 2), (3, 5, 3), (7, 5, 4), (3, 7, 5)])
+def test_orbit_eigenvectors_equal_per_eigenvalue_kernels(q, t, seed):
+    # tau^k of the one kernel row is the canonical row of each eigenspace
+    inst = coxeter(q, t, seed)
+    records = dl_fixed_points(inst.space, inst.g, seed=seed)
+    s_big = _big(inst.g, 2 * t)
+    ident = Matrix.identity(q, 2 * t, t)
+    assert len(records) == t
+    for rec in records:
+        assert kernel(s_big - ident.scale(rec.eigenvalue)).rows == (rec.vector,)
+
+
+def _orbit_and_matrix(q, t, seed):
+    inst = coxeter(q, t, seed)
+    f = charpoly(inst.g).lift(2 * t)
+    return dl._eigenvalue_orbit(f, random.Random(seed)), _big(inst.g, 2 * t)
+
+
+def test_perturbed_derived_eigenvector_is_a_cross_check_failure(monkeypatch):
+    orbit, s_big = _orbit_and_matrix(3, 5, 1)
+    assert len(dl._orbit_eigenvectors(s_big, orbit)) == 5
+    tau = gf.tau_frob
+    calls = []
+
+    def tau_perturbing_v1(x):
+        # the first coordinate of v_1 = tau(v_0) is moved off by one
+        calls.append(x)
+        y = tau(x)
+        return y + gf.one(x.p, x.level) if len(calls) == 1 else y
+
+    monkeypatch.setattr(gf, "tau_frob", tau_perturbing_v1)
+    with pytest.raises(CrossCheckError, match="not an eigenvector"):
+        dl._orbit_eigenvectors(s_big, orbit)
+
+
+def test_eigenspace_that_is_not_a_line_is_a_cross_check_failure():
+    orbit, s_big = _orbit_and_matrix(3, 3, 2)
+    not_a_root = orbit[0] + gf.one(3, 6)
+    assert not_a_root not in orbit
+    with pytest.raises(CrossCheckError, match="dimension != 1"):
+        dl._orbit_eigenvectors(s_big, [not_a_root] + orbit[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +184,49 @@ def _roots_in_field(f: Poly, rng) -> list[gf.FieldElem]:
     return sorted(roots, key=gf.encode_int)
 
 
-@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("q", [3, 5, 7])
 @pytest.mark.parametrize("t", [3, 5, 7])
 def test_eigenvalue_orbit_equals_all_roots(q, t):
+    check_orbit_against_all_roots(q, t)
+
+
+def test_eigenvalue_orbit_equals_all_roots_at_p_max():
+    # the trace split raises to (p-1)/2 = 8190 here, to 1 at q = 3
+    check_orbit_against_all_roots(16381, 3)
+
+
+def check_orbit_against_all_roots(q, t):
     inst = coxeter(q, t, 7)
     f = charpoly(inst.g).lift(2 * t)
     orbit = dl._eigenvalue_orbit(f, random.Random(1))
     assert len(orbit) == t
-    assert orbit == _roots_in_field(f, random.Random(2))
+    assert all(gf.tau_frob(a) == b for a, b in zip(orbit, orbit[1:]))
+    assert sorted(orbit, key=gf.encode_int) == _roots_in_field(f, random.Random(2))
+
+
+@pytest.mark.parametrize("q,t", [(3, 5), (5, 3), (16381, 3)])
+def test_trace_split_finds_a_root_for_every_seed(q, t):
+    # the root found depends on the random trace; each must be a root
+    f = charpoly(coxeter(q, t, 3).g).lift(2 * t)
+    roots = _roots_in_field(f, random.Random(0))
+    for seed in range(6):
+        assert dl._one_root(f, random.Random(seed)) in roots
+
+
+def test_factor_without_roots_ends_the_trace_split():
+    # x^2 - c, c a non-square of F_{3^6}: no try can split it
+    c = gf._non_residue(3, 6)
+    f = Poly(3, 6, (-c, gf.zero(3, 6), gf.one(3, 6)))
+    with pytest.raises(CrossCheckError, match=f"degree-2 factor in {dl.SPLIT_TRIES} tries"):
+        dl._one_root(f, random.Random(0))
+
+
+@pytest.mark.parametrize("q,t", [(3, 5), (7, 3), (16381, 3)])
+def test_frobenius_powers_are_the_p_power_residues(q, t):
+    # x^(p^i) mod g by the additive step, against powmod from the definition
+    g = charpoly(coxeter(q, t, 0).g).lift(2 * t)
+    x = Poly.x(q, 2 * t)
+    assert dl._frobenius_powers(g) == [x.powmod(q**i, g) for i in range(2 * t)]
 
 
 def test_orbit_shorter_than_degree_is_a_cross_check_failure():

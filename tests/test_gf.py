@@ -377,14 +377,60 @@ def test_kronecker_slots_hold_the_worst_case(p, level):
     assert 2**width > level * (p - 1) ** 2 + (level - 1) * (p - 1) ** 2
 
 
+# ---------------------------------------------------------------------------
+# packed Frobenius maps above the cap, against _poly_frob
+
+
+def poly_tau(p, level, a):
+    return gf._poly_frob(p, level, gf._poly_frob(p, level, a))
+
+
+# the smallest even level above the cap for p = 3, 5, 7, 17
+SMALLEST_ABOVE_CAP = [(3, 6), (5, 4), (7, 4), (17, 2)]
+
+
+@pytest.mark.parametrize("p,level", SMALLEST_ABOVE_CAP, ids=[f"F{p}^{lv}" for p, lv in SMALLEST_ABOVE_CAP])
+def test_packed_frobenius_matches_poly_frob_exhaustively(p, level):
+    assert p**level > gf.TABLE_CAP >= p ** (level - 2)
+    for k in range(p**level):
+        x = gf.elem_from_encoding(p, level, k)
+        assert gf.frob_q(x).coeffs == gf._poly_frob(p, level, x.coeffs)
+        assert gf.tau_frob(x).coeffs == poly_tau(p, level, x.coeffs)
+
+
+@pytest.mark.parametrize("p,level", KRONECKER, ids=[f"F{p}^{lv}" for p, lv in KRONECKER])
+def test_packed_frobenius_matches_poly_frob(p, level):
+    rng = random.Random(f"frobenius:{p}:{level}")
+    vectors = [(p - 1,) * level] + [tuple(rng.randrange(p) for _ in range(level)) for _ in range(60)]
+    for a in vectors:
+        x = gf.FieldElem(p, level, a)
+        assert gf.frob_q(x).coeffs == gf._poly_frob(p, level, a)
+        assert gf.tau_frob(x).coeffs == poly_tau(p, level, a)
+        assert gf.tau_frob(x) == x ** (p * p)
+
+
+@pytest.mark.parametrize("p,level", [(3, 6), (3, 22), (5, 14), (17, 2), (16381, 6)])
+def test_packed_frobenius_rows_are_the_images_of_the_basis(p, level):
+    # a slot of a combination sums level products below p^2, inside the
+    # width _kronecker guarantees; row i unpacks to (gen^i)^(p^power)
+    cut, vec, _, _ = gf._kronecker(p, level)
+    assert 2 ** (cut // level) > level * (p - 1) ** 2
+    for power, image in ((1, gf._poly_frob), (2, poly_tau)):
+        packed_vec, rows = gf._packed_frob(p, level, power)
+        assert packed_vec is vec and len(rows) == level
+        for i, row in enumerate(rows):
+            basis = tuple(int(i == j) for j in range(level))
+            assert vec.unpack(row.to_bytes(vec.size, "little")) == image(p, level, basis)
+
+
 @pytest.mark.parametrize("p,level", [(3, 6), (3, 18), (5, 6), (17, 2)])
 def test_results_above_the_cap_equal_validated_elements(p, level):
-    # __mul__, inverse, frob_q, +, - and negation skip the constructor's
+    # __mul__, inverse, frob_q, tau_frob, +, - and negation skip the constructor's
     # checks; each result must still be what the validating constructor makes
     rng = random.Random(f"validated:{p}:{level}")
     for _ in range(20):
         x, y = (gf.elem(p, level, [rng.randrange(p) for _ in range(level)]) for _ in "xy")
-        results = [x * y, gf.frob_q(x), x + y, x - y, -x]
+        results = [x * y, gf.frob_q(x), gf.tau_frob(x), x + y, x - y, -x]
         if not x.is_zero:
             results.append(x.inverse())
         for r in results:
