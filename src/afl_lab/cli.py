@@ -175,9 +175,11 @@ def _resolve_seed(args) -> int:
 def _load_instance(args):
     if getattr(args, "infile", None):
         with open(args.infile, "r", encoding="utf-8") as fh:
+            # ValueError covers bad JSON, bytes that are not UTF-8 and integer
+            # literals past the int-to-str digit limit; RecursionError, nesting
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise InputError(f"schema: not valid JSON ({exc})") from exc
         return parse_instance(data)
     if getattr(args, "sig", None):

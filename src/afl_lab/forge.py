@@ -403,7 +403,7 @@ def _solve_gram(g: Matrix, s: Matrix, seed, label) -> HermitianSpace:
         candidates.append(combo)
     for values in candidates[:GRAM_TRIES]:
         gm = _unpack_gram(values, slots, p, n)
-        if not gm.det().is_zero:
+        if len(rref(gm.rows)[1]) == n:
             return HermitianSpace(gm)  # certified with the rest of the instance
     raise ForgeError(
         f"no nondegenerate Gram matrix found for {label} within {GRAM_TRIES} tries "
@@ -471,12 +471,11 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
     )
 
 
-def random_coxeter_instance(p: int, n: int, seed: int, s_value=None) -> MinusculeInstance:
+def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
     """Certified instance from the norm-one torus of F_{q^{2n}} (n odd).
 
-    s_value, when given, bypasses the random search: pass a level-2n element
-    or its integer encoding.  A non-generating s (e.g. s = 1 with n > 1)
-    raises ForgeError carrying the witness.
+    When GENERATOR_TRIES samples give no s generating F_{q^{2n}} over
+    F_{q^2}, ForgeError names the degree of the last witness.
     """
     gf.require_odd_prime(p, "q")
     if n < 1 or n % 2 == 0:
@@ -509,25 +508,13 @@ def random_coxeter_instance(p: int, n: int, seed: int, s_value=None) -> Minuscul
     witness = None
     while attempts:
         attempts -= 1
-        if s_value is not None:
-            s_elem = s_value if isinstance(s_value, FieldElem) else gf.elem_from_encoding(p, level, int(s_value))
-            if s_elem.level != level:
-                raise InputError("s override lives at the wrong level")
-            if gf.encode_int(s_elem ** (p**n + 1)) != 1:
-                raise InputError("s override is not a norm-one element")
-        else:
-            y = _random_elem(p, level, rng)
-            if y.is_zero:
-                continue
-            s_elem = y**norm_exp
+        y = _random_elem(p, level, rng)
+        if y.is_zero:
+            continue
+        s_elem = y**norm_exp
         minp = _min_poly_over_quadratic(s_elem)
         if minp is None or minp.degree != n:
             witness = s_elem
-            if s_value is not None:
-                raise ForgeError(
-                    "supplied s is not regular: its minimal polynomial has degree "
-                    f"{_witness_degree(witness)} < {n}"
-                )
             continue
         g = Matrix.from_rows(p, 2, _transpose_rows([coords(s_elem * bj) for bj in powers]))
         bq = b ** (p**n)

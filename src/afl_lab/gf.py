@@ -14,21 +14,28 @@ the fields the eigenline enumeration works in, where tau is the q^2-power
 Frobenius.  Defining polynomials are pure cached functions of (p, degree),
 so independently built towers with the same p agree on shared levels.
 
+Every computation inside a field runs on two maps.  The product is
+Kronecker substitution (von zur Gathen-Gerhard, Modern Computer Algebra):
+both coefficient vectors are packed into one integer each, multiplied once,
+and the high slots of the product are folded back with precomputed
+x^i mod f.  The Frobenius x -> x^(p^k) is F_p-linear and sends gen^i to
+y^i, y = gen^(p^k): one cached table of the packed y^i, applied with one
+multiply-accumulate per nonzero coefficient and one unpack.  The inverse is
+Itoh-Tsujii's (Inform. Comput. 78, 1988): a^-1 = a^(p + ... + p^(L-1)) / N(a),
+L - 1 Frobenius steps and products.
+
 Small fields compute by table (Lidl-Niederreiter, Finite Fields, ch. 9):
 when p**level <= TABLE_CAP (F_9 up to F_169 at level 2, and F_81) every
 value is one interned FieldElem indexed by its encode_int, and add, sub,
 neg, mul, inverse and frob_q are single lookups in Cayley tables built from
-exp/log of a primitive element on the first operation in that field, never
-at import or in make_tower.  Larger levels (the eigenline fields) keep the
-polynomial path: inverses by extended Euclid, and products by Kronecker
-substitution (von zur Gathen-Gerhard, Modern Computer Algebra): both
-coefficient vectors are packed into one integer each, multiplied once, and
-the high slots of the product are folded back with precomputed x^i mod f.
-The q-power and q^2-power Frobenius maps are F_p-linear, so each is one
-cached table of the images of gen^i packed in the same slots: applying it
-is one multiply-accumulate per nonzero coefficient and one unpack.  The
-schoolbook _poly_mul still builds the Cayley tables and, with _poly_frob,
-is the oracle.  Both paths share the one FieldElem class.
+the Kronecker powers of a primitive element on the first operation in that
+field, never at import or in make_tower.  Larger levels (the eigenline
+fields) apply the two maps directly.  Both share the one FieldElem class.
+
+The F_p[x] helpers on little-endian int lists serve only the definition of
+the fields: the irreducibility test behind defining_poly and the reduction
+rows of _kronecker.  They are not Poly, which is built on the fields they
+define.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ from struct import Struct
 from .errors import InputError
 
 # ---------------------------------------------------------------------------
-# base-field polynomial helpers (little-endian int lists over F_p)
+# base-field polynomial helpers (little-endian int lists over F_p), for
+# defining_poly and _kronecker only
 
 
 def _trim(v):
@@ -71,42 +79,25 @@ def _pmul(a, b, p):
     return _trim([c % p for c in out])
 
 
-def _pdivmod(a, b, p):
+def _pmod(a, b, p):
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     r = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
     inv = pow(b[-1], -1, p)
     while len(r) >= len(b) and r:
         k = len(r) - len(b)
         c = (r[-1] * inv) % p
-        q[k] = c
         for j, bj in enumerate(b):
             r[k + j] = (r[k + j] - c * bj) % p
         _trim(r)
-    return _trim(q), r
+    return r
 
 
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pgcdext(a, b, p):
-    # returns (g, u, v) with u*a + v*b = g, g monic (or [] if both zero)
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    if r0:
-        inv = pow(r0[-1], -1, p)
-        r0 = [c * inv % p for c in r0]
-        s0 = [c * inv % p for c in s0]
-        t0 = [c * inv % p for c in t0]
-    return r0, s0, t0
+def _pgcd(a, b, p):
+    # a gcd, not normalized: callers only read its degree
+    while b:
+        a, b = b, _pmod(a, b, p)
+    return a
 
 
 def _ppowmod(a, e, m, p):
@@ -144,8 +135,7 @@ def _is_irreducible_int(f, p):
     h = [0, 1]
     for _ in range(d // 2):
         h = _ppowmod(h, p, f, p)
-        g, _, _ = _pgcdext(_psub(h, [0, 1], p), f, p)
-        if len(g) - 1 > 0:
+        if len(_pgcd(_psub(h, [0, 1], p), f, p)) > 1:
             return False
     return True
 
@@ -205,12 +195,7 @@ def _pad(coeffs, level):
     return tuple(coeffs[:level]) + (0,) * max(0, level - len(coeffs))
 
 
-# the polynomial path: coefficient tuples in, coefficient tuples out
-
-
-def _poly_mul(p, level, a, b):
-    f = list(defining_poly(p, level))
-    return _pad(_pmod(_pmul(list(a), list(b), p), f, p), level)
+# above the cap: coefficient tuples in, coefficient tuples out
 
 
 @lru_cache(maxsize=None)
@@ -242,23 +227,18 @@ def _kronecker_mul(p, level, a, b):
     return tuple(c % p for c in vec.unpack(acc.to_bytes(vec.size, "little")))
 
 
-def _poly_inverse(p, level, a):
-    # extended Euclid on the defining polynomial
-    f = list(defining_poly(p, level))
-    g, u, _ = _pgcdext(_trim(list(a)), f, p)
-    if len(g) != 1:
-        raise AssertionError("defining polynomial is not irreducible")
-    return _pad(_pmod(u, f, p), level)
-
-
-def _poly_frob(p, level, a):
-    # x -> x^p is F_p-linear: sum c_i (gen^i)^p
-    out = [0] * level
-    for c, img in zip(a, _frob_images(p, level)):
-        if c:
-            for i, v in enumerate(img):
-                out[i] = (out[i] + c * v) % p
-    return tuple(out)
+def _norm_inverse(p, level, a):
+    # Itoh-Tsujii: b = a^(p + ... + p^(level-1)) is the product of the other
+    # conjugates of a, so a b = N(a) lies in F_p^* and a^-1 = b / N(a)
+    b, conj = _pad((1,), level), a
+    for _ in range(level - 1):
+        conj = _frob_apply(p, level, 1, conj)
+        b = _kronecker_mul(p, level, b, conj)
+    norm = _kronecker_mul(p, level, a, b)
+    if not norm[0] or any(norm[1:]):
+        raise AssertionError("norm of a nonzero element is not a nonzero scalar")
+    inv = pow(norm[0], -1, p)
+    return tuple(c * inv % p for c in b)
 
 
 class FieldElem:
@@ -353,7 +333,7 @@ class FieldElem:
             raise ZeroDivisionError("zero has no inverse")
         if self._tables is not None:
             return self._tables.inv[self._enc]
-        return _new_elem(self.p, self.level, _poly_inverse(self.p, self.level, self.coeffs), None, None)
+        return _new_elem(self.p, self.level, _norm_inverse(self.p, self.level, self.coeffs), None, None)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -415,15 +395,18 @@ class _Tables:
         self.neg = [els[_encode(p, [-a % p for a in u])] for u in vecs]
         self.sub = [[row[y._enc] for y in self.neg] for row in self.add]
         # F^* is cyclic: the powers of the first element of order q - 1 give
-        # exp, and products, inverses and p-th powers are sums of logs
+        # exp, and products, inverses and p-th powers are sums of logs; the
+        # bound on the powers ends the search even if the product is broken
         for g in els[2:]:
             powers = [els[1]]
             x = g
-            while x is not els[1]:
+            while x is not els[1] and len(powers) < q:
                 powers.append(x)
-                x = els[_encode(p, _poly_mul(p, level, x.coeffs, g.coeffs))]
+                x = els[_encode(p, _kronecker_mul(p, level, x.coeffs, g.coeffs))]
             if len(powers) == q - 1:
                 break
+        else:
+            raise AssertionError("no element of order q - 1: the product is broken")
         m = q - 1
         log = [0] * q
         for i, x in enumerate(powers):
@@ -480,29 +463,16 @@ def elem_from_encoding(p: int, level: int, enc: int) -> FieldElem:
 
 
 @lru_cache(maxsize=None)
-def _frob_images(p, level):
-    # coefficient vectors of (gen^i)^p for i < level; x -> x^p is F_p-linear
-    f = list(defining_poly(p, level))
-    xp = _ppowmod([0, 1], p, f, p)
-    imgs = [[1]]
-    cur = [1]
-    for _ in range(1, level):
-        cur = _pmod(_pmul(cur, xp, p), f, p)
-        imgs.append(cur)
-    return tuple(tuple(v) for v in imgs)
-
-
-@lru_cache(maxsize=None)
 def _packed_frob(p, level, power):
-    # rows[i] packs (gen^i)^(p^power) in the _kronecker slots; a combination
-    # with coefficients below p fills a slot to at most level (p-1)^2
+    # x -> x^(p^power) sends gen^i to y^i, y = gen^(p^power); rows[i] packs
+    # y^i in the _kronecker slots, and a combination with coefficients below
+    # p fills a slot to at most level (p-1)^2
     _, vec, _, _ = _kronecker(p, level)
-    rows = []
-    for i in range(level):
-        img = _pad((0,) * i + (1,), level)
-        for _ in range(power):
-            img = _poly_frob(p, level, img)
+    y = (gen(p, level) ** (p**power)).coeffs
+    rows, img = [], _pad((1,), level)
+    for _ in range(level):
         rows.append(int.from_bytes(vec.pack(*img), "little"))
+        img = _kronecker_mul(p, level, img, y)
     return vec, tuple(rows)
 
 

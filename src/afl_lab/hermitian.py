@@ -42,7 +42,7 @@ def validate_space(gram: Matrix) -> HermitianSpace:
         raise InputError("Gram matrix must be square")
     if gram.transpose() != gram.conj():
         raise InvariantError("gram is not conjugate-symmetric")
-    if gram.n and gram.det().is_zero:
+    if len(rref(gram.rows)[1]) != gram.n:
         raise InvariantError("gram is degenerate")
     return HermitianSpace(gram)
 

@@ -128,31 +128,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(a.is_zero for r in self.rows for a in r)
 
-    def det(self) -> gf.FieldElem:
-        n = self.n
-        if n != self.ncols:
-            raise InputError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.rows]
-        sign = 1
-        acc = gf.one(self.p, self.level)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not rows[r][col].is_zero), None)
-            if piv is None:
-                return gf.zero(self.p, self.level)
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                sign = -sign
-            acc = acc * rows[col][col]
-            inv = rows[col][col].inverse()
-            for r in range(col + 1, n):
-                if rows[r][col].is_zero:
-                    continue
-                f = rows[r][col] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-        if sign < 0:
-            acc = -acc
-        return acc
-
     def eval_poly(self, f: Poly) -> "Matrix":
         """Horner evaluation f(M), starting from f_d M + f_{d-1} I.
 

@@ -58,10 +58,6 @@ class Poly:
     def x_minus(c: FieldElem) -> "Poly":
         return Poly(c.p, c.level, (-c, gf.one(c.p, c.level)))
 
-    @staticmethod
-    def constant(c: FieldElem) -> "Poly":
-        return Poly.from_elems(c.p, c.level, (c,))
-
     # ----- basic queries ------------------------------------------------
     @property
     def degree(self) -> int:

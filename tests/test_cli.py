@@ -173,17 +173,27 @@ def instance_json():
         ("seed", True),
         ("g", [-1, 0]),
         ("g", [2 + 3 * 10**30, 0]),
+        # raw file bytes, written as they are
+        ("raw", b'{"p": 3, "signature": "\xff"}'),
+        ("raw", b"[" * 100_000 + b"]" * 100_000),
+        ("raw", b'{"p": 3, "seed": ' + b"9" * 4301 + b"}"),
     ],
-    ids=["signature_int", "p_float", "p_str", "entry_str", "seed_bool", "entry_negative", "entry_huge"],
+    ids=[
+        "signature_int", "p_float", "p_str", "entry_str", "seed_bool", "entry_negative", "entry_huge",
+        "not_utf8", "nested_past_recursion_limit", "int_past_digit_limit",
+    ],
 )
 def test_verify_rejects_malformed_input_exit2(key, value, instance_json, tmp_path):
-    data = json.loads(json.dumps(instance_json))
-    if key == "g":
-        data["g"][0][0] = value
-    else:
-        data[key] = value
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    if key == "raw":
+        path.write_bytes(value)
+    else:
+        data = json.loads(json.dumps(instance_json))
+        if key == "g":
+            data["g"][0][0] = value
+        else:
+            data[key] = value
+        path.write_text(json.dumps(data))
     proc = run_cli("verify", "--in", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

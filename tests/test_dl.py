@@ -173,7 +173,7 @@ def _roots_in_field(f: Poly, rng) -> list[gf.FieldElem]:
             return
         while True:
             shift = gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
-            cand = (Poly.x(p, level) + Poly.constant(shift)).powmod((q_size - 1) // 2, g) - Poly.one(p, level)
+            cand = Poly.x_minus(-shift).powmod((q_size - 1) // 2, g) - Poly.one(p, level)
             h = poly_gcd(cand, g)
             if 0 < h.degree < g.degree:
                 split(h)

@@ -1,6 +1,8 @@
 """Every structured fast path against its slow definition, exhaustively on
 small fields: every DEFAULT_SIGNATURES instance at q = 3 and q = 5 for seeds
-0-2, plus Coxeter instances, Jordan blocks and random regular matrices."""
+0-2, small signatures at the other tabled q (7, 11, 13) and at q = 17, the
+first whose F_{q^2} is above the table cap, plus Coxeter instances, Jordan
+blocks and random regular matrices."""
 
 import itertools
 import random
@@ -10,6 +12,7 @@ import pytest
 
 from afl_lab import gf
 from afl_lab.cli import DEFAULT_SIGNATURES
+from afl_lab.engine import afl_verdict
 from afl_lab.errors import InputError
 from afl_lab.forge import _gram_columns, _gram_unknowns, _unpack_gram, instance_from_spec
 from afl_lab.hermitian import (
@@ -27,6 +30,12 @@ from test_linalg import jordan_block, probe_is_regular
 
 GRID = [(spec, q, seed) for q in (3, 5) for spec in DEFAULT_SIGNATURES for seed in range(3)]
 COXETER = [("coxeter:3", 3, seed) for seed in range(2)] + [("coxeter:3", 5, 0)]
+WIDE_Q = [
+    (spec, q, seed)
+    for q in (7, 11, 13, 17)
+    for spec in ("sp:1:3", "cp:1:1,sp:1:1", "cp:1:2,sp:1:1", "sp:1:1,sp:1:2", "cp:1:1,sp:1:3")
+    for seed in range(2)
+]
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +97,7 @@ def assert_lattice_is_kernels(m, fact):
         assert sub == kernel_of_poly(m, divisor_poly(fact, vec)), vec
 
 
-@pytest.mark.parametrize("spec,q,seed", GRID + COXETER)
+@pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)
 def test_lattice_equals_kernels_of_divisors(spec, q, seed):
     inst = instance(spec, q, seed)
     assert_lattice_is_kernels(inst.g, inst.fact)
@@ -99,7 +108,7 @@ def test_lattice_equals_kernels_on_jordan_and_random_regular():
         assert_lattice_is_kernels(m, plain_factor(charpoly(m), 0))
 
 
-@pytest.mark.parametrize("spec,q,seed", GRID + COXETER)
+@pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)
 def test_adapted_isotropy_equals_definition(spec, q, seed):
     inst = instance(spec, q, seed)
     subs = lattice(spec, q, seed)
@@ -111,7 +120,7 @@ def test_adapted_isotropy_equals_definition(spec, q, seed):
         assert is_isotropic(sub, inst.space) == pairwise
 
 
-@pytest.mark.parametrize("spec,q,seed", GRID + COXETER)
+@pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)
 def test_gram_columns_equal_probe_products(spec, q, seed):
     inst = instance(spec, q, seed)
     slots = _gram_unknowns(inst.n)
@@ -119,7 +128,7 @@ def test_gram_columns_equal_probe_products(spec, q, seed):
     assert _gram_columns(inst.g, s, slots) == probe_gram_columns(inst.g, s, slots)
 
 
-@pytest.mark.parametrize("spec,q,seed", GRID)
+@pytest.mark.parametrize("spec,q,seed", GRID + WIDE_Q)
 def test_batched_quotient_equals_per_representative_solves(spec, q, seed):
     inst = instance(spec, q, seed)
     ident = Matrix.identity(q, 2, inst.n).rows
@@ -132,6 +141,12 @@ def test_batched_quotient_equals_per_representative_solves(spec, q, seed):
         for reps in reps_sets:
             if reps:
                 assert quotient_matrix(inst.g, sub, reps) == quotient_by_solves(inst.g, sub, reps)
+
+
+@pytest.mark.parametrize("spec,q,seed", WIDE_Q)
+def test_afl_identity_at_the_other_tabled_q_and_above_the_cap(spec, q, seed):
+    report = afl_verdict(instance(spec, q, seed), cross_check=True)
+    assert [c.name for c in report.checks if not c.ok] == []
 
 
 def test_batched_quotient_rejects_non_invariant_span():

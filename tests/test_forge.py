@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from afl_lab import gf
+from afl_lab import forge, gf
 from afl_lab.errors import ForgeError, InputError, InvariantError
 from afl_lab.forge import (
     BlockSpec,
@@ -21,6 +21,7 @@ from afl_lab.hermitian import AntiInvolution, HermitianSpace
 from afl_lab.linalg import Matrix, transform_subspace
 from afl_lab.poly import Poly, divisor_poly, is_irreducible, star
 from afl_lab.linalg import kernel_of_poly
+from test_linalg import det
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +200,33 @@ def test_coxeter_rejects_even_n():
         random_coxeter_instance(3, 2, 0)
 
 
-def test_coxeter_s_override_error_path():
-    with pytest.raises(ForgeError, match="not regular"):
-        random_coxeter_instance(3, 3, 1, s_value=1)
+def test_coxeter_exhausted_attempts_names_the_witness_degree(monkeypatch):
+    # y = 1 gives s = 1, whose minimal polynomial over F_{q^2} has degree 1
+    monkeypatch.setattr(forge, "_random_elem", lambda p, level, rng: gf.one(p, level))
+    with pytest.raises(ForgeError, match="exhausted attempts.*minimal polynomial of degree 1 < 3"):
+        random_coxeter_instance(3, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# the Gram solve keeps its first candidate of full rank
+
+
+@pytest.mark.parametrize(
+    "spec,q,seed",
+    [("cp:1:1,sp:1:1", 3, 2), ("cp:1:2,sp:1:1", 3, 0), ("cp:1:1,sp:1:3", 5, 2), ("sp:1:1,sp:1:1,sp:1:1", 3, 1)],
+)
+def test_gram_solve_keeps_the_first_candidate_with_nonzero_det(spec, q, seed, monkeypatch):
+    candidates = []
+    unpack = forge._unpack_gram
+
+    def recording(*args):
+        candidates.append(unpack(*args))
+        return candidates[-1]
+
+    monkeypatch.setattr(forge, "_unpack_gram", recording)
+    inst = instance_from_spec(spec, q, seed)
+    assert len(candidates) > 1 and inst.space.gram == candidates[-1]
+    assert [det(gm).is_zero for gm in candidates] == [True] * (len(candidates) - 1) + [False]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pickle
 import random
+from functools import lru_cache
 import subprocess
 import sys
 
@@ -18,6 +19,91 @@ def elems(p, level):
         lambda cs: gf.elem(p, level, cs),
         st.lists(st.integers(0, p - 1), min_size=level, max_size=level),
     )
+
+
+# ---------------------------------------------------------------------------
+# the schoolbook polynomial path: the definitions of the product, the inverse
+# and the Frobenius that the field's own maps are checked against
+
+
+def pdivmod(a, b, p):
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, p)
+    while len(r) >= len(b) and r:
+        k = len(r) - len(b)
+        c = (r[-1] * inv) % p
+        q[k] = c
+        for j, bj in enumerate(b):
+            r[k + j] = (r[k + j] - c * bj) % p
+        gf._trim(r)
+    return gf._trim(q), r
+
+
+def pgcdext(a, b, p):
+    """(g, u, v) with u a + v b = g, g monic (or [] if both are zero)."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, gf._psub(s0, gf._pmul(q, s1, p), p)
+        t0, t1 = t1, gf._psub(t0, gf._pmul(q, t1, p), p)
+    if r0:
+        inv = pow(r0[-1], -1, p)
+        r0 = [c * inv % p for c in r0]
+        s0 = [c * inv % p for c in s0]
+        t0 = [c * inv % p for c in t0]
+    return r0, s0, t0
+
+
+def poly_mul(p, level, a, b):
+    """Schoolbook product reduced mod the defining polynomial."""
+    f = list(gf.defining_poly(p, level))
+    return gf._pad(gf._pmod(gf._pmul(list(a), list(b), p), f, p), level)
+
+
+def poly_inverse(p, level, a):
+    """Inverse by extended Euclid on the defining polynomial."""
+    f = list(gf.defining_poly(p, level))
+    g, u, _ = pgcdext(gf._trim(list(a)), f, p)
+    assert len(g) == 1, "defining polynomial is not irreducible"
+    return gf._pad(gf._pmod(u, f, p), level)
+
+
+@lru_cache(maxsize=None)
+def frob_images(p, level):
+    """Coefficient vectors of (gen^i)^p for i < level, by powmod of x."""
+    f = list(gf.defining_poly(p, level))
+    xp = gf._ppowmod([0, 1], p, f, p)
+    imgs = [[1]]
+    cur = [1]
+    for _ in range(1, level):
+        cur = gf._pmod(gf._pmul(cur, xp, p), f, p)
+        imgs.append(cur)
+    return tuple(tuple(v) for v in imgs)
+
+
+def poly_frob(p, level, a):
+    """x -> x^p as the F_p-linear combination sum c_i (gen^i)^p."""
+    out = [0] * level
+    for c, img in zip(a, frob_images(p, level)):
+        if c:
+            for i, v in enumerate(img):
+                out[i] = (out[i] + c * v) % p
+    return tuple(out)
+
+
+def test_pgcd_degree_matches_the_euclid_oracle(rng):
+    # defining_poly's irreducibility test reads only the degree of _pgcd
+    for p in PRIMES:
+        for _ in range(40):
+            common, a, b = (gf._trim([rng.randrange(p) for _ in range(rng.randrange(1, 5))]) for _ in "cab")
+            a, b = gf._pmul(common, a, p), gf._pmul(common, b, p)
+            g, u, v = pgcdext(a, b, p)
+            assert gf._psub(gf._pmul(u, a, p), gf._pmul([-c % p for c in v], b, p), p) == g
+            assert len(gf._pgcd(a, b, p)) == len(g)
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +344,23 @@ def test_tables_match_polynomial_path(p, level):
     for x in elems:
         assert x.is_zero == (not any(x.coeffs))
         assert -x is by_coeffs[tuple(-a % p for a in x.coeffs)]
-        assert gf.frob_q(x) is by_coeffs[gf._poly_frob(p, level, x.coeffs)]
+        assert gf.frob_q(x) is by_coeffs[poly_frob(p, level, x.coeffs)]
         if x.is_zero:
             with pytest.raises(ZeroDivisionError):
                 x.inverse()
         else:
-            assert x.inverse() is by_coeffs[gf._poly_inverse(p, level, x.coeffs)]
+            assert x.inverse() is by_coeffs[poly_inverse(p, level, x.coeffs)]
         for y in elems:
             assert x + y is by_coeffs[tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))]
             assert x - y is by_coeffs[tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs))]
-            assert x * y is by_coeffs[gf._poly_mul(p, level, x.coeffs, y.coeffs)]
+            assert x * y is by_coeffs[poly_mul(p, level, x.coeffs, y.coeffs)]
+
+
+def test_table_build_ends_on_a_broken_product(monkeypatch):
+    # a product that returns its left factor never brings the powers back to 1
+    monkeypatch.setattr(gf, "_kronecker_mul", lambda p, level, a, b: a)
+    with pytest.raises(AssertionError, match="no element of order q - 1"):
+        gf._Tables(3, 2)._build()
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -363,8 +456,8 @@ def test_kronecker_product_matches_schoolbook(p, level):
     pairs = [(a, b) for a in basis for b in basis] + [(top, top), (top, basis[-1])]
     pairs += [tuple(tuple(rng.randrange(p) for _ in range(level)) for _ in "ab") for _ in range(40)]
     for a, b in pairs:
-        assert gf._kronecker_mul(p, level, a, b) == gf._poly_mul(p, level, a, b)
-        assert (gf.FieldElem(p, level, a) * gf.FieldElem(p, level, b)).coeffs == gf._poly_mul(p, level, a, b)
+        assert gf._kronecker_mul(p, level, a, b) == poly_mul(p, level, a, b)
+        assert (gf.FieldElem(p, level, a) * gf.FieldElem(p, level, b)).coeffs == poly_mul(p, level, a, b)
 
 
 @pytest.mark.parametrize("p,level", [(3, 6), (3, 22), (5, 14), (31, 2), (16381, 6)])
@@ -382,7 +475,7 @@ def test_kronecker_slots_hold_the_worst_case(p, level):
 
 
 def poly_tau(p, level, a):
-    return gf._poly_frob(p, level, gf._poly_frob(p, level, a))
+    return poly_frob(p, level, poly_frob(p, level, a))
 
 
 # the smallest even level above the cap for p = 3, 5, 7, 17
@@ -394,7 +487,7 @@ def test_packed_frobenius_matches_poly_frob_exhaustively(p, level):
     assert p**level > gf.TABLE_CAP >= p ** (level - 2)
     for k in range(p**level):
         x = gf.elem_from_encoding(p, level, k)
-        assert gf.frob_q(x).coeffs == gf._poly_frob(p, level, x.coeffs)
+        assert gf.frob_q(x).coeffs == poly_frob(p, level, x.coeffs)
         assert gf.tau_frob(x).coeffs == poly_tau(p, level, x.coeffs)
 
 
@@ -404,7 +497,7 @@ def test_packed_frobenius_matches_poly_frob(p, level):
     vectors = [(p - 1,) * level] + [tuple(rng.randrange(p) for _ in range(level)) for _ in range(60)]
     for a in vectors:
         x = gf.FieldElem(p, level, a)
-        assert gf.frob_q(x).coeffs == gf._poly_frob(p, level, a)
+        assert gf.frob_q(x).coeffs == poly_frob(p, level, a)
         assert gf.tau_frob(x).coeffs == poly_tau(p, level, a)
         assert gf.tau_frob(x) == x ** (p * p)
 
@@ -415,12 +508,48 @@ def test_packed_frobenius_rows_are_the_images_of_the_basis(p, level):
     # width _kronecker guarantees; row i unpacks to (gen^i)^(p^power)
     cut, vec, _, _ = gf._kronecker(p, level)
     assert 2 ** (cut // level) > level * (p - 1) ** 2
-    for power, image in ((1, gf._poly_frob), (2, poly_tau)):
+    for power, image in ((1, poly_frob), (2, poly_tau)):
         packed_vec, rows = gf._packed_frob(p, level, power)
         assert packed_vec is vec and len(rows) == level
         for i, row in enumerate(rows):
             basis = tuple(int(i == j) for j in range(level))
             assert vec.unpack(row.to_bytes(vec.size, "little")) == image(p, level, basis)
+
+
+# ---------------------------------------------------------------------------
+# the norm inverse above the cap, against extended Euclid
+
+NORM_EXHAUSTIVE = SMALLEST_ABOVE_CAP + [(257, 1)]
+NORM_RANDOM = KRONECKER + [(16381, 2), (16381, 6)]
+
+
+@pytest.mark.parametrize("p,level", NORM_EXHAUSTIVE, ids=[f"F{p}^{lv}" for p, lv in NORM_EXHAUSTIVE])
+def test_norm_inverse_matches_euclid_exhaustively(p, level):
+    assert p**level > gf.TABLE_CAP
+    for k in range(1, p**level):
+        x = gf.elem_from_encoding(p, level, k)
+        assert x.inverse().coeffs == poly_inverse(p, level, x.coeffs)
+
+
+@pytest.mark.parametrize("p,level", NORM_RANDOM, ids=[f"F{p}^{lv}" for p, lv in NORM_RANDOM])
+def test_norm_inverse_matches_euclid(p, level):
+    rng = random.Random(f"inverse:{p}:{level}")
+    vectors = [(p - 1,) * level] + [tuple(int(i == j) for j in range(level)) for i in range(level)]
+    vectors += [tuple(rng.randrange(p) for _ in range(level)) for _ in range(40)]
+    one = gf.one(p, level)
+    for a in vectors:
+        x = gf.FieldElem(p, level, a)
+        assert x.inverse().coeffs == poly_inverse(p, level, a)
+        assert x * x.inverse() == one
+    with pytest.raises(ZeroDivisionError):
+        gf.zero(p, level).inverse()
+
+
+def test_norm_inverse_rejects_a_norm_outside_fp(monkeypatch):
+    # with the Frobenius broken to the identity, a b = gen^6 is no scalar
+    monkeypatch.setattr(gf, "_frob_apply", lambda p, level, power, a: a)
+    with pytest.raises(AssertionError, match="not a nonzero scalar"):
+        gf.gen(3, 6).inverse()
 
 
 @pytest.mark.parametrize("p,level", [(3, 6), (3, 18), (5, 6), (17, 2)])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from afl_lab import gf
@@ -18,6 +20,7 @@ from afl_lab.hermitian import (
 from afl_lab.linalg import Matrix, Subspace, charpoly, invariant_subspaces, rref, span
 from afl_lab.poly import Poly, star
 from conftest import random_matrix
+from test_linalg import det
 
 
 def herm_product(space: HermitianSpace, x, y) -> gf.FieldElem:
@@ -85,6 +88,36 @@ def test_degenerate_rejected():
     z = gf.zero(3, 2)
     with pytest.raises(InvariantError, match="degenerate"):
         validate_space(Matrix.from_rows(3, 2, [[z, z], [z, z]]))
+
+
+def gram_of_rank(p, n, rank, rng):
+    """P^T D conj(P) for a random invertible P and D = diag(d_1, ..., d_n),
+    d_i in F_p^* for i < rank and 0 after: a Hermitian Gram matrix of that rank."""
+    pm = random_matrix(p, 2, n, rng)
+    while det(pm).is_zero:
+        pm = random_matrix(p, 2, n, rng)
+    z = gf.zero(p, 2)
+    d = [[gf.from_base(p, 2, rng.randrange(1, p)) if i == j < rank else z for j in range(n)] for i in range(n)]
+    return pm.transpose() @ Matrix.from_rows(p, 2, d) @ pm.conj()
+
+
+@pytest.mark.parametrize("p", [3, 5, 17])
+def test_full_rank_agrees_with_the_det_oracle(p):
+    rng = random.Random(f"rank:{p}")
+    for n in range(5):
+        for _ in range(3):
+            a = random_matrix(p, 2, n, rng)
+            gram = a + a.transpose().conj()
+            assert (len(rref(gram.rows)[1]) == n) == (not det(gram).is_zero)
+            for rank in range(n + 1):
+                gram = gram_of_rank(p, n, rank, rng)
+                assert len(rref(gram.rows)[1]) == rank
+                assert det(gram).is_zero == (rank < n)
+                if rank == n:
+                    assert validate_space(gram).dim == n
+                else:
+                    with pytest.raises(InvariantError, match="gram is degenerate"):
+                        validate_space(gram)
 
 
 # ---------------------------------------------------------------------------

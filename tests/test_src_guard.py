@@ -1,0 +1,69 @@
+"""src holds no test-only code: every function, class and method defined in
+src/afl_lab is referenced from src, exported by __init__, or a named oracle
+on the allowlist below."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import afl_lab
+
+SRC = Path(afl_lab.__file__).resolve().parent
+
+# name -> why src keeps it although no src code references it
+ALLOWED = {
+    "divisor_poly": "oracle: the divisor polynomial whose kernel each lattice subspace must be",
+    "is_isotropic": "oracle: isotropy by the definition, against the adapted-basis pass",
+    "kernel_of_poly": "oracle: the kernel of f(M), against the primary chains of the lattice",
+    "naive_subspace_scan": "oracle: every invariant subspace by enumerating all subspaces",
+    "script_w_direct": "oracle: tau-stability tested on every invariant subspace, against script_w",
+    "make_tower": "public: validates (p, max_level) and realizes every even level of a tower",
+}
+
+
+def definitions(tree):
+    """(qualified name, name, node) of every function, class and method."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.append((prefix + child.name, child.name, child))
+                if isinstance(child, ast.ClassDef):
+                    visit(child, prefix + child.name + ".")
+
+    visit(tree, "")
+    return out
+
+
+def read_names(node):
+    """Counter of the names node reads, as a bare name or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def unreferenced():
+    """Definitions whose name src reads nowhere outside their own body."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    everywhere = sum((read_names(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for qualname, name, node in definitions(tree):
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and everywhere[name] == read_names(node)[name]:
+                found.append(f"{module}.{qualname}")
+    return found
+
+
+def test_src_defines_nothing_only_tests_use():
+    exported = set(afl_lab.__all__)
+    offenders = [q for q in unreferenced() if q.rsplit(".", 1)[-1] not in exported | set(ALLOWED)]
+    assert offenders == []
+
+
+def test_every_allowlisted_name_is_still_defined_and_unreferenced():
+    names = {q.rsplit(".", 1)[-1] for q in unreferenced()}
+    assert set(ALLOWED) <= names
