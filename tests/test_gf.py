@@ -440,7 +440,7 @@ print(built())
 
 
 # ---------------------------------------------------------------------------
-# Kronecker products above the cap, against the schoolbook _poly_mul
+# Kronecker products above the cap, against the schoolbook poly_mul
 
 
 # every even level from 6 up to the largest the eigenline counter reaches in
@@ -471,7 +471,7 @@ def test_kronecker_slots_hold_the_worst_case(p, level):
 
 
 # ---------------------------------------------------------------------------
-# packed Frobenius maps above the cap, against _poly_frob
+# packed Frobenius maps above the cap, against poly_frob
 
 
 def poly_tau(p, level, a):
