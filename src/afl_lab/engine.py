@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .dl import dl_fixed_points
 from .errors import CrossCheckError, InputError
 from .forge import MinusculeInstance, serialize_instance
-from .hermitian import induced_subquotient, isotropic_divisors, orth_complement
+from .hermitian import adapted_basis, induced_subquotient
 from .linalg import Subspace, charpoly, invariant_subspaces
 from .poly import Poly, FactoredPoly, divisor_exponents, poly_key
 
@@ -170,7 +170,8 @@ class GeometricResult:
 
 
 def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> GeometricResult:
-    """Walk the vertex strata: isotropic g-invariant W, actual-Gram isotropy.
+    """Walk the vertex strata: isotropic g-invariant W, actual-Gram isotropy,
+    each W and W-perp a row set of the adapted basis and W-perp/W a slice.
 
     A stratum contributes type * multiplicity when the subquotient charpoly
     is irreducible (equivalently: equals one of the P_i).  With cross_check
@@ -179,25 +180,23 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
     """
     if inst.n % 2 == 0:
         raise InputError("the geometric count lives on odd dimensions")
-    factor_index = {poly_key(f): (i, a) for i, (f, a) in enumerate(inst.fact.factors)}
+    exponent_of = {poly_key(f): a for f, a in inst.fact.factors}
     strata = []
     total = 0
-    lattice = invariant_subspaces(inst.g, inst.fact)
-    isotropic = isotropic_divisors(lattice, inst.fact, inst.space)
-    for vec, sub in sorted(lattice.items()):
-        if vec not in isotropic:
+    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact), inst.fact, inst.space, inst.g)
+    for vec, w in sorted(basis.coords.items()):
+        if not basis.isotropic(vec):
             continue
-        quotient_space, quotient_m = induced_subquotient(sub, inst.space, inst.g)
+        quotient_space, quotient_m = induced_subquotient(basis, vec)
         t = quotient_space.dim
         qcp = charpoly(quotient_m)
-        hit = factor_index.get(poly_key(qcp))
-        if hit is not None:
-            _, a0 = hit
+        a0 = exponent_of.get(poly_key(qcp))
+        fixed, mult, dl_count = 0, None, None
+        if a0 is not None:
             if a0 % 2 == 0:
                 raise CrossCheckError("contributing stratum with even global exponent")
             fixed = t
             mult = (a0 + 1) // 2
-            dl_count = None
             if cross_check:
                 dl_count = len(dl_fixed_points(quotient_space, quotient_m, seed=inst.seed))
                 if dl_count != fixed:
@@ -205,9 +204,7 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
                         f"eigenline count {dl_count} disagrees with the formula count {fixed}"
                     )
             total += fixed * mult
-            strata.append(StratumRecord(vec, sub.dim, t, qcp, fixed, mult, dl_count))
-        else:
-            strata.append(StratumRecord(vec, sub.dim, t, qcp, 0, None, None))
+        strata.append(StratumRecord(vec, len(w), t, qcp, fixed, mult, dl_count))
     return GeometricResult(tuple(strata), total, any(r.fixed_count for r in strata))
 
 
@@ -260,17 +257,13 @@ def orbital_pretty(coeffs: dict[int, int]) -> str:
 
 def fl_check(inst: MinusculeInstance) -> tuple[int, int]:
     """Even-dimensional counting identity: alternating sum over the stable
-    subspaces against the number of invariant Lagrangians."""
+    subspaces against the number of invariant Lagrangians (W-perp = W)."""
     if inst.n % 2:
         raise InputError("the counting identity lives on even dimensions")
     lhs = alternating_sum(inst)
-    rhs = 0
     half = inst.n // 2
-    for vec, sub in sorted(invariant_subspaces(inst.g, inst.fact).items()):
-        if sub.dim != half:
-            continue
-        if orth_complement(sub, inst.space) == sub:
-            rhs += 1
+    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact), inst.fact, inst.space, inst.g)
+    rhs = sum(1 for vec, w in basis.coords.items() if len(w) == half and basis.perp(vec) == w)
     return lhs, rhs
 
 

@@ -142,9 +142,9 @@ def _random_elem(p, level, rng) -> FieldElem:
 
 def _random_self_paired_irreducible(p: int, degree: int, rng) -> Poly:
     """Sample a norm-one element of F_{q^{2d}} and take its minimal polynomial;
-    guaranteed self-paired, retried until the degree is exactly d."""
+    guaranteed self-paired, retried (GENERATOR_TRIES tries) until the degree is d."""
     level = 2 * degree
-    while True:
+    for _ in range(GENERATOR_TRIES):
         y = _random_elem(p, level, rng)
         if y.is_zero:
             continue
@@ -152,17 +152,19 @@ def _random_self_paired_irreducible(p: int, degree: int, rng) -> Poly:
         cand = _min_poly_over_quadratic(z)
         if cand is not None and cand.degree == degree:
             return cand
+    raise ForgeError(f"could not sample a self-paired irreducible of degree {degree} over F_{p * p} (q = {p})")
 
 
 def _random_pair_irreducible(p: int, degree: int, rng) -> Poly:
     level = 2 * degree
-    while True:
+    for _ in range(GENERATOR_TRIES):
         z = _random_elem(p, level, rng)
         if z.is_zero:
             continue
         cand = _min_poly_over_quadratic(z)
         if cand is not None and cand.degree == degree and star(cand) != cand:
             return cand
+    raise ForgeError(f"could not sample a non-self-paired irreducible of degree {degree} over F_{p * p} (q = {p})")
 
 
 def _mobius(n: int) -> int:

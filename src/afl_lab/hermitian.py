@@ -1,4 +1,4 @@
-"""Hermitian forms on F_{q^2}-spaces and the subquotient machinery.
+"""Hermitian forms on F_{q^2}-spaces and the geometric walk in one adapted basis.
 
 Convention, fixed once for the whole artifact and its JSON schema: the form
 is linear in the first argument and conjugate-linear in the second,
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import gf
 from .errors import InputError, InvariantError
-from .linalg import Matrix, Subspace, kernel, rref
+from .linalg import Matrix, Subspace, rref
 from .poly import factor_pairs
 
 
@@ -86,20 +86,7 @@ def validate_anti_involution(tau: AntiInvolution, space: HermitianSpace, g: Matr
 
 
 # ---------------------------------------------------------------------------
-# complements, isotropy, subquotients
-
-
-def orth_complement(w: Subspace, space: HermitianSpace) -> Subspace:
-    """W-perp = {x : h(x, w) = 0 for all w in W}."""
-    if w.ambient != space.dim:
-        raise InputError("subspace does not live in this space")
-    if w.dim == 0:
-        rows = Matrix.identity(space.p, space.level, space.dim).rows
-        return Subspace(space.dim, rows)
-    # h(x, w) = sum_j x_j (G conj(w))_j, so each basis vector of W yields the
-    # condition row G conj(w)
-    eq_rows = [space.gram.apply([gf.conj(c) for c in r]) for r in w.rows]
-    return kernel(Matrix.from_rows(space.p, space.level, eq_rows))
+# isotropy and subquotients as slices of one adapted basis
 
 
 def is_isotropic(w: Subspace, space: HermitianSpace) -> bool:
@@ -107,16 +94,34 @@ def is_isotropic(w: Subspace, space: HermitianSpace) -> bool:
     return gram_of_rows(space, w.rows).is_zero
 
 
-def isotropic_divisors(lattice, fact, space: HermitianSpace) -> set[tuple[int, ...]]:
-    """Divisor vectors of an invariant lattice whose subspace is isotropic.
+@dataclass(frozen=True)
+class AdaptedBasis:
+    """A basis B adapted to every primary chain of g, with H = B G conj(B)^T.
 
-    lattice is invariant_subspaces(g, fact).  Its members W(m) are direct
-    sums of the primary chain members W(k e_i) = ker P_i(g)^k, so one basis B
-    adapted to every chain (the first k deg P_i rows of chain i span
-    W(k e_i)) turns isotropy of each W(m) into a zero principal block of the
-    single Gram matrix H = B G conj(B)^T, the actual form in that basis.
-    is_isotropic is the definition this is checked against.
-    """
+    Each lattice member W(m) is the span of the rows coords[m] of B, and so
+    is the g-invariant W-perp: the rows whose row of H vanishes on W, as B is
+    a basis.  Isotropy and subquotients are thus row sets and slices of H and
+    of g written in B; no stratum computes a kernel or solves anything."""
+
+    rows: tuple  # B
+    gram: Matrix  # H
+    g: Matrix  # column c holds the B-coordinates of g B[c]
+    coords: dict[tuple[int, ...], tuple[int, ...]]
+
+    def perp(self, vec) -> tuple[int, ...]:
+        w = self.coords[vec]
+        out = tuple(a for a, row in enumerate(self.gram.rows) if all(row[c].is_zero for c in w))
+        if len(out) != self.gram.n - len(w):
+            raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
+        return out
+
+    def isotropic(self, vec) -> bool:
+        """W inside W-perp; is_isotropic is the definition."""
+        return set(self.coords[vec]) <= set(self.perp(vec))
+
+
+def adapted_basis(lattice, fact, space: HermitianSpace, g: Matrix) -> AdaptedBasis:
+    """B, H and g in B (one echelon form) for lattice = invariant_subspaces(g, fact)."""
     pairs = factor_pairs(fact)
     basis = []
     offsets = []
@@ -127,13 +132,12 @@ def isotropic_divisors(lattice, fact, space: HermitianSpace) -> set[tuple[int, .
             unit = tuple(k if j == i else 0 for j in range(len(pairs)))
             chain += complete_basis(chain, lattice[unit].rows)
         basis += chain
-    h = gram_of_rows(space, basis).rows
-    out = set()
-    for vec in lattice:
-        idx = [off + r for off, (f, _), m in zip(offsets, pairs, vec) for r in range(m * f.degree)]
-        if all(h[a][b].is_zero for a in idx for b in idx):
-            out.add(vec)
-    return out
+    coords = {
+        vec: tuple(off + r for off, (f, _), m in zip(offsets, pairs, vec) for r in range(m * f.degree))
+        for vec in lattice
+    }
+    g_b = quotient_matrix(g, Subspace(g.n, ()), basis)
+    return AdaptedBasis(tuple(basis), gram_of_rows(space, basis), g_b, coords)
 
 
 def complete_basis(base_rows, extension_rows):
@@ -170,19 +174,18 @@ def quotient_matrix(m: Matrix, w: Subspace, reps) -> Matrix:
     return Matrix.from_rows(m.p, m.level, coeffs[w.dim :])
 
 
-def induced_subquotient(w: Subspace, space: HermitianSpace, m: Matrix):
-    """Hermitian space on W-perp/W with the endomorphism M induces there.
+def _slice(m: Matrix, idx) -> Matrix:
+    return Matrix.from_rows(m.p, m.level, [[m.rows[a][b] for b in idx] for a in idx])
 
-    W must be isotropic (W inside W-perp) and M-invariant; the result has
-    dimension dim V - 2 dim W, is nondegenerate, and its characteristic
-    polynomial is the middle factor of the filtration 0 < W < W-perp < V.
-    """
-    wp = orth_complement(w, space)
-    if not w.is_subset(wp):
+
+def induced_subquotient(basis: AdaptedBasis, vec):
+    """Hermitian space on W-perp/W for W = W(vec) isotropic, with the
+    endomorphism g induces there: the slices of H and of g in B on the rows
+    in W-perp but not in W.  Its characteristic polynomial is the middle
+    factor of the filtration 0 < W < W-perp < V."""
+    w = set(basis.coords[vec])
+    wp = basis.perp(vec)
+    if not w <= set(wp):
         raise InputError("subspace is not isotropic")
-    if not all(w.contains(m.apply(r)) for r in w.rows):
-        raise InputError("subspace is not invariant")
-    reps = complete_basis(list(w.rows), list(wp.rows))
-    if len(reps) != space.dim - 2 * w.dim:
-        raise AssertionError("complement completion has the wrong size")
-    return validate_space(gram_of_rows(space, reps)), quotient_matrix(m, w, reps)
+    r = [a for a in wp if a not in w]
+    return validate_space(_slice(basis.gram, r)), _slice(basis.g, r)

@@ -208,9 +208,6 @@ class Subspace:
                 w = [a - f * b for a, b in zip(w, row)]
         return all(a.is_zero for a in w)
 
-    def is_subset(self, other: "Subspace") -> bool:
-        return all(other.contains(r) for r in self.rows)
-
 
 def span(ambient: int, vectors) -> Subspace:
     rows, _ = rref(list(vectors))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -96,6 +97,28 @@ def test_verify_timings_key_only_on_request(capsys):
     assert set(timed["timings"]) == {"wall_s"}
     del timed["timings"]
     assert timed == default
+
+
+def monotonic_clock(monkeypatch, *ticks):
+    """Give cli a perf_counter that returns ticks and a wall clock that must
+    not be read: a wall-clock step mid-run would skew the reported time."""
+    def wall_clock():
+        raise AssertionError("timings must come from time.perf_counter")
+
+    clock = iter(ticks)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(clock), time=wall_clock))
+
+
+def test_verify_timings_read_the_monotonic_clock(capsys, monkeypatch):
+    monotonic_clock(monkeypatch, 10.0, 10.25)
+    assert main(["verify", "--q", "3", "--sig", "sp:1:3", "--timings"]) == 0
+    assert json.loads(capsys.readouterr().out)["timings"] == {"wall_s": 0.25}
+
+
+def test_sweep_wall_line_reads_the_monotonic_clock(capsys, monkeypatch):
+    monotonic_clock(monkeypatch, 10.0, 11.5)
+    assert main(["sweep", "--count", "1", "--q", "3", "--timings"]) == 0
+    assert capsys.readouterr().err == "# wall 1.50s\n"
 
 
 def test_verify_pretty_appends_one_line_per_check(capsys):

@@ -294,11 +294,11 @@ def test_duality_sends_mi_to_mn_minus_i():
 
 def test_duality_matches_gram_complement():
     # the divisor-level dual equals the honest orthogonal complement
-    from afl_lab.hermitian import orth_complement
-    from afl_lab.linalg import invariant_subspaces
+    from test_hermitian import orth_complement, walk_of
 
     inst = inst_of("cp:1:1,sp:1:3", q=3, seed=5)
-    subs = invariant_subspaces(inst.g, inst.fact)
+    subs, basis = walk_of(inst)
     duals = dict(duality_involution_orbits(inst))
     for vec, dual in duals.items():
         assert orth_complement(subs[vec], inst.space) == subs[dual]
+        assert basis.perp(vec) == basis.coords[dual]

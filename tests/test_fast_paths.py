@@ -2,7 +2,9 @@
 small fields: every DEFAULT_SIGNATURES instance at q = 3 and q = 5 for seeds
 0-2, small signatures at the other tabled q (7, 11, 13) and at q = 17, the
 first whose F_{q^2} is above the table cap, plus Coxeter instances, Jordan
-blocks and random regular matrices."""
+blocks and random regular matrices.  The geometric walk's slices of the
+adapted basis are checked stratum by stratum against the standard-basis
+route, and the Lagrangian count on even instances at q = 3 to 17."""
 
 import itertools
 import random
@@ -12,20 +14,21 @@ import pytest
 
 from afl_lab import gf
 from afl_lab.cli import DEFAULT_SIGNATURES
-from afl_lab.engine import afl_verdict
+from afl_lab.dl import dl_fixed_points
+from afl_lab.engine import afl_verdict, fl_check
 from afl_lab.errors import InputError
 from afl_lab.forge import _gram_columns, _gram_unknowns, _unpack_gram, instance_from_spec
 from afl_lab.hermitian import (
+    adapted_basis,
     complete_basis,
+    induced_subquotient,
     is_isotropic,
-    isotropic_divisors,
-    orth_complement,
     quotient_matrix,
 )
-from afl_lab.linalg import Matrix, charpoly, invariant_subspaces, kernel_of_poly, span
-from afl_lab.poly import divisor_poly, plain_factor
+from afl_lab.linalg import Matrix, Subspace, charpoly, invariant_subspaces, kernel_of_poly, span
+from afl_lab.poly import divisor_poly, plain_factor, poly_key
 from conftest import random_matrix
-from test_hermitian import _solve_in_rows, herm_product
+from test_hermitian import _solve_in_rows, herm_product, orth_complement, subquotient_by_definition
 from test_linalg import jordan_block, probe_is_regular
 
 GRID = [(spec, q, seed) for q in (3, 5) for spec in DEFAULT_SIGNATURES for seed in range(3)]
@@ -35,6 +38,14 @@ WIDE_Q = [
     for q in (7, 11, 13, 17)
     for spec in ("sp:1:3", "cp:1:1,sp:1:1", "cp:1:2,sp:1:1", "sp:1:1,sp:1:2", "cp:1:1,sp:1:3")
     for seed in range(2)
+]
+EVEN = [
+    (spec, q, 0)
+    for q in (3, 5, 7, 17)
+    for spec in (
+        "cp:1:1", "cp:1:2", "cp:1:1,cp:1:1", "cp:1:1,sp:1:2", "sp:1:1,sp:1:1",
+        "cp:1:1,sp:1:1,sp:1:1", "sp:1:2,sp:1:2", "sp:1:1,sp:1:3",
+    )
 ]
 
 
@@ -47,6 +58,12 @@ def instance(spec, q, seed):
 def lattice(spec, q, seed):
     inst = instance(spec, q, seed)
     return invariant_subspaces(inst.g, inst.fact)
+
+
+@lru_cache(maxsize=None)
+def walk(spec, q, seed):
+    inst = instance(spec, q, seed)
+    return adapted_basis(lattice(spec, q, seed), inst.fact, inst.space, inst.g)
 
 
 def probe_gram_columns(g, s, slots):
@@ -113,7 +130,7 @@ def test_adapted_isotropy_equals_definition(spec, q, seed):
     inst = instance(spec, q, seed)
     subs = lattice(spec, q, seed)
     expected = {vec for vec, sub in subs.items() if is_isotropic(sub, inst.space)}
-    assert isotropic_divisors(subs, inst.fact, inst.space) == expected
+    assert {vec for vec in subs if walk(spec, q, seed).isotropic(vec)} == expected
     for sub in subs.values():
         pairs = itertools.product(sub.rows, repeat=2)
         pairwise = all(herm_product(inst.space, a, b).is_zero for a, b in pairs)
@@ -126,6 +143,47 @@ def test_gram_columns_equal_probe_products(spec, q, seed):
     slots = _gram_unknowns(inst.n)
     s = inst.tau.mat
     assert _gram_columns(inst.g, s, slots) == probe_gram_columns(inst.g, s, slots)
+
+
+@pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)
+def test_slice_walk_equals_subquotient_by_definition(spec, q, seed):
+    """Stratum by stratum (the isotropic set itself is compared above): dim W,
+    the type, the charpoly and the eigenline count of the slices against the
+    standard-basis route; and each complement's rows against the kernel
+    definition."""
+    inst = instance(spec, q, seed)
+    subs, basis = lattice(spec, q, seed), walk(spec, q, seed)
+    divisor_of = {idx: vec for vec, idx in basis.coords.items()}
+    factors = {poly_key(f) for f, _ in inst.fact.factors}
+    for vec, sub in subs.items():
+        assert subs[divisor_of[basis.perp(vec)]] == orth_complement(sub, inst.space)
+        if not basis.isotropic(vec):
+            continue
+        assert len(basis.coords[vec]) == sub.dim
+        slow_space, slow_m = subquotient_by_definition(sub, inst.space, inst.g)
+        fast_space, fast_m = induced_subquotient(basis, vec)
+        assert fast_space.dim == slow_space.dim == inst.n - 2 * sub.dim
+        assert charpoly(fast_m) == charpoly(slow_m)
+        if poly_key(charpoly(fast_m)) in factors:
+            fast = dl_fixed_points(fast_space, fast_m, seed=seed)
+            assert len(fast) == len(dl_fixed_points(slow_space, slow_m, seed=seed))
+
+
+@pytest.mark.parametrize("spec,q,seed", EVEN)
+def test_lagrangian_count_equals_complement_oracle(spec, q, seed):
+    inst = instance(spec, q, seed)
+    lagrangians = [
+        vec for vec, sub in lattice(spec, q, seed).items()
+        if sub.dim == inst.n // 2 and orth_complement(sub, inst.space) == sub
+    ]
+    assert fl_check(inst)[1] == len(lagrangians)
+
+
+def test_g_in_the_adapted_basis_equals_per_representative_solves():
+    for spec, q, seed in GRID[::3] + WIDE_Q[::4]:
+        inst = instance(spec, q, seed)
+        basis = walk(spec, q, seed)
+        assert basis.g == quotient_by_solves(inst.g, Subspace(inst.n, ()), basis.rows)
 
 
 @pytest.mark.parametrize("spec,q,seed", GRID + WIDE_Q)

@@ -81,6 +81,24 @@ def test_random_self_paired_cubic():
     assert a == 1 and f.degree == 3 and star(f) == f
 
 
+@pytest.mark.parametrize("sig,kind,degree", [
+    ("sp:3:1", "self-paired", 3),
+    ("cp:1:1,sp:1:1", "non-self-paired", 1),
+])
+def test_block_samplers_give_up_after_generator_tries(sig, kind, degree, monkeypatch):
+    # a minimal-polynomial routine that never succeeds (as a broken Frobenius
+    # makes it) ends the sampler in a named ForgeError instead of a hang
+    calls = []
+
+    def never(z):
+        calls.append(z)
+
+    monkeypatch.setattr(forge, "_min_poly_over_quadratic", never)
+    with pytest.raises(ForgeError, match=rf"{kind} irreducible of degree {degree} over F_9 \(q = 3\)"):
+        build_block_instance(parse_signature(sig), 3, 11)
+    assert 0 < len(calls) <= forge.GENERATOR_TRIES
+
+
 def test_rejects_impossible_random_type():
     with pytest.raises(InputError):
         build_block_instance((BlockSpec("sp", 2, 1),), 3, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,16 +9,17 @@ from afl_lab.forge import build_block_instance, parse_signature
 from afl_lab.hermitian import (
     AntiInvolution,
     HermitianSpace,
+    adapted_basis,
     complete_basis,
+    gram_of_rows,
     induced_subquotient,
     is_isotropic,
     is_unitary,
-    orth_complement,
     quotient_matrix,
     validate_anti_involution,
     validate_space,
 )
-from afl_lab.linalg import Matrix, Subspace, charpoly, invariant_subspaces, rref, span
+from afl_lab.linalg import Matrix, Subspace, charpoly, invariant_subspaces, kernel, rref, span
 from afl_lab.poly import Poly, star
 from conftest import random_matrix
 from test_linalg import det
@@ -60,6 +62,36 @@ def restrict_to_invariant(m: Matrix, w: Subspace) -> Matrix:
         rows.append(coeffs)
     # rows[a][b] = coefficient of w_b in M w_a; transpose to act on columns
     return Matrix.from_rows(m.p, m.level, list(zip(*rows))) if rows else Matrix(m.p, m.level, ())
+
+
+def orth_complement(w: Subspace, space: HermitianSpace) -> Subspace:
+    """W-perp = {x : h(x, w) = 0 for all w in W}, as the kernel of the rows
+    G conj(w): the definition the adapted-basis complement is checked against."""
+    if w.dim == 0:
+        return Subspace(space.dim, Matrix.identity(space.p, space.level, space.dim).rows)
+    eq_rows = [space.gram.apply([gf.conj(c) for c in r]) for r in w.rows]
+    return kernel(Matrix.from_rows(space.p, space.level, eq_rows))
+
+
+def subquotient_by_definition(w: Subspace, space: HermitianSpace, m: Matrix):
+    """Hermitian space on W-perp/W and the action M induces there, in the
+    standard basis: the complement as a kernel, an invariance pass, coset
+    representatives completed from W-perp, their Gram matrix, and one
+    quotient solve.  The oracle for the slices of induced_subquotient."""
+    wp = orth_complement(w, space)
+    if not all(wp.contains(r) for r in w.rows):
+        raise InputError("subspace is not isotropic")
+    if not all(w.contains(m.apply(r)) for r in w.rows):
+        raise InputError("subspace is not invariant")
+    reps = complete_basis(list(w.rows), list(wp.rows))
+    assert len(reps) == space.dim - 2 * w.dim
+    return validate_space(gram_of_rows(space, reps)), quotient_matrix(m, w, reps)
+
+
+def walk_of(inst):
+    """The invariant lattice of an instance and its adapted basis."""
+    lattice = invariant_subspaces(inst.g, inst.fact)
+    return lattice, adapted_basis(lattice, inst.fact, inst.space, inst.g)
 
 
 def hyperbolic_plane(p=3):
@@ -239,40 +271,57 @@ def test_complete_basis_matches_greedy_rank_growth(rng):
 
 def test_subquotient_of_zero_is_identity():
     inst = build_block_instance(parse_signature("sp:1:3"), 3, 4)
-    sub_space, induced = induced_subquotient(Subspace(3, ()), inst.space, inst.g)
+    sub_space, induced = subquotient_by_definition(Subspace(3, ()), inst.space, inst.g)
     assert sub_space.gram == inst.space.gram
     assert induced == inst.g
+    lattice, basis = walk_of(inst)
+    zero = next(vec for vec in lattice if not any(vec))
+    sub_space, induced = induced_subquotient(basis, zero)
+    assert sub_space.gram == basis.gram and induced == basis.g
+    assert charpoly(induced) == charpoly(inst.g)
 
 
 def test_subquotient_of_lagrangian_line_is_trivial():
     inst = build_block_instance(parse_signature("cp:1:1"), 3, 2)
-    eigenline = next(
-        s for s in invariant_subspaces(inst.g, inst.fact).values() if s.dim == 1
-    )
-    sub_space, induced = induced_subquotient(eigenline, inst.space, inst.g)
+    lattice, basis = walk_of(inst)
+    vec, eigenline = next((vec, s) for vec, s in lattice.items() if s.dim == 1)
+    sub_space, induced = subquotient_by_definition(eigenline, inst.space, inst.g)
+    assert sub_space.dim == 0 and induced.n == 0
+    assert basis.perp(vec) == basis.coords[vec]
+    sub_space, induced = induced_subquotient(basis, vec)
     assert sub_space.dim == 0 and induced.n == 0
 
 
 def test_subquotient_dim3_pair_block():
     inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
-    subs = invariant_subspaces(inst.g, inst.fact)
-    pair_line = next(
-        s for vec, s in subs.items() if s.dim == 1 and is_isotropic(s, inst.space)
+    lattice, basis = walk_of(inst)
+    vec, pair_line = next(
+        (vec, s) for vec, s in lattice.items() if s.dim == 1 and is_isotropic(s, inst.space)
     )
-    sub_space, induced = induced_subquotient(pair_line, inst.space, inst.g)
-    assert sub_space.dim == 1
-    qcp = charpoly(induced)
-    assert star(qcp) == qcp  # carries the self-paired eigenvalue
+    for sub_space, induced in (
+        subquotient_by_definition(pair_line, inst.space, inst.g),
+        induced_subquotient(basis, vec),
+    ):
+        assert sub_space.dim == 1
+        qcp = charpoly(induced)
+        assert star(qcp) == qcp  # carries the self-paired eigenvalue
 
 
 def test_subquotient_rejects_non_isotropic():
     inst = build_block_instance(parse_signature("sp:1:3"), 3, 4)
     full = span(3, Matrix.identity(3, 2, 3).rows)
     with pytest.raises(InputError):
-        induced_subquotient(full, inst.space, inst.g)
+        subquotient_by_definition(full, inst.space, inst.g)
+    lattice, basis = walk_of(inst)
+    whole = max(lattice)
+    assert lattice[whole] == full
+    with pytest.raises(InputError, match="not isotropic"):
+        induced_subquotient(basis, whole)
 
 
 def test_subquotient_rejects_isotropic_line_that_is_not_invariant():
+    # only the standard-basis route can be handed a non-invariant W: the
+    # adapted basis spans lattice members only
     inst = build_block_instance(parse_signature("cp:1:1"), 3, 2)
     z, o = gf.zero(3, 2), gf.one(3, 2)
     lines = [span(2, [(o, gf.elem_from_encoding(3, 2, c))]) for c in range(9)] + [span(2, [(z, o)])]
@@ -281,16 +330,43 @@ def test_subquotient_rejects_isotropic_line_that_is_not_invariant():
         if is_isotropic(w, inst.space) and not w.contains(inst.g.apply(w.rows[0]))
     )
     with pytest.raises(InputError, match="not invariant"):
-        induced_subquotient(line, inst.space, inst.g)
+        subquotient_by_definition(line, inst.space, inst.g)
 
 
 def test_subquotient_rejects_invariant_subspace_that_is_not_isotropic():
     inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
-    subs = [s for s in invariant_subspaces(inst.g, inst.fact).values() if not is_isotropic(s, inst.space)]
-    assert any(0 < s.dim < inst.n for s in subs)
-    for sub in subs:
+    lattice, basis = walk_of(inst)
+    bad = [vec for vec, s in lattice.items() if not is_isotropic(s, inst.space)]
+    assert any(0 < lattice[vec].dim < inst.n for vec in bad)
+    for vec in bad:
+        assert not basis.isotropic(vec)
         with pytest.raises(InputError, match="not isotropic"):
-            induced_subquotient(sub, inst.space, inst.g)
+            subquotient_by_definition(lattice[vec], inst.space, inst.g)
+        with pytest.raises(InputError, match="not isotropic"):
+            induced_subquotient(basis, vec)
+
+
+def test_complement_count_check_rejects_a_degenerate_form():
+    # with H zeroed every row vanishes on W, so the candidate complement has
+    # n members instead of n - dim W
+    inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
+    lattice, basis = walk_of(inst)
+    zero = Matrix.from_rows(3, 2, [[gf.zero(3, 2)] * inst.n] * inst.n)
+    broken = dataclasses.replace(basis, gram=zero)
+    line = next(vec for vec in lattice if sum(vec) == 1)
+    with pytest.raises(InvariantError, match="orthogonal complement"):
+        broken.perp(line)
+    with pytest.raises(InvariantError, match="orthogonal complement"):
+        induced_subquotient(broken, line)
+
+
+def test_adapted_basis_spans_every_lattice_member():
+    for sig, q, seed in [("cp:1:2,sp:1:1", 3, 1), ("cp:2:1,sp:1:1", 5, 2), ("sp:1:1,sp:1:2", 3, 0)]:
+        inst = build_block_instance(parse_signature(sig), q, seed)
+        lattice, basis = walk_of(inst)
+        assert basis.gram == gram_of_rows(inst.space, basis.rows)
+        for vec, sub in lattice.items():
+            assert span(inst.n, [basis.rows[a] for a in basis.coords[vec]]) == sub
 
 
 def full_quotient_matrix(m: Matrix, w: Subspace) -> Matrix:
@@ -306,7 +382,7 @@ def charpoly_filtration(m: Matrix, w: Subspace, space: HermitianSpace):
     """The three factors charpoly(M|W), charpoly(M|W-perp/W), charpoly(M|V/W-perp)."""
     wp = orth_complement(w, space)
     inner = charpoly(restrict_to_invariant(m, w)) if w.dim else Poly.one(m.p, m.level)
-    _, mid_m = induced_subquotient(w, space, m)
+    _, mid_m = subquotient_by_definition(w, space, m)
     mid = charpoly(mid_m) if mid_m.n else Poly.one(m.p, m.level)
     outer_m = full_quotient_matrix(m, wp)
     outer = charpoly(outer_m) if outer_m.n else Poly.one(m.p, m.level)

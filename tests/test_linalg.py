@@ -355,7 +355,7 @@ def test_divisibility_matches_inclusion(rng):
         for a in vecs:
             for b in vecs:
                 divides = all(x <= y for x, y in zip(a, b))
-                assert divides == subs[a].is_subset(subs[b])
+                assert divides == all(subs[b].contains(r) for r in subs[a].rows)
 
 
 # ---------------------------------------------------------------------------
