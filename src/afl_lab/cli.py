@@ -24,10 +24,12 @@ from . import engine, gf
 from .dl import T_MAX, dl_fixed_points, galois_orbit_check
 from .errors import VerifierError, InputError
 from .forge import (
+    N_MAX,
     instance_from_spec,
     parse_instance,
     parse_spec,
     random_coxeter_instance,
+    require_dim,
     serialize_instance,
     signature_dim,
 )
@@ -190,6 +192,7 @@ def _load_instance(args):
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args)
     if args.coxeter:
+        require_dim(args.n, "--n")
         inst = random_coxeter_instance(args.q, args.n, seed)
     else:
         if not args.sig:
@@ -362,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--pretty", action="store_true")
     p_gen.add_argument("--sig", help="signature, e.g. 'cp:1:2,sp:1:1'")
     p_gen.add_argument("--coxeter", action="store_true")
-    p_gen.add_argument("--n", type=int, default=3, help="dimension for --coxeter")
+    p_gen.add_argument("--n", type=int, default=3, help=f"dimension for --coxeter, at most {N_MAX}")
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_gen)
 

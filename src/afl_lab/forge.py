@@ -8,12 +8,17 @@ build_block_instance realizes a factorization signature directly: g is block
 diagonal with one companion block per self-paired factor P^a and a pair of
 companion blocks per conjugate pair {P^a, star(P)^a}.  tau is defined first,
 blockwise, as Q(T) e -> conj(Q)(T^{-1}) e (swapping the two blocks of a
-pair); the Gram matrix is then *solved for*: conjugate symmetry, unitarity
-of g and the anti-isometry law are F_p-linear constraints on the entries of
-G, solved by linalg.rref over F_p embedded in F_{q^2}, and seeded samples
-of the solution space are drawn until one has nonzero determinant.
-Defining tau first and solving for h avoids the case analysis the opposite
-order would need.
+pair); the Gram matrix is then *solved for*.  Unitarity of g is F_p-linear
+in G and makes ker P(g)^a orthogonal to ker Q(g)^b unless Q = star(P), so
+G vanishes off the pairing blocks (each sp block with itself, the two
+blocks of a cp pair with each other) and is Toeplitz on each of them.  The
+unknowns are one value per diagonal of each pairing block, conjugate
+symmetry built in, and the anti-isometry law of tau follows (_solve_gram).
+linalg.rref solves the system over F_p, and seeded samples of the solution
+space are drawn one at a time until one has full rank, from the basis the
+same elimination gives on all n^2 F_p coordinates of G.  Defining tau
+first and solving for h avoids the case analysis the opposite order would
+need.
 
 random_coxeter_instance uses the field model instead: V = F_{q^{2n}} with
 basis 1, b, ..., b^{n-1}, the trace form h(x, y) = Tr(x y^{q^n}), g given by
@@ -46,6 +51,7 @@ from .poly import FactoredPoly, Poly, factor, poly_key, star
 
 GRAM_TRIES = 64
 GENERATOR_TRIES = 64
+N_MAX = 81  # dimension bound; README gives the timed runs behind it
 
 
 @dataclass(frozen=True)
@@ -79,11 +85,17 @@ def parse_signature(text: str) -> tuple[BlockSpec, ...]:
         if fields[0] == "sp" and deg % 2 == 0:
             raise InputError("self-paired irreducibles have odd degree")
         blocks.append(BlockSpec(fields[0], deg, exp))
+    require_dim(signature_dim(blocks), "signature dimension")
     return tuple(blocks)
 
 
 def signature_dim(sig) -> int:
     return sum(b.dim for b in sig)
+
+
+def require_dim(n: int, what: str) -> None:
+    if n > N_MAX:
+        raise InputError(f"{what} must be at most {N_MAX}, got {n}")
 
 
 def parse_spec(spec: str) -> int | tuple[BlockSpec, ...]:
@@ -92,9 +104,11 @@ def parse_spec(spec: str) -> int | tuple[BlockSpec, ...]:
     spec = spec.strip()
     if spec.startswith("coxeter:"):
         try:
-            return int(spec.split(":", 1)[1])
+            n = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise InputError(f"bad coxeter spec {spec!r}") from exc
+        require_dim(n, "coxeter dimension")
+        return n
     return parse_signature(spec)
 
 
@@ -274,19 +288,25 @@ def _inverse_t_powers(modulus: Poly):
 
 
 def _assemble_blocks(specs, polys):
-    """Block-diagonal g and the tau matrix for the whole signature.
+    """Block-diagonal g, the tau matrix and the pairing layout for the whole
+    signature.
 
     tau_cols collects, in global column order, the block offset each image
-    lands in together with its coefficient column."""
+    lands in together with its coefficient column.  The layout lists the
+    block pairs (off_a, size_a, off_b, size_b) on which a compatible Gram
+    matrix can be nonzero: each sp block with itself and the two blocks of
+    each cp pair with each other."""
     p = polys[0].p
     g_blocks = []
     tau_cols = []
+    pairs = []
     off = 0
     for block, fp in zip(specs, polys):
         if block.kind == "sp":
             mod = _poly_power(fp, block.exponent)
             g_blocks.append(Matrix.companion(mod))
             tau_cols.extend((off, col) for col in _inverse_t_powers(mod))
+            pairs.append((off, mod.degree, off, mod.degree))
             off += mod.degree
         else:
             mod_a = _poly_power(fp, block.exponent)
@@ -298,6 +318,7 @@ def _assemble_blocks(specs, polys):
             # the two blocks swap, each with the T -> T^{-1} twist
             tau_cols.extend((off_b, col) for col in _inverse_t_powers(mod_b))
             tau_cols.extend((off_a, col) for col in _inverse_t_powers(mod_a))
+            pairs.append((off_a, s, off_b, s))
             off += 2 * s
     n = off
     g = Matrix.block_diag(g_blocks)
@@ -306,7 +327,7 @@ def _assemble_blocks(specs, polys):
     for col_index, (dst_off, col) in enumerate(tau_cols):
         for i, c in enumerate(col):
             s_rows[dst_off + i][col_index] = c
-    return g, Matrix.from_rows(p, 2, s_rows)
+    return g, Matrix.from_rows(p, 2, s_rows), pairs
 
 
 # ---------------------------------------------------------------------------
@@ -314,101 +335,150 @@ def _assemble_blocks(specs, polys):
 
 
 def _fp_rows(p, rows):
-    """Rows of residues in [0, p) as rows of F_p elements of F_{q^2}, one
-    element built per distinct residue."""
-    elems = {c: gf.from_base(p, 2, c) for c in set().union(*rows)}
+    """Rows of residues in [0, p) as rows of elements of F_p itself, one
+    element built per distinct residue: an elimination over F_p runs on the
+    prime field's arithmetic, tabled for every p <= TABLE_CAP, whatever q^2."""
+    elems = {c: gf.from_base(p, 1, c) for c in set().union(*rows)}
     return [[elems[c] for c in r] for r in rows]
 
 
-def _gram_unknowns(n):
-    """Packing of a conjugate-symmetric G into F_p unknowns: one slot per
-    diagonal entry (forced into F_p) and two per strict upper entry."""
-    slots = []
-    for i in range(n):
-        slots.append(("diag", i, i, 0))
-    for i in range(n):
-        for j in range(i + 1, n):
-            slots.append(("off", i, j, 0))
-            slots.append(("off", i, j, 1))
-    return slots
+def _slot(i, j, n):
+    """Position of entry (i, j), i <= j, among the n^2 F_p coordinates of a
+    conjugate-symmetric n x n matrix: the n diagonal entries first, then two
+    per strict upper entry in row-major order.  Only the order matters: it
+    fixes which basis of the solution space the seeded candidates come from."""
+    return i if i == j else n + 2 * (i * n - i * (i + 1) // 2 + j - i - 1)
 
 
-def _unpack_gram(values, slots, p, n) -> Matrix:
+def _toeplitz_unknowns(pairs, p, n):
+    """The F_p unknowns of a Gram matrix that is Toeplitz on each pairing
+    block and zero elsewhere, as unit Gram matrices E (lists of (i, j, e)).
+
+    On a pair (A, B) unitarity gives G[i+1][j+1] = G[i][j], since
+    g e_i = e_{i+1} inside a companion block, so G there is one value t_d
+    per diagonal d = j - i.  An sp block has t_0 in F_p and
+    t_{-d} = conj(t_d); a cp pair has t_d in F_{q^2} for
+    -(size_a - 1) <= d <= size_b - 1.  Every Gram matrix for which g is
+    unitary lies in their span.  The unknowns are sorted by the last slot
+    their diagonal covers."""
+    one, w = gf.one(p, 2), gf.elem(p, 2, [0, 1])
+    keyed = []
+    for off_a, size_a, off_b, size_b in pairs:
+        for d in range(0 if off_a == off_b else 1 - size_a, size_b):
+            cells = [(off_a + a, off_b + a + d) for a in range(size_a) if 0 <= a + d < size_b]
+            last = _slot(*cells[-1], n)
+            if off_a == off_b and d == 0:
+                keyed.append((last, [(i, i, one) for i, _ in cells]))
+                continue
+            for comp, e in enumerate((one, w)):
+                ebar = gf.conj(e)
+                keyed.append((last + comp, [x for i, j in cells for x in ((i, j, e), (j, i, ebar))]))
+    keyed.sort(key=lambda item: item[0])
+    return [entries for _, entries in keyed]
+
+
+def _unpack_gram(values, unknowns, p, n) -> Matrix:
     z = gf.zero(p, 2)
     rows = [[z] * n for _ in range(n)]
-    for val, (kind, i, j, comp) in zip(values, slots):
-        if not val:
-            continue
-        if kind == "diag":
-            rows[i][i] = rows[i][i] + gf.elem(p, 2, [val, 0])
-        else:
-            e = gf.elem(p, 2, [val, 0] if comp == 0 else [0, val])
-            rows[i][j] = rows[i][j] + e
-            rows[j][i] = rows[j][i] + gf.conj(e)
+    for val, entries in zip(values, unknowns):
+        if val:
+            c = gf.from_base(p, 2, val)
+            for i, j, e in entries:
+                rows[i][j] = rows[i][j] + c * e
     return Matrix.from_rows(p, 2, rows)
 
 
-def _gram_columns(g: Matrix, s: Matrix, slots) -> list[list[int]]:
-    """One column of F_p coefficients per slot: the entries of
-    g^T E conj(g) - E, then of S^T E conj(S) - conj(E), for the slot's unit
-    Gram matrix E.
+def _gram_columns(g: Matrix, unknowns) -> list[dict]:
+    """One column per unknown: the nonzero entries of g^T E conj(g) - E for
+    the unknown's unit Gram matrix E, keyed (row, column).
 
-    E has at most two nonzero entries e at (i, j), and
-    (X^T E conj(Y))[a][b] = sum e X[i][a] conj(Y)[j][b] runs only over the
-    nonzero entries of row i of X and row j of conj(Y)."""
-    p, n = g.p, g.n
-    z = gf.zero(p, 2)
+    (g^T E conj(g))[a][b] = sum e g[i][a] conj(g)[j][b] over the entries e of
+    E at (i, j) runs only over the nonzero entries of row i of g and row j
+    of conj(g)."""
+    z = gf.zero(g.p, 2)
 
     def nonzero(mat):
         return [[(c, a) for c, a in enumerate(row) if not a.is_zero] for row in mat.rows]
 
-    laws = ((nonzero(g), nonzero(g.conj()), False), (nonzero(s), nonzero(s.conj()), True))
+    g_rows, gbar_rows = nonzero(g), nonzero(g.conj())
     columns = []
-    for kind, i, j, comp in slots:
-        e = gf.elem(p, 2, [1, 0] if comp == 0 else [0, 1])
-        entries = [(i, i, e)] if kind == "diag" else [(i, j, e), (j, i, gf.conj(e))]
-        col = []
-        for x_rows, ybar_rows, conjugated in laws:
-            r = [[z] * n for _ in range(n)]
-            for a, b, c in entries:
-                r[a][b] = r[a][b] - (gf.conj(c) if conjugated else c)
-                for ca, x in x_rows[a]:
-                    xc = x * c
-                    for cb, y in ybar_rows[b]:
-                        r[ca][cb] = r[ca][cb] + xc * y
-            for row in r:
-                for entry in row:
-                    col.extend(entry.coeffs)
-        columns.append(col)
+    for entries in unknowns:
+        col = {}
+        for i, j, c in entries:
+            col[i, j] = col.get((i, j), z) - c
+            for ca, x in g_rows[i]:
+                xc = x * c
+                for cb, y in gbar_rows[j]:
+                    col[ca, cb] = col.get((ca, cb), z) + xc * y
+        columns.append({key: v for key, v in col.items() if not v.is_zero})
     return columns
 
 
-def _solve_gram(g: Matrix, s: Matrix, seed, label) -> HermitianSpace:
-    """Sample a nondegenerate Gram matrix satisfying unitarity of g and the
-    anti-isometry law of tau; conjugate symmetry is built into the packing."""
+def _gram_basis(g: Matrix, pairs):
+    """The Toeplitz unknowns and the free-column basis of their solution
+    space, as residue lists.
+
+    The system has one F_p row per distinct nonzero component of an entry
+    of g^T G conj(g) - G; g is block diagonal, so these entries lie at
+    pairing positions only.  null_basis gives, for each free column u, the
+    solution with 1 at u and 0 at the other free columns, supported on
+    columns <= u.  As the unknowns are sorted by the last slot of their
+    diagonal, that is, on all n^2 slots, the solution whose last nonzero
+    slot is u's: the basis the same elimination gives on all n^2 slots,
+    vector for vector and in the same order."""
     p, n = g.p, g.n
-    slots = _gram_unknowns(n)
-    system = Matrix.from_rows(p, 2, _fp_rows(p, list(zip(*_gram_columns(g, s, slots)))))
-    # the free-column basis, not kernel()'s canonical one: the seeded
-    # candidates below are drawn from it
-    basis = [[gf.encode_int(a) for a in v] for v in null_basis(system)]
-    if not basis:
-        raise ForgeError(f"no compatible Gram matrix exists for {label} (solution space is trivial)")
+    unknowns = _toeplitz_unknowns(pairs, p, n)
+    columns = _gram_columns(g, unknowns)
+    rows = {}  # a row that repeats says nothing new
+    for key in dict.fromkeys(key for col in columns for key in col):
+        for comp in (0, 1):
+            row = tuple(col[key].coeffs[comp] if key in col else 0 for col in columns)
+            if any(row):
+                rows[row] = None
+    # sp:1:1 leaves no nonzero equation: every unknown is free
+    system = Matrix.from_rows(p, 1, _fp_rows(p, list(rows) or [[0] * len(unknowns)]))
+    return unknowns, [[gf.encode_int(a) for a in v] for v in null_basis(system)]
+
+
+def _gram_candidates(basis, p, seed, label):
+    """The basis vectors, then seeded random combinations of them, GRAM_TRIES
+    in all, each drawn only when asked for."""
     rng = random.Random(f"gram:{p}:{label}:{seed}")
-    candidates = list(basis)
-    for _ in range(GRAM_TRIES - len(candidates)):
-        combo = [0] * len(slots)
+    yield from basis[:GRAM_TRIES]
+    for _ in range(GRAM_TRIES - len(basis)):
+        combo = [0] * len(basis[0])
         for vec in basis:
             c = rng.randrange(p)
             if c:
                 combo = [(a + c * b) % p for a, b in zip(combo, vec)]
-        candidates.append(combo)
-    for values in candidates[:GRAM_TRIES]:
-        gm = _unpack_gram(values, slots, p, n)
+        yield combo
+
+
+def _solve_gram(g: Matrix, pairs, seed, label) -> HermitianSpace:
+    """Sample a nondegenerate Gram matrix for which g is unitary and tau an
+    anti-isometry.
+
+    The solve runs on the pairing blocks of the layout, in Toeplitz unknowns
+    with conjugate symmetry built in (_toeplitz_unknowns), and imposes
+    unitarity only.  The anti-isometry law follows from it: tau sends the
+    i-th basis vector e_i of a block to g^{-i} e'_0, e'_0 the first basis
+    vector of the paired block, so for e_i and f_j unitarity gives
+    h(tau e_i, tau f_j) = h(g^{j-i} e'_0, f'_0) if j >= i and
+    h(e'_0, g^{i-j} f'_0) otherwise, which on a Gram matrix Toeplitz on the
+    pairs is conj(h(e_i, f_j)).  certify_instance checks it all the same.
+    Candidates are the free-column basis vectors, then seeded combinations,
+    and the first of full rank (by rref) is kept."""
+    p, n = g.p, g.n
+    where = f"{label} at q = {p}, seed {seed}"
+    unknowns, basis = _gram_basis(g, pairs)
+    if not basis:
+        raise ForgeError(f"no compatible Gram matrix exists for {where} (solution space is trivial)")
+    for values in _gram_candidates(basis, p, seed, label):
+        gm = _unpack_gram(values, unknowns, p, n)
         if len(rref(gm.rows)[1]) == n:
             return HermitianSpace(gm)  # certified with the rest of the instance
     raise ForgeError(
-        f"no nondegenerate Gram matrix found for {label} within {GRAM_TRIES} tries "
+        f"no nondegenerate Gram matrix found for {where} within {GRAM_TRIES} tries "
         f"(solution space dimension {len(basis)} over F_{p})"
     )
 
@@ -450,8 +520,8 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
     sig_string = ",".join(b.spec_string() for b in sig)
     rng = random.Random(f"forge:{p}:{sig_string}:{seed}")
     polys = _resolve_polys(sig, p, rng)
-    g, s = _assemble_blocks(sig, polys)
-    space = _solve_gram(g, s, seed, sig_string)
+    g, s, pairs = _assemble_blocks(sig, polys)
+    space = _solve_gram(g, pairs, seed, sig_string)
     tau = AntiInvolution(s)
     fact = certify_instance(space, g, tau, seed)
     expected = sorted(
@@ -631,6 +701,7 @@ def parse_instance(data: dict) -> MinusculeInstance:
     gf.require_odd_prime(p, "schema: p")
     if not _is_int(n) or n < 1:
         raise InputError("schema: n must be a positive integer")
+    require_dim(n, "schema: n")
     poly2 = data["field"].get("poly2") if isinstance(data["field"], dict) else None
     if poly2 != list(gf.defining_poly(p, 2)):
         raise InputError("schema: poly2 violates the deterministic tower contract")

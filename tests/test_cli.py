@@ -6,11 +6,11 @@ import types
 
 import pytest
 
-from afl_lab import cli, dl, gf
+from afl_lab import cli, dl, forge, gf
 from afl_lab.cli import DEFAULT_SIGNATURES, SweepConfig, main, pool_size, run_sweep
 from afl_lab.dl import T_MAX
 from afl_lab.errors import InputError
-from afl_lab.forge import instance_from_spec, serialize_instance
+from afl_lab.forge import N_MAX, instance_from_spec, serialize_instance
 
 
 def run_cli(*args, env_extra=None):
@@ -267,6 +267,57 @@ def test_dl_at_t_max_reaches_the_builder(monkeypatch):
     with pytest.raises(BuilderReached):
         main(["dl", "--q", "16381", "--t", str(T_MAX)])
     assert calls == [(16381, T_MAX, 0)]
+
+
+@pytest.mark.parametrize("excess", [1, 2])
+def test_gen_coxeter_above_n_max_exits_2_before_building(excess, capsys, monkeypatch):
+    def builder(*args):
+        raise AssertionError("the builder must not run above the bound")
+
+    monkeypatch.setattr(cli, "random_coxeter_instance", builder)
+    assert main(["gen", "--q", "3", "--coxeter", "--n", str(N_MAX + excess)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and f"--n must be at most {N_MAX}" in err["message"]
+
+
+def test_gen_coxeter_at_n_max_reaches_the_builder(monkeypatch):
+    calls = []
+
+    def builder(*args):
+        calls.append(args)
+        raise BuilderReached  # stands in for the slow build at n = N_MAX
+
+    monkeypatch.setattr(cli, "random_coxeter_instance", builder)
+    with pytest.raises(BuilderReached):
+        main(["gen", "--q", "3", "--coxeter", "--n", str(N_MAX)])
+    assert calls == [(3, N_MAX, 0)]
+
+
+@pytest.mark.parametrize("spec", [f"sp:1:{N_MAX + 1}", f"cp:1:1,sp:1:{N_MAX - 1}", f"coxeter:{N_MAX + 2}"])
+def test_specs_above_n_max_exit_2_before_building(spec, capsys, monkeypatch):
+    def builder(*args):
+        raise AssertionError("no builder may run above the bound")
+
+    monkeypatch.setattr(forge, "build_block_instance", builder)
+    monkeypatch.setattr(forge, "random_coxeter_instance", builder)
+    assert main(["verify", "--q", "3", "--sig", spec]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and f"dimension must be at most {N_MAX}" in err["message"]
+
+
+@pytest.mark.parametrize("spec", [f"sp:1:{N_MAX}", f"cp:1:1,sp:1:{N_MAX - 2}", f"coxeter:{N_MAX}"])
+def test_specs_at_n_max_reach_the_builder(spec, monkeypatch):
+    calls = []
+
+    def builder(*args):
+        calls.append(args)
+        raise BuilderReached
+
+    monkeypatch.setattr(forge, "build_block_instance", builder)
+    monkeypatch.setattr(forge, "random_coxeter_instance", builder)
+    with pytest.raises(BuilderReached):
+        main(["verify", "--q", "3", "--sig", spec])
+    assert len(calls) == 1
 
 
 def test_dl_exits_1_when_one_record_fails_the_chain(capsys, monkeypatch):

@@ -17,7 +17,7 @@ from afl_lab.cli import DEFAULT_SIGNATURES
 from afl_lab.dl import dl_fixed_points
 from afl_lab.engine import afl_verdict, fl_check
 from afl_lab.errors import InputError
-from afl_lab.forge import _gram_columns, _gram_unknowns, _unpack_gram, instance_from_spec
+from afl_lab.forge import _gram_columns, _toeplitz_unknowns, _unpack_gram, instance_from_spec
 from afl_lab.hermitian import (
     adapted_basis,
     complete_basis,
@@ -66,24 +66,30 @@ def walk(spec, q, seed):
     return adapted_basis(lattice(spec, q, seed), inst.fact, inst.space, inst.g)
 
 
-def probe_gram_columns(g, s, slots):
-    """The constraint columns by definition: unpack each slot's unit Gram
-    matrix E and form g^T E conj(g) - E and S^T E conj(S) - conj(E) with
-    full matrix products."""
+def probe_gram_columns(g, unknowns):
+    """The constraint columns by definition: unpack each unknown's unit Gram
+    matrix E and form g^T E conj(g) - E with full matrix products, keeping
+    the nonzero entries by (row, column)."""
     p, n = g.p, g.n
-    gt, gbar, st, sbar = g.transpose(), g.conj(), s.transpose(), s.conj()
+    gt, gbar = g.transpose(), g.conj()
     columns = []
-    for idx in range(len(slots)):
-        probe = [0] * len(slots)
+    for idx in range(len(unknowns)):
+        probe = [0] * len(unknowns)
         probe[idx] = 1
-        gm = _unpack_gram(probe, slots, p, n)
-        col = []
-        for mat in (gt @ gm @ gbar - gm, st @ gm @ sbar - gm.conj()):
-            for row in mat.rows:
-                for entry in row:
-                    col.extend(entry.coeffs)
-        columns.append(col)
+        gm = _unpack_gram(probe, unknowns, p, n)
+        mat = gt @ gm @ gbar - gm
+        columns.append({(a, b): x for a, row in enumerate(mat.rows) for b, x in enumerate(row) if not x.is_zero})
     return columns
+
+
+def probe_layout(n):
+    """Pairing layouts for the column test: the whole space as one
+    self-paired block, or two self-paired blocks and the pair between them
+    (of different sizes when n is odd)."""
+    k = n // 2
+    if not k:
+        return [(0, n, 0, n)]
+    return [(0, k, 0, k), (k, n - k, k, n - k), (0, k, k, n - k)]
 
 
 def quotient_by_solves(m, w, reps):
@@ -140,9 +146,10 @@ def test_adapted_isotropy_equals_definition(spec, q, seed):
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)
 def test_gram_columns_equal_probe_products(spec, q, seed):
     inst = instance(spec, q, seed)
-    slots = _gram_unknowns(inst.n)
-    s = inst.tau.mat
-    assert _gram_columns(inst.g, s, slots) == probe_gram_columns(inst.g, s, slots)
+    # the columns are a linear map of E, so any layout checks them, on
+    # Coxeter instances too
+    unknowns = _toeplitz_unknowns(probe_layout(inst.n), q, inst.n)
+    assert _gram_columns(inst.g, unknowns) == probe_gram_columns(inst.g, unknowns)
 
 
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)

@@ -1,9 +1,12 @@
 import itertools
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from afl_lab import forge, gf
+from afl_lab import cli, forge, gf
+from afl_lab.cli import DEFAULT_SIGNATURES
 from afl_lab.errors import ForgeError, InputError, InvariantError
 from afl_lab.forge import (
     BlockSpec,
@@ -18,7 +21,7 @@ from afl_lab.forge import (
     signature_dim,
 )
 from afl_lab.hermitian import AntiInvolution, HermitianSpace
-from afl_lab.linalg import Matrix, transform_subspace
+from afl_lab.linalg import Matrix, null_basis, transform_subspace
 from afl_lab.poly import Poly, divisor_poly, is_irreducible, star
 from afl_lab.linalg import kernel_of_poly
 from test_linalg import det
@@ -226,7 +229,102 @@ def test_coxeter_exhausted_attempts_names_the_witness_degree(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Gram solve keeps its first candidate of full rank
+# the Gram solve
+
+
+def gram_unknowns_by_definition(n):
+    """Every F_p coordinate of a conjugate-symmetric G as its own unknown, in
+    slot order: one per diagonal entry (forced into F_p), then two per strict
+    upper entry in row-major order."""
+    slots = [("diag", i, i, 0) for i in range(n)]
+    slots += [("off", i, j, comp) for i in range(n) for j in range(i + 1, n) for comp in (0, 1)]
+    return slots
+
+
+def unpack_slots(values, slots, p, n):
+    z = gf.zero(p, 2)
+    rows = [[z] * n for _ in range(n)]
+    for val, (kind, i, j, comp) in zip(values, slots):
+        if not val:
+            continue
+        if kind == "diag":
+            rows[i][i] = rows[i][i] + gf.elem(p, 2, [val, 0])
+        else:
+            e = gf.elem(p, 2, [val, 0] if comp == 0 else [0, val])
+            rows[i][j] = rows[i][j] + e
+            rows[j][i] = rows[j][i] + gf.conj(e)
+    return Matrix.from_rows(p, 2, rows)
+
+
+def gram_solve_by_definition(g, s, seed, label):
+    """The Gram solve on all n^2 F_p coordinates of G: for each coordinate's
+    unit Gram matrix E, every entry of g^T E conj(g) - E and of
+    S^T E conj(S) - conj(E) by full matrix products, the free-column null
+    basis of that system, and the GRAM_TRIES seeded candidates drawn up
+    front, as Gram matrices."""
+    p, n = g.p, g.n
+    slots = gram_unknowns_by_definition(n)
+    gt, gbar, st, sbar = g.transpose(), g.conj(), s.transpose(), s.conj()
+    columns = []
+    for idx in range(len(slots)):
+        e = unpack_slots([int(k == idx) for k in range(len(slots))], slots, p, n)
+        col = []
+        for mat in (gt @ e @ gbar - e, st @ e @ sbar - e.conj()):
+            col.extend(c for row in mat.rows for x in row for c in x.coeffs)
+        columns.append(col)
+    system = Matrix.from_rows(p, 1, [[gf.from_base(p, 1, c) for c in row] for row in zip(*columns)])
+    basis = [[gf.encode_int(a) for a in v] for v in null_basis(system)]
+    rng = random.Random(f"gram:{p}:{label}:{seed}")
+    candidates = list(basis)
+    for _ in range(forge.GRAM_TRIES - len(candidates)):
+        combo = [0] * len(slots)
+        for vec in basis:
+            c = rng.randrange(p)
+            if c:
+                combo = [(a + c * b) % p for a, b in zip(combo, vec)]
+        candidates.append(combo)
+    return [unpack_slots(v, slots, p, n) for v in candidates[: forge.GRAM_TRIES]]
+
+
+def block_system(spec, q, seed):
+    """g, S and the pairing layout exactly as build_block_instance makes them."""
+    sig = parse_signature(spec)
+    label = ",".join(b.spec_string() for b in sig)
+    polys = forge._resolve_polys(sig, q, random.Random(f"forge:{q}:{label}:{seed}"))
+    return (*forge._assemble_blocks(sig, polys), label)
+
+
+def random_signature(rng, q):
+    """Three or four blocks of dimension at most 9 that F_{q^2} can realize."""
+    choices = ["sp:1:1", "sp:1:2", "sp:1:3", "sp:3:1", "cp:1:1", "cp:1:2", "cp:2:1"]
+    while True:
+        sig = parse_signature(",".join(rng.choice(choices) for _ in range(rng.choice((3, 4)))))
+        counts = Counter((b.kind, b.degree) for b in sig)
+        if signature_dim(sig) <= 9 and all(k <= irreducible_supply(q, *kd) for kd, k in counts.items()):
+            return ",".join(b.spec_string() for b in sig)
+
+
+RANDOM_SIGNATURES = [
+    (random_signature(random.Random(f"sig:{q}:{i}"), q), q, i) for q in (3, 5, 7, 17, 31) for i in range(3)
+]
+
+
+@pytest.mark.parametrize(
+    "spec,q,seed",
+    [(spec, q, seed) for q in (3, 5, 7, 17, 31) for spec in DEFAULT_SIGNATURES for seed in (0, 1)]
+    + RANDOM_SIGNATURES,
+)
+def test_gram_candidates_equal_the_solve_by_definition(spec, q, seed):
+    g, s, pairs, label = block_system(spec, q, seed)
+    p, n = g.p, g.n
+    unknowns, basis = forge._gram_basis(g, pairs)
+    got = [forge._unpack_gram(v, unknowns, p, n) for v in forge._gram_candidates(basis, p, seed, label)]
+    assert got == gram_solve_by_definition(g, s, seed, label)
+
+
+def test_random_signatures_have_three_blocks_or_more():
+    assert all(len(parse_signature(spec)) >= 3 for spec, _, _ in RANDOM_SIGNATURES)
+    assert len({spec for spec, _, _ in RANDOM_SIGNATURES}) > 6
 
 
 @pytest.mark.parametrize(
@@ -235,16 +333,79 @@ def test_coxeter_exhausted_attempts_names_the_witness_degree(monkeypatch):
 )
 def test_gram_solve_keeps_the_first_candidate_with_nonzero_det(spec, q, seed, monkeypatch):
     candidates = []
-    unpack = forge._unpack_gram
+    drawn = []
+    unpack, draw = forge._unpack_gram, forge._gram_candidates
 
     def recording(*args):
         candidates.append(unpack(*args))
         return candidates[-1]
 
+    def counting(*args):
+        for values in draw(*args):
+            drawn.append(values)
+            yield values
+
     monkeypatch.setattr(forge, "_unpack_gram", recording)
+    monkeypatch.setattr(forge, "_gram_candidates", counting)
     inst = instance_from_spec(spec, q, seed)
     assert len(candidates) > 1 and inst.space.gram == candidates[-1]
     assert [det(gm).is_zero for gm in candidates] == [True] * (len(candidates) - 1) + [False]
+    # candidates are drawn only up to the first of full rank
+    assert len(drawn) == len(candidates) < forge.GRAM_TRIES
+
+
+def test_sp_1_1_has_no_equation_and_one_free_unknown():
+    g, _, pairs, _ = block_system("sp:1:1", 3, 0)
+    unknowns, basis = forge._gram_basis(g, pairs)
+    assert forge._gram_columns(g, unknowns) == [{}]
+    assert basis == [[1]]
+
+
+def without_the_cp_pair(pairs):
+    return [pr for pr in pairs if pr[0] == pr[2]]
+
+
+def cp_pair_as_self_paired(pairs):
+    out = []
+    for off_a, size_a, off_b, size_b in pairs:
+        out.append((off_a, size_a, off_a, size_a))
+        if off_a != off_b:
+            out.append((off_b, size_b, off_b, size_b))
+    return out
+
+
+# each signature has one cp pair
+@pytest.mark.parametrize("wrong", [without_the_cp_pair, cp_pair_as_self_paired], ids=["dropped", "self_paired"])
+@pytest.mark.parametrize("spec,q,seed", [("cp:1:1,sp:1:1", 3, 0), ("cp:1:2,sp:1:1", 5, 1), ("cp:2:1,sp:1:3", 3, 2)])
+def test_wrong_pairing_layout_fails_loudly(wrong, spec, q, seed, monkeypatch):
+    assemble = forge._assemble_blocks
+
+    def wrong_layout(*args):
+        g, s, pairs = assemble(*args)
+        return g, s, wrong(pairs)
+
+    monkeypatch.setattr(forge, "_assemble_blocks", wrong_layout)
+    with pytest.raises((ForgeError, InvariantError)):
+        instance_from_spec(spec, q, seed)
+
+
+def gram_error(argv, capsys):
+    assert cli.main(argv) == 2
+    return json.loads(capsys.readouterr().err)
+
+
+def test_trivial_gram_solution_space_names_q_spec_and_seed(capsys, monkeypatch):
+    monkeypatch.setattr(forge, "null_basis", lambda system: [])
+    err = gram_error(["verify", "--q", "5", "--sig", "cp:1:1,sp:1:1", "--seed", "17"], capsys)
+    assert err["error"] == "ForgeError" and "solution space is trivial" in err["message"]
+    assert "cp:1:1,sp:1:1 at q = 5, seed 17" in err["message"]
+
+
+def test_no_nondegenerate_gram_within_the_tries_names_q_spec_and_seed(capsys, monkeypatch):
+    monkeypatch.setattr(forge, "rref", lambda rows: ((), ()))  # no candidate is of full rank
+    err = gram_error(["verify", "--q", "3", "--sig", "sp:1:3", "--seed", "4"], capsys)
+    assert err["error"] == "ForgeError"
+    assert f"no nondegenerate Gram matrix found for sp:1:3 at q = 3, seed 4 within {forge.GRAM_TRIES} tries" in err["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +471,23 @@ def test_parse_rejects_p_above_the_bound():
     data["p"] = 16411  # the least prime above gf.P_MAX
     with pytest.raises(InputError, match=f"schema: p must be at most {gf.P_MAX}"):
         parse_instance(data)
+
+
+def test_parse_rejects_n_above_the_bound():
+    data = serialize_instance(instance_from_spec("sp:1:1", 3, 8))
+    data["n"] = forge.N_MAX + 1
+    with pytest.raises(InputError, match=f"schema: n must be at most {forge.N_MAX}"):
+        parse_instance(data)
+    # at the bound the check passes and the 1 x 1 matrices fail the schema
+    data["n"] = forge.N_MAX
+    with pytest.raises(InputError, match=f"gram must be a {forge.N_MAX}x{forge.N_MAX} matrix"):
+        parse_instance(data)
+
+
+def test_parse_signature_bounds_the_dimension():
+    assert signature_dim(parse_signature(f"cp:1:2,sp:1:{forge.N_MAX - 4}")) == forge.N_MAX
+    with pytest.raises(InputError, match=f"signature dimension must be at most {forge.N_MAX}, got {forge.N_MAX + 1}"):
+        parse_signature(f"cp:1:2,sp:1:{forge.N_MAX - 3}")
 
 
 def _zero_matrix(n):
