@@ -21,7 +21,17 @@ large finite fields, Math. Comp. 1970): with x^{p^i} mod g cached, the
 absolute trace Tr(a x) mod g is a sum of scaled residues, and
 gcd(Tr^{(p-1)/2} - 1, g) splits g with no powmod to (Q-1)/2.  Each split
 keeps the smaller factor, down to degree one, and the orbit is
-cross-checked instead (t distinct members, each a root).
+cross-checked instead (t distinct members, each a root).  That check also
+proves the characteristic polynomial irreducible: the minimal polynomial of
+mu_0 over F_{q^2} has the orbit's length as degree and divides it.  So
+irreducibility is decided only when the orbit fails, to tell reducible input
+(InputError) from broken arithmetic (CrossCheckError).
+
+All of this works in F_{q^{2t}}, above gf.TABLE_CAP, where every sum of
+products is reduced once: residues modulo the factor g are poly.Modulus
+products (x^m mod g folded in, no long division), Tr(a x) mod g is one packed
+combination of the cached x^(p^i), and the matrix-vector products and chain
+values are gf.dot products.
 
 s and G have their entries in F_{q^2}, which tau fixes, so tau maps the
 mu-eigenline to the tau(mu)-eigenline and keeps the leading 1 of a
@@ -41,14 +51,16 @@ from dataclasses import dataclass
 
 from . import gf
 from .errors import CrossCheckError, InputError
+from .gf import dot as _dot
 from .hermitian import HermitianSpace
 from .linalg import Matrix, charpoly, kernel, rref
-from .poly import Poly, is_irreducible, poly_gcd
+from .poly import Modulus, Poly, is_irreducible, poly_gcd
 
 
 # Largest dimension `afl-lab dl` accepts.  On a 2-vCPU host t = 27 takes
-# about 5 s at q = 3, 31-40 s at q = 16381 and 52 s at q = 16319, the
-# slowest prime near P_MAX; the cost grows about as t^3.5.
+# about 1 s at q = 3, 3.4 s at q = 16381 and 6.5 s at q = 16319, the
+# slowest prime near P_MAX.  Above it the scan for the level-2t defining
+# polynomial leads and jumps with (q, t) (17 s for level 98 at q = 16319).
 T_MAX = 27
 
 # A try separates two distinct roots with probability at least 1/3, so a
@@ -72,27 +84,30 @@ class EigenlineRecord:
 
 
 def _linear_combination(scalars, polys: list[Poly]) -> Poly:
-    """sum(c * f) over the pairs of scalars and polynomials, zeros skipped."""
-    f0 = polys[0]
-    acc = [gf.zero(f0.p, f0.level)] * max(len(f.coeffs) for f in polys)
+    """sum(c * f) over the pairs of scalars and polynomials, zero scalars
+    skipped: one packed sum of scalar-times-polynomial products, each
+    coefficient folded once."""
+    p, level = polys[0].p, polys[0].level
+    width = gf.slot_width(p, level, len(polys))
+    acc = 0
     for c, f in zip(scalars, polys):
         if not c.is_zero:
-            for j, b in enumerate(f.coeffs):
-                acc[j] = acc[j] + c * b
-    return Poly.from_elems(f0.p, f0.level, acc)
+            acc += gf.pack_blocks(p, level, width, (c,)) * gf.pack_blocks(p, level, width, f.coeffs)
+    return Poly.from_elems(p, level, gf.fold_blocks(p, level, width, max(len(f.coeffs) for f in polys), acc))
 
 
-def _frobenius_powers(g: Poly) -> list[Poly]:
-    """x^(p^i) mod g for i < level, g monic of degree >= 1.
+def _frobenius_powers(g: Poly, ring: Modulus) -> list[Poly]:
+    """x^(p^i) mod g for i < level, g monic of degree >= 1 and ring = Modulus(g).
 
     The p-power map is additive, so x^(p^(i+1)) = sum c_j^p (x^p)^j when
     x^(p^i) = sum c_j x^j: one table of (x^p)^j mod g and no powmod to Q."""
     p, level = g.p, g.level
-    xp = Poly.x(p, level).powmod(p, g)
+    x = Poly.x(p, level)
+    xp = ring.power(x, p)
     powers = [Poly.one(p, level)]
     for _ in range(1, g.degree):
-        powers.append((powers[-1] * xp) % g)
-    xs = [Poly.x(p, level) % g]
+        powers.append(ring.mul(powers[-1], xp))
+    xs = [ring.reduce(x)]
     for _ in range(1, level):
         xs.append(_linear_combination([gf.frob_q(c) for c in xs[-1].coeffs], powers))
     return xs
@@ -111,7 +126,8 @@ def _one_root(f: Poly, rng) -> gf.FieldElem:
     g = f.monic()
     if g.degree == 1:
         return -g.coeffs[0]  # t = 1: the root needs no Frobenius table
-    xs = _frobenius_powers(g)
+    ring = Modulus(g)
+    xs = _frobenius_powers(g, ring)
     while g.degree > 1:
         for _ in range(SPLIT_TRIES):
             a = gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
@@ -119,13 +135,14 @@ def _one_root(f: Poly, rng) -> gf.FieldElem:
             for _ in range(1, level):
                 conjugates.append(gf.frob_q(conjugates[-1]))
             trace = _linear_combination(conjugates, xs)
-            h = poly_gcd(trace.powmod((p - 1) // 2, g) - Poly.one(p, level), g)
+            h = poly_gcd(ring.power(trace, (p - 1) // 2) - Poly.one(p, level), g)
             if 0 < h.degree < g.degree:
                 break
         else:
             raise CrossCheckError(f"no trace split of a degree-{g.degree} factor in {SPLIT_TRIES} tries")
         g = min(h, (g // h).monic(), key=lambda k: k.degree)
-        xs = [x % g for x in xs]
+        ring = Modulus(g)
+        xs = [ring.reduce(x) for x in xs]
     return -g.coeffs[0]
 
 
@@ -163,13 +180,6 @@ def _orbit_eigenvectors(s_big: Matrix, orbit: list[gf.FieldElem]) -> list[tuple[
     return vectors
 
 
-def _dot(x, y) -> gf.FieldElem:
-    acc = gf.zero(x[0].p, x[0].level)
-    for a, b in zip(x, y):
-        acc = acc + a * b
-    return acc
-
-
 def dl_fixed_points(space: HermitianSpace, s: Matrix, seed=0) -> list[EigenlineRecord]:
     """Enumerate the eigenlines of s over F_{q^{2t}} satisfying the chain.
 
@@ -183,12 +193,18 @@ def dl_fixed_points(space: HermitianSpace, s: Matrix, seed=0) -> list[EigenlineR
     if s.n != t:
         raise InputError("dimension mismatch")
     cp = charpoly(s)
-    if not is_irreducible(cp):
-        raise InputError("characteristic polynomial is reducible; the fixed count is 0 by the split criterion")
     p = space.p
     big = 2 * t
     rng = random.Random(f"dl:{p}:{t}:{seed}")
-    orbit = _eigenvalue_orbit(cp.lift(big), rng)
+    try:
+        orbit = _eigenvalue_orbit(cp.lift(big), rng)
+    except CrossCheckError:
+        # a full orbit proves cp irreducible, so only a failed one asks
+        if not is_irreducible(cp):
+            raise InputError(
+                "characteristic polynomial is reducible; the fixed count is 0 by the split criterion"
+            ) from None
+        raise
     s_big = Matrix.from_rows(p, big, [[gf.embed(a, big) for a in row] for row in s.rows])
     gram_big = Matrix.from_rows(p, big, [[gf.embed(a, big) for a in row] for row in space.gram.rows])
     vectors = _orbit_eigenvectors(s_big, orbit)

@@ -595,7 +595,7 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
             tau_images.append(tau_images[-1] * bq)
         s_mat = Matrix.from_rows(p, 2, _transpose_rows([coords(img) for img in tau_images]))
         # h(b^i, b^j) = Tr(b^i (b^j)^(q^n)), and (b^j)^(q^n) is tau_images[j]
-        gram_rows = [[gf.descend(_trace_to_quadratic(ba * bq_j)) for bq_j in tau_images] for ba in powers]
+        gram_rows = [[gf.descend(gf.quadratic_trace(ba * bq_j)) for bq_j in tau_images] for ba in powers]
         space = HermitianSpace(Matrix.from_rows(p, 2, gram_rows))
         tau = AntiInvolution(s_mat)
         return MinusculeInstance(
@@ -623,17 +623,6 @@ def _witness_degree(z):
         d += 1
         cur = gf.tau_frob(cur)
     return d
-
-
-def _trace_to_quadratic(z: FieldElem) -> FieldElem:
-    """Trace of F_{q^{2n}} down to F_{q^2}: sum of the tau-orbit."""
-    n = z.level // 2
-    acc = z
-    cur = z
-    for _ in range(n - 1):
-        cur = gf.tau_frob(cur)
-        acc = acc + cur
-    return acc
 
 
 def _transpose_rows(cols):

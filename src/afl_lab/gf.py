@@ -15,14 +15,21 @@ Frobenius.  Defining polynomials are pure cached functions of (p, degree),
 so independently built towers with the same p agree on shared levels.
 
 Every computation inside a field runs on two maps.  The product is
-Kronecker substitution (von zur Gathen-Gerhard, Modern Computer Algebra):
-both coefficient vectors are packed into one integer each, multiplied once,
-and the high slots of the product are folded back with precomputed
-x^i mod f.  The Frobenius x -> x^(p^k) is F_p-linear and sends gen^i to
-y^i, y = gen^(p^k): one cached table of the packed y^i, applied with one
-multiply-accumulate per nonzero coefficient and one unpack.  The inverse is
-Itoh-Tsujii's (Inform. Comput. 78, 1988): a^-1 = a^(p + ... + p^(L-1)) / N(a),
-L - 1 Frobenius steps and products.
+Kronecker substitution (von zur Gathen-Gerhard, Modern Computer Algebra,
+sec. 8.4): both coefficient vectors are packed into one integer each,
+multiplied once, and the high slots of the product are folded back with
+precomputed x^i mod f.  Above the table cap a sum of products is one
+multiply-accumulate: its packed products are added as integers and the sum
+is folded once (dot, and pack_blocks/fold_blocks, where element k of a list
+sits in block k of 2 level - 1 slots, so that one integer product of two
+packed lists is a polynomial product over the field with every coefficient
+folded once; slot_width sizes the slots for the number of terms).  The
+Frobenius x -> x^(p^k) is F_p-linear and sends gen^i to y^i,
+y = gen^(p^k): one cached table of the packed y^i, applied with one
+multiply-accumulate per nonzero coefficient and one unpack; the trace down
+to F_{q^2} is one such table too.  The inverse is Itoh-Tsujii's (Inform.
+Comput. 78, 1988): a^-1 = a^(p + ... + p^(L-1)) / N(a), L - 1 Frobenius
+steps and products.
 
 Small fields compute by table (Lidl-Niederreiter, Finite Fields, ch. 9):
 when p**level <= TABLE_CAP (F_9 up to F_169 at level 2, and F_81) every
@@ -30,18 +37,20 @@ value is one interned FieldElem indexed by its encode_int, and add, sub,
 neg, mul, inverse and frob_q are single lookups in Cayley tables built from
 the Kronecker powers of a primitive element on the first operation in that
 field, never at import or in make_tower.  Larger levels (the eigenline
-fields) apply the two maps directly.  Both share the one FieldElem class.
+fields, and F_{q^2} for q >= 17) apply the two maps directly.  Both share
+the one FieldElem class.
 
 The F_p[x] helpers on little-endian int lists serve only the definition of
 the fields: the irreducibility test behind defining_poly and the reduction
-rows of _kronecker.  They are not Poly, which is built on the fields they
-define.
+rows of the packed products.  They are not Poly, which is built on the
+fields they define.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
+from itertools import chain
 from math import isqrt
 from struct import Struct
 
@@ -49,7 +58,7 @@ from .errors import InputError
 
 # ---------------------------------------------------------------------------
 # base-field polynomial helpers (little-endian int lists over F_p), for
-# defining_poly and _kronecker only
+# defining_poly and the reduction rows of the packed products only
 
 
 def _trim(v):
@@ -195,24 +204,45 @@ def _pad(coeffs, level):
     return tuple(coeffs[:level]) + (0,) * max(0, level - len(coeffs))
 
 
-# above the cap: coefficient tuples in, coefficient tuples out
+# above the cap: Kronecker packing (the one-product routines take and return
+# coefficient tuples, the packed sums take and return elements)
+
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def slot_width(p: int, level: int, terms: int) -> int:
+    """Bytes per slot for a packed sum of `terms` products over F_{p^level}.
+
+    Each product of two packed residues adds at most level (p-1)^2 to a slot,
+    and folding the high slots back adds at most (level - 1) (p-1)^2, residues
+    below p times reduction rows below p.  Slots are whole bytes so struct
+    packs and unpacks them; 8 bytes hold over 10^9 terms at P_MAX and level 54
+    (dl at T_MAX), far more than any sum here (N_MAX terms at level 2)."""
+    bound = (terms * level + level - 1) * (p - 1) ** 2
+    for width in (1, 2, 4, 8):
+        if bound < 256**width:
+            return width
+    raise InputError(f"a sum of {terms} products over F_{p}^{level} overflows 8-byte slots")
 
 
 @lru_cache(maxsize=None)
-def _kronecker(p, level):
-    # A slot holds one coefficient of a product (at most level * (p-1)^2)
-    # plus the reduction terms folded into it, so 2 * level * (p-1)^2 bounds
-    # every slot; slots are whole bytes so struct packs and unpacks them.
-    bound = 2 * level * (p - 1) ** 2
-    width, code = next((w, "<%d" + c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if bound < 256**w)
-    vec = Struct(code % level)
+def _fold_rows(p, level, width):
+    # rows[i - level] packs x^i mod f in level slots, for level <= i <= 2 level - 2
+    vec = Struct(f"<{level}{_CODES[width]}")
     f = list(defining_poly(p, level))
-    # rows[i - level] packs x^i mod f, for level <= i <= 2 level - 2
     rows, cur = [], _pmod([0] * level + [1], f, p)
     for _ in range(level - 1):
         rows.append(int.from_bytes(vec.pack(*_pad(cur, level)), "little"))
         cur = _pmod([0] + cur, f, p)
-    return 8 * width * level, vec, Struct(code % (level - 1)), tuple(rows)
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _kronecker(p, level):
+    # the layout of one product: level slots per factor, 2 level - 1 for the product
+    width = slot_width(p, level, 1)
+    code = "<%d" + _CODES[width]
+    return 8 * width * level, Struct(code % level), Struct(code % (level - 1)), _fold_rows(p, level, width)
 
 
 def _kronecker_mul(p, level, a, b):
@@ -225,6 +255,80 @@ def _kronecker_mul(p, level, a, b):
         if c:
             acc += c * row
     return tuple(c % p for c in vec.unpack(acc.to_bytes(vec.size, "little")))
+
+
+@lru_cache(maxsize=None)
+def _blocks(p, level, width, count):
+    # count blocks of 2 level - 1 slots: `low` writes an element into the low
+    # level slots of its block (zero above) and reads those slots back, `high`
+    # reads the level - 1 high slots of every block; mask keeps the low slots
+    code, pad = _CODES[width], (level - 1) * width
+    low = Struct("<" + f"{level}{code}{pad}x" * count)
+    high = Struct("<" + f"{level * width}x{level - 1}{code}" * count)
+    mask = int.from_bytes((b"\xff" * (level * width) + bytes(pad)) * count, "little")
+    return low, high, mask
+
+
+def pack_blocks(p: int, level: int, width: int, elems) -> int:
+    """The Kronecker image of sum elems[k] X^k: element k in the low slots of
+    block k, blocks of 2 level - 1 slots of `width` bytes.
+
+    A product of two such integers holds in block k the sum over i + j = k of
+    the products of the coefficients, each a polynomial of degree at most
+    2 level - 2 in gen, with no carry between slots while the number of
+    terms stays within slot_width(p, level, terms)."""
+    low = _blocks(p, level, width, len(elems))[0]
+    return int.from_bytes(low.pack(*chain.from_iterable(x.coeffs for x in elems)), "little")
+
+
+def fold_blocks(p: int, level: int, width: int, count: int, acc: int) -> list["FieldElem"]:
+    """Reduce each of the `count` blocks of a packed sum modulo defining_poly.
+
+    Every block is one element: its high slots are folded back with the
+    rows x^i mod f (one multiply-accumulate per nonzero high slot), all
+    blocks are unpacked at once and each slot is reduced mod p once."""
+    low, high, mask = _blocks(p, level, width, count)
+    rows = _fold_rows(p, level, width)
+    h, size = level - 1, (2 * level - 1) * width
+    highs = [c % p for c in high.unpack(acc.to_bytes(low.size, "little"))]
+    folds = []
+    for k in range(0, count * h, h) if h else ():
+        fold = 0
+        for c, row in zip(highs[k : k + h], rows):
+            if c:
+                fold += c * row
+        folds.append(fold.to_bytes(size, "little"))
+    acc = (acc & mask) + int.from_bytes(b"".join(folds), "little")
+    flat = [c % p for c in low.unpack(acc.to_bytes(low.size, "little"))]
+    if p**level <= TABLE_CAP:
+        elems = _tables(p, level).elems
+        return [elems[_encode(p, flat[k : k + level])] for k in range(0, len(flat), level)]
+    return [_new_elem(p, level, tuple(flat[k : k + level]), None, None) for k in range(0, len(flat), level)]
+
+
+def dot(xs, ys) -> "FieldElem":
+    """sum(x * y) over the pairs of two vectors over one field; terms with a
+    zero x are skipped (matrices here are sparse).
+
+    Tabled fields add table products.  Above the cap the packed products are
+    summed as integers and the sum is folded once: one reduction per dot
+    product instead of one per term."""
+    x0 = xs[0]
+    if x0._tables is not None:
+        acc = None
+        for a, b in zip(xs, ys):
+            if not a.is_zero:
+                acc = a * b if acc is None else acc + a * b
+        return zero(x0.p, x0.level) if acc is None else acc
+    p, level = x0.p, x0.level
+    x0._check(ys[0])
+    width = slot_width(p, level, len(xs))
+    vec = _blocks(p, level, width, 1)[0]
+    acc = 0
+    for a, b in zip(xs, ys):
+        if any(a.coeffs):
+            acc += int.from_bytes(vec.pack(*a.coeffs), "little") * int.from_bytes(vec.pack(*b.coeffs), "little")
+    return fold_blocks(p, level, width, 1, acc)[0]
 
 
 def _norm_inverse(p, level, a):
@@ -477,14 +581,34 @@ def _packed_frob(p, level, power):
 
 
 def _frob_apply(p, level, power, a):
-    # x -> x^(p^power) is F_p-linear: one multiply-accumulate per nonzero
-    # coefficient of a, then one unpack
-    vec, rows = _packed_frob(p, level, power)
+    return _linear_apply(p, _packed_frob(p, level, power), a)
+
+
+def _linear_apply(p, table, a):
+    # an F_p-linear map given by the packed images of the basis: one
+    # multiply-accumulate per nonzero coefficient of a, then one unpack
+    vec, rows = table
     acc = 0
     for c, row in zip(a, rows):
         if c:
             acc += c * row
     return tuple(c % p for c in vec.unpack(acc.to_bytes(vec.size, "little")))
+
+
+@lru_cache(maxsize=None)
+def _packed_trace(p, level):
+    # the trace to F_{q^2} is F_p-linear: rows[i] packs the tau-orbit sum of
+    # gen^i, level / 2 images each below p, so a combination with
+    # coefficients below p again fills a slot to at most level (p-1)^2
+    _, vec, _, _ = _kronecker(p, level)
+    rows = []
+    for i in range(level):
+        cur = acc = _pad((0,) * i + (1,), level)
+        for _ in range(level // 2 - 1):
+            cur = _frob_apply(p, level, 2, cur)
+            acc = tuple((a + b) % p for a, b in zip(acc, cur))
+        rows.append(int.from_bytes(vec.pack(*acc), "little"))
+    return vec, tuple(rows)
 
 
 def frob_q(x: FieldElem) -> FieldElem:
@@ -508,6 +632,17 @@ def tau_frob(x: FieldElem) -> FieldElem:
     if x._tables is not None:
         return frob_q(frob_q(x))
     return _new_elem(x.p, x.level, _frob_apply(x.p, x.level, 2, x.coeffs), None, None)
+
+
+def quadratic_trace(x: FieldElem) -> FieldElem:
+    """The trace x + tau x + ... + tau^(n-1) x of F_{q^{2n}} down to the
+    embedded F_{q^2} (n = level / 2), applied as one cached F_p-linear table."""
+    if x.level % 2:
+        raise InputError("quadratic_trace requires an even level")
+    coeffs = _linear_apply(x.p, _packed_trace(x.p, x.level), x.coeffs)
+    if x._tables is not None:
+        return x._tables.elems[_encode(x.p, coeffs)]
+    return _new_elem(x.p, x.level, coeffs, None, None)
 
 
 def _non_residue(p, level):
@@ -582,8 +717,10 @@ def embed(x: FieldElem, target_level: int) -> FieldElem:
         raise InputError("embed is defined on level-2 elements")
     if target_level % 2:
         raise InputError("target level must be even")
-    r = _embed_root(x.p, target_level)
-    return from_base(x.p, target_level, x.coeffs[0]) + from_base(x.p, target_level, x.coeffs[1]) * r
+    p, (a, b) = x.p, x.coeffs
+    coeffs = [b * c % p for c in _embed_root(p, target_level).coeffs]  # a + b r is F_p-linear
+    coeffs[0] = (coeffs[0] + a) % p
+    return FieldElem(p, target_level, tuple(coeffs))
 
 
 def descend(x: FieldElem) -> FieldElem:

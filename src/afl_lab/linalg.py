@@ -106,7 +106,7 @@ class Matrix:
         cols = list(zip(*other.rows))
         out = []
         for r in self.rows:
-            out.append([_dot(r, c) for c in cols])
+            out.append([gf.dot(r, c) for c in cols])
         return Matrix.from_rows(self.p, self.level, out)
 
     def scale(self, c: gf.FieldElem) -> "Matrix":
@@ -122,7 +122,7 @@ class Matrix:
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
             raise InputError("vector length mismatch")
-        return tuple(_dot(r, v) for r in self.rows)
+        return tuple(gf.dot(r, v) for r in self.rows)
 
     @property
     def is_zero(self) -> bool:
@@ -142,15 +142,6 @@ class Matrix:
 
     def to_json(self):
         return [[list(a.coeffs) for a in r] for r in self.rows]
-
-
-def _dot(r, v):
-    # terms with a zero row entry are skipped: g and the Gram matrix are sparse
-    acc = None
-    for a, b in zip(r, v):
-        if not a.is_zero:
-            acc = a * b if acc is None else acc + a * b
-    return gf.zero(r[0].p, r[0].level) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

@@ -98,15 +98,22 @@ class Poly:
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.p, self.level)
-        out = [gf.zero(self.p, self.level)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
+        p, level, a, b = self.p, self.level, self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly.zero(p, level)
+        if p**level > gf.TABLE_CAP:
+            # Kronecker substitution one level up: one packed product, and
+            # each product coefficient folded once
+            width = gf.slot_width(p, level, min(len(a), len(b)))
+            prod = gf.pack_blocks(p, level, width, a) * gf.pack_blocks(p, level, width, b)
+            return Poly.from_elems(p, level, gf.fold_blocks(p, level, width, len(a) + len(b) - 1, prod))
+        out = [gf.zero(p, level)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x.is_zero:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly.from_elems(self.p, self.level, out)
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return Poly.from_elems(p, level, out)
 
     def scale(self, c: FieldElem) -> "Poly":
         return Poly.from_elems(self.p, self.level, [a * c for a in self.coeffs])
@@ -144,6 +151,10 @@ class Poly:
         return self.scale(self.leading.inverse())
 
     def powmod(self, e: int, modulus: "Poly") -> "Poly":
+        """self^e mod modulus by squaring; above the cap on Modulus's fold."""
+        self._check(modulus)
+        if self.p**self.level > gf.TABLE_CAP and modulus.degree >= 1:
+            return Modulus(modulus.monic()).power(self, e)
         result = Poly.one(self.p, self.level)
         base = self % modulus
         while e:
@@ -171,6 +182,82 @@ class Poly:
 
     def to_json(self):
         return [list(c.coeffs) for c in self.coeffs]
+
+
+class Modulus:
+    """Residues modulo a fixed monic g of degree d >= 1, over a field above
+    the table cap, reduced by folding instead of long division.
+
+    rows[m - d] packs x^m mod g for d <= m <= 2d - 1.  A product of two
+    residues is one packed product (Poly.__mul__'s); its blocks d..2d-2 are
+    folded to coefficients c_m, and sum c_m (x^m mod g) is added to the
+    unfolded low blocks as one more packed sum, so each coefficient of the
+    residue is folded once more: the fold of gf's element product, one
+    level up.  A slot then holds at most 2d - 1 products."""
+
+    def __init__(self, g: Poly):
+        if not g.is_monic or g.degree < 1:
+            raise InputError("a modulus must be monic of positive degree")
+        p, level, d = g.p, g.level, g.degree
+        self.p, self.level, self.d = p, level, d
+        self.width = gf.slot_width(p, level, 2 * d)
+        self.bits = (2 * level - 1) * 8 * self.width  # one block
+        cur = [-c for c in g.coeffs[:-1]]  # x^d mod g
+        self.rows = [gf.pack_blocks(p, level, self.width, cur)]
+        for _ in range(1, d):
+            # x^(m+1) mod g is x^m mod g moved up one block, its top block
+            # folded back with rows[0]
+            shifted = (self.rows[-1] << self.bits) & ((1 << d * self.bits) - 1)
+            cur = self._fold_high(shifted, d, cur[-1:])
+            self.rows.append(gf.pack_blocks(p, level, self.width, cur))
+
+    def _fold_high(self, acc: int, count: int, high) -> list:
+        # acc + sum high[i] (x^(d+i) mod g), folded once per block
+        p, level, width = self.p, self.level, self.width
+        for c, row in zip(high, self.rows):
+            if not c.is_zero:
+                acc += gf.pack_blocks(p, level, width, (c,)) * row
+        return gf.fold_blocks(p, level, width, count, acc)
+
+    def reduce(self, f: Poly) -> Poly:
+        """f mod g, folding at most d coefficients above the residue at a time."""
+        p, level, d = self.p, self.level, self.d
+        coeffs = list(f.coeffs)
+        cut = max(len(coeffs) - 2 * d, 0)
+        rest, coeffs = coeffs[:cut], coeffs[cut:]
+        while True:
+            if len(coeffs) > d:
+                low = gf.pack_blocks(p, level, self.width, coeffs[:d])
+                coeffs = self._fold_high(low, d, coeffs[d:])
+            if not rest:
+                return Poly.from_elems(p, level, coeffs)
+            k = min(d, len(rest))
+            rest, coeffs = rest[:-k], rest[-k:] + coeffs
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        """a b mod g for residues a and b (degree < d)."""
+        p, level, d, width = self.p, self.level, self.d, self.width
+        if a.is_zero or b.is_zero:
+            return Poly.zero(p, level)
+        pa = gf.pack_blocks(p, level, width, a.coeffs)
+        prod = pa * (pa if b is a else gf.pack_blocks(p, level, width, b.coeffs))
+        count = len(a.coeffs) + len(b.coeffs) - 1
+        if count <= d:
+            return Poly.from_elems(p, level, gf.fold_blocks(p, level, width, count, prod))
+        cut = d * self.bits
+        high = gf.fold_blocks(p, level, width, count - d, prod >> cut)
+        return Poly.from_elems(p, level, self._fold_high(prod & ((1 << cut) - 1), d, high))
+
+    def power(self, f: Poly, e: int) -> Poly:
+        """f^e mod g by squaring."""
+        result, base = None, self.reduce(f)
+        while e:
+            if e & 1:
+                result = base if result is None else self.mul(result, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return Poly.one(self.p, self.level) if result is None else result
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -9,7 +9,7 @@ from afl_lab.errors import CrossCheckError, InputError
 from afl_lab.forge import build_block_instance, parse_signature, random_coxeter_instance
 from afl_lab.hermitian import HermitianSpace, validate_space
 from afl_lab.linalg import Matrix, Subspace, charpoly, kernel, kernel_of_poly, span
-from afl_lab.poly import Poly, is_irreducible, plain_factor, poly_gcd
+from afl_lab.poly import Modulus, Poly, is_irreducible, plain_factor, poly_gcd
 from test_linalg import minpoly
 
 
@@ -45,6 +45,36 @@ def test_rejects_reducible_charpoly():
     inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 0)
     with pytest.raises(InputError):
         dl_fixed_points(inst.space, inst.g)
+
+
+def test_valid_count_never_asks_for_irreducibility(monkeypatch):
+    # t distinct roots in the orbit of one root prove the charpoly irreducible
+    def forbidden(f):
+        raise AssertionError("is_irreducible called on the success path")
+
+    monkeypatch.setattr(dl, "is_irreducible", forbidden)
+    for q, t, seed in ((3, 1, 0), (3, 5, 1), (5, 3, 2), (16381, 3, 0)):
+        inst = coxeter(q, t, seed)
+        assert len(dl_fixed_points(inst.space, inst.g, seed=seed)) == t
+
+
+def test_failed_orbit_of_an_irreducible_charpoly_is_re_raised(monkeypatch):
+    # only a reducible charpoly turns a failed orbit into InputError
+    calls = []
+
+    def broken_orbit(f, rng):
+        raise CrossCheckError("broken orbit")
+
+    def irreducible(f):
+        calls.append(f)
+        return is_irreducible(f)
+
+    monkeypatch.setattr(dl, "_eigenvalue_orbit", broken_orbit)
+    monkeypatch.setattr(dl, "is_irreducible", irreducible)
+    inst = coxeter(3, 3, 1)
+    with pytest.raises(CrossCheckError, match="broken orbit"):
+        dl_fixed_points(inst.space, inst.g)
+    assert calls == [charpoly(inst.g)]
 
 
 def test_rejects_even_dim():
@@ -226,7 +256,32 @@ def test_frobenius_powers_are_the_p_power_residues(q, t):
     # x^(p^i) mod g by the additive step, against powmod from the definition
     g = charpoly(coxeter(q, t, 0).g).lift(2 * t)
     x = Poly.x(q, 2 * t)
-    assert dl._frobenius_powers(g) == [x.powmod(q**i, g) for i in range(2 * t)]
+    assert dl._frobenius_powers(g, Modulus(g)) == [x.powmod(q**i, g) for i in range(2 * t)]
+
+
+def linear_combination_by_terms(scalars, polys):
+    """sum(c * f) with one field product per coefficient, zero scalars skipped."""
+    f0 = polys[0]
+    acc = [gf.zero(f0.p, f0.level)] * max(len(f.coeffs) for f in polys)
+    for c, f in zip(scalars, polys):
+        if not c.is_zero:
+            for j, b in enumerate(f.coeffs):
+                acc[j] = acc[j] + c * b
+    return Poly.from_elems(f0.p, f0.level, acc)
+
+
+@pytest.mark.parametrize("p,level", [(3, 6), (5, 4), (7, 4), (17, 2), (16381, 2), (16381, 6)])
+def test_packed_linear_combination_matches_per_term_sum(p, level):
+    rng = random.Random(f"combination:{p}:{level}")
+
+    def elem():
+        return gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
+
+    for count in (1, 3, level, 2 * level + 1):
+        polys = [Poly.from_elems(p, level, [elem() for _ in range(rng.randrange(1, 9))]) for _ in range(count)]
+        scalars = [elem() if rng.random() < 0.8 else gf.zero(p, level) for _ in range(count)]
+        assert dl._linear_combination(scalars, polys) == linear_combination_by_terms(scalars, polys)
+    assert dl._linear_combination([gf.zero(p, level)], polys[:1]) == Poly.zero(p, level)
 
 
 def test_orbit_shorter_than_degree_is_a_cross_check_failure():

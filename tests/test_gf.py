@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afl_lab import gf
+from afl_lab.dl import T_MAX
 from afl_lab.errors import InputError
+from afl_lab.forge import N_MAX
 
 PRIMES = [3, 5, 7]
 
@@ -550,6 +552,145 @@ def test_norm_inverse_rejects_a_norm_outside_fp(monkeypatch):
     monkeypatch.setattr(gf, "_frob_apply", lambda p, level, power, a: a)
     with pytest.raises(AssertionError, match="not a nonzero scalar"):
         gf.gen(3, 6).inverse()
+
+
+# ---------------------------------------------------------------------------
+# packed sums above the cap, against the per-term sums they replace
+
+
+def dot_by_terms(xs, ys):
+    """The per-term dot product: each product reduced and added on its own,
+    terms with a zero x skipped."""
+    acc = gf.zero(xs[0].p, xs[0].level)
+    for a, b in zip(xs, ys):
+        if not a.is_zero:
+            acc = acc + a * b
+    return acc
+
+
+def random_elem(p, level, rng):
+    return gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
+
+
+ABOVE_CAP = SMALLEST_ABOVE_CAP + [(16381, 2), (16381, 6)]
+
+
+@pytest.mark.parametrize("p,level", SMALLEST_ABOVE_CAP, ids=[f"F{p}^{lv}" for p, lv in SMALLEST_ABOVE_CAP])
+def test_packed_dot_matches_per_term_sum_on_every_element(p, level):
+    rng = random.Random(f"dot-every:{p}:{level}")
+    a, b = random_elem(p, level, rng), random_elem(p, level, rng)
+    top = gf.FieldElem(p, level, (p - 1,) * level)
+    z = gf.zero(p, level)
+    for k in range(p**level):
+        x = gf.elem_from_encoding(p, level, k)
+        xs, ys = (x, a, z, top, x), (b, x, a, top, x)
+        assert gf.dot(xs, ys) == dot_by_terms(xs, ys)
+
+
+@pytest.mark.parametrize("p,level", ABOVE_CAP + KRONECKER, ids=[f"F{p}^{lv}" for p, lv in ABOVE_CAP + KRONECKER])
+def test_packed_dot_matches_per_term_sum(p, level):
+    rng = random.Random(f"dot:{p}:{level}")
+    for n in (1, 2, 5, 9, 27, 40):
+        xs = [random_elem(p, level, rng) if rng.random() < 0.7 else gf.zero(p, level) for _ in range(n)]
+        ys = [random_elem(p, level, rng) for _ in range(n)]
+        result = gf.dot(xs, ys)
+        assert result == dot_by_terms(xs, ys) and result._tables is None
+    assert gf.dot([gf.zero(p, level)] * 3, ys[:3]) == gf.zero(p, level)
+
+
+def test_packed_dot_rejects_vectors_over_different_fields():
+    with pytest.raises(InputError):
+        gf.dot([gf.gen(3, 6)], [gf.gen(5, 6)])
+
+
+def test_dot_on_a_tabled_field_keeps_the_lookups():
+    x = gf.gen(3, 2)
+    assert gf.dot([x, gf.zero(3, 2)], [x, x]) is x * x
+
+
+@pytest.mark.parametrize("p,level", ABOVE_CAP, ids=[f"F{p}^{lv}" for p, lv in ABOVE_CAP])
+def test_fold_blocks_reduces_every_block_like_the_schoolbook_product(p, level):
+    # block k of the packed product of two element lists is sum_{i+j=k} a_i b_j
+    rng = random.Random(f"blocks:{p}:{level}")
+    for m1, m2 in ((1, 1), (1, 4), (3, 3), (6, 2)):
+        a = [random_elem(p, level, rng) for _ in range(m1)]
+        b = [random_elem(p, level, rng) for _ in range(m2)]
+        width = gf.slot_width(p, level, min(m1, m2))
+        prod = gf.pack_blocks(p, level, width, a) * gf.pack_blocks(p, level, width, b)
+        expected = []
+        for k in range(m1 + m2 - 1):
+            terms = [i for i in range(m1) if 0 <= k - i < m2]
+            expected.append(dot_by_terms([a[i] for i in terms], [b[k - i] for i in terms]))
+        assert gf.fold_blocks(p, level, width, m1 + m2 - 1, prod) == expected
+
+
+@pytest.mark.parametrize("level,terms", [(2, 2 * N_MAX), (2 * T_MAX, 2 * T_MAX)], ids=["level2", "level2T_MAX"])
+def test_packed_sums_hold_the_worst_case_at_p_max(level, terms):
+    # the longest sums: at level 2, a residue product modulo a charpoly of
+    # degree n <= N_MAX (2n terms, Modulus); at level 2t <= 2 T_MAX, the same
+    # modulo a degree-t charpoly and the trace over 2t Frobenius powers.
+    # Every slot of a sum of `terms` products of (p-1, ..., p-1) reaches its
+    # bound, so a carry between slots would change the result.
+    p = gf.P_MAX
+    width = gf.slot_width(p, level, terms)
+    assert width <= 8 and 256**width > (terms * level + level - 1) * (p - 1) ** 2
+    top = gf.FieldElem(p, level, (p - 1,) * level)
+    expected = gf.FieldElem(p, level, tuple(c * terms % p for c in poly_mul(p, level, top.coeffs, top.coeffs)))
+    assert gf.dot([top] * terms, [top] * terms) == expected
+
+
+def test_slot_width_grows_with_the_number_of_terms():
+    assert [gf.slot_width(3, 18, k) for k in (1, 3, 909, 910)] == [1, 2, 2, 4]
+    assert [gf.slot_width(16381, 2, k) for k in (1, 7, 8)] == [4, 4, 8]
+    with pytest.raises(InputError, match="overflows"):
+        gf.slot_width(16381, 54, 10**10)
+
+
+# ---------------------------------------------------------------------------
+# the packed trace to F_{q^2} and the linear embedding, against their definitions
+
+
+def trace_by_orbit_sum(x):
+    """x + tau x + ... + tau^(n-1) x, n = level / 2."""
+    acc = cur = x
+    for _ in range(x.level // 2 - 1):
+        cur = gf.tau_frob(cur)
+        acc = acc + cur
+    return acc
+
+
+TRACE_EXHAUSTIVE = [(3, 4), (3, 6), (5, 4), (7, 4), (17, 2)]
+
+
+@pytest.mark.parametrize("p,level", TRACE_EXHAUSTIVE, ids=[f"F{p}^{lv}" for p, lv in TRACE_EXHAUSTIVE])
+def test_quadratic_trace_matches_the_orbit_sum_on_every_element(p, level):
+    for k in range(p**level):
+        x = gf.elem_from_encoding(p, level, k)
+        t = gf.quadratic_trace(x)
+        assert t == trace_by_orbit_sum(x) and t == gf.tau_frob(t)
+        assert (t._tables is None) == (p**level > gf.TABLE_CAP)
+
+
+@pytest.mark.parametrize("p,level", [(3, 10), (3, 18), (5, 14), (16381, 6), (16381, 10)])
+def test_quadratic_trace_matches_the_orbit_sum(p, level):
+    rng = random.Random(f"trace:{p}:{level}")
+    for x in [gf.FieldElem(p, level, (p - 1,) * level)] + [random_elem(p, level, rng) for _ in range(30)]:
+        assert gf.quadratic_trace(x) == trace_by_orbit_sum(x)
+    with pytest.raises(InputError):
+        gf.quadratic_trace(gf.gen(3, 5))
+
+
+def embed_by_definition(x, target):
+    r = gf._embed_root(x.p, target)
+    return gf.from_base(x.p, target, x.coeffs[0]) + gf.from_base(x.p, target, x.coeffs[1]) * r
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 17])
+@pytest.mark.parametrize("target", [4, 6, 10])
+def test_embed_equals_a_plus_b_r_on_every_element(p, target):
+    for k in range(p * p):
+        x = gf.elem_from_encoding(p, 2, k)
+        assert gf.embed(x, target) == embed_by_definition(x, target)
 
 
 @pytest.mark.parametrize("p,level", [(3, 6), (3, 18), (5, 6), (17, 2)])

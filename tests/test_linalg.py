@@ -588,3 +588,42 @@ def test_apply_and_matmul_match_unskipped_dot(density, rng):
         assert m.apply(v)[0] == gf.zero(p, 2)
         cols = list(zip(*other.rows))
         assert (m @ other).rows == tuple(tuple(unskipped_dot(r, c) for c in cols) for r in m.rows)
+
+
+def per_term_dot(r, v):
+    """The per-term dot product linalg used before the packed one: zero row
+    entries skipped, each product reduced and added on its own."""
+    acc = None
+    for a, b in zip(r, v):
+        if not a.is_zero:
+            acc = a * b if acc is None else acc + a * b
+    return gf.zero(r[0].p, r[0].level) if acc is None else acc
+
+
+ABOVE_CAP = [(3, 6), (5, 4), (7, 4), (17, 2), (16381, 2), (16381, 6)]
+
+
+@pytest.mark.parametrize("p,level", ABOVE_CAP, ids=[f"F{p}^{lv}" for p, lv in ABOVE_CAP])
+def test_packed_apply_matmul_and_eval_poly_match_per_term_dots(p, level):
+    rng = random.Random(f"packed-linalg:{p}:{level}")
+    n = 5
+
+    def entry(density):
+        if rng.random() < density:
+            return gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
+        return gf.zero(p, level)
+
+    for density in (0.0, 0.3, 1.0):
+        m = Matrix.from_rows(p, level, [[entry(density) for _ in range(n)] for _ in range(n)])
+        other = random_matrix(p, level, n, rng)
+        v = other.rows[0]
+        assert m.apply(v) == tuple(per_term_dot(r, v) for r in m.rows)
+        cols = list(zip(*other.rows))
+        assert (m @ other).rows == tuple(tuple(per_term_dot(r, c) for c in cols) for r in m.rows)
+    f = poly_from_ints(p, level, [[rng.randrange(p) for _ in range(level)] for _ in range(4)])
+    expected = Matrix.identity(p, level, n).scale(f.coeffs[-1])
+    for c in reversed(f.coeffs[:-1]):
+        cols = list(zip(*other.rows))
+        expected = Matrix.from_rows(p, level, [[per_term_dot(r, col) for col in cols] for r in expected.rows])
+        expected = expected + Matrix.identity(p, level, n).scale(c)
+    assert other.eval_poly(f) == expected

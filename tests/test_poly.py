@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from afl_lab import gf
 from afl_lab.errors import InputError, InvariantError
 from afl_lab.poly import (
+    Modulus,
     Poly,
     divisor_exponents,
     divisor_poly,
@@ -191,3 +192,116 @@ def test_gcd_is_monic(rng):
     g = random_monic(3, 2 , 3, rng)
     h = poly_gcd(f * g, g)
     assert h.is_monic and h % g == Poly.zero(3, 2) or g % h == Poly.zero(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# packed products and fixed-modulus remainders above the cap, against the
+# schoolbook product and the long-division remainder they replace
+
+
+def schoolbook_product(f: Poly, g: Poly) -> Poly:
+    """One field product per pair of coefficients, each reduced on its own."""
+    if f.is_zero or g.is_zero:
+        return Poly.zero(f.p, f.level)
+    out = [gf.zero(f.p, f.level)] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly.from_elems(f.p, f.level, out)
+
+
+def powmod_by_long_division(f: Poly, e: int, g: Poly) -> Poly:
+    """Square and multiply, each step a schoolbook product and a long division."""
+    result, base = Poly.one(f.p, f.level), f % g
+    while e:
+        if e & 1:
+            result = schoolbook_product(result, base) % g
+        base = schoolbook_product(base, base) % g
+        e >>= 1
+    return result
+
+
+def random_poly(p, level, length, rng):
+    coeffs = [gf.elem(p, level, [rng.randrange(p) for _ in range(level)]) for _ in range(length)]
+    return Poly.from_elems(p, level, coeffs)
+
+
+def top_poly(p, level, length, monic=False):
+    top = gf.FieldElem(p, level, (p - 1,) * level)
+    return Poly(p, level, (top,) * (length - 1) + ((gf.one(p, level) if monic else top),))
+
+
+# the smallest levels above the cap for q = 3, 5, 7, 17, and q = 16381
+PACKED = [(3, 6), (5, 4), (7, 4), (17, 2), (16381, 2), (16381, 6)]
+PACKED_IDS = [f"F{p}^{lv}" for p, lv in PACKED]
+
+
+@pytest.mark.parametrize("p,level", PACKED, ids=PACKED_IDS)
+def test_packed_product_matches_schoolbook(p, level):
+    rng = random.Random(f"poly-mul:{p}:{level}")
+    for m1, m2 in ((1, 1), (1, 7), (2, 5), (6, 6), (9, 4), (13, 11)):
+        f, g = random_poly(p, level, m1, rng), random_poly(p, level, m2, rng)
+        assert f * g == schoolbook_product(f, g)
+    assert f * Poly.zero(p, level) == Poly.zero(p, level)
+    f, g = top_poly(p, level, 8), top_poly(p, level, 5)
+    assert f * g == schoolbook_product(f, g)
+
+
+@pytest.mark.parametrize("level,length", [(2, 82), (54, 28)], ids=["level2-N_MAX", "level2T_MAX-T_MAX"])
+def test_packed_product_holds_the_worst_case_at_p_max(level, length):
+    # a charpoly of degree N_MAX at level 2, of degree T_MAX at level 2 T_MAX:
+    # every coefficient p - 1 fills each slot of the middle block to its bound
+    p = gf.P_MAX
+    f = top_poly(p, level, length)
+    assert f * f == schoolbook_product(f, f)
+
+
+@pytest.mark.parametrize("p,level", PACKED, ids=PACKED_IDS)
+@pytest.mark.parametrize("degree", [1, 2, 5, 9])
+def test_modulus_matches_long_division(p, level, degree):
+    rng = random.Random(f"modulus:{p}:{level}:{degree}")
+    g = random_monic(p, level, degree, rng)
+    ring = Modulus(g)
+    for length in (0, 1, degree, degree + 1, 2 * degree, 2 * degree + 1, 5 * degree + 3):
+        f = random_poly(p, level, length, rng)
+        assert ring.reduce(f) == f % g
+    for _ in range(6):
+        a, b = (random_poly(p, level, degree, rng) for _ in "ab")
+        assert ring.mul(a, b) == schoolbook_product(a, b) % g
+        assert ring.mul(a, a) == schoolbook_product(a, a) % g
+    top = top_poly(p, level, degree)
+    assert ring.mul(top, top) == schoolbook_product(top, top) % g
+    f = random_poly(p, level, 3 * degree, rng)
+    for e in (0, 1, 2, 5, p, p * p + 3):
+        assert f.powmod(e, g) == powmod_by_long_division(f, e, g)
+    # a modulus that is not monic gives the same remainders as its monic multiple
+    scaled = g.scale(gf.elem(p, level, [2] + [1] * (level - 1)))
+    assert f.powmod(7, scaled) == powmod_by_long_division(f, 7, g)
+
+
+@pytest.mark.parametrize("level,degree", [(2, 81), (54, 27)], ids=["level2-N_MAX", "level2T_MAX-T_MAX"])
+def test_modulus_holds_the_worst_case_at_p_max(level, degree):
+    # 2 degree - 1 products meet in the low blocks of a residue product
+    p = gf.P_MAX
+    g, a = top_poly(p, level, degree + 1, monic=True), top_poly(p, level, degree)
+    assert Modulus(g).mul(a, a) == schoolbook_product(a, a) % g
+
+
+def test_modulus_needs_a_monic_modulus_of_positive_degree():
+    for g in (Poly.one(3, 6), Poly.from_elems(3, 6, [gf.one(3, 6), gf.gen(3, 6)])):
+        with pytest.raises(InputError):
+            Modulus(g)
+
+
+def test_powmod_by_a_constant_is_long_division():
+    # no Modulus exists for degree 0; every power of degree >= 1 reduces to 0
+    f, c = Poly.x(3, 6), Poly.one(3, 6)
+    assert f.powmod(0, c) == Poly.one(3, 6) and f.powmod(3, c) == Poly.zero(3, 6)
+
+
+def test_tabled_fields_keep_the_schoolbook_product(rng):
+    f, g = random_monic(3, 2, 5, rng), random_monic(3, 2, 4, rng)
+    h = f * g
+    assert h == schoolbook_product(f, g)
+    assert all(c._tables is not None for c in h.coeffs)
+    assert f.powmod(10, g) == powmod_by_long_division(f, 10, g)
