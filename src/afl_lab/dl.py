@@ -54,7 +54,7 @@ from .errors import CrossCheckError, InputError
 from .gf import dot as _dot
 from .hermitian import HermitianSpace
 from .linalg import Matrix, charpoly, kernel, rref
-from .poly import Modulus, Poly, is_irreducible, poly_gcd
+from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 
 
 # Largest dimension `afl-lab dl` accepts.  On a 2-vCPU host t = 27 takes
@@ -62,12 +62,6 @@ from .poly import Modulus, Poly, is_irreducible, poly_gcd
 # slowest prime near P_MAX.  Above it the scan for the level-2t defining
 # polynomial leads and jumps with (q, t) (17 s for level 98 at q = 16319).
 T_MAX = 27
-
-# A try separates two distinct roots with probability at least 1/3, so a
-# factor left unsplit after this many tries (odds (2/3)^64 < 1e-11) means
-# broken arithmetic or a factor without roots in its field.
-SPLIT_TRIES = 64
-
 
 @dataclass(frozen=True)
 class EigenlineRecord:

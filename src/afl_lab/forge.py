@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import gf
-from .errors import ForgeError, InputError, InvariantError
+from .errors import CrossCheckError, ForgeError, InputError, InvariantError
 from .gf import FieldElem
 from .hermitian import (
     AntiInvolution,
@@ -132,16 +132,26 @@ class MinusculeInstance:
 # random irreducibles via minimal polynomials of tower elements
 
 
-def _min_poly_over_quadratic(z: FieldElem) -> Poly | None:
-    """Minimal polynomial of a level-2d element over F_{q^2}, or None if its
-    Galois orbit is shorter than d (z lies in a proper subfield)."""
+def _tau_orbit(z: FieldElem) -> list[FieldElem]:
+    """z, tau z, tau^2 z, ... up to the first return to z.  tau has order
+    d on F_{q^{2d}} (level 2d), so an orbit still open after d steps means
+    broken arithmetic."""
     d = z.level // 2
     orbit = [z]
     cur = gf.tau_frob(z)
     while cur != z:
+        if len(orbit) == d:
+            raise CrossCheckError(f"tau orbit of a level-{z.level} element is not closed after {d} steps")
         orbit.append(cur)
         cur = gf.tau_frob(cur)
-    if len(orbit) != d:
+    return orbit
+
+
+def _min_poly_over_quadratic(z: FieldElem) -> Poly | None:
+    """Minimal polynomial of a level-2d element over F_{q^2}, or None if its
+    Galois orbit is shorter than d (z lies in a proper subfield)."""
+    orbit = _tau_orbit(z)
+    if len(orbit) != z.level // 2:
         return None
     prod = Poly.one(z.p, z.level)
     for r in orbit:
@@ -615,14 +625,7 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
 
 
 def _witness_degree(z):
-    if z is None:
-        return 0
-    d = 1
-    cur = gf.tau_frob(z)
-    while cur != z:
-        d += 1
-        cur = gf.tau_frob(cur)
-    return d
+    return 0 if z is None else len(_tau_orbit(z))
 
 
 def _transpose_rows(cols):

@@ -11,7 +11,7 @@ anti-isometry) translate into the matrix identities validated here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gf
 from .errors import InputError, InvariantError
@@ -101,23 +101,38 @@ class AdaptedBasis:
     Each lattice member W(m) is the span of the rows coords[m] of B, and so
     is the g-invariant W-perp: the rows whose row of H vanishes on W, as B is
     a basis.  Isotropy and subquotients are thus row sets and slices of H and
-    of g written in B; no stratum computes a kernel or solves anything."""
+    of g written in B; no stratum computes a kernel or solves anything.
+    W-perp is the AND over c in W of the column masks of H, bit a of mask c
+    set iff H[a][c] = 0."""
 
     rows: tuple  # B
     gram: Matrix  # H
     g: Matrix  # column c holds the B-coordinates of g B[c]
     coords: dict[tuple[int, ...], tuple[int, ...]]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def perp(self, vec) -> tuple[int, ...]:
+    def __post_init__(self):
+        rows, n = self.gram.rows, self.gram.n
+        masks = tuple(sum(1 << a for a in range(n) if rows[a][c].is_zero) for c in range(n))
+        object.__setattr__(self, "masks", masks)
+
+    def _perp_mask(self, vec) -> int:
         w = self.coords[vec]
-        out = tuple(a for a, row in enumerate(self.gram.rows) if all(row[c].is_zero for c in w))
-        if len(out) != self.gram.n - len(w):
+        out = (1 << self.gram.n) - 1
+        for c in w:
+            out &= self.masks[c]
+        if out.bit_count() != self.gram.n - len(w):
             raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
         return out
 
+    def perp(self, vec) -> tuple[int, ...]:
+        mask = self._perp_mask(vec)
+        return tuple(a for a in range(self.gram.n) if mask >> a & 1)
+
     def isotropic(self, vec) -> bool:
         """W inside W-perp; is_isotropic is the definition."""
-        return set(self.coords[vec]) <= set(self.perp(vec))
+        mask = self._perp_mask(vec)
+        return all(mask >> c & 1 for c in self.coords[vec])
 
 
 def adapted_basis(lattice, fact, space: HermitianSpace, g: Matrix) -> AdaptedBasis:

@@ -11,12 +11,15 @@ Regularity (cyclicity) is decided exactly on the factorization of the
 characteristic polynomial: M is regular iff dim ker P_i(M) = deg P_i for every
 irreducible factor P_i.  The invariant subspace lattice of a regular M is
 built from the primary chains ker P_i(M)^k, whose dimensions the walk checks
-again on the way.
+again on the way.  The lattice holds every divisor of the characteristic
+polynomial as a key, but forms a divisor's span only on first access: the
+geometric walk reads the chain members alone.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import gf
@@ -162,11 +165,14 @@ def rref(rows) -> tuple[tuple, tuple[int, ...]]:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         prow = mat[r]
-        inv = prow[col].inverse()
+        lead = prow[col]
         # the pivot row is zero left of col; only its nonzero entries update
-        nz = [(j, prow[j] * inv) for j in range(col, ncols) if not prow[j].is_zero]
-        for j, b in nz:
-            prow[j] = b
+        nz = [(j, prow[j]) for j in range(col, ncols) if not prow[j].is_zero]
+        if lead != gf.one(lead.p, lead.level):  # a pivot of one is already scaled
+            inv = lead.inverse()
+            nz = [(j, b * inv) for j, b in nz]
+            for j, b in nz:
+                prow[j] = b
         for i, row in enumerate(mat):
             f = row[col]
             if i != r and not f.is_zero:
@@ -308,25 +314,59 @@ def _primary_chains(m: Matrix, fact) -> list[list[Subspace]]:
     return chains
 
 
-def invariant_subspaces(m: Matrix, fact) -> dict[tuple[int, ...], Subspace]:
+class Lattice(Mapping):
+    """Read-only map from divisor exponent vectors to invariant subspaces.
+
+    Every divisor is a key, in divisor_exponents order; a divisor's span is
+    formed on its first lookup and kept.  A vector with one nonzero exponent
+    k at factor i is the chain member ker P_i(M)^k itself."""
+
+    def __init__(self, ambient: int, chains: list[list[Subspace]], keys):
+        self._ambient = ambient
+        self._chains = chains
+        self._keys = dict.fromkeys(keys)
+        self._spans: dict[tuple[int, ...], Subspace] = {}
+
+    def __getitem__(self, vec) -> Subspace:
+        sub = self._spans.get(vec)
+        if sub is None:
+            if vec not in self._keys:
+                raise KeyError(vec)
+            support = [i for i, k in enumerate(vec) if k]
+            if len(support) == 1:
+                sub = self._chains[support[0]][vec[support[0]]]
+            else:
+                sub = span(self._ambient, [r for chain, k in zip(self._chains, vec) for r in chain[k].rows])
+            self._spans[vec] = sub
+        return sub
+
+    def __contains__(self, vec) -> bool:
+        return vec in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+def invariant_subspaces(m: Matrix, fact) -> Lattice:
     """The full lattice of M-invariant subspaces of a regular M.
 
     fact is the factorization of charpoly(M): a FactoredPoly or a plain
     sequence of (irreducible, multiplicity) pairs.  Keys are divisor exponent
-    vectors; the map is a lattice isomorphism from monic divisors of the
-    characteristic polynomial ordered by divisibility.
+    vectors, every divisor of the characteristic polynomial; the map is a
+    lattice isomorphism from monic divisors ordered by divisibility.
 
     The factors are pairwise coprime, so by Bezout the subspace of the
     divisor prod P_i^{m_i} is the direct sum of the primary chain members
-    ker P_i(M)^{m_i} (Brickman-Fillmore), and each divisor costs one echelon
-    form of their concatenated bases.  kernel_of_poly(m, divisor_poly(fact,
-    vec)) is the definition this is checked against.
+    ker P_i(M)^{m_i} (Brickman-Fillmore).  The chains are computed here, and
+    so is regularity; each other divisor's span, one echelon form of the
+    concatenated chain bases, is formed on its first access.
+    kernel_of_poly(m, divisor_poly(fact, vec)) is the definition this is
+    checked against.
     """
-    chains = _primary_chains(m, fact)
-    return {
-        vec: span(m.n, [r for chain, k in zip(chains, vec) for r in chain[k].rows])
-        for vec in divisor_exponents(fact)
-    }
+    return Lattice(m.n, _primary_chains(m, fact), divisor_exponents(fact))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,16 @@ import random
 from dataclasses import dataclass
 
 from . import gf
-from .errors import InputError, InvariantError
+from .errors import CrossCheckError, InputError, InvariantError
 from .gf import FieldElem, encode_int
+
+
+# A random try splits a product of at least two distinct roots (Berlekamp's
+# trace split in dl) or irreducibles (Cantor-Zassenhaus here) with
+# probability at least 1/3, so a product left unsplit after this many tries
+# (odds (2/3)^64 < 1e-11) means broken arithmetic or a factor without roots
+# in its field.
+SPLIT_TRIES = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,7 +366,7 @@ def _equal_degree(f: Poly, d: int, rng) -> list[Poly]:
         return [f.monic()]
     q_size = f.p**f.level
     m = (q_size**d - 1) // 2
-    while True:
+    for _ in range(SPLIT_TRIES):
         r = _random_poly(f.p, f.level, f.degree - 1, rng)
         if r.degree < 1:
             continue
@@ -369,6 +377,8 @@ def _equal_degree(f: Poly, d: int, rng) -> list[Poly]:
         g = poly_gcd(s, f)
         if 0 < g.degree < f.degree:
             break
+    else:
+        raise CrossCheckError(f"no Cantor-Zassenhaus split of a degree-{f.degree} product in {SPLIT_TRIES} tries")
     return _equal_degree(g, d, rng) + _equal_degree((f // g).monic(), d, rng)
 
 

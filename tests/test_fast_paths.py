@@ -8,14 +8,16 @@ route, and the Lagrangian count on even instances at q = 3 to 17."""
 
 import itertools
 import random
+import sys
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
-from afl_lab import gf
+from afl_lab import gf, linalg
 from afl_lab.cli import DEFAULT_SIGNATURES
 from afl_lab.dl import dl_fixed_points
-from afl_lab.engine import afl_verdict, fl_check
+from afl_lab.engine import afl_verdict, fl_check, geometric_count
 from afl_lab.errors import InputError
 from afl_lab.forge import _gram_columns, _toeplitz_unknowns, _unpack_gram, instance_from_spec
 from afl_lab.hermitian import (
@@ -28,8 +30,14 @@ from afl_lab.hermitian import (
 from afl_lab.linalg import Matrix, Subspace, charpoly, invariant_subspaces, kernel_of_poly, span
 from afl_lab.poly import divisor_poly, plain_factor, poly_key
 from conftest import random_matrix
-from test_hermitian import _solve_in_rows, herm_product, orth_complement, subquotient_by_definition
-from test_linalg import jordan_block, probe_is_regular
+from test_hermitian import (
+    _solve_in_rows,
+    assert_mask_perp_equals_scan,
+    herm_product,
+    orth_complement,
+    subquotient_by_definition,
+)
+from test_linalg import assert_lattice_equals_spans, jordan_block, probe_is_regular
 
 GRID = [(spec, q, seed) for q in (3, 5) for spec in DEFAULT_SIGNATURES for seed in range(3)]
 COXETER = [("coxeter:3", 3, seed) for seed in range(2)] + [("coxeter:3", 5, 0)]
@@ -129,6 +137,39 @@ def test_lattice_equals_kernels_of_divisors(spec, q, seed):
 def test_lattice_equals_kernels_on_jordan_and_random_regular():
     for m in regular_matrices():
         assert_lattice_is_kernels(m, plain_factor(charpoly(m), 0))
+
+
+@pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q + EVEN)
+def test_lazy_lattice_equals_eager_spans(spec, q, seed):
+    inst = instance(spec, q, seed)
+    assert_lattice_equals_spans(inst.g, inst.fact)
+
+
+@pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q + EVEN)
+def test_mask_perp_equals_row_scan_on_every_divisor(spec, q, seed):
+    assert_mask_perp_equals_scan(walk(spec, q, seed))
+
+
+def test_verify_path_forms_no_divisor_span(monkeypatch):
+    # the walk reads only chain members, which the lattice hands out as the
+    # kernels themselves: no span is formed through Lattice.__getitem__
+    inst = instance_from_spec("cp:1:2,cp:1:2,sp:1:3", 3, 0)
+    callers = Counter()
+    real = linalg.span
+
+    def counting(ambient, vectors):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(ambient, vectors)
+
+    monkeypatch.setattr(linalg, "span", counting)
+    geometric_count(inst)
+    assert callers["__getitem__"] == 0 < callers["kernel"]
+    afl_verdict(inst, cross_check=True)
+    assert callers["__getitem__"] == 0
+    # the counter does see a span formed through the lattice
+    lattice = invariant_subspaces(inst.g, inst.fact)
+    lattice[(1,) * len(inst.fact.factors)]
+    assert callers["__getitem__"] == 1
 
 
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)

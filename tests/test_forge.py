@@ -7,7 +7,7 @@ import pytest
 
 from afl_lab import cli, forge, gf
 from afl_lab.cli import DEFAULT_SIGNATURES
-from afl_lab.errors import ForgeError, InputError, InvariantError
+from afl_lab.errors import CrossCheckError, ForgeError, InputError, InvariantError
 from afl_lab.forge import (
     BlockSpec,
     build_block_instance,
@@ -100,6 +100,24 @@ def test_block_samplers_give_up_after_generator_tries(sig, kind, degree, monkeyp
     with pytest.raises(ForgeError, match=rf"{kind} irreducible of degree {degree} over F_9 \(q = 3\)"):
         build_block_instance(parse_signature(sig), 3, 11)
     assert 0 < len(calls) <= forge.GENERATOR_TRIES
+
+
+@pytest.mark.parametrize("walk", ["_min_poly_over_quadratic", "_witness_degree"])
+@pytest.mark.parametrize("level", [2, 6])
+def test_tau_orbit_walks_stop_after_d_steps(walk, level, monkeypatch):
+    # a tau_frob that sends everything to one other element never returns
+    # to z; the walk stops after d = level / 2 images instead of hanging
+    z, other = gf.gen(3, level), gf.one(3, level)
+    images = []
+
+    def stuck(x):
+        images.append(x)
+        return other
+
+    monkeypatch.setattr(gf, "tau_frob", stuck)
+    with pytest.raises(CrossCheckError, match=f"level-{level} element is not closed after {level // 2} steps"):
+        getattr(forge, walk)(z)
+    assert len(images) == level // 2
 
 
 def test_rejects_impossible_random_type():

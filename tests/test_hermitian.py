@@ -88,6 +88,25 @@ def subquotient_by_definition(w: Subspace, space: HermitianSpace, m: Matrix):
     return validate_space(gram_of_rows(space, reps)), quotient_matrix(m, w, reps)
 
 
+def perp_by_scan(basis, vec) -> tuple[int, ...]:
+    """W-perp by rescanning H: the rows a with H[a][c] = 0 for every c in W,
+    with the same count check as the column masks."""
+    w = basis.coords[vec]
+    out = tuple(a for a, row in enumerate(basis.gram.rows) if all(row[c].is_zero for c in w))
+    if len(out) != basis.gram.n - len(w):
+        raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
+    return out
+
+
+def assert_mask_perp_equals_scan(basis):
+    """perp and isotropic from the column masks against the row scan, on
+    every divisor."""
+    for vec, w in basis.coords.items():
+        wp = perp_by_scan(basis, vec)
+        assert basis.perp(vec) == wp, vec
+        assert basis.isotropic(vec) == (set(w) <= set(wp)), vec
+
+
 def walk_of(inst):
     """The invariant lattice of an instance and its adapted basis."""
     lattice = invariant_subspaces(inst.g, inst.fact)

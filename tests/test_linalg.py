@@ -17,7 +17,7 @@ from afl_lab.linalg import (
     rref,
     span,
 )
-from afl_lab.poly import Poly, is_irreducible, plain_factor, poly_gcd
+from afl_lab.poly import Poly, divisor_exponents, is_irreducible, plain_factor, poly_gcd
 from conftest import poly_from_ints, random_matrix, random_monic
 
 
@@ -309,6 +309,31 @@ def test_kernel_lattice_morphisms(rng):
 # invariant subspace lattice
 
 
+def lattice_by_spans(m: Matrix, fact) -> dict:
+    """The lattice with every divisor's span formed up front: one echelon
+    form of the concatenated primary chain bases per divisor."""
+    chains = linalg._primary_chains(m, fact)
+    return {
+        vec: span(m.n, [r for chain, k in zip(chains, vec) for r in chain[k].rows])
+        for vec in divisor_exponents(fact)
+    }
+
+
+def assert_lattice_equals_spans(m, fact):
+    """Keys, their order, len, membership and every value of the lazy
+    lattice against the eager oracle; values are read in a shuffled order
+    so no span depends on another having been formed first."""
+    lattice, eager = invariant_subspaces(m, fact), lattice_by_spans(m, fact)
+    assert len(lattice) == len(eager)
+    assert list(lattice) == list(eager)
+    assert all(vec in lattice for vec in eager)
+    assert tuple(a + 1 for a in max(eager)) not in lattice
+    order = list(eager)
+    random.Random(len(order)).shuffle(order)
+    assert {vec: lattice[vec] for vec in order} == eager
+    assert list(lattice.items()) == list(eager.items())
+
+
 def test_invariant_subspaces_of_jordan_chain():
     j = jordan_block(3, 2, gf.gen(3, 2), 3)
     subs = invariant_subspaces(j, plain_factor(charpoly(j), 0))
@@ -343,6 +368,22 @@ def test_lattice_decides_regularity_without_the_probe(diag, monkeypatch):
     monkeypatch.setattr(linalg, "is_regular", probe)
     with pytest.raises(InputError, match="regular"):
         invariant_subspaces(m, fact)
+
+
+def test_lazy_lattice_equals_spans_on_jordan_and_random_regular(rng):
+    ms = [jordan_block(3, 2, gf.gen(3, 2), 3)] + [random_matrix(3, 2, 3, rng) for _ in range(6)]
+    for m in ms:
+        if probe_is_regular(m):
+            assert_lattice_equals_spans(m, plain_factor(charpoly(m), 0))
+
+
+def test_lazy_lattice_is_read_only_and_rejects_other_keys():
+    m = jordan_block(3, 2, gf.gen(3, 2), 2)
+    lattice = invariant_subspaces(m, plain_factor(charpoly(m), 0))
+    with pytest.raises(KeyError):
+        lattice[(3,)]
+    with pytest.raises(TypeError):
+        lattice[(1,)] = Subspace(2, ())
 
 
 def test_divisibility_matches_inclusion(rng):
@@ -490,6 +531,27 @@ def test_rref_matches_dense_reference(level, density, rng):
     # repeated rows leave zero rows behind in the elimination
     rows = random_rows(3, level, 3, 4, density, rng)
     assert rref(rows + rows) == dense_rref(rows + rows)
+
+
+@pytest.mark.parametrize("level", [2, 14])
+def test_rref_of_rows_leading_with_one_inverts_nothing(level, monkeypatch, rng):
+    p, inverses = 3, []
+    real = gf.FieldElem.inverse
+
+    def counting(self):
+        inverses.append(self)
+        return real(self)
+
+    monkeypatch.setattr(gf.FieldElem, "inverse", counting)
+    tail = [gf.elem(p, level, [rng.randrange(p) for _ in range(level)]) for _ in range(3)]
+    row = [gf.zero(p, level), gf.one(p, level)] + tail
+    assert rref([row]) == ((tuple(row),), (1,))
+    assert inverses == []
+    # a pivot other than one is rescaled by its inverse
+    two = gf.from_base(p, level, 2)
+    scaled = [two * a for a in row]
+    assert rref([scaled]) == rref([row])
+    assert inverses == [two]
 
 
 def int_systems(p, rng):

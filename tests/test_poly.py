@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afl_lab import gf
-from afl_lab.errors import InputError, InvariantError
+from afl_lab import dl, gf, poly
+from afl_lab.errors import CrossCheckError, InputError, InvariantError
 from afl_lab.poly import (
     Modulus,
     Poly,
@@ -305,3 +305,30 @@ def test_tabled_fields_keep_the_schoolbook_product(rng):
     assert h == schoolbook_product(f, g)
     assert all(c._tables is not None for c in h.coeffs)
     assert f.powmod(10, g) == powmod_by_long_division(f, 10, g)
+
+
+# ---------------------------------------------------------------------------
+# the Cantor-Zassenhaus bound
+
+
+@pytest.mark.parametrize("draw", ["constant", "f_plus_one"])
+def test_equal_degree_split_gives_up_after_split_tries(draw, monkeypatch):
+    # (x - 1)(x - i) over F_9 with draws that never split it, as broken
+    # arithmetic would: a constant (skipped) or f + 1 (coprime to f, and its
+    # power is 1 mod f); every draw counts as a try
+    f = x_minus_enc(3, 1) * x_minus_enc(3, 3)
+    never = Poly.one(3, 2) if draw == "constant" else f + Poly.one(3, 2)
+    draws = []
+
+    def stub(p, level, max_deg, rng):
+        draws.append(max_deg)
+        return never
+
+    monkeypatch.setattr(poly, "_random_poly", stub)
+    with pytest.raises(CrossCheckError, match=f"degree-2 product in {poly.SPLIT_TRIES} tries"):
+        poly._equal_degree(f, 1, random.Random(0))
+    assert len(draws) == poly.SPLIT_TRIES
+
+
+def test_split_tries_is_shared_with_the_trace_split():
+    assert dl.SPLIT_TRIES is poly.SPLIT_TRIES == 64
