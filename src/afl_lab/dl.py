@@ -5,7 +5,7 @@ polynomial, the fixed lines in the ambient variety are the t eigenlines of s
 over F_{q^{2t}}.  This module finds them explicitly: one root of the
 characteristic polynomial in the big field by a seeded trace split, its
 q^2-Frobenius orbit as the full eigenvalue set, the eigenvectors as the
-Frobenius orbit of one kernel row, then the isotropy chain
+Frobenius orbit of one Krylov combination, then the isotropy chain
 
     h(l, l) = h(l, tau l) = ... = h(l, tau^{d-1} l) = 0,  h(l, tau^d l) != 0
 
@@ -33,12 +33,18 @@ products (x^m mod g folded in, no long division), Tr(a x) mod g is one packed
 combination of the cached x^(p^i), and the matrix-vector products and chain
 values are gf.dot products.
 
-s and G have their entries in F_{q^2}, which tau fixes, so tau maps the
-mu-eigenline to the tau(mu)-eigenline and keeps the leading 1 of a
-canonical row: one kernel of s - mu_0 I (a line, else CrossCheckError)
-gives every eigenvector, and each derived v_k is checked against
-s v_k = mu_k v_k.  With tau^i v_k = v_{k+i}, the chain values are dot
-products with the t cached vectors G conj(v_j), still computed per record.
+No kernel is taken at level 2t.  The characteristic polynomial f is
+irreducible, so e_1 has annihilator f, and w = h(s) e_1, with h = f/(x - mu_0)
+from one synthetic division, is nonzero with (s - mu_0) w = f(s) e_1 = 0; the
+t distinct roots make the eigenspace a line, which w spans (von zur Gathen
+and Gerhard, Modern Computer Algebra, ch. 12).  The Krylov vectors s^i e_1
+are formed at level 2 and embedded once, and each coordinate of w is one
+packed dot product of t terms.  s and G have their entries in F_{q^2},
+which tau fixes, so tau maps the mu-eigenline to the tau(mu)-eigenline and
+keeps the leading 1 of a canonical row: w over its leading entry gives
+every eigenvector, and each derived v_k is checked against s v_k = mu_k v_k.
+With tau^i v_k = v_{k+i}, the chain values are dot products with the t
+cached vectors G conj(v_j), still computed per record.
 
 Nothing here consults the closed-form counting formulas, so this is a true
 second route for the per-stratum counts.
@@ -53,12 +59,12 @@ from . import gf
 from .errors import CrossCheckError, InputError
 from .gf import dot as _dot
 from .hermitian import HermitianSpace
-from .linalg import Matrix, charpoly, kernel, rref
+from .linalg import Matrix, charpoly, rref
 from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 
 
 # Largest dimension `afl-lab dl` accepts.  On a 2-vCPU host t = 27 takes
-# about 1 s at q = 3, 3.4 s at q = 16381 and 6.5 s at q = 16319, the
+# about 0.5 s at q = 3, 2.0 s at q = 16381 and 4.7 s at q = 16319, the
 # slowest prime near P_MAX.  Above it the scan for the level-2t defining
 # polynomial leads and jumps with (q, t) (17 s for level 98 at q = 16319).
 T_MAX = 27
@@ -156,18 +162,35 @@ def _eigenvalue_orbit(f: Poly, rng) -> list[gf.FieldElem]:
     return orbit
 
 
-def _orbit_eigenvectors(s_big: Matrix, orbit: list[gf.FieldElem]) -> list[tuple[gf.FieldElem, ...]]:
-    """The canonical eigenvector of each orbit member: one kernel, then tau.
+def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[tuple[gf.FieldElem, ...]]:
+    """The canonical eigenvector of each orbit member: one Krylov combination, then tau.
 
-    The kernel of s - mu_0 I must be a line; v_{k+1} = tau(v_k) coordinatewise,
-    and each v_k must satisfy s v_k = mu_k v_k, else CrossCheckError.  tau
-    fixes 0 and 1, so tau keeps the leading 1 of the canonical row."""
-    eig = kernel(s_big - Matrix.identity(s_big.p, s_big.level, s_big.n).scale(orbit[0]))
-    if eig.dim != 1:
-        raise CrossCheckError("eigenspace of dimension != 1 for an irreducible charpoly")
-    vectors = [eig.rows[0]]
+    s lives in F_{q^2} and f is its characteristic polynomial lifted to the
+    level of the orbit, irreducible as the orbit has proved.  With
+    f = (x - mu_0) h + f(mu_0), w = h(s) e_1 spans the mu_0-eigenline (module
+    docstring) and w over its leading entry is its canonical row;
+    v_{k+1} = tau(v_k) coordinatewise.  f(mu_0) != 0, w = 0 or any
+    s v_k != mu_k v_k is a CrossCheckError."""
+    big, mu = f.level, orbit[0]
+    h = [f.coeffs[-1]]  # synthetic division by x - mu, top coefficient first
+    for c in reversed(f.coeffs[1:-1]):
+        h.append(c + mu * h[-1])
+    if not (f.coeffs[0] + mu * h[-1]).is_zero:
+        raise CrossCheckError("the first eigenvalue is not a root of the characteristic polynomial")
+    h.reverse()
+    # the Krylov vectors s^i e_1 at level 2, one column per coordinate
+    krylov = [(gf.one(s.p, s.level),) + (gf.zero(s.p, s.level),) * (s.n - 1)]
+    for _ in range(1, s.n):
+        krylov.append(s.apply(krylov[-1]))
+    w = [gf.dot([gf.embed(a, big) for a in column], h) for column in zip(*krylov)]
+    lead = next((c for c in w if not c.is_zero), None)
+    if lead is None:
+        raise CrossCheckError("the Krylov combination of an irreducible characteristic polynomial vanishes")
+    inv = lead.inverse()
+    vectors = [tuple(c * inv for c in w)]
     for _ in orbit[1:]:
         vectors.append(tuple(gf.tau_frob(c) for c in vectors[-1]))
+    s_big = Matrix.from_rows(s.p, big, [[gf.embed(a, big) for a in row] for row in s.rows])
     for mu, v in zip(orbit, vectors):
         if s_big.apply(v) != tuple(mu * c for c in v):
             raise CrossCheckError("a Frobenius image of the eigenvector is not an eigenvector of its eigenvalue")
@@ -189,9 +212,10 @@ def dl_fixed_points(space: HermitianSpace, s: Matrix, seed=0) -> list[EigenlineR
     cp = charpoly(s)
     p = space.p
     big = 2 * t
+    cp_big = cp.lift(big)
     rng = random.Random(f"dl:{p}:{t}:{seed}")
     try:
-        orbit = _eigenvalue_orbit(cp.lift(big), rng)
+        orbit = _eigenvalue_orbit(cp_big, rng)
     except CrossCheckError:
         # a full orbit proves cp irreducible, so only a failed one asks
         if not is_irreducible(cp):
@@ -199,9 +223,8 @@ def dl_fixed_points(space: HermitianSpace, s: Matrix, seed=0) -> list[EigenlineR
                 "characteristic polynomial is reducible; the fixed count is 0 by the split criterion"
             ) from None
         raise
-    s_big = Matrix.from_rows(p, big, [[gf.embed(a, big) for a in row] for row in s.rows])
     gram_big = Matrix.from_rows(p, big, [[gf.embed(a, big) for a in row] for row in space.gram.rows])
-    vectors = _orbit_eigenvectors(s_big, orbit)
+    vectors = _orbit_eigenvectors(s, cp_big, orbit)
     # h(x, y) = x . G conj(y), and tau^i v_k = v_{(k+i) mod t}
     gram_conj = [gram_big.apply([gf.frob_q(c) for c in v]) for v in vectors]
     d = (t - 1) // 2

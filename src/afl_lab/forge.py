@@ -501,7 +501,9 @@ def certify_instance(space: HermitianSpace, g: Matrix, tau: AntiInvolution, seed
     """Check every instance axiom and return the factorization of charpoly(g).
 
     Raises InvariantError naming the first broken axiom.  Regularity is
-    decided exactly on that factorization.  Every builder stores the
+    decided exactly on that factorization, with one echelon form per
+    repeated factor: a factor of multiplicity one cannot break it, so a
+    squarefree characteristic polynomial costs none.  Every builder stores the
     factorization returned here, so serialized certificates are never
     trusted and the invariant has a single source."""
     validate_space(space.gram)

@@ -42,6 +42,12 @@ def validate_space(gram: Matrix) -> HermitianSpace:
         raise InputError("Gram matrix must be square")
     if gram.transpose() != gram.conj():
         raise InvariantError("gram is not conjugate-symmetric")
+    return nondegenerate_space(gram)
+
+
+def nondegenerate_space(gram: Matrix) -> HermitianSpace:
+    """Certify nondegeneracy, by one echelon form, of a Gram matrix known to
+    be square and conjugate-symmetric."""
     if len(rref(gram.rows)[1]) != gram.n:
         raise InvariantError("gram is degenerate")
     return HermitianSpace(gram)
@@ -77,9 +83,9 @@ def validate_anti_involution(tau: AntiInvolution, space: HermitianSpace, g: Matr
     ident = Matrix.identity(s.p, s.level, n)
     if s @ s.conj() != ident:
         raise InvariantError("anti-involution is not involutive")
-    # g is invertible (unitary for a nondegenerate form), so S conj(g) conj(S)
-    # = g^{-1} iff S conj(g) conj(S) g = I
-    if s @ g.conj() @ s.conj() @ g != ident:
+    # g is invertible (unitary for a nondegenerate form) and conj(S) = S^{-1}
+    # by the check above, so S conj(g) conj(S) = g^{-1} iff g S conj(g) = S
+    if g @ s @ g.conj() != s:
         raise InvariantError("anti-involution does not conjugate g to its inverse")
     if s.transpose() @ space.gram @ s.conj() != space.gram.conj():
         raise InvariantError("anti-involution is not an anti-isometry")
@@ -203,4 +209,5 @@ def induced_subquotient(basis: AdaptedBasis, vec):
     if not w <= set(wp):
         raise InputError("subspace is not isotropic")
     r = [a for a in wp if a not in w]
-    return validate_space(_slice(basis.gram, r)), _slice(basis.g, r)
+    # a principal slice of the validated H is conjugate-symmetric already
+    return nondegenerate_space(_slice(basis.gram, r)), _slice(basis.g, r)

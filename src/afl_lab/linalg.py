@@ -9,11 +9,12 @@ The characteristic polynomial goes through a deterministic Hessenberg
 reduction followed by the classical recurrence on leading principal minors.
 Regularity (cyclicity) is decided exactly on the factorization of the
 characteristic polynomial: M is regular iff dim ker P_i(M) = deg P_i for every
-irreducible factor P_i.  The invariant subspace lattice of a regular M is
-built from the primary chains ker P_i(M)^k, whose dimensions the walk checks
-again on the way.  The lattice holds every divisor of the characteristic
-polynomial as a key, but forms a divisor's span only on first access: the
-geometric walk reads the chain members alone.
+irreducible factor P_i, which can fail only where P_i is a repeated factor.
+The invariant subspace lattice of a regular M is built from the primary
+chains ker P_i(M)^k, whose dimensions the walk checks again on the way.
+The lattice holds every divisor of the characteristic polynomial as a key,
+but forms a divisor's span only on first access: the geometric walk reads
+the chain members alone.
 """
 
 from __future__ import annotations
@@ -284,8 +285,15 @@ def is_regular(m: Matrix, fact) -> bool:
     """True iff M is cyclic, decided exactly from the factorization of its
     characteristic polynomial: dim ker P_i(M) = deg P_i for every irreducible
     factor P_i, i.e. each primary component has a single elementary divisor.
-    One echelon form per factor."""
-    return all(m.n - len(rref(m.eval_poly(f).rows)[1]) == f.degree for f, _ in factor_pairs(fact))
+
+    Only factors with a_i >= 2 are tested, one echelon form each.  For
+    a_i = 1 the P_i-primary component is ker P_i(M) itself, of dimension
+    a_i deg P_i = deg P_i by the primary decomposition, so the identity
+    holds there for every M; a squarefree characteristic polynomial costs
+    nothing."""
+    return all(
+        m.n - len(rref(m.eval_poly(f).rows)[1]) == f.degree for f, a in factor_pairs(fact) if a > 1
+    )
 
 
 def kernel_of_poly(m: Matrix, f: Poly) -> Subspace:
@@ -366,7 +374,8 @@ def invariant_subspaces(m: Matrix, fact) -> Lattice:
     kernel_of_poly(m, divisor_poly(fact, vec)) is the definition this is
     checked against.
     """
-    return Lattice(m.n, _primary_chains(m, fact), divisor_exponents(fact))
+    keys = divisor_exponents(fact)  # bounded before any chain is formed
+    return Lattice(m.n, _primary_chains(m, fact), keys)
 
 
 # ---------------------------------------------------------------------------

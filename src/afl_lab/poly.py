@@ -16,6 +16,7 @@ on the irreducible factors, which factor() computes and validates.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -30,6 +31,11 @@ from .gf import FieldElem, encode_int
 # (odds (2/3)^64 < 1e-11) means broken arithmetic or a factor without roots
 # in its field.
 SPLIT_TRIES = 64
+
+# Most divisors divisor_exponents enumerates: N_MAX bounds the dimension, not
+# the lattice (k distinct linear factors have 2^k divisors).  README gives
+# the timed runs behind it.
+DIVISOR_MAX = 2**17
 
 
 @dataclass(frozen=True, slots=True)
@@ -478,8 +484,13 @@ def factor_pairs(fact) -> list[tuple[Poly, int]]:
 
 
 def divisor_exponents(fact) -> list[tuple[int, ...]]:
-    """All exponent vectors (m_1..m_l), 0 <= m_i <= a_i, in lexicographic order."""
+    """All exponent vectors (m_1..m_l), 0 <= m_i <= a_i, in lexicographic order.
+
+    InputError when there are more than DIVISOR_MAX of them."""
     ranges = [range(a + 1) for _, a in factor_pairs(fact)]
+    count = math.prod(len(r) for r in ranges)
+    if count > DIVISOR_MAX:
+        raise InputError(f"the invariant subspace lattice has {count} divisors, more than {DIVISOR_MAX}")
     return list(itertools.product(*ranges))
 
 

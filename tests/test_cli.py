@@ -6,11 +6,12 @@ import types
 
 import pytest
 
-from afl_lab import cli, dl, forge, gf
+from afl_lab import cli, dl, forge, gf, linalg
 from afl_lab.cli import DEFAULT_SIGNATURES, SweepConfig, main, pool_size, run_sweep
 from afl_lab.dl import T_MAX
 from afl_lab.errors import InputError
 from afl_lab.forge import N_MAX, instance_from_spec, serialize_instance
+from afl_lab.poly import DIVISOR_MAX
 
 
 def run_cli(*args, env_extra=None):
@@ -318,6 +319,20 @@ def test_specs_at_n_max_reach_the_builder(spec, monkeypatch):
     with pytest.raises(BuilderReached):
         main(["verify", "--q", "3", "--sig", spec])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("q,blocks", [(31, 32), (37, 33)])
+def test_lattice_above_the_divisor_bound_exits_2_at_once(q, blocks, capsys, monkeypatch):
+    # k distinct sp:1:1 blocks have 2^k divisors; n = 32 takes the
+    # counting-identity path and n = 33 the verdict, and both stop at the count
+    def no_chains(*args):
+        raise AssertionError("no primary chain may be formed above the bound")
+
+    monkeypatch.setattr(linalg, "_primary_chains", no_chains)
+    assert main(["verify", "--q", str(q), "--sig", ",".join(["sp:1:1"] * blocks)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError"
+    assert f"lattice has {2**blocks} divisors, more than {DIVISOR_MAX}" in err["message"]
 
 
 def test_dl_exits_1_when_one_record_fails_the_chain(capsys, monkeypatch):

@@ -137,9 +137,24 @@ def test_chain_values_equal_the_definition(q, t, seed):
             image = tuple(gf.tau_frob(c) for c in image)
 
 
-@pytest.mark.parametrize("q,t,seed", [(3, 1, 0), (3, 3, 1), (5, 3, 2), (3, 5, 3), (7, 5, 4), (3, 7, 5)])
+def eigenvectors_by_kernel(s_big: Matrix, orbit):
+    """Oracle for dl._orbit_eigenvectors: the canonical row of the kernel of
+    s - mu_0 I, which must be a line, and its tau-orbit."""
+    eig = kernel(s_big - Matrix.identity(s_big.p, s_big.level, s_big.n).scale(orbit[0]))
+    assert eig.dim == 1
+    vectors = [eig.rows[0]]
+    for _ in orbit[1:]:
+        vectors.append(tuple(gf.tau_frob(c) for c in vectors[-1]))
+    return vectors
+
+
+@pytest.mark.parametrize(
+    "q,t,seed",
+    [(3, 1, 0), (3, 3, 1), (5, 3, 2), (3, 5, 3), (7, 5, 4), (3, 7, 5),
+     (11, 3, 6), (11, 5, 7), (13, 5, 8), (17, 3, 9), (17, 7, 10), (16381, 3, 11), (16381, 5, 12)],
+)
 def test_orbit_eigenvectors_equal_per_eigenvalue_kernels(q, t, seed):
-    # tau^k of the one kernel row is the canonical row of each eigenspace
+    # the Krylov row and its tau-images are the canonical row of each eigenspace
     inst = coxeter(q, t, seed)
     records = dl_fixed_points(inst.space, inst.g, seed=seed)
     s_big = _big(inst.g, 2 * t)
@@ -147,17 +162,19 @@ def test_orbit_eigenvectors_equal_per_eigenvalue_kernels(q, t, seed):
     assert len(records) == t
     for rec in records:
         assert kernel(s_big - ident.scale(rec.eigenvalue)).rows == (rec.vector,)
+    orbit, s, f = _orbit_and_charpoly(q, t, seed)
+    assert dl._orbit_eigenvectors(s, f, orbit) == eigenvectors_by_kernel(s_big, orbit)
 
 
-def _orbit_and_matrix(q, t, seed):
+def _orbit_and_charpoly(q, t, seed):
     inst = coxeter(q, t, seed)
     f = charpoly(inst.g).lift(2 * t)
-    return dl._eigenvalue_orbit(f, random.Random(seed)), _big(inst.g, 2 * t)
+    return dl._eigenvalue_orbit(f, random.Random(seed)), inst.g, f
 
 
 def test_perturbed_derived_eigenvector_is_a_cross_check_failure(monkeypatch):
-    orbit, s_big = _orbit_and_matrix(3, 5, 1)
-    assert len(dl._orbit_eigenvectors(s_big, orbit)) == 5
+    orbit, s, f = _orbit_and_charpoly(3, 5, 1)
+    assert len(dl._orbit_eigenvectors(s, f, orbit)) == 5
     tau = gf.tau_frob
     calls = []
 
@@ -169,15 +186,26 @@ def test_perturbed_derived_eigenvector_is_a_cross_check_failure(monkeypatch):
 
     monkeypatch.setattr(gf, "tau_frob", tau_perturbing_v1)
     with pytest.raises(CrossCheckError, match="not an eigenvector"):
-        dl._orbit_eigenvectors(s_big, orbit)
+        dl._orbit_eigenvectors(s, f, orbit)
 
 
-def test_eigenspace_that_is_not_a_line_is_a_cross_check_failure():
-    orbit, s_big = _orbit_and_matrix(3, 3, 2)
+def test_non_root_first_eigenvalue_is_a_cross_check_failure():
+    # the orbit already forces each eigenspace to be a line; what the
+    # synthetic division checks is that mu_0 is a root at all
+    orbit, s, f = _orbit_and_charpoly(3, 3, 2)
     not_a_root = orbit[0] + gf.one(3, 6)
     assert not_a_root not in orbit
-    with pytest.raises(CrossCheckError, match="dimension != 1"):
-        dl._orbit_eigenvectors(s_big, [not_a_root] + orbit[1:])
+    with pytest.raises(CrossCheckError, match="not a root"):
+        dl._orbit_eigenvectors(s, f, [not_a_root] + orbit[1:])
+
+
+def test_vanishing_krylov_combination_is_a_cross_check_failure():
+    # s = I with f = (x - 1)^3: 1 is a root, but h = (x - 1)^2 kills e_1
+    s = Matrix.identity(3, 2, 3)
+    f = charpoly(s).lift(6)
+    one = gf.one(3, 6)
+    with pytest.raises(CrossCheckError, match="vanishes"):
+        dl._orbit_eigenvectors(s, f, [one, one, one])
 
 
 # ---------------------------------------------------------------------------

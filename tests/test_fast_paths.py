@@ -37,7 +37,7 @@ from test_hermitian import (
     orth_complement,
     subquotient_by_definition,
 )
-from test_linalg import assert_lattice_equals_spans, jordan_block, probe_is_regular
+from test_linalg import assert_lattice_equals_spans, jordan_block, probe_is_regular, regular_by_definition
 
 GRID = [(spec, q, seed) for q in (3, 5) for spec in DEFAULT_SIGNATURES for seed in range(3)]
 COXETER = [("coxeter:3", 3, seed) for seed in range(2)] + [("coxeter:3", 5, 0)]
@@ -137,6 +137,16 @@ def test_lattice_equals_kernels_of_divisors(spec, q, seed):
 def test_lattice_equals_kernels_on_jordan_and_random_regular():
     for m in regular_matrices():
         assert_lattice_is_kernels(m, plain_factor(charpoly(m), 0))
+
+
+@pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q + EVEN)
+def test_is_regular_equals_every_factor_test(spec, q, seed):
+    # g is regular; g + g repeats every primary component, so it is not
+    inst = instance(spec, q, seed)
+    assert linalg.is_regular(inst.g, inst.fact) and regular_by_definition(inst.g, inst.fact)
+    doubled = Matrix.block_diag([inst.g, inst.g])
+    fact = [(f, 2 * a) for f, a in inst.fact.factors]
+    assert not linalg.is_regular(doubled, fact) and not regular_by_definition(doubled, fact)
 
 
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q + EVEN)

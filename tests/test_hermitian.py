@@ -379,6 +379,34 @@ def test_complement_count_check_rejects_a_degenerate_form():
         induced_subquotient(broken, line)
 
 
+def test_subquotient_rejects_a_degenerate_slice():
+    # W = 0 passes the complement count for any H, so the slice is all of H;
+    # with its last row and column zeroed it is degenerate
+    inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
+    lattice, basis = walk_of(inst)
+    n, z = inst.n, gf.zero(3, 2)
+    rows = [[z if n - 1 in (a, b) else x for b, x in enumerate(row)] for a, row in enumerate(basis.gram.rows)]
+    broken = dataclasses.replace(basis, gram=Matrix.from_rows(3, 2, rows))
+    zero = next(vec for vec in lattice if not any(vec))
+    with pytest.raises(InvariantError, match="gram is degenerate"):
+        induced_subquotient(broken, zero)
+
+
+def test_subquotient_rechecks_no_symmetry(monkeypatch):
+    # the slices of the validated H are conjugate-symmetric by construction
+    inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
+    lattice, basis = walk_of(inst)
+
+    def no_symmetry_check(*_):
+        raise AssertionError("induced_subquotient must not re-validate a slice")
+
+    monkeypatch.setattr(Matrix, "transpose", no_symmetry_check)
+    for vec in lattice:
+        if basis.isotropic(vec):
+            sub_space, _ = induced_subquotient(basis, vec)
+            assert sub_space.dim == inst.n - 2 * lattice[vec].dim
+
+
 def test_adapted_basis_spans_every_lattice_member():
     for sig, q, seed in [("cp:1:2,sp:1:1", 3, 1), ("cp:2:1,sp:1:1", 5, 2), ("sp:1:1,sp:1:2", 3, 0)]:
         inst = build_block_instance(parse_signature(sig), q, seed)

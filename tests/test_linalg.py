@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from afl_lab import gf, linalg
 from afl_lab.errors import InputError
+from afl_lab.forge import random_coxeter_instance
 from afl_lab.linalg import (
     Matrix,
     Subspace,
@@ -17,7 +19,7 @@ from afl_lab.linalg import (
     rref,
     span,
 )
-from afl_lab.poly import Poly, divisor_exponents, is_irreducible, plain_factor, poly_gcd
+from afl_lab.poly import Poly, divisor_exponents, factor_pairs, is_irreducible, plain_factor, poly_gcd
 from conftest import poly_from_ints, random_matrix, random_monic
 
 
@@ -235,6 +237,103 @@ def test_exact_regularity_matches_probe_on_derogatory_matrices(name):
     m = _derogatory(name)
     assert not probe_is_regular(m)
     assert not exact_is_regular(m)
+
+
+def regular_by_definition(m: Matrix, fact) -> bool:
+    """Oracle for is_regular: dim ker P_i(M) = deg P_i on every factor,
+    squarefree ones included."""
+    return all(m.n - len(rref(m.eval_poly(f).rows)[1]) == f.degree for f, _ in factor_pairs(fact))
+
+
+def jordan_sum(blocks):
+    return Matrix.block_diag([jordan_block(3, 2, lam, k) for lam, k in blocks])
+
+
+def _jordan_shapes():
+    one, i = gf.one(3, 2), gf.gen(3, 2)
+    return [
+        ([(one, 3)], True),
+        ([(one, 2), (i, 1)], True),
+        ([(one, 1), (i, 1), (i + one, 1)], True),
+        ([(one, 2), (i, 2), (i + one, 1)], True),
+        ([(one, 1), (one, 1)], False),
+        ([(one, 2), (one, 1)], False),
+        ([(one, 2), (one, 2)], False),
+        ([(one, 1), (i, 1), (one, 1)], False),
+        ([(one, 2), (i, 2), (i, 1)], False),
+        ([(one, 3), (i, 1), (i + one, 2), (i + one, 1)], False),
+    ]
+
+
+@pytest.mark.parametrize("blocks,regular", _jordan_shapes())
+def test_is_regular_equals_definition_on_jordan_sums(blocks, regular):
+    m = jordan_sum(blocks)
+    fact = plain_factor(charpoly(m), 0)
+    assert is_regular(m, fact) == regular_by_definition(m, fact) == regular
+
+
+def random_conjugate(m: Matrix, rng) -> Matrix:
+    """P M P^-1 for a random invertible P, with P^-1 read off rref([P | I])."""
+    n = m.n
+    ident = Matrix.identity(m.p, m.level, n)
+    while True:
+        pm = random_matrix(m.p, m.level, n, rng)
+        red, pivots = rref([list(r) + list(e) for r, e in zip(pm.rows, ident.rows)])
+        if pivots[:n] == tuple(range(n)):
+            inv = Matrix.from_rows(m.p, m.level, [r[n:] for r in red[:n]])
+            return pm @ m @ inv
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_is_regular_equals_definition_on_random_matrices(p, rng):
+    # dense random matrices are almost always regular; block sums of random
+    # blocks, one block repeated half the time, give derogatory ones
+    verdicts = []
+    for k in range(40):
+        if k % 2:
+            m = random_matrix(p, 2, rng.randrange(1, 5), rng)
+        else:
+            b = random_matrix(p, 2, rng.randrange(1, 3), rng)
+            c = b if k % 4 == 0 else random_matrix(p, 2, rng.randrange(1, 3), rng)
+            m = random_conjugate(Matrix.block_diag([b, c]), rng)
+        fact = plain_factor(charpoly(m), 0)
+        verdicts.append(regular_by_definition(m, fact))
+        assert is_regular(m, fact) == verdicts[-1]
+    assert True in verdicts and False in verdicts
+
+
+def test_is_regular_equals_definition_on_every_2x2_over_f9():
+    elems = [gf.elem_from_encoding(3, 2, k) for k in range(9)]
+    derogatory = 0
+    for a, b, c, d in itertools.product(elems, repeat=4):
+        m = Matrix.from_rows(3, 2, [[a, b], [c, d]])
+        fact = plain_factor(charpoly(m), 0)
+        regular = is_regular(m, fact)
+        assert regular == regular_by_definition(m, fact)
+        derogatory += not regular
+    assert derogatory == 9  # the scalar matrices
+
+
+def test_squarefree_charpoly_costs_is_regular_no_eval_poly(monkeypatch):
+    calls = []
+    eval_poly = Matrix.eval_poly
+
+    def counting(self, f):
+        calls.append(f)
+        return eval_poly(self, f)
+
+    monkeypatch.setattr(Matrix, "eval_poly", counting)
+    one, i = gf.one(3, 2), gf.gen(3, 2)
+    m = jordan_sum([(one, 1), (i, 1), (i + one, 1)])
+    assert is_regular(m, plain_factor(charpoly(m), 0))
+    f = _quadratic_irreducible(3)
+    assert is_regular(Matrix.companion(f), [(f, 1)])
+    inst = random_coxeter_instance(3, 5, 0)
+    assert is_regular(inst.g, inst.fact)
+    assert calls == []
+    m = jordan_sum([(one, 2), (i, 1), (i + one, 3)])
+    assert is_regular(m, plain_factor(charpoly(m), 0))
+    assert sorted(f.degree for f in calls) == [1, 1]  # one per repeated factor
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,23 @@ def test_divisors_of_single_factor():
     assert divisor_exponents(fact) == [(0,), (1,)]
 
 
+@pytest.mark.parametrize(
+    "multiplicities",
+    [[1] * 18, [poly.DIVISOR_MAX, 1], [2] * 11],
+    ids=["2^18", "bound_times_2", "3^11"],
+)
+def test_divisors_above_the_bound_are_an_input_error(multiplicities):
+    # only the multiplicities are read; the count is known before enumerating
+    with pytest.raises(InputError, match=f"more than {poly.DIVISOR_MAX}"):
+        divisor_exponents([(None, a) for a in multiplicities])
+
+
+@pytest.mark.parametrize("multiplicities", [[1] * 17, [poly.DIVISOR_MAX - 1]], ids=["2^17", "one_chain"])
+def test_divisors_at_the_bound_are_enumerated(multiplicities):
+    assert poly.DIVISOR_MAX == 2**17
+    assert len(divisor_exponents([(None, a) for a in multiplicities])) == poly.DIVISOR_MAX
+
+
 def test_divisors_of_cube():
     fact = _fact_of([(Poly.x_minus(gf.one(3, 2)), 3)])
     assert len(divisor_exponents(fact)) == 4

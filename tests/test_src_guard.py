@@ -1,6 +1,6 @@
 """src holds no test-only code: every function, class and method defined in
 src/afl_lab is referenced from src, exported by __init__, or a named oracle
-on the allowlist below."""
+on the allowlist below; and every name a src module imports is read there."""
 
 import ast
 from collections import Counter
@@ -67,3 +67,38 @@ def test_src_defines_nothing_only_tests_use():
 def test_every_allowlisted_name_is_still_defined_and_unreferenced():
     names = {q.rsplit(".", 1)[-1] for q in unreferenced()}
     assert set(ALLOWED) <= names
+
+
+def unused_imports(src=SRC):
+    """module.name for every name a src module imports but never reads; a
+    name in the module's __all__ counts as read (the package re-exports)."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = read_names(tree)
+        exported = {
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if not read[name] and name not in exported:
+                        found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_src_imports_nothing_it_does_not_read():
+    assert unused_imports() == []
+
+
+def test_unused_import_guard_sees_a_leftover(tmp_path):
+    # an import whose last reader is gone, as kernel would be in dl
+    leftover = tmp_path / "leftover.py"
+    leftover.write_text("from .linalg import Matrix, kernel\n\n\ndef f(m: Matrix):\n    return m\n")
+    assert unused_imports(tmp_path) == ["leftover.kernel"]
