@@ -32,13 +32,18 @@ Comput. 78, 1988): a^-1 = a^(p + ... + p^(L-1)) / N(a), L - 1 Frobenius
 steps and products.
 
 Small fields compute by table (Lidl-Niederreiter, Finite Fields, ch. 9):
-when p**level <= TABLE_CAP (F_9 up to F_169 at level 2, and F_81) every
-value is one interned FieldElem indexed by its encode_int, and add, sub,
-neg, mul, inverse and frob_q are single lookups in Cayley tables built from
-the Kronecker powers of a primitive element on the first operation in that
-field, never at import or in make_tower.  Larger levels (the eigenline
-fields, and F_{q^2} for q >= 17) apply the two maps directly.  Both share
-the one FieldElem class.
+when p**level <= TABLE_CAP (F_9 up to F_169 at level 2, F_27, F_81, F_125,
+F_243, and F_p for p <= 251) every value is one interned FieldElem indexed
+by its encode_int, and add, sub, neg, mul, inverse and frob_q are single
+lookups in Cayley tables built from the Kronecker powers of a primitive
+element on the first operation in that field, never at import or in
+make_tower.  The same tables exist on encodings: index_rows hands a kernel
+(matrix products, echelon forms, characteristic polynomials, polynomial
+products, division and powers) the int tables add[a][b], sub[a][b],
+mul[a][b] and inv[a] with its operands as int lists, so its inner loop runs
+on ints and wraps its result back into interned elements once at exit.
+Larger levels (the eigenline fields, and F_{q^2} for q >= 17) apply the two
+maps directly.  Both share the one FieldElem class.
 
 The F_p[x] helpers on little-endian int lists serve only the definition of
 the fields: the irreducibility test behind defining_poly and the reduction
@@ -310,22 +315,29 @@ def dot(xs, ys) -> "FieldElem":
     """sum(x * y) over the pairs of two vectors over one field; terms with a
     zero x are skipped (matrices here are sparse).
 
-    Tabled fields add table products.  Above the cap the packed products are
-    summed as integers and the sum is folded once: one reduction per dot
-    product instead of one per term."""
+    Tabled fields add table products on encodings.  Above the cap the packed
+    products are summed as integers and the sum is folded once: one
+    reduction per dot product instead of one per term.  Vectors of unequal
+    length, or any entry from another field, raise InputError."""
+    if len(xs) != len(ys):
+        raise InputError("dot product of vectors of unequal length")
+    enc = index_rows(xs, ys)
+    if enc is not None:
+        t, (a, b) = enc
+        add, mul = t.add, t.mul
+        acc = 0
+        for x, y in zip(a, b):
+            if x:
+                acc = add[acc][mul[x][y]]
+        return t.elems[acc]
     x0 = xs[0]
-    if x0._tables is not None:
-        acc = None
-        for a, b in zip(xs, ys):
-            if not a.is_zero:
-                acc = a * b if acc is None else acc + a * b
-        return zero(x0.p, x0.level) if acc is None else acc
     p, level = x0.p, x0.level
-    x0._check(ys[0])
     width = slot_width(p, level, len(xs))
     vec = _blocks(p, level, width, 1)[0]
     acc = 0
     for a, b in zip(xs, ys):
+        if a.level != level or b.level != level or a.p != p or b.p != p:
+            raise InputError("elements live in different fields")
         if any(a.coeffs):
             acc += int.from_bytes(vec.pack(*a.coeffs), "little") * int.from_bytes(vec.pack(*b.coeffs), "little")
     return fold_blocks(p, level, width, 1, acc)[0]
@@ -469,16 +481,28 @@ def _new_elem(p, level, coeffs, enc, tables):
     return x
 
 
+class IndexTables:
+    """A tabled field's arithmetic on encodings (encode_int values): the ints
+    add[a][b], sub[a][b], mul[a][b] and inv[a] (None at zero), and elems[a],
+    the interned element of encoding a."""
+
+    __slots__ = ("add", "sub", "mul", "inv", "elems")
+
+    def __init__(self, add, sub, mul, inv, elems):
+        self.add, self.sub, self.mul, self.inv, self.elems = add, sub, mul, inv, elems
+
+
 class _Tables:
     """One interned element per value of a small field and its Cayley tables.
 
     Every table is indexed by encode_int: add[a][b], sub[a][b], mul[a][b],
-    neg[a], inv[a] (None at zero) and frob[a] hold the result elements.  The
-    tables are built on the first access to any of them, so creating
-    elements (make_tower, gf.zero, parsing) never pays for them.
+    neg[a], inv[a] (None at zero) and frob[a] hold the result elements, and
+    _index holds the same add, sub, mul and inv on encodings.  The tables are
+    built on the first access to any of them, so creating elements
+    (make_tower, gf.zero, parsing) never pays for them.
     """
 
-    __slots__ = ("p", "level", "elems", "add", "sub", "neg", "mul", "inv", "frob")
+    __slots__ = ("p", "level", "elems", "add", "sub", "neg", "mul", "inv", "frob", "_index")
 
     def __init__(self, p, level):
         self.p, self.level = p, level
@@ -486,7 +510,7 @@ class _Tables:
 
     def __getattr__(self, name):
         # reached only for an unset slot, i.e. before the first arithmetic
-        if name not in ("add", "sub", "neg", "mul", "inv", "frob"):
+        if name not in ("add", "sub", "neg", "mul", "inv", "frob", "_index"):
             raise AttributeError(name)
         self._build()
         return getattr(self, name)
@@ -519,11 +543,39 @@ class _Tables:
         self.mul = [[zero] * q] + [[zero] + [powers[(log[a] + log[b]) % m] for b in range(1, q)] for a in range(1, q)]
         self.inv = [None] + [powers[-log[a] % m] for a in range(1, q)]
         self.frob = [zero] + [powers[p * log[a] % m] for a in range(1, q)]
+        add, sub, mul = ([[x._enc for x in row] for row in table] for table in (self.add, self.sub, self.mul))
+        self._index = IndexTables(add, sub, mul, [None] + [x._enc for x in self.inv[1:]], els)
 
 
 @lru_cache(maxsize=None)
 def _tables(p, level):
     return _Tables(p, level)
+
+
+def index_rows(*vectors):
+    """(IndexTables, one int list of encodings per vector) for vectors whose
+    entries all lie in one tabled field, the field of the first entry.
+
+    None when that field is above TABLE_CAP, or there is no entry: the
+    caller keeps its FieldElem loop.  InputError when any entry lies in
+    another field.  A kernel calls this once, runs its inner loop on the
+    ints and wraps its result in t.elems once, so values still cross module
+    boundaries as FieldElems only."""
+    for v in vectors:
+        if v:
+            t = v[0]._tables
+            break
+    else:
+        return None
+    if t is None:
+        return None
+    rows = []
+    for v in vectors:
+        row = [x._enc for x in v if x._tables is t]
+        if len(row) != len(v):
+            raise InputError("elements live in different fields")
+        rows.append(row)
+    return t._index, rows
 
 
 def elem(p: int, level: int, coeffs) -> FieldElem:

@@ -54,10 +54,11 @@ def nondegenerate_space(gram: Matrix) -> HermitianSpace:
 
 
 def gram_of_rows(space: HermitianSpace, rows) -> Matrix:
-    """The matrix [h(a, b)] over the given rows, the product R G conj(R)^T
-    with G conj(b) formed once per row."""
-    g_conj = Matrix.from_rows(space.p, space.level, [space.gram.apply([gf.conj(c) for c in b]) for b in rows])
-    return Matrix.from_rows(space.p, space.level, [g_conj.apply(a) for a in rows])
+    """The matrix [h(a, b)] over the given rows, the product R G conj(R)^T."""
+    if not rows:
+        return Matrix(space.p, space.level, ())
+    r = Matrix.from_rows(space.p, space.level, rows)
+    return r @ space.gram @ r.conj().transpose()
 
 
 def is_unitary(m: Matrix, space: HermitianSpace) -> bool:
@@ -183,7 +184,7 @@ def quotient_matrix(m: Matrix, w: Subspace, reps) -> Matrix:
         return Matrix(m.p, m.level, ())
     basis = list(w.rows) + list(reps)
     k = len(basis)
-    images = [m.apply(r) for r in reps]
+    images = (Matrix.from_rows(m.p, m.level, reps) @ m.transpose()).rows
     red, pivots = rref([list(b) + list(i) for b, i in zip(zip(*basis), zip(*images))])
     if pivots and pivots[-1] >= k:
         raise InputError("representatives do not span an invariant subspace")

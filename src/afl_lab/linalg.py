@@ -7,6 +7,11 @@ hashes an algebraic value.
 
 The characteristic polynomial goes through a deterministic Hessenberg
 reduction followed by the classical recurrence on leading principal minors.
+Over a tabled field (gf.TABLE_CAP) the kernels here (products, apply,
+Horner's eval_poly, rref and charpoly) take their operands' encodings from
+gf.index_rows once per call, run the same loops on ints through the index
+tables and wrap the result in FieldElems once; above the cap they run the
+FieldElem loops, which the tests also hold the encoded ones against.
 Regularity (cyclicity) is decided exactly on the factorization of the
 characteristic polynomial: M is regular iff dim ker P_i(M) = deg P_i for every
 irreducible factor P_i, which can fail only where P_i is a repeated factor.
@@ -107,6 +112,10 @@ class Matrix:
         self._check(other)
         if self.ncols != other.n:
             raise InputError("shape mismatch")
+        enc = gf.index_rows(*self.rows, *other.rows)
+        if enc is not None:
+            t, rows = enc
+            return Matrix(self.p, self.level, _wrap(t, _matmul_indexed(t, rows[: self.n], rows[self.n :])))
         cols = list(zip(*other.rows))
         out = []
         for r in self.rows:
@@ -126,6 +135,10 @@ class Matrix:
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
             raise InputError("vector length mismatch")
+        enc = gf.index_rows(v, *self.rows)
+        if enc is not None:
+            t, (x, *rows) = enc
+            return tuple(t.elems[y] for (y,) in _matmul_indexed(t, rows, [[y] for y in x]))
         return tuple(gf.dot(r, v) for r in self.rows)
 
     @property
@@ -135,17 +148,105 @@ class Matrix:
     def eval_poly(self, f: Poly) -> "Matrix":
         """Horner evaluation f(M), starting from f_d M + f_{d-1} I.
 
-        A polynomial of degree d costs d - 1 matmuls, none for d <= 1."""
-        ident = Matrix.identity(self.p, self.level, self.n)
+        A polynomial of degree d costs d - 1 matrix products, none for
+        d <= 1, and each constant is added on the diagonal only.  Over a
+        tabled field the whole evaluation runs on encodings."""
+        enc = gf.index_rows(f.coeffs, *self.rows)
+        if enc is not None:
+            t, (coeffs, *rows) = enc
+            return Matrix(self.p, self.level, _wrap(t, _horner_indexed(t, rows, coeffs)))
         if f.degree < 1:
-            return ident.scale(f.coeff(0))
-        acc = self.scale(f.leading) + ident.scale(f.coeffs[-2])
+            return Matrix.identity(self.p, self.level, self.n).scale(f.coeff(0))
+        acc = _plus_diagonal(self.scale(f.leading), f.coeffs[-2])
         for c in reversed(f.coeffs[:-2]):
-            acc = acc @ self + ident.scale(c)
+            acc = _plus_diagonal(acc @ self, c)
         return acc
 
     def to_json(self):
         return [[list(a.coeffs) for a in r] for r in self.rows]
+
+
+def _plus_diagonal(m: Matrix, c: gf.FieldElem) -> Matrix:
+    # M + c I by n additions
+    rows = [list(r) for r in m.rows]
+    for i, r in enumerate(rows):
+        r[i] = r[i] + c
+    return Matrix.from_rows(m.p, m.level, rows)
+
+
+# ---------------------------------------------------------------------------
+# kernels on encodings: int rows and the IndexTables t of gf.index_rows
+
+
+def _wrap(t, rows) -> tuple:
+    get = t.elems.__getitem__
+    return tuple(tuple(map(get, r)) for r in rows)
+
+
+def _matmul_indexed(t, a, b):
+    # row i of a b is the combination of the rows of b by row i of a; plain
+    # loops, as a comprehension per row costs more than it saves at n <= 9
+    add, mul, out = t.add, t.mul, []
+    for r in a:
+        acc = [0] * len(b[0])
+        for x, row in zip(r, b):
+            if x:
+                mx, j = mul[x], 0
+                for y in row:
+                    acc[j] = add[acc[j]][mx[y]]
+                    j += 1
+        out.append(acc)
+    return out
+
+
+def _horner_indexed(t, m, coeffs):
+    # f(M) for f = sum coeffs[i] T^i, as in Matrix.eval_poly
+    add, n = t.add, len(m)
+    if len(coeffs) < 2:
+        c = coeffs[0] if coeffs else 0
+        return [[c if i == j else 0 for j in range(n)] for i in range(n)]
+    lead = t.mul[coeffs[-1]]
+    acc = [[lead[x] for x in row] for row in m]
+    for k, c in enumerate(reversed(coeffs[:-1])):
+        if k:
+            acc = _matmul_indexed(t, acc, m)
+        for i, row in enumerate(acc):
+            row[i] = add[row[i]][c]
+    return acc
+
+
+def _rref_indexed(t, mat):
+    # rref on encodings, step for step the FieldElem loop in rref; the pivot
+    # row is zero left of col, so each update runs from col on
+    sub, mul, inv = t.sub, t.mul, t.inv
+    nrows, ncols = len(mat), len(mat[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        for piv in range(r, nrows):
+            if mat[piv][col]:
+                break
+        else:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        prow = mat[r]
+        if prow[col] != 1:  # a pivot of one is already scaled
+            scale = mul[inv[prow[col]]]
+            for j in range(col, ncols):
+                prow[j] = scale[prow[j]]
+        tail = prow[col:]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != r:
+                mf, j = mul[f], col
+                for b in tail:
+                    row[j] = sub[row[j]][mf[b]]
+                    j += 1
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return mat[:r], tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +254,19 @@ class Matrix:
 
 
 def rref(rows) -> tuple[tuple, tuple[int, ...]]:
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    Over a tabled field the elimination runs on encodings; above the cap
+    (and as the oracle for that) on FieldElems."""
+    rows = list(rows)
+    if not rows:
         return (), ()
+    enc = gf.index_rows(*rows)
+    if enc is not None:
+        t, mat = enc
+        red, pivots = _rref_indexed(t, mat)
+        return _wrap(t, red), pivots
+    mat = [list(r) for r in rows]
     ncols = len(mat[0])
     pivots = []
     r = 0
@@ -244,12 +354,58 @@ def transform_subspace(sub: Subspace, fn) -> Subspace:
 # characteristic polynomial and regularity
 
 
+def _charpoly_indexed(t, h):
+    # charpoly on encodings, step for step the FieldElem loop in charpoly;
+    # the polynomials of the recurrence are little-endian int lists
+    add, sub, mul, inv = t.add, t.sub, t.mul, t.inv
+    n = len(h)
+    for j in range(n - 2):
+        piv = next((r for r in range(j + 1, n) if h[r][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[j + 1], h[piv] = h[piv], h[j + 1]
+            for row in h:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+        scale, prow = mul[inv[h[j + 1][j]]], h[j + 1]
+        for r in range(j + 2, n):
+            if not h[r][j]:
+                continue
+            mf, row = mul[scale[h[r][j]]], h[r]
+            for c in range(j, n):  # prow is zero left of column j
+                row[c] = sub[row[c]][mf[prow[c]]]
+            for row in h:
+                row[j + 1] = add[row[j + 1]][mf[row[r]]]
+    chain = [[1]]
+    for k in range(n):
+        prev, shift = chain[k], mul[h[k][k]]
+        cur = [0] + prev
+        for i, b in enumerate(prev):
+            cur[i] = sub[cur[i]][shift[b]]
+        prod = 1
+        for a in range(k - 1, -1, -1):
+            prod = mul[prod][h[a + 1][a]]
+            if not prod:  # every further term has the zero factor too
+                break
+            if h[a][k]:
+                ms = mul[mul[h[a][k]][prod]]
+                for i, b in enumerate(chain[a]):
+                    cur[i] = sub[cur[i]][ms[b]]
+        chain.append(cur)
+    return chain[n]
+
+
 def charpoly(m: Matrix) -> Poly:
-    """Monic characteristic polynomial via Hessenberg reduction."""
+    """Monic characteristic polynomial via Hessenberg reduction, on
+    encodings over a tabled field."""
     n = m.n
     if n != m.ncols:
         raise InputError("characteristic polynomial of a non-square matrix")
     p, level = m.p, m.level
+    enc = gf.index_rows(*m.rows)
+    if enc is not None:
+        t, h = enc
+        return Poly(p, level, tuple(map(t.elems.__getitem__, _charpoly_indexed(t, h))))
     h = [list(r) for r in m.rows]
     for j in range(n - 2):
         piv = next((r for r in range(j + 1, n) if not h[r][j].is_zero), None)

@@ -7,6 +7,12 @@ chain: squarefree decomposition (with p-th root extraction, we are in
 characteristic p), distinct-degree splitting, then equal-degree splitting by
 Cantor-Zassenhaus with an explicitly threaded seed so reports reproduce.
 
+Over a tabled field (gf.TABLE_CAP) products, long division, powers modulo
+a polynomial and gcds run on the coefficients' encodings through gf's index
+tables, converted once per call: powmod squares and reduces, and poly_gcd
+takes its remainders, without leaving the ints.  Above the cap a product is
+one packed integer product and Modulus reduces by folding.
+
 The star operation sends P to conj(P(0))^{-1} T^deg conj(P)(1/T); its roots
 are the conjugate-inverses r^{-q} of the roots of P.  Factoring the
 characteristic polynomial of a unitary matrix therefore yields an involution
@@ -115,19 +121,15 @@ class Poly:
         p, level, a, b = self.p, self.level, self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(p, level)
-        if p**level > gf.TABLE_CAP:
-            # Kronecker substitution one level up: one packed product, and
-            # each product coefficient folded once
-            width = gf.slot_width(p, level, min(len(a), len(b)))
-            prod = gf.pack_blocks(p, level, width, a) * gf.pack_blocks(p, level, width, b)
-            return Poly.from_elems(p, level, gf.fold_blocks(p, level, width, len(a) + len(b) - 1, prod))
-        out = [gf.zero(p, level)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x.is_zero:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return Poly.from_elems(p, level, out)
+        enc = gf.index_rows(a, b)
+        if enc is not None:
+            t, (x, y) = enc
+            return _from_indexed(p, level, t, _mul_indexed(t, x, y))
+        # Kronecker substitution one level up: one packed product, and each
+        # product coefficient folded once
+        width = gf.slot_width(p, level, min(len(a), len(b)))
+        prod = gf.pack_blocks(p, level, width, a) * gf.pack_blocks(p, level, width, b)
+        return Poly.from_elems(p, level, gf.fold_blocks(p, level, width, len(a) + len(b) - 1, prod))
 
     def scale(self, c: FieldElem) -> "Poly":
         return Poly.from_elems(self.p, self.level, [a * c for a in self.coeffs])
@@ -136,6 +138,11 @@ class Poly:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
+        enc = gf.index_rows(self.coeffs, other.coeffs)
+        if enc is not None:
+            t, (a, b) = enc
+            q, rem = _divmod_indexed(t, a, b)
+            return _from_indexed(self.p, self.level, t, q), _from_indexed(self.p, self.level, t, rem)
         rem = list(self.coeffs)
         q = [gf.zero(self.p, self.level)] * max(len(rem) - len(other.coeffs) + 1, 0)
         # a monic divisor needs no inverse
@@ -165,9 +172,23 @@ class Poly:
         return self.scale(self.leading.inverse())
 
     def powmod(self, e: int, modulus: "Poly") -> "Poly":
-        """self^e mod modulus by squaring; above the cap on Modulus's fold."""
+        """self^e mod modulus by squaring: over a tabled field on encodings
+        from start to end, above the cap on Modulus's fold."""
         self._check(modulus)
-        if self.p**self.level > gf.TABLE_CAP and modulus.degree >= 1:
+        if modulus.is_zero:
+            raise ZeroDivisionError("division by zero polynomial")
+        enc = gf.index_rows(self.coeffs, modulus.coeffs)
+        if enc is not None:
+            t, (base, m) = enc
+            result = [1]
+            base = _divmod_indexed(t, base, m)[1]
+            while e:
+                if e & 1:
+                    result = _divmod_indexed(t, _mul_indexed(t, result, base), m)[1]
+                base = _divmod_indexed(t, _mul_indexed(t, base, base), m)[1]
+                e >>= 1
+            return _from_indexed(self.p, self.level, t, result)
+        if modulus.degree >= 1:
             return Modulus(modulus.monic()).power(self, e)
         result = Poly.one(self.p, self.level)
         base = self % modulus
@@ -196,6 +217,51 @@ class Poly:
 
     def to_json(self):
         return [list(c.coeffs) for c in self.coeffs]
+
+
+# ---------------------------------------------------------------------------
+# kernels on encodings: little-endian int lists and the IndexTables t of
+# gf.index_rows
+
+
+def _from_indexed(p, level, t, coeffs) -> Poly:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return Poly(p, level, tuple(map(t.elems.__getitem__, coeffs)))
+
+
+def _mul_indexed(t, a, b):
+    add, mul = t.add, t.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            mx, j = mul[x], i
+            for y in b:
+                out[j] = add[out[j]][mx[y]]
+                j += 1
+    return out
+
+
+def _divmod_indexed(t, a, b):
+    # long division by b (nonzero leading entry), step for step the
+    # FieldElem loop of Poly.__divmod__; a trimmed a leaves a trimmed remainder
+    sub, mul = t.sub, t.mul
+    rem, d = list(a), len(b) - 1
+    q = [0] * max(len(rem) - d, 0)
+    inv = None if b[-1] == 1 else t.inv[b[-1]]  # a monic divisor needs no inverse
+    while len(rem) > d:
+        while rem and not rem[-1]:
+            rem.pop()
+        if len(rem) <= d:
+            break
+        k = len(rem) - 1 - d
+        c = rem[-1] if inv is None else mul[rem[-1]][inv]
+        q[k] = c
+        mc, j = mul[c], k
+        for y in b:
+            rem[j] = sub[rem[j]][mc[y]]
+            j += 1
+    return q, rem
 
 
 class Modulus:
@@ -275,6 +341,17 @@ class Modulus:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's remainders, on encodings over a tabled field."""
+    a._check(b)
+    enc = gf.index_rows(a.coeffs, b.coeffs)
+    if enc is not None:
+        t, (x, y) = enc
+        while y:
+            x, y = y, _divmod_indexed(t, x, y)[1]
+        if x and x[-1] != 1:
+            scale = t.mul[t.inv[x[-1]]]
+            x = [scale[c] for c in x]
+        return _from_indexed(a.p, a.level, t, x)
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()

@@ -632,16 +632,37 @@ def test_rref_matches_dense_reference(level, density, rng):
     assert rref(rows + rows) == dense_rref(rows + rows)
 
 
+class InverseLog:
+    """The inverse table of a tabled field, logging each element it inverts."""
+
+    def __init__(self, t, log):
+        self.t, self.log = t, log
+
+    def __getitem__(self, enc):
+        self.log.append(self.t.elems[enc])
+        return self.t.inv[enc]
+
+
 @pytest.mark.parametrize("level", [2, 14])
 def test_rref_of_rows_leading_with_one_inverts_nothing(level, monkeypatch, rng):
+    # above the cap rref inverts by FieldElem.inverse, over a tabled field
+    # by the inverse table gf.index_rows hands it: both are logged
     p, inverses = 3, []
-    real = gf.FieldElem.inverse
+    real_inverse, real_index_rows = gf.FieldElem.inverse, gf.index_rows
 
     def counting(self):
         inverses.append(self)
-        return real(self)
+        return real_inverse(self)
+
+    def logging_index_rows(*vectors):
+        enc = real_index_rows(*vectors)
+        if enc is None:
+            return None
+        t, rows = enc
+        return gf.IndexTables(t.add, t.sub, t.mul, InverseLog(t, inverses), t.elems), rows
 
     monkeypatch.setattr(gf.FieldElem, "inverse", counting)
+    monkeypatch.setattr(gf, "index_rows", logging_index_rows)
     tail = [gf.elem(p, level, [rng.randrange(p) for _ in range(level)]) for _ in range(3)]
     row = [gf.zero(p, level), gf.one(p, level)] + tail
     assert rref([row]) == ((tuple(row),), (1,))
@@ -713,17 +734,20 @@ def test_eval_poly_matches_power_sum(p, rng):
 
 @pytest.mark.parametrize("degree", range(0, 6))
 def test_eval_poly_matmul_count(degree, rng, monkeypatch):
-    # Horner starts at f_d M + f_{d-1} I: d - 1 matmuls, none for d <= 1
-    m = random_matrix(3, 2, 4, rng)
-    f = random_monic(3, 2, degree, rng, nonzero_constant=False) if degree else Poly.one(3, 2)
-    f = f.scale(gf.elem(3, 2, [2, 1]))
-    calls = []
-    matmul = Matrix.__matmul__
-    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
-    value = m.eval_poly(f)
-    monkeypatch.undo()
-    assert len(calls) == max(degree - 1, 0)
-    assert value == power_sum(m, f)
+    # Horner starts at f_d M + f_{d-1} I: d - 1 matrix products, none for
+    # d <= 1; over F_9 they are products on encodings, above the cap matmuls
+    for level in (2, 14):
+        m = random_matrix(3, level, 4, rng)
+        f = random_monic(3, level, degree, rng, nonzero_constant=False) if degree else Poly.one(3, level)
+        f = f.scale(gf.elem(3, level, [2, 1]))
+        calls = []
+        matmul, indexed = Matrix.__matmul__, linalg._matmul_indexed
+        monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+        monkeypatch.setattr(linalg, "_matmul_indexed", lambda t, a, b: calls.append(1) or indexed(t, a, b))
+        value = m.eval_poly(f)
+        monkeypatch.undo()
+        assert len(calls) == max(degree - 1, 0)
+        assert value == power_sum(m, f)
 
 
 def unskipped_dot(r, v):

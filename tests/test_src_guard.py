@@ -102,3 +102,28 @@ def test_unused_import_guard_sees_a_leftover(tmp_path):
     leftover = tmp_path / "leftover.py"
     leftover.write_text("from .linalg import Matrix, kernel\n\n\ndef f(m: Matrix):\n    return m\n")
     assert unused_imports(tmp_path) == ["leftover.kernel"]
+
+
+# gf's table layout: an interned element's encoding and tables, the tables
+# class, and the index tables that only gf.index_rows hands out
+TABLE_LAYOUT = {"_enc", "_tables", "_Tables", "_index"}
+
+
+def table_layout_reads(src=SRC):
+    """module.name for every read of gf's table layout in a module other than gf."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem != "gf":
+            read = read_names(ast.parse(path.read_text(), str(path)))
+            found += [f"{path.stem}.{name}" for name in sorted(TABLE_LAYOUT) if read[name]]
+    return found
+
+
+def test_only_gf_reads_the_table_layout():
+    assert table_layout_reads() == []
+
+
+def test_table_layout_guard_sees_a_reader(tmp_path):
+    (tmp_path / "gf.py").write_text("def enc(x):\n    return x._enc\n")
+    (tmp_path / "reader.py").write_text("def enc(x):\n    return x._enc, x._tables._index\n")
+    assert table_layout_reads(tmp_path) == ["reader._enc", "reader._index", "reader._tables"]
