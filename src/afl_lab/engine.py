@@ -11,7 +11,12 @@ by the actual Gram matrix, never inferred from the signature), forms the
 subquotient W-perp/W, and contributes type * (a+1)/2 exactly when the
 subquotient characteristic polynomial is irreducible; the per-stratum fixed
 count can be re-derived by the eigenline counter, and a disagreement there
-is a hard error, not a finding.
+is a hard error, not a finding.  The geometric walk and the even-dimensional
+counting identity each take the lattice once, from
+linalg.invariant_subspaces, as row sets of one chain-adapted basis: every W
+and W-perp is a set of its rows and every subquotient a slice of H and g
+written in it (hermitian.adapted_basis).  The analytic side reads the
+divisor exponent vectors alone.
 
 Support (whether the geometric side can be nonempty) has a closed-form
 criterion: a unique self-paired factor of odd exponent.  The engine never
@@ -31,7 +36,7 @@ from .dl import dl_fixed_points
 from .errors import CrossCheckError, InputError
 from .forge import MinusculeInstance, serialize_instance
 from .hermitian import adapted_basis, induced_subquotient
-from .linalg import Subspace, charpoly, invariant_subspaces
+from .linalg import charpoly, invariant_subspaces
 from .poly import Poly, FactoredPoly, divisor_exponents, poly_key
 
 SIGN_NOTE = (
@@ -64,17 +69,6 @@ def script_w(inst: MinusculeInstance) -> ScriptW:
         if all(vec[j] == vec[i] for i, j in enumerate(inst.fact.pairing)):
             members.append((vec, sum(m * d for m, d in zip(vec, degs))))
     return ScriptW(tuple(members))
-
-
-def script_w_direct(inst: MinusculeInstance) -> list[Subspace]:
-    """Oracle for script_w: test tau-stability of every invariant subspace."""
-    from .linalg import transform_subspace
-
-    out = []
-    for _, sub in sorted(invariant_subspaces(inst.g, inst.fact).items()):
-        if transform_subspace(sub, inst.tau.act) == sub:
-            out.append(sub)
-    return out
 
 
 def m_counts(sw: ScriptW, n: int) -> dict[int, int]:
@@ -183,7 +177,7 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
     exponent_of = {poly_key(f): a for f, a in inst.fact.factors}
     strata = []
     total = 0
-    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact), inst.fact, inst.space, inst.g)
+    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact), inst.space, inst.g)
     for vec, w in sorted(basis.coords.items()):
         if not basis.isotropic(vec):
             continue
@@ -262,7 +256,7 @@ def fl_check(inst: MinusculeInstance) -> tuple[int, int]:
         raise InputError("the counting identity lives on even dimensions")
     lhs = alternating_sum(inst)
     half = inst.n // 2
-    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact), inst.fact, inst.space, inst.g)
+    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact), inst.space, inst.g)
     rhs = sum(1 for vec, w in basis.coords.items() if len(w) == half and basis.perp(vec) == w)
     return lhs, rhs
 

@@ -664,21 +664,23 @@ def _is_int(x) -> bool:
 
 
 def _matrix_from_json(p, data, n, name) -> Matrix:
+    """Every entry is validated, and one element built per distinct pair.
+
+    The validation must come first: 1.0 and True equal the key 1."""
     if not isinstance(data, list) or len(data) != n:
         raise InputError(f"schema: {name} must be a {n}x{n} matrix")
     rows = []
     for row in data:
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"schema: {name} must be a {n}x{n} matrix")
-        out = []
         for entry in row:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise InputError(f"schema: {name} entries must be coefficient pairs")
             if not all(_is_int(c) and 0 <= c < p for c in entry):
                 raise InputError(f"schema: {name} coefficients must be integers in [0, {p})")
-            out.append(gf.FieldElem(p, 2, tuple(entry)))
-        rows.append(out)
-    return Matrix.from_rows(p, 2, rows)
+        rows.append([tuple(entry) for entry in row])
+    elems = {c: gf.FieldElem(p, 2, c) for c in set().union(*rows)}
+    return Matrix.from_rows(p, 2, [[elems[c] for c in r] for r in rows])
 
 
 def parse_instance(data: dict) -> MinusculeInstance:

@@ -7,16 +7,18 @@ h(x, y) = x^T G conj(y), so conjugate symmetry reads transpose(G) = conj(G).
 An anti-involution is stored as the matrix S of the conjugate-linear map
 x -> S conj(x); its three axioms (involutive, conjugates g to g^{-1},
 anti-isometry) translate into the matrix identities validated here.
+
+The walk runs in the basis B of linalg.invariant_subspaces, in which every
+g-invariant subspace is a set of rows: only H = B G conj(B)^T and g written
+in B are formed here, once per instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import gf
 from .errors import InputError, InvariantError
-from .linalg import Matrix, Subspace, rref
-from .poly import factor_pairs
+from .linalg import Lattice, Matrix, in_basis, rref
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,6 @@ class AntiInvolution:
 
     mat: Matrix
 
-    def act(self, v) -> tuple:
-        return self.mat.apply([gf.conj(c) for c in v])
-
 
 def validate_anti_involution(tau: AntiInvolution, space: HermitianSpace, g: Matrix) -> None:
     s = tau.mat
@@ -96,9 +95,10 @@ def validate_anti_involution(tau: AntiInvolution, space: HermitianSpace, g: Matr
 # isotropy and subquotients as slices of one adapted basis
 
 
-def is_isotropic(w: Subspace, space: HermitianSpace) -> bool:
-    """h vanishes on W x W, tested as the one product W G conj(W)^T."""
-    return gram_of_rows(space, w.rows).is_zero
+def is_isotropic(rows, space: HermitianSpace) -> bool:
+    """h vanishes on W x W for W the span of rows, tested as the one product
+    W G conj(W)^T."""
+    return gram_of_rows(space, rows).is_zero
 
 
 @dataclass(frozen=True)
@@ -142,58 +142,10 @@ class AdaptedBasis:
         return all(mask >> c & 1 for c in self.coords[vec])
 
 
-def adapted_basis(lattice, fact, space: HermitianSpace, g: Matrix) -> AdaptedBasis:
-    """B, H and g in B (one echelon form) for lattice = invariant_subspaces(g, fact)."""
-    pairs = factor_pairs(fact)
-    basis = []
-    offsets = []
-    for i, (_, a) in enumerate(pairs):
-        offsets.append(len(basis))
-        chain = []
-        for k in range(1, a + 1):
-            unit = tuple(k if j == i else 0 for j in range(len(pairs)))
-            chain += complete_basis(chain, lattice[unit].rows)
-        basis += chain
-    coords = {
-        vec: tuple(off + r for off, (f, _), m in zip(offsets, pairs, vec) for r in range(m * f.degree))
-        for vec in lattice
-    }
-    g_b = quotient_matrix(g, Subspace(g.n, ()), basis)
-    return AdaptedBasis(tuple(basis), gram_of_rows(space, basis), g_b, coords)
-
-
-def complete_basis(base_rows, extension_rows):
-    """Extend a basis by the first echelon rows that enlarge the span.
-
-    With every vector laid out as a column, a column is a pivot of the
-    echelon form exactly when it lies outside the span of the columns before
-    it, so the pivots past the base columns pick the same rows as adding
-    the extension rows greedily in order."""
-    k = len(base_rows)
-    vectors = list(base_rows) + list(extension_rows)
-    _, pivots = rref(list(zip(*vectors)))
-    return [vectors[c] for c in pivots if c >= k]
-
-
-def quotient_matrix(m: Matrix, w: Subspace, reps) -> Matrix:
-    """Action induced by M on span(W + reps)/W, in the coset basis reps.
-
-    Every image M r is solved for at once, as the right-hand sides of one
-    echelon form of [W, reps | M reps] laid out as columns."""
-    if not reps:
-        return Matrix(m.p, m.level, ())
-    basis = list(w.rows) + list(reps)
-    k = len(basis)
-    images = (Matrix.from_rows(m.p, m.level, reps) @ m.transpose()).rows
-    red, pivots = rref([list(b) + list(i) for b, i in zip(zip(*basis), zip(*images))])
-    if pivots and pivots[-1] >= k:
-        raise InputError("representatives do not span an invariant subspace")
-    # coeffs[j][c] = coefficient of basis vector j in the image of reps[c]
-    z = gf.zero(m.p, m.level)
-    coeffs = [[z] * len(reps) for _ in range(k)]
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = list(red[r][k:])
-    return Matrix.from_rows(m.p, m.level, coeffs[w.dim :])
+def adapted_basis(lattice: Lattice, space: HermitianSpace, g: Matrix) -> AdaptedBasis:
+    """H and g written in the basis B of lattice = invariant_subspaces(g, fact)."""
+    rows = lattice.rows
+    return AdaptedBasis(rows, gram_of_rows(space, rows), in_basis(g, rows), lattice.coords)
 
 
 def _slice(m: Matrix, idx) -> Matrix:

@@ -1,9 +1,8 @@
 """Exact linear algebra over the tower fields.
 
 Matrices act on column vectors; vectors are plain tuples of FieldElem.
-Subspaces are stored as reduced-row-echelon bases, which are unique per
-subspace, so subspace equality is representative equality and nothing ever
-hashes an algebraic value.
+A subspace is a set of rows of one basis, never an echelon form of its own,
+so nothing here compares or hashes a subspace.
 
 The characteristic polynomial goes through a deterministic Hessenberg
 reduction followed by the classical recurrence on leading principal minors.
@@ -15,17 +14,13 @@ FieldElem loops, which the tests also hold the encoded ones against.
 Regularity (cyclicity) is decided exactly on the factorization of the
 characteristic polynomial: M is regular iff dim ker P_i(M) = deg P_i for every
 irreducible factor P_i, which can fail only where P_i is a repeated factor.
-The invariant subspace lattice of a regular M is built from the primary
-chains ker P_i(M)^k, whose dimensions the walk checks again on the way.
-The lattice holds every divisor of the characteristic polynomial as a key,
-but forms a divisor's span only on first access: the geometric walk reads
-the chain members alone.
+The invariant subspace lattice of a regular M is one basis B built from the
+primary chains ker P_i(M)^k, whose dimensions it checks again on the way,
+and every divisor of the characteristic polynomial is a set of rows of B.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import gf
@@ -96,18 +91,6 @@ class Matrix:
             raise InputError("matrices over different fields")
 
     # ----- arithmetic -----------------------------------------------------
-    def __add__(self, other):
-        self._check(other)
-        return Matrix.from_rows(
-            self.p, self.level, [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return Matrix.from_rows(
-            self.p, self.level, [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
-
     def __matmul__(self, other):
         self._check(other)
         if self.ncols != other.n:
@@ -250,7 +233,7 @@ def _rref_indexed(t, mat):
 
 
 # ---------------------------------------------------------------------------
-# echelon forms, kernels, subspaces
+# echelon forms, null bases and coordinates in a basis
 
 
 def rref(rows) -> tuple[tuple, tuple[int, ...]]:
@@ -296,33 +279,7 @@ def rref(rows) -> tuple[tuple, tuple[int, ...]]:
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Row span in canonical reduced-row-echelon form (unique per subspace)."""
-
-    ambient: int
-    rows: tuple[tuple[gf.FieldElem, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def contains(self, v) -> bool:
-        w = list(v)
-        for row in self.rows:
-            piv = next(i for i, a in enumerate(row) if not a.is_zero)
-            if not w[piv].is_zero:
-                f = w[piv]
-                w = [a - f * b for a, b in zip(w, row)]
-        return all(a.is_zero for a in w)
-
-
-def span(ambient: int, vectors) -> Subspace:
-    rows, _ = rref(list(vectors))
-    return Subspace(ambient, rows)
-
-
-def null_basis(m: Matrix) -> list[list[gf.FieldElem]]:
+def null_basis(m: Matrix) -> list[tuple[gf.FieldElem, ...]]:
     """Basis of {v : M v = 0} with one vector per free column j of rref(M):
     1 at j, zero at the other free columns, minus column j of the echelon
     form at the pivot columns."""
@@ -336,18 +293,35 @@ def null_basis(m: Matrix) -> list[list[gf.FieldElem]]:
         v[j] = o
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][j]
-        basis.append(v)
+        basis.append(tuple(v))
     return basis
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Null space {v : M v = 0} as a canonical subspace."""
-    return span(m.ncols, null_basis(m))
+def complete_basis(base_rows, extension_rows):
+    """Extend a basis by the first extension rows that enlarge the span.
+
+    With every vector laid out as a column, a column is a pivot of the
+    echelon form exactly when it lies outside the span of the columns before
+    it, so the pivots past the base columns pick the same rows as adding
+    the extension rows greedily in order."""
+    k = len(base_rows)
+    vectors = list(base_rows) + list(extension_rows)
+    _, pivots = rref(list(zip(*vectors)))
+    return [vectors[c] for c in pivots if c >= k]
 
 
-def transform_subspace(sub: Subspace, fn) -> Subspace:
-    """Image of a subspace under a linear (or conjugate-linear) vector map."""
-    return span(sub.ambient, [fn(r) for r in sub.rows])
+def in_basis(m: Matrix, rows) -> Matrix:
+    """M on span(rows), an M-invariant subspace, in the basis rows: column c
+    holds the coordinates of M rows[c].
+
+    Every image is solved for at once, as the right-hand sides of one
+    echelon form of [rows | M rows] laid out as columns."""
+    k = len(rows)
+    images = (Matrix.from_rows(m.p, m.level, rows) @ m.transpose()).rows
+    red, pivots = rref([b + i for b, i in zip(zip(*rows), zip(*images))])
+    if pivots != tuple(range(k)):
+        raise InputError("rows are not a basis of an invariant subspace")
+    return Matrix(m.p, m.level, tuple(r[k:] for r in red))
 
 
 # ---------------------------------------------------------------------------
@@ -452,66 +426,19 @@ def is_regular(m: Matrix, fact) -> bool:
     )
 
 
-def kernel_of_poly(m: Matrix, f: Poly) -> Subspace:
-    """Null space of f(M); for regular M and f | charpoly the dimension is deg f."""
-    return kernel(m.eval_poly(f))
+@dataclass(frozen=True, slots=True)
+class Lattice:
+    """Every M-invariant subspace of a regular M as a set of rows of one basis.
 
+    The subspace of the divisor with exponent vector vec is spanned by the
+    rows coords[vec] of the basis rows; the keys are every divisor, in
+    divisor_exponents order."""
 
-def _primary_chains(m: Matrix, fact) -> list[list[Subspace]]:
-    """chains[i][k] = ker P_i(M)^k for k = 0..a_i, one chain per factor.
-
-    Regularity is decided exactly on the way: M is cyclic iff every primary
-    component is, iff dim ker P_i(M)^k = k deg P_i at every step."""
-    chains = []
-    for f, a in factor_pairs(fact):
-        base = m.eval_poly(f)
-        power = base
-        chain = [Subspace(m.n, ())]
-        for k in range(1, a + 1):
-            if k > 1:
-                power = power @ base
-            ker = kernel(power)
-            if ker.dim != k * f.degree:
-                raise InputError("invariant subspace enumeration requires a regular matrix")
-            chain.append(ker)
-        chains.append(chain)
-    return chains
-
-
-class Lattice(Mapping):
-    """Read-only map from divisor exponent vectors to invariant subspaces.
-
-    Every divisor is a key, in divisor_exponents order; a divisor's span is
-    formed on its first lookup and kept.  A vector with one nonzero exponent
-    k at factor i is the chain member ker P_i(M)^k itself."""
-
-    def __init__(self, ambient: int, chains: list[list[Subspace]], keys):
-        self._ambient = ambient
-        self._chains = chains
-        self._keys = dict.fromkeys(keys)
-        self._spans: dict[tuple[int, ...], Subspace] = {}
-
-    def __getitem__(self, vec) -> Subspace:
-        sub = self._spans.get(vec)
-        if sub is None:
-            if vec not in self._keys:
-                raise KeyError(vec)
-            support = [i for i, k in enumerate(vec) if k]
-            if len(support) == 1:
-                sub = self._chains[support[0]][vec[support[0]]]
-            else:
-                sub = span(self._ambient, [r for chain, k in zip(self._chains, vec) for r in chain[k].rows])
-            self._spans[vec] = sub
-        return sub
-
-    def __contains__(self, vec) -> bool:
-        return vec in self._keys
-
-    def __iter__(self):
-        return iter(self._keys)
+    rows: tuple[tuple[gf.FieldElem, ...], ...]
+    coords: dict[tuple[int, ...], tuple[int, ...]]
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self.coords)
 
 
 def invariant_subspaces(m: Matrix, fact) -> Lattice:
@@ -524,49 +451,31 @@ def invariant_subspaces(m: Matrix, fact) -> Lattice:
 
     The factors are pairwise coprime, so by Bezout the subspace of the
     divisor prod P_i^{m_i} is the direct sum of the primary chain members
-    ker P_i(M)^{m_i} (Brickman-Fillmore).  The chains are computed here, and
-    so is regularity; each other divisor's span, one echelon form of the
-    concatenated chain bases, is formed on its first access.
-    kernel_of_poly(m, divisor_poly(fact, vec)) is the definition this is
-    checked against.
+    ker P_i(M)^{m_i} (Brickman-Fillmore).  The basis lists one chain per
+    factor: step k extends the rows of ker P_i(M)^(k-1) by the null basis
+    of P_i(M)^k (complete_basis), so ker P_i(M)^k is the first k deg P_i
+    rows of its chain and each divisor a union of chain prefixes.
+    Regularity is decided on the way: M is cyclic iff every primary
+    component is, iff dim ker P_i(M)^k = k deg P_i at every step.
     """
     keys = divisor_exponents(fact)  # bounded before any chain is formed
-    return Lattice(m.n, _primary_chains(m, fact), keys)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-def all_subspaces(p, level, n):
-    """Yield every subspace of F_{p^level}^n once, via canonical RREF bases."""
-    z, o = gf.zero(p, level), gf.one(p, level)
-    elems = [gf.elem_from_encoding(p, level, k) for k in range(p**level)]
-    yield Subspace(n, ())
-    for k in range(1, n + 1):
-        for pivs in itertools.combinations(range(n), k):
-            free_pos = [
-                (i, j) for i in range(k) for j in range(n) if j > pivs[i] and j not in pivs
-            ]
-            for assign in itertools.product(elems, repeat=len(free_pos)):
-                rows = [[z] * n for _ in range(k)]
-                for i in range(k):
-                    rows[i][pivs[i]] = o
-                for (i, j), val in zip(free_pos, assign):
-                    rows[i][j] = val
-                yield Subspace(n, tuple(tuple(r) for r in rows))
-
-
-def naive_subspace_scan(m: Matrix) -> list[Subspace]:
-    """Every M-invariant subspace, by enumerating all subspaces of the ambient.
-
-    Guarded to ambient dimension <= 4 and p <= 3; this is the independent
-    oracle for the divisor correspondence, so it must not share code with it.
-    """
-    if m.n > 4 or m.p > 3:
-        raise InputError("naive scan guard: requires dim <= 4 and p <= 3")
-    out = []
-    for sub in all_subspaces(m.p, m.level, m.n):
-        if all(sub.contains(m.apply(r)) for r in sub.rows):
-            out.append(sub)
-    return out
+    pairs = factor_pairs(fact)
+    rows, offsets = [], []
+    for f, a in pairs:
+        offsets.append(len(rows))
+        base = m.eval_poly(f)
+        power = base
+        chain = []
+        for k in range(1, a + 1):
+            if k > 1:
+                power = power @ base
+            ker = null_basis(power)
+            if len(ker) != k * f.degree:
+                raise InputError("invariant subspace enumeration requires a regular matrix")
+            chain += complete_basis(chain, ker) if chain else ker
+        rows += chain
+    coords = {
+        vec: tuple(off + r for off, (f, _), k in zip(offsets, pairs, vec) for r in range(k * f.degree))
+        for vec in keys
+    }
+    return Lattice(tuple(rows), coords)

@@ -172,11 +172,13 @@ class Poly:
         return self.scale(self.leading.inverse())
 
     def powmod(self, e: int, modulus: "Poly") -> "Poly":
-        """self^e mod modulus by squaring: over a tabled field on encodings
-        from start to end, above the cap on Modulus's fold."""
+        """self^e mod modulus, of positive degree, by squaring: over a tabled
+        field on encodings from start to end, above the cap on Modulus's fold."""
         self._check(modulus)
         if modulus.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
+        if modulus.degree < 1:
+            raise InputError("a modulus must be of positive degree")
         enc = gf.index_rows(self.coeffs, modulus.coeffs)
         if enc is not None:
             t, (base, m) = enc
@@ -188,16 +190,7 @@ class Poly:
                 base = _divmod_indexed(t, _mul_indexed(t, base, base), m)[1]
                 e >>= 1
             return _from_indexed(self.p, self.level, t, result)
-        if modulus.degree >= 1:
-            return Modulus(modulus.monic()).power(self, e)
-        result = Poly.one(self.p, self.level)
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
+        return Modulus(modulus.monic()).power(self, e)
 
     def derivative(self) -> "Poly":
         out = []
@@ -569,13 +562,3 @@ def divisor_exponents(fact) -> list[tuple[int, ...]]:
     if count > DIVISOR_MAX:
         raise InputError(f"the invariant subspace lattice has {count} divisors, more than {DIVISOR_MAX}")
     return list(itertools.product(*ranges))
-
-
-def divisor_poly(fact, exponents) -> Poly:
-    pairs = factor_pairs(fact)
-    p, level = pairs[0][0].p, pairs[0][0].level
-    out = Poly.one(p, level)
-    for (g, _), m in zip(pairs, exponents):
-        for _ in range(m):
-            out = out * g
-    return out

@@ -21,14 +21,10 @@ import pytest
 from afl_lab.cli import DEFAULT_SIGNATURES, SweepConfig, _dump, main, run_sweep
 from afl_lab.dl import dl_fixed_points, galois_orbit_check
 from afl_lab.forge import random_coxeter_instance
-from afl_lab.linalg import (
-    Matrix,
-    invariant_subspaces,
-    naive_subspace_scan,
-)
+from afl_lab.linalg import Matrix, charpoly, invariant_subspaces
 from afl_lab.poly import plain_factor
-from afl_lab.linalg import charpoly
 from conftest import random_matrix
+from oracles import lattice_spans, naive_subspace_scan
 from test_linalg import probe_is_regular
 
 
@@ -140,7 +136,7 @@ def test_criterion_6_oracle_equivalence():
             continue
         checked += 1
         fact = plain_factor(charpoly(m), checked)
-        lattice = set(invariant_subspaces(m, fact).values())
+        lattice = set(lattice_spans(invariant_subspaces(m, fact)).values())
         scanned = set(naive_subspace_scan(m))
         ok = ok and lattice == scanned
     # the dim-4 Jordan-block case
@@ -155,7 +151,7 @@ def test_criterion_6_oracle_equivalence():
         [z, z, z, lam],
     ])
     fact = plain_factor(charpoly(j4), 0)
-    lattice = set(invariant_subspaces(j4, fact).values())
+    lattice = set(lattice_spans(invariant_subspaces(j4, fact)).values())
     scanned = set(naive_subspace_scan(j4))
     ok = ok and lattice == scanned and len(lattice) == 5
     report(6, ok, f"{checked} random regular matrices plus the J_4 chain")

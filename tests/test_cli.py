@@ -224,6 +224,19 @@ def test_verify_rejects_malformed_input_exit2(key, value, instance_json, tmp_pat
     assert json.loads(proc.stderr)["error"] == "InputError"
 
 
+@pytest.mark.parametrize("alias", [1.0, True], ids=["float", "bool"])
+def test_verify_rejects_an_alias_of_an_earlier_entry_exit2(alias, instance_json, tmp_path, capsys):
+    # one element is built per distinct pair, and 1.0 == True == 1: every
+    # entry is still validated, also after [1, 0] has built its element
+    data = json.loads(json.dumps(instance_json))
+    data["g"][0][0], data["g"][0][1] = [1, 0], [alias, 0]
+    path = tmp_path / "alias.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--in", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and "must be integers" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # fl / dl / orbital
 
@@ -328,7 +341,7 @@ def test_lattice_above_the_divisor_bound_exits_2_at_once(q, blocks, capsys, monk
     def no_chains(*args):
         raise AssertionError("no primary chain may be formed above the bound")
 
-    monkeypatch.setattr(linalg, "_primary_chains", no_chains)
+    monkeypatch.setattr(linalg, "null_basis", no_chains)
     assert main(["verify", "--q", str(q), "--sig", ",".join(["sp:1:1"] * blocks)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError"

@@ -8,8 +8,9 @@ from afl_lab.dl import dl_fixed_points, galois_orbit_check
 from afl_lab.errors import CrossCheckError, InputError
 from afl_lab.forge import build_block_instance, parse_signature, random_coxeter_instance
 from afl_lab.hermitian import HermitianSpace, validate_space
-from afl_lab.linalg import Matrix, Subspace, charpoly, kernel, kernel_of_poly, span
+from afl_lab.linalg import Matrix, charpoly
 from afl_lab.poly import Modulus, Poly, is_irreducible, plain_factor, poly_gcd
+from oracles import Subspace, kernel, kernel_of_poly, matrix_difference, span
 from test_linalg import minpoly
 
 
@@ -140,7 +141,7 @@ def test_chain_values_equal_the_definition(q, t, seed):
 def eigenvectors_by_kernel(s_big: Matrix, orbit):
     """Oracle for dl._orbit_eigenvectors: the canonical row of the kernel of
     s - mu_0 I, which must be a line, and its tau-orbit."""
-    eig = kernel(s_big - Matrix.identity(s_big.p, s_big.level, s_big.n).scale(orbit[0]))
+    eig = kernel(matrix_difference(s_big, Matrix.identity(s_big.p, s_big.level, s_big.n).scale(orbit[0])))
     assert eig.dim == 1
     vectors = [eig.rows[0]]
     for _ in orbit[1:]:
@@ -161,7 +162,7 @@ def test_orbit_eigenvectors_equal_per_eigenvalue_kernels(q, t, seed):
     ident = Matrix.identity(q, 2 * t, t)
     assert len(records) == t
     for rec in records:
-        assert kernel(s_big - ident.scale(rec.eigenvalue)).rows == (rec.vector,)
+        assert kernel(matrix_difference(s_big, ident.scale(rec.eigenvalue))).rows == (rec.vector,)
     orbit, s, f = _orbit_and_charpoly(q, t, seed)
     assert dl._orbit_eigenvectors(s, f, orbit) == eigenvectors_by_kernel(s_big, orbit)
 

@@ -130,6 +130,7 @@ def test_poly_kernels_on_encodings_match_the_element_loops(p, level):
         assert f * g == oracle(f.__mul__, g) == schoolbook_product(f, g)
         if not g.is_zero:
             assert divmod(f, g) == oracle(divmod, f, g)
+        if g.degree >= 1:  # a constant modulus is refused (test_poly)
             for e in (0, 1, 2, 5, p**level + 3):
                 assert f.powmod(e, g) == oracle(f.powmod, e, g) == oracle(powmod_by_long_division, f, e, g)
         assert poly_gcd(f * g, g) == oracle(poly_gcd, f * g, g)

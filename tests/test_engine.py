@@ -16,11 +16,11 @@ from afl_lab.engine import (
     orbital_pretty,
     orbital_value_at_one,
     script_w,
-    script_w_direct,
 )
 from afl_lab.errors import InputError
 from afl_lab.forge import MinusculeInstance, instance_from_spec
-from afl_lab.linalg import transform_subspace
+from afl_lab.linalg import invariant_subspaces
+from oracles import lattice_spans, script_w_direct, tau_map, transform_subspace
 
 
 def inst_of(spec, q=3, seed=0):
@@ -71,14 +71,12 @@ def test_script_w_counts_formula():
 @pytest.mark.parametrize("spec,q", [("sp:1:3", 3), ("cp:1:1,sp:1:1", 3), ("cp:1:2,sp:1:1", 5)])
 def test_script_w_matches_direct_tau_stability(spec, q):
     inst = inst_of(spec, q, 3)
-    from afl_lab.linalg import invariant_subspaces
-
-    subs = invariant_subspaces(inst.g, inst.fact)
+    subs = lattice_spans(invariant_subspaces(inst.g, inst.fact))
     expected = {vec for vec, _ in script_w(inst).members}
     via_tau = {
         vec
         for vec, sub in subs.items()
-        if transform_subspace(sub, inst.tau.act) == sub
+        if transform_subspace(sub, tau_map(inst.tau)) == sub
     }
     assert expected == via_tau
     assert len(script_w_direct(inst)) == len(expected)

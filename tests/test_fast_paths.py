@@ -20,18 +20,20 @@ from afl_lab.dl import dl_fixed_points
 from afl_lab.engine import afl_verdict, fl_check, geometric_count
 from afl_lab.errors import InputError
 from afl_lab.forge import _gram_columns, _toeplitz_unknowns, _unpack_gram, instance_from_spec
-from afl_lab.hermitian import (
-    adapted_basis,
-    complete_basis,
-    induced_subquotient,
-    is_isotropic,
-    quotient_matrix,
-)
-from afl_lab.linalg import Matrix, Subspace, charpoly, invariant_subspaces, kernel_of_poly, span
-from afl_lab.poly import divisor_poly, plain_factor, poly_key
+from afl_lab.hermitian import adapted_basis, induced_subquotient, is_isotropic
+from afl_lab.linalg import Matrix, charpoly, in_basis, invariant_subspaces
+from afl_lab.poly import plain_factor, poly_key
 from conftest import random_matrix
+from oracles import (
+    Subspace,
+    divisor_poly,
+    kernel_of_poly,
+    lattice_spans,
+    matrix_difference,
+    quotient_by_solves,
+    solve_in_rows,
+)
 from test_hermitian import (
-    _solve_in_rows,
     assert_mask_perp_equals_scan,
     herm_product,
     orth_complement,
@@ -69,9 +71,14 @@ def lattice(spec, q, seed):
 
 
 @lru_cache(maxsize=None)
+def spans(spec, q, seed):
+    return lattice_spans(lattice(spec, q, seed))
+
+
+@lru_cache(maxsize=None)
 def walk(spec, q, seed):
     inst = instance(spec, q, seed)
-    return adapted_basis(lattice(spec, q, seed), inst.fact, inst.space, inst.g)
+    return adapted_basis(lattice(spec, q, seed), inst.space, inst.g)
 
 
 def probe_gram_columns(g, unknowns):
@@ -85,7 +92,7 @@ def probe_gram_columns(g, unknowns):
         probe = [0] * len(unknowns)
         probe[idx] = 1
         gm = _unpack_gram(probe, unknowns, p, n)
-        mat = gt @ gm @ gbar - gm
+        mat = matrix_difference(gt @ gm @ gbar, gm)
         columns.append({(a, b): x for a, row in enumerate(mat.rows) for b, x in enumerate(row) if not x.is_zero})
     return columns
 
@@ -98,16 +105,6 @@ def probe_layout(n):
     if not k:
         return [(0, n, 0, n)]
     return [(0, k, 0, k), (k, n - k, k, n - k), (0, k, k, n - k)]
-
-
-def quotient_by_solves(m, w, reps):
-    """quotient_matrix by definition: one solve per representative."""
-    rows = []
-    for r in reps:
-        coeffs = _solve_in_rows(list(w.rows) + list(reps), list(m.apply(r)))
-        assert coeffs is not None
-        rows.append(coeffs[w.dim :])
-    return Matrix.from_rows(m.p, m.level, list(zip(*rows)))
 
 
 def regular_matrices():
@@ -123,8 +120,7 @@ def regular_matrices():
 
 
 def assert_lattice_is_kernels(m, fact):
-    subs = invariant_subspaces(m, fact)
-    for vec, sub in subs.items():
+    for vec, sub in lattice_spans(invariant_subspaces(m, fact)).items():
         assert sub == kernel_of_poly(m, divisor_poly(fact, vec)), vec
 
 
@@ -161,37 +157,38 @@ def test_mask_perp_equals_row_scan_on_every_divisor(spec, q, seed):
 
 
 def test_verify_path_forms_no_divisor_span(monkeypatch):
-    # the walk reads only chain members, which the lattice hands out as the
-    # kernels themselves: no span is formed through Lattice.__getitem__
+    # the lattice takes one null basis per chain step and one completion per
+    # step past the first, the walk one change of basis: the echelon forms
+    # of linalg grow with the chain steps, never with the 324 divisors
     inst = instance_from_spec("cp:1:2,cp:1:2,sp:1:3", 3, 0)
+    steps = [a for _, a in inst.fact.factors]
+    assert len(invariant_subspaces(inst.g, inst.fact)) == 324
     callers = Counter()
-    real = linalg.span
+    real = linalg.rref
 
-    def counting(ambient, vectors):
+    def counting(rows):
         callers[sys._getframe(1).f_code.co_name] += 1
-        return real(ambient, vectors)
+        return real(rows)
 
-    monkeypatch.setattr(linalg, "span", counting)
+    monkeypatch.setattr(linalg, "rref", counting)
+    expected = {"null_basis": sum(steps), "complete_basis": sum(steps) - len(steps), "in_basis": 1}
     geometric_count(inst)
-    assert callers["__getitem__"] == 0 < callers["kernel"]
+    assert callers == expected
+    callers.clear()
     afl_verdict(inst, cross_check=True)
-    assert callers["__getitem__"] == 0
-    # the counter does see a span formed through the lattice
-    lattice = invariant_subspaces(inst.g, inst.fact)
-    lattice[(1,) * len(inst.fact.factors)]
-    assert callers["__getitem__"] == 1
+    assert callers == expected
 
 
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)
 def test_adapted_isotropy_equals_definition(spec, q, seed):
     inst = instance(spec, q, seed)
-    subs = lattice(spec, q, seed)
-    expected = {vec for vec, sub in subs.items() if is_isotropic(sub, inst.space)}
+    subs = spans(spec, q, seed)
+    expected = {vec for vec, sub in subs.items() if is_isotropic(sub.rows, inst.space)}
     assert {vec for vec in subs if walk(spec, q, seed).isotropic(vec)} == expected
     for sub in subs.values():
         pairs = itertools.product(sub.rows, repeat=2)
         pairwise = all(herm_product(inst.space, a, b).is_zero for a, b in pairs)
-        assert is_isotropic(sub, inst.space) == pairwise
+        assert is_isotropic(sub.rows, inst.space) == pairwise
 
 
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)
@@ -210,7 +207,7 @@ def test_slice_walk_equals_subquotient_by_definition(spec, q, seed):
     standard-basis route; and each complement's rows against the kernel
     definition."""
     inst = instance(spec, q, seed)
-    subs, basis = lattice(spec, q, seed), walk(spec, q, seed)
+    subs, basis = spans(spec, q, seed), walk(spec, q, seed)
     divisor_of = {idx: vec for vec, idx in basis.coords.items()}
     factors = {poly_key(f) for f, _ in inst.fact.factors}
     for vec, sub in subs.items():
@@ -231,7 +228,7 @@ def test_slice_walk_equals_subquotient_by_definition(spec, q, seed):
 def test_lagrangian_count_equals_complement_oracle(spec, q, seed):
     inst = instance(spec, q, seed)
     lagrangians = [
-        vec for vec, sub in lattice(spec, q, seed).items()
+        vec for vec, sub in spans(spec, q, seed).items()
         if sub.dim == inst.n // 2 and orth_complement(sub, inst.space) == sub
     ]
     assert fl_check(inst)[1] == len(lagrangians)
@@ -246,17 +243,18 @@ def test_g_in_the_adapted_basis_equals_per_representative_solves():
 
 @pytest.mark.parametrize("spec,q,seed", GRID + WIDE_Q)
 def test_batched_quotient_equals_per_representative_solves(spec, q, seed):
-    inst = instance(spec, q, seed)
-    ident = Matrix.identity(q, 2, inst.n).rows
-    for sub in lattice(spec, q, seed).values():
-        # V/W for every invariant W, and W-perp/W for the isotropic ones
-        reps_sets = [complete_basis(list(sub.rows), list(ident))]
-        if is_isotropic(sub, inst.space):
-            wp = orth_complement(sub, inst.space)
-            reps_sets.append(complete_basis(list(sub.rows), list(wp.rows)))
-        for reps in reps_sets:
-            if reps:
-                assert quotient_matrix(inst.g, sub, reps) == quotient_by_solves(inst.g, sub, reps)
+    # g on every invariant W in two bases, the lattice rows and the echelon
+    # rows, and on W-perp for the isotropic W: one echelon form against one
+    # solve per row
+    inst, basis = instance(spec, q, seed), walk(spec, q, seed)
+    zero = Subspace(inst.n, ())
+    for vec, sub in spans(spec, q, seed).items():
+        row_sets = [[basis.rows[a] for a in basis.coords[vec]], list(sub.rows)]
+        if basis.isotropic(vec):
+            row_sets.append([basis.rows[a] for a in basis.perp(vec)])
+        for rows in row_sets:
+            if rows:
+                assert in_basis(inst.g, rows) == quotient_by_solves(inst.g, zero, rows)
 
 
 @pytest.mark.parametrize("spec,q,seed", WIDE_Q)
@@ -267,8 +265,7 @@ def test_afl_identity_at_the_other_tabled_q_and_above_the_cap(spec, q, seed):
 
 def test_batched_quotient_rejects_non_invariant_span():
     inst = instance("cp:1:1,sp:1:1", 3, 0)
-    sub = span(inst.n, [])
     line = (gf.one(3, 2), gf.one(3, 2), gf.one(3, 2))
-    assert _solve_in_rows([line], list(inst.g.apply(line))) is None
+    assert solve_in_rows([line], list(inst.g.apply(line))) is None
     with pytest.raises(InputError, match="invariant"):
-        quotient_matrix(inst.g, sub, [line])
+        in_basis(inst.g, [line])

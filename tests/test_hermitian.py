@@ -10,18 +10,27 @@ from afl_lab.hermitian import (
     AntiInvolution,
     HermitianSpace,
     adapted_basis,
-    complete_basis,
     gram_of_rows,
     induced_subquotient,
     is_isotropic,
     is_unitary,
-    quotient_matrix,
     validate_anti_involution,
     validate_space,
 )
-from afl_lab.linalg import Matrix, Subspace, charpoly, invariant_subspaces, kernel, rref, span
+from afl_lab.linalg import Matrix, charpoly, complete_basis, invariant_subspaces, rref
 from afl_lab.poly import Poly, star
 from conftest import random_matrix
+from oracles import (
+    Subspace,
+    divisor_poly,
+    kernel,
+    kernel_of_poly,
+    lattice_spans,
+    matrix_sum,
+    quotient_by_solves,
+    solve_in_rows,
+    span,
+)
 from test_linalg import det
 
 
@@ -35,28 +44,11 @@ def herm_product(space: HermitianSpace, x, y) -> gf.FieldElem:
     return acc
 
 
-def _solve_in_rows(rows, target):
-    """Coefficients expressing target as a combination of the given rows."""
-    if not rows:
-        return [] if all(c.is_zero for c in target) else None
-    aug = [list(col) for col in zip(*rows)]
-    aug = [row + [t] for row, t in zip(aug, target)]
-    red, pivots = rref(aug)
-    k = len(rows)
-    if k in pivots:
-        return None  # inconsistent
-    coeffs = [None] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = red[r][k]
-    p, level = rows[0][0].p, rows[0][0].level
-    return [c if c is not None else gf.zero(p, level) for c in coeffs]
-
-
 def restrict_to_invariant(m: Matrix, w: Subspace) -> Matrix:
     """Matrix of M on an invariant subspace, in the echelon basis of W."""
     rows = []
     for r in w.rows:
-        coeffs = _solve_in_rows(list(w.rows), list(m.apply(r)))
+        coeffs = solve_in_rows(list(w.rows), list(m.apply(r)))
         if coeffs is None:
             raise InputError("subspace is not invariant")
         rows.append(coeffs)
@@ -85,7 +77,7 @@ def subquotient_by_definition(w: Subspace, space: HermitianSpace, m: Matrix):
         raise InputError("subspace is not invariant")
     reps = complete_basis(list(w.rows), list(wp.rows))
     assert len(reps) == space.dim - 2 * w.dim
-    return validate_space(gram_of_rows(space, reps)), quotient_matrix(m, w, reps)
+    return validate_space(gram_of_rows(space, reps)), quotient_by_solves(m, w, reps)
 
 
 def perp_by_scan(basis, vec) -> tuple[int, ...]:
@@ -108,9 +100,10 @@ def assert_mask_perp_equals_scan(basis):
 
 
 def walk_of(inst):
-    """The invariant lattice of an instance and its adapted basis."""
+    """Every invariant subspace of an instance as a canonical subspace, by
+    divisor, and the adapted basis of its lattice."""
     lattice = invariant_subspaces(inst.g, inst.fact)
-    return lattice, adapted_basis(lattice, inst.fact, inst.space, inst.g)
+    return lattice_spans(lattice), adapted_basis(lattice, inst.space, inst.g)
 
 
 def hyperbolic_plane(p=3):
@@ -158,7 +151,7 @@ def test_full_rank_agrees_with_the_det_oracle(p):
     for n in range(5):
         for _ in range(3):
             a = random_matrix(p, 2, n, rng)
-            gram = a + a.transpose().conj()
+            gram = matrix_sum(a, a.transpose().conj())
             assert (len(rref(gram.rows)[1]) == n) == (not det(gram).is_zero)
             for rank in range(n + 1):
                 gram = gram_of_rank(p, n, rank, rng)
@@ -251,14 +244,14 @@ def test_complement_of_extremes():
 def test_isotropic_line_in_hyperbolic_plane_is_self_perp():
     space = hyperbolic_plane()
     line = span(2, [(gf.one(3, 2), gf.zero(3, 2))])
-    assert is_isotropic(line, space)
+    assert is_isotropic(line.rows, space)
     assert orth_complement(line, space) == line
 
 
 def test_complement_dims_and_double_perp(rng):
     inst = build_block_instance(parse_signature("cp:1:2,sp:1:1"), 3, 9)
     space = inst.space
-    for vec, sub in invariant_subspaces(inst.g, inst.fact).items():
+    for vec, sub in lattice_spans(invariant_subspaces(inst.g, inst.fact)).items():
         comp = orth_complement(sub, space)
         assert sub.dim + comp.dim == space.dim
         assert orth_complement(comp, space) == sub
@@ -266,8 +259,8 @@ def test_complement_dims_and_double_perp(rng):
 
 def test_zero_subspace_isotropic_full_not():
     space = validate_space(Matrix.identity(3, 2, 2))
-    assert is_isotropic(Subspace(2, ()), space)
-    assert not is_isotropic(span(2, Matrix.identity(3, 2, 2).rows), space)
+    assert is_isotropic((), space)
+    assert not is_isotropic(span(2, Matrix.identity(3, 2, 2).rows).rows, space)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +308,7 @@ def test_subquotient_dim3_pair_block():
     inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
     lattice, basis = walk_of(inst)
     vec, pair_line = next(
-        (vec, s) for vec, s in lattice.items() if s.dim == 1 and is_isotropic(s, inst.space)
+        (vec, s) for vec, s in lattice.items() if s.dim == 1 and is_isotropic(s.rows, inst.space)
     )
     for sub_space, induced in (
         subquotient_by_definition(pair_line, inst.space, inst.g),
@@ -346,7 +339,7 @@ def test_subquotient_rejects_isotropic_line_that_is_not_invariant():
     lines = [span(2, [(o, gf.elem_from_encoding(3, 2, c))]) for c in range(9)] + [span(2, [(z, o)])]
     line = next(
         w for w in lines
-        if is_isotropic(w, inst.space) and not w.contains(inst.g.apply(w.rows[0]))
+        if is_isotropic(w.rows, inst.space) and not w.contains(inst.g.apply(w.rows[0]))
     )
     with pytest.raises(InputError, match="not invariant"):
         subquotient_by_definition(line, inst.space, inst.g)
@@ -355,7 +348,7 @@ def test_subquotient_rejects_isotropic_line_that_is_not_invariant():
 def test_subquotient_rejects_invariant_subspace_that_is_not_isotropic():
     inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
     lattice, basis = walk_of(inst)
-    bad = [vec for vec, s in lattice.items() if not is_isotropic(s, inst.space)]
+    bad = [vec for vec, s in lattice.items() if not is_isotropic(s.rows, inst.space)]
     assert any(0 < lattice[vec].dim < inst.n for vec in bad)
     for vec in bad:
         assert not basis.isotropic(vec)
@@ -412,8 +405,9 @@ def test_adapted_basis_spans_every_lattice_member():
         inst = build_block_instance(parse_signature(sig), q, seed)
         lattice, basis = walk_of(inst)
         assert basis.gram == gram_of_rows(inst.space, basis.rows)
-        for vec, sub in lattice.items():
-            assert span(inst.n, [basis.rows[a] for a in basis.coords[vec]]) == sub
+        for vec in lattice:
+            sub = span(inst.n, [basis.rows[a] for a in basis.coords[vec]])
+            assert sub == kernel_of_poly(inst.g, divisor_poly(inst.fact, vec))
 
 
 def full_quotient_matrix(m: Matrix, w: Subspace) -> Matrix:
@@ -422,7 +416,7 @@ def full_quotient_matrix(m: Matrix, w: Subspace) -> Matrix:
     n = m.n
     ident = Matrix.identity(m.p, m.level, n)
     reps = complete_basis(list(w.rows), list(ident.rows))
-    return quotient_matrix(m, w, reps)
+    return quotient_by_solves(m, w, reps)
 
 
 def charpoly_filtration(m: Matrix, w: Subspace, space: HermitianSpace):
@@ -439,8 +433,8 @@ def charpoly_filtration(m: Matrix, w: Subspace, space: HermitianSpace):
 def test_charpoly_multiplicativity_and_star_duality():
     for sig, q, seed in [("cp:1:2,sp:1:1", 3, 1), ("cp:2:1,sp:1:1", 5, 2), ("sp:1:3", 3, 3)]:
         inst = build_block_instance(parse_signature(sig), q, seed)
-        for vec, sub in invariant_subspaces(inst.g, inst.fact).items():
-            if not is_isotropic(sub, inst.space):
+        for vec, sub in lattice_spans(invariant_subspaces(inst.g, inst.fact)).items():
+            if not is_isotropic(sub.rows, inst.space):
                 continue
             inner, mid, outer = charpoly_filtration(inst.g, sub, inst.space)
             assert inner * mid * outer == charpoly(inst.g)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,21 +7,19 @@ import pytest
 from afl_lab import gf, linalg
 from afl_lab.errors import InputError
 from afl_lab.forge import random_coxeter_instance
-from afl_lab.linalg import (
-    Matrix,
-    Subspace,
-    all_subspaces,
-    charpoly,
-    invariant_subspaces,
-    is_regular,
-    kernel_of_poly,
-    naive_subspace_scan,
-    null_basis,
-    rref,
-    span,
-)
+from afl_lab.linalg import Matrix, charpoly, invariant_subspaces, is_regular, null_basis, rref
 from afl_lab.poly import Poly, divisor_exponents, factor_pairs, is_irreducible, plain_factor, poly_gcd
 from conftest import poly_from_ints, random_matrix, random_monic
+from oracles import (
+    Subspace,
+    all_subspaces,
+    divisor_poly,
+    kernel_of_poly,
+    lattice_spans,
+    matrix_sum,
+    naive_subspace_scan,
+    span,
+)
 
 
 def jordan_block(p, level, lam, n):
@@ -409,9 +408,10 @@ def test_kernel_lattice_morphisms(rng):
 
 
 def lattice_by_spans(m: Matrix, fact) -> dict:
-    """The lattice with every divisor's span formed up front: one echelon
-    form of the concatenated primary chain bases per divisor."""
-    chains = linalg._primary_chains(m, fact)
+    """The lattice by definition, every divisor's span formed up front: one
+    echelon form of the concatenated kernels ker P_i(M)^{m_i}."""
+    pairs = factor_pairs(fact)
+    chains = [[kernel_of_poly(m, divisor_poly([(f, a)], (k,))) for k in range(a + 1)] for f, a in pairs]
     return {
         vec: span(m.n, [r for chain, k in zip(chains, vec) for r in chain[k].rows])
         for vec in divisor_exponents(fact)
@@ -419,23 +419,19 @@ def lattice_by_spans(m: Matrix, fact) -> dict:
 
 
 def assert_lattice_equals_spans(m, fact):
-    """Keys, their order, len, membership and every value of the lazy
-    lattice against the eager oracle; values are read in a shuffled order
-    so no span depends on another having been formed first."""
+    """Keys, their order and len of the row-set lattice against the eager
+    oracle, its rows a basis, and the span of every member's rows."""
     lattice, eager = invariant_subspaces(m, fact), lattice_by_spans(m, fact)
     assert len(lattice) == len(eager)
-    assert list(lattice) == list(eager)
-    assert all(vec in lattice for vec in eager)
-    assert tuple(a + 1 for a in max(eager)) not in lattice
-    order = list(eager)
-    random.Random(len(order)).shuffle(order)
-    assert {vec: lattice[vec] for vec in order} == eager
-    assert list(lattice.items()) == list(eager.items())
+    assert list(lattice.coords) == list(eager)
+    assert len(lattice.rows) == m.n == span(m.n, lattice.rows).dim
+    assert all(len(lattice.coords[vec]) == sub.dim for vec, sub in eager.items())
+    assert lattice_spans(lattice) == eager
 
 
 def test_invariant_subspaces_of_jordan_chain():
     j = jordan_block(3, 2, gf.gen(3, 2), 3)
-    subs = invariant_subspaces(j, plain_factor(charpoly(j), 0))
+    subs = lattice_spans(invariant_subspaces(j, plain_factor(charpoly(j), 0)))
     dims = sorted(s.dim for s in subs.values())
     assert dims == [0, 1, 2, 3]
 
@@ -480,9 +476,9 @@ def test_lazy_lattice_is_read_only_and_rejects_other_keys():
     m = jordan_block(3, 2, gf.gen(3, 2), 2)
     lattice = invariant_subspaces(m, plain_factor(charpoly(m), 0))
     with pytest.raises(KeyError):
-        lattice[(3,)]
-    with pytest.raises(TypeError):
-        lattice[(1,)] = Subspace(2, ())
+        lattice.coords[(3,)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lattice.rows = ()
 
 
 def test_divisibility_matches_inclusion(rng):
@@ -490,7 +486,7 @@ def test_divisibility_matches_inclusion(rng):
         m = random_matrix(3, 2, 3, rng)
         if not probe_is_regular(m):
             continue
-        subs = invariant_subspaces(m, plain_factor(charpoly(m), 0))
+        subs = lattice_spans(invariant_subspaces(m, plain_factor(charpoly(m), 0)))
         vecs = list(subs)
         for a in vecs:
             for b in vecs:
@@ -713,7 +709,7 @@ def power_sum(m: Matrix, f: Poly) -> Matrix:
     acc = Matrix.identity(m.p, m.level, m.n).scale(gf.zero(m.p, m.level))
     power = Matrix.identity(m.p, m.level, m.n)
     for c in f.coeffs:
-        acc = acc + power.scale(c)
+        acc = matrix_sum(acc, power.scale(c))
         power = power @ m
     return acc
 
@@ -810,5 +806,5 @@ def test_packed_apply_matmul_and_eval_poly_match_per_term_dots(p, level):
     for c in reversed(f.coeffs[:-1]):
         cols = list(zip(*other.rows))
         expected = Matrix.from_rows(p, level, [[per_term_dot(r, col) for col in cols] for r in expected.rows])
-        expected = expected + Matrix.identity(p, level, n).scale(c)
+        expected = matrix_sum(expected, Matrix.identity(p, level, n).scale(c))
     assert other.eval_poly(f) == expected

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from afl_lab.poly import (
     Modulus,
     Poly,
     divisor_exponents,
-    divisor_poly,
     factor,
     is_irreducible,
     plain_factor,
@@ -18,6 +18,7 @@ from afl_lab.poly import (
     star,
 )
 from conftest import poly_from_ints, random_monic
+from oracles import divisor_poly
 
 
 def x_minus_enc(p, enc):
@@ -310,10 +311,16 @@ def test_modulus_needs_a_monic_modulus_of_positive_degree():
             Modulus(g)
 
 
-def test_powmod_by_a_constant_is_long_division():
-    # no Modulus exists for degree 0; every power of degree >= 1 reduces to 0
-    f, c = Poly.x(3, 6), Poly.one(3, 6)
-    assert f.powmod(0, c) == Poly.one(3, 6) and f.powmod(3, c) == Poly.zero(3, 6)
+def test_powmod_by_a_constant_raises():
+    # a modulus of degree 0 is refused over a tabled field (F_9) and above
+    # the cap (F_729), as Modulus refuses it; the zero polynomial stays a
+    # division by zero
+    for level, e in itertools.product((2, 6), (0, 3)):
+        f = Poly.x(3, level)
+        with pytest.raises(InputError, match="positive degree"):
+            f.powmod(e, Poly.one(3, level))
+        with pytest.raises(ZeroDivisionError):
+            f.powmod(e, Poly.zero(3, level))
 
 
 def test_tabled_fields_keep_the_schoolbook_product(rng):

@@ -12,11 +12,7 @@ SRC = Path(afl_lab.__file__).resolve().parent
 
 # name -> why src keeps it although no src code references it
 ALLOWED = {
-    "divisor_poly": "oracle: the divisor polynomial whose kernel each lattice subspace must be",
     "is_isotropic": "oracle: isotropy by the definition, against the adapted-basis pass",
-    "kernel_of_poly": "oracle: the kernel of f(M), against the primary chains of the lattice",
-    "naive_subspace_scan": "oracle: every invariant subspace by enumerating all subspaces",
-    "script_w_direct": "oracle: tau-stability tested on every invariant subspace, against script_w",
     "make_tower": "public: validates (p, max_level) and realizes every even level of a tower",
 }
 
