@@ -47,6 +47,9 @@ DEFAULT_SIGNATURES = (
     "sp:1:1,sp:1:1,sp:1:1",
 )
 
+# Largest sweep count: every task and full report is held at once (README)
+COUNT_MAX = 10_000
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -97,6 +100,8 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
     the parallelism degree."""
     if config.count < 1:
         raise InputError("sweep count must be >= 1")
+    if config.count > COUNT_MAX:
+        raise InputError(f"sweep count must be at most {COUNT_MAX}, got {config.count}")
     if config.jobs < 1:
         raise InputError("--jobs must be >= 1")
     grid = []
@@ -243,7 +248,7 @@ def cmd_sweep(args) -> int:
         max_dim=args.max_dim,
         count=args.count,
         seed=_resolve_seed(args),
-        signatures=tuple(args.signatures.split(";")) if args.signatures else DEFAULT_SIGNATURES,
+        signatures=DEFAULT_SIGNATURES if args.signatures is None else tuple(args.signatures.split(";")),
         jobs=args.jobs,
         out=args.out,
         cross_check=not args.no_cross_check,
@@ -381,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="seeded sweep over a signature grid")
     p_sweep.add_argument("--q", default="3,5", help="comma-joined odd primes")
     p_sweep.add_argument("--max-dim", type=int, default=9)
-    p_sweep.add_argument("--count", type=int, required=True)
+    p_sweep.add_argument("--count", type=int, required=True, help=f"instances, at most {COUNT_MAX}")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--signatures", help="semicolon-joined signature specs")
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPUs and the tasks")

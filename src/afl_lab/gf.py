@@ -34,16 +34,15 @@ steps and products.
 Small fields compute by table (Lidl-Niederreiter, Finite Fields, ch. 9):
 when p**level <= TABLE_CAP (F_9 up to F_169 at level 2, F_27, F_81, F_125,
 F_243, and F_p for p <= 251) every value is one interned FieldElem indexed
-by its encode_int, and add, sub, neg, mul, inverse and frob_q are single
-lookups in Cayley tables built from the Kronecker powers of a primitive
-element on the first operation in that field, never at import or in
-make_tower.  The same tables exist on encodings: index_rows hands a kernel
-(matrix products, echelon forms, characteristic polynomials, polynomial
-products, division and powers) the int tables add[a][b], sub[a][b],
-mul[a][b] and inv[a] with its operands as int lists, so its inner loop runs
-on ints and wraps its result back into interned elements once at exit.
-Larger levels (the eigenline fields, and F_{q^2} for q >= 17) apply the two
-maps directly.  Both share the one FieldElem class.
+by its encode_int.  One set of int tables on encodings, add, sub, mul, inv
+and frob, is built from the Kronecker powers of a primitive element on the
+first operation in that field, never at import or in make_tower.  Elements
+read them and return the interned result; index_rows hands a kernel
+(matrix products, conjugation, echelon forms, characteristic polynomials,
+polynomial products, division and powers) the same tables with its
+operands as int lists, so its inner loop runs on ints and wraps its result
+once at exit.  Larger levels (the eigenline fields, and F_{q^2} for
+q >= 17) apply the two maps directly, on the same FieldElem class.
 
 The F_p[x] helpers on little-endian int lists serve only the definition of
 the fields: the irreducibility test behind defining_poly and the reduction
@@ -361,11 +360,11 @@ class FieldElem:
     """Element of F_{p^level} in the power basis of defining_poly(p, level).
 
     Immutable; equal, hashed and printed by (p, level, coeffs).  When
-    p**level <= TABLE_CAP each value has exactly one instance, which carries
-    its encode_int and its field's _Tables, and every operation is one list
-    lookup returning another such instance.  Larger fields compute on the
-    coefficient tuples and wrap the residues they return with _new_elem;
-    only the constructor validates, for inputs from outside.
+    p**level <= TABLE_CAP each value has exactly one instance, carrying its
+    encode_int and its field's _Tables, and an operation returns the
+    instance of the encoding an int table gives.  Larger fields compute on
+    the coefficient tuples and wrap the residues they return with
+    _new_elem; only the constructor validates, for inputs from outside.
     """
 
     __slots__ = ("p", "level", "coeffs", "_enc", "_tables")
@@ -417,7 +416,7 @@ class FieldElem:
     def __add__(self, other):
         t = self._tables
         if t is not None and t is other._tables:
-            return t.add[self._enc][other._enc]
+            return t.elems[t.add[self._enc][other._enc]]
         self._check(other)
         p = self.p
         return _new_elem(p, self.level, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)), None, None)
@@ -425,21 +424,22 @@ class FieldElem:
     def __sub__(self, other):
         t = self._tables
         if t is not None and t is other._tables:
-            return t.sub[self._enc][other._enc]
+            return t.elems[t.sub[self._enc][other._enc]]
         self._check(other)
         p = self.p
         return _new_elem(p, self.level, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)), None, None)
 
     def __neg__(self):
-        if self._tables is not None:
-            return self._tables.neg[self._enc]
+        t = self._tables
+        if t is not None:
+            return t.elems[t.sub[0][self._enc]]
         p = self.p
         return _new_elem(p, self.level, tuple((-a) % p for a in self.coeffs), None, None)
 
     def __mul__(self, other):
         t = self._tables
         if t is not None and t is other._tables:
-            return t.mul[self._enc][other._enc]
+            return t.elems[t.mul[self._enc][other._enc]]
         self._check(other)
         return _new_elem(self.p, self.level, _kronecker_mul(self.p, self.level, self.coeffs, other.coeffs), None, None)
 
@@ -447,8 +447,9 @@ class FieldElem:
         """Multiplicative inverse."""
         if self.is_zero:
             raise ZeroDivisionError("zero has no inverse")
-        if self._tables is not None:
-            return self._tables.inv[self._enc]
+        t = self._tables
+        if t is not None:
+            return t.elems[t.inv[self._enc]]
         return _new_elem(self.p, self.level, _norm_inverse(self.p, self.level, self.coeffs), None, None)
 
     def __truediv__(self, other):
@@ -481,28 +482,15 @@ def _new_elem(p, level, coeffs, enc, tables):
     return x
 
 
-class IndexTables:
-    """A tabled field's arithmetic on encodings (encode_int values): the ints
-    add[a][b], sub[a][b], mul[a][b] and inv[a] (None at zero), and elems[a],
-    the interned element of encoding a."""
-
-    __slots__ = ("add", "sub", "mul", "inv", "elems")
-
-    def __init__(self, add, sub, mul, inv, elems):
-        self.add, self.sub, self.mul, self.inv, self.elems = add, sub, mul, inv, elems
-
-
 class _Tables:
-    """One interned element per value of a small field and its Cayley tables.
-
-    Every table is indexed by encode_int: add[a][b], sub[a][b], mul[a][b],
-    neg[a], inv[a] (None at zero) and frob[a] hold the result elements, and
-    _index holds the same add, sub, mul and inv on encodings.  The tables are
-    built on the first access to any of them, so creating elements
+    """One interned element per value of a small field, elems[a] for encoding
+    a, and the field's arithmetic on encodings: the ints add[a][b], sub[a][b]
+    (so -a is sub[0][a]), mul[a][b], inv[a] (None at zero) and frob[a].  The
+    tables are built on the first access to any of them, so creating elements
     (make_tower, gf.zero, parsing) never pays for them.
     """
 
-    __slots__ = ("p", "level", "elems", "add", "sub", "neg", "mul", "inv", "frob", "_index")
+    __slots__ = ("p", "level", "elems", "add", "sub", "mul", "inv", "frob")
 
     def __init__(self, p, level):
         self.p, self.level = p, level
@@ -510,27 +498,26 @@ class _Tables:
 
     def __getattr__(self, name):
         # reached only for an unset slot, i.e. before the first arithmetic
-        if name not in ("add", "sub", "neg", "mul", "inv", "frob", "_index"):
+        if name not in ("add", "sub", "mul", "inv", "frob"):
             raise AttributeError(name)
         self._build()
         return getattr(self, name)
 
     def _build(self):
-        p, level, els = self.p, self.level, self.elems
-        q = len(els)
-        vecs = [x.coeffs for x in els]
-        self.add = [[els[_encode(p, [(a + b) % p for a, b in zip(u, v)])] for v in vecs] for u in vecs]
-        self.neg = [els[_encode(p, [-a % p for a in u])] for u in vecs]
-        self.sub = [[row[y._enc] for y in self.neg] for row in self.add]
+        p, level, vecs = self.p, self.level, [x.coeffs for x in self.elems]
+        q = len(vecs)
+        self.add = [[_encode(p, [(a + b) % p for a, b in zip(u, v)]) for v in vecs] for u in vecs]
+        neg = [_encode(p, [-a % p for a in u]) for u in vecs]
+        self.sub = [[row[b] for b in neg] for row in self.add]
         # F^* is cyclic: the powers of the first element of order q - 1 give
         # exp, and products, inverses and p-th powers are sums of logs; the
         # bound on the powers ends the search even if the product is broken
-        for g in els[2:]:
-            powers = [els[1]]
+        for g in range(2, q):
+            powers = [1]
             x = g
-            while x is not els[1] and len(powers) < q:
+            while x != 1 and len(powers) < q:
                 powers.append(x)
-                x = els[_encode(p, _kronecker_mul(p, level, x.coeffs, g.coeffs))]
+                x = _encode(p, _kronecker_mul(p, level, vecs[x], vecs[g]))
             if len(powers) == q - 1:
                 break
         else:
@@ -538,13 +525,10 @@ class _Tables:
         m = q - 1
         log = [0] * q
         for i, x in enumerate(powers):
-            log[x._enc] = i
-        zero = els[0]
-        self.mul = [[zero] * q] + [[zero] + [powers[(log[a] + log[b]) % m] for b in range(1, q)] for a in range(1, q)]
+            log[x] = i
+        self.mul = [[0] * q] + [[0] + [powers[(log[a] + log[b]) % m] for b in range(1, q)] for a in range(1, q)]
         self.inv = [None] + [powers[-log[a] % m] for a in range(1, q)]
-        self.frob = [zero] + [powers[p * log[a] % m] for a in range(1, q)]
-        add, sub, mul = ([[x._enc for x in row] for row in table] for table in (self.add, self.sub, self.mul))
-        self._index = IndexTables(add, sub, mul, [None] + [x._enc for x in self.inv[1:]], els)
+        self.frob = [0] + [powers[p * log[a] % m] for a in range(1, q)]
 
 
 @lru_cache(maxsize=None)
@@ -553,7 +537,7 @@ def _tables(p, level):
 
 
 def index_rows(*vectors):
-    """(IndexTables, one int list of encodings per vector) for vectors whose
+    """(_Tables, one int list of encodings per vector) for vectors whose
     entries all lie in one tabled field, the field of the first entry.
 
     None when that field is above TABLE_CAP, or there is no entry: the
@@ -575,7 +559,7 @@ def index_rows(*vectors):
         if len(row) != len(v):
             raise InputError("elements live in different fields")
         rows.append(row)
-    return t._index, rows
+    return t, rows
 
 
 def elem(p: int, level: int, coeffs) -> FieldElem:
@@ -665,8 +649,9 @@ def _packed_trace(p, level):
 
 def frob_q(x: FieldElem) -> FieldElem:
     """The q-power map x -> x^p on any level (the tower-wide conjugation)."""
-    if x._tables is not None:
-        return x._tables.frob[x._enc]
+    t = x._tables
+    if t is not None:
+        return t.elems[t.frob[x._enc]]
     return _new_elem(x.p, x.level, _frob_apply(x.p, x.level, 1, x.coeffs), None, None)
 
 

@@ -7,10 +7,10 @@ so nothing here compares or hashes a subspace.
 The characteristic polynomial goes through a deterministic Hessenberg
 reduction followed by the classical recurrence on leading principal minors.
 Over a tabled field (gf.TABLE_CAP) the kernels here (products, apply,
-Horner's eval_poly, rref and charpoly) take their operands' encodings from
-gf.index_rows once per call, run the same loops on ints through the index
-tables and wrap the result in FieldElems once; above the cap they run the
-FieldElem loops, which the tests also hold the encoded ones against.
+conj, Horner's eval_poly, rref and charpoly) take their operands' encodings
+from gf.index_rows once per call, run the same loops on ints through the
+field's tables and wrap the result in FieldElems once; above the cap they
+run the FieldElem loops, which the tests also hold the encoded ones against.
 Regularity (cyclicity) is decided exactly on the factorization of the
 characteristic polynomial: M is regular iff dim ker P_i(M) = deg P_i for every
 irreducible factor P_i, which can fail only where P_i is a repeated factor.
@@ -112,7 +112,12 @@ class Matrix:
         return Matrix.from_rows(self.p, self.level, list(zip(*self.rows)))
 
     def conj(self) -> "Matrix":
-        """Entrywise q-power conjugation."""
+        """Entrywise q-power conjugation; over a tabled field on encodings."""
+        enc = gf.index_rows(*self.rows)
+        if enc is not None:
+            t, rows = enc
+            frob, elems = t.frob, t.elems
+            return Matrix(self.p, self.level, tuple(tuple([elems[frob[a]] for a in r]) for r in rows))
         return Matrix.from_rows(self.p, self.level, [[gf.frob_q(a) for a in r] for r in self.rows])
 
     def apply(self, v) -> tuple:
@@ -158,7 +163,7 @@ def _plus_diagonal(m: Matrix, c: gf.FieldElem) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# kernels on encodings: int rows and the IndexTables t of gf.index_rows
+# kernels on encodings: int rows and the tables t of gf.index_rows
 
 
 def _wrap(t, rows) -> tuple:

@@ -8,7 +8,7 @@ characteristic p), distinct-degree splitting, then equal-degree splitting by
 Cantor-Zassenhaus with an explicitly threaded seed so reports reproduce.
 
 Over a tabled field (gf.TABLE_CAP) products, long division, powers modulo
-a polynomial and gcds run on the coefficients' encodings through gf's index
+a polynomial and gcds run on the coefficients' encodings through gf's int
 tables, converted once per call: powmod squares and reduces, and poly_gcd
 takes its remainders, without leaving the ints.  Above the cap a product is
 one packed integer product and Modulus reduces by folding.
@@ -158,6 +158,8 @@ class Poly:
             q[k] = c
             for j, bj in enumerate(other.coeffs):
                 rem[k + j] = rem[k + j] - c * bj
+            if not rem[-1].is_zero:
+                raise AssertionError("long division left a leading term: the arithmetic is broken")
         return (Poly.from_elems(self.p, self.level, q), Poly.from_elems(self.p, self.level, rem))
 
     def __floordiv__(self, other):
@@ -213,7 +215,7 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# kernels on encodings: little-endian int lists and the IndexTables t of
+# kernels on encodings: little-endian int lists and the tables t of
 # gf.index_rows
 
 
@@ -254,6 +256,8 @@ def _divmod_indexed(t, a, b):
         for y in b:
             rem[j] = sub[rem[j]][mc[y]]
             j += 1
+        if rem[-1]:
+            raise AssertionError("long division left a leading term: the arithmetic is broken")
     return q, rem
 
 

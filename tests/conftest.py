@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,13 @@ def felem(p, level, *coeffs):
 
 def poly_from_ints(p, level, rows):
     return Poly.from_elems(p, level, [gf.elem(p, level, r) for r in rows])
+
+
+def tables_with(t, **replaced):
+    """A stand-in for the tables gf.index_rows hands a kernel, with some of
+    them replaced."""
+    tables = {name: getattr(t, name) for name in ("add", "sub", "mul", "inv", "frob", "elems")}
+    return SimpleNamespace(**(tables | replaced))
 
 
 def random_matrix(p, level, n, rng):

@@ -436,6 +436,36 @@ def test_sweep_rejects_nonpositive_jobs(jobs, capsys):
     assert json.loads(err)["error"] == "InputError" and "--jobs" in err
 
 
+def test_sweep_empty_signatures_exit2(capsys):
+    # an explicit empty value is a bad block, not the default grid
+    assert main(["sweep", "--count", "1", "--q", "3", "--signatures", ""]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and "bad signature block ''" in err["message"]
+
+
+def test_sweep_count_above_the_bound_exits_2_before_any_instance(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "instance_from_spec", never)
+    assert main(["sweep", "--count", str(cli.COUNT_MAX + 1), "--q", "3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and str(cli.COUNT_MAX) in err["message"]
+
+
+def test_sweep_count_at_the_bound_reaches_the_tasks(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def first_task(task):
+        raise Reached(task)
+
+    monkeypatch.setattr(cli, "_sweep_task", first_task)
+    config = SweepConfig(qs=(3,), max_dim=9, count=cli.COUNT_MAX, seed=0, signatures=("sp:1:1",), jobs=1, out=None)
+    with pytest.raises(Reached):
+        run_sweep(config)
+
+
 def test_run_sweep_rejects_empty_grid():
     with pytest.raises(InputError):
         run_sweep(SweepConfig(qs=(3,), max_dim=0, count=1, seed=0, signatures=("sp:1:1",), jobs=1, out=None))

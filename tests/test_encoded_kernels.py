@@ -2,13 +2,14 @@
 FieldElem loops they replace.
 
 Over a field of at most gf.TABLE_CAP elements, rref, charpoly, @, apply,
-eval_poly and the Poly product, division, powmod and gcd take their
+conj, eval_poly and the Poly product, division, powmod and gcd take their
 operands' encodings from gf.index_rows and loop on ints.  With index_rows
 answering None, as it does above the cap, every one of them runs its
 FieldElem loop instead (the packed dot and the Kronecker product for @,
-apply and Poly *, Modulus for powmod): that route is the oracle here, on
-every tabled field the tower or the Gram solve uses, exhaustively on 1 x 1
-and degree-1 inputs over F_9 and on seeded random inputs up to n = 9.
+apply and Poly *, frob_q for conj, Modulus for powmod): that route is the
+oracle here, on every tabled field the tower or the Gram solve uses,
+exhaustively on 1 x 1 and degree-1 inputs over F_9 and on seeded random
+inputs up to n = 9.
 """
 
 import itertools
@@ -112,6 +113,22 @@ def test_products_on_encodings_match_the_packed_dot(p, level):
             assert a.apply(v) == oracle(a.apply, v)
 
 
+# conj on encodings on every tabled field, and its FieldElem loop above the cap
+CONJ_FIELDS = FIELDS + [(17, 2), (3, 6)]
+
+
+@pytest.mark.parametrize("p,level", CONJ_FIELDS, ids=[f"F{p}^{lv}" for p, lv in CONJ_FIELDS])
+def test_conj_matches_entrywise_frob_q(p, level):
+    rng = random.Random(f"conj:{p}:{level}")
+    for n, k in ((1, 1), (2, 3), (5, 5), (9, 9), (9, 2)):
+        for density in (1.0, 0.3):
+            a = Matrix.from_rows(p, level, rows_of(p, level, n, k, rng, density))
+            expected = Matrix.from_rows(p, level, [[gf.frob_q(x) for x in r] for r in a.rows])
+            assert a.conj() == expected == oracle(a.conj)
+            if level == 2:
+                assert expected.conj() == a
+
+
 @pytest.mark.parametrize("p,level", FIELDS, ids=IDS)
 def test_eval_poly_on_encodings_matches_the_element_loop(p, level):
     rng = random.Random(f"eval:{p}:{level}")
@@ -150,6 +167,7 @@ def test_every_1x1_matrix_over_f9():
     for m in singles:
         assert rref(m.rows) == oracle(rref, m.rows)
         assert charpoly(m) == oracle(charpoly, m)
+        assert m.conj() == oracle(m.conj)
         for f in UP_TO_LINEAR:
             assert m.eval_poly(f) == oracle(m.eval_poly, f)
         for other in singles:
@@ -185,6 +203,7 @@ def test_mixing_f9_with_f81_raises_in_every_kernel():
             lambda: rref(m.rows),
             lambda: rref([list(reversed(r)) for r in m.rows]),
             lambda: charpoly(m),
+            lambda: m.conj(),
             lambda: m @ clean,
             lambda: clean @ m,
             lambda: clean.apply([a, other]),

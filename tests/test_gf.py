@@ -347,6 +347,8 @@ def test_tables_match_polynomial_path(p, level):
         assert x.is_zero == (not any(x.coeffs))
         assert -x is by_coeffs[tuple(-a % p for a in x.coeffs)]
         assert gf.frob_q(x) is by_coeffs[poly_frob(p, level, x.coeffs)]
+        if level % 2 == 0:
+            assert gf.tau_frob(x) is by_coeffs[poly_frob(p, level, poly_frob(p, level, x.coeffs))]
         if x.is_zero:
             with pytest.raises(ZeroDivisionError):
                 x.inverse()
@@ -356,6 +358,30 @@ def test_tables_match_polynomial_path(p, level):
             assert x + y is by_coeffs[tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))]
             assert x - y is by_coeffs[tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs))]
             assert x * y is by_coeffs[poly_mul(p, level, x.coeffs, y.coeffs)]
+
+
+def leaves(table):
+    for v in table:
+        if isinstance(v, list):
+            yield from leaves(v)
+        else:
+            yield v
+
+
+@pytest.mark.parametrize("p,level", TABLED + [(251, 1)], ids=[f"F{p}^{lv}" for p, lv in TABLED + [(251, 1)]])
+def test_elems_is_the_only_table_of_elements(p, level):
+    # one table kind: every arithmetic table holds encodings (None only at
+    # inv[0]), so the interned elements are stored once, in elems
+    t = gf._tables(p, level)
+    t.add  # the first arithmetic builds every table
+    tables = {name: getattr(t, name) for name in gf._Tables.__slots__ if name not in ("p", "level")}
+    elems = tables.pop("elems")
+    assert [x.__class__ for x in elems] == [gf.FieldElem] * p**level
+    assert {"add", "sub", "mul", "inv", "frob"} <= set(tables)
+    assert tables["inv"][0] is None
+    for name, table in tables.items():
+        values = list(leaves(table[1:] if name == "inv" else table))
+        assert all(type(v) is int and 0 <= v < p**level for v in values), name
 
 
 def test_table_build_ends_on_a_broken_product(monkeypatch):
@@ -425,7 +451,7 @@ x = gf.gen(3, 2)
 t = gf._tables(3, 2)
 def built():
     out = []
-    for name in ("add", "sub", "neg", "mul", "inv", "frob"):
+    for name in ("add", "sub", "mul", "inv", "frob"):
         try:
             object.__getattribute__(t, name)
             out.append(name)
@@ -438,7 +464,7 @@ print(built())
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["0", "1 9 -", "add sub neg mul inv frob"]
+    assert proc.stdout.split("\n")[:3] == ["0", "1 9 -", "add sub mul inv frob"]
 
 
 # ---------------------------------------------------------------------------

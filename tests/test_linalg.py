@@ -9,7 +9,7 @@ from afl_lab.errors import InputError
 from afl_lab.forge import random_coxeter_instance
 from afl_lab.linalg import Matrix, charpoly, invariant_subspaces, is_regular, null_basis, rref
 from afl_lab.poly import Poly, divisor_exponents, factor_pairs, is_irreducible, plain_factor, poly_gcd
-from conftest import poly_from_ints, random_matrix, random_monic
+from conftest import poly_from_ints, random_matrix, random_monic, tables_with
 from oracles import (
     Subspace,
     all_subspaces,
@@ -655,7 +655,7 @@ def test_rref_of_rows_leading_with_one_inverts_nothing(level, monkeypatch, rng):
         if enc is None:
             return None
         t, rows = enc
-        return gf.IndexTables(t.add, t.sub, t.mul, InverseLog(t, inverses), t.elems), rows
+        return tables_with(t, inv=InverseLog(t, inverses)), rows
 
     monkeypatch.setattr(gf.FieldElem, "inverse", counting)
     monkeypatch.setattr(gf, "index_rows", logging_index_rows)

@@ -17,7 +17,7 @@ from afl_lab.poly import (
     poly_gcd,
     star,
 )
-from conftest import poly_from_ints, random_monic
+from conftest import poly_from_ints, random_monic, tables_with
 from oracles import divisor_poly
 
 
@@ -272,6 +272,24 @@ def test_packed_product_holds_the_worst_case_at_p_max(level, length):
     p = gf.P_MAX
     f = top_poly(p, level, length)
     assert f * f == schoolbook_product(f, f)
+
+
+@pytest.mark.parametrize("level", [2, 6])
+def test_long_division_with_a_broken_inverse_stops(level, monkeypatch):
+    # a step that leaves the leading term would repeat forever: both loops
+    # (on encodings at level 2, on elements at level 6) raise instead
+    real_index_rows = gf.index_rows
+
+    def broken_index_rows(*vectors):
+        enc = real_index_rows(*vectors)
+        return None if enc is None else (tables_with(enc[0], inv=list(range(len(enc[0].elems)))), enc[1])
+
+    monkeypatch.setattr(gf, "index_rows", broken_index_rows)
+    monkeypatch.setattr(gf.FieldElem, "inverse", lambda self: self)
+    x, one = gf.gen(3, level), gf.one(3, level)
+    f, g = Poly.from_elems(3, level, [one, x, x]), Poly.from_elems(3, level, [one, x])
+    with pytest.raises(AssertionError, match="leading term"):
+        divmod(f, g)
 
 
 @pytest.mark.parametrize("p,level", PACKED, ids=PACKED_IDS)

@@ -100,9 +100,9 @@ def test_unused_import_guard_sees_a_leftover(tmp_path):
     assert unused_imports(tmp_path) == ["leftover.kernel"]
 
 
-# gf's table layout: an interned element's encoding and tables, the tables
-# class, and the index tables that only gf.index_rows hands out
-TABLE_LAYOUT = {"_enc", "_tables", "_Tables", "_index"}
+# gf's table layout: an interned element's encoding and tables, and the
+# tables class, whose instances only gf.index_rows hands out
+TABLE_LAYOUT = {"_enc", "_tables", "_Tables"}
 
 
 def table_layout_reads(src=SRC):
@@ -121,5 +121,5 @@ def test_only_gf_reads_the_table_layout():
 
 def test_table_layout_guard_sees_a_reader(tmp_path):
     (tmp_path / "gf.py").write_text("def enc(x):\n    return x._enc\n")
-    (tmp_path / "reader.py").write_text("def enc(x):\n    return x._enc, x._tables._index\n")
-    assert table_layout_reads(tmp_path) == ["reader._enc", "reader._index", "reader._tables"]
+    (tmp_path / "reader.py").write_text("def enc(x):\n    return x._enc, x._tables, gf._Tables\n")
+    assert table_layout_reads(tmp_path) == ["reader._Tables", "reader._enc", "reader._tables"]
