@@ -59,7 +59,7 @@ from . import gf
 from .errors import CrossCheckError, InputError
 from .gf import dot as _dot
 from .hermitian import HermitianSpace
-from .linalg import Matrix, charpoly, rref
+from .linalg import Matrix, charpoly, krylov_rows, rref
 from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 
 
@@ -179,9 +179,7 @@ def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[t
         raise CrossCheckError("the first eigenvalue is not a root of the characteristic polynomial")
     h.reverse()
     # the Krylov vectors s^i e_1 at level 2, one column per coordinate
-    krylov = [(gf.one(s.p, s.level),) + (gf.zero(s.p, s.level),) * (s.n - 1)]
-    for _ in range(1, s.n):
-        krylov.append(s.apply(krylov[-1]))
+    krylov = krylov_rows(s, (gf.one(s.p, s.level),) + (gf.zero(s.p, s.level),) * (s.n - 1))
     w = [gf.dot([gf.embed(a, big) for a in column], h) for column in zip(*krylov)]
     lead = next((c for c in w if not c.is_zero), None)
     if lead is None:

@@ -13,10 +13,12 @@ subquotient characteristic polynomial is irreducible; the per-stratum fixed
 count can be re-derived by the eigenline counter, and a disagreement there
 is a hard error, not a finding.  The geometric walk and the even-dimensional
 counting identity each take the lattice once, from
-linalg.invariant_subspaces, as row sets of one chain-adapted basis: every W
-and W-perp is a set of its rows and every subquotient a slice of H and g
-written in it (hermitian.adapted_basis).  The analytic side reads the
-divisor exponent vectors alone.
+linalg.invariant_subspaces, as row sets of one chain-adapted basis read off
+a cyclic vector of g (regularity itself is certified by the forge, not
+here): every W and W-perp is a set of its rows and every subquotient a
+slice of H and g written in it (hermitian.adapted_basis), with H tested for
+full rank once per instance and no stratum tested again.  The analytic side
+reads the divisor exponent vectors alone.
 
 Support (whether the geometric side can be nonempty) has a closed-form
 criterion: a unique self-paired factor of odd exponent.  The engine never

@@ -503,9 +503,10 @@ def certify_instance(space: HermitianSpace, g: Matrix, tau: AntiInvolution, seed
     Raises InvariantError naming the first broken axiom.  Regularity is
     decided exactly on that factorization, with one echelon form per
     repeated factor: a factor of multiplicity one cannot break it, so a
-    squarefree characteristic polynomial costs none.  Every builder stores the
-    factorization returned here, so serialized certificates are never
-    trusted and the invariant has a single source."""
+    squarefree characteristic polynomial costs none.  This is the one place
+    regularity is decided: the lattice only draws its cyclic vector.  Every
+    builder stores the factorization returned here, so serialized
+    certificates are never trusted and the invariant has a single source."""
     validate_space(space.gram)
     if not is_unitary(g, space):
         raise InvariantError("g is not unitary for the hermitian form")

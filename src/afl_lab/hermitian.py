@@ -10,7 +10,11 @@ anti-isometry) translate into the matrix identities validated here.
 
 The walk runs in the basis B of linalg.invariant_subspaces, in which every
 g-invariant subspace is a set of rows: only H = B G conj(B)^T and g written
-in B are formed here, once per instance.
+in B are formed here, once per instance, and H is tested for full rank once.
+A stratum is a slice of both, with no rank test of its own: for H
+nondegenerate and W isotropic the radical of W-perp is W, so H is
+nondegenerate on the slice, the rows in W-perp but not in W
+(induced_subquotient).
 """
 
 from __future__ import annotations
@@ -143,9 +147,13 @@ class AdaptedBasis:
 
 
 def adapted_basis(lattice: Lattice, space: HermitianSpace, g: Matrix) -> AdaptedBasis:
-    """H and g written in the basis B of lattice = invariant_subspaces(g, fact)."""
+    """H and g written in the basis B of lattice = invariant_subspaces(g, fact).
+
+    H is tested for full rank here, the one nondegeneracy test of the walk:
+    every slice of induced_subquotient inherits it."""
     rows = lattice.rows
-    return AdaptedBasis(rows, gram_of_rows(space, rows), in_basis(g, rows), lattice.coords)
+    gram = nondegenerate_space(gram_of_rows(space, rows)).gram
+    return AdaptedBasis(rows, gram, in_basis(g, rows), lattice.coords)
 
 
 def _slice(m: Matrix, idx) -> Matrix:
@@ -156,11 +164,18 @@ def induced_subquotient(basis: AdaptedBasis, vec):
     """Hermitian space on W-perp/W for W = W(vec) isotropic, with the
     endomorphism g induces there: the slices of H and of g in B on the rows
     in W-perp but not in W.  Its characteristic polynomial is the middle
-    factor of the filtration 0 < W < W-perp < V."""
+    factor of the filtration 0 < W < W-perp < V.
+
+    The slice is nondegenerate with no test of its own.  The mask count has
+    certified that the rows W-perp span the complement, and H is
+    nondegenerate (adapted_basis); for W isotropic the radical of W-perp is
+    W-perp cap W-perp-perp = W-perp cap W = W, so H is nondegenerate on every
+    complement of W in W-perp, the span of the slice rows among them (L. C.
+    Grove, Classical Groups and Geometric Algebra, AMS GSM 39, 2002)."""
     w = set(basis.coords[vec])
     wp = basis.perp(vec)
     if not w <= set(wp):
         raise InputError("subspace is not isotropic")
     r = [a for a in wp if a not in w]
     # a principal slice of the validated H is conjugate-symmetric already
-    return nondegenerate_space(_slice(basis.gram, r)), _slice(basis.g, r)
+    return HermitianSpace(_slice(basis.gram, r)), _slice(basis.g, r)

@@ -14,18 +14,31 @@ run the FieldElem loops, which the tests also hold the encoded ones against.
 Regularity (cyclicity) is decided exactly on the factorization of the
 characteristic polynomial: M is regular iff dim ker P_i(M) = deg P_i for every
 irreducible factor P_i, which can fail only where P_i is a repeated factor.
-The invariant subspace lattice of a regular M is one basis B built from the
-primary chains ker P_i(M)^k, whose dimensions it checks again on the way,
-and every divisor of the characteristic polynomial is a set of rows of B.
+The invariant subspace lattice of a regular M is read off one cyclic vector:
+one basis B whose rows are u(M) x for the chain polynomials u, and every
+divisor of the characteristic polynomial is a set of rows of B.  No kernel
+is taken and regularity is not decided again; a matrix with no cyclic
+vector is refused when the draws for one run out.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 
 from . import gf
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .poly import Poly, divisor_exponents, factor_pairs
+
+# Draws of a cyclic vector before invariant_subspaces refuses M.  For a
+# regular M a uniform x is cyclic with probability prod (1 - Q^(-deg P_i))
+# over the distinct irreducible factors P_i of its characteristic polynomial
+# over F_Q.  For an invertible M over F_{q^2} with n <= 81 that is at least
+# 0.249 (q = 3: the 8 linear and 36 quadratic factors over F_9), so all 64
+# draws fail with probability about 1e-8; for any M, the ninth linear factor
+# T included, at least 0.22, and about 1e-7.
+CYCLIC_DRAWS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,17 +315,20 @@ def null_basis(m: Matrix) -> list[tuple[gf.FieldElem, ...]]:
     return basis
 
 
-def complete_basis(base_rows, extension_rows):
-    """Extend a basis by the first extension rows that enlarge the span.
-
-    With every vector laid out as a column, a column is a pivot of the
-    echelon form exactly when it lies outside the span of the columns before
-    it, so the pivots past the base columns pick the same rows as adding
-    the extension rows greedily in order."""
-    k = len(base_rows)
-    vectors = list(base_rows) + list(extension_rows)
-    _, pivots = rref(list(zip(*vectors)))
-    return [vectors[c] for c in pivots if c >= k]
+def krylov_rows(m: Matrix, x) -> tuple:
+    """The rows x, M x, ..., M^(n-1) x.  Over a tabled field M is encoded
+    once and each step combines its columns on encodings."""
+    enc = gf.index_rows(x, *m.rows)
+    if enc is None:
+        out = [tuple(x)]
+        for _ in range(1, m.n):
+            out.append(m.apply(out[-1]))
+        return tuple(out)
+    t, (v, *rows) = enc
+    cols, out = list(zip(*rows)), [v]
+    for _ in range(1, m.n):
+        out.append(_matmul_indexed(t, [out[-1]], cols)[0])
+    return _wrap(t, out)
 
 
 def in_basis(m: Matrix, rows) -> Matrix:
@@ -446,6 +462,19 @@ class Lattice:
         return len(self.coords)
 
 
+def _cyclic_krylov(m: Matrix) -> tuple:
+    # the Krylov rows of the first seeded draw where they have full rank
+    p, level, n = m.p, m.level, m.n
+    rng = random.Random(f"cyclic-vector:{p}:{level}:{n}")
+    for _ in range(CYCLIC_DRAWS):
+        krylov = krylov_rows(m, [gf.elem_from_encoding(p, level, rng.randrange(p**level)) for _ in range(n)])
+        if len(rref(krylov)[1]) == n:
+            return krylov
+    raise InvariantError(
+        f"no cyclic vector in {CYCLIC_DRAWS} draws over F_{p}^{level} (q = {p}, n = {n}): the matrix is not regular"
+    )
+
+
 def invariant_subspaces(m: Matrix, fact) -> Lattice:
     """The full lattice of M-invariant subspaces of a regular M.
 
@@ -454,33 +483,31 @@ def invariant_subspaces(m: Matrix, fact) -> Lattice:
     vectors, every divisor of the characteristic polynomial; the map is a
     lattice isomorphism from monic divisors ordered by divisibility.
 
-    The factors are pairwise coprime, so by Bezout the subspace of the
-    divisor prod P_i^{m_i} is the direct sum of the primary chain members
-    ker P_i(M)^{m_i} (Brickman-Fillmore).  The basis lists one chain per
-    factor: step k extends the rows of ker P_i(M)^(k-1) by the null basis
-    of P_i(M)^k (complete_basis), so ker P_i(M)^k is the first k deg P_i
-    rows of its chain and each divisor a union of chain prefixes.
-    Regularity is decided on the way: M is cyclic iff every primary
-    component is, iff dim ker P_i(M)^k = k deg P_i at every step.
+    A cyclic vector x makes u -> u(M) x an isomorphism F[T]/(chi) -> V, so
+    ker P_i(M)^k is {u(M) x : chi/P_i^k divides u} (Brickman-Fillmore, Canad.
+    J. Math. 19, 1967), spanned by T^j chi/P_i^l for j < deg P_i, l <= k.
+    The basis lists one chain per factor, step k holding the coefficient
+    rows of T^j chi/P_i^k (one exact division), so ker P_i(M)^k is the first
+    k deg P_i rows of its chain and each divisor, a direct sum of primary
+    chain members by Bezout, a union of chain prefixes.  B is these
+    coefficient rows times the Krylov rows x, Mx, ..., M^(n-1) x.
     """
-    keys = divisor_exponents(fact)  # bounded before any chain is formed
+    keys = divisor_exponents(fact)  # bounded before any Krylov row is formed
     pairs = factor_pairs(fact)
-    rows, offsets = [], []
+    p, level, n = m.p, m.level, m.n
+    chi = math.prod((f for f, a in pairs for _ in range(a)), start=Poly.one(p, level))
+    z = gf.zero(p, level)
+    steps, offsets = [], []
     for f, a in pairs:
-        offsets.append(len(rows))
-        base = m.eval_poly(f)
-        power = base
-        chain = []
-        for k in range(1, a + 1):
-            if k > 1:
-                power = power @ base
-            ker = null_basis(power)
-            if len(ker) != k * f.degree:
-                raise InputError("invariant subspace enumeration requires a regular matrix")
-            chain += complete_basis(chain, ker) if chain else ker
-        rows += chain
+        offsets.append(len(steps))
+        quo = chi
+        for _ in range(a):
+            quo = quo // f
+            for j in range(f.degree):
+                steps.append((z,) * j + quo.coeffs + (z,) * (n - j - len(quo.coeffs)))
+    rows = (Matrix.from_rows(p, level, steps) @ Matrix(p, level, _cyclic_krylov(m))).rows
     coords = {
         vec: tuple(off + r for off, (f, _), k in zip(offsets, pairs, vec) for r in range(k * f.degree))
         for vec in keys
     }
-    return Lattice(tuple(rows), coords)
+    return Lattice(rows, coords)

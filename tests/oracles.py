@@ -5,7 +5,8 @@ checks beyond the echelon routine rref and its null basis.
 Subspaces here are canonical reduced-row-echelon bases, unique per subspace,
 so subspace equality is representative equality.  The lattice src hands out
 is a set of rows of one basis per divisor; lattice_span turns one of them
-into such a subspace, to be compared with the kernel of its divisor."""
+into such a subspace, to be compared with the kernel of its divisor and
+with the same divisor of lattice_by_chains, the primary-chain route."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 from afl_lab import gf
 from afl_lab.errors import InputError
-from afl_lab.linalg import Matrix, invariant_subspaces, null_basis, rref
-from afl_lab.poly import Poly, factor_pairs
+from afl_lab.linalg import Lattice, Matrix, invariant_subspaces, null_basis, rref
+from afl_lab.poly import Poly, divisor_exponents, factor_pairs
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,47 @@ def divisor_poly(fact, exponents) -> Poly:
         for _ in range(m):
             out = out * g
     return out
+
+
+def complete_basis(base_rows, extension_rows):
+    """Extend a basis by the first extension rows that enlarge the span.
+
+    With every vector laid out as a column, a column is a pivot of the
+    echelon form exactly when it lies outside the span of the columns before
+    it, so the pivots past the base columns pick the same rows as adding
+    the extension rows greedily in order."""
+    k = len(base_rows)
+    vectors = list(base_rows) + list(extension_rows)
+    _, pivots = rref(list(zip(*vectors)))
+    return [vectors[c] for c in pivots if c >= k]
+
+
+def lattice_by_chains(m: Matrix, fact) -> Lattice:
+    """The lattice of a regular M from its primary chains, with no cyclic
+    vector: step k of the chain of P_i extends the rows of ker P_i(M)^(k-1)
+    by the null basis of P_i(M)^k (complete_basis), so ker P_i(M)^k is the
+    first k deg P_i rows of the chain; InputError unless each step has
+    dimension k deg P_i, which is regularity.  The oracle for
+    invariant_subspaces, divisor by divisor."""
+    pairs = factor_pairs(fact)
+    rows, offsets = [], []
+    for f, a in pairs:
+        offsets.append(len(rows))
+        base = m.eval_poly(f)
+        power, chain = base, []
+        for k in range(1, a + 1):
+            if k > 1:
+                power = power @ base
+            ker = null_basis(power)
+            if len(ker) != k * f.degree:
+                raise InputError("the primary chains of a matrix that is not regular")
+            chain += complete_basis(chain, ker) if chain else ker
+        rows += chain
+    coords = {
+        vec: tuple(off + r for off, (f, _), k in zip(offsets, pairs, vec) for r in range(k * f.degree))
+        for vec in divisor_exponents(fact)
+    }
+    return Lattice(tuple(rows), coords)
 
 
 def lattice_span(lattice, vec) -> Subspace:

@@ -7,7 +7,7 @@ criteria re-read the same sweep (cardinality formula, vanishing, duality),
 count eigenlines on seeded Coxeter elements, compare the invariant-subspace
 lattice against the brute-force oracle, and pin the byte-determinism
 contract of the sweep command.  The golden hashes pin the sweep stdout, the
-full `sweep --out` payload and two single-command outputs byte for byte, so
+full `sweep --out` payload and six single-command outputs byte for byte, so
 a refactor that changes any report shows up here.
 """
 
@@ -21,11 +21,11 @@ import pytest
 from afl_lab.cli import DEFAULT_SIGNATURES, SweepConfig, _dump, main, run_sweep
 from afl_lab.dl import dl_fixed_points, galois_orbit_check
 from afl_lab.forge import random_coxeter_instance
-from afl_lab.linalg import Matrix, charpoly, invariant_subspaces
+from afl_lab.linalg import Matrix, charpoly
 from afl_lab.poly import plain_factor
 from conftest import random_matrix
 from oracles import lattice_spans, naive_subspace_scan
-from test_linalg import probe_is_regular
+from test_linalg import checked_lattice, probe_is_regular
 
 
 def report(criterion, ok, detail=""):
@@ -136,7 +136,7 @@ def test_criterion_6_oracle_equivalence():
             continue
         checked += 1
         fact = plain_factor(charpoly(m), checked)
-        lattice = set(lattice_spans(invariant_subspaces(m, fact)).values())
+        lattice = set(lattice_spans(checked_lattice(m, fact)).values())
         scanned = set(naive_subspace_scan(m))
         ok = ok and lattice == scanned
     # the dim-4 Jordan-block case
@@ -151,7 +151,7 @@ def test_criterion_6_oracle_equivalence():
         [z, z, z, lam],
     ])
     fact = plain_factor(charpoly(j4), 0)
-    lattice = set(lattice_spans(invariant_subspaces(j4, fact)).values())
+    lattice = set(lattice_spans(checked_lattice(j4, fact)).values())
     scanned = set(naive_subspace_scan(j4))
     ok = ok and lattice == scanned and len(lattice) == 5
     report(6, ok, f"{checked} random regular matrices plus the J_4 chain")
@@ -210,6 +210,9 @@ def test_golden_sweep_hashes(sweep_reports):
         # the trace split at the largest prime: (p - 1)/2 = 8190
         (["dl", "--q", "16381", "--t", "3", "--seed", "0"],
          "3eaf92e9624f1c7e03be6828da02036f6ea6ea3982a609ffac855a01fad9c762"),
+        # an n = 41 lattice and walk above the table cap (F_529)
+        (["verify", "--q", "23", "--sig", "sp:1:41"],
+         "c5bb2e323da97d027e18570486838a4da216845ab5c8717124fdb306730329a0"),
     ],
 )
 def test_golden_command_hashes(argv, digest, capsys, monkeypatch):

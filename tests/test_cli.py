@@ -338,10 +338,10 @@ def test_specs_at_n_max_reach_the_builder(spec, monkeypatch):
 def test_lattice_above_the_divisor_bound_exits_2_at_once(q, blocks, capsys, monkeypatch):
     # k distinct sp:1:1 blocks have 2^k divisors; n = 32 takes the
     # counting-identity path and n = 33 the verdict, and both stop at the count
-    def no_chains(*args):
-        raise AssertionError("no primary chain may be formed above the bound")
+    def no_krylov(*args):
+        raise AssertionError("no Krylov row may be formed above the bound")
 
-    monkeypatch.setattr(linalg, "null_basis", no_chains)
+    monkeypatch.setattr(linalg, "krylov_rows", no_krylov)
     assert main(["verify", "--q", str(q), "--sig", ",".join(["sp:1:1"] * blocks)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError"

@@ -19,8 +19,8 @@ from afl_lab.engine import (
 )
 from afl_lab.errors import InputError
 from afl_lab.forge import MinusculeInstance, instance_from_spec
-from afl_lab.linalg import invariant_subspaces
 from oracles import lattice_spans, script_w_direct, tau_map, transform_subspace
+from test_linalg import checked_lattice
 
 
 def inst_of(spec, q=3, seed=0):
@@ -71,7 +71,7 @@ def test_script_w_counts_formula():
 @pytest.mark.parametrize("spec,q", [("sp:1:3", 3), ("cp:1:1,sp:1:1", 3), ("cp:1:2,sp:1:1", 5)])
 def test_script_w_matches_direct_tau_stability(spec, q):
     inst = inst_of(spec, q, 3)
-    subs = lattice_spans(invariant_subspaces(inst.g, inst.fact))
+    subs = lattice_spans(checked_lattice(inst.g, inst.fact))
     expected = {vec for vec, _ in script_w(inst).members}
     via_tau = {
         vec

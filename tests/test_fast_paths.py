@@ -14,13 +14,13 @@ from functools import lru_cache
 
 import pytest
 
-from afl_lab import gf, linalg
+from afl_lab import gf, hermitian, linalg
 from afl_lab.cli import DEFAULT_SIGNATURES
 from afl_lab.dl import dl_fixed_points
 from afl_lab.engine import afl_verdict, fl_check, geometric_count
 from afl_lab.errors import InputError
 from afl_lab.forge import _gram_columns, _toeplitz_unknowns, _unpack_gram, instance_from_spec
-from afl_lab.hermitian import adapted_basis, induced_subquotient, is_isotropic
+from afl_lab.hermitian import adapted_basis, induced_subquotient, is_isotropic, nondegenerate_space
 from afl_lab.linalg import Matrix, charpoly, in_basis, invariant_subspaces
 from afl_lab.poly import plain_factor, poly_key
 from conftest import random_matrix
@@ -39,7 +39,13 @@ from test_hermitian import (
     orth_complement,
     subquotient_by_definition,
 )
-from test_linalg import assert_lattice_equals_spans, jordan_block, probe_is_regular, regular_by_definition
+from test_linalg import (
+    assert_lattice_equals_spans,
+    checked_lattice,
+    jordan_block,
+    probe_is_regular,
+    regular_by_definition,
+)
 
 GRID = [(spec, q, seed) for q in (3, 5) for spec in DEFAULT_SIGNATURES for seed in range(3)]
 COXETER = [("coxeter:3", 3, seed) for seed in range(2)] + [("coxeter:3", 5, 0)]
@@ -67,7 +73,7 @@ def instance(spec, q, seed):
 @lru_cache(maxsize=None)
 def lattice(spec, q, seed):
     inst = instance(spec, q, seed)
-    return invariant_subspaces(inst.g, inst.fact)
+    return checked_lattice(inst.g, inst.fact)
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +126,7 @@ def regular_matrices():
 
 
 def assert_lattice_is_kernels(m, fact):
-    for vec, sub in lattice_spans(invariant_subspaces(m, fact)).items():
+    for vec, sub in lattice_spans(checked_lattice(m, fact)).items():
         assert sub == kernel_of_poly(m, divisor_poly(fact, vec)), vec
 
 
@@ -157,12 +163,11 @@ def test_mask_perp_equals_row_scan_on_every_divisor(spec, q, seed):
 
 
 def test_verify_path_forms_no_divisor_span(monkeypatch):
-    # the lattice takes one null basis per chain step and one completion per
-    # step past the first, the walk one change of basis: the echelon forms
-    # of linalg grow with the chain steps, never with the 324 divisors
+    # the lattice takes one echelon form per draw of a cyclic vector, the
+    # walk one change of basis and one rank test of H: the echelon forms
+    # grow with neither the 324 divisors nor the 72 isotropic strata
     inst = instance_from_spec("cp:1:2,cp:1:2,sp:1:3", 3, 0)
-    steps = [a for _, a in inst.fact.factors]
-    assert len(invariant_subspaces(inst.g, inst.fact)) == 324
+    assert len(checked_lattice(inst.g, inst.fact)) == 324
     callers = Counter()
     real = linalg.rref
 
@@ -171,12 +176,39 @@ def test_verify_path_forms_no_divisor_span(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(linalg, "rref", counting)
-    expected = {"null_basis": sum(steps), "complete_basis": sum(steps) - len(steps), "in_basis": 1}
+    monkeypatch.setattr(hermitian, "rref", counting)
+    invariant_subspaces(inst.g, inst.fact)
+    draws = callers["_cyclic_krylov"]
+    assert callers == {"_cyclic_krylov": draws} and 1 <= draws <= linalg.CYCLIC_DRAWS
+    expected = {"_cyclic_krylov": draws, "in_basis": 1, "nondegenerate_space": 1}
+    callers.clear()
     geometric_count(inst)
     assert callers == expected
     callers.clear()
     afl_verdict(inst, cross_check=True)
     assert callers == expected
+
+
+def test_lattice_takes_no_kernel_power_or_polynomial_value(monkeypatch):
+    inst = instance_from_spec("cp:1:2,cp:1:2,sp:1:3", 3, 0)
+
+    def forbidden(*args):
+        raise AssertionError("the lattice reads one cyclic vector only")
+
+    monkeypatch.setattr(linalg, "null_basis", forbidden)
+    monkeypatch.setattr(Matrix, "eval_poly", forbidden)
+    matmul, products = Matrix.__matmul__, []
+
+    def recording(a, b):
+        # a power of g would multiply g by itself
+        assert inst.g not in (a, b)
+        products.append((a.n, b.n))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", recording)
+    assert len(invariant_subspaces(inst.g, inst.fact)) == 324
+    # the step rows times the Krylov rows, and nothing else
+    assert products == [(inst.n, inst.n)]
 
 
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)
@@ -217,6 +249,7 @@ def test_slice_walk_equals_subquotient_by_definition(spec, q, seed):
         assert len(basis.coords[vec]) == sub.dim
         slow_space, slow_m = subquotient_by_definition(sub, inst.space, inst.g)
         fast_space, fast_m = induced_subquotient(basis, vec)
+        assert nondegenerate_space(fast_space.gram) == fast_space
         assert fast_space.dim == slow_space.dim == inst.n - 2 * sub.dim
         assert charpoly(fast_m) == charpoly(slow_m)
         if poly_key(charpoly(fast_m)) in factors:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from afl_lab import gf
+from afl_lab import gf, hermitian
 from afl_lab.errors import InputError, InvariantError
 from afl_lab.forge import build_block_instance, parse_signature
 from afl_lab.hermitian import (
@@ -14,14 +14,16 @@ from afl_lab.hermitian import (
     induced_subquotient,
     is_isotropic,
     is_unitary,
+    nondegenerate_space,
     validate_anti_involution,
     validate_space,
 )
-from afl_lab.linalg import Matrix, charpoly, complete_basis, invariant_subspaces, rref
+from afl_lab.linalg import Matrix, charpoly, rref
 from afl_lab.poly import Poly, star
 from conftest import random_matrix
 from oracles import (
     Subspace,
+    complete_basis,
     divisor_poly,
     kernel,
     kernel_of_poly,
@@ -31,7 +33,7 @@ from oracles import (
     solve_in_rows,
     span,
 )
-from test_linalg import det
+from test_linalg import checked_lattice, det
 
 
 def herm_product(space: HermitianSpace, x, y) -> gf.FieldElem:
@@ -102,7 +104,7 @@ def assert_mask_perp_equals_scan(basis):
 def walk_of(inst):
     """Every invariant subspace of an instance as a canonical subspace, by
     divisor, and the adapted basis of its lattice."""
-    lattice = invariant_subspaces(inst.g, inst.fact)
+    lattice = checked_lattice(inst.g, inst.fact)
     return lattice_spans(lattice), adapted_basis(lattice, inst.space, inst.g)
 
 
@@ -251,7 +253,7 @@ def test_isotropic_line_in_hyperbolic_plane_is_self_perp():
 def test_complement_dims_and_double_perp(rng):
     inst = build_block_instance(parse_signature("cp:1:2,sp:1:1"), 3, 9)
     space = inst.space
-    for vec, sub in lattice_spans(invariant_subspaces(inst.g, inst.fact)).items():
+    for vec, sub in lattice_spans(checked_lattice(inst.g, inst.fact)).items():
         comp = orth_complement(sub, space)
         assert sub.dim + comp.dim == space.dim
         assert orth_complement(comp, space) == sub
@@ -372,17 +374,34 @@ def test_complement_count_check_rejects_a_degenerate_form():
         induced_subquotient(broken, line)
 
 
-def test_subquotient_rejects_a_degenerate_slice():
-    # W = 0 passes the complement count for any H, so the slice is all of H;
-    # with its last row and column zeroed it is degenerate
+def test_adapted_basis_rejects_a_degenerate_gram():
+    # G with its last row and column zeroed, handed in unvalidated: H = B G
+    # conj(B)^T is degenerate with it, and the one rank test refuses it
     inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
-    lattice, basis = walk_of(inst)
     n, z = inst.n, gf.zero(3, 2)
-    rows = [[z if n - 1 in (a, b) else x for b, x in enumerate(row)] for a, row in enumerate(basis.gram.rows)]
-    broken = dataclasses.replace(basis, gram=Matrix.from_rows(3, 2, rows))
-    zero = next(vec for vec in lattice if not any(vec))
+    rows = [[z if n - 1 in (a, b) else x for b, x in enumerate(row)] for a, row in enumerate(inst.space.gram.rows)]
+    degenerate = HermitianSpace(Matrix.from_rows(3, 2, rows))
+    lattice = checked_lattice(inst.g, inst.fact)
+    adapted_basis(lattice, inst.space, inst.g)
     with pytest.raises(InvariantError, match="gram is degenerate"):
-        induced_subquotient(broken, zero)
+        adapted_basis(lattice, degenerate, inst.g)
+
+
+def test_subquotient_takes_no_echelon_form(monkeypatch):
+    # every slice inherits nondegeneracy from H, which adapted_basis tested
+    inst = build_block_instance(parse_signature("cp:1:2,sp:1:1"), 3, 1)
+    lattice, basis = walk_of(inst)
+
+    def no_rank_test(rows):
+        raise AssertionError("induced_subquotient must not test a slice for rank")
+
+    monkeypatch.setattr(hermitian, "rref", no_rank_test)
+    strata = [vec for vec in lattice if basis.isotropic(vec)]
+    slices = [induced_subquotient(basis, vec)[0] for vec in strata]
+    monkeypatch.undo()
+    assert len(strata) > 2
+    for space in slices:
+        assert nondegenerate_space(space.gram) == space
 
 
 def test_subquotient_rechecks_no_symmetry(monkeypatch):
@@ -398,6 +417,7 @@ def test_subquotient_rechecks_no_symmetry(monkeypatch):
         if basis.isotropic(vec):
             sub_space, _ = induced_subquotient(basis, vec)
             assert sub_space.dim == inst.n - 2 * lattice[vec].dim
+            assert nondegenerate_space(sub_space.gram) == sub_space
 
 
 def test_adapted_basis_spans_every_lattice_member():
@@ -433,7 +453,7 @@ def charpoly_filtration(m: Matrix, w: Subspace, space: HermitianSpace):
 def test_charpoly_multiplicativity_and_star_duality():
     for sig, q, seed in [("cp:1:2,sp:1:1", 3, 1), ("cp:2:1,sp:1:1", 5, 2), ("sp:1:3", 3, 3)]:
         inst = build_block_instance(parse_signature(sig), q, seed)
-        for vec, sub in lattice_spans(invariant_subspaces(inst.g, inst.fact)).items():
+        for vec, sub in lattice_spans(checked_lattice(inst.g, inst.fact)).items():
             if not is_isotropic(sub.rows, inst.space):
                 continue
             inner, mid, outer = charpoly_filtration(inst.g, sub, inst.space)

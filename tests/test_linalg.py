@@ -5,9 +5,9 @@ import random
 import pytest
 
 from afl_lab import gf, linalg
-from afl_lab.errors import InputError
+from afl_lab.errors import InputError, InvariantError
 from afl_lab.forge import random_coxeter_instance
-from afl_lab.linalg import Matrix, charpoly, invariant_subspaces, is_regular, null_basis, rref
+from afl_lab.linalg import Matrix, charpoly, invariant_subspaces, is_regular, krylov_rows, null_basis, rref
 from afl_lab.poly import Poly, divisor_exponents, factor_pairs, is_irreducible, plain_factor, poly_gcd
 from conftest import poly_from_ints, random_matrix, random_monic, tables_with
 from oracles import (
@@ -15,6 +15,7 @@ from oracles import (
     all_subspaces,
     divisor_poly,
     kernel_of_poly,
+    lattice_by_chains,
     lattice_spans,
     matrix_sum,
     naive_subspace_scan,
@@ -418,10 +419,19 @@ def lattice_by_spans(m: Matrix, fact) -> dict:
     }
 
 
+def checked_lattice(m, fact):
+    """invariant_subspaces(m, fact), with every divisor's span checked
+    against the primary-chain route by canonical echelon form."""
+    lattice, chains = invariant_subspaces(m, fact), lattice_by_chains(m, fact)
+    assert list(lattice.coords) == list(chains.coords)
+    assert lattice_spans(lattice) == lattice_spans(chains)
+    return lattice
+
+
 def assert_lattice_equals_spans(m, fact):
     """Keys, their order and len of the row-set lattice against the eager
     oracle, its rows a basis, and the span of every member's rows."""
-    lattice, eager = invariant_subspaces(m, fact), lattice_by_spans(m, fact)
+    lattice, eager = checked_lattice(m, fact), lattice_by_spans(m, fact)
     assert len(lattice) == len(eager)
     assert list(lattice.coords) == list(eager)
     assert len(lattice.rows) == m.n == span(m.n, lattice.rows).dim
@@ -431,7 +441,7 @@ def assert_lattice_equals_spans(m, fact):
 
 def test_invariant_subspaces_of_jordan_chain():
     j = jordan_block(3, 2, gf.gen(3, 2), 3)
-    subs = lattice_spans(invariant_subspaces(j, plain_factor(charpoly(j), 0)))
+    subs = lattice_spans(checked_lattice(j, plain_factor(charpoly(j), 0)))
     dims = sorted(s.dim for s in subs.values())
     assert dims == [0, 1, 2, 3]
 
@@ -440,29 +450,82 @@ def test_invariant_subspaces_three_eigenvalues():
     one, i = gf.one(3, 2), gf.gen(3, 2)
     z = gf.zero(3, 2)
     m = Matrix.from_rows(3, 2, [[one, z, z], [z, i, z], [z, z, -i]])
-    subs = invariant_subspaces(m, plain_factor(charpoly(m), 0))
+    subs = checked_lattice(m, plain_factor(charpoly(m), 0))
     assert len(subs) == 8
 
 
 def test_invariant_subspaces_requires_regular():
-    with pytest.raises(InputError):
-        invariant_subspaces(Matrix.identity(3, 2, 2), plain_factor(charpoly(Matrix.identity(3, 2, 2)), 0))
+    ident = Matrix.identity(3, 2, 2)
+    with pytest.raises(InvariantError, match="q = 3, n = 2.*not regular"):
+        invariant_subspaces(ident, plain_factor(charpoly(ident), 0))
+    with pytest.raises(InputError, match="not regular"):
+        lattice_by_chains(ident, plain_factor(charpoly(ident), 0))
 
 
 @pytest.mark.parametrize("diag", [(0, 0), (0, 0, 1)], ids=["identity_2x2", "diag_1_1_i"])
 def test_lattice_decides_regularity_without_the_probe(diag, monkeypatch):
-    # the primary kernels alone must reject a non-cyclic matrix
+    # no draw of a cyclic vector succeeds on a non-cyclic matrix, and the
+    # lattice gives up after CYCLIC_DRAWS echelon forms, none of is_regular
     z, entries = gf.zero(3, 2), [gf.one(3, 2), gf.gen(3, 2)]
     n = len(diag)
     m = Matrix.from_rows(3, 2, [[entries[d] if i == j else z for j in range(n)] for i, d in enumerate(diag)])
     fact = plain_factor(charpoly(m), 0)
+    calls = []
 
     def probe(*args, **kwargs):
         raise AssertionError("is_regular must not run inside the lattice walk")
 
+    def counting(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
     monkeypatch.setattr(linalg, "is_regular", probe)
-    with pytest.raises(InputError, match="regular"):
+    monkeypatch.setattr(linalg, "rref", counting)
+    with pytest.raises(InvariantError, match=f"q = 3, n = {n}.*not regular"):
         invariant_subspaces(m, fact)
+    assert calls == [n] * linalg.CYCLIC_DRAWS
+
+
+def _distinct_eigenvalues(p, k):
+    # diag of the elements of F_{p^2} encoded 1..k: regular, and a uniform
+    # vector is cyclic only when no coordinate is zero
+    elems = [gf.elem_from_encoding(p, 2, j) for j in range(1, k + 1)]
+    return Matrix.block_diag([Matrix.identity(p, 2, 1).scale(e) for e in elems])
+
+
+def test_lattice_redraws_past_a_non_cyclic_vector(monkeypatch):
+    # at (p, n) = (5, 5) the first two seeded draws are not cyclic
+    m = _distinct_eigenvalues(5, 5)
+    fact = plain_factor(charpoly(m), 0)
+    ranks = []
+
+    def counting(rows):
+        red, pivots = rref(rows)
+        ranks.append(len(pivots))
+        return red, pivots
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    lattice = invariant_subspaces(m, fact)
+    assert ranks == [4, 4, 5]
+    monkeypatch.undo()
+    assert lattice == checked_lattice(m, fact)
+
+
+def test_lattice_draws_are_seeded_by_the_field_and_dimension():
+    m = _distinct_eigenvalues(5, 5)
+    fact = plain_factor(charpoly(m), 0)
+    assert invariant_subspaces(m, fact) == invariant_subspaces(m, fact)
+
+
+@pytest.mark.parametrize("p,level", [(3, 2), (13, 2), (17, 2), (3, 6)])
+def test_krylov_rows_equal_repeated_apply(p, level, rng):
+    for n in (1, 2, 5):
+        m = random_matrix(p, level, n, rng)
+        x = random_matrix(p, level, n, rng).rows[0]
+        expected = [tuple(x)]
+        for _ in range(n - 1):
+            expected.append(m.apply(expected[-1]))
+        assert krylov_rows(m, x) == tuple(expected)
 
 
 def test_lazy_lattice_equals_spans_on_jordan_and_random_regular(rng):
@@ -474,7 +537,7 @@ def test_lazy_lattice_equals_spans_on_jordan_and_random_regular(rng):
 
 def test_lazy_lattice_is_read_only_and_rejects_other_keys():
     m = jordan_block(3, 2, gf.gen(3, 2), 2)
-    lattice = invariant_subspaces(m, plain_factor(charpoly(m), 0))
+    lattice = checked_lattice(m, plain_factor(charpoly(m), 0))
     with pytest.raises(KeyError):
         lattice.coords[(3,)]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -486,7 +549,7 @@ def test_divisibility_matches_inclusion(rng):
         m = random_matrix(3, 2, 3, rng)
         if not probe_is_regular(m):
             continue
-        subs = lattice_spans(invariant_subspaces(m, plain_factor(charpoly(m), 0)))
+        subs = lattice_spans(checked_lattice(m, plain_factor(charpoly(m), 0)))
         vecs = list(subs)
         for a in vecs:
             for b in vecs:
