@@ -17,12 +17,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import engine, gf
 from .dl import T_MAX, dl_fixed_points, galois_orbit_check
-from .errors import VerifierError, InputError
+from .errors import InputError, Record, VerifierError
 from .forge import (
     N_MAX,
     instance_from_spec,
@@ -62,16 +60,9 @@ def _emit(obj, pretty_lines=None):
             print(line)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    qs: tuple[int, ...]
-    max_dim: int
-    count: int
-    seed: int
-    signatures: tuple[str, ...]
-    jobs: int
-    out: str | None
-    cross_check: bool = True
+class SweepConfig(Record):
+    __slots__ = _fields = ("qs", "max_dim", "count", "seed", "signatures", "jobs", "out", "cross_check")
+    _defaults = {"cross_check": True}
 
 
 def _sweep_task(args) -> dict:
@@ -119,6 +110,8 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
     ]
     workers = pool_size(config.jobs, len(tasks), os.cpu_count())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:

@@ -53,10 +53,9 @@ second route for the per-stratum counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import gf
-from .errors import CrossCheckError, InputError
+from .errors import CrossCheckError, InputError, Record
 from .gf import dot as _dot
 from .hermitian import HermitianSpace
 from .linalg import Matrix, charpoly, krylov_rows, rref
@@ -69,11 +68,11 @@ from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 # polynomial leads and jumps with (q, t) (17 s for level 98 at q = 16319).
 T_MAX = 27
 
-@dataclass(frozen=True)
-class EigenlineRecord:
-    eigenvalue: gf.FieldElem  # lives at level 2t
-    vector: tuple[gf.FieldElem, ...]  # canonical representative over the tower
-    chain_values: tuple[gf.FieldElem, ...]  # h(l, tau^i l) for i = 0..d
+class EigenlineRecord(Record):
+    """eigenvalue lives at level 2t, vector is the canonical representative
+    over the tower and chain_values are h(l, tau^i l) for i = 0..d."""
+
+    __slots__ = _fields = ("eigenvalue", "vector", "chain_values")
 
     def to_json(self):
         return {

@@ -32,14 +32,12 @@ and the p-adic inputs ell(gamma) and omega(gamma) are carried symbolically
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .dl import dl_fixed_points
-from .errors import CrossCheckError, InputError
+from .errors import CrossCheckError, InputError, Record
 from .forge import MinusculeInstance, serialize_instance
 from .hermitian import adapted_basis, induced_subquotient
 from .linalg import charpoly, invariant_subspaces
-from .poly import Poly, FactoredPoly, divisor_exponents, poly_key
+from .poly import FactoredPoly, divisor_exponents, poly_key
 
 SIGN_NOTE = (
     "sign convention pinned to sum(mult) = -sum((-1)^l l); the orbital derivative "
@@ -49,11 +47,11 @@ SIGN_NOTE = (
 ELL_NOTE = "ell_gamma is not derivable from the finite data; reports use ell_gamma = 0"
 
 
-@dataclass(frozen=True)
-class ScriptW:
-    """Exponent vectors (with dimensions) of the g- and tau-stable subspaces."""
+class ScriptW(Record):
+    """Exponent vectors (with dimensions) of the g- and tau-stable subspaces:
+    members holds the pairs (vec, dim)."""
 
-    members: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = _fields = ("members",)
 
     def dims(self) -> list[int]:
         return [d for _, d in self.members]
@@ -133,15 +131,14 @@ def closed_form_derivative_magnitude(fact: FactoredPoly) -> int:
 # geometric side
 
 
-@dataclass(frozen=True)
-class StratumRecord:
-    exponents: tuple[int, ...]
-    dim_w: int
-    type: int  # dim of W-perp/W
-    quotient_charpoly: Poly
-    fixed_count: int  # 0 or type
-    multiplicity: int | None  # (a_{i0}+1)/2 on contributing strata
-    dl_count: int | None  # eigenline recount when cross-checking
+class StratumRecord(Record):
+    """One vertex stratum: type is dim W-perp/W, fixed_count 0 or type,
+    multiplicity (a_{i0}+1)/2 on contributing strata and dl_count the
+    eigenline recount when cross-checking (both None otherwise)."""
+
+    __slots__ = _fields = (
+        "exponents", "dim_w", "type", "quotient_charpoly", "fixed_count", "multiplicity", "dl_count"
+    )
 
     def to_json(self):
         return {
@@ -155,11 +152,8 @@ class StratumRecord:
         }
 
 
-@dataclass(frozen=True)
-class GeometricResult:
-    strata: tuple[StratumRecord, ...]
-    total: int
-    nonempty: bool
+class GeometricResult(Record):
+    __slots__ = _fields = ("strata", "total", "nonempty")
 
     def brute_cardinality(self) -> int:
         return sum(rec.fixed_count for rec in self.strata)
@@ -267,26 +261,19 @@ def fl_check(inst: MinusculeInstance) -> tuple[int, int]:
 # verdicts
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str
+class Check(Record):
+    __slots__ = _fields = ("name", "ok", "detail")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    instance: MinusculeInstance
-    analytic: int
-    geometric: GeometricResult
-    support: str  # "Finite" | "Empty"
-    closed_card: int | None
-    closed_deriv: int | None
-    counts: dict[int, int]
-    alt_sum: int
-    orbital: dict[int, int]
-    checks: tuple[Check, ...]
-    notes: tuple[str, ...] = field(default=())
+class VerificationReport(Record):
+    """support is "Finite" or "Empty"; the closed forms are None on empty
+    support; counts and orbital are dicts from dimension to count."""
+
+    __slots__ = _fields = (
+        "instance", "analytic", "geometric", "support", "closed_card", "closed_deriv",
+        "counts", "alt_sum", "orbital", "checks", "notes",
+    )
+    _defaults = {"notes": ()}
 
     @property
     def verdict(self) -> str:

@@ -1,4 +1,61 @@
-"""Exception hierarchy shared by all afl_lab modules."""
+"""Exception hierarchy and the immutable record base shared by all afl_lab
+modules.
+
+Record is the base of every value type in the package (matrices,
+polynomials, instances, reports).  A subclass names its fields once, as
+__slots__ = _fields = (...), and gets positional or keyword construction
+(trailing defaults in _defaults), equality only against its own class,
+hashing, repr, pickling and deepcopy, all on the tuple of field values;
+assigning to or deleting a field raises AttributeError.  Matrix and Poly,
+built in every kernel, write their slots from _setters in an __init__ of
+their own.
+"""
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        # the slot setters of the fields, so __init__ need not look up names
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
+
+    def _bind(self, args, kwargs):
+        values = dict(self._defaults, **dict(zip(self._fields, args)), **kwargs)
+        if len(args) > len(self._fields) or sorted(values) != sorted(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}")
+        return [values[name] for name in self._fields]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class VerifierError(Exception):

@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from . import gf
-from .errors import CrossCheckError, ForgeError, InputError, InvariantError
+from .errors import CrossCheckError, ForgeError, InputError, InvariantError, Record
 from .gf import FieldElem
 from .hermitian import (
     AntiInvolution,
@@ -54,12 +53,13 @@ GENERATOR_TRIES = 64
 N_MAX = 81  # dimension bound; README gives the timed runs behind it
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    kind: str  # "sp" (self-paired) or "cp" (conjugate pair)
-    degree: int
-    exponent: int
-    poly: Poly | None = None  # explicit irreducible; None requests a random one
+class BlockSpec(Record):
+    """One block of a signature: kind is "sp" (self-paired) or "cp"
+    (conjugate pair); poly is an explicit irreducible Poly, or None (the
+    default) to request a random one."""
+
+    __slots__ = _fields = ("kind", "degree", "exponent", "poly")
+    _defaults = {"poly": None}
 
     @property
     def dim(self) -> int:
@@ -112,16 +112,12 @@ def parse_spec(spec: str) -> int | tuple[BlockSpec, ...]:
     return parse_signature(spec)
 
 
-@dataclass(frozen=True)
-class MinusculeInstance:
-    p: int
-    space: HermitianSpace
-    g: Matrix
-    tau: AntiInvolution
-    fact: FactoredPoly
-    seed: int
-    signature: tuple[str, ...]
-    provenance: str
+class MinusculeInstance(Record):
+    """A certified instance: g (a Matrix) is regular unitary on the
+    HermitianSpace space, tau an AntiInvolution, fact the FactoredPoly of
+    charpoly(g); signature holds block spec strings."""
+
+    __slots__ = _fields = ("p", "space", "g", "tau", "fact", "seed", "signature", "provenance")
 
     @property
     def n(self) -> int:

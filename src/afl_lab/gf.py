@@ -52,7 +52,6 @@ fields they define.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import chain
 from math import isqrt
@@ -379,10 +378,10 @@ class FieldElem:
         return _new_elem(p, level, coeffs, None, None)
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return FieldElem, (self.p, self.level, self.coeffs)

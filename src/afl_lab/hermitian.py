@@ -19,15 +19,14 @@ nondegenerate on the slice, the rows in W-perp but not in W
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, Record
 from .linalg import Lattice, Matrix, in_basis, rref
 
 
-@dataclass(frozen=True)
-class HermitianSpace:
-    gram: Matrix
+class HermitianSpace(Record):
+    """The form h(x, y) = x^T gram conj(y), gram a Matrix."""
+
+    __slots__ = _fields = ("gram",)
 
     @property
     def dim(self) -> int:
@@ -74,11 +73,10 @@ def is_unitary(m: Matrix, space: HermitianSpace) -> bool:
     return m.transpose() @ space.gram @ m.conj() == space.gram
 
 
-@dataclass(frozen=True)
-class AntiInvolution:
-    """Conjugate-linear involution x -> S conj(x)."""
+class AntiInvolution(Record):
+    """Conjugate-linear involution x -> S conj(x), S the Matrix mat."""
 
-    mat: Matrix
+    __slots__ = _fields = ("mat",)
 
 
 def validate_anti_involution(tau: AntiInvolution, space: HermitianSpace, g: Matrix) -> None:
@@ -105,8 +103,7 @@ def is_isotropic(rows, space: HermitianSpace) -> bool:
     return gram_of_rows(space, rows).is_zero
 
 
-@dataclass(frozen=True)
-class AdaptedBasis:
+class AdaptedBasis(Record):
     """A basis B adapted to every primary chain of g, with H = B G conj(B)^T.
 
     Each lattice member W(m) is the span of the rows coords[m] of B, and so
@@ -114,18 +111,19 @@ class AdaptedBasis:
     a basis.  Isotropy and subquotients are thus row sets and slices of H and
     of g written in B; no stratum computes a kernel or solves anything.
     W-perp is the AND over c in W of the column masks of H, bit a of mask c
-    set iff H[a][c] = 0."""
+    set iff H[a][c] = 0.
 
-    rows: tuple  # B
-    gram: Matrix  # H
-    g: Matrix  # column c holds the B-coordinates of g B[c]
-    coords: dict[tuple[int, ...], tuple[int, ...]]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rows is B, gram the Matrix H, and column c of the Matrix g holds the
+    B-coordinates of g B[c]; coords is the lattice's.  masks is derived, so
+    it is left out of equality, hash, repr and pickle."""
 
-    def __post_init__(self):
-        rows, n = self.gram.rows, self.gram.n
-        masks = tuple(sum(1 << a for a in range(n) if rows[a][c].is_zero) for c in range(n))
-        object.__setattr__(self, "masks", masks)
+    _fields = ("rows", "gram", "g", "coords")
+    __slots__ = (*_fields, "masks")
+
+    def __init__(self, rows, gram: Matrix, g: Matrix, coords: dict[tuple[int, ...], tuple[int, ...]]):
+        Record.__init__(self, rows, gram, g, coords)
+        h, n = gram.rows, gram.n
+        object.__setattr__(self, "masks", tuple(sum(1 << a for a in range(n) if h[a][c].is_zero) for c in range(n)))
 
     def _perp_mask(self, vec) -> int:
         w = self.coords[vec]

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from . import gf
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, Record
 from .poly import Poly, divisor_exponents, factor_pairs
 
 # Draws of a cyclic vector before invariant_subspaces refuses M.  For a
@@ -41,15 +40,26 @@ from .poly import Poly, divisor_exponents, factor_pairs
 CYCLIC_DRAWS = 64
 
 
-@dataclass(frozen=True, slots=True)
-class Matrix:
-    p: int
-    level: int
-    rows: tuple[tuple[gf.FieldElem, ...], ...]
+class Matrix(Record):
+    """Matrix over F_{p^level}: rows is a tuple of equal-length tuples of
+    FieldElem."""
 
-    def __post_init__(self):
-        if any(len(r) != len(self.rows[0]) for r in self.rows):
+    __slots__ = _fields = ("p", "level", "rows")
+
+    def __init__(self, p: int, level: int, rows: tuple[tuple[gf.FieldElem, ...], ...]):
+        if len(set(map(len, rows))) > 1:
             raise InputError("ragged matrix")
+        _set_p(self, p)
+        _set_level(self, level)
+        _set_rows(self, rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return self.p == other.p and self.level == other.level and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.p, self.level, self.rows))
 
     # ----- constructors -------------------------------------------------
     @staticmethod
@@ -165,6 +175,9 @@ class Matrix:
 
     def to_json(self):
         return [[list(a.coeffs) for a in r] for r in self.rows]
+
+
+_set_p, _set_level, _set_rows = Matrix._setters
 
 
 def _plus_diagonal(m: Matrix, c: gf.FieldElem) -> Matrix:
@@ -447,16 +460,14 @@ def is_regular(m: Matrix, fact) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Lattice:
+class Lattice(Record):
     """Every M-invariant subspace of a regular M as a set of rows of one basis.
 
     The subspace of the divisor with exponent vector vec is spanned by the
-    rows coords[vec] of the basis rows; the keys are every divisor, in
-    divisor_exponents order."""
+    rows coords[vec] of the basis rows (a dict from exponent tuples to row
+    index tuples); the keys are every divisor, in divisor_exponents order."""
 
-    rows: tuple[tuple[gf.FieldElem, ...], ...]
-    coords: dict[tuple[int, ...], tuple[int, ...]]
+    __slots__ = _fields = ("rows", "coords")
 
     def __len__(self) -> int:
         return len(self.coords)

@@ -24,10 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from . import gf
-from .errors import CrossCheckError, InputError, InvariantError
+from .errors import CrossCheckError, InputError, InvariantError, Record
 from .gf import FieldElem, encode_int
 
 
@@ -44,15 +43,26 @@ SPLIT_TRIES = 64
 DIVISOR_MAX = 2**17
 
 
-@dataclass(frozen=True, slots=True)
-class Poly:
-    p: int
-    level: int
-    coeffs: tuple[FieldElem, ...]  # little-endian, no trailing zeros
+class Poly(Record):
+    """Polynomial over F_{p^level}; coeffs is little-endian, with no
+    trailing zeros."""
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1].is_zero:
+    __slots__ = _fields = ("p", "level", "coeffs")
+
+    def __init__(self, p: int, level: int, coeffs: tuple[FieldElem, ...]):
+        if coeffs and coeffs[-1].is_zero:
             raise InputError("leading coefficient must be nonzero")
+        _set_p(self, p)
+        _set_level(self, level)
+        _set_coeffs(self, coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.p == other.p and self.level == other.level and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.p, self.level, self.coeffs))
 
     # ----- constructors -------------------------------------------------
     @staticmethod
@@ -212,6 +222,9 @@ class Poly:
 
     def to_json(self):
         return [list(c.coeffs) for c in self.coeffs]
+
+
+_set_p, _set_level, _set_coeffs = Poly._setters
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +506,13 @@ def plain_factor(f: Poly, seed) -> list[tuple[Poly, int]]:
     return [pair for _, pair in sorted(found.items())]
 
 
-@dataclass(frozen=True)
-class FactoredPoly:
+class FactoredPoly(Record):
     """Factorization P = prod P_i^{a_i} plus the star involution on indices.
 
-    pairing[i] = j means star(P_i) = P_j.
+    factors holds the pairs (P_i, a_i); pairing[i] = j means star(P_i) = P_j.
     """
 
-    factors: tuple[tuple[Poly, int], ...]
-    pairing: tuple[int, ...]
+    __slots__ = _fields = ("factors", "pairing")
 
     def __len__(self):
         return len(self.factors)

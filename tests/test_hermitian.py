@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -7,6 +6,7 @@ from afl_lab import gf, hermitian
 from afl_lab.errors import InputError, InvariantError
 from afl_lab.forge import build_block_instance, parse_signature
 from afl_lab.hermitian import (
+    AdaptedBasis,
     AntiInvolution,
     HermitianSpace,
     adapted_basis,
@@ -366,7 +366,7 @@ def test_complement_count_check_rejects_a_degenerate_form():
     inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
     lattice, basis = walk_of(inst)
     zero = Matrix.from_rows(3, 2, [[gf.zero(3, 2)] * inst.n] * inst.n)
-    broken = dataclasses.replace(basis, gram=zero)
+    broken = AdaptedBasis(basis.rows, zero, basis.g, basis.coords)  # masks from the zero H
     line = next(vec for vec in lattice if sum(vec) == 1)
     with pytest.raises(InvariantError, match="orthogonal complement"):
         broken.perp(line)

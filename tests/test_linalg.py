@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -540,7 +539,7 @@ def test_lazy_lattice_is_read_only_and_rejects_other_keys():
     lattice = checked_lattice(m, plain_factor(charpoly(m), 0))
     with pytest.raises(KeyError):
         lattice.coords[(3,)]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         lattice.rows = ()
 
 

@@ -6,12 +6,12 @@ pair product feeds all three closed forms; A != G on finite support breaks
 the derivative closed form too, and on empty support the vanishing counts).
 The even-dimensional counting identity of `fl` is mutated on either side."""
 
-import dataclasses
 import json
 
 import pytest
 
 from afl_lab import cli, engine, hermitian
+from afl_lab.engine import GeometricResult, StratumRecord
 from afl_lab.forge import instance_from_spec
 
 FINITE = "cp:1:2,sp:1:1"  # support at the sp block, three contributing strata
@@ -28,16 +28,20 @@ def geometric(edit):
 
 
 def shift_total(geo):
-    return dataclasses.replace(geo, total=geo.total + 1)
+    return GeometricResult(geo.strata, geo.total + 1, geo.nonempty)
 
 
 def flip_support(geo):
-    return dataclasses.replace(geo, nonempty=not geo.nonempty)
+    return GeometricResult(geo.strata, geo.total, not geo.nonempty)
+
+
+def retype(r):
+    return StratumRecord(r.exponents, r.dim_w, r.type + 1, r.quotient_charpoly, r.fixed_count, r.multiplicity,
+                         r.dl_count)
 
 
 def retype_contributing(geo):
-    strata = tuple(dataclasses.replace(r, type=r.type + 1) if r.fixed_count else r for r in geo.strata)
-    return dataclasses.replace(geo, strata=strata)
+    return GeometricResult(tuple(retype(r) if r.fixed_count else r for r in geo.strata), geo.total, geo.nonempty)
 
 
 def lopsided_counts(fn):
