@@ -35,7 +35,7 @@ values are gf.dot products.
 
 No kernel is taken at level 2t.  The characteristic polynomial f is
 irreducible, so e_1 has annihilator f, and w = h(s) e_1, with h = f/(x - mu_0)
-from one synthetic division, is nonzero with (s - mu_0) w = f(s) e_1 = 0; the
+from one exact division, is nonzero with (s - mu_0) w = f(s) e_1 = 0; the
 t distinct roots make the eigenspace a line, which w spans (von zur Gathen
 and Gerhard, Modern Computer Algebra, ch. 12).  The Krylov vectors s^i e_1
 are formed at level 2 and embedded once, and each coordinate of w is one
@@ -57,7 +57,6 @@ import random
 from . import gf
 from .errors import CrossCheckError, InputError, Record
 from .gf import dot as _dot
-from .hermitian import HermitianSpace
 from .linalg import Matrix, charpoly, krylov_rows, rref
 from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 
@@ -73,13 +72,6 @@ class EigenlineRecord(Record):
     over the tower and chain_values are h(l, tau^i l) for i = 0..d."""
 
     __slots__ = _fields = ("eigenvalue", "vector", "chain_values")
-
-    def to_json(self):
-        return {
-            "eigenvalue": list(self.eigenvalue.coeffs),
-            "vector": [list(c.coeffs) for c in self.vector],
-            "chain_values": [list(c.coeffs) for c in self.chain_values],
-        }
 
 
 def _linear_combination(scalars, polys: list[Poly]) -> Poly:
@@ -170,16 +162,13 @@ def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[t
     docstring) and w over its leading entry is its canonical row;
     v_{k+1} = tau(v_k) coordinatewise.  f(mu_0) != 0, w = 0 or any
     s v_k != mu_k v_k is a CrossCheckError."""
-    big, mu = f.level, orbit[0]
-    h = [f.coeffs[-1]]  # synthetic division by x - mu, top coefficient first
-    for c in reversed(f.coeffs[1:-1]):
-        h.append(c + mu * h[-1])
-    if not (f.coeffs[0] + mu * h[-1]).is_zero:
+    big = f.level
+    h, rem = divmod(f, Poly.x_minus(orbit[0]))
+    if not rem.is_zero:
         raise CrossCheckError("the first eigenvalue is not a root of the characteristic polynomial")
-    h.reverse()
     # the Krylov vectors s^i e_1 at level 2, one column per coordinate
     krylov = krylov_rows(s, (gf.one(s.p, s.level),) + (gf.zero(s.p, s.level),) * (s.n - 1))
-    w = [gf.dot([gf.embed(a, big) for a in column], h) for column in zip(*krylov)]
+    w = [gf.dot([gf.embed(a, big) for a in column], h.coeffs) for column in zip(*krylov)]
     lead = next((c for c in w if not c.is_zero), None)
     if lead is None:
         raise CrossCheckError("the Krylov combination of an irreducible characteristic polynomial vanishes")
@@ -194,20 +183,21 @@ def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[t
     return vectors
 
 
-def dl_fixed_points(space: HermitianSpace, s: Matrix, seed=0) -> list[EigenlineRecord]:
-    """Enumerate the eigenlines of s over F_{q^{2t}} satisfying the chain.
+def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
+    """Enumerate the eigenlines of s over F_{q^{2t}} satisfying the chain of
+    the form with Gram matrix gram.
 
     Requires odd dimension and irreducible characteristic polynomial; every
     returned record carries its chain values, and for valid input all t
     eigenlines qualify.  Records are sorted by eigenvalue encoding.
     """
-    t = space.dim
+    t = gram.n
     if t % 2 == 0:
         raise InputError("the eigenline model needs odd dimension")
     if s.n != t:
         raise InputError("dimension mismatch")
     cp = charpoly(s)
-    p = space.p
+    p = gram.p
     big = 2 * t
     cp_big = cp.lift(big)
     rng = random.Random(f"dl:{p}:{t}:{seed}")
@@ -220,7 +210,7 @@ def dl_fixed_points(space: HermitianSpace, s: Matrix, seed=0) -> list[EigenlineR
                 "characteristic polynomial is reducible; the fixed count is 0 by the split criterion"
             ) from None
         raise
-    gram_big = Matrix.from_rows(p, big, [[gf.embed(a, big) for a in row] for row in space.gram.rows])
+    gram_big = Matrix.from_rows(p, big, [[gf.embed(a, big) for a in row] for row in gram.rows])
     vectors = _orbit_eigenvectors(s, cp_big, orbit)
     # h(x, y) = x . G conj(y), and tau^i v_k = v_{(k+i) mod t}
     gram_conj = [gram_big.apply([gf.frob_q(c) for c in v]) for v in vectors]

@@ -47,43 +47,34 @@ SIGN_NOTE = (
 ELL_NOTE = "ell_gamma is not derivable from the finite data; reports use ell_gamma = 0"
 
 
-class ScriptW(Record):
-    """Exponent vectors (with dimensions) of the g- and tau-stable subspaces:
-    members holds the pairs (vec, dim)."""
-
-    __slots__ = _fields = ("members",)
-
-    def dims(self) -> list[int]:
-        return [d for _, d in self.members]
-
-
 def _degrees(fact: FactoredPoly) -> list[int]:
     return [f.degree for f, _ in fact.factors]
 
 
-def script_w(inst: MinusculeInstance) -> ScriptW:
-    """Divisor vectors fixed under the star pairing, i.e. m_{tau(i)} = m_i."""
+def script_w(inst: MinusculeInstance) -> tuple:
+    """The g- and tau-stable subspaces as pairs (vec, dim): the divisor
+    vectors fixed under the star pairing, i.e. m_{tau(i)} = m_i."""
     degs = _degrees(inst.fact)
     members = []
-    for vec in divisor_exponents(inst.fact):
+    for vec in divisor_exponents(inst.fact.factors):
         if all(vec[j] == vec[i] for i, j in enumerate(inst.fact.pairing)):
             members.append((vec, sum(m * d for m, d in zip(vec, degs))))
-    return ScriptW(tuple(members))
+    return tuple(members)
 
 
-def m_counts(sw: ScriptW, n: int) -> dict[int, int]:
+def m_counts(sw, n: int) -> dict[int, int]:
     counts = {i: 0 for i in range(n + 1)}
-    for _, d in sw.members:
+    for _, d in sw:
         counts[d] += 1
     return counts
 
 
-def _analytic(sw: ScriptW) -> int:
-    return -sum((-1) ** d * d for d in sw.dims())
+def _analytic(sw) -> int:
+    return -sum((-1) ** d * d for _, d in sw)
 
 
-def _alternating(sw: ScriptW) -> int:
-    return sum((-1) ** d for d in sw.dims())
+def _alternating(sw) -> int:
+    return sum((-1) ** d for _, d in sw)
 
 
 def analytic_count(inst: MinusculeInstance) -> int:
@@ -173,12 +164,12 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
     exponent_of = {poly_key(f): a for f, a in inst.fact.factors}
     strata = []
     total = 0
-    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact), inst.space, inst.g)
+    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
     for vec, w in sorted(basis.coords.items()):
         if not basis.isotropic(vec):
             continue
-        quotient_space, quotient_m = induced_subquotient(basis, vec)
-        t = quotient_space.dim
+        quotient_gram, quotient_m = induced_subquotient(basis, vec)
+        t = quotient_gram.n
         qcp = charpoly(quotient_m)
         a0 = exponent_of.get(poly_key(qcp))
         fixed, mult, dl_count = 0, None, None
@@ -188,7 +179,7 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
             fixed = t
             mult = (a0 + 1) // 2
             if cross_check:
-                dl_count = len(dl_fixed_points(quotient_space, quotient_m, seed=inst.seed))
+                dl_count = len(dl_fixed_points(quotient_gram, quotient_m, seed=inst.seed))
                 if dl_count != fixed:
                     raise CrossCheckError(
                         f"eigenline count {dl_count} disagrees with the formula count {fixed}"
@@ -252,7 +243,7 @@ def fl_check(inst: MinusculeInstance) -> tuple[int, int]:
         raise InputError("the counting identity lives on even dimensions")
     lhs = alternating_sum(inst)
     half = inst.n // 2
-    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact), inst.space, inst.g)
+    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
     rhs = sum(1 for vec, w in basis.coords.items() if len(w) == half and basis.perp(vec) == w)
     return lhs, rhs
 

@@ -38,13 +38,7 @@ from collections import Counter
 from . import gf
 from .errors import CrossCheckError, ForgeError, InputError, InvariantError, Record
 from .gf import FieldElem
-from .hermitian import (
-    AntiInvolution,
-    HermitianSpace,
-    is_unitary,
-    validate_anti_involution,
-    validate_space,
-)
+from .hermitian import is_unitary, validate_anti_involution, validate_space
 from .linalg import Matrix, charpoly, is_regular, null_basis, rref
 from .poly import FactoredPoly, Poly, factor, poly_key, star
 
@@ -55,11 +49,19 @@ N_MAX = 81  # dimension bound; README gives the timed runs behind it
 
 class BlockSpec(Record):
     """One block of a signature: kind is "sp" (self-paired) or "cp"
-    (conjugate pair); poly is an explicit irreducible Poly, or None (the
-    default) to request a random one."""
+    (conjugate pair), realized by a random irreducible of the given degree
+    raised to the exponent."""
 
-    __slots__ = _fields = ("kind", "degree", "exponent", "poly")
-    _defaults = {"poly": None}
+    __slots__ = _fields = ("kind", "degree", "exponent")
+
+    def __init__(self, kind: str, degree: int, exponent: int):
+        if kind not in ("sp", "cp"):
+            raise InputError(f"unknown block kind {kind!r}")
+        if degree < 1 or exponent < 1:
+            raise InputError("signature degrees and exponents must be positive")
+        if kind == "sp" and degree % 2 == 0:
+            raise InputError("self-paired irreducibles have odd degree")
+        Record.__init__(self, kind, degree, exponent)
 
     @property
     def dim(self) -> int:
@@ -74,17 +76,13 @@ def parse_signature(text: str) -> tuple[BlockSpec, ...]:
     blocks = []
     for part in text.split(","):
         fields = part.strip().split(":")
-        if len(fields) != 3 or fields[0] not in ("sp", "cp"):
+        if len(fields) != 3:
             raise InputError(f"bad signature block {part!r}; expected sp:<deg>:<exp> or cp:<deg>:<exp>")
         try:
-            deg, exp = int(fields[1]), int(fields[2])
+            degree, exponent = int(fields[1]), int(fields[2])
         except ValueError as exc:
             raise InputError(f"bad signature block {part!r}") from exc
-        if deg < 1 or exp < 1:
-            raise InputError("signature degrees and exponents must be positive")
-        if fields[0] == "sp" and deg % 2 == 0:
-            raise InputError("self-paired irreducibles have odd degree")
-        blocks.append(BlockSpec(fields[0], deg, exp))
+        blocks.append(BlockSpec(fields[0], degree, exponent))
     require_dim(signature_dim(blocks), "signature dimension")
     return tuple(blocks)
 
@@ -113,15 +111,16 @@ def parse_spec(spec: str) -> int | tuple[BlockSpec, ...]:
 
 
 class MinusculeInstance(Record):
-    """A certified instance: g (a Matrix) is regular unitary on the
-    HermitianSpace space, tau an AntiInvolution, fact the FactoredPoly of
-    charpoly(g); signature holds block spec strings."""
+    """A certified instance: space is the Gram matrix G of the form
+    h(x, y) = x^T G conj(y), g (a Matrix) is regular and unitary for h, tau
+    is the matrix S of the anti-involution x -> S conj(x), and fact is the
+    FactoredPoly of charpoly(g); signature holds block spec strings."""
 
     __slots__ = _fields = ("p", "space", "g", "tau", "fact", "seed", "signature", "provenance")
 
     @property
     def n(self) -> int:
-        return self.space.dim
+        return self.space.n
 
 
 # ---------------------------------------------------------------------------
@@ -232,32 +231,16 @@ def _resolve_polys(sig, p, rng) -> list[Poly]:
     seen: set[tuple] = set()
     out = []
     for block in sig:
-        if block.poly is not None:
-            cand = block.poly
-            if cand.p != p or cand.level != 2:
-                raise InputError("explicit block polynomial lives over the wrong field")
-            if not cand.is_monic or cand.degree != block.degree:
-                raise InputError("explicit block polynomial does not match its spec")
-            if cand.coeffs[0].is_zero:
-                raise InputError("block polynomial has zero constant term")
-            if block.kind == "sp" and star(cand) != cand:
-                raise InputError("sp block polynomial is not self-paired")
-            if block.kind == "cp" and star(cand) == cand:
-                raise InputError("cp block polynomial is self-paired")
-        else:
-            for _ in range(GENERATOR_TRIES):
-                if block.kind == "sp":
-                    cand = _random_self_paired_irreducible(p, block.degree, rng)
-                else:
-                    cand = _random_pair_irreducible(p, block.degree, rng)
-                keys = {poly_key(cand), poly_key(star(cand))}
-                if not keys & seen:
-                    break
+        for _ in range(GENERATOR_TRIES):
+            if block.kind == "sp":
+                cand = _random_self_paired_irreducible(p, block.degree, rng)
             else:
-                raise ForgeError("could not sample a fresh block polynomial")
-        keys = {poly_key(cand), poly_key(star(cand))}
-        if keys & seen:
-            raise InputError("signature blocks must carry distinct irreducibles")
+                cand = _random_pair_irreducible(p, block.degree, rng)
+            keys = {poly_key(cand), poly_key(star(cand))}
+            if not keys & seen:
+                break
+        else:
+            raise ForgeError("could not sample a fresh block polynomial")
         seen |= keys
         out.append(cand)
     return out
@@ -460,7 +443,7 @@ def _gram_candidates(basis, p, seed, label):
         yield combo
 
 
-def _solve_gram(g: Matrix, pairs, seed, label) -> HermitianSpace:
+def _solve_gram(g: Matrix, pairs, seed, label) -> Matrix:
     """Sample a nondegenerate Gram matrix for which g is unitary and tau an
     anti-isometry.
 
@@ -482,7 +465,7 @@ def _solve_gram(g: Matrix, pairs, seed, label) -> HermitianSpace:
     for values in _gram_candidates(basis, p, seed, label):
         gm = _unpack_gram(values, unknowns, p, n)
         if len(rref(gm.rows)[1]) == n:
-            return HermitianSpace(gm)  # certified with the rest of the instance
+            return gm  # certified with the rest of the instance
     raise ForgeError(
         f"no nondegenerate Gram matrix found for {where} within {GRAM_TRIES} tries "
         f"(solution space dimension {len(basis)} over F_{p})"
@@ -493,7 +476,7 @@ def _solve_gram(g: Matrix, pairs, seed, label) -> HermitianSpace:
 # builders
 
 
-def certify_instance(space: HermitianSpace, g: Matrix, tau: AntiInvolution, seed: int) -> FactoredPoly:
+def certify_instance(gram: Matrix, g: Matrix, tau: Matrix, seed: int) -> FactoredPoly:
     """Check every instance axiom and return the factorization of charpoly(g).
 
     Raises InvariantError naming the first broken axiom.  Regularity is
@@ -503,13 +486,13 @@ def certify_instance(space: HermitianSpace, g: Matrix, tau: AntiInvolution, seed
     regularity is decided: the lattice only draws its cyclic vector.  Every
     builder stores the factorization returned here, so serialized
     certificates are never trusted and the invariant has a single source."""
-    validate_space(space.gram)
-    if not is_unitary(g, space):
+    validate_space(gram)
+    if not is_unitary(g, gram):
         raise InvariantError("g is not unitary for the hermitian form")
     fact = factor(charpoly(g), seed)
-    if not is_regular(g, fact):
+    if not is_regular(g, fact.factors):
         raise InvariantError("g is not regular")
-    validate_anti_involution(tau, space, g)
+    validate_anti_involution(tau, gram, g)
     return fact
 
 
@@ -518,20 +501,13 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
     gf.require_odd_prime(p, "q")
     if not sig:
         raise InputError("empty signature")
-    for block in sig:
-        if block.kind not in ("sp", "cp"):
-            raise InputError(f"unknown block kind {block.kind!r}")
-        if block.degree < 1 or block.exponent < 1:
-            raise InputError("signature degrees and exponents must be positive")
-        if block.kind == "sp" and block.degree % 2 == 0:
-            raise InputError("self-paired irreducibles have odd degree")
+    require_dim(signature_dim(sig), "signature dimension")
     _check_realizable(sig, p)
     sig_string = ",".join(b.spec_string() for b in sig)
     rng = random.Random(f"forge:{p}:{sig_string}:{seed}")
     polys = _resolve_polys(sig, p, rng)
-    g, s, pairs = _assemble_blocks(sig, polys)
+    g, tau, pairs = _assemble_blocks(sig, polys)
     space = _solve_gram(g, pairs, seed, sig_string)
-    tau = AntiInvolution(s)
     fact = certify_instance(space, g, tau, seed)
     expected = sorted(
         [(b.degree, b.exponent) for b in sig]
@@ -561,6 +537,7 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
     gf.require_odd_prime(p, "q")
     if n < 1 or n % 2 == 0:
         raise InputError("the torus model needs odd n >= 1")
+    require_dim(n, "coxeter dimension")
     level = 2 * n
     b = gf.gen(p, level)
     emb_gen = gf.embed(gf.gen(p, 2), level)
@@ -602,11 +579,10 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
         tau_images = [gf.one(p, level)]
         for _ in range(1, n):
             tau_images.append(tau_images[-1] * bq)
-        s_mat = Matrix.from_rows(p, 2, _transpose_rows([coords(img) for img in tau_images]))
+        tau = Matrix.from_rows(p, 2, _transpose_rows([coords(img) for img in tau_images]))
         # h(b^i, b^j) = Tr(b^i (b^j)^(q^n)), and (b^j)^(q^n) is tau_images[j]
         gram_rows = [[gf.descend(gf.quadratic_trace(ba * bq_j)) for bq_j in tau_images] for ba in powers]
-        space = HermitianSpace(Matrix.from_rows(p, 2, gram_rows))
-        tau = AntiInvolution(s_mat)
+        space = Matrix.from_rows(p, 2, gram_rows)
         return MinusculeInstance(
             p=p,
             space=space,
@@ -648,9 +624,9 @@ def serialize_instance(inst: MinusculeInstance) -> dict:
         "p": inst.p,
         "n": inst.n,
         "field": {"poly2": list(gf.defining_poly(inst.p, 2))},
-        "gram": inst.space.gram.to_json(),
+        "gram": inst.space.to_json(),
         "g": inst.g.to_json(),
-        "tau": inst.tau.mat.to_json(),
+        "tau": inst.tau.to_json(),
         "seed": inst.seed,
         "signature": list(inst.signature),
     }
@@ -704,10 +680,9 @@ def parse_instance(data: dict) -> MinusculeInstance:
     signature = data["signature"]
     if not isinstance(signature, list) or not all(isinstance(s, str) for s in signature):
         raise InputError("schema: signature must be a list of strings")
-    gram = _matrix_from_json(p, data["gram"], n, "gram")
+    space = _matrix_from_json(p, data["gram"], n, "gram")
     g = _matrix_from_json(p, data["g"], n, "g")
-    tau = AntiInvolution(_matrix_from_json(p, data["tau"], n, "tau"))
-    space = HermitianSpace(gram)
+    tau = _matrix_from_json(p, data["tau"], n, "tau")
     return MinusculeInstance(
         p=p,
         space=space,

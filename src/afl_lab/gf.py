@@ -451,9 +451,6 @@ class FieldElem:
             return t.elems[t.inv[self._enc]]
         return _new_elem(self.p, self.level, _norm_inverse(self.p, self.level, self.coeffs), None, None)
 
-    def __truediv__(self, other):
-        return self * other.inverse()
-
     def __pow__(self, e: int) -> "FieldElem":
         if e < 0:
             return self.inverse() ** (-e)

@@ -4,9 +4,11 @@ Convention, fixed once for the whole artifact and its JSON schema: the form
 is linear in the first argument and conjugate-linear in the second,
 h(x, y) = x^T G conj(y), so conjugate symmetry reads transpose(G) = conj(G).
 
-An anti-involution is stored as the matrix S of the conjugate-linear map
-x -> S conj(x); its three axioms (involutive, conjugates g to g^{-1},
-anti-isometry) translate into the matrix identities validated here.
+A form is its Gram matrix G, a Matrix (MinusculeInstance.space), and an
+anti-involution tau is the matrix S of the conjugate-linear map
+x -> S conj(x) (MinusculeInstance.tau); its three axioms (involutive,
+conjugates g to g^{-1}, anti-isometry) translate into the matrix identities
+validated here.
 
 The walk runs in the basis B of linalg.invariant_subspaces, in which every
 g-invariant subspace is a set of rows: only H = B G conj(B)^T and g written
@@ -23,26 +25,9 @@ from .errors import InputError, InvariantError, Record
 from .linalg import Lattice, Matrix, in_basis, rref
 
 
-class HermitianSpace(Record):
-    """The form h(x, y) = x^T gram conj(y), gram a Matrix."""
-
-    __slots__ = _fields = ("gram",)
-
-    @property
-    def dim(self) -> int:
-        return self.gram.n
-
-    @property
-    def p(self) -> int:
-        return self.gram.p
-
-    @property
-    def level(self) -> int:
-        return self.gram.level
-
-
-def validate_space(gram: Matrix) -> HermitianSpace:
-    """Certify conjugate symmetry and nondegeneracy of a Gram matrix."""
+def validate_space(gram: Matrix) -> Matrix:
+    """Certify conjugate symmetry and nondegeneracy of a Gram matrix, and
+    return it."""
     if gram.n != gram.ncols:
         raise InputError("Gram matrix must be square")
     if gram.transpose() != gram.conj():
@@ -50,46 +35,40 @@ def validate_space(gram: Matrix) -> HermitianSpace:
     return nondegenerate_space(gram)
 
 
-def nondegenerate_space(gram: Matrix) -> HermitianSpace:
+def nondegenerate_space(gram: Matrix) -> Matrix:
     """Certify nondegeneracy, by one echelon form, of a Gram matrix known to
-    be square and conjugate-symmetric."""
+    be square and conjugate-symmetric, and return it."""
     if len(rref(gram.rows)[1]) != gram.n:
         raise InvariantError("gram is degenerate")
-    return HermitianSpace(gram)
+    return gram
 
 
-def gram_of_rows(space: HermitianSpace, rows) -> Matrix:
+def gram_of_rows(gram: Matrix, rows) -> Matrix:
     """The matrix [h(a, b)] over the given rows, the product R G conj(R)^T."""
     if not rows:
-        return Matrix(space.p, space.level, ())
-    r = Matrix.from_rows(space.p, space.level, rows)
-    return r @ space.gram @ r.conj().transpose()
+        return Matrix(gram.p, gram.level, ())
+    r = Matrix.from_rows(gram.p, gram.level, rows)
+    return r @ gram @ r.conj().transpose()
 
 
-def is_unitary(m: Matrix, space: HermitianSpace) -> bool:
+def is_unitary(m: Matrix, gram: Matrix) -> bool:
     """h(Mx, My) = h(x, y) for all x, y, as one Gram identity."""
-    if m.n != space.dim:
+    if m.n != gram.n:
         raise InputError("dimension mismatch")
-    return m.transpose() @ space.gram @ m.conj() == space.gram
+    return m.transpose() @ gram @ m.conj() == gram
 
 
-class AntiInvolution(Record):
-    """Conjugate-linear involution x -> S conj(x), S the Matrix mat."""
-
-    __slots__ = _fields = ("mat",)
-
-
-def validate_anti_involution(tau: AntiInvolution, space: HermitianSpace, g: Matrix) -> None:
-    s = tau.mat
-    n = space.dim
-    ident = Matrix.identity(s.p, s.level, n)
+def validate_anti_involution(s: Matrix, gram: Matrix, g: Matrix) -> None:
+    """Certify that x -> S conj(x) is an involution inverting g and an
+    anti-isometry of the form G."""
+    ident = Matrix.identity(s.p, s.level, gram.n)
     if s @ s.conj() != ident:
         raise InvariantError("anti-involution is not involutive")
     # g is invertible (unitary for a nondegenerate form) and conj(S) = S^{-1}
     # by the check above, so S conj(g) conj(S) = g^{-1} iff g S conj(g) = S
     if g @ s @ g.conj() != s:
         raise InvariantError("anti-involution does not conjugate g to its inverse")
-    if s.transpose() @ space.gram @ s.conj() != space.gram.conj():
+    if s.transpose() @ gram @ s.conj() != gram.conj():
         raise InvariantError("anti-involution is not an anti-isometry")
 
 
@@ -97,10 +76,10 @@ def validate_anti_involution(tau: AntiInvolution, space: HermitianSpace, g: Matr
 # isotropy and subquotients as slices of one adapted basis
 
 
-def is_isotropic(rows, space: HermitianSpace) -> bool:
+def is_isotropic(rows, gram: Matrix) -> bool:
     """h vanishes on W x W for W the span of rows, tested as the one product
     W G conj(W)^T."""
-    return gram_of_rows(space, rows).is_zero
+    return gram_of_rows(gram, rows).is_zero
 
 
 class AdaptedBasis(Record):
@@ -144,22 +123,21 @@ class AdaptedBasis(Record):
         return all(mask >> c & 1 for c in self.coords[vec])
 
 
-def adapted_basis(lattice: Lattice, space: HermitianSpace, g: Matrix) -> AdaptedBasis:
-    """H and g written in the basis B of lattice = invariant_subspaces(g, fact).
+def adapted_basis(lattice: Lattice, gram: Matrix, g: Matrix) -> AdaptedBasis:
+    """H and g written in the basis B of lattice = invariant_subspaces(g, pairs).
 
     H is tested for full rank here, the one nondegeneracy test of the walk:
     every slice of induced_subquotient inherits it."""
     rows = lattice.rows
-    gram = nondegenerate_space(gram_of_rows(space, rows)).gram
-    return AdaptedBasis(rows, gram, in_basis(g, rows), lattice.coords)
+    return AdaptedBasis(rows, nondegenerate_space(gram_of_rows(gram, rows)), in_basis(g, rows), lattice.coords)
 
 
 def _slice(m: Matrix, idx) -> Matrix:
     return Matrix.from_rows(m.p, m.level, [[m.rows[a][b] for b in idx] for a in idx])
 
 
-def induced_subquotient(basis: AdaptedBasis, vec):
-    """Hermitian space on W-perp/W for W = W(vec) isotropic, with the
+def induced_subquotient(basis: AdaptedBasis, vec) -> tuple[Matrix, Matrix]:
+    """The Gram matrix of W-perp/W for W = W(vec) isotropic, with the
     endomorphism g induces there: the slices of H and of g in B on the rows
     in W-perp but not in W.  Its characteristic polynomial is the middle
     factor of the filtration 0 < W < W-perp < V.
@@ -176,4 +154,4 @@ def induced_subquotient(basis: AdaptedBasis, vec):
         raise InputError("subspace is not isotropic")
     r = [a for a in wp if a not in w]
     # a principal slice of the validated H is conjugate-symmetric already
-    return HermitianSpace(_slice(basis.gram, r)), _slice(basis.g, r)
+    return _slice(basis.gram, r), _slice(basis.g, r)

@@ -28,7 +28,7 @@ import random
 
 from . import gf
 from .errors import InputError, InvariantError, Record
-from .poly import Poly, divisor_exponents, factor_pairs
+from .poly import Poly, divisor_exponents
 
 # Draws of a cyclic vector before invariant_subspaces refuses M.  For a
 # regular M a uniform x is cyclic with probability prod (1 - Q^(-deg P_i))
@@ -445,10 +445,11 @@ def charpoly(m: Matrix) -> Poly:
     return chain[n]
 
 
-def is_regular(m: Matrix, fact) -> bool:
+def is_regular(m: Matrix, pairs) -> bool:
     """True iff M is cyclic, decided exactly from the factorization of its
-    characteristic polynomial: dim ker P_i(M) = deg P_i for every irreducible
-    factor P_i, i.e. each primary component has a single elementary divisor.
+    characteristic polynomial, the pairs (P_i, a_i): dim ker P_i(M) = deg P_i
+    for every irreducible factor P_i, i.e. each primary component has a
+    single elementary divisor.
 
     Only factors with a_i >= 2 are tested, one echelon form each.  For
     a_i = 1 the P_i-primary component is ker P_i(M) itself, of dimension
@@ -456,7 +457,7 @@ def is_regular(m: Matrix, fact) -> bool:
     holds there for every M; a squarefree characteristic polynomial costs
     nothing."""
     return all(
-        m.n - len(rref(m.eval_poly(f).rows)[1]) == f.degree for f, a in factor_pairs(fact) if a > 1
+        m.n - len(rref(m.eval_poly(f).rows)[1]) == f.degree for f, a in pairs if a > 1
     )
 
 
@@ -486,13 +487,13 @@ def _cyclic_krylov(m: Matrix) -> tuple:
     )
 
 
-def invariant_subspaces(m: Matrix, fact) -> Lattice:
+def invariant_subspaces(m: Matrix, pairs) -> Lattice:
     """The full lattice of M-invariant subspaces of a regular M.
 
-    fact is the factorization of charpoly(M): a FactoredPoly or a plain
-    sequence of (irreducible, multiplicity) pairs.  Keys are divisor exponent
-    vectors, every divisor of the characteristic polynomial; the map is a
-    lattice isomorphism from monic divisors ordered by divisibility.
+    pairs is the factorization of charpoly(M), a sequence of (irreducible,
+    multiplicity) pairs.  Keys are divisor exponent vectors, every divisor
+    of the characteristic polynomial; the map is a lattice isomorphism from
+    monic divisors ordered by divisibility.
 
     A cyclic vector x makes u -> u(M) x an isomorphism F[T]/(chi) -> V, so
     ker P_i(M)^k is {u(M) x : chi/P_i^k divides u} (Brickman-Fillmore, Canad.
@@ -503,8 +504,7 @@ def invariant_subspaces(m: Matrix, fact) -> Lattice:
     chain members by Bezout, a union of chain prefixes.  B is these
     coefficient rows times the Krylov rows x, Mx, ..., M^(n-1) x.
     """
-    keys = divisor_exponents(fact)  # bounded before any Krylov row is formed
-    pairs = factor_pairs(fact)
+    keys = divisor_exponents(pairs)  # bounded before any Krylov row is formed
     p, level, n = m.p, m.level, m.n
     chi = math.prod((f for f, a in pairs for _ in range(a)), start=Poly.one(p, level))
     z = gf.zero(p, level)

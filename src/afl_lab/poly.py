@@ -113,18 +113,10 @@ class Poly(Record):
             raise InputError("polynomials over different fields")
 
     # ----- arithmetic ---------------------------------------------------
-    def __add__(self, other):
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.from_elems(self.p, self.level, [self.coeff(i) + other.coeff(i) for i in range(n)])
-
     def __sub__(self, other):
         self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly.from_elems(self.p, self.level, [self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __neg__(self):
-        return Poly(self.p, self.level, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         self._check(other)
@@ -514,9 +506,6 @@ class FactoredPoly(Record):
 
     __slots__ = _fields = ("factors", "pairing")
 
-    def __len__(self):
-        return len(self.factors)
-
     def self_paired(self) -> list[int]:
         return [i for i, j in enumerate(self.pairing) if i == j]
 
@@ -563,16 +552,12 @@ def factor(f: Poly, seed) -> FactoredPoly:
     return fact
 
 
-def factor_pairs(fact) -> list[tuple[Poly, int]]:
-    # accepts a FactoredPoly or a plain sequence of (poly, multiplicity)
-    return list(fact.factors) if isinstance(fact, FactoredPoly) else list(fact)
-
-
-def divisor_exponents(fact) -> list[tuple[int, ...]]:
-    """All exponent vectors (m_1..m_l), 0 <= m_i <= a_i, in lexicographic order.
+def divisor_exponents(pairs) -> list[tuple[int, ...]]:
+    """All exponent vectors (m_1..m_l), 0 <= m_i <= a_i, in lexicographic
+    order, for the pairs (P_i, a_i) of a factorization.
 
     InputError when there are more than DIVISOR_MAX of them."""
-    ranges = [range(a + 1) for _, a in factor_pairs(fact)]
+    ranges = [range(a + 1) for _, a in pairs]
     count = math.prod(len(r) for r in ranges)
     if count > DIVISOR_MAX:
         raise InputError(f"the invariant subspace lattice has {count} divisors, more than {DIVISOR_MAX}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from afl_lab import gf
 from afl_lab.errors import InputError
 from afl_lab.linalg import Lattice, Matrix, invariant_subspaces, null_basis, rref
-from afl_lab.poly import Poly, divisor_exponents, factor_pairs
+from afl_lab.poly import Poly, divisor_exponents
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,9 @@ def transform_subspace(sub: Subspace, fn) -> Subspace:
     return span(sub.ambient, [fn(r) for r in sub.rows])
 
 
-def tau_map(tau):
-    """The conjugate-linear vector map x -> S conj(x) of the anti-involution tau."""
-    return lambda v: tau.mat.apply([gf.conj(c) for c in v])
+def tau_map(s: Matrix):
+    """The conjugate-linear vector map x -> S conj(x) of the anti-involution S."""
+    return lambda v: s.apply([gf.conj(c) for c in v])
 
 
 def kernel_of_poly(m: Matrix, f: Poly) -> Subspace:
@@ -65,9 +65,9 @@ def kernel_of_poly(m: Matrix, f: Poly) -> Subspace:
     return kernel(m.eval_poly(f))
 
 
-def divisor_poly(fact, exponents) -> Poly:
-    """prod P_i^{m_i}: the divisor whose kernel each lattice member must be."""
-    pairs = factor_pairs(fact)
+def divisor_poly(pairs, exponents) -> Poly:
+    """prod P_i^{m_i} over the pairs (P_i, a_i) of a factorization: the
+    divisor whose kernel each lattice member must be."""
     p, level = pairs[0][0].p, pairs[0][0].level
     out = Poly.one(p, level)
     for (g, _), m in zip(pairs, exponents):
@@ -89,14 +89,13 @@ def complete_basis(base_rows, extension_rows):
     return [vectors[c] for c in pivots if c >= k]
 
 
-def lattice_by_chains(m: Matrix, fact) -> Lattice:
+def lattice_by_chains(m: Matrix, pairs) -> Lattice:
     """The lattice of a regular M from its primary chains, with no cyclic
     vector: step k of the chain of P_i extends the rows of ker P_i(M)^(k-1)
     by the null basis of P_i(M)^k (complete_basis), so ker P_i(M)^k is the
     first k deg P_i rows of the chain; InputError unless each step has
     dimension k deg P_i, which is regularity.  The oracle for
     invariant_subspaces, divisor by divisor."""
-    pairs = factor_pairs(fact)
     rows, offsets = [], []
     for f, a in pairs:
         offsets.append(len(rows))
@@ -112,7 +111,7 @@ def lattice_by_chains(m: Matrix, fact) -> Lattice:
         rows += chain
     coords = {
         vec: tuple(off + r for off, (f, _), k in zip(offsets, pairs, vec) for r in range(k * f.degree))
-        for vec in divisor_exponents(fact)
+        for vec in divisor_exponents(pairs)
     }
     return Lattice(tuple(rows), coords)
 
@@ -165,7 +164,7 @@ def naive_subspace_scan(m: Matrix) -> list[Subspace]:
 def script_w_direct(inst) -> list[Subspace]:
     """Oracle for engine.script_w: test tau-stability of every invariant subspace."""
     out = []
-    for _, sub in sorted(lattice_spans(invariant_subspaces(inst.g, inst.fact)).items()):
+    for _, sub in sorted(lattice_spans(invariant_subspaces(inst.g, inst.fact.factors)).items()):
         if transform_subspace(sub, tau_map(inst.tau)) == sub:
             out.append(sub)
     return out

@@ -7,7 +7,7 @@ from afl_lab import dl, gf
 from afl_lab.dl import dl_fixed_points, galois_orbit_check
 from afl_lab.errors import CrossCheckError, InputError
 from afl_lab.forge import build_block_instance, parse_signature, random_coxeter_instance
-from afl_lab.hermitian import HermitianSpace, validate_space
+from afl_lab.hermitian import validate_space
 from afl_lab.linalg import Matrix, charpoly
 from afl_lab.poly import Modulus, Poly, is_irreducible, plain_factor, poly_gcd
 from oracles import Subspace, kernel, kernel_of_poly, matrix_difference, span
@@ -115,7 +115,7 @@ def test_chain_semilinearity():
     inst = coxeter(3, 3, 3)
     records = dl_fixed_points(inst.space, inst.g, seed=3)
 
-    gram_big = Matrix.from_rows(3, 6, [[gf.embed(a, 6) for a in row] for row in inst.space.gram.rows])
+    gram_big = Matrix.from_rows(3, 6, [[gf.embed(a, 6) for a in row] for row in inst.space.rows])
     for rec in records:
         x = rec.vector
         y = records[0].vector
@@ -129,7 +129,7 @@ def test_chain_values_equal_the_definition(q, t, seed):
     # every record's chain h(v, tau^i v), i = 0..d, from the form itself
     inst = coxeter(q, t, seed)
     records = dl_fixed_points(inst.space, inst.g, seed=seed)
-    gram_big = _big(inst.space.gram, 2 * t)
+    gram_big = _big(inst.space, 2 * t)
     assert len(records) == t
     for rec in records:
         image = rec.vector
@@ -380,7 +380,7 @@ class ProbeDiagnosis:
     line_fixed: bool | None = None
 
 
-def semisimplicity_probe(space: HermitianSpace, s: Matrix, line: Subspace | None = None, seed=0) -> ProbeDiagnosis:
+def semisimplicity_probe(gram: Matrix, s: Matrix, line: Subspace | None = None, seed=0) -> ProbeDiagnosis:
     """Classify s by the finiteness dichotomy of its fixed set.
 
     Non-semisimple elements have empty fixed sets, semisimple non-regular
@@ -417,7 +417,7 @@ def semisimplicity_probe(space: HermitianSpace, s: Matrix, line: Subspace | None
     if is_irreducible(cp):
         return ProbeDiagnosis(
             "regular_elliptic", "finite",
-            f"irreducible characteristic polynomial; exactly {space.dim} fixed lines",
+            f"irreducible characteristic polynomial; exactly {gram.n} fixed lines",
             line_fixed,
         )
     return ProbeDiagnosis(

@@ -32,7 +32,7 @@ def duality_involution_orbits(inst: MinusculeInstance) -> list[tuple[tuple[int, 
     pairs; it must send dimension i to n - i."""
     fact = inst.fact
     out = []
-    for vec, _ in script_w(inst).members:
+    for vec, _ in script_w(inst):
         dual = tuple(a - vec[j] for (_, a), j in zip(fact.factors, fact.pairing))
         out.append((vec, dual))
     return out
@@ -44,17 +44,17 @@ def duality_involution_orbits(inst: MinusculeInstance) -> list[tuple[tuple[int, 
 
 def test_script_w_dim1():
     sw = script_w(inst_of("sp:1:1"))
-    assert sorted(d for _, d in sw.members) == [0, 1]
+    assert sorted(d for _, d in sw) == [0, 1]
 
 
 def test_script_w_self_paired_cube():
     sw = script_w(inst_of("sp:1:3"))
-    assert sorted(d for _, d in sw.members) == [0, 1, 2, 3]
+    assert sorted(d for _, d in sw) == [0, 1, 2, 3]
 
 
 def test_script_w_pair_plus_self():
     sw = script_w(inst_of("cp:1:1,sp:1:1"))
-    assert sorted(d for _, d in sw.members) == [0, 1, 2, 3]
+    assert sorted(d for _, d in sw) == [0, 1, 2, 3]
 
 
 def test_script_w_counts_formula():
@@ -65,14 +65,14 @@ def test_script_w_counts_formula():
         expected *= fact.factors[i][1] + 1
     for i, _ in fact.pairs():
         expected *= fact.factors[i][1] + 1
-    assert len(script_w(inst).members) == expected
+    assert len(script_w(inst)) == expected
 
 
 @pytest.mark.parametrize("spec,q", [("sp:1:3", 3), ("cp:1:1,sp:1:1", 3), ("cp:1:2,sp:1:1", 5)])
 def test_script_w_matches_direct_tau_stability(spec, q):
     inst = inst_of(spec, q, 3)
-    subs = lattice_spans(checked_lattice(inst.g, inst.fact))
-    expected = {vec for vec, _ in script_w(inst).members}
+    subs = lattice_spans(checked_lattice(inst.g, inst.fact.factors))
+    expected = {vec for vec, _ in script_w(inst)}
     via_tau = {
         vec
         for vec, sub in subs.items()
@@ -285,7 +285,7 @@ def test_duality_sends_mi_to_mn_minus_i():
     counts = m_counts(script_w(inst), inst.n)
     for i, c in counts.items():
         assert c == counts[inst.n - i]
-    members = {vec for vec, _ in script_w(inst).members}
+    members = {vec for vec, _ in script_w(inst)}
     for vec, dual in duality_involution_orbits(inst):
         assert dual in members
 

@@ -73,7 +73,7 @@ def instance(spec, q, seed):
 @lru_cache(maxsize=None)
 def lattice(spec, q, seed):
     inst = instance(spec, q, seed)
-    return checked_lattice(inst.g, inst.fact)
+    return checked_lattice(inst.g, inst.fact.factors)
 
 
 @lru_cache(maxsize=None)
@@ -125,15 +125,15 @@ def regular_matrices():
     return out
 
 
-def assert_lattice_is_kernels(m, fact):
-    for vec, sub in lattice_spans(checked_lattice(m, fact)).items():
-        assert sub == kernel_of_poly(m, divisor_poly(fact, vec)), vec
+def assert_lattice_is_kernels(m, pairs):
+    for vec, sub in lattice_spans(checked_lattice(m, pairs)).items():
+        assert sub == kernel_of_poly(m, divisor_poly(pairs, vec)), vec
 
 
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)
 def test_lattice_equals_kernels_of_divisors(spec, q, seed):
     inst = instance(spec, q, seed)
-    assert_lattice_is_kernels(inst.g, inst.fact)
+    assert_lattice_is_kernels(inst.g, inst.fact.factors)
 
 
 def test_lattice_equals_kernels_on_jordan_and_random_regular():
@@ -145,7 +145,7 @@ def test_lattice_equals_kernels_on_jordan_and_random_regular():
 def test_is_regular_equals_every_factor_test(spec, q, seed):
     # g is regular; g + g repeats every primary component, so it is not
     inst = instance(spec, q, seed)
-    assert linalg.is_regular(inst.g, inst.fact) and regular_by_definition(inst.g, inst.fact)
+    assert linalg.is_regular(inst.g, inst.fact.factors) and regular_by_definition(inst.g, inst.fact.factors)
     doubled = Matrix.block_diag([inst.g, inst.g])
     fact = [(f, 2 * a) for f, a in inst.fact.factors]
     assert not linalg.is_regular(doubled, fact) and not regular_by_definition(doubled, fact)
@@ -154,7 +154,7 @@ def test_is_regular_equals_every_factor_test(spec, q, seed):
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q + EVEN)
 def test_lazy_lattice_equals_eager_spans(spec, q, seed):
     inst = instance(spec, q, seed)
-    assert_lattice_equals_spans(inst.g, inst.fact)
+    assert_lattice_equals_spans(inst.g, inst.fact.factors)
 
 
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q + EVEN)
@@ -167,7 +167,7 @@ def test_verify_path_forms_no_divisor_span(monkeypatch):
     # walk one change of basis and one rank test of H: the echelon forms
     # grow with neither the 324 divisors nor the 72 isotropic strata
     inst = instance_from_spec("cp:1:2,cp:1:2,sp:1:3", 3, 0)
-    assert len(checked_lattice(inst.g, inst.fact)) == 324
+    assert len(checked_lattice(inst.g, inst.fact.factors)) == 324
     callers = Counter()
     real = linalg.rref
 
@@ -177,7 +177,7 @@ def test_verify_path_forms_no_divisor_span(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counting)
     monkeypatch.setattr(hermitian, "rref", counting)
-    invariant_subspaces(inst.g, inst.fact)
+    invariant_subspaces(inst.g, inst.fact.factors)
     draws = callers["_cyclic_krylov"]
     assert callers == {"_cyclic_krylov": draws} and 1 <= draws <= linalg.CYCLIC_DRAWS
     expected = {"_cyclic_krylov": draws, "in_basis": 1, "nondegenerate_space": 1}
@@ -206,7 +206,7 @@ def test_lattice_takes_no_kernel_power_or_polynomial_value(monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(Matrix, "__matmul__", recording)
-    assert len(invariant_subspaces(inst.g, inst.fact)) == 324
+    assert len(invariant_subspaces(inst.g, inst.fact.factors)) == 324
     # the step rows times the Krylov rows, and nothing else
     assert products == [(inst.n, inst.n)]
 
@@ -249,8 +249,8 @@ def test_slice_walk_equals_subquotient_by_definition(spec, q, seed):
         assert len(basis.coords[vec]) == sub.dim
         slow_space, slow_m = subquotient_by_definition(sub, inst.space, inst.g)
         fast_space, fast_m = induced_subquotient(basis, vec)
-        assert nondegenerate_space(fast_space.gram) == fast_space
-        assert fast_space.dim == slow_space.dim == inst.n - 2 * sub.dim
+        assert nondegenerate_space(fast_space) == fast_space
+        assert fast_space.n == slow_space.n == inst.n - 2 * sub.dim
         assert charpoly(fast_m) == charpoly(slow_m)
         if poly_key(charpoly(fast_m)) in factors:
             fast = dl_fixed_points(fast_space, fast_m, seed=seed)

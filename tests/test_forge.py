@@ -20,7 +20,7 @@ from afl_lab.forge import (
     serialize_instance,
     signature_dim,
 )
-from afl_lab.hermitian import AntiInvolution, HermitianSpace
+from afl_lab.hermitian import is_isotropic
 from afl_lab.linalg import Matrix, null_basis
 from afl_lab.poly import Poly, is_irreducible, star
 from oracles import divisor_poly, kernel_of_poly, matrix_difference, tau_map, transform_subspace
@@ -54,23 +54,24 @@ def test_parse_signature_rejects_garbage():
 
 
 def test_dim1_instance_is_the_unit_example():
-    sig = (BlockSpec("sp", 1, 1, Poly.x_minus(gf.one(3, 2))),)
-    inst = build_block_instance(sig, 3, 0)
-    assert inst.g.to_json() == [[[1, 0]]]
-    assert inst.space.gram.to_json() == [[[1, 0]]]
-    assert inst.tau.mat.to_json() == [[[1, 0]]]
+    inst = build_block_instance(parse_signature("sp:1:1"), 3, 0)
+    ((f, a),) = inst.fact.factors
+    c = -f.coeffs[0]  # the root of the drawn T - c
+    assert a == 1 and f == Poly.x_minus(c) and c * gf.conj(c) == gf.one(3, 2)
+    assert inst.g == Matrix.from_rows(3, 2, [[c]])
+    assert inst.space.to_json() == [[[1, 0]]]
+    assert inst.tau.to_json() == [[[1, 0]]]
 
 
 def test_cp_dim2_realizes_conjugate_inverse_pair():
-    c = gf.one(3, 2) + gf.gen(3, 2)
-    sig = (BlockSpec("cp", 1, 1, Poly.x_minus(c)),)
-    inst = build_block_instance(sig, 3, 0)
+    inst = build_block_instance(parse_signature("cp:1:1"), 3, 0)
+    (f, a), (f_star, b) = inst.fact.factors
+    assert a == b == 1 and f.degree == f_star.degree == 1 and star(f) == f_star != f
+    c = inst.g.rows[0][0]  # the root of the drawn polynomial, on the first block
+    assert {c} < {-f.coeffs[0], -f_star.coeffs[0]}
     z = gf.zero(3, 2)
-    expected = Matrix.from_rows(3, 2, [[c, z], [z, gf.conj(c).inverse()]])
-    assert inst.g == expected
+    assert inst.g == Matrix.from_rows(3, 2, [[c, z], [z, gf.conj(c).inverse()]])
     # the two eigenlines of a hyperbolic pair are isotropic
-    from afl_lab.hermitian import is_isotropic
-
     for vec in ((gf.one(3, 2), z), (z, gf.one(3, 2))):
         assert is_isotropic([vec], inst.space)
 
@@ -156,13 +157,6 @@ def test_unrealizable_signature_is_named_before_sampling(sig, q, message):
         build_block_instance(parse_signature(sig), q, 0)
 
 
-def test_rejects_duplicate_explicit_polys():
-    one = gf.one(3, 2)
-    sig = (BlockSpec("sp", 1, 1, Poly.x_minus(one)), BlockSpec("sp", 1, 1, Poly.x_minus(one)))
-    with pytest.raises(InputError):
-        build_block_instance(sig, 3, 0)
-
-
 def test_rejects_non_prime_q():
     with pytest.raises(InputError):
         build_block_instance(parse_signature("sp:1:1"), 4, 0)
@@ -192,8 +186,8 @@ def test_tau_maps_kernels_across_pairing():
     for i, (f, a) in enumerate(fact.factors):
         j = fact.pairing[i]
         for m in range(a + 1):
-            src = kernel_of_poly(inst.g, divisor_poly(fact, tuple(m if k == i else 0 for k in range(len(fact.factors)))))
-            dst = kernel_of_poly(inst.g, divisor_poly(fact, tuple(m if k == j else 0 for k in range(len(fact.factors)))))
+            src = kernel_of_poly(inst.g, divisor_poly(fact.factors, tuple(m if k == i else 0 for k in range(len(fact.factors)))))
+            dst = kernel_of_poly(inst.g, divisor_poly(fact.factors, tuple(m if k == j else 0 for k in range(len(fact.factors)))))
             assert transform_subspace(src, tau_map(inst.tau)) == dst
 
 
@@ -237,7 +231,7 @@ def test_coxeter_gram_equals_the_definition(q, n, seed):
     b = gf.gen(q, 2 * n)
     powers = [b**j for j in range(n)]
     expected = [[gf.descend(trace_by_orbit_sum(ba * (bb ** (q**n)))) for bb in powers] for ba in powers]
-    assert [list(row) for row in inst.space.gram.rows] == expected
+    assert [list(row) for row in inst.space.rows] == expected
 
 
 def test_coxeter_rejects_even_n():
@@ -372,7 +366,7 @@ def test_gram_solve_keeps_the_first_candidate_with_nonzero_det(spec, q, seed, mo
     monkeypatch.setattr(forge, "_unpack_gram", recording)
     monkeypatch.setattr(forge, "_gram_candidates", counting)
     inst = instance_from_spec(spec, q, seed)
-    assert len(candidates) > 1 and inst.space.gram == candidates[-1]
+    assert len(candidates) > 1 and inst.space == candidates[-1]
     assert [det(gm).is_zero for gm in candidates] == [True] * (len(candidates) - 1) + [False]
     # candidates are drawn only up to the first of full rank
     assert len(drawn) == len(candidates) < forge.GRAM_TRIES
@@ -487,7 +481,7 @@ def test_certify_rejects_unitary_non_scalar_non_regular_g():
     g = Matrix.from_rows(3, 2, [[one, z, z], [z, one, z], [z, z, -one]])
     ident = Matrix.identity(3, 2, 3)
     with pytest.raises(InvariantError, match="g is not regular"):
-        certify_instance(HermitianSpace(ident), g, AntiInvolution(ident), 0)
+        certify_instance(ident, g, ident, 0)
 
 
 def test_parse_rejects_p_above_the_bound():
@@ -514,6 +508,40 @@ def test_parse_signature_bounds_the_dimension():
         parse_signature(f"cp:1:2,sp:1:{forge.N_MAX - 3}")
 
 
+class NoMatrixFormed(Exception):
+    pass
+
+
+def forbid_building(monkeypatch):
+    """Make the first step of either builder raise NoMatrixFormed: sampling
+    an irreducible (the tau orbit of a tower element), a companion block, or
+    the generator of the Coxeter field."""
+
+    def formed(*_):
+        raise NoMatrixFormed
+
+    monkeypatch.setattr(forge, "_tau_orbit", formed)
+    monkeypatch.setattr(Matrix, "companion", staticmethod(formed))
+    monkeypatch.setattr(gf, "gen", formed)
+
+
+def test_build_block_instance_bounds_the_dimension(monkeypatch):
+    forbid_building(monkeypatch)
+    with pytest.raises(InputError, match=f"signature dimension must be at most {forge.N_MAX}, got {forge.N_MAX + 1}"):
+        build_block_instance((BlockSpec("sp", 1, forge.N_MAX + 1),), 3, 0)
+    with pytest.raises(NoMatrixFormed):  # at the bound the build starts
+        build_block_instance((BlockSpec("sp", 1, forge.N_MAX),), 3, 0)
+
+
+def test_random_coxeter_instance_bounds_the_dimension(monkeypatch):
+    # N_MAX + 1 is even, which the torus model refuses on its own
+    forbid_building(monkeypatch)
+    with pytest.raises(InputError, match=f"coxeter dimension must be at most {forge.N_MAX}, got {forge.N_MAX + 2}"):
+        random_coxeter_instance(3, forge.N_MAX + 2, 0)
+    with pytest.raises(NoMatrixFormed):  # at the bound the build starts
+        random_coxeter_instance(3, forge.N_MAX, 0)
+
+
 def _zero_matrix(n):
     return Matrix.from_rows(3, 2, [[gf.zero(3, 2)] * n for _ in range(n)])
 
@@ -532,9 +560,9 @@ def test_every_certifier_check_can_fail(part, broken, axiom):
     # each broken part passes every check before the one it targets
     inst = instance_from_spec("sp:1:3", 3, 8)
     bad = broken(inst.n)
-    parts = {"gram": inst.space.gram, "g": inst.g, "tau": inst.tau.mat, part: bad}
+    parts = {"gram": inst.space, "g": inst.g, "tau": inst.tau, part: bad}
     with pytest.raises(InvariantError, match=axiom):
-        certify_instance(HermitianSpace(parts["gram"]), parts["g"], AntiInvolution(parts["tau"]), inst.seed)
+        certify_instance(parts["gram"], parts["g"], parts["tau"], inst.seed)
     data = serialize_instance(inst)
     data[part] = bad.to_json()
     with pytest.raises(InvariantError, match=axiom):

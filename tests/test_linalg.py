@@ -7,7 +7,7 @@ from afl_lab import gf, linalg
 from afl_lab.errors import InputError, InvariantError
 from afl_lab.forge import random_coxeter_instance
 from afl_lab.linalg import Matrix, charpoly, invariant_subspaces, is_regular, krylov_rows, null_basis, rref
-from afl_lab.poly import Poly, divisor_exponents, factor_pairs, is_irreducible, plain_factor, poly_gcd
+from afl_lab.poly import Poly, divisor_exponents, is_irreducible, plain_factor, poly_gcd
 from conftest import poly_from_ints, random_matrix, random_monic, tables_with
 from oracles import (
     Subspace,
@@ -238,10 +238,10 @@ def test_exact_regularity_matches_probe_on_derogatory_matrices(name):
     assert not exact_is_regular(m)
 
 
-def regular_by_definition(m: Matrix, fact) -> bool:
+def regular_by_definition(m: Matrix, pairs) -> bool:
     """Oracle for is_regular: dim ker P_i(M) = deg P_i on every factor,
     squarefree ones included."""
-    return all(m.n - len(rref(m.eval_poly(f).rows)[1]) == f.degree for f, _ in factor_pairs(fact))
+    return all(m.n - len(rref(m.eval_poly(f).rows)[1]) == f.degree for f, _ in pairs)
 
 
 def jordan_sum(blocks):
@@ -328,7 +328,7 @@ def test_squarefree_charpoly_costs_is_regular_no_eval_poly(monkeypatch):
     f = _quadratic_irreducible(3)
     assert is_regular(Matrix.companion(f), [(f, 1)])
     inst = random_coxeter_instance(3, 5, 0)
-    assert is_regular(inst.g, inst.fact)
+    assert is_regular(inst.g, inst.fact.factors)
     assert calls == []
     m = jordan_sum([(one, 2), (i, 1), (i + one, 3)])
     assert is_regular(m, plain_factor(charpoly(m), 0))
@@ -407,14 +407,13 @@ def test_kernel_lattice_morphisms(rng):
 # invariant subspace lattice
 
 
-def lattice_by_spans(m: Matrix, fact) -> dict:
+def lattice_by_spans(m: Matrix, pairs) -> dict:
     """The lattice by definition, every divisor's span formed up front: one
     echelon form of the concatenated kernels ker P_i(M)^{m_i}."""
-    pairs = factor_pairs(fact)
     chains = [[kernel_of_poly(m, divisor_poly([(f, a)], (k,))) for k in range(a + 1)] for f, a in pairs]
     return {
         vec: span(m.n, [r for chain, k in zip(chains, vec) for r in chain[k].rows])
-        for vec in divisor_exponents(fact)
+        for vec in divisor_exponents(pairs)
     }
 
 

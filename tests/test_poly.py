@@ -160,7 +160,7 @@ def _fact_of(sig_polys):
 
 def test_divisors_of_single_factor():
     fact = _fact_of([(Poly.x_minus(gf.one(3, 2)), 1)])
-    assert divisor_exponents(fact) == [(0,), (1,)]
+    assert divisor_exponents(fact.factors) == [(0,), (1,)]
 
 
 @pytest.mark.parametrize(
@@ -182,16 +182,16 @@ def test_divisors_at_the_bound_are_enumerated(multiplicities):
 
 def test_divisors_of_cube():
     fact = _fact_of([(Poly.x_minus(gf.one(3, 2)), 3)])
-    assert len(divisor_exponents(fact)) == 4
+    assert len(divisor_exponents(fact.factors)) == 4
 
 
 def test_divisors_of_three_distinct():
     i = gf.gen(3, 2)
     fact = _fact_of([(Poly.x_minus(gf.one(3, 2)), 1), (Poly.x_minus(i), 1), (Poly.x_minus(-i), 1)])
-    vecs = divisor_exponents(fact)
+    vecs = divisor_exponents(fact.factors)
     assert len(vecs) == 8
     assert vecs == sorted(vecs)  # lexicographic order
-    full = divisor_poly(fact, (1, 1, 1))
+    full = divisor_poly(fact.factors, (1, 1, 1))
     assert full == fact.product()
 
 
@@ -359,7 +359,8 @@ def test_equal_degree_split_gives_up_after_split_tries(draw, monkeypatch):
     # arithmetic would: a constant (skipped) or f + 1 (coprime to f, and its
     # power is 1 mod f); every draw counts as a try
     f = x_minus_enc(3, 1) * x_minus_enc(3, 3)
-    never = Poly.one(3, 2) if draw == "constant" else f + Poly.one(3, 2)
+    f_plus_one = Poly.from_elems(3, 2, (f.coeffs[0] + gf.one(3, 2),) + f.coeffs[1:])
+    never = Poly.one(3, 2) if draw == "constant" else f_plus_one
     draws = []
 
     def stub(p, level, max_deg, rng):

@@ -17,16 +17,14 @@ from afl_lab.dl import EigenlineRecord, dl_fixed_points
 from afl_lab.engine import (
     Check,
     GeometricResult,
-    ScriptW,
     StratumRecord,
     VerificationReport,
     afl_verdict,
     geometric_count,
-    script_w,
 )
 from afl_lab.errors import Record
 from afl_lab.forge import BlockSpec, MinusculeInstance, instance_from_spec, parse_signature, random_coxeter_instance
-from afl_lab.hermitian import AdaptedBasis, AntiInvolution, HermitianSpace, adapted_basis
+from afl_lab.hermitian import AdaptedBasis, adapted_basis
 from afl_lab.linalg import Lattice, Matrix, charpoly, invariant_subspaces
 from afl_lab.poly import FactoredPoly, Poly
 
@@ -38,12 +36,9 @@ FIELDS = {
     Poly: ("p", "level", "coeffs"),
     FactoredPoly: ("factors", "pairing"),
     Lattice: ("rows", "coords"),
-    HermitianSpace: ("gram",),
-    AntiInvolution: ("mat",),
     AdaptedBasis: ("rows", "gram", "g", "coords"),
-    BlockSpec: ("kind", "degree", "exponent", "poly"),
+    BlockSpec: ("kind", "degree", "exponent"),
     MinusculeInstance: ("p", "space", "g", "tau", "fact", "seed", "signature", "provenance"),
-    ScriptW: ("members",),
     StratumRecord: ("exponents", "dim_w", "type", "quotient_charpoly", "fixed_count", "multiplicity", "dl_count"),
     GeometricResult: ("strata", "total", "nonempty"),
     Check: ("name", "ok", "detail"),
@@ -59,7 +54,7 @@ UNHASHABLE = {Lattice, AdaptedBasis, VerificationReport}
 def samples():
     """One object of each class, from a finite-support n = 3 instance."""
     inst = instance_from_spec("cp:1:1,sp:1:1", 3, 0)
-    lattice = invariant_subspaces(inst.g, inst.fact)
+    lattice = invariant_subspaces(inst.g, inst.fact.factors)
     coxeter = random_coxeter_instance(3, 3, 0)
     report = afl_verdict(inst)
     return {
@@ -68,12 +63,9 @@ def samples():
         Poly: charpoly(inst.g),
         FactoredPoly: inst.fact,
         Lattice: lattice,
-        HermitianSpace: inst.space,
-        AntiInvolution: inst.tau,
         AdaptedBasis: adapted_basis(lattice, inst.space, inst.g),
-        BlockSpec: BlockSpec("sp", 1, 1, charpoly(inst.g)),
+        BlockSpec: BlockSpec("sp", 1, 1),
         MinusculeInstance: inst,
-        ScriptW: script_w(inst),
         StratumRecord: next(r for r in geometric_count(inst).strata if r.dl_count is not None),
         GeometricResult: geometric_count(inst),
         Check: report.checks[0],
@@ -155,7 +147,7 @@ def test_defaults_and_bad_arguments():
     cfg = SweepConfig((3,), 5, 6, 0, ("sp:1:1",), 1, None)
     assert cfg.cross_check is True and cfg == SweepConfig((3,), 5, 6, 0, ("sp:1:1",), 1, None, True)
     assert SweepConfig((3,), 5, 6, 0, ("sp:1:1",), 1, out=None, cross_check=False).cross_check is False
-    assert parse_signature("sp:1:1")[0] == BlockSpec(kind="sp", degree=1, exponent=1) == BlockSpec("sp", 1, 1, None)
+    assert parse_signature("sp:1:1")[0] == BlockSpec(kind="sp", degree=1, exponent=1) == BlockSpec("sp", 1, 1)
     report = samples()[VerificationReport]
     assert VerificationReport(*values(report)[:-1]).notes == ()
     for args, kwargs in [((1, 2), {}), ((1, 2, 3, 4), {}), ((1,), {"name": 1, "ok": 2, "detail": 3}),

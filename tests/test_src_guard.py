@@ -1,8 +1,13 @@
 """src holds no test-only code: every function, class and method defined in
 src/afl_lab is referenced from src, exported by __init__, or a named oracle
-on the allowlist below; and every name a src module imports is read there."""
+on the allowlist below; every function and method runs under some command
+of a fixed CLI battery, or is on a second allowlist; and every name a src
+module imports is read there."""
 
 import ast
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -63,6 +68,98 @@ def test_src_defines_nothing_only_tests_use():
 def test_every_allowlisted_name_is_still_defined_and_unreferenced():
     names = {q.rsplit(".", 1)[-1] for q in unreferenced()}
     assert set(ALLOWED) <= names
+
+
+# Runs the battery with cli.main in one fresh interpreter, so that no cache
+# an earlier test warmed (towers, tables, defining polynomials) hides a call,
+# and prints the (module, first line) of every src function that was called.
+BATTERY_CHILD = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+from afl_lab import cli
+pkg = os.path.dirname(cli.__file__) + os.sep
+called = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(pkg):
+        called.add((os.path.basename(code.co_filename)[:-3], code.co_firstlineno))
+
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "called": sorted(called)}))
+"""
+
+# module.qualname -> why no command of the battery calls it
+PROTOCOL = "record protocol: equality, hashing, repr, pickling or immutability of a value"
+UNCALLED = {
+    "errors.Record.__init_subclass__": "record protocol: runs when a subclass is defined, at import",
+    "errors.Record._values": PROTOCOL,
+    "errors.Record.__setattr__": PROTOCOL,
+    "errors.Record.__delattr__": PROTOCOL,
+    "errors.Record.__eq__": PROTOCOL,
+    "errors.Record.__hash__": PROTOCOL,
+    "errors.Record.__repr__": PROTOCOL,
+    "errors.Record.__reduce__": PROTOCOL,
+    "gf.FieldElem.__setattr__": PROTOCOL,
+    "gf.FieldElem.__delattr__": PROTOCOL,
+    "gf.FieldElem.__reduce__": PROTOCOL,
+    "gf.FieldElem.__repr__": PROTOCOL,
+    "linalg.Matrix.__hash__": PROTOCOL,
+    "poly.Poly.__hash__": PROTOCOL,
+    "gf.make_tower": ALLOWED["make_tower"],
+    "engine.analytic_count": "public: the analytic side alone, which afl_verdict computes with the rest",
+    "hermitian.is_isotropic": ALLOWED["is_isotropic"],
+    "linalg.Matrix.is_zero": "oracle: read by is_isotropic only",
+    "linalg.Lattice.__len__": "the benchmark tracer reads len() of the lattice",
+    "forge._witness_degree": "error only: names the last witness when the Coxeter sampler gives up",
+    "poly.is_irreducible": "error only: tells reducible input from broken arithmetic when an eigenvalue orbit fails",
+    "poly.Poly.zero": "a product with a zero operand (Poly.__mul__, Modulus.mul), which no command forms",
+}
+
+
+def uncalled_by_battery(tmp_path):
+    """module.qualname of every function and method defined in src that no
+    command of the battery calls."""
+    stored = tmp_path / "instance.json"
+    battery = [
+        ["sweep", "--count", "20", "--q", "3,5", "--out", str(tmp_path / "sweep.json"), "--pretty", "--timings"],
+        ["sweep", "--count", "20", "--q", "17,19", "--no-cross-check"],
+        ["verify", "--q", "3", "--sig", "cp:1:2,sp:1:3", "--pretty", "--timings"],
+        ["verify", "--q", "31", "--sig", "coxeter:5"],
+        ["verify", "--q", "16381", "--sig", "cp:1:1,sp:1:3"],
+        ["gen", "--q", "5", "--sig", "cp:1:2,sp:1:1", "--out", str(stored), "--pretty"],
+        ["verify", "--in", str(stored)],
+        ["gen", "--q", "3", "--coxeter", "--n", "5"],
+        ["fl", "--q", "3", "--sig", "cp:1:2,cp:1:1"],
+        ["verify", "--q", "3", "--sig", "cp:1:1", "--pretty"],
+        ["orbital", "--q", "3", "--sig", "cp:1:1,sp:1:3"],
+        ["dl", "--q", "3", "--t", "5"],
+        ["dl", "--q", "17", "--t", "3"],
+        ["selftest"],
+    ]
+    out = subprocess.run([sys.executable, "-c", BATTERY_CHILD, str(SRC.parent), json.dumps(battery)],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["codes"] == [0] * len(battery)
+    called = {tuple(entry) for entry in result["called"]}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, _, node in definitions(ast.parse(path.read_text(), str(path))):
+            # a decorated function's code starts at its first decorator
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if not isinstance(node, ast.ClassDef) and (path.stem, first) not in called:
+                found.add(f"{path.stem}.{qualname}")
+    return found
+
+
+def test_every_src_function_runs_under_some_command(tmp_path):
+    uncalled = uncalled_by_battery(tmp_path)
+    assert sorted(uncalled - set(UNCALLED)) == []  # reached by no command: remove it, or name why it stays
+    assert sorted(set(UNCALLED) - uncalled) == []  # a command calls it now: drop it from the allowlist
 
 
 def unused_imports(src=SRC):
