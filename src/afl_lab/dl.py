@@ -29,20 +29,25 @@ irreducibility is decided only when the orbit fails, to tell reducible input
 
 All of this works in F_{q^{2t}}, above gf.TABLE_CAP, where every sum of
 products is reduced once: residues modulo the factor g are poly.Modulus
-products (x^m mod g folded in, no long division), Tr(a x) mod g is one packed
-combination of the cached x^(p^i), and the matrix-vector products and chain
-values are gf.dot products.
+products (x^m mod g folded in, no long division), and Tr(a x) is one packed
+combination of the x^(p^i) mod f, packed once per root, which
+Modulus(g).power reduces modulo the current factor g, one reduction per
+try.  s and G act on level-2t vectors
+without being embedded (gf.embedded_apply: an entry a + b gen acts as
+a + b r, two small-int combinations of the packed vector and one product by
+r per row), and the chain values are gf.dot products.
 
 No kernel is taken at level 2t.  The characteristic polynomial f is
 irreducible, so e_1 has annihilator f, and w = h(s) e_1, with h = f/(x - mu_0)
 from one exact division, is nonzero with (s - mu_0) w = f(s) e_1 = 0; the
 t distinct roots make the eigenspace a line, which w spans (von zur Gathen
 and Gerhard, Modern Computer Algebra, ch. 12).  The Krylov vectors s^i e_1
-are formed at level 2 and embedded once, and each coordinate of w is one
-packed dot product of t terms.  s and G have their entries in F_{q^2},
-which tau fixes, so tau maps the mu-eigenline to the tau(mu)-eigenline and
-keeps the leading 1 of a canonical row: w over its leading entry gives
-every eigenvector, and each derived v_k is checked against s v_k = mu_k v_k.
+are formed at level 2, and w is the matrix of their coordinates applied to
+the coefficients of h (gf.embedded_apply).  s and G have their entries in
+F_{q^2}, which tau fixes, so tau maps the mu-eigenline to the
+tau(mu)-eigenline and keeps the leading 1 of a canonical row: w over its
+leading entry gives every eigenvector, and each derived v_k is checked
+against s v_k = mu_k v_k.
 With tau^i v_k = v_{k+i}, the chain values are dot products with the t
 cached vectors G conj(v_j), still computed per record.
 
@@ -62,8 +67,10 @@ from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 
 
 # Largest dimension `afl-lab dl` accepts.  On a 2-vCPU host t = 27 takes
-# about 0.5 s at q = 3, 2.0 s at q = 16381 and 4.7 s at q = 16319, the
-# slowest prime near P_MAX.  Above it the scan for the level-2t defining
+# about 0.27 s at q = 3, 1.26 s at q = 16381 and 3.4 s at q = 16319, the
+# slowest prime near P_MAX (interpreter start included, median of 3); the
+# four extra Frobenius tables the inverse's addition chain reads at level 54
+# take 2-7 ms to build.  Above it the scan for the level-2t defining
 # polynomial leads and jumps with (q, t) (17 s for level 98 at q = 16319).
 T_MAX = 27
 
@@ -74,17 +81,24 @@ class EigenlineRecord(Record):
     __slots__ = _fields = ("eigenvalue", "vector", "chain_values")
 
 
-def _linear_combination(scalars, polys: list[Poly]) -> Poly:
-    """sum(c * f) over the pairs of scalars and polynomials, zero scalars
-    skipped: one packed sum of scalar-times-polynomial products, each
-    coefficient folded once."""
+def _combiner(polys: list[Poly]):
+    """The map from scalars c to sum(c_k * polys[k]), zero scalars skipped.
+
+    The polynomials are packed once; each combination is one packed sum of
+    scalar-times-polynomial products, each coefficient folded once."""
     p, level = polys[0].p, polys[0].level
     width = gf.slot_width(p, level, len(polys))
-    acc = 0
-    for c, f in zip(scalars, polys):
-        if not c.is_zero:
-            acc += gf.pack_blocks(p, level, width, (c,)) * gf.pack_blocks(p, level, width, f.coeffs)
-    return Poly.from_elems(p, level, gf.fold_blocks(p, level, width, max(len(f.coeffs) for f in polys), acc))
+    count = max(len(f.coeffs) for f in polys)
+    packed = [gf.pack_blocks(p, level, width, f.coeffs) for f in polys]
+
+    def combine(scalars) -> Poly:
+        acc = 0
+        for c, row in zip(scalars, packed):
+            if not c.is_zero:
+                acc += gf.pack_blocks(p, level, width, (c,)) * row
+        return Poly.from_elems(p, level, gf.fold_blocks(p, level, width, count, acc))
+
+    return combine
 
 
 def _frobenius_powers(g: Poly, ring: Modulus) -> list[Poly]:
@@ -98,9 +112,10 @@ def _frobenius_powers(g: Poly, ring: Modulus) -> list[Poly]:
     powers = [Poly.one(p, level)]
     for _ in range(1, g.degree):
         powers.append(ring.mul(powers[-1], xp))
+    combine = _combiner(powers)
     xs = [ring.reduce(x)]
     for _ in range(1, level):
-        xs.append(_linear_combination([gf.frob_q(c) for c in xs[-1].coeffs], powers))
+        xs.append(combine([gf.frob_q(c) for c in xs[-1].coeffs]))
     return xs
 
 
@@ -111,29 +126,29 @@ def _one_root(f: Poly, rng) -> gf.FieldElem:
     and takes the value Tr(a r) in F_p at each root r, uniform over F_p for
     the difference of two distinct roots; gcd(Tr^((p-1)/2) - 1, g) collects
     the roots where that value is a nonzero square.  Each successful split
-    keeps the smaller factor and reduces the x^(p^i) modulo it, so about
-    log2(deg f) splits reach a linear factor."""
+    keeps the smaller factor, so about log2(deg f) splits reach a linear
+    factor.  The x^(p^i) stay modulo f, packed once: each try forms its
+    trace modulo f, and Modulus(g).power reduces that one polynomial modulo
+    the current factor g."""
     p, level = f.p, f.level
     g = f.monic()
     if g.degree == 1:
         return -g.coeffs[0]  # t = 1: the root needs no Frobenius table
     ring = Modulus(g)
-    xs = _frobenius_powers(g, ring)
+    trace_of = _combiner(_frobenius_powers(g, ring))
     while g.degree > 1:
         for _ in range(SPLIT_TRIES):
             a = gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
             conjugates = [a]
             for _ in range(1, level):
                 conjugates.append(gf.frob_q(conjugates[-1]))
-            trace = _linear_combination(conjugates, xs)
-            h = poly_gcd(ring.power(trace, (p - 1) // 2) - Poly.one(p, level), g)
+            h = poly_gcd(ring.power(trace_of(conjugates), (p - 1) // 2) - Poly.one(p, level), g)
             if 0 < h.degree < g.degree:
                 break
         else:
             raise CrossCheckError(f"no trace split of a degree-{g.degree} factor in {SPLIT_TRIES} tries")
         g = min(h, (g // h).monic(), key=lambda k: k.degree)
         ring = Modulus(g)
-        xs = [ring.reduce(x) for x in xs]
     return -g.coeffs[0]
 
 
@@ -153,6 +168,16 @@ def _eigenvalue_orbit(f: Poly, rng) -> list[gf.FieldElem]:
     return orbit
 
 
+def _lifted_apply(rows, v) -> tuple:
+    """M v for M over F_{q^2}, given by its rows, and v at level 2t: M is
+    never embedded (gf.embedded_apply).  At t = 1, v is at level 2 itself,
+    and the plain dot products keep the table lookups of F_9 and F_25 (the
+    1 x 1 recounts of the verdict's cross-check, a third slower packed)."""
+    if v[0].level == 2:
+        return tuple(_dot(row, v) for row in rows)
+    return gf.embedded_apply(rows, v)
+
+
 def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[tuple[gf.FieldElem, ...]]:
     """The canonical eigenvector of each orbit member: one Krylov combination, then tau.
 
@@ -162,13 +187,13 @@ def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[t
     docstring) and w over its leading entry is its canonical row;
     v_{k+1} = tau(v_k) coordinatewise.  f(mu_0) != 0, w = 0 or any
     s v_k != mu_k v_k is a CrossCheckError."""
-    big = f.level
     h, rem = divmod(f, Poly.x_minus(orbit[0]))
     if not rem.is_zero:
         raise CrossCheckError("the first eigenvalue is not a root of the characteristic polynomial")
-    # the Krylov vectors s^i e_1 at level 2, one column per coordinate
+    # the Krylov vectors s^i e_1 at level 2; coordinate c of w = h(s) e_1 is
+    # sum_i (s^i e_1)_c h_i
     krylov = krylov_rows(s, (gf.one(s.p, s.level),) + (gf.zero(s.p, s.level),) * (s.n - 1))
-    w = [gf.dot([gf.embed(a, big) for a in column], h.coeffs) for column in zip(*krylov)]
+    w = _lifted_apply(list(zip(*krylov)), h.coeffs)
     lead = next((c for c in w if not c.is_zero), None)
     if lead is None:
         raise CrossCheckError("the Krylov combination of an irreducible characteristic polynomial vanishes")
@@ -176,9 +201,8 @@ def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[t
     vectors = [tuple(c * inv for c in w)]
     for _ in orbit[1:]:
         vectors.append(tuple(gf.tau_frob(c) for c in vectors[-1]))
-    s_big = Matrix.from_rows(s.p, big, [[gf.embed(a, big) for a in row] for row in s.rows])
     for mu, v in zip(orbit, vectors):
-        if s_big.apply(v) != tuple(mu * c for c in v):
+        if _lifted_apply(s.rows, v) != tuple(mu * c for c in v):
             raise CrossCheckError("a Frobenius image of the eigenvector is not an eigenvector of its eigenvalue")
     return vectors
 
@@ -210,10 +234,9 @@ def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
                 "characteristic polynomial is reducible; the fixed count is 0 by the split criterion"
             ) from None
         raise
-    gram_big = Matrix.from_rows(p, big, [[gf.embed(a, big) for a in row] for row in gram.rows])
     vectors = _orbit_eigenvectors(s, cp_big, orbit)
     # h(x, y) = x . G conj(y), and tau^i v_k = v_{(k+i) mod t}
-    gram_conj = [gram_big.apply([gf.frob_q(c) for c in v]) for v in vectors]
+    gram_conj = [_lifted_apply(gram.rows, [gf.frob_q(c) for c in v]) for v in vectors]
     d = (t - 1) // 2
     records = []
     for k, (mu, v) in enumerate(zip(orbit, vectors)):

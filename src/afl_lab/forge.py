@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import chain
 
 from . import gf
 from .errors import CrossCheckError, ForgeError, InputError, InvariantError, Record
@@ -555,10 +556,31 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
     if pivots != tuple(range(level)):
         raise AssertionError("power basis failed to span the field")
     binv = [[gf.encode_int(a) for a in row[level:]] for row in red]
+    # z -> its coordinates in that basis, one packed F_p-linear map: power
+    # basis vector k goes to column k of binv
+    to_coords = gf.packed_map(p, level, list(zip(*binv)))
 
     def coords(z: FieldElem):
-        vec = [sum(binv[i][j] * z.coeffs[j] for j in range(level)) % p for i in range(level)]
-        return tuple(gf.elem(p, 2, [vec[2 * k], vec[2 * k + 1]]) for k in range(n))
+        vec = gf.linear_apply(p, to_coords, z.coeffs)
+        return tuple(FieldElem(p, 2, vec[2 * k : 2 * k + 2]) for k in range(n))
+
+    # tau is the q^n-power map, b^j -> (b^j)^(q^n)
+    bq = b ** (p**n)
+    tau_images = [gf.one(p, level)]
+    for _ in range(1, n):
+        tau_images.append(tau_images[-1] * bq)
+    tau = Matrix.from_rows(p, 2, _transpose_rows([coords(img) for img in tau_images]))
+    # h(b^i, b^j) = Tr(b^i tau(b^j)).  z -> (descend Tr(b^i z))_i is F_p-linear
+    # and sends b^k to the traces of b^k, ..., b^(k+n-1): one packed map from
+    # the 3n - 1 traces Tr(b^m), each descended (and so checked to lie in
+    # F_{q^2}), whose value at tau(b^j) is column j of the Gram matrix
+    bm = list(powers)
+    while len(bm) < 3 * n - 1:
+        bm.append(bm[-1] * b)
+    traces = [gf.descend(gf.quadratic_trace(x)).coeffs for x in bm]
+    to_gram = gf.packed_map(p, level, [tuple(chain.from_iterable(traces[k : k + n])) for k in range(level)])
+    gram_cols = [gf.linear_apply(p, to_gram, img.coeffs) for img in tau_images]
+    space = Matrix.from_rows(p, 2, [[FieldElem(p, 2, col[2 * i : 2 * i + 2]) for col in gram_cols] for i in range(n)])
 
     rng = random.Random(f"coxeter:{p}:{n}:{seed}")
     norm_exp = p**n - 1
@@ -575,14 +597,6 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
             witness = s_elem
             continue
         g = Matrix.from_rows(p, 2, _transpose_rows([coords(s_elem * bj) for bj in powers]))
-        bq = b ** (p**n)
-        tau_images = [gf.one(p, level)]
-        for _ in range(1, n):
-            tau_images.append(tau_images[-1] * bq)
-        tau = Matrix.from_rows(p, 2, _transpose_rows([coords(img) for img in tau_images]))
-        # h(b^i, b^j) = Tr(b^i (b^j)^(q^n)), and (b^j)^(q^n) is tau_images[j]
-        gram_rows = [[gf.descend(gf.quadratic_trace(ba * bq_j)) for bq_j in tau_images] for ba in powers]
-        space = Matrix.from_rows(p, 2, gram_rows)
         return MinusculeInstance(
             p=p,
             space=space,

@@ -27,9 +27,13 @@ folded once; slot_width sizes the slots for the number of terms).  The
 Frobenius x -> x^(p^k) is F_p-linear and sends gen^i to y^i,
 y = gen^(p^k): one cached table of the packed y^i, applied with one
 multiply-accumulate per nonzero coefficient and one unpack; the trace down
-to F_{q^2} is one such table too.  The inverse is Itoh-Tsujii's (Inform.
-Comput. 78, 1988): a^-1 = a^(p + ... + p^(L-1)) / N(a), L - 1 Frobenius
-steps and products.
+to F_{q^2} is one such table too (packed_map builds every such table, and
+linear_apply applies it).  The inverse is Itoh-Tsujii's (Inform. Comput.
+78, 1988): a^-1 = a^(p + ... + p^(L-1)) / N(a), with the exponent reached
+by an addition chain over the bits of L - 1, about 2 log2 L Frobenius maps
+and products.  A matrix over F_{q^2} acts on a vector of an even level
+without embedding its entries (embedded_apply): a + b gen acts as a + b r,
+r the image of gen.
 
 Small fields compute by table (Lidl-Niederreiter, Finite Fields, ch. 9):
 when p**level <= TABLE_CAP (F_9 up to F_169 at level 2, F_27, F_81, F_125,
@@ -315,10 +319,13 @@ def dot(xs, ys) -> "FieldElem":
 
     Tabled fields add table products on encodings.  Above the cap the packed
     products are summed as integers and the sum is folded once: one
-    reduction per dot product instead of one per term.  Vectors of unequal
-    length, or any entry from another field, raise InputError."""
+    reduction per dot product instead of one per term.  Empty vectors,
+    vectors of unequal length, or any entry from another field raise
+    InputError."""
     if len(xs) != len(ys):
         raise InputError("dot product of vectors of unequal length")
+    if not xs:
+        raise InputError("dot product of empty vectors")
     enc = index_rows(xs, ys)
     if enc is not None:
         t, (a, b) = enc
@@ -343,11 +350,20 @@ def dot(xs, ys) -> "FieldElem":
 
 def _norm_inverse(p, level, a):
     # Itoh-Tsujii: b = a^(p + ... + p^(level-1)) is the product of the other
-    # conjugates of a, so a b = N(a) lies in F_p^* and a^-1 = b / N(a)
-    b, conj = _pad((1,), level), a
-    for _ in range(level - 1):
-        conj = _frob_apply(p, level, 1, conj)
-        b = _kronecker_mul(p, level, b, conj)
+    # conjugates of a, so a b = N(a) lies in F_p^* and a^-1 = b / N(a).  With
+    # e_k = a^(1 + p + ... + p^(k-1)), e_(j+k) = e_j frob^j(e_k): over the
+    # bits of level - 1, e_2k = e_k frob^k(e_k) and e_(2k+1) = a frob(e_2k),
+    # and b = frob(e_(level-1))
+    b = _pad((1,), level)
+    if level > 1:
+        e, k = a, 1
+        for bit in bin(level - 1)[3:]:
+            e = _kronecker_mul(p, level, e, _frob_apply(p, level, k, e))
+            k *= 2
+            if bit == "1":
+                e = _kronecker_mul(p, level, a, _frob_apply(p, level, 1, e))
+                k += 1
+        b = _frob_apply(p, level, 1, e)
     norm = _kronecker_mul(p, level, a, b)
     if not norm[0] or any(norm[1:]):
         raise AssertionError("norm of a nonzero element is not a nonzero scalar")
@@ -598,27 +614,23 @@ def elem_from_encoding(p: int, level: int, enc: int) -> FieldElem:
 # Frobenius maps and embeddings
 
 
-@lru_cache(maxsize=None)
-def _packed_frob(p, level, power):
-    # x -> x^(p^power) sends gen^i to y^i, y = gen^(p^power); rows[i] packs
-    # y^i in the _kronecker slots, and a combination with coefficients below
-    # p fills a slot to at most level (p-1)^2
+def packed_map(p: int, level: int, images) -> tuple:
+    """The table of an F_p-linear map of F_p^level (the coefficient vectors
+    of F_{p^level}) given by the images of the basis vectors, images[i]
+    holding `level` residues below p: the images packed in the slots of
+    one product, so a combination with coefficients below p fills a slot
+    to at most level (p-1)^2.  linear_apply applies it.  InputError unless
+    there are `level` images of `level` residues each."""
+    images = [tuple(img) for img in images]
+    if len(images) != level or any(len(img) != level or not all(0 <= c < p for c in img) for img in images):
+        raise InputError(f"a packed map of F_{p}^{level} needs {level} images of {level} residues each")
     _, vec, _, _ = _kronecker(p, level)
-    y = (gen(p, level) ** (p**power)).coeffs
-    rows, img = [], _pad((1,), level)
-    for _ in range(level):
-        rows.append(int.from_bytes(vec.pack(*img), "little"))
-        img = _kronecker_mul(p, level, img, y)
-    return vec, tuple(rows)
+    return vec, tuple(int.from_bytes(vec.pack(*img), "little") for img in images)
 
 
-def _frob_apply(p, level, power, a):
-    return _linear_apply(p, _packed_frob(p, level, power), a)
-
-
-def _linear_apply(p, table, a):
-    # an F_p-linear map given by the packed images of the basis: one
-    # multiply-accumulate per nonzero coefficient of a, then one unpack
+def linear_apply(p: int, table, a) -> tuple:
+    """The map of a packed_map table at the coefficient vector a: one
+    multiply-accumulate per nonzero coefficient of a, then one unpack."""
     vec, rows = table
     acc = 0
     for c, row in zip(a, rows):
@@ -628,19 +640,35 @@ def _linear_apply(p, table, a):
 
 
 @lru_cache(maxsize=None)
+def _packed_frob(p, level, power):
+    # x -> x^(p^power) sends gen^i to y^i, y = gen^(p^power), which the
+    # p-power table reaches from gen^p in power - 1 applications
+    y = (gen(p, level) ** p).coeffs
+    for _ in range(1, power):
+        y = _frob_apply(p, level, 1, y)
+    images, img = [], _pad((1,), level)
+    for _ in range(level):
+        images.append(img)
+        img = _kronecker_mul(p, level, img, y)
+    return packed_map(p, level, images)
+
+
+def _frob_apply(p, level, power, a):
+    return linear_apply(p, _packed_frob(p, level, power), a)
+
+
+@lru_cache(maxsize=None)
 def _packed_trace(p, level):
-    # the trace to F_{q^2} is F_p-linear: rows[i] packs the tau-orbit sum of
-    # gen^i, level / 2 images each below p, so a combination with
-    # coefficients below p again fills a slot to at most level (p-1)^2
-    _, vec, _, _ = _kronecker(p, level)
-    rows = []
+    # the trace to F_{q^2} is F_p-linear: the image of gen^i is its tau-orbit
+    # sum, level / 2 images, again with residues below p
+    images = []
     for i in range(level):
         cur = acc = _pad((0,) * i + (1,), level)
         for _ in range(level // 2 - 1):
             cur = _frob_apply(p, level, 2, cur)
             acc = tuple((a + b) % p for a, b in zip(acc, cur))
-        rows.append(int.from_bytes(vec.pack(*acc), "little"))
-    return vec, tuple(rows)
+        images.append(acc)
+    return packed_map(p, level, images)
 
 
 def frob_q(x: FieldElem) -> FieldElem:
@@ -672,7 +700,7 @@ def quadratic_trace(x: FieldElem) -> FieldElem:
     embedded F_{q^2} (n = level / 2), applied as one cached F_p-linear table."""
     if x.level % 2:
         raise InputError("quadratic_trace requires an even level")
-    coeffs = _linear_apply(x.p, _packed_trace(x.p, x.level), x.coeffs)
+    coeffs = linear_apply(x.p, _packed_trace(x.p, x.level), x.coeffs)
     if x._tables is not None:
         return x._tables.elems[_encode(x.p, coeffs)]
     return _new_elem(x.p, x.level, coeffs, None, None)
@@ -754,6 +782,48 @@ def embed(x: FieldElem, target_level: int) -> FieldElem:
     coeffs = [b * c % p for c in _embed_root(p, target_level).coeffs]  # a + b r is F_p-linear
     coeffs[0] = (coeffs[0] + a) % p
     return FieldElem(p, target_level, tuple(coeffs))
+
+
+def embedded_apply(rows, vec) -> tuple:
+    """M v for the matrix M over F_{q^2} with the given rows, acting through
+    embed on the vector v of an even level, without embedding M.
+
+    An entry a + b gen acts as a + b r, r = embed(gen), so row i of M v is
+    sum a_j v_j + r sum b_j v_j: two combinations of the packed v_j (packed
+    once per call) with the small ints a_j and b_j, one integer product by
+    the packed r, and every row folded once, all rows by one fold_blocks.
+    The slots are sized for len(v) p terms: a slot of r sum b_j v_j holds
+    at most level len(v) (p-1)^3.  InputError on an empty v, a row whose
+    length is not len(v), a row entry not at level 2, an odd level, or
+    entries over more than one prime or level."""
+    if not vec:
+        raise InputError("embedded_apply of an empty vector")
+    p, level, n = vec[0].p, vec[0].level, len(vec)
+    if level % 2:
+        raise InputError("embedded_apply needs a vector of an even level")
+    width = slot_width(p, level, n * p)
+    block = _blocks(p, level, width, 1)[0]
+    packed = []
+    for x in vec:
+        if x.p != p or x.level != level:
+            raise InputError("elements live in different fields")
+        packed.append(int.from_bytes(block.pack(*x.coeffs), "little"))
+    r = int.from_bytes(block.pack(*_embed_root(p, level).coeffs), "little")
+    bits, acc = 8 * block.size, 0
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise InputError("embedded_apply of a row and a vector of unequal length")
+        low = high = 0
+        for x, v in zip(row, packed):
+            if x.level != 2 or x.p != p:
+                raise InputError("embedded_apply needs level-2 entries over the prime of the vector")
+            a, b = x.coeffs
+            if a:
+                low += a * v
+            if b:
+                high += b * v
+        acc += (low + high * r) << (i * bits)
+    return tuple(fold_blocks(p, level, width, len(rows), acc))
 
 
 def descend(x: FieldElem) -> FieldElem:

@@ -215,3 +215,55 @@ def matrix_sum(a: Matrix, b: Matrix) -> Matrix:
 def matrix_difference(a: Matrix, b: Matrix) -> Matrix:
     """a - b, for matrices of one shape over one field."""
     return _entrywise(a, b, lambda x, y: x - y)
+
+
+def apply_by_embedding(rows, vec) -> tuple:
+    """M v for M over F_{q^2} and v at an even level: every entry of M
+    embedded, then one dot product per row.  The oracle for
+    gf.embedded_apply."""
+    level = vec[0].level
+    return tuple(gf.dot([gf.embed(a, level) for a in row], vec) for row in rows)
+
+
+def coxeter_frame_by_entries(p, n, s_elem):
+    """(g, tau, space) of the Coxeter instance of F_{q^{2n}} with the
+    norm-one element s_elem, entry by entry: the F_{q^2}-coordinates of z in
+    the basis 1, b, ..., b^(n-1) as Python sums over the inverse of its F_p
+    coordinate matrix, g and tau from the coordinates of s b^j and
+    (b^j)^(q^n), and each of the n^2 Gram entries as descend Tr(b^i (b^j)^(q^n)),
+    the trace a sum of q^2-powers taken by squaring, so that no packed map
+    of gf enters.  The oracle for the packed maps of
+    forge.random_coxeter_instance."""
+    level = 2 * n
+    b = gf.gen(p, level)
+    emb_gen = gf.embed(gf.gen(p, 2), level)
+    powers = [b**j for j in range(n)]
+    cols = []
+    for bj in powers:
+        cols += [bj.coeffs, (emb_gen * bj).coeffs]
+    aug = [[gf.from_base(p, 1, c) for c in [col[r] for col in cols] + [int(r == j) for j in range(level)]]
+           for r in range(level)]
+    red, pivots = rref(aug)
+    if pivots != tuple(range(level)):
+        raise InputError("the power basis does not span the field")
+    binv = [[gf.encode_int(a) for a in row[level:]] for row in red]
+
+    def coords(z):
+        vec = [sum(binv[i][j] * z.coeffs[j] for j in range(level)) % p for i in range(level)]
+        return [gf.elem(p, 2, vec[2 * k : 2 * k + 2]) for k in range(n)]
+
+    tau_images = [bj ** (p**n) for bj in powers]
+    g = Matrix.from_rows(p, 2, list(zip(*[coords(s_elem * bj) for bj in powers])))
+    tau = Matrix.from_rows(p, 2, list(zip(*[coords(img) for img in tau_images])))
+    space = Matrix.from_rows(p, 2, [[gf.descend(trace_by_powers(bi * bj)) for bj in tau_images] for bi in powers])
+    return g, tau, space
+
+
+def trace_by_powers(z):
+    """The trace of F_{q^{2n}} down to F_{q^2}, z + z^(q^2) + ... +
+    z^(q^(2n-2)), every power taken by squaring."""
+    acc = cur = z
+    for _ in range(z.level // 2 - 1):
+        cur = cur ** (z.p**2)
+        acc = acc + cur
+    return acc

@@ -78,6 +78,14 @@ def test_failed_orbit_of_an_irreducible_charpoly_is_re_raised(monkeypatch):
     assert calls == [charpoly(inst.g)]
 
 
+@pytest.mark.parametrize("t", [1, 3])
+def test_form_over_another_field_is_an_input_error(t):
+    # s over F_9, the form over F_25: the first product of the two refuses
+    inst, other = coxeter(3, t, 1), coxeter(5, t, 1)
+    with pytest.raises(InputError, match="different fields|prime of the vector"):
+        dl_fixed_points(other.space, inst.g)
+
+
 def test_rejects_even_dim():
     inst = build_block_instance(parse_signature("cp:1:1"), 3, 0)
     with pytest.raises(InputError):
@@ -272,6 +280,40 @@ def test_trace_split_finds_a_root_for_every_seed(q, t):
         assert dl._one_root(f, random.Random(seed)) in roots
 
 
+def one_root_reducing_the_table(f: Poly, rng) -> gf.FieldElem:
+    """The trace split with the table x^(p^i) reduced modulo each new
+    factor and every trace summed term by term: the route dl._one_root
+    replaces, which reduces one trace per try instead.  Both draw the same
+    rng values, take the same gcds and keep the same factors."""
+    p, level = f.p, f.level
+    g = f.monic()
+    if g.degree == 1:
+        return -g.coeffs[0]
+    xs = [Poly.x(p, level).powmod(p**i, g) for i in range(level)]
+    while g.degree > 1:
+        for _ in range(dl.SPLIT_TRIES):
+            a = gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
+            conjugates = [a]
+            for _ in range(1, level):
+                conjugates.append(gf.frob_q(conjugates[-1]))
+            trace = linear_combination_by_terms(conjugates, xs)
+            h = poly_gcd(trace.powmod((p - 1) // 2, g) - Poly.one(p, level), g)
+            if 0 < h.degree < g.degree:
+                break
+        g = min(h, (g // h).monic(), key=lambda k: k.degree)
+        xs = [x % g for x in xs]
+    return -g.coeffs[0]
+
+
+@pytest.mark.parametrize("q,t", [(3, 1), (3, 5), (3, 9), (5, 7), (17, 5), (16381, 3)])
+def test_one_root_equals_the_route_that_reduces_the_table(q, t):
+    f = charpoly(coxeter(q, t, 2).g).lift(2 * t)
+    for seed in range(4):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert dl._one_root(f, fast) == one_root_reducing_the_table(f, slow)
+        assert fast.random() == slow.random()  # the same number of draws
+
+
 def test_factor_without_roots_ends_the_trace_split():
     # x^2 - c, c a non-square of F_{3^6}: no try can split it
     c = gf._non_residue(3, 6)
@@ -309,8 +351,12 @@ def test_packed_linear_combination_matches_per_term_sum(p, level):
     for count in (1, 3, level, 2 * level + 1):
         polys = [Poly.from_elems(p, level, [elem() for _ in range(rng.randrange(1, 9))]) for _ in range(count)]
         scalars = [elem() if rng.random() < 0.8 else gf.zero(p, level) for _ in range(count)]
-        assert dl._linear_combination(scalars, polys) == linear_combination_by_terms(scalars, polys)
-    assert dl._linear_combination([gf.zero(p, level)], polys[:1]) == Poly.zero(p, level)
+        combine = dl._combiner(polys)
+        assert combine(scalars) == linear_combination_by_terms(scalars, polys)
+        # the packed polynomials are reused: a second set of scalars on the same table
+        scalars = scalars[::-1]
+        assert combine(scalars) == linear_combination_by_terms(scalars, polys)
+    assert dl._combiner(polys[:1])([gf.zero(p, level)]) == Poly.zero(p, level)
 
 
 def test_orbit_shorter_than_degree_is_a_cross_check_failure():

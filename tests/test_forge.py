@@ -23,7 +23,14 @@ from afl_lab.forge import (
 from afl_lab.hermitian import is_isotropic
 from afl_lab.linalg import Matrix, null_basis
 from afl_lab.poly import Poly, is_irreducible, star
-from oracles import divisor_poly, kernel_of_poly, matrix_difference, tau_map, transform_subspace
+from oracles import (
+    coxeter_frame_by_entries,
+    divisor_poly,
+    kernel_of_poly,
+    matrix_difference,
+    tau_map,
+    transform_subspace,
+)
 from test_linalg import det
 
 
@@ -232,6 +239,23 @@ def test_coxeter_gram_equals_the_definition(q, n, seed):
     powers = [b**j for j in range(n)]
     expected = [[gf.descend(trace_by_orbit_sum(ba * (bb ** (q**n)))) for bb in powers] for ba in powers]
     assert [list(row) for row in inst.space.rows] == expected
+
+
+COXETER_FRAMES = [(3, 1), (3, 3), (3, 9), (5, 7), (17, 5), (16381, 3)]
+
+
+@pytest.mark.parametrize("q,n", COXETER_FRAMES, ids=[f"q{q}-n{n}" for q, n in COXETER_FRAMES])
+def test_coxeter_frame_equals_the_entrywise_oracle(q, n):
+    # the packed coordinate and Gram maps against Python sums and n^2 traces;
+    # g e_0 = s, so column 0 of g holds the coordinates of the drawn s
+    for seed in (0, 1):
+        inst = random_coxeter_instance(q, n, seed)
+        level = 2 * n
+        b = gf.gen(q, level)
+        s_elem = gf.zero(q, level)
+        for i, row in enumerate(inst.g.rows):
+            s_elem = s_elem + gf.embed(row[0], level) * b**i
+        assert coxeter_frame_by_entries(q, n, s_elem) == (inst.g, inst.tau, inst.space)
 
 
 def test_coxeter_rejects_even_n():

@@ -12,6 +12,7 @@ from afl_lab import gf
 from afl_lab.dl import T_MAX
 from afl_lab.errors import InputError
 from afl_lab.forge import N_MAX
+from oracles import apply_by_embedding
 
 PRIMES = [3, 5, 7]
 
@@ -544,6 +545,24 @@ def test_packed_frobenius_rows_are_the_images_of_the_basis(p, level):
             assert vec.unpack(row.to_bytes(vec.size, "little")) == image(p, level, basis)
 
 
+@pytest.mark.parametrize("p,level", [(3, 6), (17, 2), (16381, 6)])
+def test_packed_map_applies_the_map_of_its_basis_images(p, level):
+    # an arbitrary F_p-linear map, given by a matrix, against the matrix product
+    rng = random.Random(f"packed-map:{p}:{level}")
+    images = [tuple(rng.randrange(p) for _ in range(level)) for _ in range(level)]
+    table = gf.packed_map(p, level, images)
+    for a in [(p - 1,) * level] + [tuple(rng.randrange(p) for _ in range(level)) for _ in range(20)]:
+        expected = tuple(sum(c * img[i] for c, img in zip(a, images)) % p for i in range(level))
+        assert gf.linear_apply(p, table, a) == expected
+
+
+@pytest.mark.parametrize("images", [[(0, 1)], [(0, 1), (1,)], [(0, 1), (1, 3)], [(0, 1), (-1, 0)]],
+                         ids=["too few", "short image", "residue p", "negative"])
+def test_packed_map_rejects_malformed_images(images):
+    with pytest.raises(InputError, match="2 images of 2 residues"):
+        gf.packed_map(3, 2, images)
+
+
 # ---------------------------------------------------------------------------
 # the norm inverse above the cap, against extended Euclid
 
@@ -571,6 +590,20 @@ def test_norm_inverse_matches_euclid(p, level):
         assert x * x.inverse() == one
     with pytest.raises(ZeroDivisionError):
         gf.zero(p, level).inverse()
+
+
+# levels whose addition chains differ: L - 1 = 1 (no step), 15 and 31 (a
+# doubling and an increment per bit), 53 (doublings through frob^3, frob^6,
+# frob^13 and frob^26)
+NORM_CHAIN = [(17, 2), (16381, 2), (3, 16), (5, 16), (3, 32), (3, 54), (16381, 54)]
+
+
+@pytest.mark.parametrize("p,level", NORM_CHAIN, ids=[f"F{p}^{lv}" for p, lv in NORM_CHAIN])
+def test_norm_inverse_along_the_addition_chain_matches_euclid(p, level):
+    rng = random.Random(f"inverse-chain:{p}:{level}")
+    vectors = [(p - 1,) * level, gf.one(p, level).coeffs] + [tuple(rng.randrange(p) for _ in range(level)) for _ in range(12)]
+    for a in vectors:
+        assert gf.FieldElem(p, level, a).inverse().coeffs == poly_inverse(p, level, a)
 
 
 def test_norm_inverse_rejects_a_norm_outside_fp(monkeypatch):
@@ -627,6 +660,11 @@ def test_packed_dot_matches_per_term_sum(p, level):
 def test_packed_dot_rejects_vectors_over_different_fields():
     with pytest.raises(InputError):
         gf.dot([gf.gen(3, 6)], [gf.gen(5, 6)])
+
+
+def test_dot_of_empty_vectors_is_an_input_error():
+    with pytest.raises(InputError, match="empty"):
+        gf.dot([], [])
 
 
 def test_dot_on_a_tabled_field_keeps_the_lookups():
@@ -795,3 +833,68 @@ def test_binomial_skip_near_p_max():
     for degree in (4, 6):
         f = gf.defining_poly(16319, degree)
         assert gf._encode(16319, f[:-1]) >= 16319 and gf._is_irreducible_int(list(f), 16319)
+
+
+# ---------------------------------------------------------------------------
+# an F_{q^2} matrix on a vector of an even level, against embed-then-dot
+
+
+def top_elem(p, level):
+    return gf.FieldElem(p, level, (p - 1,) * level)
+
+
+EMBEDDED_EVERY = [(3, 4), (3, 6), (5, 4), (5, 6)]
+
+
+@pytest.mark.parametrize("p,level", EMBEDDED_EVERY, ids=[f"F{p}^{lv}" for p, lv in EMBEDDED_EVERY])
+def test_embedded_apply_matches_embed_then_dot_on_every_entry(p, level):
+    # every element of F_{q^2} stands in every position of some row
+    rng = random.Random(f"embedded-every:{p}:{level}")
+    entries = [gf.elem_from_encoding(p, 2, k) for k in range(p * p)]
+    rows = [[x, entries[rng.randrange(p * p)], entries[-1 - k]] for k, x in enumerate(entries)]
+    rows += [row[::-1] for row in rows]
+    for vec in ([random_elem(p, level, rng) for _ in range(3)],
+                [top_elem(p, level), gf.zero(p, level), gf.one(p, level)]):
+        assert gf.embedded_apply(rows, vec) == apply_by_embedding(rows, vec)
+
+
+@pytest.mark.parametrize("level", [2, 4, 6, 10])
+def test_embedded_apply_matches_embed_then_dot_at_q17(level):
+    rng = random.Random(f"embedded-17:{level}")
+    for n in (1, 3, 9, 27):
+        rows = [[random_elem(17, 2, rng) for _ in range(n)] for _ in range(n)]
+        vec = [random_elem(17, level, rng) for _ in range(n)]
+        result = gf.embedded_apply(rows, vec)
+        assert result == apply_by_embedding(rows, vec) and len(result) == n
+
+
+# (p, level, terms): the largest sum the eigenline counter forms (T_MAX terms
+# at P_MAX and level 2 T_MAX), and three where slots sized for `terms`
+# products instead of terms p would carry
+EMBEDDED_WORST = [(gf.P_MAX, 2 * T_MAX, T_MAX), (7, 4, 1), (17, 6, 9), (17, 10, 9)]
+
+
+@pytest.mark.parametrize("p,level,n", EMBEDDED_WORST, ids=[f"F{p}^{lv}-{n}" for p, lv, n in EMBEDDED_WORST])
+def test_embedded_apply_holds_the_worst_case(p, level, n):
+    # every entry (p-1) + (p-1) gen and every coordinate p - 1: each slot
+    # takes the largest value it can take for the fixed r
+    rows = [[top_elem(p, 2)] * n] * n
+    vec = [top_elem(p, level)] * n
+    assert gf.embedded_apply(rows, vec) == apply_by_embedding(rows, vec)
+
+
+BAD_EMBEDDED = {
+    "empty vector": ([], [], "empty"),
+    "unequal length": ([[gf.gen(3, 2)]], [gf.gen(3, 6)] * 2, "unequal length"),
+    "entry above level 2": ([[gf.gen(3, 2), gf.gen(3, 6)]], [gf.gen(3, 6)] * 2, "level-2 entries"),
+    "entry over another prime": ([[gf.gen(3, 2), gf.gen(5, 2)]], [gf.gen(3, 6)] * 2, "prime of the vector"),
+    "vector over two primes": ([[gf.gen(3, 2)] * 2], [gf.gen(3, 6), gf.gen(5, 6)], "different fields"),
+    "odd level": ([[gf.gen(3, 2)]], [gf.gen(3, 5)], "even level"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EMBEDDED))
+def test_embedded_apply_rejects_bad_input(case):
+    rows, vec, message = BAD_EMBEDDED[case]
+    with pytest.raises(InputError, match=message):
+        gf.embedded_apply(rows, vec)

@@ -220,3 +220,34 @@ def test_table_layout_guard_sees_a_reader(tmp_path):
     (tmp_path / "gf.py").write_text("def enc(x):\n    return x._enc\n")
     (tmp_path / "reader.py").write_text("def enc(x):\n    return x._enc, x._tables, gf._Tables\n")
     assert table_layout_reads(tmp_path) == ["reader._Tables", "reader._enc", "reader._tables"]
+
+
+def private_gf_reads(src=SRC):
+    """module.name for every private gf name (gf._name, or _name imported
+    from gf) that a module other than gf reads; gf's public functions are
+    its interface, and its helpers may change with it."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "gf":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "gf":
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "gf":
+                names.update(alias.name for alias in node.names)
+        found += [f"{path.stem}.{name}" for name in sorted(names) if name.startswith("_") and not name.endswith("__")]
+    return found
+
+
+def test_only_gf_reads_its_private_names():
+    assert private_gf_reads() == []
+
+
+def test_private_gf_guard_sees_a_reader(tmp_path):
+    (tmp_path / "gf.py").write_text("def _helper(x):\n    return x\n")
+    (tmp_path / "reader.py").write_text(
+        "from . import gf\nfrom .gf import _kronecker_mul, dot as _dot\n\n\n"
+        "def f(x):\n    return gf._norm_inverse(x), gf.embed(x, 4), gf.__name__, _dot, _kronecker_mul\n"
+    )
+    assert private_gf_reads(tmp_path) == ["reader._kronecker_mul", "reader._norm_inverse"]
