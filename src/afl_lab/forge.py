@@ -41,7 +41,7 @@ from .errors import CrossCheckError, ForgeError, InputError, InvariantError, Rec
 from .gf import FieldElem
 from .hermitian import is_unitary, validate_anti_involution, validate_space
 from .linalg import Matrix, charpoly, is_regular, null_basis, rref
-from .poly import FactoredPoly, Poly, factor, poly_key, star
+from .poly import FactoredPoly, Poly, factor, poly_key, power_product, star
 
 GRAM_TRIES = 64
 GENERATOR_TRIES = 64
@@ -160,31 +160,23 @@ def _random_elem(p, level, rng) -> FieldElem:
     return gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
 
 
-def _random_self_paired_irreducible(p: int, degree: int, rng) -> Poly:
-    """Sample a norm-one element of F_{q^{2d}} and take its minimal polynomial;
-    guaranteed self-paired, retried (GENERATOR_TRIES tries) until the degree is d."""
-    level = 2 * degree
-    for _ in range(GENERATOR_TRIES):
-        y = _random_elem(p, level, rng)
-        if y.is_zero:
-            continue
-        z = y ** (p**degree - 1)
-        cand = _min_poly_over_quadratic(z)
-        if cand is not None and cand.degree == degree:
-            return cand
-    raise ForgeError(f"could not sample a self-paired irreducible of degree {degree} over F_{p * p} (q = {p})")
-
-
-def _random_pair_irreducible(p: int, degree: int, rng) -> Poly:
+def _random_irreducible(p: int, kind: str, degree: int, rng) -> Poly:
+    """The minimal polynomial over F_{q^2} of a random nonzero element of
+    F_{q^{2d}}, retried (GENERATOR_TRIES tries) until it has degree d: for
+    "sp" the element is first raised to the norm-one power q^d - 1, which
+    makes it self-paired, and for "cp" a self-paired one is drawn again."""
     level = 2 * degree
     for _ in range(GENERATOR_TRIES):
         z = _random_elem(p, level, rng)
         if z.is_zero:
             continue
+        if kind == "sp":
+            z = z ** (p**degree - 1)
         cand = _min_poly_over_quadratic(z)
-        if cand is not None and cand.degree == degree and star(cand) != cand:
+        if cand is not None and cand.degree == degree and (kind == "sp" or star(cand) != cand):
             return cand
-    raise ForgeError(f"could not sample a non-self-paired irreducible of degree {degree} over F_{p * p} (q = {p})")
+    what = "self-paired" if kind == "sp" else "non-self-paired"
+    raise ForgeError(f"could not sample a {what} irreducible of degree {degree} over F_{p * p} (q = {p})")
 
 
 def _mobius(n: int) -> int:
@@ -233,10 +225,7 @@ def _resolve_polys(sig, p, rng) -> list[Poly]:
     out = []
     for block in sig:
         for _ in range(GENERATOR_TRIES):
-            if block.kind == "sp":
-                cand = _random_self_paired_irreducible(p, block.degree, rng)
-            else:
-                cand = _random_pair_irreducible(p, block.degree, rng)
+            cand = _random_irreducible(p, block.kind, block.degree, rng)
             keys = {poly_key(cand), poly_key(star(cand))}
             if not keys & seen:
                 break
@@ -249,13 +238,6 @@ def _resolve_polys(sig, p, rng) -> list[Poly]:
 
 # ---------------------------------------------------------------------------
 # tau on companion blocks
-
-
-def _poly_power(f: Poly, a: int) -> Poly:
-    out = Poly.one(f.p, f.level)
-    for _ in range(a):
-        out = out * f
-    return out
 
 
 def _inverse_t_powers(modulus: Poly):
@@ -293,14 +275,14 @@ def _assemble_blocks(specs, polys):
     off = 0
     for block, fp in zip(specs, polys):
         if block.kind == "sp":
-            mod = _poly_power(fp, block.exponent)
+            mod = power_product([(fp, block.exponent)])
             g_blocks.append(Matrix.companion(mod))
             tau_cols.extend((off, col) for col in _inverse_t_powers(mod))
             pairs.append((off, mod.degree, off, mod.degree))
             off += mod.degree
         else:
-            mod_a = _poly_power(fp, block.exponent)
-            mod_b = _poly_power(star(fp), block.exponent)
+            mod_a = power_product([(fp, block.exponent)])
+            mod_b = power_product([(star(fp), block.exponent)])
             g_blocks.append(Matrix.companion(mod_a))
             g_blocks.append(Matrix.companion(mod_b))
             s = mod_a.degree
@@ -569,7 +551,7 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
     tau_images = [gf.one(p, level)]
     for _ in range(1, n):
         tau_images.append(tau_images[-1] * bq)
-    tau = Matrix.from_rows(p, 2, _transpose_rows([coords(img) for img in tau_images]))
+    tau = Matrix.from_rows(p, 2, [coords(img) for img in tau_images]).transpose()
     # h(b^i, b^j) = Tr(b^i tau(b^j)).  z -> (descend Tr(b^i z))_i is F_p-linear
     # and sends b^k to the traces of b^k, ..., b^(k+n-1): one packed map from
     # the 3n - 1 traces Tr(b^m), each descended (and so checked to lie in
@@ -596,7 +578,7 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
         if minp is None or minp.degree != n:
             witness = s_elem
             continue
-        g = Matrix.from_rows(p, 2, _transpose_rows([coords(s_elem * bj) for bj in powers]))
+        g = Matrix.from_rows(p, 2, [coords(s_elem * bj) for bj in powers]).transpose()
         return MinusculeInstance(
             p=p,
             space=space,
@@ -615,10 +597,6 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
 
 def _witness_degree(z):
     return 0 if z is None else len(_tau_orbit(z))
-
-
-def _transpose_rows(cols):
-    return [list(r) for r in zip(*cols)]
 
 
 def instance_from_spec(spec: str, p: int, seed: int) -> MinusculeInstance:

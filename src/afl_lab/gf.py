@@ -468,8 +468,8 @@ class FieldElem:
         return _new_elem(self.p, self.level, _norm_inverse(self.p, self.level, self.coeffs), None, None)
 
     def __pow__(self, e: int) -> "FieldElem":
-        if e < 0:
-            return self.inverse() ** (-e)
+        if e < 0:  # the squaring loop below would never end
+            raise InputError("negative exponent")
         result = one(self.p, self.level)
         base = self
         while e:

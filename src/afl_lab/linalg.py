@@ -6,11 +6,14 @@ so nothing here compares or hashes a subspace.
 
 The characteristic polynomial goes through a deterministic Hessenberg
 reduction followed by the classical recurrence on leading principal minors.
-Over a tabled field (gf.TABLE_CAP) the kernels here (products, apply,
-conj, Horner's eval_poly, rref and charpoly) take their operands' encodings
-from gf.index_rows once per call, run the same loops on ints through the
-field's tables and wrap the result in FieldElems once; above the cap they
-run the FieldElem loops, which the tests also hold the encoded ones against.
+Over a tabled field (gf.TABLE_CAP) the kernels here (products, conj,
+Krylov rows, rref and charpoly) take their operands' encodings from
+gf.index_rows once per call, run the same loops on ints through the field's
+tables and wrap the result in FieldElems once; above the cap they run the
+FieldElem loops, which the tests also hold the encoded ones against.  apply
+and eval_poly have one FieldElem loop on every field: eval_poly's products
+are the encoded ones of @, and no command applies M to a tabled vector
+outside krylov_rows.
 Regularity (cyclicity) is decided exactly on the factorization of the
 characteristic polynomial: M is regular iff dim ker P_i(M) = deg P_i for every
 irreducible factor P_i, which can fail only where P_i is a repeated factor.
@@ -23,12 +26,11 @@ vector is refused when the draws for one run out.
 
 from __future__ import annotations
 
-import math
 import random
 
 from . import gf
 from .errors import InputError, InvariantError, Record
-from .poly import Poly, divisor_exponents
+from .poly import Poly, divisor_exponents, power_product
 
 # Draws of a cyclic vector before invariant_subspaces refuses M.  For a
 # regular M a uniform x is cyclic with probability prod (1 - Q^(-deg P_i))
@@ -146,10 +148,6 @@ class Matrix(Record):
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
             raise InputError("vector length mismatch")
-        enc = gf.index_rows(v, *self.rows)
-        if enc is not None:
-            t, (x, *rows) = enc
-            return tuple(t.elems[y] for (y,) in _matmul_indexed(t, rows, [[y] for y in x]))
         return tuple(gf.dot(r, v) for r in self.rows)
 
     @property
@@ -160,12 +158,7 @@ class Matrix(Record):
         """Horner evaluation f(M), starting from f_d M + f_{d-1} I.
 
         A polynomial of degree d costs d - 1 matrix products, none for
-        d <= 1, and each constant is added on the diagonal only.  Over a
-        tabled field the whole evaluation runs on encodings."""
-        enc = gf.index_rows(f.coeffs, *self.rows)
-        if enc is not None:
-            t, (coeffs, *rows) = enc
-            return Matrix(self.p, self.level, _wrap(t, _horner_indexed(t, rows, coeffs)))
+        d <= 1, and each constant is added on the diagonal only."""
         if f.degree < 1:
             return Matrix.identity(self.p, self.level, self.n).scale(f.coeff(0))
         acc = _plus_diagonal(self.scale(f.leading), f.coeffs[-2])
@@ -211,22 +204,6 @@ def _matmul_indexed(t, a, b):
                     j += 1
         out.append(acc)
     return out
-
-
-def _horner_indexed(t, m, coeffs):
-    # f(M) for f = sum coeffs[i] T^i, as in Matrix.eval_poly
-    add, n = t.add, len(m)
-    if len(coeffs) < 2:
-        c = coeffs[0] if coeffs else 0
-        return [[c if i == j else 0 for j in range(n)] for i in range(n)]
-    lead = t.mul[coeffs[-1]]
-    acc = [[lead[x] for x in row] for row in m]
-    for k, c in enumerate(reversed(coeffs[:-1])):
-        if k:
-            acc = _matmul_indexed(t, acc, m)
-        for i, row in enumerate(acc):
-            row[i] = add[row[i]][c]
-    return acc
 
 
 def _rref_indexed(t, mat):
@@ -506,7 +483,7 @@ def invariant_subspaces(m: Matrix, pairs) -> Lattice:
     """
     keys = divisor_exponents(pairs)  # bounded before any Krylov row is formed
     p, level, n = m.p, m.level, m.n
-    chi = math.prod((f for f, a in pairs for _ in range(a)), start=Poly.one(p, level))
+    chi = power_product(pairs)
     z = gf.zero(p, level)
     steps, offsets = [], []
     for f, a in pairs:

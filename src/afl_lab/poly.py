@@ -7,11 +7,12 @@ chain: squarefree decomposition (with p-th root extraction, we are in
 characteristic p), distinct-degree splitting, then equal-degree splitting by
 Cantor-Zassenhaus with an explicitly threaded seed so reports reproduce.
 
-Over a tabled field (gf.TABLE_CAP) products, long division, powers modulo
-a polynomial and gcds run on the coefficients' encodings through gf's int
-tables, converted once per call: powmod squares and reduces, and poly_gcd
-takes its remainders, without leaving the ints.  Above the cap a product is
-one packed integer product and Modulus reduces by folding.
+Over a tabled field (gf.TABLE_CAP) products, powers modulo a polynomial
+and gcds run on the coefficients' encodings through gf's int tables,
+converted once per call: powmod squares and reduces, and poly_gcd takes its
+remainders, without leaving the ints.  One long division (divmod, // and %)
+runs its FieldElem loop on every field.  Above the cap a product is one
+packed integer product and Modulus reduces by folding.
 
 The star operation sends P to conj(P(0))^{-1} T^deg conj(P)(1/T); its roots
 are the conjugate-inverses r^{-q} of the roots of P.  Factoring the
@@ -140,11 +141,6 @@ class Poly(Record):
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        enc = gf.index_rows(self.coeffs, other.coeffs)
-        if enc is not None:
-            t, (a, b) = enc
-            q, rem = _divmod_indexed(t, a, b)
-            return _from_indexed(self.p, self.level, t, q), _from_indexed(self.p, self.level, t, rem)
         rem = list(self.coeffs)
         q = [gf.zero(self.p, self.level)] * max(len(rem) - len(other.coeffs) + 1, 0)
         # a monic divisor needs no inverse
@@ -244,7 +240,8 @@ def _mul_indexed(t, a, b):
 
 def _divmod_indexed(t, a, b):
     # long division by b (nonzero leading entry), step for step the
-    # FieldElem loop of Poly.__divmod__; a trimmed a leaves a trimmed remainder
+    # FieldElem loop of Poly.__divmod__; a trimmed a leaves a trimmed
+    # remainder.  Only powmod and poly_gcd, which chain divisions, use it
     sub, mul = t.sub, t.mul
     rem, d = list(a), len(b) - 1
     q = [0] * max(len(rem) - d, 0)
@@ -512,14 +509,6 @@ class FactoredPoly(Record):
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j in enumerate(self.pairing) if i < j]
 
-    def product(self) -> Poly:
-        p, level = self.factors[0][0].p, self.factors[0][0].level
-        out = Poly.one(p, level)
-        for f, a in self.factors:
-            for _ in range(a):
-                out = out * f
-        return out
-
 
 def factor(f: Poly, seed) -> FactoredPoly:
     """Factor a characteristic polynomial of a unitary element.
@@ -547,9 +536,18 @@ def factor(f: Poly, seed) -> FactoredPoly:
         if i == j and polys[i].degree % 2 == 0:
             raise InvariantError("self-paired factor of even degree")
     fact = FactoredPoly(factors=tuple(flat), pairing=tuple(pairing))
-    if fact.product() != f.monic():
+    if power_product(flat) != f.monic():
         raise AssertionError("factorization does not reconstruct the input")
     return fact
+
+
+def power_product(pairs) -> Poly:
+    """prod P^a over the pairs (P, a) of a nonempty factorization."""
+    out = Poly.one(pairs[0][0].p, pairs[0][0].level)
+    for f, a in pairs:
+        for _ in range(a):
+            out = out * f
+    return out
 
 
 def divisor_exponents(pairs) -> list[tuple[int, ...]]:

@@ -298,6 +298,8 @@ def test_pow_matches_repeated_product(x):
     for k in range(5):
         assert x**k == acc
         acc = acc * x
+    with pytest.raises(InputError, match="negative exponent"):
+        x**-1
 
 
 # ---------------------------------------------------------------------------

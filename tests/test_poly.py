@@ -15,6 +15,7 @@ from afl_lab.poly import (
     is_irreducible,
     plain_factor,
     poly_gcd,
+    power_product,
     star,
 )
 from conftest import poly_from_ints, random_monic, tables_with
@@ -192,7 +193,7 @@ def test_divisors_of_three_distinct():
     assert len(vecs) == 8
     assert vecs == sorted(vecs)  # lexicographic order
     full = divisor_poly(fact.factors, (1, 1, 1))
-    assert full == fact.product()
+    assert full == power_product(fact.factors)
 
 
 def test_divisor_count_matches_formula(rng):
@@ -276,8 +277,9 @@ def test_packed_product_holds_the_worst_case_at_p_max(level, length):
 
 @pytest.mark.parametrize("level", [2, 6])
 def test_long_division_with_a_broken_inverse_stops(level, monkeypatch):
-    # a step that leaves the leading term would repeat forever: both loops
-    # (on encodings at level 2, on elements at level 6) raise instead
+    # a step that leaves the leading term would repeat forever: divmod's
+    # loop and poly_gcd's (on encodings at level 2, through divmod at level
+    # 6) raise instead
     real_index_rows = gf.index_rows
 
     def broken_index_rows(*vectors):
@@ -288,6 +290,8 @@ def test_long_division_with_a_broken_inverse_stops(level, monkeypatch):
     monkeypatch.setattr(gf.FieldElem, "inverse", lambda self: self)
     x, one = gf.gen(3, level), gf.one(3, level)
     f, g = Poly.from_elems(3, level, [one, x, x]), Poly.from_elems(3, level, [one, x])
+    with pytest.raises(AssertionError, match="leading term"):
+        poly_gcd(f, g)
     with pytest.raises(AssertionError, match="leading term"):
         divmod(f, g)
 

@@ -1,8 +1,9 @@
 """src holds no test-only code: every function, class and method defined in
 src/afl_lab is referenced from src, exported by __init__, or a named oracle
 on the allowlist below; every function and method runs under some command
-of a fixed CLI battery, or is on a second allowlist; and every name a src
-module imports is read there."""
+of a fixed CLI battery, or is on a second allowlist; every name a src
+module imports is read there; and every kernel with a loop on gf's
+encodings is on a third allowlist, with the workload that pays for it."""
 
 import ast
 import json
@@ -220,6 +221,51 @@ def test_table_layout_guard_sees_a_reader(tmp_path):
     (tmp_path / "gf.py").write_text("def enc(x):\n    return x._enc\n")
     (tmp_path / "reader.py").write_text("def enc(x):\n    return x._enc, x._tables, gf._Tables\n")
     assert table_layout_reads(tmp_path) == ["reader._Tables", "reader._enc", "reader._tables"]
+
+
+# module.qualname -> the workload and measured cost that keep its loop on
+# encodings (gf.index_rows) beside its FieldElem loop: what the benchmark's
+# in-process rounds (min of 5 passes; sweep 120 tasks, lattice 8 verdicts,
+# dl 3 counts) lose with only that loop removed, on a 2-vCPU host.  A
+# kernel not named here runs its FieldElem loop on every field.
+ENCODED = {
+    "gf.dot": "sweep +3 %, lattice +4 %",
+    "linalg.Matrix.__matmul__": "lattice +29 %, sweep +15 %, dl +4 %",
+    "linalg.Matrix.conj": "correctness: its frob_q loop takes rows mixing F_9 and F_81 without an InputError",
+    "linalg.rref": "lattice +7 %, sweep +6 %",
+    "linalg.krylov_rows": "lattice +3 %, sweep +2 %",
+    "linalg.charpoly": "lattice +13 %, sweep +4 %, dl +3 %",
+    "poly.Poly.__mul__": "sweep +10 %, lattice +4 %",
+    "poly.Poly.powmod": "sweep +11 %, lattice +10 %, dl +4 %",
+    "poly.poly_gcd": "lattice +3 %, sweep +2 %, dl +2 %",
+}
+
+
+def encoded_callers(src=SRC):
+    """module.qualname of every src function or method that calls
+    gf.index_rows; a nested function's calls count for its enclosing one."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for qualname, _, node in definitions(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef) and any(
+                isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == "index_rows"
+                for n in ast.walk(node)
+            ):
+                found.add(f"{path.stem}.{qualname}")
+    return found
+
+
+def test_every_encoded_fork_names_its_workload():
+    assert sorted(encoded_callers()) == sorted(ENCODED)
+
+
+def test_encoded_guard_sees_a_new_caller(tmp_path):
+    (tmp_path / "kernel.py").write_text(
+        "from . import gf\nfrom .gf import index_rows\n\n\n"
+        "class M:\n    def apply(self, v):\n        return gf.index_rows(v)\n\n\n"
+        "def f(v):\n    def inner():\n        return index_rows(v)\n    return inner\n"
+    )
+    assert sorted(encoded_callers(tmp_path)) == ["kernel.M.apply", "kernel.f"]
 
 
 def private_gf_reads(src=SRC):
