@@ -244,18 +244,19 @@ def _inverse_t_powers(modulus: Poly):
     """Coefficient columns of T^{-j} mod modulus for j = 0..deg-1.
 
     Writing modulus = f0 + T h(T), the inverse of T is -h(T)/f0, already
-    reduced since deg h < deg modulus."""
+    reduced since deg h < deg modulus, so a step is a shift and one scaled
+    add: T^{-1} (c_0 + T r(T)) = r(T) + c_0 T^{-1}."""
     p, level = modulus.p, modulus.level
-    s = modulus.degree
     f0 = modulus.coeffs[0]
     if f0.is_zero:
         raise InputError("T is not invertible modulo the block polynomial")
-    inv_t = Poly.from_elems(p, level, modulus.coeffs[1:]).scale(-f0.inverse())
-    cols = []
-    cur = Poly.one(p, level)
-    for _ in range(s):
-        cols.append([cur.coeff(i) for i in range(s)])
-        cur = (cur * inv_t) % modulus
+    scale = -f0.inverse()
+    inv_t = [c * scale for c in modulus.coeffs[1:]]
+    z = gf.zero(p, level)
+    cols = [[gf.one(p, level)] + [z] * (modulus.degree - 1)]
+    for _ in range(1, modulus.degree):
+        c0 = cols[-1][0]
+        cols.append([a + c0 * b for a, b in zip(cols[-1][1:] + [z], inv_t)])
     return cols
 
 

@@ -39,14 +39,15 @@ Small fields compute by table (Lidl-Niederreiter, Finite Fields, ch. 9):
 when p**level <= TABLE_CAP (F_9 up to F_169 at level 2, F_27, F_81, F_125,
 F_243, and F_p for p <= 251) every value is one interned FieldElem indexed
 by its encode_int.  One set of int tables on encodings, add, sub, mul, inv
-and frob, is built from the Kronecker powers of a primitive element on the
-first operation in that field, never at import or in make_tower.  Elements
-read them and return the interned result; index_rows hands a kernel
-(matrix products, conjugation, echelon forms, characteristic polynomials,
-polynomial products, division and powers) the same tables with its
-operands as int lists, so its inner loop runs on ints and wraps its result
-once at exit.  Larger levels (the eigenline fields, and F_{q^2} for
-q >= 17) apply the two maps directly, on the same FieldElem class.
+and frob, is built from the Kronecker powers of a primitive element
+together with those elements, on the first construction of an element of
+that field, never at import or in make_tower.  Elements read them and
+return the interned result; index_rows hands a kernel (matrix products,
+echelon forms, characteristic polynomials, polynomial products, division
+and powers) the same tables with its operands as int lists, so its inner
+loop runs on ints and wraps its result once at exit.  Larger levels (the
+eigenline fields, and F_{q^2} for q >= 17) apply the two maps directly, on
+the same FieldElem class.
 
 The F_p[x] helpers on little-endian int lists serve only the definition of
 the fields: the irreducibility test behind defining_poly and the reduction
@@ -335,14 +336,12 @@ def dot(xs, ys) -> "FieldElem":
             if x:
                 acc = add[acc][mul[x][y]]
         return t.elems[acc]
-    x0 = xs[0]
-    p, level = x0.p, x0.level
+    p, level = xs[0].p, xs[0].level
+    check_field(p, level, xs, ys)
     width = slot_width(p, level, len(xs))
     vec = _blocks(p, level, width, 1)[0]
     acc = 0
     for a, b in zip(xs, ys):
-        if a.level != level or b.level != level or a.p != p or b.p != p:
-            raise InputError("elements live in different fields")
         if any(a.coeffs):
             acc += int.from_bytes(vec.pack(*a.coeffs), "little") * int.from_bytes(vec.pack(*b.coeffs), "little")
     return fold_blocks(p, level, width, 1, acc)[0]
@@ -498,26 +497,16 @@ class _Tables:
     """One interned element per value of a small field, elems[a] for encoding
     a, and the field's arithmetic on encodings: the ints add[a][b], sub[a][b]
     (so -a is sub[0][a]), mul[a][b], inv[a] (None at zero) and frob[a].  The
-    tables are built on the first access to any of them, so creating elements
-    (make_tower, gf.zero, parsing) never pays for them.
+    elements and the tables are built together, on the first construction
+    of an element of the field; import and make_tower build neither.
     """
 
-    __slots__ = ("p", "level", "elems", "add", "sub", "mul", "inv", "frob")
+    __slots__ = ("elems", "add", "sub", "mul", "inv", "frob")
 
     def __init__(self, p, level):
-        self.p, self.level = p, level
-        self.elems = [_new_elem(p, level, _decode(p, level, k), k, self) for k in range(p**level)]
-
-    def __getattr__(self, name):
-        # reached only for an unset slot, i.e. before the first arithmetic
-        if name not in ("add", "sub", "mul", "inv", "frob"):
-            raise AttributeError(name)
-        self._build()
-        return getattr(self, name)
-
-    def _build(self):
-        p, level, vecs = self.p, self.level, [x.coeffs for x in self.elems]
-        q = len(vecs)
+        q = p**level
+        vecs = [_decode(p, level, k) for k in range(q)]
+        self.elems = [_new_elem(p, level, v, k, self) for k, v in enumerate(vecs)]
         self.add = [[_encode(p, [(a + b) % p for a, b in zip(u, v)]) for v in vecs] for u in vecs]
         neg = [_encode(p, [-a % p for a in u]) for u in vecs]
         self.sub = [[row[b] for b in neg] for row in self.add]
@@ -572,6 +561,15 @@ def index_rows(*vectors):
             raise InputError("elements live in different fields")
         rows.append(row)
     return t, rows
+
+
+def check_field(p: int, level: int, *vectors) -> None:
+    """InputError unless every entry of the vectors lies in F_{p^level}; for
+    rows from outside and the packed routes, which read coeffs unchecked."""
+    for v in vectors:
+        for x in v:
+            if x.p != p or x.level != level:
+                raise InputError("elements live in different fields")
 
 
 def elem(p: int, level: int, coeffs) -> FieldElem:
@@ -803,11 +801,8 @@ def embedded_apply(rows, vec) -> tuple:
         raise InputError("embedded_apply needs a vector of an even level")
     width = slot_width(p, level, n * p)
     block = _blocks(p, level, width, 1)[0]
-    packed = []
-    for x in vec:
-        if x.p != p or x.level != level:
-            raise InputError("elements live in different fields")
-        packed.append(int.from_bytes(block.pack(*x.coeffs), "little"))
+    check_field(p, level, vec)
+    packed = [int.from_bytes(block.pack(*x.coeffs), "little") for x in vec]
     r = int.from_bytes(block.pack(*_embed_root(p, level).coeffs), "little")
     bits, acc = 8 * block.size, 0
     for i, row in enumerate(rows):

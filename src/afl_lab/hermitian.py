@@ -133,7 +133,7 @@ def adapted_basis(lattice: Lattice, gram: Matrix, g: Matrix) -> AdaptedBasis:
 
 
 def _slice(m: Matrix, idx) -> Matrix:
-    return Matrix.from_rows(m.p, m.level, [[m.rows[a][b] for b in idx] for a in idx])
+    return Matrix(m.p, m.level, tuple(tuple([m.rows[a][b] for b in idx]) for a in idx))
 
 
 def induced_subquotient(basis: AdaptedBasis, vec) -> tuple[Matrix, Matrix]:

@@ -4,16 +4,20 @@ Matrices act on column vectors; vectors are plain tuples of FieldElem.
 A subspace is a set of rows of one basis, never an echelon form of its own,
 so nothing here compares or hashes a subspace.
 
+A matrix lives in one field: Matrix.from_rows, the constructor for rows
+from outside, checks every entry's (p, level) once; kernels whose entries
+come from a checked matrix or from gf construct Matrix directly.
+
 The characteristic polynomial goes through a deterministic Hessenberg
 reduction followed by the classical recurrence on leading principal minors.
-Over a tabled field (gf.TABLE_CAP) the kernels here (products, conj,
-Krylov rows, rref and charpoly) take their operands' encodings from
-gf.index_rows once per call, run the same loops on ints through the field's
-tables and wrap the result in FieldElems once; above the cap they run the
-FieldElem loops, which the tests also hold the encoded ones against.  apply
-and eval_poly have one FieldElem loop on every field: eval_poly's products
-are the encoded ones of @, and no command applies M to a tabled vector
-outside krylov_rows.
+Over a tabled field (gf.TABLE_CAP) the kernels here (products, Krylov rows,
+rref and charpoly) take their operands' encodings from gf.index_rows once
+per call, run the same loops on ints through the field's tables and wrap
+the result in FieldElems once; above the cap they run the FieldElem loops,
+which the tests also hold the encoded ones against.  conj, apply and
+eval_poly have one FieldElem loop on every field: eval_poly's products are
+the encoded ones of @, and no command applies M to a tabled vector outside
+krylov_rows.
 Regularity (cyclicity) is decided exactly on the factorization of the
 characteristic polynomial: M is regular iff dim ker P_i(M) = deg P_i for every
 irreducible factor P_i, which can fail only where P_i is a repeated factor.
@@ -66,7 +70,11 @@ class Matrix(Record):
     # ----- constructors -------------------------------------------------
     @staticmethod
     def from_rows(p, level, rows) -> "Matrix":
-        return Matrix(p, level, tuple(tuple(r) for r in rows))
+        """The matrix of rows from outside: InputError unless every entry
+        lies in F_{p^level}."""
+        rows = tuple(tuple(r) for r in rows)
+        gf.check_field(p, level, *rows)
+        return Matrix(p, level, rows)
 
     @staticmethod
     def identity(p, level, n) -> "Matrix":
@@ -96,9 +104,8 @@ class Matrix(Record):
         rows = [[z] * n for _ in range(n)]
         off = 0
         for b in blocks:
-            for i in range(b.n):
-                for j in range(b.n):
-                    rows[off + i][off + j] = b.rows[i][j]
+            for i, r in enumerate(b.rows):
+                rows[off + i][off : off + b.n] = r
             off += b.n
         return Matrix.from_rows(p, level, rows)
 
@@ -124,26 +131,19 @@ class Matrix(Record):
         if enc is not None:
             t, rows = enc
             return Matrix(self.p, self.level, _wrap(t, _matmul_indexed(t, rows[: self.n], rows[self.n :])))
-        cols = list(zip(*other.rows))
-        out = []
-        for r in self.rows:
-            out.append([gf.dot(r, c) for c in cols])
-        return Matrix.from_rows(self.p, self.level, out)
+        cols = list(zip(*other.rows))  # the packed dot checks every entry's field
+        return Matrix(self.p, self.level, tuple(tuple([gf.dot(r, c) for c in cols]) for r in self.rows))
 
     def scale(self, c: gf.FieldElem) -> "Matrix":
-        return Matrix.from_rows(self.p, self.level, [[a * c for a in r] for r in self.rows])
+        # each product checks c against the matrix's field
+        return Matrix(self.p, self.level, tuple(tuple([a * c for a in r]) for r in self.rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_rows(self.p, self.level, list(zip(*self.rows)))
+        return Matrix(self.p, self.level, tuple(zip(*self.rows)))
 
     def conj(self) -> "Matrix":
-        """Entrywise q-power conjugation; over a tabled field on encodings."""
-        enc = gf.index_rows(*self.rows)
-        if enc is not None:
-            t, rows = enc
-            frob, elems = t.frob, t.elems
-            return Matrix(self.p, self.level, tuple(tuple([elems[frob[a]] for a in r]) for r in rows))
-        return Matrix.from_rows(self.p, self.level, [[gf.frob_q(a) for a in r] for r in self.rows])
+        """Entrywise q-power conjugation."""
+        return Matrix(self.p, self.level, tuple(tuple(map(gf.frob_q, r)) for r in self.rows))
 
     def apply(self, v) -> tuple:
         if len(v) != self.ncols:
@@ -174,11 +174,8 @@ _set_p, _set_level, _set_rows = Matrix._setters
 
 
 def _plus_diagonal(m: Matrix, c: gf.FieldElem) -> Matrix:
-    # M + c I by n additions
-    rows = [list(r) for r in m.rows]
-    for i, r in enumerate(rows):
-        r[i] = r[i] + c
-    return Matrix.from_rows(m.p, m.level, rows)
+    # M + c I by n additions, each checking the field of c
+    return Matrix(m.p, m.level, tuple(r[:i] + (r[i] + c,) + r[i + 1 :] for i, r in enumerate(m.rows)))
 
 
 # ---------------------------------------------------------------------------

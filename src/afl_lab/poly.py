@@ -12,7 +12,8 @@ and gcds run on the coefficients' encodings through gf's int tables,
 converted once per call: powmod squares and reduces, and poly_gcd takes its
 remainders, without leaving the ints.  One long division (divmod, // and %)
 runs its FieldElem loop on every field.  Above the cap a product is one
-packed integer product and Modulus reduces by folding.
+packed integer product and Modulus reduces by folding; both check every
+coefficient's field before they pack.
 
 The star operation sends P to conj(P(0))^{-1} T^deg conj(P)(1/T); its roots
 are the conjugate-inverses r^{-q} of the roots of P.  Factoring the
@@ -130,6 +131,7 @@ class Poly(Record):
             return _from_indexed(p, level, t, _mul_indexed(t, x, y))
         # Kronecker substitution one level up: one packed product, and each
         # product coefficient folded once
+        gf.check_field(p, level, a, b)
         width = gf.slot_width(p, level, min(len(a), len(b)))
         prod = gf.pack_blocks(p, level, width, a) * gf.pack_blocks(p, level, width, b)
         return Poly.from_elems(p, level, gf.fold_blocks(p, level, width, len(a) + len(b) - 1, prod))
@@ -190,6 +192,7 @@ class Poly(Record):
                 base = _divmod_indexed(t, _mul_indexed(t, base, base), m)[1]
                 e >>= 1
             return _from_indexed(self.p, self.level, t, result)
+        gf.check_field(self.p, self.level, self.coeffs, modulus.coeffs)
         return Modulus(modulus.monic()).power(self, e)
 
     def derivative(self) -> "Poly":

@@ -267,3 +267,16 @@ def trace_by_powers(z):
         cur = cur ** (z.p**2)
         acc = acc + cur
     return acc
+
+
+def inverse_t_powers_by_division(modulus: Poly):
+    """Coefficient columns of T^{-j} mod modulus for j = 0..deg-1, each power
+    one product by T^{-1} = -h(T)/f0 (modulus = f0 + T h(T)) and one long
+    division.  The oracle for the shift of forge._inverse_t_powers."""
+    p, level, s = modulus.p, modulus.level, modulus.degree
+    inv_t = Poly.from_elems(p, level, modulus.coeffs[1:]).scale(-modulus.coeffs[0].inverse())
+    cols, cur = [], Poly.one(p, level)
+    for _ in range(s):
+        cols.append([cur.coeff(i) for i in range(s)])
+        cur = (cur * inv_t) % modulus
+    return cols

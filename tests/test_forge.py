@@ -22,10 +22,11 @@ from afl_lab.forge import (
 )
 from afl_lab.hermitian import is_isotropic
 from afl_lab.linalg import Matrix, null_basis
-from afl_lab.poly import Poly, is_irreducible, star
+from afl_lab.poly import Poly, is_irreducible, power_product, star
 from oracles import (
     coxeter_frame_by_entries,
     divisor_poly,
+    inverse_t_powers_by_division,
     kernel_of_poly,
     matrix_difference,
     tau_map,
@@ -362,6 +363,31 @@ def test_gram_candidates_equal_the_solve_by_definition(spec, q, seed):
     unknowns, basis = forge._gram_basis(g, pairs)
     got = [forge._unpack_gram(v, unknowns, p, n) for v in forge._gram_candidates(basis, p, seed, label)]
     assert got == gram_solve_by_definition(g, s, seed, label)
+
+
+def block_moduli(spec, q, seed):
+    """The modulus P^a of every companion block build_block_instance makes,
+    star(P)^a for the second block of a cp pair."""
+    sig = parse_signature(spec)
+    label = ",".join(b.spec_string() for b in sig)
+    polys = forge._resolve_polys(sig, q, random.Random(f"forge:{q}:{label}:{seed}"))
+    out = []
+    for block, fp in zip(sig, polys):
+        out.append(power_product([(fp, block.exponent)]))
+        if block.kind == "cp":
+            out.append(power_product([(star(fp), block.exponent)]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec,q,seed",
+    [(spec, q, seed) for q in (3, 5, 7, 17, 31) for spec in DEFAULT_SIGNATURES for seed in (0, 1)]
+    + RANDOM_SIGNATURES
+    + [("sp:1:81", 31, seed) for seed in (0, 1)],
+)
+def test_inverse_t_powers_equal_the_division_route(spec, q, seed):
+    for mod in block_moduli(spec, q, seed):
+        assert forge._inverse_t_powers(mod) == inverse_t_powers_by_division(mod)
 
 
 def test_random_signatures_have_three_blocks_or_more():

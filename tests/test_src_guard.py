@@ -231,7 +231,6 @@ def test_table_layout_guard_sees_a_reader(tmp_path):
 ENCODED = {
     "gf.dot": "sweep +3 %, lattice +4 %",
     "linalg.Matrix.__matmul__": "lattice +29 %, sweep +15 %, dl +4 %",
-    "linalg.Matrix.conj": "correctness: its frob_q loop takes rows mixing F_9 and F_81 without an InputError",
     "linalg.rref": "lattice +7 %, sweep +6 %",
     "linalg.krylov_rows": "lattice +3 %, sweep +2 %",
     "linalg.charpoly": "lattice +13 %, sweep +4 %, dl +3 %",
