@@ -1,15 +1,19 @@
 """Exception hierarchy and the immutable record base shared by all afl_lab
 modules.
 
-Record is the base of every value type in the package (matrices,
-polynomials, instances, reports).  A subclass names its fields once, as
-__slots__ = _fields = (...), and gets positional or keyword construction
-(trailing defaults in _defaults), equality only against its own class,
-hashing, repr, pickling and deepcopy, all on the tuple of field values;
-assigning to or deleting a field raises AttributeError.  Matrix and Poly,
-built in every kernel, write their slots from _setters in an __init__ of
-their own.
+Record is the base of every value type in the package (field elements,
+matrices, polynomials, instances, reports) and the one place that defines
+their value protocol.  A subclass names its fields once, as
+__slots__ = _fields = (...), at least two of them, and gets positional or
+keyword construction (trailing defaults in _defaults), equality only against
+its own class, hashing, repr, pickling and deepcopy, all on the tuple of
+field values; assigning to or deleting a field raises AttributeError.
+Matrix and Poly, built in every kernel, write their slots from _setters in an
+__init__ of their own.  FieldElem interns the elements of a small field in
+__new__, its only constructor, and adds two slots that are not fields.
 """
+
+from operator import attrgetter
 
 
 class Record:
@@ -18,8 +22,11 @@ class Record:
     _defaults: dict = {}
 
     def __init_subclass__(cls):
-        # the slot setters of the fields, so __init__ need not look up names
+        # the slot setters of the fields, so __init__ need not look up names,
+        # and the getter of the tuple of field values (a tuple because every
+        # Record names at least two fields: attrgetter of one returns it bare)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        cls._values = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
@@ -33,9 +40,6 @@ class Record:
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}")
         return [values[name] for name in self._fields]
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -43,19 +47,22 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
+        if self is other:  # interned field elements
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
 
 class VerifierError(Exception):

@@ -62,7 +62,7 @@ from itertools import chain
 from math import isqrt
 from struct import Struct
 
-from .errors import InputError
+from .errors import InputError, Record
 
 # ---------------------------------------------------------------------------
 # base-field polynomial helpers (little-endian int lists over F_p), for
@@ -370,18 +370,20 @@ def _norm_inverse(p, level, a):
     return tuple(c * inv % p for c in b)
 
 
-class FieldElem:
+class FieldElem(Record):
     """Element of F_{p^level} in the power basis of defining_poly(p, level).
 
-    Immutable; equal, hashed and printed by (p, level, coeffs).  When
-    p**level <= TABLE_CAP each value has exactly one instance, carrying its
-    encode_int and its field's _Tables, and an operation returns the
-    instance of the encoding an int table gives.  Larger fields compute on
-    the coefficient tuples and wrap the residues they return with
-    _new_elem; only the constructor validates, for inputs from outside.
+    A Record on (p, level, coeffs), built by __new__ alone.  When
+    p**level <= TABLE_CAP each value has exactly one instance, whose slots
+    _enc and _tables hold its encode_int and its field's _Tables, and an
+    operation returns the instance of the encoding an int table gives.
+    Larger fields compute on the coefficient tuples and wrap the residues
+    they return with _new_elem; only __new__ validates, for inputs from
+    outside.
     """
 
-    __slots__ = ("p", "level", "coeffs", "_enc", "_tables")
+    _fields = ("p", "level", "coeffs")
+    __slots__ = (*_fields, "_enc", "_tables")
 
     def __new__(cls, p: int, level: int, coeffs: tuple[int, ...]):
         if len(coeffs) != level:
@@ -392,27 +394,10 @@ class FieldElem:
             return _tables(p, level).elems[_encode(p, coeffs)]
         return _new_elem(p, level, coeffs, None, None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return FieldElem, (self.p, self.level, self.coeffs)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not FieldElem:
-            return NotImplemented
-        return self.p == other.p and self.level == other.level and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.level, self.coeffs))
-
-    def __repr__(self):
-        return f"FieldElem(p={self.p!r}, level={self.level!r}, coeffs={self.coeffs!r})"
+    def __init__(self, *args, **kwargs):
+        # __new__ has built the element; Record.__init__ would rewrite the
+        # slots of an interned one, which every holder of it shares
+        pass
 
     def _check(self, other: "FieldElem"):
         if self.p != other.p or self.level != other.level:
@@ -480,7 +465,8 @@ class FieldElem:
 
 
 # the slot descriptors write past the frozen __setattr__
-_set_p, _set_level, _set_coeffs, _set_enc, _set_tables = (getattr(FieldElem, s).__set__ for s in FieldElem.__slots__)
+_set_p, _set_level, _set_coeffs = FieldElem._setters
+_set_enc, _set_tables = FieldElem._enc.__set__, FieldElem._tables.__set__
 
 
 def _new_elem(p, level, coeffs, enc, tables):

@@ -59,14 +59,6 @@ class Matrix(Record):
         _set_level(self, level)
         _set_rows(self, rows)
 
-    def __eq__(self, other):
-        if other.__class__ is not Matrix:
-            return NotImplemented
-        return self.p == other.p and self.level == other.level and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.p, self.level, self.rows))
-
     # ----- constructors -------------------------------------------------
     @staticmethod
     def from_rows(p, level, rows) -> "Matrix":
@@ -256,6 +248,8 @@ def rref(rows) -> tuple[tuple, tuple[int, ...]]:
         return _wrap(t, red), pivots
     mat = [list(r) for r in rows]
     ncols = len(mat[0])
+    if ncols:  # raw rows, and no operation below meets a zero entry
+        gf.check_field(mat[0][0].p, mat[0][0].level, *mat)
     pivots = []
     r = 0
     for col in range(ncols):

@@ -58,14 +58,6 @@ class Poly(Record):
         _set_level(self, level)
         _set_coeffs(self, coeffs)
 
-    def __eq__(self, other):
-        if other.__class__ is not Poly:
-            return NotImplemented
-        return self.p == other.p and self.level == other.level and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.level, self.coeffs))
-
     # ----- constructors -------------------------------------------------
     @staticmethod
     def from_elems(p, level, coeffs) -> "Poly":
@@ -468,16 +460,8 @@ def _equal_degree(f: Poly, d: int, rng) -> list[Poly]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    if f.degree < 1:
-        return False
-    q_size = f.p**f.level
-    x = Poly.x(f.p, f.level)
-    h = x % f
-    for _ in range(f.degree // 2):
-        h = h.powmod(q_size, f)
-        if poly_gcd(h - x, f).degree > 0:
-            return False
-    return True
+    # a square P^2 splits as [(P, d), (P, d)], so f need not be squarefree
+    return f.degree > 0 and _distinct_degree(f.monic()) == [(f.monic(), f.degree)]
 
 
 def plain_factor(f: Poly, seed) -> list[tuple[Poly, int]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from afl_lab import gf
 from afl_lab.errors import InputError
 from afl_lab.linalg import Lattice, Matrix, invariant_subspaces, null_basis, rref
-from afl_lab.poly import Poly, divisor_exponents
+from afl_lab.poly import Poly, divisor_exponents, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -280,3 +280,19 @@ def inverse_t_powers_by_division(modulus: Poly):
         cols.append([cur.coeff(i) for i in range(s)])
         cur = (cur * inv_t) % modulus
     return cols
+
+
+def is_irreducible_by_gcds(f: Poly) -> bool:
+    """Rabin's test: f of degree n > 0 is irreducible iff x^(Q^i) - x and f
+    are coprime for i = 1..n/2, Q the size of the field.  The oracle for
+    poly.is_irreducible, which reads the distinct-degree split."""
+    if f.degree < 1:
+        return False
+    q_size = f.p**f.level
+    x = Poly.x(f.p, f.level)
+    h = x % f
+    for _ in range(f.degree // 2):
+        h = h.powmod(q_size, f)
+        if poly_gcd(h - x, f).degree > 0:
+            return False
+    return True

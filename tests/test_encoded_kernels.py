@@ -227,8 +227,13 @@ def test_mixing_f9_with_f81_raises_in_every_kernel():
 def test_mixing_fields_above_the_cap_raises_in_every_kernel(other):
     # the packed routes (dot, Poly *, powmod's Modulus) read coefficients
     # unchecked, so they check the fields first; the FieldElem loops check
-    # each operation
-    for call in mixed_calls(gf.gen(31, 2), other):
+    # each operation, and rref, which meets no zero entry, checks its rows
+    a, foreign_zero = gf.gen(31, 2), gf.zero(other.p, other.level)
+    calls = mixed_calls(a, other) + [
+        lambda: rref([[a, foreign_zero], [a, a]]),
+        lambda: rref([[a, gf.zero(31, 2)], [a, foreign_zero]]),
+    ]
+    for call in calls:
         with pytest.raises(InputError, match="elements live in different fields"):
             call()
 

@@ -19,7 +19,7 @@ from afl_lab.poly import (
     star,
 )
 from conftest import poly_from_ints, random_monic, tables_with
-from oracles import divisor_poly
+from oracles import divisor_poly, is_irreducible_by_gcds
 
 
 def x_minus_enc(p, enc):
@@ -144,6 +144,25 @@ def test_self_paired_factors_have_odd_degree(rng):
                     hits += 1
                     assert g.degree % 2 == 1
     assert hits > 5
+
+
+def test_is_irreducible_matches_rabins_test_on_every_small_monic():
+    # every monic of degree 1-4 over F_3 and 1-3 over F_9, squares and
+    # products of equal-degree factors included
+    checked = irreducible = 0
+    for p, level, max_degree in ((3, 1, 4), (3, 2, 3)):
+        field = [gf.elem_from_encoding(p, level, k) for k in range(p**level)]
+        for degree in range(1, max_degree + 1):
+            for low in itertools.product(field, repeat=degree):
+                f = Poly(p, level, (*low, gf.one(p, level)))
+                expected = is_irreducible_by_gcds(f)
+                assert is_irreducible(f) == expected, f
+                assert is_irreducible(f.scale(field[-1])) == expected
+                checked += 1
+                irreducible += expected
+    # 3 + 3 + 8 + 18 monic irreducibles over F_3, 9 + 36 + 240 over F_9
+    assert (checked, irreducible) == (939, 317)
+    assert not is_irreducible(Poly.zero(3, 2)) and not is_irreducible(Poly.one(3, 2))
 
 
 # ---------------------------------------------------------------------------

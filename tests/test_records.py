@@ -1,5 +1,5 @@
-"""The value types of afl_lab are immutable records (errors.Record, and
-gf.FieldElem beside it): constructed by position or keyword with their
+"""The value types of afl_lab, gf.FieldElem included, are immutable
+errors.Record subclasses: constructed by position or keyword with their
 defaults, equal and hashed by their fields but never equal to another class
 with the same fields, printed as Name(field=value, ...), and carried through
 pickle (the --jobs pool) and deepcopy.  None of them is a tuple, so a matrix
@@ -80,6 +80,11 @@ def values(obj):
 
 
 CLASSES = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+
+
+@CLASSES
+def test_every_value_type_is_a_record(cls):
+    assert issubclass(cls, Record) and cls._fields == FIELDS[cls]
 
 
 @CLASSES

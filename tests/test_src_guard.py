@@ -94,22 +94,13 @@ print(json.dumps({"codes": codes, "called": sorted(called)}))
 """
 
 # module.qualname -> why no command of the battery calls it
-PROTOCOL = "record protocol: equality, hashing, repr, pickling or immutability of a value"
+PROTOCOL = "record protocol: repr, pickling or immutability of a value"
 UNCALLED = {
     "errors.Record.__init_subclass__": "record protocol: runs when a subclass is defined, at import",
-    "errors.Record._values": PROTOCOL,
     "errors.Record.__setattr__": PROTOCOL,
     "errors.Record.__delattr__": PROTOCOL,
-    "errors.Record.__eq__": PROTOCOL,
-    "errors.Record.__hash__": PROTOCOL,
     "errors.Record.__repr__": PROTOCOL,
     "errors.Record.__reduce__": PROTOCOL,
-    "gf.FieldElem.__setattr__": PROTOCOL,
-    "gf.FieldElem.__delattr__": PROTOCOL,
-    "gf.FieldElem.__reduce__": PROTOCOL,
-    "gf.FieldElem.__repr__": PROTOCOL,
-    "linalg.Matrix.__hash__": PROTOCOL,
-    "poly.Poly.__hash__": PROTOCOL,
     "gf.make_tower": ALLOWED["make_tower"],
     "engine.analytic_count": "public: the analytic side alone, which afl_verdict computes with the rest",
     "hermitian.is_isotropic": ALLOWED["is_isotropic"],
@@ -196,6 +187,37 @@ def test_unused_import_guard_sees_a_leftover(tmp_path):
     leftover = tmp_path / "leftover.py"
     leftover.write_text("from .linalg import Matrix, kernel\n\n\ndef f(m: Matrix):\n    return m\n")
     assert unused_imports(tmp_path) == ["leftover.kernel"]
+
+
+# the value protocol: errors.Record defines it once, for every value type
+VALUE_PROTOCOL = {"__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", "__delattr__"}
+
+
+def protocol_definers(src=SRC):
+    """module.class.name of every value-protocol method that a src class
+    other than errors.Record defines, by def or by assignment."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for qualname, _, node in definitions(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and f"{path.stem}.{qualname}" != "errors.Record":
+                for item in node.body:
+                    targets = item.targets if isinstance(item, ast.Assign) else [item]
+                    names = {getattr(t, "name", getattr(t, "id", None)) for t in targets}
+                    found += [f"{path.stem}.{qualname}.{name}" for name in sorted(names & VALUE_PROTOCOL)]
+    return found
+
+
+def test_only_record_defines_the_value_protocol():
+    assert protocol_definers() == []
+
+
+def test_protocol_guard_sees_a_new_definer(tmp_path):
+    (tmp_path / "errors.py").write_text("class Record:\n    def __eq__(self, other):\n        return True\n")
+    (tmp_path / "values.py").write_text(
+        "from .errors import Record\n\n\nclass Poly(Record):\n    def __hash__(self):\n        return 0\n\n"
+        "    __repr__ = object.__repr__\n\n\ndef __eq__(a, b):\n    return a is b\n"
+    )
+    assert protocol_definers(tmp_path) == ["values.Poly.__hash__", "values.Poly.__repr__"]
 
 
 # gf's table layout: an interned element's encoding and tables, and the
