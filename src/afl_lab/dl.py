@@ -67,8 +67,8 @@ from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 
 
 # Largest dimension `afl-lab dl` accepts.  On a 2-vCPU host t = 27 takes
-# about 0.27 s at q = 3, 1.26 s at q = 16381 and 3.4 s at q = 16319, the
-# slowest prime near P_MAX (interpreter start included, median of 3); the
+# about 0.20 s at q = 3, 1.16 s at q = 16381 and 3.1 s at q = 16319, the
+# slowest prime near P_MAX (interpreter start included, median of 5); the
 # four extra Frobenius tables the inverse's addition chain reads at level 54
 # take 2-7 ms to build.  Above it the scan for the level-2t defining
 # polynomial leads and jumps with (q, t) (17 s for level 98 at q = 16319).

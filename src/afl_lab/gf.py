@@ -386,6 +386,8 @@ class FieldElem(Record):
     __slots__ = (*_fields, "_enc", "_tables")
 
     def __new__(cls, p: int, level: int, coeffs: tuple[int, ...]):
+        if level < 1:
+            raise InputError(f"level must be at least 1, got {level}")
         if len(coeffs) != level:
             raise InputError("coefficient vector length must equal the level")
         if any(c < 0 or c >= p for c in coeffs):
@@ -690,64 +692,35 @@ def quadratic_trace(x: FieldElem) -> FieldElem:
     return _new_elem(x.p, x.level, coeffs, None, None)
 
 
-def _non_residue(p, level):
-    # A quadratic non-residue, the first by integer encoding from p on.  The
-    # encodings below p are the F_p elements, squares at every even level
-    # (the only levels embed reaches), so scanning them would only waste one
-    # exponentiation each.
-    q = p**level
-    for k in range(p, q):
-        cand = elem_from_encoding(p, level, k)
-        if encode_int(cand ** ((q - 1) // 2)) != 1:
-            return cand
-    raise AssertionError("no quadratic non-residue found")  # unreachable
-
-
-def _field_sqrt(d: FieldElem) -> FieldElem | None:
-    # Tonelli-Shanks on an even level, with a deterministic non-residue.
-    p, level = d.p, d.level
-    if d.is_zero:
-        return d
-    q = p**level
-    if encode_int(d ** ((q - 1) // 2)) != 1:
-        return None
-    m = q - 1
-    e = 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    c = _non_residue(p, level) ** m
-    t = d**m
-    r = d ** ((m + 1) // 2)
-    while encode_int(t) != 1:
-        i = 0
-        t2 = t
-        while encode_int(t2) != 1:
-            if i == e:  # t has order 2^i < 2^e unless the arithmetic is broken
-                raise AssertionError("Tonelli-Shanks did not converge")
-            t2 = t2 * t2
-            i += 1
-        b = c ** (2 ** (e - i - 1))
-        r = r * b
-        c = b * b
-        t = t * c
-        e = i
-    return r
-
-
 @lru_cache(maxsize=None)
 def _embed_root(p, target_level):
-    # smallest root (integer encoding) of defining_poly(p, 2) inside the target
+    # the smallest root (integer encoding) of T^2 + b1 T + b0 = defining_poly(p, 2)
+    # inside the even target level: (-b1 +- s) / 2 with s^2 = b1^2 - 4 b0, a non-square
+    # of F_p.  For w in the embedded F_{q^2} outside F_p, d = w - w^q has
+    # d^q = -d, so d^2 is a non-square of F_p and s = c d for a c in F_p.
+    # The traces of gen^i (i < level) span F_{q^2}, so one of them is such a w.
+    for i in range(1, target_level):
+        w = quadratic_trace(elem(p, target_level, (0,) * i + (1,)))
+        d = w - frob_q(w)
+        if d:
+            break
+    else:
+        raise AssertionError("every trace of a power of gen lies in F_p: the trace is broken")
+    d2 = (d * d).coeffs
+    if any(d2[1:]):
+        raise AssertionError("(w - w^q)^2 is not in F_p: the q-power map is broken")
     b0, b1, _ = defining_poly(p, 2)
-    disc = from_base(p, target_level, b1 * b1 - 4 * b0)
-    s = _field_sqrt(disc)
-    if s is None:
-        raise InputError("quadratic does not split; target level must be even")
-    inv2 = from_base(p, target_level, 2).inverse()
-    nb = from_base(p, target_level, -b1)
-    r1 = (nb + s) * inv2
-    r2 = (nb - s) * inv2
-    return min(r1, r2, key=encode_int)
+    disc = (b1 * b1 - 4 * b0) % p
+    c = next((c for c in range(1, p) if c * c * d2[0] % p == disc), None)
+    if c is None:
+        raise AssertionError("(w - w^q)^2 is a square of F_p: the q-power map is broken")
+    half = (p + 1) // 2
+    roots = []
+    for k in (c, -c):
+        coeffs = [k * a * half % p for a in d.coeffs]
+        coeffs[0] = (coeffs[0] - b1 * half) % p
+        roots.append(FieldElem(p, target_level, tuple(coeffs)))
+    return min(roots, key=encode_int)
 
 
 def embed(x: FieldElem, target_level: int) -> FieldElem:
@@ -760,6 +733,8 @@ def embed(x: FieldElem, target_level: int) -> FieldElem:
         return x
     if x.level != 2:
         raise InputError("embed is defined on level-2 elements")
+    if target_level < 2:
+        raise InputError(f"target level must be at least 2, got {target_level}")
     if target_level % 2:
         raise InputError("target level must be even")
     p, (a, b) = x.p, x.coeffs
@@ -811,6 +786,8 @@ def descend(x: FieldElem) -> FieldElem:
     """Inverse of embed on tau-fixed elements of an even level."""
     if x.level == 2:
         return x
+    if x.level % 2:
+        raise InputError("descend requires an even level")
     p = x.p
     r = _embed_root(p, x.level)
     j = next((i for i in range(1, x.level) if r.coeffs[i]), None)

@@ -296,3 +296,66 @@ def is_irreducible_by_gcds(f: Poly) -> bool:
         if poly_gcd(h - x, f).degree > 0:
             return False
     return True
+
+
+def non_residue(p, level):
+    """A quadratic non-residue of F_{p^level}, the first by integer
+    encoding from p on.  The encodings below p are the F_p elements,
+    squares at every even level, so scanning them would only waste one
+    exponentiation each."""
+    q = p**level
+    for k in range(p, q):
+        cand = gf.elem_from_encoding(p, level, k)
+        if gf.encode_int(cand ** ((q - 1) // 2)) != 1:
+            return cand
+    raise AssertionError("no quadratic non-residue found")  # unreachable
+
+
+def field_sqrt(d):
+    """A square root of d by Tonelli-Shanks on an even level, with the
+    non-residue above; None when d is not a square."""
+    p, level = d.p, d.level
+    if d.is_zero:
+        return d
+    q = p**level
+    if gf.encode_int(d ** ((q - 1) // 2)) != 1:
+        return None
+    m = q - 1
+    e = 0
+    while m % 2 == 0:
+        m //= 2
+        e += 1
+    c = non_residue(p, level) ** m
+    t = d**m
+    r = d ** ((m + 1) // 2)
+    while gf.encode_int(t) != 1:
+        i = 0
+        t2 = t
+        while gf.encode_int(t2) != 1:
+            if i == e:  # t has order 2^i < 2^e unless the arithmetic is broken
+                raise AssertionError("Tonelli-Shanks did not converge")
+            t2 = t2 * t2
+            i += 1
+        b = c ** (2 ** (e - i - 1))
+        r = r * b
+        c = b * b
+        t = t * c
+        e = i
+    return r
+
+
+def embed_root_by_sqrt(p, level):
+    """The root of defining_poly(p, 2) in F_{p^level} with the smallest
+    integer encoding, as (-b1 +- s) / 2 with s a square root of the
+    discriminant taken in F_{p^level} itself.  The oracle for
+    gf._embed_root, which reads s off the trace to F_{q^2}."""
+    b0, b1, _ = gf.defining_poly(p, 2)
+    disc = gf.from_base(p, level, b1 * b1 - 4 * b0)
+    s = field_sqrt(disc)
+    if s is None:
+        raise InputError("quadratic does not split; target level must be even")
+    inv2 = gf.from_base(p, level, 2).inverse()
+    nb = gf.from_base(p, level, -b1)
+    r1 = (nb + s) * inv2
+    r2 = (nb - s) * inv2
+    return min(r1, r2, key=gf.encode_int)

@@ -213,6 +213,10 @@ def test_golden_sweep_hashes(sweep_reports):
         # an n = 41 lattice and walk above the table cap (F_529)
         (["verify", "--q", "23", "--sig", "sp:1:41"],
          "c5bb2e323da97d027e18570486838a4da216845ab5c8717124fdb306730329a0"),
+        # the second large prime: 16381 = 1 and 16319 = 3 (mod 4), so F_{q^2}
+        # is F_q[T]/(T^2 + 2) at the first and F_q[T]/(T^2 + 1) here
+        (["dl", "--q", "16319", "--t", "3", "--seed", "0"],
+         "3be12a295f703ab09ac5a3744990c6b8747338c1c42bf3ac8c44489de9e3e0c1"),
     ],
 )
 def test_golden_command_hashes(argv, digest, capsys, monkeypatch):

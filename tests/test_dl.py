@@ -10,7 +10,7 @@ from afl_lab.forge import build_block_instance, parse_signature, random_coxeter_
 from afl_lab.hermitian import validate_space
 from afl_lab.linalg import Matrix, charpoly
 from afl_lab.poly import Modulus, Poly, is_irreducible, plain_factor, poly_gcd
-from oracles import Subspace, kernel, kernel_of_poly, matrix_difference, span
+from oracles import Subspace, kernel, kernel_of_poly, matrix_difference, non_residue, span
 from test_linalg import minpoly
 
 
@@ -316,7 +316,7 @@ def test_one_root_equals_the_route_that_reduces_the_table(q, t):
 
 def test_factor_without_roots_ends_the_trace_split():
     # x^2 - c, c a non-square of F_{3^6}: no try can split it
-    c = gf._non_residue(3, 6)
+    c = non_residue(3, 6)
     f = Poly(3, 6, (-c, gf.zero(3, 6), gf.one(3, 6)))
     with pytest.raises(CrossCheckError, match=f"degree-2 factor in {dl.SPLIT_TRIES} tries"):
         dl._one_root(f, random.Random(0))

@@ -12,7 +12,7 @@ from afl_lab import gf
 from afl_lab.dl import T_MAX
 from afl_lab.errors import InputError
 from afl_lab.forge import N_MAX
-from oracles import apply_by_embedding
+from oracles import apply_by_embedding, embed_root_by_sqrt
 
 PRIMES = [3, 5, 7]
 
@@ -763,25 +763,65 @@ def test_results_above_the_cap_equal_validated_elements(p, level):
 
 
 # ---------------------------------------------------------------------------
-# the quadratic non-residue behind embed
+# the root behind embed, read off the trace
 
 
-def first_non_residue(p, level):
-    """The scan from encoding 1: the definition _non_residue shortcuts."""
-    q = p**level
-    for k in range(1, q):
-        cand = gf.elem_from_encoding(p, level, k)
-        if gf.encode_int(cand ** ((q - 1) // 2)) != 1:
-            return cand
-    raise AssertionError("no non-residue")
+ROOT_PAIRS = [(p, level) for p in odd_primes(43) for level in (2, 4, 6, 8, 10)] + [
+    (3, 14), (3, 18), (5, 14), (251, 6), (16381, 6), (16381, 10), (16319, 6),
+]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
-@pytest.mark.parametrize("level", [2, 4, 6])
-def test_non_residue_scan_skips_only_squares(p, level):
-    # the levels embed reaches are even; the encodings below p are F_p
-    # elements and squares there, so starting at p finds the same element
-    assert gf._non_residue(p, level) == first_non_residue(p, level)
+def test_embed_root_equals_the_square_root_route():
+    # gen^1 suffices when Tr(gen) lies outside F_p; the other pairs need a
+    # later power of gen, so the set holds both kinds
+    trace_in_base = set()
+    assert len(ROOT_PAIRS) == 72
+    for p, level in ROOT_PAIRS:
+        assert gf._embed_root(p, level) == embed_root_by_sqrt(p, level), (p, level)
+        w = gf.quadratic_trace(gf.gen(p, level))
+        if gf.frob_q(w) == w:
+            trace_in_base.add((p, level))
+    assert {(3, 14), (3, 18), (16381, 6)} <= trace_in_base
+    assert {(3, 6), (16319, 6), (251, 6)}.isdisjoint(trace_in_base)
+
+
+@pytest.mark.parametrize(
+    "frob,message",
+    [
+        (lambda w: w, "every trace of a power of gen lies in F_p"),
+        (lambda w: w - gf.gen(w.p, w.level), "is not in F_p"),
+        (lambda w: w - gf.one(w.p, w.level), "is a square of F_p"),
+    ],
+    ids=["no-trace-outside-F_p", "d^2-not-in-F_p", "d^2-a-square"],
+)
+def test_embed_root_ends_on_broken_arithmetic(monkeypatch, frob, message):
+    # d = w - frob(w) is 0 for every w, gen of F_{5^6} (gen^2 outside F_5), or 1
+    monkeypatch.setattr(gf, "frob_q", frob)
+    gf._embed_root.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=message):
+            gf._embed_root(5, 6)
+    finally:
+        gf._embed_root.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: gf.FieldElem(3, 0, ()), "level must be at least 1, got 0"),
+        (lambda: gf.elem(3, -2, []), "level must be at least 1, got -2"),
+        (lambda: gf.embed(gf.gen(3, 2), 0), "target level must be at least 2, got 0"),
+        (lambda: gf.embed(gf.gen(3, 2), -2), "target level must be at least 2, got -2"),
+        (lambda: gf.embed(gf.gen(3, 2), 1), "target level must be at least 2, got 1"),
+        (lambda: gf.descend(gf.gen(3, 1)), "descend requires an even level"),
+        (lambda: gf.descend(gf.gen(3, 5)), "descend requires an even level"),
+    ],
+    ids=["elem-level-0", "elem-level-neg", "embed-0", "embed-neg", "embed-1", "descend-1", "descend-5"],
+)
+def test_out_of_range_levels_raise_input_errors(call, message):
+    # level 0 would otherwise reach the table build, level 1 the embedding root
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
