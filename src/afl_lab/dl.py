@@ -17,29 +17,37 @@ differ by a power of Frobenius and are out of scope.
 An irreducible polynomial of degree t over F_{q^2} splits into distinct
 linear factors over F_{q^{2t}}, so no gcd with x^{q^{2t}} - x is taken.
 The root comes from Berlekamp's trace algorithm (Factoring polynomials over
-large finite fields, Math. Comp. 1970): with x^{p^i} mod g cached, the
-absolute trace Tr(a x) mod g is a sum of scaled residues, and
-gcd(Tr^{(p-1)/2} - 1, g) splits g with no powmod to (Q-1)/2.  Each split
-keeps the smaller factor, down to degree one, and the orbit is
-cross-checked instead (t distinct members, each a root).  That check also
-proves the characteristic polynomial irreducible: the minimal polynomial of
-mu_0 over F_{q^2} has the orbit's length as degree and divides it.  So
-irreducibility is decided only when the orbit fails, to tell reducible input
-(InputError) from broken arithmetic (CrossCheckError).
+large finite fields, Math. Comp. 1970): with x^{p^i} mod f cached, the
+absolute trace Tr(a x) mod f is a sum of scaled residues, and
+gcd(Tr^{(p-1)/2} - 1, g) splits the current factor g with no powmod to
+(Q-1)/2.  Each split keeps the smaller factor, down to degree one, and the
+orbit is cross-checked instead (t distinct members, each a root).  That
+check also proves the characteristic polynomial irreducible: the minimal
+polynomial of mu_0 over F_{q^2} has the orbit's length as degree and
+divides it.  So irreducibility is decided only when the orbit fails, to
+tell reducible input (InputError) from broken arithmetic (CrossCheckError).
 
-All of this works in F_{q^{2t}}, above gf.TABLE_CAP, where every sum of
-products is reduced once: residues modulo the factor g are poly.Modulus
-products (x^m mod g folded in, no long division), and Tr(a x) is one packed
-combination of the x^(p^i) mod f, packed once per root, which
-Modulus(g).power reduces modulo the current factor g, one reduction per
-try.  s and G act on level-2t vectors
-without being embedded (gf.embedded_apply: an entry a + b gen acts as
-a + b r, two small-int combinations of the packed vector and one product by
-r per row), and the chain values are gf.dot products.
+The characteristic polynomial f has its coefficients in F_{q^2}, so every
+x^{p^i} mod f lies in F_{q^2}[x], and the table is built there, on the
+field's own tables for q <= 13: x^p mod f by powmod, the matrix of the
+(x^p)^j mod f, then x^{p^{i+1}} mod f as that matrix applied to the
+Frobenius images of the coefficients of x^{p^i} mod f, one Matrix.apply
+per step.  Nothing of it is lifted: row k of the table holds coefficient k
+of every x^{p^i} mod f, so Tr(a x) mod f is one gf.embedded_apply of the
+table to the conjugates a^{p^i} (an entry a + b gen acts as a + b r, two
+small-int combinations of the packed vector and one product by r per row).
+The rest works in F_{q^{2t}}, above gf.TABLE_CAP, where every sum of
+products is reduced once: Modulus(g).power reduces the trace modulo the
+current factor g (x^m mod g folded in, no long division), and poly_gcd
+takes packed pseudo-remainders, with no inverse before its monic gcd.  Each
+orbit member mu is checked as a root by t - 1 products for its powers and
+one embedded_apply of the coefficients of f to them.  s and G act on
+level-2t vectors without being embedded, by embedded_apply too, and the
+chain values are gf.dot products.
 
 No kernel is taken at level 2t.  The characteristic polynomial f is
 irreducible, so e_1 has annihilator f, and w = h(s) e_1, with h = f/(x - mu_0)
-from one exact division, is nonzero with (s - mu_0) w = f(s) e_1 = 0; the
+from one synthetic division, is nonzero with (s - mu_0) w = f(s) e_1 = 0; the
 t distinct roots make the eigenspace a line, which w spans (von zur Gathen
 and Gerhard, Modern Computer Algebra, ch. 12).  The Krylov vectors s^i e_1
 are formed at level 2, and w is the matrix of their coordinates applied to
@@ -67,7 +75,7 @@ from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 
 
 # Largest dimension `afl-lab dl` accepts.  On a 2-vCPU host t = 27 takes
-# about 0.20 s at q = 3, 1.16 s at q = 16381 and 3.1 s at q = 16319, the
+# about 0.15 s at q = 3, 0.64 s at q = 16381 and 2.4 s at q = 16319, the
 # slowest prime near P_MAX (interpreter start included, median of 5); the
 # four extra Frobenius tables the inverse's addition chain reads at level 54
 # take 2-7 ms to build.  Above it the scan for the level-2t defining
@@ -81,68 +89,54 @@ class EigenlineRecord(Record):
     __slots__ = _fields = ("eigenvalue", "vector", "chain_values")
 
 
-def _combiner(polys: list[Poly]):
-    """The map from scalars c to sum(c_k * polys[k]), zero scalars skipped.
+def _frobenius_table(f: Poly) -> list[tuple[gf.FieldElem, ...]]:
+    """Row k holds coefficient k of x^(p^i) mod f for i < 2 deg f, for f
+    monic of degree >= 2 over F_{q^2}, where every x^(p^i) mod f lies.
 
-    The polynomials are packed once; each combination is one packed sum of
-    scalar-times-polynomial products, each coefficient folded once."""
-    p, level = polys[0].p, polys[0].level
-    width = gf.slot_width(p, level, len(polys))
-    count = max(len(f.coeffs) for f in polys)
-    packed = [gf.pack_blocks(p, level, width, f.coeffs) for f in polys]
-
-    def combine(scalars) -> Poly:
-        acc = 0
-        for c, row in zip(scalars, packed):
-            if not c.is_zero:
-                acc += gf.pack_blocks(p, level, width, (c,)) * row
-        return Poly.from_elems(p, level, gf.fold_blocks(p, level, width, count, acc))
-
-    return combine
-
-
-def _frobenius_powers(g: Poly, ring: Modulus) -> list[Poly]:
-    """x^(p^i) mod g for i < level, g monic of degree >= 1 and ring = Modulus(g).
-
-    The p-power map is additive, so x^(p^(i+1)) = sum c_j^p (x^p)^j when
-    x^(p^i) = sum c_j x^j: one table of (x^p)^j mod g and no powmod to Q."""
-    p, level = g.p, g.level
-    x = Poly.x(p, level)
-    xp = ring.power(x, p)
+    The p-power map is additive, so x^(p^(i+1)) = sum frob(c_j) (x^p)^j when
+    x^(p^i) = sum c_j x^j: one matrix of the (x^p)^j mod f, applied once per
+    step, and no powmod to Q."""
+    p, level, t = f.p, f.level, f.degree
+    xp = Poly.x(p, level).powmod(p, f)
     powers = [Poly.one(p, level)]
-    for _ in range(1, g.degree):
-        powers.append(ring.mul(powers[-1], xp))
-    combine = _combiner(powers)
-    xs = [ring.reduce(x)]
-    for _ in range(1, level):
-        xs.append(combine([gf.frob_q(c) for c in xs[-1].coeffs]))
-    return xs
+    for _ in range(1, t):
+        powers.append((powers[-1] * xp) % f)
+    step = Matrix.from_rows(p, level, [[g.coeff(k) for g in powers] for k in range(t)])
+    cur = Poly.x(p, level).coeffs + (gf.zero(p, level),) * (t - 2)
+    columns = [cur]
+    for _ in range(1, 2 * t):
+        cur = step.apply([gf.frob_q(c) for c in cur])
+        columns.append(cur)
+    return list(zip(*columns))
 
 
 def _one_root(f: Poly, rng) -> gf.FieldElem:
-    """A root of f, which must split into distinct linear factors over its field.
+    """A root in F_{q^{2t}} of f over F_{q^2} of degree t, which must split
+    into distinct linear factors there.
 
     Berlekamp's trace split: for a random a, Tr(a x) mod g is sum a^(p^i) x^(p^i)
     and takes the value Tr(a r) in F_p at each root r, uniform over F_p for
     the difference of two distinct roots; gcd(Tr^((p-1)/2) - 1, g) collects
     the roots where that value is a nonzero square.  Each successful split
     keeps the smaller factor, so about log2(deg f) splits reach a linear
-    factor.  The x^(p^i) stay modulo f, packed once: each try forms its
-    trace modulo f, and Modulus(g).power reduces that one polynomial modulo
-    the current factor g."""
-    p, level = f.p, f.level
-    g = f.monic()
-    if g.degree == 1:
-        return -g.coeffs[0]  # t = 1: the root needs no Frobenius table
+    factor.  The x^(p^i) stay modulo f, over F_{q^2}: each try forms its
+    trace modulo f as one embedded_apply of their coefficients, and
+    Modulus(g).power reduces that one polynomial modulo the current factor g."""
+    p, level = f.p, 2 * f.degree
+    f = f.monic()
+    if f.degree == 1:
+        return -f.coeffs[0]  # t = 1: the root needs no Frobenius table
+    table = _frobenius_table(f)
+    g = f.lift(level)
     ring = Modulus(g)
-    trace_of = _combiner(_frobenius_powers(g, ring))
     while g.degree > 1:
         for _ in range(SPLIT_TRIES):
             a = gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
             conjugates = [a]
             for _ in range(1, level):
                 conjugates.append(gf.frob_q(conjugates[-1]))
-            h = poly_gcd(ring.power(trace_of(conjugates), (p - 1) // 2) - Poly.one(p, level), g)
+            trace = Poly.from_elems(p, level, gf.embedded_apply(table, conjugates))
+            h = poly_gcd(ring.power(trace, (p - 1) // 2) - Poly.one(p, level), g)
             if 0 < h.degree < g.degree:
                 break
         else:
@@ -153,18 +147,24 @@ def _one_root(f: Poly, rng) -> gf.FieldElem:
 
 
 def _eigenvalue_orbit(f: Poly, rng) -> list[gf.FieldElem]:
-    """The roots of f as the q^2-Frobenius orbit mu, tau mu, tau^2 mu, ... of one root.
+    """The roots in F_{q^{2t}} of f over F_{q^2} of degree t, as the
+    q^2-Frobenius orbit mu, tau mu, tau^2 mu, ... of one root.
 
-    f has its coefficients in the embedded F_{q^2} and splits into distinct
-    linear factors over its field; the orbit must have deg f distinct members,
-    each a root of f, else CrossCheckError."""
+    f must split into distinct linear factors there; the orbit must have t
+    distinct members, each a root of f, else CrossCheckError.  Each member
+    is evaluated on its own: its powers by t - 1 products, and f(mu) as one
+    embedded_apply of the coefficients of f."""
     orbit = [_one_root(f, rng)]
     for _ in range(f.degree - 1):
         orbit.append(gf.tau_frob(orbit[-1]))
     if len(set(orbit)) != f.degree:
         raise CrossCheckError(f"expected {f.degree} eigenvalues in the orbit of a root, found {len(set(orbit))}")
-    if any(f(mu) for mu in orbit):
-        raise CrossCheckError("a Frobenius image of an eigenvalue is not a root of the characteristic polynomial")
+    for mu in orbit:
+        powers = [gf.one(mu.p, mu.level), mu]
+        for _ in range(1, f.degree):
+            powers.append(powers[-1] * mu)
+        if not _lifted_apply([f.coeffs], powers)[0].is_zero:
+            raise CrossCheckError("a Frobenius image of an eigenvalue is not a root of the characteristic polynomial")
     return orbit
 
 
@@ -181,19 +181,24 @@ def _lifted_apply(rows, v) -> tuple:
 def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[tuple[gf.FieldElem, ...]]:
     """The canonical eigenvector of each orbit member: one Krylov combination, then tau.
 
-    s lives in F_{q^2} and f is its characteristic polynomial lifted to the
-    level of the orbit, irreducible as the orbit has proved.  With
-    f = (x - mu_0) h + f(mu_0), w = h(s) e_1 spans the mu_0-eigenline (module
-    docstring) and w over its leading entry is its canonical row;
-    v_{k+1} = tau(v_k) coordinatewise.  f(mu_0) != 0, w = 0 or any
-    s v_k != mu_k v_k is a CrossCheckError."""
-    h, rem = divmod(f, Poly.x_minus(orbit[0]))
-    if not rem.is_zero:
+    s lives in F_{q^2}, f is its characteristic polynomial, irreducible as
+    the orbit has proved, and the orbit lives in F_{q^{2t}}.  Synthetic
+    division gives f = (x - mu_0) h + f(mu_0); w = h(s) e_1 spans the
+    mu_0-eigenline (module docstring) and w over its leading entry is its
+    canonical row; v_{k+1} = tau(v_k) coordinatewise.  f(mu_0) != 0, w = 0
+    or any s v_k != mu_k v_k is a CrossCheckError."""
+    mu = orbit[0]
+    coeffs = f.lift(mu.level).coeffs
+    h = [coeffs[-1]]
+    for c in reversed(coeffs[1:-1]):
+        h.append(c + mu * h[-1])
+    if not (coeffs[0] + mu * h[-1]).is_zero:
         raise CrossCheckError("the first eigenvalue is not a root of the characteristic polynomial")
+    h.reverse()
     # the Krylov vectors s^i e_1 at level 2; coordinate c of w = h(s) e_1 is
     # sum_i (s^i e_1)_c h_i
     krylov = krylov_rows(s, (gf.one(s.p, s.level),) + (gf.zero(s.p, s.level),) * (s.n - 1))
-    w = _lifted_apply(list(zip(*krylov)), h.coeffs)
+    w = _lifted_apply(list(zip(*krylov)), h)
     lead = next((c for c in w if not c.is_zero), None)
     if lead is None:
         raise CrossCheckError("the Krylov combination of an irreducible characteristic polynomial vanishes")
@@ -221,12 +226,9 @@ def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
     if s.n != t:
         raise InputError("dimension mismatch")
     cp = charpoly(s)
-    p = gram.p
-    big = 2 * t
-    cp_big = cp.lift(big)
-    rng = random.Random(f"dl:{p}:{t}:{seed}")
+    rng = random.Random(f"dl:{gram.p}:{t}:{seed}")
     try:
-        orbit = _eigenvalue_orbit(cp_big, rng)
+        orbit = _eigenvalue_orbit(cp, rng)
     except CrossCheckError:
         # a full orbit proves cp irreducible, so only a failed one asks
         if not is_irreducible(cp):
@@ -234,7 +236,7 @@ def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
                 "characteristic polynomial is reducible; the fixed count is 0 by the split criterion"
             ) from None
         raise
-    vectors = _orbit_eigenvectors(s, cp_big, orbit)
+    vectors = _orbit_eigenvectors(s, cp, orbit)
     # h(x, y) = x . G conj(y), and tau^i v_k = v_{(k+i) mod t}
     gram_conj = [_lifted_apply(gram.rows, [gf.frob_q(c) for c in v]) for v in vectors]
     d = (t - 1) // 2

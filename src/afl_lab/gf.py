@@ -561,8 +561,12 @@ def check_field(p: int, level: int, *vectors) -> None:
 
 
 def elem(p: int, level: int, coeffs) -> FieldElem:
-    """Build an element from an iterable of integers (reduced mod p, padded)."""
-    return FieldElem(p, level, _pad([int(c) % p for c in coeffs], level))
+    """Build an element from at most `level` integers, little-endian,
+    reduced mod p and padded with zeros; InputError on more."""
+    coeffs = [int(c) % p for c in coeffs]
+    if len(coeffs) > level >= 1:
+        raise InputError(f"an element of level {level} has at most {level} coefficients, got {len(coeffs)}")
+    return FieldElem(p, level, _pad(coeffs, level))
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,12 @@ and gcds run on the coefficients' encodings through gf's int tables,
 converted once per call: powmod squares and reduces, and poly_gcd takes its
 remainders, without leaving the ints.  One long division (divmod, // and %)
 runs its FieldElem loop on every field.  Above the cap a product is one
-packed integer product and Modulus reduces by folding; both check every
-coefficient's field before they pack.
+packed integer product and Modulus reduces by folding.  poly_gcd runs
+Euclid on pseudo-remainders there (von zur Gathen-Gerhard, Modern Computer
+Algebra, ch. 6): a step replaces A by lc(B) A - lc(A) x^k B, two packed
+products summed and folded once, so the gcd takes one inverse, in its final
+monic(), where long division takes one per remainder.  All three check
+every coefficient's field before they pack.
 
 The star operation sends P to conj(P(0))^{-1} T^deg conj(P)(1/T); its roots
 are the conjugate-inverses r^{-q} of the roots of P.  Factoring the
@@ -193,12 +197,6 @@ class Poly(Record):
             out.append(self.coeffs[i] * gf.from_base(self.p, self.level, i))
         return Poly.from_elems(self.p, self.level, out)
 
-    def __call__(self, x: FieldElem) -> FieldElem:
-        acc = gf.zero(x.p, x.level)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def lift(self, target_level: int) -> "Poly":
         """Map every coefficient through the deterministic embedding."""
         return Poly.from_elems(self.p, target_level, [gf.embed(c, target_level) for c in self.coeffs])
@@ -335,7 +333,13 @@ class Modulus:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by Euclid's remainders, on encodings over a tabled field."""
+    """Monic gcd by Euclid: remainders on encodings over a tabled field,
+    packed pseudo-remainders above the cap.
+
+    Above the cap each step replaces A by lc(B) A - lc(A) x^k B, k = deg A -
+    deg B: two integer products into slots sized for two terms, added and
+    folded once.  The top block must fold to zero, and no inverse is taken
+    until the final monic()."""
     a._check(b)
     enc = gf.index_rows(a.coeffs, b.coeffs)
     if enc is not None:
@@ -346,9 +350,24 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             scale = t.mul[t.inv[x[-1]]]
             x = [scale[c] for c in x]
         return _from_indexed(a.p, a.level, t, x)
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    p, level = a.p, a.level
+    gf.check_field(p, level, a.coeffs, b.coeffs)
+    x, y = sorted((list(a.coeffs), list(b.coeffs)), key=len, reverse=True)
+    width = gf.slot_width(p, level, 2)
+    bits = (2 * level - 1) * 8 * width  # one block
+    while y:
+        packed_y = gf.pack_blocks(p, level, width, y)
+        lead_y = gf.pack_blocks(p, level, width, y[-1:])
+        while len(x) >= len(y):
+            neg_lead_x = gf.pack_blocks(p, level, width, (-x[-1],))
+            acc = lead_y * gf.pack_blocks(p, level, width, x) + (neg_lead_x * packed_y << (len(x) - len(y)) * bits)
+            x = gf.fold_blocks(p, level, width, len(x), acc)
+            if not x.pop().is_zero:
+                raise AssertionError("long division left a leading term: the arithmetic is broken")
+            while x and x[-1].is_zero:
+                x.pop()
+        x, y = y, x
+    return Poly.from_elems(p, level, x).monic()
 
 
 def poly_key(f: Poly):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from afl_lab import gf
 from afl_lab.errors import InputError
 from afl_lab.linalg import Lattice, Matrix, invariant_subspaces, null_basis, rref
-from afl_lab.poly import Poly, divisor_exponents, poly_gcd
+from afl_lab.poly import Modulus, Poly, divisor_exponents, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -296,6 +296,55 @@ def is_irreducible_by_gcds(f: Poly) -> bool:
         if poly_gcd(h - x, f).degree > 0:
             return False
     return True
+
+
+def gcd_by_division(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's remainders, each one long division (a % b).
+    The oracle for poly.poly_gcd, which takes packed pseudo-remainders above
+    the table cap."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def combiner(polys: list[Poly]):
+    """The map from scalars c to sum(c_k * polys[k]), zero scalars skipped.
+
+    The polynomials are packed once; each combination is one packed sum of
+    scalar-times-polynomial products, each coefficient folded once."""
+    p, level = polys[0].p, polys[0].level
+    width = gf.slot_width(p, level, len(polys))
+    count = max(len(f.coeffs) for f in polys)
+    packed = [gf.pack_blocks(p, level, width, f.coeffs) for f in polys]
+
+    def combine(scalars) -> Poly:
+        acc = 0
+        for c, row in zip(scalars, packed):
+            if not c.is_zero:
+                acc += gf.pack_blocks(p, level, width, (c,)) * row
+        return Poly.from_elems(p, level, gf.fold_blocks(p, level, width, count, acc))
+
+    return combine
+
+
+def frobenius_powers(g: Poly, ring: Modulus) -> list[Poly]:
+    """x^(p^i) mod g for i < level, g monic of degree >= 1 and ring = Modulus(g).
+
+    The p-power map is additive, so x^(p^(i+1)) = sum c_j^p (x^p)^j when
+    x^(p^i) = sum c_j x^j: one table of (x^p)^j mod g and no powmod to Q.
+    The level-2t oracle for dl._frobenius_table, which builds the table over
+    F_{q^2}, where the coefficients of g lie."""
+    p, level = g.p, g.level
+    x = Poly.x(p, level)
+    xp = ring.power(x, p)
+    powers = [Poly.one(p, level)]
+    for _ in range(1, g.degree):
+        powers.append(ring.mul(powers[-1], xp))
+    combine = combiner(powers)
+    xs = [ring.reduce(x)]
+    for _ in range(1, level):
+        xs.append(combine([gf.frob_q(c) for c in xs[-1].coeffs]))
+    return xs
 
 
 def non_residue(p, level):

@@ -217,6 +217,10 @@ def test_golden_sweep_hashes(sweep_reports):
         # is F_q[T]/(T^2 + 2) at the first and F_q[T]/(T^2 + 1) here
         (["dl", "--q", "16319", "--t", "3", "--seed", "0"],
          "3be12a295f703ab09ac5a3744990c6b8747338c1c42bf3ac8c44489de9e3e0c1"),
+        # dl at T_MAX and P_MAX: the trace's embedded_apply over rows of
+        # length 2 T_MAX fills 8-byte slots
+        (["dl", "--q", "16381", "--t", "27", "--seed", "0"],
+         "c9b68e9aa161291ae10cf37f92063e15194f2310c8dd9f53ba962653c76cb160"),
     ],
 )
 def test_golden_command_hashes(argv, digest, capsys, monkeypatch):

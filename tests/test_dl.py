@@ -10,7 +10,8 @@ from afl_lab.forge import build_block_instance, parse_signature, random_coxeter_
 from afl_lab.hermitian import validate_space
 from afl_lab.linalg import Matrix, charpoly
 from afl_lab.poly import Modulus, Poly, is_irreducible, plain_factor, poly_gcd
-from oracles import Subspace, kernel, kernel_of_poly, matrix_difference, non_residue, span
+from conftest import random_monic
+from oracles import Subspace, combiner, frobenius_powers, kernel, kernel_of_poly, matrix_difference, non_residue, span
 from test_linalg import minpoly
 
 
@@ -177,7 +178,7 @@ def test_orbit_eigenvectors_equal_per_eigenvalue_kernels(q, t, seed):
 
 def _orbit_and_charpoly(q, t, seed):
     inst = coxeter(q, t, seed)
-    f = charpoly(inst.g).lift(2 * t)
+    f = charpoly(inst.g)
     return dl._eigenvalue_orbit(f, random.Random(seed)), inst.g, f
 
 
@@ -211,7 +212,7 @@ def test_non_root_first_eigenvalue_is_a_cross_check_failure():
 def test_vanishing_krylov_combination_is_a_cross_check_failure():
     # s = I with f = (x - 1)^3: 1 is a root, but h = (x - 1)^2 kills e_1
     s = Matrix.identity(3, 2, 3)
-    f = charpoly(s).lift(6)
+    f = charpoly(s)
     one = gf.one(3, 6)
     with pytest.raises(CrossCheckError, match="vanishes"):
         dl._orbit_eigenvectors(s, f, [one, one, one])
@@ -264,18 +265,18 @@ def test_eigenvalue_orbit_equals_all_roots_at_p_max():
 
 def check_orbit_against_all_roots(q, t):
     inst = coxeter(q, t, 7)
-    f = charpoly(inst.g).lift(2 * t)
+    f = charpoly(inst.g)
     orbit = dl._eigenvalue_orbit(f, random.Random(1))
     assert len(orbit) == t
     assert all(gf.tau_frob(a) == b for a, b in zip(orbit, orbit[1:]))
-    assert sorted(orbit, key=gf.encode_int) == _roots_in_field(f, random.Random(2))
+    assert sorted(orbit, key=gf.encode_int) == _roots_in_field(f.lift(2 * t), random.Random(2))
 
 
 @pytest.mark.parametrize("q,t", [(3, 5), (5, 3), (16381, 3)])
 def test_trace_split_finds_a_root_for_every_seed(q, t):
     # the root found depends on the random trace; each must be a root
-    f = charpoly(coxeter(q, t, 3).g).lift(2 * t)
-    roots = _roots_in_field(f, random.Random(0))
+    f = charpoly(coxeter(q, t, 3).g)
+    roots = _roots_in_field(f.lift(2 * t), random.Random(0))
     for seed in range(6):
         assert dl._one_root(f, random.Random(seed)) in roots
 
@@ -307,27 +308,57 @@ def one_root_reducing_the_table(f: Poly, rng) -> gf.FieldElem:
 
 @pytest.mark.parametrize("q,t", [(3, 1), (3, 5), (3, 9), (5, 7), (17, 5), (16381, 3)])
 def test_one_root_equals_the_route_that_reduces_the_table(q, t):
-    f = charpoly(coxeter(q, t, 2).g).lift(2 * t)
+    f = charpoly(coxeter(q, t, 2).g)
     for seed in range(4):
         fast, slow = random.Random(seed), random.Random(seed)
-        assert dl._one_root(f, fast) == one_root_reducing_the_table(f, slow)
+        assert dl._one_root(f, fast) == one_root_reducing_the_table(f.lift(2 * t), slow)
         assert fast.random() == slow.random()  # the same number of draws
 
 
 def test_factor_without_roots_ends_the_trace_split():
-    # x^2 - c, c a non-square of F_{3^6}: no try can split it
-    c = non_residue(3, 6)
-    f = Poly(3, 6, (-c, gf.zero(3, 6), gf.one(3, 6)))
-    with pytest.raises(CrossCheckError, match=f"degree-2 factor in {dl.SPLIT_TRIES} tries"):
+    # (x^2 - c)(x^3 - x - 1) over F_9, c a non-square: over F_{9^5} both
+    # factors stay irreducible, so no try can split their product
+    c, one = non_residue(3, 2), gf.one(3, 2)
+    f = Poly(3, 2, (-c, gf.zero(3, 2), one)) * Poly(3, 2, (-one, -one, gf.zero(3, 2), one))
+    with pytest.raises(CrossCheckError, match=f"degree-5 factor in {dl.SPLIT_TRIES} tries"):
         dl._one_root(f, random.Random(0))
+
+
+def table_residues(table, level) -> list[Poly]:
+    """The x^(p^i) mod f of a Frobenius table over F_{q^2}, lifted to level."""
+    p = table[0][0].p
+    return [Poly.from_elems(p, level, [gf.embed(row[i], level) for row in table]) for i in range(len(table[0]))]
 
 
 @pytest.mark.parametrize("q,t", [(3, 5), (7, 3), (16381, 3)])
 def test_frobenius_powers_are_the_p_power_residues(q, t):
-    # x^(p^i) mod g by the additive step, against powmod from the definition
-    g = charpoly(coxeter(q, t, 0).g).lift(2 * t)
+    # x^(p^i) mod f by the additive step over F_{q^2}, against powmod from
+    # the definition at level 2t
+    f = charpoly(coxeter(q, t, 0).g)
+    g = f.lift(2 * t)
     x = Poly.x(q, 2 * t)
-    assert dl._frobenius_powers(g, Modulus(g)) == [x.powmod(q**i, g) for i in range(2 * t)]
+    assert table_residues(dl._frobenius_table(f), 2 * t) == [x.powmod(q**i, g) for i in range(2 * t)]
+
+
+# the levels at which the table and the gcd of the trace split meet their
+# oracles: the dl workload's (3, 14) and (3, 18), and above the cap at q = 31
+# and at P_MAX
+ORACLE_LEVELS = [(3, 6), (3, 14), (3, 18), (5, 6), (31, 4), (16381, 6)]
+
+
+@pytest.mark.parametrize("p,level", ORACLE_LEVELS)
+def test_frobenius_table_equals_the_level_2t_oracle(p, level):
+    # seeded monic f over F_{q^2} of degree t = level / 2, each drawn whole
+    # and with a planted factor: the table over F_{q^2}, lifted, is the
+    # table the oracle builds at level 2t
+    rng = random.Random(f"table:{p}:{level}")
+    t = level // 2
+    for cut in (0, 1, t // 2):
+        f = random_monic(p, 2, t - cut, rng)
+        if cut:
+            f = f * random_monic(p, 2, cut, rng)
+        g = f.lift(level)
+        assert table_residues(dl._frobenius_table(f), level) == frobenius_powers(g, Modulus(g))
 
 
 def linear_combination_by_terms(scalars, polys):
@@ -348,20 +379,27 @@ def test_packed_linear_combination_matches_per_term_sum(p, level):
     def elem():
         return gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
 
+    def small():
+        return gf.elem(p, 2, [rng.randrange(p) for _ in range(2)])
+
+    # the trace of dl._one_root: polynomials over F_{q^2}, given by their
+    # coefficient rows, combined with scalars at the level by embedded_apply
     for count in (1, 3, level, 2 * level + 1):
-        polys = [Poly.from_elems(p, level, [elem() for _ in range(rng.randrange(1, 9))]) for _ in range(count)]
-        scalars = [elem() if rng.random() < 0.8 else gf.zero(p, level) for _ in range(count)]
-        combine = dl._combiner(polys)
-        assert combine(scalars) == linear_combination_by_terms(scalars, polys)
-        # the packed polynomials are reused: a second set of scalars on the same table
-        scalars = scalars[::-1]
-        assert combine(scalars) == linear_combination_by_terms(scalars, polys)
-    assert dl._combiner(polys[:1])([gf.zero(p, level)]) == Poly.zero(p, level)
+        length = rng.randrange(1, 9)
+        polys = [Poly.from_elems(p, 2, [small() for _ in range(length - 1)] + [gf.one(p, 2)]) for _ in range(count)]
+        rows = [[f.coeff(k) for f in polys] for k in range(length)]
+        lifted = [f.lift(level) for f in polys]
+        drawn = [elem() if rng.random() < 0.8 else gf.zero(p, level) for _ in range(count)]
+        for scalars in (drawn, drawn[::-1]):
+            expected = linear_combination_by_terms(scalars, lifted)
+            assert Poly.from_elems(p, level, gf.embedded_apply(rows, scalars)) == expected
+            assert combiner(lifted)(scalars) == expected  # the level-2t oracle
+    assert gf.embedded_apply([[gf.one(p, 2)]], [gf.zero(p, level)]) == (gf.zero(p, level),)
 
 
 def test_orbit_shorter_than_degree_is_a_cross_check_failure():
     # two distinct roots already in F_{q^2}: each is its own orbit under tau
-    a, b = (gf.embed(gf.elem(3, 2, c), 6) for c in ([1, 0], [0, 1]))
+    a, b = (gf.elem(3, 2, c) for c in ([1, 0], [0, 1]))
     f = Poly.x_minus(a) * Poly.x_minus(b)
     with pytest.raises(CrossCheckError, match="found 1"):
         dl._eigenvalue_orbit(f, random.Random(0))
@@ -369,7 +407,7 @@ def test_orbit_shorter_than_degree_is_a_cross_check_failure():
 
 def test_orbit_member_that_is_not_a_root_is_a_cross_check_failure(monkeypatch):
     inst = coxeter(3, 3, 1)
-    f = charpoly(inst.g).lift(6)
+    f = charpoly(inst.g)
     tau = gf.tau_frob
     calls = []
 

@@ -5,10 +5,10 @@ Over a field of at most gf.TABLE_CAP elements, rref, charpoly, @ and the
 Poly product, powmod and gcd take their operands' encodings from
 gf.index_rows and loop on ints.  With index_rows answering None, as it does
 above the cap, every one of them runs its FieldElem loop instead (the packed
-dot and the Kronecker product for @ and Poly *, Modulus for powmod): that
-route is the oracle here, on every tabled field the tower or the Gram solve
-uses, exhaustively on 1 x 1 and degree-1 inputs over F_9 and on seeded
-random inputs up to n = 9.  Matrix.conj, Matrix.apply and Poly.__divmod__
+dot and the Kronecker product for @ and Poly *, Modulus for powmod, packed
+pseudo-remainders for the gcd): that route is the oracle here, on every
+tabled field the tower or the Gram solve uses, exhaustively on 1 x 1 and
+degree-1 inputs over F_9 and on seeded random inputs up to n = 9.  Matrix.conj, Matrix.apply and Poly.__divmod__
 have no encoded loop; eval_poly has none either, but its Horner products
 are those of @, so it is held against the all-element route as a whole.
 """
@@ -225,13 +225,17 @@ def test_mixing_f9_with_f81_raises_in_every_kernel():
 
 @pytest.mark.parametrize("other", [gf.gen(31, 4), gf.gen(37, 2)], ids=["F31^4", "F37^2"])
 def test_mixing_fields_above_the_cap_raises_in_every_kernel(other):
-    # the packed routes (dot, Poly *, powmod's Modulus) read coefficients
-    # unchecked, so they check the fields first; the FieldElem loops check
-    # each operation, and rref, which meets no zero entry, checks its rows
+    # the packed routes (dot, Poly *, powmod's Modulus, poly_gcd) read
+    # coefficients unchecked, so they check the fields first; the FieldElem
+    # loops check each operation, and rref, which meets no zero entry, checks
+    # its rows
     a, foreign_zero = gf.gen(31, 2), gf.zero(other.p, other.level)
+    line = Poly(31, 2, (a, a))
     calls = mixed_calls(a, other) + [
         lambda: rref([[a, foreign_zero], [a, a]]),
         lambda: rref([[a, gf.zero(31, 2)], [a, foreign_zero]]),
+        lambda: poly_gcd(Poly(31, 2, (foreign_zero, a)), line),
+        lambda: poly_gcd(line, Poly(31, 2, (foreign_zero, a))),
     ]
     for call in calls:
         with pytest.raises(InputError, match="elements live in different fields"):

@@ -824,6 +824,15 @@ def test_out_of_range_levels_raise_input_errors(call, message):
         call()
 
 
+@pytest.mark.parametrize("p,level,coeffs", [(3, 2, [1, 2, 1]), (5, 4, [0, 0, 0, 0, 0, 3]), (3, 6, [0] * 7), (31, 2, [1, 1, 0])])
+def test_elem_refuses_more_coefficients_than_the_level(p, level, coeffs):
+    # a surplus coefficient, zero or not, is refused rather than dropped
+    with pytest.raises(InputError, match=f"at most {level} coefficients, got {len(coeffs)}"):
+        gf.elem(p, level, coeffs)
+    assert gf.elem(p, level, coeffs[:level]) == gf.FieldElem(p, level, tuple(c % p for c in coeffs[:level]))
+    assert gf.elem(p, level, coeffs[:1]) == gf.from_base(p, level, coeffs[0])
+
+
 # ---------------------------------------------------------------------------
 # the binomials defining_poly skips
 

@@ -19,7 +19,7 @@ from afl_lab.poly import (
     star,
 )
 from conftest import poly_from_ints, random_monic, tables_with
-from oracles import divisor_poly, is_irreducible_by_gcds
+from oracles import divisor_poly, gcd_by_division, is_irreducible_by_gcds
 
 
 def x_minus_enc(p, enc):
@@ -285,6 +285,22 @@ def test_packed_product_matches_schoolbook(p, level):
     assert f * g == schoolbook_product(f, g)
 
 
+@pytest.mark.parametrize("p,level", [(3, 6), (3, 14), (3, 18), (5, 6), (31, 4), (16381, 6)])
+def test_packed_gcd_equals_euclid_by_division(p, level):
+    # seeded pairs c u, c v with a planted common factor c, in both orders,
+    # with zero and constant operands and with non-monic leading terms
+    rng = random.Random(f"gcd:{p}:{level}")
+    for lc, lu, lv in ((1, 1, 1), (2, 3, 1), (4, 5, 5), (1, 0, 4), (3, 2, 0), (2, 1, 6), (6, 4, 3), (0, 3, 2)):
+        c, u, v = (random_poly(p, level, n, rng) for n in (lc, lu, lv))
+        a, b = c * u, c * v
+        for x, y in ((a, b), (b, a)):
+            h = poly_gcd(x, y)
+            assert h == gcd_by_division(x, y)
+            assert h.is_zero if c.is_zero else h.is_monic and (h % c).is_zero  # c divides the gcd
+    top = top_poly(p, level, 7)
+    assert poly_gcd(top * top, top) == gcd_by_division(top * top, top) == top.monic()
+
+
 @pytest.mark.parametrize("level,length", [(2, 82), (54, 28)], ids=["level2-N_MAX", "level2T_MAX-T_MAX"])
 def test_packed_product_holds_the_worst_case_at_p_max(level, length):
     # a charpoly of degree N_MAX at level 2, of degree T_MAX at level 2 T_MAX:
@@ -297,8 +313,9 @@ def test_packed_product_holds_the_worst_case_at_p_max(level, length):
 @pytest.mark.parametrize("level", [2, 6])
 def test_long_division_with_a_broken_inverse_stops(level, monkeypatch):
     # a step that leaves the leading term would repeat forever: divmod's
-    # loop and poly_gcd's (on encodings at level 2, through divmod at level
-    # 6) raise instead
+    # loop and poly_gcd's on encodings (level 2) raise instead; above the
+    # cap poly_gcd takes no inverse before its last step
+    # (test_packed_gcd_with_a_broken_fold_stops)
     real_index_rows = gf.index_rows
 
     def broken_index_rows(*vectors):
@@ -309,10 +326,30 @@ def test_long_division_with_a_broken_inverse_stops(level, monkeypatch):
     monkeypatch.setattr(gf.FieldElem, "inverse", lambda self: self)
     x, one = gf.gen(3, level), gf.one(3, level)
     f, g = Poly.from_elems(3, level, [one, x, x]), Poly.from_elems(3, level, [one, x])
-    with pytest.raises(AssertionError, match="leading term"):
-        poly_gcd(f, g)
+    if level == 2:
+        with pytest.raises(AssertionError, match="leading term"):
+            poly_gcd(f, g)
     with pytest.raises(AssertionError, match="leading term"):
         divmod(f, g)
+
+
+@pytest.mark.parametrize("p,level", [(3, 6), (16381, 2)])
+def test_packed_gcd_with_a_broken_fold_stops(p, level, monkeypatch):
+    # a pseudo-remainder step whose top block folds to a nonzero element
+    # would keep the degree and repeat forever: poly_gcd raises instead.
+    # Every slot of that block is a multiple of p, so no row of
+    # gf._fold_rows reaches it; the broken fold returns 1 for the top block
+    real_fold = gf.fold_blocks
+
+    def fold_leaving_the_top_block(p, level, width, count, acc):
+        return real_fold(p, level, width, count, acc)[:-1] + [gf.one(p, level)]
+
+    x, one = gf.gen(p, level), gf.one(p, level)
+    f, g = Poly.from_elems(p, level, [one, x, x]), Poly.from_elems(p, level, [one, x])
+    assert poly_gcd(f, g) == gcd_by_division(f, g)
+    monkeypatch.setattr(gf, "fold_blocks", fold_leaving_the_top_block)
+    with pytest.raises(AssertionError, match="leading term"):
+        poly_gcd(f, g)
 
 
 @pytest.mark.parametrize("p,level", PACKED, ids=PACKED_IDS)
