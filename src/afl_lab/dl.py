@@ -21,11 +21,12 @@ large finite fields, Math. Comp. 1970): with x^{p^i} mod f cached, the
 absolute trace Tr(a x) mod f is a sum of scaled residues, and
 gcd(Tr^{(p-1)/2} - 1, g) splits the current factor g with no powmod to
 (Q-1)/2.  Each split keeps the smaller factor, down to degree one, and the
-orbit is cross-checked instead (t distinct members, each a root).  That
-check also proves the characteristic polynomial irreducible: the minimal
-polynomial of mu_0 over F_{q^2} has the orbit's length as degree and
-divides it.  So irreducibility is decided only when the orbit fails, to
-tell reducible input (InputError) from broken arithmetic (CrossCheckError).
+orbit is cross-checked instead: its walk (gf.tau_orbit) must close after t
+distinct members.  With mu_0 a root, that proves the characteristic
+polynomial irreducible: the minimal polynomial of mu_0 over F_{q^2} has the
+orbit's length as degree and divides it.  So irreducibility is decided only
+when the orbit fails, to tell reducible input (InputError) from broken
+arithmetic (CrossCheckError).
 
 The characteristic polynomial f has its coefficients in F_{q^2}, so every
 x^{p^i} mod f lies in F_{q^2}[x], and the table is built there, on the
@@ -39,11 +40,9 @@ small-int combinations of the packed vector and one product by r per row).
 The rest works in F_{q^{2t}}, above gf.TABLE_CAP, where every sum of
 products is reduced once: Modulus(g).power reduces the trace modulo the
 current factor g (x^m mod g folded in, no long division), and poly_gcd
-takes packed pseudo-remainders, with no inverse before its monic gcd.  Each
-orbit member mu is checked as a root by t - 1 products for its powers and
-one embedded_apply of the coefficients of f to them.  s and G act on
-level-2t vectors without being embedded, by embedded_apply too, and the
-chain values are gf.dot products.
+takes packed pseudo-remainders, with no inverse before its monic gcd.  s
+and G act on level-2t vectors without being embedded, by embedded_apply
+too, and the chain values are gf.dot products.
 
 No kernel is taken at level 2t.  The characteristic polynomial f is
 irreducible, so e_1 has annihilator f, and w = h(s) e_1, with h = f/(x - mu_0)
@@ -55,7 +54,7 @@ the coefficients of h (gf.embedded_apply).  s and G have their entries in
 F_{q^2}, which tau fixes, so tau maps the mu-eigenline to the
 tau(mu)-eigenline and keeps the leading 1 of a canonical row: w over its
 leading entry gives every eigenvector, and each derived v_k is checked
-against s v_k = mu_k v_k.
+against s v_k = mu_k v_k, which (v_k != 0) also checks mu_k as a root.
 With tau^i v_k = v_{k+i}, the chain values are dot products with the t
 cached vectors G conj(v_j), still computed per record.
 
@@ -131,7 +130,7 @@ def _one_root(f: Poly, rng) -> gf.FieldElem:
     ring = Modulus(g)
     while g.degree > 1:
         for _ in range(SPLIT_TRIES):
-            a = gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
+            a = gf.random_elem(p, level, rng)
             conjugates = [a]
             for _ in range(1, level):
                 conjugates.append(gf.frob_q(conjugates[-1]))
@@ -148,34 +147,15 @@ def _one_root(f: Poly, rng) -> gf.FieldElem:
 
 def _eigenvalue_orbit(f: Poly, rng) -> list[gf.FieldElem]:
     """The roots in F_{q^{2t}} of f over F_{q^2} of degree t, as the
-    q^2-Frobenius orbit mu, tau mu, tau^2 mu, ... of one root.
+    q^2-Frobenius orbit mu, tau mu, tau^2 mu, ... of one root (gf.tau_orbit).
 
-    f must split into distinct linear factors there; the orbit must have t
-    distinct members, each a root of f, else CrossCheckError.  Each member
-    is evaluated on its own: its powers by t - 1 products, and f(mu) as one
-    embedded_apply of the coefficients of f."""
-    orbit = [_one_root(f, rng)]
-    for _ in range(f.degree - 1):
-        orbit.append(gf.tau_frob(orbit[-1]))
-    if len(set(orbit)) != f.degree:
-        raise CrossCheckError(f"expected {f.degree} eigenvalues in the orbit of a root, found {len(set(orbit))}")
-    for mu in orbit:
-        powers = [gf.one(mu.p, mu.level), mu]
-        for _ in range(1, f.degree):
-            powers.append(powers[-1] * mu)
-        if not _lifted_apply([f.coeffs], powers)[0].is_zero:
-            raise CrossCheckError("a Frobenius image of an eigenvalue is not a root of the characteristic polynomial")
+    f must split into distinct linear factors there; an orbit of other than
+    t members is a CrossCheckError.  _orbit_eigenvectors checks the members
+    as roots: mu_0 by its synthetic division, every mu_k by s v_k = mu_k v_k."""
+    orbit = gf.tau_orbit(_one_root(f, rng))
+    if len(orbit) != f.degree:
+        raise CrossCheckError(f"expected {f.degree} eigenvalues in the orbit of a root, found {len(orbit)}")
     return orbit
-
-
-def _lifted_apply(rows, v) -> tuple:
-    """M v for M over F_{q^2}, given by its rows, and v at level 2t: M is
-    never embedded (gf.embedded_apply).  At t = 1, v is at level 2 itself,
-    and the plain dot products keep the table lookups of F_9 and F_25 (the
-    1 x 1 recounts of the verdict's cross-check, a third slower packed)."""
-    if v[0].level == 2:
-        return tuple(_dot(row, v) for row in rows)
-    return gf.embedded_apply(rows, v)
 
 
 def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[tuple[gf.FieldElem, ...]]:
@@ -198,7 +178,7 @@ def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[t
     # the Krylov vectors s^i e_1 at level 2; coordinate c of w = h(s) e_1 is
     # sum_i (s^i e_1)_c h_i
     krylov = krylov_rows(s, (gf.one(s.p, s.level),) + (gf.zero(s.p, s.level),) * (s.n - 1))
-    w = _lifted_apply(list(zip(*krylov)), h)
+    w = gf.embedded_apply(list(zip(*krylov)), h)
     lead = next((c for c in w if not c.is_zero), None)
     if lead is None:
         raise CrossCheckError("the Krylov combination of an irreducible characteristic polynomial vanishes")
@@ -207,7 +187,7 @@ def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[t
     for _ in orbit[1:]:
         vectors.append(tuple(gf.tau_frob(c) for c in vectors[-1]))
     for mu, v in zip(orbit, vectors):
-        if _lifted_apply(s.rows, v) != tuple(mu * c for c in v):
+        if gf.embedded_apply(s.rows, v) != tuple(mu * c for c in v):
             raise CrossCheckError("a Frobenius image of the eigenvector is not an eigenvector of its eigenvalue")
     return vectors
 
@@ -238,7 +218,7 @@ def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
         raise
     vectors = _orbit_eigenvectors(s, cp, orbit)
     # h(x, y) = x . G conj(y), and tau^i v_k = v_{(k+i) mod t}
-    gram_conj = [_lifted_apply(gram.rows, [gf.frob_q(c) for c in v]) for v in vectors]
+    gram_conj = [gf.embedded_apply(gram.rows, [gf.frob_q(c) for c in v]) for v in vectors]
     d = (t - 1) // 2
     records = []
     for k, (mu, v) in enumerate(zip(orbit, vectors)):

@@ -37,7 +37,7 @@ from collections import Counter
 from itertools import chain
 
 from . import gf
-from .errors import CrossCheckError, ForgeError, InputError, InvariantError, Record
+from .errors import ForgeError, InputError, InvariantError, Record
 from .gf import FieldElem
 from .hermitian import is_unitary, validate_anti_involution, validate_space
 from .linalg import Matrix, charpoly, is_regular, null_basis, rref
@@ -117,7 +117,7 @@ class MinusculeInstance(Record):
     is the matrix S of the anti-involution x -> S conj(x), and fact is the
     FactoredPoly of charpoly(g); signature holds block spec strings."""
 
-    __slots__ = _fields = ("p", "space", "g", "tau", "fact", "seed", "signature", "provenance")
+    __slots__ = _fields = ("p", "space", "g", "tau", "fact", "seed", "signature")
 
     @property
     def n(self) -> int:
@@ -128,25 +128,10 @@ class MinusculeInstance(Record):
 # random irreducibles via minimal polynomials of tower elements
 
 
-def _tau_orbit(z: FieldElem) -> list[FieldElem]:
-    """z, tau z, tau^2 z, ... up to the first return to z.  tau has order
-    d on F_{q^{2d}} (level 2d), so an orbit still open after d steps means
-    broken arithmetic."""
-    d = z.level // 2
-    orbit = [z]
-    cur = gf.tau_frob(z)
-    while cur != z:
-        if len(orbit) == d:
-            raise CrossCheckError(f"tau orbit of a level-{z.level} element is not closed after {d} steps")
-        orbit.append(cur)
-        cur = gf.tau_frob(cur)
-    return orbit
-
-
 def _min_poly_over_quadratic(z: FieldElem) -> Poly | None:
     """Minimal polynomial of a level-2d element over F_{q^2}, or None if its
     Galois orbit is shorter than d (z lies in a proper subfield)."""
-    orbit = _tau_orbit(z)
+    orbit = gf.tau_orbit(z)
     if len(orbit) != z.level // 2:
         return None
     prod = Poly.one(z.p, z.level)
@@ -156,10 +141,6 @@ def _min_poly_over_quadratic(z: FieldElem) -> Poly | None:
     return Poly.from_elems(z.p, 2, coeffs)
 
 
-def _random_elem(p, level, rng) -> FieldElem:
-    return gf.elem(p, level, [rng.randrange(p) for _ in range(level)])
-
-
 def _random_irreducible(p: int, kind: str, degree: int, rng) -> Poly:
     """The minimal polynomial over F_{q^2} of a random nonzero element of
     F_{q^{2d}}, retried (GENERATOR_TRIES tries) until it has degree d: for
@@ -167,7 +148,7 @@ def _random_irreducible(p: int, kind: str, degree: int, rng) -> Poly:
     makes it self-paired, and for "cp" a self-paired one is drawn again."""
     level = 2 * degree
     for _ in range(GENERATOR_TRIES):
-        z = _random_elem(p, level, rng)
+        z = gf.random_elem(p, level, rng)
         if z.is_zero:
             continue
         if kind == "sp":
@@ -508,7 +489,6 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
         fact=fact,
         seed=seed,
         signature=tuple(b.spec_string() for b in sig),
-        provenance="block",
     )
 
 
@@ -571,7 +551,7 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
     witness = None
     while attempts:
         attempts -= 1
-        y = _random_elem(p, level, rng)
+        y = gf.random_elem(p, level, rng)
         if y.is_zero:
             continue
         s_elem = y**norm_exp
@@ -588,8 +568,7 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
             fact=certify_instance(space, g, tau, seed),
             seed=seed,
             signature=(f"coxeter:{n}",),
-            provenance="coxeter",
-        )
+            )
     raise ForgeError(
         "exhausted attempts to find a generating norm-one element; "
         f"last witness has minimal polynomial of degree {_witness_degree(witness)} < {n}"
@@ -597,7 +576,7 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
 
 
 def _witness_degree(z):
-    return 0 if z is None else len(_tau_orbit(z))
+    return 0 if z is None else len(gf.tau_orbit(z))
 
 
 def instance_from_spec(spec: str, p: int, seed: int) -> MinusculeInstance:
@@ -684,5 +663,4 @@ def parse_instance(data: dict) -> MinusculeInstance:
         fact=certify_instance(space, g, tau, seed),
         seed=seed,
         signature=tuple(signature),
-        provenance="parsed",
     )

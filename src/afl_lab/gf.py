@@ -53,16 +53,38 @@ The F_p[x] helpers on little-endian int lists serve only the definition of
 the fields: the irreducibility test behind defining_poly and the reduction
 rows of the packed products.  They are not Poly, which is built on the
 fields they define.
+
+Three idioms are defined here once for every module: power, by squaring
+for any product; tau_orbit, the q^2-Frobenius orbit bounded by level / 2
+steps; and random_elem, the seeded draw that fixes every report.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import chain
 from math import isqrt
 from struct import Struct
 
-from .errors import InputError, Record
+from .errors import CrossCheckError, InputError, Record
+
+
+def power(base, e: int, mul, one):
+    """base^e by square-and-multiply for the product mul with identity one,
+    which is never multiplied; the squarings stop at the top bit.
+    InputError when e < 0, where the loop would never end."""
+    if e < 0:
+        raise InputError("negative exponent")
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return one if result is None else result
+
 
 # ---------------------------------------------------------------------------
 # base-field polynomial helpers (little-endian int lists over F_p), for
@@ -118,14 +140,7 @@ def _pgcd(a, b, p):
 
 
 def _ppowmod(a, e, m, p):
-    result = [1]
-    base = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
+    return power(_pmod(a, m, p), e, lambda x, y: _pmod(_pmul(x, y, p), m, p), [1])
 
 
 # Largest accepted p, itself prime.  The cost that grows with p is the scan
@@ -454,16 +469,8 @@ class FieldElem(Record):
         return _new_elem(self.p, self.level, _norm_inverse(self.p, self.level, self.coeffs), None, None)
 
     def __pow__(self, e: int) -> "FieldElem":
-        if e < 0:  # the squaring loop below would never end
-            raise InputError("negative exponent")
-        result = one(self.p, self.level)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        # operator.mul dispatches through the class, so a patched __mul__ sees every product
+        return power(self, e, operator.mul, one(self.p, self.level))
 
 
 # the slot descriptors write past the frozen __setattr__
@@ -567,6 +574,12 @@ def elem(p: int, level: int, coeffs) -> FieldElem:
     if len(coeffs) > level >= 1:
         raise InputError(f"an element of level {level} has at most {level} coefficients, got {len(coeffs)}")
     return FieldElem(p, level, _pad(coeffs, level))
+
+
+def random_elem(p: int, level: int, rng) -> FieldElem:
+    """The seeded draw of an element of F_{p^level}: `level` rng.randrange(p)
+    draws, low coefficient first.  Every seeded report depends on this order."""
+    return elem(p, level, [rng.randrange(p) for _ in range(level)])
 
 
 @lru_cache(maxsize=None)
@@ -685,6 +698,21 @@ def tau_frob(x: FieldElem) -> FieldElem:
     return _new_elem(x.p, x.level, _frob_apply(x.p, x.level, 2, x.coeffs), None, None)
 
 
+def tau_orbit(z: FieldElem) -> list[FieldElem]:
+    """z, tau z, tau^2 z, ... up to the first return to z.  tau has order
+    d on F_{q^{2d}} (level 2d), so an orbit still open after d steps means
+    broken arithmetic: CrossCheckError."""
+    d = z.level // 2
+    orbit = [z]
+    cur = tau_frob(z)
+    while cur != z:
+        if len(orbit) == d:
+            raise CrossCheckError(f"tau orbit of a level-{z.level} element is not closed after {d} steps")
+        orbit.append(cur)
+        cur = tau_frob(cur)
+    return orbit
+
+
 def quadratic_trace(x: FieldElem) -> FieldElem:
     """The trace x + tau x + ... + tau^(n-1) x of F_{q^{2n}} down to the
     embedded F_{q^2} (n = level / 2), applied as one cached F_p-linear table."""
@@ -756,7 +784,8 @@ def embedded_apply(rows, vec) -> tuple:
     once per call) with the small ints a_j and b_j, one integer product by
     the packed r, and every row folded once, all rows by one fold_blocks.
     The slots are sized for len(v) p terms: a slot of r sum b_j v_j holds
-    at most level len(v) (p-1)^3.  InputError on an empty v, a row whose
+    at most level len(v) (p-1)^3.  At level 2 embed is the identity, and
+    each row is one dot.  InputError on an empty v, a row whose
     length is not len(v), a row entry not at level 2, an odd level, or
     entries over more than one prime or level."""
     if not vec:
@@ -764,6 +793,8 @@ def embedded_apply(rows, vec) -> tuple:
     p, level, n = vec[0].p, vec[0].level, len(vec)
     if level % 2:
         raise InputError("embedded_apply needs a vector of an even level")
+    if level == 2:  # embed is the identity: plain dots keep the tables of F_9 to F_169
+        return tuple(dot(row, vec) for row in rows)
     width = slot_width(p, level, n * p)
     block = _blocks(p, level, width, 1)[0]
     check_field(p, level, vec)

@@ -180,13 +180,8 @@ class Poly(Record):
         enc = gf.index_rows(self.coeffs, modulus.coeffs)
         if enc is not None:
             t, (base, m) = enc
-            result = [1]
-            base = _divmod_indexed(t, base, m)[1]
-            while e:
-                if e & 1:
-                    result = _divmod_indexed(t, _mul_indexed(t, result, base), m)[1]
-                base = _divmod_indexed(t, _mul_indexed(t, base, base), m)[1]
-                e >>= 1
+            result = gf.power(_divmod_indexed(t, base, m)[1], e,
+                              lambda a, b: _divmod_indexed(t, _mul_indexed(t, a, b), m)[1], [1])
             return _from_indexed(self.p, self.level, t, result)
         gf.check_field(self.p, self.level, self.coeffs, modulus.coeffs)
         return Modulus(modulus.monic()).power(self, e)
@@ -321,15 +316,8 @@ class Modulus:
         return Poly.from_elems(p, level, self._fold_high(prod & ((1 << cut) - 1), d, high))
 
     def power(self, f: Poly, e: int) -> Poly:
-        """f^e mod g by squaring."""
-        result, base = None, self.reduce(f)
-        while e:
-            if e & 1:
-                result = base if result is None else self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return Poly.one(self.p, self.level) if result is None else result
+        """f^e mod g by squaring (gf.power)."""
+        return gf.power(self.reduce(f), e, self.mul, Poly.one(self.p, self.level))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -452,7 +440,7 @@ def _distinct_degree(f: Poly):
 
 
 def _random_poly(p, level, max_deg, rng) -> Poly:
-    coeffs = [gf.elem(p, level, [rng.randrange(p) for _ in range(level)]) for _ in range(max_deg + 1)]
+    coeffs = [gf.random_elem(p, level, rng) for _ in range(max_deg + 1)]
     return Poly.from_elems(p, level, coeffs)
 
 

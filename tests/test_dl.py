@@ -209,6 +209,18 @@ def test_non_root_first_eigenvalue_is_a_cross_check_failure():
         dl._orbit_eigenvectors(s, f, [not_a_root] + orbit[1:])
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_orbit_member_after_the_first_that_is_not_a_root_is_not_an_eigenvalue(k):
+    # only mu_0 goes through the synthetic division; a later member is
+    # checked by the eigenvector that tau carries to it
+    orbit, s, f = _orbit_and_charpoly(3, 3, 2)
+    broken = list(orbit)
+    broken[k] = orbit[k] + gf.one(3, 6)
+    assert broken[k] not in orbit
+    with pytest.raises(CrossCheckError, match="not an eigenvector"):
+        dl._orbit_eigenvectors(s, f, broken)
+
+
 def test_vanishing_krylov_combination_is_a_cross_check_failure():
     # s = I with f = (x - 1)^3: 1 is a root, but h = (x - 1)^2 kills e_1
     s = Matrix.identity(3, 2, 3)
@@ -418,9 +430,9 @@ def test_orbit_member_that_is_not_a_root_is_a_cross_check_failure(monkeypatch):
         return y + gf.one(x.p, x.level) if len(calls) == 2 else y
 
     monkeypatch.setattr(gf, "tau_frob", tau_off_by_one)
-    with pytest.raises(CrossCheckError, match="not a root"):
+    with pytest.raises(CrossCheckError, match="not closed after 3 steps"):
         dl._eigenvalue_orbit(f, random.Random(0))
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

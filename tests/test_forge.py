@@ -266,7 +266,7 @@ def test_coxeter_rejects_even_n():
 
 def test_coxeter_exhausted_attempts_names_the_witness_degree(monkeypatch):
     # y = 1 gives s = 1, whose minimal polynomial over F_{q^2} has degree 1
-    monkeypatch.setattr(forge, "_random_elem", lambda p, level, rng: gf.one(p, level))
+    monkeypatch.setattr(gf, "random_elem", lambda p, level, rng: gf.one(p, level))
     with pytest.raises(ForgeError, match="exhausted attempts.*minimal polynomial of degree 1 < 3"):
         random_coxeter_instance(3, 3, 1)
 
@@ -570,7 +570,7 @@ def forbid_building(monkeypatch):
     def formed(*_):
         raise NoMatrixFormed
 
-    monkeypatch.setattr(forge, "_tau_orbit", formed)
+    monkeypatch.setattr(gf, "tau_orbit", formed)
     monkeypatch.setattr(Matrix, "companion", staticmethod(formed))
     monkeypatch.setattr(gf, "gen", formed)
 

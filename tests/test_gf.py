@@ -882,7 +882,7 @@ def top_elem(p, level):
     return gf.FieldElem(p, level, (p - 1,) * level)
 
 
-EMBEDDED_EVERY = [(3, 4), (3, 6), (5, 4), (5, 6)]
+EMBEDDED_EVERY = [(3, 2), (3, 4), (3, 6), (5, 4), (5, 6)]
 
 
 @pytest.mark.parametrize("p,level", EMBEDDED_EVERY, ids=[f"F{p}^{lv}" for p, lv in EMBEDDED_EVERY])

@@ -401,6 +401,27 @@ def test_powmod_by_a_constant_raises():
             f.powmod(e, Poly.zero(3, level))
 
 
+def cubic(q):
+    """x^3 + x + 1 over F_{q^2}."""
+    return poly_from_ints(q, 2, [[1], [1], [], [1]])
+
+
+# each route squares in gf.power, whose loop would never end on e < 0; F_9
+# is tabled, F_961 above the cap
+NEGATIVE_POWERS = {
+    "FieldElem": lambda: gf.gen(3, 2) ** -1,
+    "powmod tabled": lambda: Poly.x(3, 2).powmod(-1, cubic(3)),
+    "powmod above the cap": lambda: Poly.x(31, 2).powmod(-1, cubic(31)),
+    "Modulus.power": lambda: Modulus(cubic(31)).power(Poly.x(31, 2), -1),
+}
+
+
+@pytest.mark.parametrize("route", sorted(NEGATIVE_POWERS))
+def test_negative_exponent_raises(route):
+    with pytest.raises(InputError, match="negative exponent"):
+        NEGATIVE_POWERS[route]()
+
+
 def test_tabled_fields_keep_the_schoolbook_product(rng):
     f, g = random_monic(3, 2, 5, rng), random_monic(3, 2, 4, rng)
     h = f * g

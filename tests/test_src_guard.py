@@ -2,8 +2,9 @@
 src/afl_lab is referenced from src, exported by __init__, or a named oracle
 on the allowlist below; every function and method runs under some command
 of a fixed CLI battery, or is on a second allowlist; every name a src
-module imports is read there; and every kernel with a loop on gf's
-encodings is on a third allowlist, with the workload that pays for it."""
+module imports is read there; every kernel with a loop on gf's encodings
+is on a third allowlist, with the workload that pays for it; and every
+function that draws from a seeded rng is on a fourth, with its reason."""
 
 import ast
 import json
@@ -97,6 +98,7 @@ print(json.dumps({"codes": codes, "called": sorted(called)}))
 PROTOCOL = "record protocol: repr, pickling or immutability of a value"
 UNCALLED = {
     "errors.Record.__init_subclass__": "record protocol: runs when a subclass is defined, at import",
+    "errors.Record.__hash__": "record protocol: values stay hashable, and no command hashes one",
     "errors.Record.__setattr__": PROTOCOL,
     "errors.Record.__delattr__": PROTOCOL,
     "errors.Record.__repr__": PROTOCOL,
@@ -248,28 +250,30 @@ def test_table_layout_guard_sees_a_reader(tmp_path):
 # module.qualname -> the workload and measured cost that keep its loop on
 # encodings (gf.index_rows) beside its FieldElem loop: what the benchmark's
 # in-process rounds (min of 5 passes; sweep 120 tasks, lattice 8 verdicts,
-# dl 3 counts) lose with only that loop removed, on a 2-vCPU host.  A
+# dl 3 counts) lose with only that loop removed, as the median of 11
+# processes interleaved with the unchanged code, on a 2-vCPU host.  A
 # kernel not named here runs its FieldElem loop on every field.
 ENCODED = {
-    "gf.dot": "sweep +3 %, lattice +4 %",
-    "linalg.Matrix.__matmul__": "lattice +29 %, sweep +15 %, dl +4 %",
-    "linalg.rref": "lattice +7 %, sweep +6 %",
-    "linalg.krylov_rows": "lattice +3 %, sweep +2 %",
-    "linalg.charpoly": "lattice +13 %, sweep +4 %, dl +3 %",
-    "poly.Poly.__mul__": "sweep +10 %, lattice +4 %",
-    "poly.Poly.powmod": "sweep +11 %, lattice +10 %, dl +4 %",
-    "poly.poly_gcd": "lattice +3 %, sweep +2 %, dl +2 %",
+    "gf.dot": "dl +9 %, lattice +6 %, sweep +3 %",
+    "linalg.Matrix.__matmul__": "lattice +30 %, sweep +13 %, dl +9 %",
+    "linalg.rref": "sweep +9 %, lattice +8 %, dl +3 %",
+    "linalg.krylov_rows": "lattice +4 %, sweep +2 %, dl +1 %",
+    "linalg.charpoly": "lattice +17 %, sweep +6 %, dl +6 %",
+    "poly.Poly.__mul__": "sweep +9 %, lattice +7 %, dl +1 %",
+    "poly.Poly.powmod": "sweep +17 %, lattice +15 %, dl +12 %",
+    "poly.poly_gcd": "lattice +21 %, sweep +17 %, dl +11 %",
 }
 
 
-def encoded_callers(src=SRC):
-    """module.qualname of every src function or method that calls
-    gf.index_rows; a nested function's calls count for its enclosing one."""
+def callers(name, src=SRC):
+    """module.qualname of every src function or method that calls `name`,
+    bare or as an attribute; a nested function's calls count for its
+    enclosing one."""
     found = set()
     for path in sorted(src.glob("*.py")):
         for qualname, _, node in definitions(ast.parse(path.read_text(), str(path))):
             if not isinstance(node, ast.ClassDef) and any(
-                isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == "index_rows"
+                isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == name
                 for n in ast.walk(node)
             ):
                 found.add(f"{path.stem}.{qualname}")
@@ -277,7 +281,7 @@ def encoded_callers(src=SRC):
 
 
 def test_every_encoded_fork_names_its_workload():
-    assert sorted(encoded_callers()) == sorted(ENCODED)
+    assert sorted(callers("index_rows")) == sorted(ENCODED)
 
 
 def test_encoded_guard_sees_a_new_caller(tmp_path):
@@ -286,7 +290,28 @@ def test_encoded_guard_sees_a_new_caller(tmp_path):
         "class M:\n    def apply(self, v):\n        return gf.index_rows(v)\n\n\n"
         "def f(v):\n    def inner():\n        return index_rows(v)\n    return inner\n"
     )
-    assert sorted(encoded_callers(tmp_path)) == ["kernel.M.apply", "kernel.f"]
+    assert sorted(callers("index_rows", tmp_path)) == ["kernel.M.apply", "kernel.f"]
+
+
+# module.qualname -> why it draws from a seeded rng itself.  The order of the
+# draws fixes every seeded report, so each element draw goes through
+# gf.random_elem, and a draw of another shape is named here.
+RNG_DRAWS = {
+    "gf.random_elem": "the element draw: `level` randrange(p), low coefficient first",
+    "forge._gram_candidates": "F_p coefficients of the Gram unknowns, not elements of one field",
+    "linalg._cyclic_krylov": "one randrange(p**level) per entry; an element draw would change the seeded vector",
+}
+
+
+def test_every_rng_draw_has_a_named_site():
+    assert sorted(callers("randrange")) == sorted(RNG_DRAWS)
+
+
+def test_rng_guard_sees_a_new_caller(tmp_path):
+    (tmp_path / "sampler.py").write_text(
+        "from . import gf\n\n\ndef draw(p, rng):\n    return gf.elem(p, 2, [rng.randrange(p) for _ in 'ab'])\n"
+    )
+    assert sorted(callers("randrange", tmp_path)) == ["sampler.draw"]
 
 
 def private_gf_reads(src=SRC):
