@@ -13,12 +13,12 @@ subquotient characteristic polynomial is irreducible; the per-stratum fixed
 count can be re-derived by the eigenline counter, and a disagreement there
 is a hard error, not a finding.  The geometric walk and the even-dimensional
 counting identity each take the lattice once, from
-linalg.invariant_subspaces, as row sets of one chain-adapted basis read off
-a cyclic vector of g (regularity itself is certified by the forge, not
-here): every W and W-perp is a set of its rows and every subquotient a
-slice of H and g written in it (hermitian.adapted_basis), with H tested for
-full rank once per instance and no stratum tested again.  The analytic side
-reads the divisor exponent vectors alone.
+linalg.invariant_subspaces, as the chains of one basis read off a cyclic
+vector of g (regularity itself is certified by the forge, not here): every
+W and W-perp is a row mask of it and every subquotient a slice of H and g
+written in it (hermitian.adapted_basis), with H tested for full rank once
+per instance and no stratum tested again.  Both walk, and the analytic
+side reads, the divisor exponent vectors in lexicographic order.
 
 Support (whether the geometric side can be nonempty) has a closed-form
 criterion: a unique self-paired factor of odd exponent.  The engine never
@@ -151,8 +151,8 @@ class GeometricResult(Record):
 
 
 def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> GeometricResult:
-    """Walk the vertex strata: isotropic g-invariant W, actual-Gram isotropy,
-    each W and W-perp a row set of the adapted basis and W-perp/W a slice.
+    """Walk the vertex strata by divisor: isotropic g-invariant W, actual-Gram
+    isotropy, each W and W-perp a row mask of the adapted basis, W-perp/W a slice.
 
     A stratum contributes type * multiplicity when the subquotient charpoly
     is irreducible (equivalently: equals one of the P_i).  With cross_check
@@ -165,11 +165,11 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
     strata = []
     total = 0
     basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
-    for vec, w in sorted(basis.coords.items()):
+    for vec in divisor_exponents(inst.fact.factors):
         if not basis.isotropic(vec):
             continue
         quotient_gram, quotient_m = induced_subquotient(basis, vec)
-        t = quotient_gram.n
+        t = quotient_gram.n  # dim W-perp - dim W = n - 2 dim W
         qcp = charpoly(quotient_m)
         a0 = exponent_of.get(poly_key(qcp))
         fixed, mult, dl_count = 0, None, None
@@ -185,7 +185,7 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
                         f"eigenline count {dl_count} disagrees with the formula count {fixed}"
                     )
             total += fixed * mult
-        strata.append(StratumRecord(vec, len(w), t, qcp, fixed, mult, dl_count))
+        strata.append(StratumRecord(vec, (inst.n - t) // 2, t, qcp, fixed, mult, dl_count))
     return GeometricResult(tuple(strata), total, any(r.fixed_count for r in strata))
 
 
@@ -207,7 +207,7 @@ def _orbital(counts: dict[int, int], ell_gamma: int) -> dict[int, int]:
     for i, cnt in counts.items():
         if cnt:
             e = i + ell_gamma
-            coeffs[e] = coeffs.get(e, 0) + (-1) ** e * cnt
+            coeffs[e] = coeffs.get(e, 0) + (-1) ** (e % 2) * cnt
     return {e: c for e, c in sorted(coeffs.items()) if c}
 
 
@@ -242,9 +242,8 @@ def fl_check(inst: MinusculeInstance) -> tuple[int, int]:
     if inst.n % 2:
         raise InputError("the counting identity lives on even dimensions")
     lhs = alternating_sum(inst)
-    half = inst.n // 2
     basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
-    rhs = sum(1 for vec, w in basis.coords.items() if len(w) == half and basis.perp(vec) == w)
+    rhs = sum(w == perp for w, perp in map(basis.masks, divisor_exponents(inst.fact.factors)))
     return lhs, rhs
 
 

@@ -11,12 +11,12 @@ conjugates g to g^{-1}, anti-isometry) translate into the matrix identities
 validated here.
 
 The walk runs in the basis B of linalg.invariant_subspaces, in which every
-g-invariant subspace is a set of rows: only H = B G conj(B)^T and g written
-in B are formed here, once per instance, and H is tested for full rank once.
-A stratum is a slice of both, with no rank test of its own: for H
-nondegenerate and W isotropic the radical of W-perp is W, so H is
-nondegenerate on the slice, the rows in W-perp but not in W
-(induced_subquotient).
+g-invariant subspace W and its W-perp are sets of rows, one bitmask each
+(AdaptedBasis.masks): only H = B G conj(B)^T and g written in B are formed
+here, once per instance, and H is tested for full rank once.  A stratum is
+a slice of both, with no rank test of its own: for H nondegenerate and W
+isotropic the radical of W-perp is W, so H is nondegenerate on the slice,
+the rows in W-perp but not in W (induced_subquotient).
 """
 
 from __future__ import annotations
@@ -85,42 +85,43 @@ def is_isotropic(rows, gram: Matrix) -> bool:
 class AdaptedBasis(Record):
     """A basis B adapted to every primary chain of g, with H = B G conj(B)^T.
 
-    Each lattice member W(m) is the span of the rows coords[m] of B, and so
-    is the g-invariant W-perp: the rows whose row of H vanishes on W, as B is
-    a basis.  Isotropy and subquotients are thus row sets and slices of H and
-    of g written in B; no stratum computes a kernel or solves anything.
-    W-perp is the AND over c in W of the column masks of H, bit a of mask c
-    set iff H[a][c] = 0.
+    Each lattice member W(vec) is the span of a set of rows of B, the first
+    vec[i] deg P_i rows of each chain i, and so is the g-invariant W-perp:
+    the rows whose row of H vanishes on W, as B is a basis.  Isotropy and
+    subquotients are thus row sets and slices of H and of g written in B; no
+    stratum computes a kernel or solves anything.
 
     rows is B, gram the Matrix H, and column c of the Matrix g holds the
-    B-coordinates of g B[c]; coords is the lattice's.  masks is derived, so
-    it is left out of equality, hash, repr and pickle."""
+    B-coordinates of g B[c]; chains is the lattice's, one (offset, deg P_i,
+    a_i) per factor.  columns, bit a of columns[c] set iff H[a][c] = 0, is
+    derived, so it is left out of equality, hash, repr and pickle."""
 
-    _fields = ("rows", "gram", "g", "coords")
-    __slots__ = (*_fields, "masks")
+    _fields = ("rows", "gram", "g", "chains")
+    __slots__ = (*_fields, "columns")
 
-    def __init__(self, rows, gram: Matrix, g: Matrix, coords: dict[tuple[int, ...], tuple[int, ...]]):
-        Record.__init__(self, rows, gram, g, coords)
+    def __init__(self, rows, gram: Matrix, g: Matrix, chains: tuple[tuple[int, int, int], ...]):
+        Record.__init__(self, rows, gram, g, chains)
         h, n = gram.rows, gram.n
-        object.__setattr__(self, "masks", tuple(sum(1 << a for a in range(n) if h[a][c].is_zero) for c in range(n)))
+        object.__setattr__(self, "columns", tuple(sum(1 << a for a in range(n) if h[a][c].is_zero) for c in range(n)))
 
-    def _perp_mask(self, vec) -> int:
-        w = self.coords[vec]
-        out = (1 << self.gram.n) - 1
-        for c in w:
-            out &= self.masks[c]
-        if out.bit_count() != self.gram.n - len(w):
+    def masks(self, vec) -> tuple[int, int]:
+        """W(vec) and W-perp as row bitmasks of B: W the OR of one chain
+        prefix per factor, W-perp the AND of the columns of H over W, with
+        InvariantError unless W-perp has n - dim W rows."""
+        n = self.gram.n
+        w, perp = 0, (1 << n) - 1
+        for (off, d, _), k in zip(self.chains, vec):
+            w |= ((1 << k * d) - 1) << off
+            for c in range(off, off + k * d):
+                perp &= self.columns[c]
+        if perp.bit_count() != n - w.bit_count():
             raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
-        return out
-
-    def perp(self, vec) -> tuple[int, ...]:
-        mask = self._perp_mask(vec)
-        return tuple(a for a in range(self.gram.n) if mask >> a & 1)
+        return w, perp
 
     def isotropic(self, vec) -> bool:
         """W inside W-perp; is_isotropic is the definition."""
-        mask = self._perp_mask(vec)
-        return all(mask >> c & 1 for c in self.coords[vec])
+        w, perp = self.masks(vec)
+        return not w & ~perp
 
 
 def adapted_basis(lattice: Lattice, gram: Matrix, g: Matrix) -> AdaptedBasis:
@@ -129,7 +130,7 @@ def adapted_basis(lattice: Lattice, gram: Matrix, g: Matrix) -> AdaptedBasis:
     H is tested for full rank here, the one nondegeneracy test of the walk:
     every slice of induced_subquotient inherits it."""
     rows = lattice.rows
-    return AdaptedBasis(rows, nondegenerate_space(gram_of_rows(gram, rows)), in_basis(g, rows), lattice.coords)
+    return AdaptedBasis(rows, nondegenerate_space(gram_of_rows(gram, rows)), in_basis(g, rows), lattice.chains)
 
 
 def _slice(m: Matrix, idx) -> Matrix:
@@ -148,10 +149,9 @@ def induced_subquotient(basis: AdaptedBasis, vec) -> tuple[Matrix, Matrix]:
     W-perp cap W-perp-perp = W-perp cap W = W, so H is nondegenerate on every
     complement of W in W-perp, the span of the slice rows among them (L. C.
     Grove, Classical Groups and Geometric Algebra, AMS GSM 39, 2002)."""
-    w = set(basis.coords[vec])
-    wp = basis.perp(vec)
-    if not w <= set(wp):
+    w, perp = basis.masks(vec)
+    if w & ~perp:
         raise InputError("subspace is not isotropic")
-    r = [a for a in wp if a not in w]
+    r = [a for a in range(basis.gram.n) if (perp ^ w) >> a & 1]
     # a principal slice of the validated H is conjugate-symmetric already
     return _slice(basis.gram, r), _slice(basis.g, r)

@@ -23,18 +23,19 @@ characteristic polynomial: M is regular iff dim ker P_i(M) = deg P_i for every
 irreducible factor P_i, which can fail only where P_i is a repeated factor.
 The invariant subspace lattice of a regular M is read off one cyclic vector:
 one basis B whose rows are u(M) x for the chain polynomials u, and every
-divisor of the characteristic polynomial is a set of rows of B.  No kernel
-is taken and regularity is not decided again; a matrix with no cyclic
-vector is refused when the draws for one run out.
+divisor of the characteristic polynomial is a union of chain prefixes of B.
+No kernel is taken and regularity is not decided again; a matrix with no
+cyclic vector is refused when the draws for one run out.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from . import gf
 from .errors import InputError, InvariantError, Record
-from .poly import Poly, divisor_exponents, power_product
+from .poly import Poly, divisor_exponents
 
 # Draws of a cyclic vector before invariant_subspaces refuses M.  For a
 # regular M a uniform x is cyclic with probability prod (1 - Q^(-deg P_i))
@@ -299,6 +300,8 @@ def null_basis(m: Matrix) -> list[tuple[gf.FieldElem, ...]]:
 def krylov_rows(m: Matrix, x) -> tuple:
     """The rows x, M x, ..., M^(n-1) x.  Over a tabled field M is encoded
     once and each step combines its columns on encodings."""
+    if len(x) != m.ncols:
+        raise InputError("vector length mismatch")
     enc = gf.index_rows(x, *m.rows)
     if enc is None:
         out = [tuple(x)]
@@ -430,16 +433,16 @@ def is_regular(m: Matrix, pairs) -> bool:
 
 
 class Lattice(Record):
-    """Every M-invariant subspace of a regular M as a set of rows of one basis.
+    """Every M-invariant subspace of a regular M as chain prefixes of one basis.
 
-    The subspace of the divisor with exponent vector vec is spanned by the
-    rows coords[vec] of the basis rows (a dict from exponent tuples to row
-    index tuples); the keys are every divisor, in divisor_exponents order."""
+    chains holds (offset, deg P_i, a_i) per factor: the first k deg P_i rows
+    from offset on span ker P_i(M)^k, and the divisor with exponent vector
+    vec is spanned by the first vec[i] deg P_i rows of every chain i."""
 
-    __slots__ = _fields = ("rows", "coords")
+    __slots__ = _fields = ("rows", "chains")
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return math.prod(a + 1 for _, _, a in self.chains)
 
 
 def _cyclic_krylov(m: Matrix) -> tuple:
@@ -459,34 +462,30 @@ def invariant_subspaces(m: Matrix, pairs) -> Lattice:
     """The full lattice of M-invariant subspaces of a regular M.
 
     pairs is the factorization of charpoly(M), a sequence of (irreducible,
-    multiplicity) pairs.  Keys are divisor exponent vectors, every divisor
-    of the characteristic polynomial; the map is a lattice isomorphism from
-    monic divisors ordered by divisibility.
+    multiplicity) pairs.  Divisor exponent vectors, every divisor of the
+    characteristic polynomial, name the members; the map is a lattice
+    isomorphism from monic divisors ordered by divisibility.
 
     A cyclic vector x makes u -> u(M) x an isomorphism F[T]/(chi) -> V, so
     ker P_i(M)^k is {u(M) x : chi/P_i^k divides u} (Brickman-Fillmore, Canad.
     J. Math. 19, 1967), spanned by T^j chi/P_i^l for j < deg P_i, l <= k.
     The basis lists one chain per factor, step k holding the coefficient
-    rows of T^j chi/P_i^k (one exact division), so ker P_i(M)^k is the first
-    k deg P_i rows of its chain and each divisor, a direct sum of primary
-    chain members by Bezout, a union of chain prefixes.  B is these
-    coefficient rows times the Krylov rows x, Mx, ..., M^(n-1) x.
+    rows of T^j chi/P_i^k (step a_i the cofactor, each lower step P_i times
+    the one above), so ker P_i(M)^k is the first k deg P_i rows of its chain
+    and each divisor, a direct sum of primary chain members by Bezout, a
+    union of chain prefixes.  B is these coefficient rows times the Krylov
+    rows x, Mx, ..., M^(n-1) x.
     """
-    keys = divisor_exponents(pairs)  # bounded before any Krylov row is formed
+    divisor_exponents(pairs)  # bounds the divisors before any Krylov row is formed
     p, level, n = m.p, m.level, m.n
-    chi = power_product(pairs)
-    z = gf.zero(p, level)
-    steps, offsets = [], []
-    for f, a in pairs:
-        offsets.append(len(steps))
-        quo = chi
-        for _ in range(a):
-            quo = quo // f
-            for j in range(f.degree):
-                steps.append((z,) * j + quo.coeffs + (z,) * (n - j - len(quo.coeffs)))
+    z, one = gf.zero(p, level), Poly.one(p, level)
+    steps, chains = [], []
+    for i, (f, a) in enumerate(pairs):
+        chains.append((len(steps), f.degree, a))
+        quos = [math.prod((h for j, (h, b) in enumerate(pairs) if j != i for _ in range(b)), start=one)]
+        for _ in range(a - 1):
+            quos.append(quos[-1] * f)
+        for quo in reversed(quos):
+            steps += [(z,) * j + quo.coeffs + (z,) * (n - j - len(quo.coeffs)) for j in range(f.degree)]
     rows = (Matrix.from_rows(p, level, steps) @ Matrix(p, level, _cyclic_krylov(m))).rows
-    coords = {
-        vec: tuple(off + r for off, (f, _), k in zip(offsets, pairs, vec) for r in range(k * f.degree))
-        for vec in keys
-    }
-    return Lattice(rows, coords)
+    return Lattice(rows, tuple(chains))

@@ -544,13 +544,13 @@ def power_product(pairs) -> Poly:
     return out
 
 
-def divisor_exponents(pairs) -> list[tuple[int, ...]]:
+def divisor_exponents(pairs) -> itertools.product:
     """All exponent vectors (m_1..m_l), 0 <= m_i <= a_i, in lexicographic
-    order, for the pairs (P_i, a_i) of a factorization.
+    order, for the pairs (P_i, a_i) of a factorization, one at a time.
 
-    InputError when there are more than DIVISOR_MAX of them."""
+    InputError at the call when there are more than DIVISOR_MAX of them."""
     ranges = [range(a + 1) for _, a in pairs]
     count = math.prod(len(r) for r in ranges)
     if count > DIVISOR_MAX:
         raise InputError(f"the invariant subspace lattice has {count} divisors, more than {DIVISOR_MAX}")
-    return list(itertools.product(*ranges))
+    return itertools.product(*ranges)

@@ -4,9 +4,10 @@ checks beyond the echelon routine rref and its null basis.
 
 Subspaces here are canonical reduced-row-echelon bases, unique per subspace,
 so subspace equality is representative equality.  The lattice src hands out
-is a set of rows of one basis per divisor; lattice_span turns one of them
-into such a subspace, to be compared with the kernel of its divisor and
-with the same divisor of lattice_by_chains, the primary-chain route."""
+is one basis and its chains, each divisor a union of chain prefixes;
+lattice_span turns one of them into such a subspace, to be compared with
+the kernel of its divisor and with the same divisor of lattice_by_chains,
+the primary-chain route."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from afl_lab import gf
 from afl_lab.errors import InputError
 from afl_lab.linalg import Lattice, Matrix, invariant_subspaces, null_basis, rref
-from afl_lab.poly import Modulus, Poly, divisor_exponents, poly_gcd
+from afl_lab.poly import Modulus, Poly, poly_gcd, power_product
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,9 @@ def lattice_by_chains(m: Matrix, pairs) -> Lattice:
     first k deg P_i rows of the chain; InputError unless each step has
     dimension k deg P_i, which is regularity.  The oracle for
     invariant_subspaces, divisor by divisor."""
-    rows, offsets = [], []
+    rows, chains = [], []
     for f, a in pairs:
-        offsets.append(len(rows))
+        chains.append((len(rows), f.degree, a))
         base = m.eval_poly(f)
         power, chain = base, []
         for k in range(1, a + 1):
@@ -109,22 +110,54 @@ def lattice_by_chains(m: Matrix, pairs) -> Lattice:
                 raise InputError("the primary chains of a matrix that is not regular")
             chain += complete_basis(chain, ker) if chain else ker
         rows += chain
-    coords = {
-        vec: tuple(off + r for off, (f, _), k in zip(offsets, pairs, vec) for r in range(k * f.degree))
-        for vec in divisor_exponents(pairs)
-    }
-    return Lattice(tuple(rows), coords)
+    return Lattice(tuple(rows), tuple(chains))
+
+
+def lattice_by_division(pairs, krylov) -> Lattice:
+    """The lattice on the Krylov rows of a cyclic vector with its step rows
+    by division: chi = prod P_i^a_i, then step k of the chain of P_i holds
+    T^j chi/P_i^k by k exact divisions.  The oracle for the cofactor
+    products of invariant_subspaces, row for row on the same Krylov rows."""
+    p, level, n = krylov[0][0].p, krylov[0][0].level, len(krylov)
+    chi, z = power_product(pairs), gf.zero(p, level)
+    steps, chains = [], []
+    for f, a in pairs:
+        chains.append((len(steps), f.degree, a))
+        quo = chi
+        for _ in range(a):
+            quo = quo // f
+            for j in range(f.degree):
+                steps.append((z,) * j + quo.coeffs + (z,) * (n - j - len(quo.coeffs)))
+    return Lattice((Matrix.from_rows(p, level, steps) @ Matrix.from_rows(p, level, krylov)).rows, tuple(chains))
+
+
+def member_rows(lattice, vec) -> tuple[int, ...]:
+    """The rows of the lattice basis spanning the member of vec: the first
+    vec[i] deg P_i rows of every chain i."""
+    return tuple(off + r for (off, d, _), k in zip(lattice.chains, vec) for r in range(k * d))
+
+
+def mask_rows(mask: int) -> tuple[int, ...]:
+    """The rows a with bit a of a row mask set, in order."""
+    return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
 
 
 def lattice_span(lattice, vec) -> Subspace:
-    """The member of vec, the rows coords[vec] of the lattice basis, as a
-    canonical subspace."""
-    return span(len(lattice.rows), [lattice.rows[a] for a in lattice.coords[vec]])
+    """The member of vec, the rows member_rows(lattice, vec) of the lattice
+    basis, as a canonical subspace."""
+    return span(len(lattice.rows), [lattice.rows[a] for a in member_rows(lattice, vec)])
+
+
+def lattice_exponents(lattice) -> list[tuple[int, ...]]:
+    """The exponent vector of every member of a lattice (or adapted basis),
+    from its chains, in lexicographic order."""
+    return list(itertools.product(*(range(a + 1) for _, _, a in lattice.chains)))
 
 
 def lattice_spans(lattice) -> dict:
-    """Every member of the lattice as a canonical subspace, in key order."""
-    return {vec: lattice_span(lattice, vec) for vec in lattice.coords}
+    """Every member of the lattice as a canonical subspace, by exponent
+    vector in lexicographic order."""
+    return {vec: lattice_span(lattice, vec) for vec in lattice_exponents(lattice)}
 
 
 def all_subspaces(p, level, n):

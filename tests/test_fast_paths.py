@@ -29,9 +29,11 @@ from oracles import (
     divisor_poly,
     kernel_of_poly,
     lattice_spans,
+    mask_rows,
     matrix_difference,
     quotient_by_solves,
     solve_in_rows,
+    span,
 )
 from test_hermitian import (
     assert_mask_perp_equals_scan,
@@ -224,6 +226,16 @@ def test_adapted_isotropy_equals_definition(spec, q, seed):
 
 
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)
+def test_strata_come_out_in_lexicographic_order(spec, q, seed):
+    # the walk's own divisor order, with dim W read off each slice
+    inst, subs = instance(spec, q, seed), spans(spec, q, seed)
+    isotropic = sorted(vec for vec, sub in subs.items() if is_isotropic(sub.rows, inst.space))
+    strata = geometric_count(inst, cross_check=False).strata
+    assert [r.exponents for r in strata] == isotropic
+    assert [r.dim_w for r in strata] == [subs[vec].dim for vec in isotropic]
+
+
+@pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q)
 def test_gram_columns_equal_probe_products(spec, q, seed):
     inst = instance(spec, q, seed)
     # the columns are a linear map of E, so any layout checks them, on
@@ -236,17 +248,17 @@ def test_gram_columns_equal_probe_products(spec, q, seed):
 def test_slice_walk_equals_subquotient_by_definition(spec, q, seed):
     """Stratum by stratum (the isotropic set itself is compared above): dim W,
     the type, the charpoly and the eigenline count of the slices against the
-    standard-basis route; and each complement's rows against the kernel
-    definition."""
+    standard-basis route; and on every divisor the rows of both masks
+    against the kernel definitions of W and W-perp."""
     inst = instance(spec, q, seed)
     subs, basis = spans(spec, q, seed), walk(spec, q, seed)
-    divisor_of = {idx: vec for vec, idx in basis.coords.items()}
     factors = {poly_key(f) for f, _ in inst.fact.factors}
     for vec, sub in subs.items():
-        assert subs[divisor_of[basis.perp(vec)]] == orth_complement(sub, inst.space)
+        w, perp = (span(inst.n, [basis.rows[a] for a in mask_rows(mask)]) for mask in basis.masks(vec))
+        assert w == sub == kernel_of_poly(inst.g, divisor_poly(inst.fact.factors, vec))
+        assert perp == orth_complement(sub, inst.space)
         if not basis.isotropic(vec):
             continue
-        assert len(basis.coords[vec]) == sub.dim
         slow_space, slow_m = subquotient_by_definition(sub, inst.space, inst.g)
         fast_space, fast_m = induced_subquotient(basis, vec)
         assert nondegenerate_space(fast_space) == fast_space
@@ -282,9 +294,10 @@ def test_batched_quotient_equals_per_representative_solves(spec, q, seed):
     inst, basis = instance(spec, q, seed), walk(spec, q, seed)
     zero = Subspace(inst.n, ())
     for vec, sub in spans(spec, q, seed).items():
-        row_sets = [[basis.rows[a] for a in basis.coords[vec]], list(sub.rows)]
+        w, perp = basis.masks(vec)
+        row_sets = [[basis.rows[a] for a in mask_rows(w)], list(sub.rows)]
         if basis.isotropic(vec):
-            row_sets.append([basis.rows[a] for a in basis.perp(vec)])
+            row_sets.append([basis.rows[a] for a in mask_rows(perp)])
         for rows in row_sets:
             if rows:
                 assert in_basis(inst.g, rows) == quotient_by_solves(inst.g, zero, rows)

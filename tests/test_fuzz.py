@@ -2,8 +2,10 @@
 
 Every run goes through cli.main and must end with exit 0, 1 or 2 and no
 uncaught exception; exit 1 must come with a failing verdict in the JSON it
-printed.  q stays small and every dimension stays tiny, so no example starts
-a slow case; the examples are derandomized so the suite stays deterministic.
+printed, and no JSON line on stdout may hold a float outside "timings" (the
+runtime is float-free).  q stays small and every dimension stays tiny, so no
+example starts a slow case; the examples are derandomized so the suite stays
+deterministic.
 """
 
 import contextlib
@@ -14,7 +16,7 @@ import os
 import tempfile
 from functools import lru_cache
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afl_lab import cli, gf
@@ -61,10 +63,26 @@ def failing_verdict(stdout):
     )
 
 
+class Float(str):
+    """A JSON number with a fraction or exponent, or a NaN/Infinity, kept as
+    its text by the parse_float and parse_constant hooks."""
+
+
+def floats_outside_timings(node) -> list:
+    if isinstance(node, dict):
+        return [f for key, value in node.items() if key != "timings" for f in floats_outside_timings(value)]
+    if isinstance(node, list):
+        return [f for value in node for f in floats_outside_timings(value)]
+    return [node] if isinstance(node, Float) else []
+
+
 def check_contract(argv, env_seed=None):
     code, out, err = run_main(argv, env_seed)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err
+    for line in out.splitlines():
+        if line.startswith("{"):  # a JSON record; not a "#" line or argparse's help
+            assert not floats_outside_timings(json.loads(line, parse_float=Float, parse_constant=Float)), (argv, line)
     if code == 1:
         assert failing_verdict(out), (argv, out)
     if code == 2 and err.startswith("{"):
@@ -194,6 +212,7 @@ def hostile_argv(draw):
 
 @FUZZ
 @given(hostile_argv(), st.sampled_from([None, None, None, "7", "x", ""]))
+@example(["orbital", "--sig", "sp:1:1", "--ell", "-5"], None)  # a negative power of -1 once printed floats
 def test_hostile_argv_keeps_the_exit_code_contract(argv, env_seed):
     with tempfile.TemporaryDirectory() as tmp:
         empty = os.path.join(tmp, "empty.json")

@@ -25,8 +25,11 @@ from oracles import (
     divisor_poly,
     kernel,
     kernel_of_poly,
+    lattice_exponents,
     lattice_spans,
+    mask_rows,
     matrix_sum,
+    member_rows,
     quotient_by_solves,
     solve_in_rows,
     span,
@@ -82,8 +85,8 @@ def subquotient_by_definition(w: Subspace, space: Matrix, m: Matrix):
 
 def perp_by_scan(basis, vec) -> tuple[int, ...]:
     """W-perp by rescanning H: the rows a with H[a][c] = 0 for every c in W,
-    with the same count check as the column masks."""
-    w = basis.coords[vec]
+    the chain prefixes of vec, with the same count check as the masks."""
+    w = member_rows(basis, vec)
     out = tuple(a for a, row in enumerate(basis.gram.rows) if all(row[c].is_zero for c in w))
     if len(out) != basis.gram.n - len(w):
         raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
@@ -91,12 +94,14 @@ def perp_by_scan(basis, vec) -> tuple[int, ...]:
 
 
 def assert_mask_perp_equals_scan(basis):
-    """perp and isotropic from the column masks against the row scan, on
+    """masks and isotropic against the chain prefixes and the row scan, on
     every divisor."""
-    for vec, w in basis.coords.items():
+    for vec in lattice_exponents(basis):
+        w, perp = basis.masks(vec)
         wp = perp_by_scan(basis, vec)
-        assert basis.perp(vec) == wp, vec
-        assert basis.isotropic(vec) == (set(w) <= set(wp)), vec
+        assert mask_rows(w) == member_rows(basis, vec), vec
+        assert mask_rows(perp) == wp, vec
+        assert basis.isotropic(vec) == (set(mask_rows(w)) <= set(wp)), vec
 
 
 def walk_of(inst):
@@ -299,7 +304,8 @@ def test_subquotient_of_lagrangian_line_is_trivial():
     vec, eigenline = next((vec, s) for vec, s in lattice.items() if s.dim == 1)
     sub_space, induced = subquotient_by_definition(eigenline, inst.space, inst.g)
     assert sub_space.n == 0 and induced.n == 0
-    assert basis.perp(vec) == basis.coords[vec]
+    w, perp = basis.masks(vec)
+    assert w == perp
     sub_space, induced = induced_subquotient(basis, vec)
     assert sub_space.n == 0 and induced.n == 0
 
@@ -364,10 +370,10 @@ def test_complement_count_check_rejects_a_degenerate_form():
     inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
     lattice, basis = walk_of(inst)
     zero = Matrix.from_rows(3, 2, [[gf.zero(3, 2)] * inst.n] * inst.n)
-    broken = AdaptedBasis(basis.rows, zero, basis.g, basis.coords)  # masks from the zero H
+    broken = AdaptedBasis(basis.rows, zero, basis.g, basis.chains)  # columns from the zero H
     line = next(vec for vec in lattice if sum(vec) == 1)
     with pytest.raises(InvariantError, match="orthogonal complement"):
-        broken.perp(line)
+        broken.masks(line)
     with pytest.raises(InvariantError, match="orthogonal complement"):
         induced_subquotient(broken, line)
 
@@ -424,7 +430,7 @@ def test_adapted_basis_spans_every_lattice_member():
         lattice, basis = walk_of(inst)
         assert basis.gram == gram_of_rows(inst.space, basis.rows)
         for vec in lattice:
-            sub = span(inst.n, [basis.rows[a] for a in basis.coords[vec]])
+            sub = span(inst.n, [basis.rows[a] for a in mask_rows(basis.masks(vec)[0])])
             assert sub == kernel_of_poly(inst.g, divisor_poly(inst.fact.factors, vec))
 
 

@@ -15,8 +15,10 @@ from oracles import (
     divisor_poly,
     kernel_of_poly,
     lattice_by_chains,
+    lattice_by_division,
     lattice_spans,
     matrix_sum,
+    member_rows,
     naive_subspace_scan,
     span,
 )
@@ -418,22 +420,24 @@ def lattice_by_spans(m: Matrix, pairs) -> dict:
 
 
 def checked_lattice(m, fact):
-    """invariant_subspaces(m, fact), with every divisor's span checked
-    against the primary-chain route by canonical echelon form."""
+    """invariant_subspaces(m, fact), with its chains and every divisor's
+    span checked against the primary-chain route by canonical echelon form,
+    and its rows against the division route on the same cyclic vector."""
     lattice, chains = invariant_subspaces(m, fact), lattice_by_chains(m, fact)
-    assert list(lattice.coords) == list(chains.coords)
+    assert lattice.chains == chains.chains
     assert lattice_spans(lattice) == lattice_spans(chains)
+    assert lattice == lattice_by_division(fact, linalg._cyclic_krylov(m))
     return lattice
 
 
 def assert_lattice_equals_spans(m, fact):
-    """Keys, their order and len of the row-set lattice against the eager
+    """Members, their order and len of the chain lattice against the eager
     oracle, its rows a basis, and the span of every member's rows."""
     lattice, eager = checked_lattice(m, fact), lattice_by_spans(m, fact)
     assert len(lattice) == len(eager)
-    assert list(lattice.coords) == list(eager)
+    assert list(lattice_spans(lattice)) == list(eager)
     assert len(lattice.rows) == m.n == span(m.n, lattice.rows).dim
-    assert all(len(lattice.coords[vec]) == sub.dim for vec, sub in eager.items())
+    assert all(len(member_rows(lattice, vec)) == sub.dim for vec, sub in eager.items())
     assert lattice_spans(lattice) == eager
 
 
@@ -526,6 +530,14 @@ def test_krylov_rows_equal_repeated_apply(p, level, rng):
         assert krylov_rows(m, x) == tuple(expected)
 
 
+@pytest.mark.parametrize("p", [3, 31], ids=["tabled", "above_cap"])
+def test_krylov_rows_refuse_a_vector_of_the_wrong_length(p, rng):
+    m = random_matrix(p, 2, 3, rng)
+    for x in (m.rows[0][:2], m.rows[0] + m.rows[0][:1]):
+        with pytest.raises(InputError, match="vector length mismatch"):
+            krylov_rows(m, x)
+
+
 def test_lazy_lattice_equals_spans_on_jordan_and_random_regular(rng):
     ms = [jordan_block(3, 2, gf.gen(3, 2), 3)] + [random_matrix(3, 2, 3, rng) for _ in range(6)]
     for m in ms:
@@ -533,13 +545,14 @@ def test_lazy_lattice_equals_spans_on_jordan_and_random_regular(rng):
             assert_lattice_equals_spans(m, plain_factor(charpoly(m), 0))
 
 
-def test_lazy_lattice_is_read_only_and_rejects_other_keys():
+def test_lattice_is_read_only():
     m = jordan_block(3, 2, gf.gen(3, 2), 2)
     lattice = checked_lattice(m, plain_factor(charpoly(m), 0))
-    with pytest.raises(KeyError):
-        lattice.coords[(3,)]
+    assert lattice.chains == ((0, 1, 2),) and len(lattice) == 3
     with pytest.raises(AttributeError):
         lattice.rows = ()
+    with pytest.raises(AttributeError):
+        lattice.chains = ()
 
 
 def test_divisibility_matches_inclusion(rng):

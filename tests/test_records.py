@@ -35,8 +35,8 @@ FIELDS = {
     Matrix: ("p", "level", "rows"),
     Poly: ("p", "level", "coeffs"),
     FactoredPoly: ("factors", "pairing"),
-    Lattice: ("rows", "coords"),
-    AdaptedBasis: ("rows", "gram", "g", "coords"),
+    Lattice: ("rows", "chains"),
+    AdaptedBasis: ("rows", "gram", "g", "chains"),
     BlockSpec: ("kind", "degree", "exponent"),
     MinusculeInstance: ("p", "space", "g", "tau", "fact", "seed", "signature"),
     StratumRecord: ("exponents", "dim_w", "type", "quotient_charpoly", "fixed_count", "multiplicity", "dl_count"),
@@ -47,7 +47,7 @@ FIELDS = {
     EigenlineRecord: ("eigenvalue", "vector", "chain_values"),
     SweepConfig: ("qs", "max_dim", "count", "seed", "signatures", "jobs", "out", "cross_check"),
 }
-UNHASHABLE = {Lattice, AdaptedBasis, VerificationReport}
+UNHASHABLE = {VerificationReport}
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,7 +139,7 @@ def test_pickle_and_deepcopy_round_trip(cls):
     for back in (copy.deepcopy(obj), copy.copy(obj)):
         assert type(back) is cls and back == obj
     if cls is AdaptedBasis:
-        assert back.masks == obj.masks  # derived, so rebuilt
+        assert back.columns == obj.columns  # derived, so rebuilt
 
 
 def test_fixed_reprs():

@@ -50,7 +50,7 @@ def test_lattice_len_is_the_number_of_divisors():
     inst = instance_from_spec("cp:1:2,sp:1:3", 3, 0)
     assert sorted(a for _, a in inst.fact.factors) == [2, 2, 3] and inst.fact.pairs()
     pairs = inst.fact.factors
-    assert len(linalg.invariant_subspaces(inst.g, pairs)) == len(divisor_exponents(pairs)) == 36
+    assert len(linalg.invariant_subspaces(inst.g, pairs)) == len(list(divisor_exponents(pairs))) == 36
 
 
 def test_engine_holds_the_lattice_under_its_name():
