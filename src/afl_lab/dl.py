@@ -15,34 +15,35 @@ chain convention corresponds to one fixed Coxeter element; other choices
 differ by a power of Frobenius and are out of scope.
 
 An irreducible polynomial of degree t over F_{q^2} splits into distinct
-linear factors over F_{q^{2t}}, so no gcd with x^{q^{2t}} - x is taken.
-The root comes from Berlekamp's trace algorithm (Factoring polynomials over
+linear factors over F_{q^{2t}}, so no gcd with x^{q^{2t}} - x is taken.  The
+root comes from Berlekamp's trace algorithm (Factoring polynomials over
 large finite fields, Math. Comp. 1970): with x^{p^i} mod f cached, the
 absolute trace Tr(a x) mod f is a sum of scaled residues, and
 gcd(Tr^{(p-1)/2} - 1, g) splits the current factor g with no powmod to
-(Q-1)/2.  Each split keeps the smaller factor, down to degree one, and the
-orbit is cross-checked instead: its walk (gf.tau_orbit) must close after t
-distinct members.  With mu_0 a root, that proves the characteristic
-polynomial irreducible: the minimal polynomial of mu_0 over F_{q^2} has the
-orbit's length as degree and divides it.  So irreducibility is decided only
-when the orbit fails, to tell reducible input (InputError) from broken
-arithmetic (CrossCheckError).
+(Q-1)/2.  Each split keeps the smaller factor, down to degree one, and
+divides the cofactor out only when it is the one kept; the orbit is
+cross-checked instead: its walk (gf.tau_orbit) must close after t distinct
+members.  With mu_0 a root, that proves the characteristic polynomial
+irreducible: the minimal polynomial of mu_0 over F_{q^2} has the orbit's
+length as degree and divides it.  So irreducibility is decided only when the
+orbit fails, to tell reducible input (InputError) from broken arithmetic
+(CrossCheckError).
 
 The characteristic polynomial f has its coefficients in F_{q^2}, so every
-x^{p^i} mod f lies in F_{q^2}[x], and the table is built there, on the
-field's own tables for q <= 13: x^p mod f by powmod, the matrix of the
-(x^p)^j mod f, then x^{p^{i+1}} mod f as that matrix applied to the
-Frobenius images of the coefficients of x^{p^i} mod f, one Matrix.apply
-per step.  Nothing of it is lifted: row k of the table holds coefficient k
-of every x^{p^i} mod f, so Tr(a x) mod f is one gf.embedded_apply of the
-table to the conjugates a^{p^i} (an entry a + b gen acts as a + b r, two
-small-int combinations of the packed vector and one product by r per row).
-The rest works in F_{q^{2t}}, above gf.TABLE_CAP, where every sum of
-products is reduced once: Modulus(g).power reduces the trace modulo the
-current factor g (x^m mod g folded in, no long division), and poly_gcd
-takes packed pseudo-remainders, with no inverse before its monic gcd.  s
-and G act on level-2t vectors without being embedded, by embedded_apply
-too, and the chain values are gf.dot products.
+x^{p^i} mod f lies in F_{q^2}[x], and the table is built there: x^p mod f
+and the matrix of the (x^p)^j mod f, by long division on the field's own
+tables for q <= 13 and by Modulus(f) above them, then x^{p^{i+1}} mod f as
+that matrix applied to the Frobenius images of the coefficients of x^{p^i}
+mod f, one Matrix.apply per step.  Nothing of it is lifted: row k of the
+table holds coefficient k of every x^{p^i} mod f, so Tr(a x) mod f is one
+gf.embedded_apply of the table to the conjugates a^{p^i} (an entry a + b gen
+acts as a + b r, two small-int combinations of the packed vector and one
+product by r per row).  The rest works in F_{q^{2t}}, above gf.TABLE_CAP,
+where every sum of products is reduced once: Modulus(g).power reduces the
+trace modulo the current factor g (x^m mod g folded in, no long division),
+and poly_gcd takes packed pseudo-remainders, with no inverse before its
+monic gcd.  s and G act on level-2t vectors without being embedded, by
+embedded_apply too, and the chain values are gf.dot products.
 
 No kernel is taken at level 2t.  The characteristic polynomial f is
 irreducible, so e_1 has annihilator f, and w = h(s) e_1, with h = f/(x - mu_0)
@@ -55,8 +56,15 @@ F_{q^2}, which tau fixes, so tau maps the mu-eigenline to the
 tau(mu)-eigenline and keeps the leading 1 of a canonical row: w over its
 leading entry gives every eigenvector, and each derived v_k is checked
 against s v_k = mu_k v_k, which (v_k != 0) also checks mu_k as a root.
-With tau^i v_k = v_{k+i}, the chain values are dot products with the t
-cached vectors G conj(v_j), still computed per record.
+
+G lies over F_{q^2} too, so h(tau x, tau y) = tau h(x, y), and with
+tau^i v_0 = v_i the chain of v_k is tau^k of the chain of v_0.  That one
+chain is d + 1 dot products of v_0 with the tau-images of G conj(v_0), one
+embedded_apply, and every other record's chain is its tau-image, one step
+per record.  Per-record dot products would check nothing more: every v_k
+is checked as an eigenvector of mu_k, and galois_orbit_check maps each
+recorded line to its tau-image.  As tau fixes zero and nonzero alike, the
+records qualify all together or not at all.
 
 Nothing here consults the closed-form counting formulas, so this is a true
 second route for the per-stratum counts.
@@ -74,7 +82,7 @@ from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 
 
 # Largest dimension `afl-lab dl` accepts.  On a 2-vCPU host t = 27 takes
-# about 0.15 s at q = 3, 0.64 s at q = 16381 and 2.4 s at q = 16319, the
+# about 0.11 s at q = 3, 0.57 s at q = 16381 and 2.2 s at q = 16319, the
 # slowest prime near P_MAX (interpreter start included, median of 5); the
 # four extra Frobenius tables the inverse's addition chain reads at level 54
 # take 2-7 ms to build.  Above it the scan for the level-2t defining
@@ -94,14 +102,18 @@ def _frobenius_table(f: Poly) -> list[tuple[gf.FieldElem, ...]]:
 
     The p-power map is additive, so x^(p^(i+1)) = sum frob(c_j) (x^p)^j when
     x^(p^i) = sum c_j x^j: one matrix of the (x^p)^j mod f, applied once per
-    step, and no powmod to Q."""
+    step, and no powmod to Q.  Its columns are reduced by long division on
+    encodings over a tabled F_{q^2}, by Modulus(f).mul above the cap, each
+    the faster there."""
     p, level, t = f.p, f.level, f.degree
-    xp = Poly.x(p, level).powmod(p, f)
+    x = Poly.x(p, level)
+    ring = Modulus(f) if p**level > gf.TABLE_CAP else None
+    xp = x.powmod(p, f) if ring is None else ring.power(x, p)
     powers = [Poly.one(p, level)]
     for _ in range(1, t):
-        powers.append((powers[-1] * xp) % f)
+        powers.append((powers[-1] * xp) % f if ring is None else ring.mul(powers[-1], xp))
     step = Matrix.from_rows(p, level, [[g.coeff(k) for g in powers] for k in range(t)])
-    cur = Poly.x(p, level).coeffs + (gf.zero(p, level),) * (t - 2)
+    cur = x.coeffs + (gf.zero(p, level),) * (t - 2)
     columns = [cur]
     for _ in range(1, 2 * t):
         cur = step.apply([gf.frob_q(c) for c in cur])
@@ -127,8 +139,8 @@ def _one_root(f: Poly, rng) -> gf.FieldElem:
         return -f.coeffs[0]  # t = 1: the root needs no Frobenius table
     table = _frobenius_table(f)
     g = f.lift(level)
-    ring = Modulus(g)
     while g.degree > 1:
+        ring = Modulus(g)
         for _ in range(SPLIT_TRIES):
             a = gf.random_elem(p, level, rng)
             conjugates = [a]
@@ -140,8 +152,9 @@ def _one_root(f: Poly, rng) -> gf.FieldElem:
                 break
         else:
             raise CrossCheckError(f"no trace split of a degree-{g.degree} factor in {SPLIT_TRIES} tries")
-        g = min(h, (g // h).monic(), key=lambda k: k.degree)
-        ring = Modulus(g)
+        # the smaller factor, h on a tie: g and h are monic, and the
+        # cofactor is divided out only when it is kept
+        g = h if 2 * h.degree <= g.degree else g // h
     return -g.coeffs[0]
 
 
@@ -198,7 +211,9 @@ def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
 
     Requires odd dimension and irreducible characteristic polynomial; every
     returned record carries its chain values, and for valid input all t
-    eigenlines qualify.  Records are sorted by eigenvalue encoding.
+    eigenlines qualify.  Each chain is a tau-image of the first (module
+    docstring), so the records qualify all together or not at all: a count
+    is t or 0.  Records are sorted by eigenvalue encoding.
     """
     t = gram.n
     if t % 2 == 0:
@@ -217,12 +232,18 @@ def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
             ) from None
         raise
     vectors = _orbit_eigenvectors(s, cp, orbit)
-    # h(x, y) = x . G conj(y), and tau^i v_k = v_{(k+i) mod t}
-    gram_conj = [gf.embedded_apply(gram.rows, [gf.frob_q(c) for c in v]) for v in vectors]
+    # h(x, y) = x . G conj(y) and v_i = tau^i v_0, with G over F_{q^2}: the
+    # chain of v_0 takes the tau-images of one G conj(v_0), and the chain of
+    # v_k is tau^k of it
     d = (t - 1) // 2
+    images = [gf.embedded_apply(gram.rows, [gf.frob_q(c) for c in vectors[0]])]
+    for _ in range(d):
+        images.append([gf.tau_frob(c) for c in images[-1]])
+    chains = [tuple(_dot(vectors[0], w) for w in images)]
+    for _ in range(1, t):
+        chains.append(tuple(gf.tau_frob(c) for c in chains[-1]))
     records = []
-    for k, (mu, v) in enumerate(zip(orbit, vectors)):
-        chain = tuple(_dot(v, gram_conj[(k + i) % t]) for i in range(d + 1))
+    for mu, v, chain in zip(orbit, vectors, chains):
         if all(c.is_zero for c in chain[:d]) and not chain[d].is_zero:
             records.append(EigenlineRecord(mu, v, chain))
     return sorted(records, key=lambda rec: gf.encode_int(rec.eigenvalue))
@@ -231,7 +252,7 @@ def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
 def _line_key(vector) -> tuple:
     # canonical projective representative: RREF of the single row
     rows, _ = rref([list(vector)])
-    return tuple(gf.encode_int(c) for c in rows[0])
+    return tuple(c.coeffs for c in rows[0])
 
 
 def galois_orbit_check(records: list[EigenlineRecord]) -> bool:

@@ -107,10 +107,16 @@ class AdaptedBasis(Record):
     def masks(self, vec) -> tuple[int, int]:
         """W(vec) and W-perp as row bitmasks of B: W the OR of one chain
         prefix per factor, W-perp the AND of the columns of H over W, with
-        InvariantError unless W-perp has n - dim W rows."""
+        InvariantError unless W-perp has n - dim W rows.  vec must hold one
+        exponent 0..a_i per chain, else InputError: a longer prefix would
+        spill into the next chain and name another divisor."""
         n = self.gram.n
+        if len(vec) != len(self.chains):
+            raise InputError(f"an exponent vector of length {len(vec)} for {len(self.chains)} chains")
         w, perp = 0, (1 << n) - 1
-        for (off, d, _), k in zip(self.chains, vec):
+        for (off, d, a), k in zip(self.chains, vec):
+            if not 0 <= k <= a:
+                raise InputError(f"exponent {k} outside 0..{a}")
             w |= ((1 << k * d) - 1) << off
             for c in range(off, off + k * d):
                 perp &= self.columns[c]

@@ -380,6 +380,39 @@ def frobenius_powers(g: Poly, ring: Modulus) -> list[Poly]:
     return xs
 
 
+def frobenius_table_by_division(f: Poly) -> list[tuple[gf.FieldElem, ...]]:
+    """The table of dl._frobenius_table, row k holding coefficient k of
+    x^(p^i) mod f for i < 2 deg f (f monic of degree >= 2 over F_{q^2}),
+    with every (x^p)^j mod f one product and one long division on every
+    field.  The oracle for the Modulus(f).mul route dl takes above the
+    table cap."""
+    p, level, t = f.p, f.level, f.degree
+    xp = Poly.x(p, level).powmod(p, f)
+    powers = [Poly.one(p, level)]
+    for _ in range(1, t):
+        powers.append((powers[-1] * xp) % f)
+    step = Matrix.from_rows(p, level, [[g.coeff(k) for g in powers] for k in range(t)])
+    cur = Poly.x(p, level).coeffs + (gf.zero(p, level),) * (t - 2)
+    columns = [cur]
+    for _ in range(1, 2 * t):
+        cur = step.apply([gf.frob_q(c) for c in cur])
+        columns.append(cur)
+    return list(zip(*columns))
+
+
+def chains_per_record(gram: Matrix, vectors) -> list[tuple[gf.FieldElem, ...]]:
+    """The isotropy chain h(v_k, tau^i v_k), i = 0..d, of every member v_k
+    of the tau-orbit v_0, ..., v_{t-1} of an eigenvector (d = (t-1)/2), each
+    from its own dot products with the t vectors G conj(v_j), as tau^i v_k
+    = v_{(k+i) mod t}.  The oracle for dl.dl_fixed_points, which takes the
+    chain of v_0 alone and its tau-images."""
+    t = len(vectors)
+    # h(x, y) = x . G conj(y), and tau^i v_k = v_{(k+i) mod t}
+    gram_conj = [gf.embedded_apply(gram.rows, [gf.frob_q(c) for c in v]) for v in vectors]
+    d = (t - 1) // 2
+    return [tuple(gf.dot(v, gram_conj[(k + i) % t]) for i in range(d + 1)) for k, v in enumerate(vectors)]
+
+
 def non_residue(p, level):
     """A quadratic non-residue of F_{p^level}, the first by integer
     encoding from p on.  The encodings below p are the F_p elements,

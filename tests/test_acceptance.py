@@ -221,6 +221,13 @@ def test_golden_sweep_hashes(sweep_reports):
         # length 2 T_MAX fills 8-byte slots
         (["dl", "--q", "16381", "--t", "27", "--seed", "0"],
          "c9b68e9aa161291ae10cf37f92063e15194f2310c8dd9f53ba962653c76cb160"),
+        # dl at T_MAX on the tables of F_9, and at q = 17, where F_{q^2}
+        # lies above the table cap and the Frobenius table is built by
+        # Modulus(f).mul
+        (["dl", "--q", "3", "--t", "27", "--seed", "0"],
+         "632c5e322c202b5b2c19dd781918484cd5d6c2e7f3ac7e123a133cc58c9fa9ff"),
+        (["dl", "--q", "17", "--t", "9", "--seed", "0"],
+         "d718edcd943c5f5913ffadc8bcc25444112081101db6771dcef8264b86968f57"),
     ],
 )
 def test_golden_command_hashes(argv, digest, capsys, monkeypatch):

@@ -353,7 +353,8 @@ def test_dl_exits_1_when_one_record_fails_the_chain(capsys, monkeypatch):
     calls = []
 
     def dot_breaking_the_first_chain(x, y):
-        # h(v, v) of the first eigenline becomes nonzero, so it leaves the count
+        # h(v_0, v_0) becomes nonzero; every other chain is a tau-image of
+        # the chain of v_0, so all t eigenlines leave the count
         calls.append(1)
         value = dot(x, y)
         return value + gf.one(value.p, value.level) if len(calls) == 1 else value
@@ -362,6 +363,35 @@ def test_dl_exits_1_when_one_record_fails_the_chain(capsys, monkeypatch):
     monkeypatch.setattr(dl, "_dot", dot_breaking_the_first_chain)
     monkeypatch.setattr(cli, "galois_orbit_check", lambda records: True)  # only the count decides
     assert main(["dl", "--q", "3", "--t", "3", "--seed", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["count"] == 0
+
+
+def test_dl_exits_1_when_one_tau_step_of_the_chain_breaks(capsys, monkeypatch):
+    # t = 3, d = 1: the chain of v_2 is the last tau step, the last two
+    # tau_frob calls of the command; its h(v_2, v_2) = tau(0) becomes 1
+    tau = gf.tau_frob
+    calls = []
+
+    def counting_tau(x):
+        calls.append(1)
+        return tau(x)
+
+    monkeypatch.delenv("AFL_LAB_SEED", raising=False)
+    monkeypatch.setattr(cli, "galois_orbit_check", lambda records: True)  # only the count decides
+    monkeypatch.setattr(gf, "tau_frob", counting_tau)
+    argv = ["dl", "--q", "3", "--t", "3", "--seed", "1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 3
+    broken = len(calls) - 1
+    calls.clear()
+
+    def tau_breaking_the_last_step(x):
+        calls.append(1)
+        value = tau(x)
+        return value + gf.one(value.p, value.level) if len(calls) == broken else value
+
+    monkeypatch.setattr(gf, "tau_frob", tau_breaking_the_last_step)
+    assert main(argv) == 1
     assert json.loads(capsys.readouterr().out)["count"] == 2
 
 

@@ -11,7 +11,18 @@ from afl_lab.hermitian import validate_space
 from afl_lab.linalg import Matrix, charpoly
 from afl_lab.poly import Modulus, Poly, is_irreducible, plain_factor, poly_gcd
 from conftest import random_monic
-from oracles import Subspace, combiner, frobenius_powers, kernel, kernel_of_poly, matrix_difference, non_residue, span
+from oracles import (
+    Subspace,
+    chains_per_record,
+    combiner,
+    frobenius_powers,
+    frobenius_table_by_division,
+    kernel,
+    kernel_of_poly,
+    matrix_difference,
+    non_residue,
+    span,
+)
 from test_linalg import minpoly
 
 
@@ -145,6 +156,21 @@ def test_chain_values_equal_the_definition(q, t, seed):
         for value in rec.chain_values:
             assert value == _sesquilinear(gram_big, rec.vector, image)
             image = tuple(gf.tau_frob(c) for c in image)
+
+
+@pytest.mark.parametrize(
+    "q,t", [(q, t) for q in (3, 5, 17) for t in (1, 3, 5, 7, 9)] + [(31, 27), (16381, 27)]
+)
+def test_chains_equal_the_per_record_oracle(q, t):
+    # dl takes the chain of v_0 and its tau-images; the oracle forms every
+    # record's chain from its own dot products.  A chain is intrinsic to its
+    # line, so the orbit may start at any record.
+    inst = coxeter(q, t, 0)
+    records = dl_fixed_points(inst.space, inst.g, seed=0)
+    assert len(records) == t
+    by_eigenvalue = {rec.eigenvalue: rec for rec in records}
+    orbit = [by_eigenvalue[mu] for mu in gf.tau_orbit(records[0].eigenvalue)]
+    assert [rec.chain_values for rec in orbit] == chains_per_record(inst.space, [rec.vector for rec in orbit])
 
 
 def eigenvectors_by_kernel(s_big: Matrix, orbit):
@@ -371,6 +397,17 @@ def test_frobenius_table_equals_the_level_2t_oracle(p, level):
             f = f * random_monic(p, 2, cut, rng)
         g = f.lift(level)
         assert table_residues(dl._frobenius_table(f), level) == frobenius_powers(g, Modulus(g))
+
+
+@pytest.mark.parametrize("q", [3, 17, 31, 16381])
+def test_frobenius_table_equals_the_division_oracle(q):
+    # degrees from 2 to T_MAX, drawn whole and with a planted factor, one
+    # call after another: the long division under the cap (F_9) and
+    # Modulus(f).mul above it, against long division on every field
+    rng = random.Random(f"division:{q}")
+    for t in (2, 3, 4, 5, 8, 9, 14, dl.T_MAX):
+        for f in (random_monic(q, 2, t, rng), random_monic(q, 2, t - 1, rng) * random_monic(q, 2, 1, rng)):
+            assert dl._frobenius_table(f) == frobenius_table_by_division(f), t
 
 
 def linear_combination_by_terms(scalars, polys):

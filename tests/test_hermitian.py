@@ -378,6 +378,30 @@ def test_complement_count_check_rejects_a_degenerate_form():
         induced_subquotient(broken, line)
 
 
+def five_lines():
+    """The adapted basis of five sp:1:1 blocks at q = 31: five chains of one
+    row each, a_i = 1."""
+    inst = build_block_instance(parse_signature(",".join(["sp:1:1"] * 5)), 31, 0)
+    return walk_of(inst)[1]
+
+
+def test_masks_refuse_an_exponent_outside_its_chain():
+    # (2, 0, 0, 0, 0) would take the first row of the second chain and name
+    # the divisor (1, 1, 0, 0, 0)
+    basis = five_lines()
+    assert basis.masks((1, 1, 0, 0, 0))[0] == 0b11
+    for vec in ((2, 0, 0, 0, 0), (0, 0, -1, 0, 0)):
+        with pytest.raises(InputError, match="outside 0..1"):
+            basis.masks(vec)
+
+
+def test_masks_refuse_an_exponent_vector_of_another_length():
+    basis = five_lines()
+    for vec in ((1,), (0,) * 6):
+        with pytest.raises(InputError, match=f"length {len(vec)} for 5 chains"):
+            basis.masks(vec)
+
+
 def test_adapted_basis_rejects_a_degenerate_gram():
     # G with its last row and column zeroed, handed in unvalidated: H = B G
     # conj(B)^T is degenerate with it, and the one rank test refuses it
