@@ -31,19 +31,19 @@ orbit fails, to tell reducible input (InputError) from broken arithmetic
 
 The characteristic polynomial f has its coefficients in F_{q^2}, so every
 x^{p^i} mod f lies in F_{q^2}[x], and the table is built there: x^p mod f
-and the matrix of the (x^p)^j mod f, by long division on the field's own
-tables for q <= 13 and by Modulus(f) above them, then x^{p^{i+1}} mod f as
-that matrix applied to the Frobenius images of the coefficients of x^{p^i}
-mod f, one Matrix.apply per step.  Nothing of it is lifted: row k of the
-table holds coefficient k of every x^{p^i} mod f, so Tr(a x) mod f is one
-gf.embedded_apply of the table to the conjugates a^{p^i} (an entry a + b gen
-acts as a + b r, two small-int combinations of the packed vector and one
-product by r per row).  The rest works in F_{q^{2t}}, above gf.TABLE_CAP,
-where every sum of products is reduced once: Modulus(g).power reduces the
-trace modulo the current factor g (x^m mod g folded in, no long division),
-and poly_gcd takes packed pseudo-remainders, with no inverse before its
-monic gcd.  s and G act on level-2t vectors without being embedded, by
-embedded_apply too, and the chain values are gf.dot products.
+and the matrix of the (x^p)^j mod f, by Modulus(f).mul on every field, then
+x^{p^{i+1}} mod f as that matrix applied to the Frobenius images of the
+coefficients of x^{p^i} mod f, one Matrix.apply per step.  Nothing of it is
+lifted: row k of the table holds coefficient k of every x^{p^i} mod f, so
+Tr(a x) mod f is one gf.embedded_apply of the table to the conjugates
+a^{p^i} (an entry a + b gen acts as a + b r, two small-int combinations of
+the packed vector and one product by r per row).  The rest works in
+F_{q^{2t}}, above gf.TABLE_CAP, where every sum of products is reduced
+once: Modulus(g).power reduces the trace modulo the current factor g (x^m
+mod g folded in, no long division), and poly_gcd takes packed
+pseudo-remainders, with no inverse before its monic gcd.  s and G act on
+level-2t vectors without being embedded, by embedded_apply too, and the
+chain values are gf.dot products.
 
 No kernel is taken at level 2t.  The characteristic polynomial f is
 irreducible, so e_1 has annihilator f, and w = h(s) e_1, with h = f/(x - mu_0)
@@ -82,7 +82,7 @@ from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 
 
 # Largest dimension `afl-lab dl` accepts.  On a 2-vCPU host t = 27 takes
-# about 0.11 s at q = 3, 0.57 s at q = 16381 and 2.2 s at q = 16319, the
+# about 0.12 s at q = 3, 0.57 s at q = 16381 and 2.2 s at q = 16319, the
 # slowest prime near P_MAX (interpreter start included, median of 5); the
 # four extra Frobenius tables the inverse's addition chain reads at level 54
 # take 2-7 ms to build.  Above it the scan for the level-2t defining
@@ -102,16 +102,14 @@ def _frobenius_table(f: Poly) -> list[tuple[gf.FieldElem, ...]]:
 
     The p-power map is additive, so x^(p^(i+1)) = sum frob(c_j) (x^p)^j when
     x^(p^i) = sum c_j x^j: one matrix of the (x^p)^j mod f, applied once per
-    step, and no powmod to Q.  Its columns are reduced by long division on
-    encodings over a tabled F_{q^2}, by Modulus(f).mul above the cap, each
-    the faster there."""
+    step, and no powmod to Q.  Its columns are reduced by Modulus(f).mul."""
     p, level, t = f.p, f.level, f.degree
     x = Poly.x(p, level)
-    ring = Modulus(f) if p**level > gf.TABLE_CAP else None
-    xp = x.powmod(p, f) if ring is None else ring.power(x, p)
+    ring = Modulus(f)
+    xp = x.powmod(p, f)
     powers = [Poly.one(p, level)]
     for _ in range(1, t):
-        powers.append((powers[-1] * xp) % f if ring is None else ring.mul(powers[-1], xp))
+        powers.append(ring.mul(powers[-1], xp))
     step = Matrix.from_rows(p, level, [[g.coeff(k) for g in powers] for k in range(t)])
     cur = x.coeffs + (gf.zero(p, level),) * (t - 2)
     columns = [cur]

@@ -93,33 +93,46 @@ class AdaptedBasis(Record):
 
     rows is B, gram the Matrix H, and column c of the Matrix g holds the
     B-coordinates of g B[c]; chains is the lattice's, one (offset, deg P_i,
-    a_i) per factor.  columns, bit a of columns[c] set iff H[a][c] = 0, is
-    derived, so it is left out of equality, hash, repr and pickle."""
+    a_i) per factor.  prefixes, one table per chain from exponent k in
+    0..a_i to the row mask of the chain's first k deg P_i rows and the AND
+    over them of the columns of H (bit a of column c set iff H[a][c] = 0),
+    is derived, so it is left out of equality, hash, repr and pickle."""
 
     _fields = ("rows", "gram", "g", "chains")
-    __slots__ = (*_fields, "columns")
+    __slots__ = (*_fields, "prefixes")
 
     def __init__(self, rows, gram: Matrix, g: Matrix, chains: tuple[tuple[int, int, int], ...]):
         Record.__init__(self, rows, gram, g, chains)
         h, n = gram.rows, gram.n
-        object.__setattr__(self, "columns", tuple(sum(1 << a for a in range(n) if h[a][c].is_zero) for c in range(n)))
+        prefixes = []
+        for off, d, a in chains:
+            perp = (1 << n) - 1
+            table = {0: (0, perp)}
+            for k in range(1, a + 1):
+                for c in range(off + (k - 1) * d, off + k * d):
+                    perp &= sum(1 << r for r in range(n) if h[r][c].is_zero)
+                table[k] = (((1 << k * d) - 1) << off, perp)
+            prefixes.append(table)
+        object.__setattr__(self, "prefixes", tuple(prefixes))
 
     def masks(self, vec) -> tuple[int, int]:
         """W(vec) and W-perp as row bitmasks of B: W the OR of one chain
         prefix per factor, W-perp the AND of the columns of H over W, with
         InvariantError unless W-perp has n - dim W rows.  vec must hold one
         exponent 0..a_i per chain, else InputError: a longer prefix would
-        spill into the next chain and name another divisor."""
+        spill into the next chain and name another divisor.  The range test
+        is the prefix tables' keys, so the walk pays no comparison for it."""
         n = self.gram.n
-        if len(vec) != len(self.chains):
-            raise InputError(f"an exponent vector of length {len(vec)} for {len(self.chains)} chains")
+        if len(vec) != len(self.prefixes):
+            raise InputError(f"an exponent vector of length {len(vec)} for {len(self.prefixes)} chains")
         w, perp = 0, (1 << n) - 1
-        for (off, d, a), k in zip(self.chains, vec):
-            if not 0 <= k <= a:
-                raise InputError(f"exponent {k} outside 0..{a}")
-            w |= ((1 << k * d) - 1) << off
-            for c in range(off, off + k * d):
-                perp &= self.columns[c]
+        try:
+            for table, k in zip(self.prefixes, vec):
+                wk, pk = table[k]
+                w |= wk
+                perp &= pk
+        except KeyError:
+            raise InputError(f"exponent {k} outside 0..{len(table) - 1}") from None
         if perp.bit_count() != n - w.bit_count():
             raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
         return w, perp

@@ -252,8 +252,8 @@ def _divmod_indexed(t, a, b):
 
 
 class Modulus:
-    """Residues modulo a fixed monic g of degree d >= 1, over a field above
-    the table cap, reduced by folding instead of long division.
+    """Residues modulo a fixed monic g of degree d >= 1, reduced by folding
+    instead of long division; powmod takes it above the table cap.
 
     rows[m - d] packs x^m mod g for d <= m <= 2d - 1.  A product of two
     residues is one packed product (Poly.__mul__'s); its blocks d..2d-2 are

@@ -368,31 +368,48 @@ def test_dl_exits_1_when_one_record_fails_the_chain(capsys, monkeypatch):
 
 def test_dl_exits_1_when_one_tau_step_of_the_chain_breaks(capsys, monkeypatch):
     # t = 3, d = 1: the chain of v_2 is the last tau step, the last two
-    # tau_frob calls of the command; its h(v_2, v_2) = tau(0) becomes 1
-    tau = gf.tau_frob
-    calls = []
+    # tau_frob calls of the command; the first maps h(v_1, v_1) = 0 to
+    # h(v_2, v_2), which becomes 1.  The orbit and the records are kept, so
+    # that the broken call is seen to be that step
+    tau, eigenvalue_orbit, fixed_points = gf.tau_frob, dl._eigenvalue_orbit, cli.dl_fixed_points
+    inputs, orbits, found = [], [], []
+
+    def recording_orbit(*args):
+        orbits.append(eigenvalue_orbit(*args))
+        return orbits[-1]
+
+    def recording_fixed_points(*args, **kwargs):
+        found.append({rec.eigenvalue: rec for rec in fixed_points(*args, **kwargs)})
+        return list(found[-1].values())
 
     def counting_tau(x):
-        calls.append(1)
+        inputs.append(x)
         return tau(x)
 
     monkeypatch.delenv("AFL_LAB_SEED", raising=False)
     monkeypatch.setattr(cli, "galois_orbit_check", lambda records: True)  # only the count decides
+    monkeypatch.setattr(dl, "_eigenvalue_orbit", recording_orbit)
+    monkeypatch.setattr(cli, "dl_fixed_points", recording_fixed_points)
     monkeypatch.setattr(gf, "tau_frob", counting_tau)
     argv = ["dl", "--q", "3", "--t", "3", "--seed", "1"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 3
-    broken = len(calls) - 1
-    calls.clear()
+    mu, clean = orbits[-1], found[-1]
+    broken = len(inputs) - 2
+    assert inputs[broken] == clean[mu[1]].chain_values[0]
+    inputs.clear()
 
     def tau_breaking_the_last_step(x):
-        calls.append(1)
+        inputs.append(x)
         value = tau(x)
-        return value + gf.one(value.p, value.level) if len(calls) == broken else value
+        return value + gf.one(value.p, value.level) if len(inputs) == broken + 1 else value
 
     monkeypatch.setattr(gf, "tau_frob", tau_breaking_the_last_step)
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().out)["count"] == 2
+    # exactly the record of v_2 = tau^2 v_0 left; the other two are unchanged
+    assert orbits[-1] == mu and set(clean) - set(found[-1]) == {mu[2]}
+    assert all(found[-1][m] == clean[m] for m in found[-1])
 
 
 def test_dl_exits_1_when_the_orbit_is_not_transitive(capsys, monkeypatch):

@@ -139,7 +139,7 @@ def test_pickle_and_deepcopy_round_trip(cls):
     for back in (copy.deepcopy(obj), copy.copy(obj)):
         assert type(back) is cls and back == obj
     if cls is AdaptedBasis:
-        assert back.columns == obj.columns  # derived, so rebuilt
+        assert back.prefixes == obj.prefixes  # derived, so rebuilt
 
 
 def test_fixed_reprs():
