@@ -277,7 +277,7 @@ def cmd_dl(args) -> int:
         raise InputError(f"--t must be at most {T_MAX}, got {args.t}")
     inst = random_coxeter_instance(args.q, args.t, seed)
     records = dl_fixed_points(inst.space, inst.g, seed=seed)
-    transitive = galois_orbit_check(records)
+    transitive = bool(records) and galois_orbit_check(records)
     payload = {
         "t": args.t,
         "q": args.q,

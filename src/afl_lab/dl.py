@@ -58,13 +58,12 @@ leading entry gives every eigenvector, and each derived v_k is checked
 against s v_k = mu_k v_k, which (v_k != 0) also checks mu_k as a root.
 
 G lies over F_{q^2} too, so h(tau x, tau y) = tau h(x, y), and with
-tau^i v_0 = v_i the chain of v_k is tau^k of the chain of v_0.  That one
-chain is d + 1 dot products of v_0 with the tau-images of G conj(v_0), one
-embedded_apply, and every other record's chain is its tau-image, one step
-per record.  Per-record dot products would check nothing more: every v_k
-is checked as an eigenvector of mu_k, and galois_orbit_check maps each
-recorded line to its tau-image.  As tau fixes zero and nonzero alike, the
-records qualify all together or not at all.
+tau^i v_0 = v_i the chain of v_k is tau^k of the chain of v_0.  As tau fixes
+zero and nonzero alike, the t records qualify all together or not at all,
+so the chain of v_0 alone decides them: d + 1 dot products of v_0 with the
+tau-images of G conj(v_0), one embedded_apply.  No other chain is formed;
+it would check nothing more, as every v_k is checked as an eigenvector of
+mu_k and galois_orbit_check maps each recorded line to its tau-image.
 
 Nothing here consults the closed-form counting formulas, so this is a true
 second route for the per-stratum counts.
@@ -90,10 +89,11 @@ from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 T_MAX = 27
 
 class EigenlineRecord(Record):
-    """eigenvalue lives at level 2t, vector is the canonical representative
-    over the tower and chain_values are h(l, tau^i l) for i = 0..d."""
+    """One eigenline that satisfies the chain: eigenvalue lives at level 2t,
+    vector is the canonical representative over the tower.  The chain of
+    v_0 qualifies every record (module docstring), so none carries its own."""
 
-    __slots__ = _fields = ("eigenvalue", "vector", "chain_values")
+    __slots__ = _fields = ("eigenvalue", "vector")
 
 
 def _frobenius_table(f: Poly) -> list[tuple[gf.FieldElem, ...]]:
@@ -207,11 +207,11 @@ def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
     """Enumerate the eigenlines of s over F_{q^{2t}} satisfying the chain of
     the form with Gram matrix gram.
 
-    Requires odd dimension and irreducible characteristic polynomial; every
-    returned record carries its chain values, and for valid input all t
-    eigenlines qualify.  Each chain is a tau-image of the first (module
-    docstring), so the records qualify all together or not at all: a count
-    is t or 0.  Records are sorted by eigenvalue encoding.
+    Requires odd dimension and irreducible characteristic polynomial.  The
+    one chain computed, h(v_0, tau^i v_0) for i = 0..d, decides every record
+    (module docstring): all t eigenlines come back when it vanishes for
+    i < d but not at i = d, and none otherwise, so a count is t or 0; for
+    valid input it is t.  Records are sorted by eigenvalue encoding.
     """
     t = gram.n
     if t % 2 == 0:
@@ -230,21 +230,17 @@ def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
             ) from None
         raise
     vectors = _orbit_eigenvectors(s, cp, orbit)
-    # h(x, y) = x . G conj(y) and v_i = tau^i v_0, with G over F_{q^2}: the
-    # chain of v_0 takes the tau-images of one G conj(v_0), and the chain of
-    # v_k is tau^k of it
+    # h(x, y) = x . G conj(y), G over F_{q^2}: h(v_0, tau^i v_0) is v_0 dotted
+    # with the i-th tau-image of G conj(v_0)
     d = (t - 1) // 2
-    images = [gf.embedded_apply(gram.rows, [gf.frob_q(c) for c in vectors[0]])]
+    image = gf.embedded_apply(gram.rows, [gf.frob_q(c) for c in vectors[0]])
+    chain = [_dot(vectors[0], image)]
     for _ in range(d):
-        images.append([gf.tau_frob(c) for c in images[-1]])
-    chains = [tuple(_dot(vectors[0], w) for w in images)]
-    for _ in range(1, t):
-        chains.append(tuple(gf.tau_frob(c) for c in chains[-1]))
-    records = []
-    for mu, v, chain in zip(orbit, vectors, chains):
-        if all(c.is_zero for c in chain[:d]) and not chain[d].is_zero:
-            records.append(EigenlineRecord(mu, v, chain))
-    return sorted(records, key=lambda rec: gf.encode_int(rec.eigenvalue))
+        image = [gf.tau_frob(c) for c in image]
+        chain.append(_dot(vectors[0], image))
+    if any(not c.is_zero for c in chain[:d]) or chain[d].is_zero:
+        return []
+    return sorted(map(EigenlineRecord, orbit, vectors), key=lambda rec: gf.encode_int(rec.eigenvalue))
 
 
 def _line_key(vector) -> tuple:
@@ -267,11 +263,8 @@ def galois_orbit_check(records: list[EigenlineRecord]) -> bool:
         if j is None:
             return False
         perm.append(j)
-    seen = 1
-    cur = perm[0]
-    while cur != 0:
+    seen, cur = set(), 0
+    while cur not in seen:
+        seen.add(cur)
         cur = perm[cur]
-        seen += 1
-        if seen > len(records):
-            return False
-    return seen == len(records)
+    return len(seen) == len(records)

@@ -404,8 +404,8 @@ def chains_per_record(gram: Matrix, vectors) -> list[tuple[gf.FieldElem, ...]]:
     """The isotropy chain h(v_k, tau^i v_k), i = 0..d, of every member v_k
     of the tau-orbit v_0, ..., v_{t-1} of an eigenvector (d = (t-1)/2), each
     from its own dot products with the t vectors G conj(v_j), as tau^i v_k
-    = v_{(k+i) mod t}.  The oracle for dl.dl_fixed_points, which takes the
-    chain of v_0 alone and its tau-images."""
+    = v_{(k+i) mod t}.  The oracle for dl.dl_fixed_points, which forms the
+    chain of v_0 alone and lets it decide every record."""
     t = len(vectors)
     # h(x, y) = x . G conj(y), and tau^i v_k = v_{(k+i) mod t}
     gram_conj = [gf.embedded_apply(gram.rows, [gf.frob_q(c) for c in v]) for v in vectors]

@@ -34,24 +34,40 @@ def coxeter(q, t, seed):
 # counts
 
 
+def recorded_chain(gram, s, seed):
+    """dl_fixed_points(gram, s, seed) and the one chain it evaluates, read
+    through dl._dot: (records, v_0, the d + 1 values).  Every dot product
+    must take v_0 as its left factor, so no other record's chain is formed."""
+    dot, calls = dl._dot, []
+
+    def recording(x, y):
+        calls.append((x, dot(x, y)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dl, "_dot", recording)
+        records = dl_fixed_points(gram, s, seed=seed)
+    assert len(calls) == (gram.n + 1) // 2
+    assert all(x is calls[0][0] for x, _ in calls)
+    return records, calls[0][0], [value for _, value in calls]
+
+
 def test_t1_single_line():
     inst = coxeter(3, 1, 0)
-    records = dl_fixed_points(inst.space, inst.g, seed=0)
+    records, _, chain = recorded_chain(inst.space, inst.g, 0)
     assert len(records) == 1
     # d = 0: the only chain condition is h(l, l) != 0
-    assert len(records[0].chain_values) == 1
-    assert not records[0].chain_values[0].is_zero
+    assert len(chain) == 1 and not chain[0].is_zero
 
 
 @pytest.mark.parametrize("q,t", [(3, 3), (3, 5), (5, 3)])
 def test_count_equals_dimension(q, t):
     inst = coxeter(q, t, 1)
-    records = dl_fixed_points(inst.space, inst.g, seed=1)
+    records, _, chain = recorded_chain(inst.space, inst.g, 1)
     assert len(records) == t
     d = (t - 1) // 2
-    for rec in records:
-        assert all(c.is_zero for c in rec.chain_values[:d])
-        assert not rec.chain_values[d].is_zero
+    assert all(c.is_zero for c in chain[:d])
+    assert not chain[d].is_zero
 
 
 def test_rejects_reducible_charpoly():
@@ -144,33 +160,50 @@ def test_chain_semilinearity():
         assert _sesquilinear(gram_big, tx, ty) == gf.tau_frob(_sesquilinear(gram_big, x, y))
 
 
+def tau_orbit_of(v, count):
+    """v, tau v, ..., its first count tau-images."""
+    vectors = [v]
+    for _ in range(1, count):
+        vectors.append(tuple(gf.tau_frob(c) for c in vectors[-1]))
+    return vectors
+
+
 @pytest.mark.parametrize("q,t,seed", [(3, 1, 0), (3, 3, 1), (3, 5, 2), (5, 5, 3), (7, 3, 4), (3, 7, 5)])
 def test_chain_values_equal_the_definition(q, t, seed):
-    # every record's chain h(v, tau^i v), i = 0..d, from the form itself
+    # the chain h(v_0, tau^i v_0), i = 0..d, from the form itself
     inst = coxeter(q, t, seed)
-    records = dl_fixed_points(inst.space, inst.g, seed=seed)
+    records, v0, chain = recorded_chain(inst.space, inst.g, seed)
     gram_big = _big(inst.space, 2 * t)
     assert len(records) == t
-    for rec in records:
-        image = rec.vector
-        for value in rec.chain_values:
-            assert value == _sesquilinear(gram_big, rec.vector, image)
-            image = tuple(gf.tau_frob(c) for c in image)
+    assert v0 in {rec.vector for rec in records}
+    for value, image in zip(chain, tau_orbit_of(v0, (t + 1) // 2), strict=True):
+        assert value == _sesquilinear(gram_big, v0, image)
+
+
+def qualifies(chain):
+    *head, last = chain
+    return all(c.is_zero for c in head) and not last.is_zero
 
 
 @pytest.mark.parametrize(
     "q,t", [(q, t) for q in (3, 5, 17) for t in (1, 3, 5, 7, 9)] + [(31, 27), (16381, 27)]
 )
 def test_chains_equal_the_per_record_oracle(q, t):
-    # dl takes the chain of v_0 and its tau-images; the oracle forms every
-    # record's chain from its own dot products.  A chain is intrinsic to its
-    # line, so the orbit may start at any record.
+    # dl forms the chain of v_0 alone; the oracle forms every record's chain
+    # from its own dot products.  The records come back, all t of them,
+    # exactly when every oracle chain qualifies: on the instance's form all
+    # do, and on the identity form none does at t >= 3 (h(l, l) != 0 there)
     inst = coxeter(q, t, 0)
-    records = dl_fixed_points(inst.space, inst.g, seed=0)
-    assert len(records) == t
-    by_eigenvalue = {rec.eigenvalue: rec for rec in records}
-    orbit = [by_eigenvalue[mu] for mu in gf.tau_orbit(records[0].eigenvalue)]
-    assert [rec.chain_values for rec in orbit] == chains_per_record(inst.space, [rec.vector for rec in orbit])
+    counts = []
+    for gram in (inst.space, Matrix.identity(q, 2, t)):
+        records, v0, chain = recorded_chain(gram, inst.g, 0)
+        oracle = chains_per_record(gram, tau_orbit_of(v0, t))
+        assert chain == list(oracle[0])
+        assert len(records) == (t if all(map(qualifies, oracle)) else 0)
+        if records:
+            assert {rec.vector for rec in records} == set(tau_orbit_of(v0, t))
+        counts.append(len(records))
+    assert counts == [t, 1 if t == 1 else 0]
 
 
 def eigenvectors_by_kernel(s_big: Matrix, orbit):
@@ -485,6 +518,18 @@ def test_galois_orbit_t1():
 def test_galois_orbit_single_cycle(q, t):
     inst = coxeter(q, t, 4)
     assert galois_orbit_check(dl_fixed_points(inst.space, inst.g, seed=4))
+
+
+def test_two_frobenius_cycles_fail_orbit_check():
+    # record 0 lies on a 3-cycle of the 6 joined records: the walk closes
+    # before it has seen them all.  Every Coxeter instance at one (q, t)
+    # multiplies by a torus element in one fixed basis, so all share their
+    # eigenlines: the second one lives at q = 5
+    first, second = (dl_fixed_points(inst.space, inst.g, seed=6) for inst in (coxeter(3, 3, 6), coxeter(5, 3, 6)))
+    assert galois_orbit_check(first) and galois_orbit_check(second)
+    joined = first + second
+    assert len({dl._line_key(rec.vector) for rec in joined}) == 6
+    assert not galois_orbit_check(joined)
 
 
 def test_duplicated_record_fails_orbit_check():

@@ -44,7 +44,7 @@ FIELDS = {
     Check: ("name", "ok", "detail"),
     VerificationReport: ("instance", "analytic", "geometric", "support", "closed_card", "closed_deriv", "counts",
                          "alt_sum", "orbital", "checks", "notes"),
-    EigenlineRecord: ("eigenvalue", "vector", "chain_values"),
+    EigenlineRecord: ("eigenvalue", "vector"),
     SweepConfig: ("qs", "max_dim", "count", "seed", "signatures", "jobs", "out", "cross_check"),
 }
 UNHASHABLE = {VerificationReport}

@@ -4,13 +4,15 @@ listed checks, and `afl-lab verify` on the same instance must exit 1.  Where
 one defect necessarily trips several checks, the listed set says which (the
 pair product feeds all three closed forms; A != G on finite support breaks
 the derivative closed form too, and on empty support the vanishing counts).
-The even-dimensional counting identity of `fl` is mutated on either side."""
+The even-dimensional counting identity of `fl` is mutated on either side, and
+each check of `afl-lab dl` (the chain of v_0, the Galois orbit) with the
+other left as it is."""
 
 import json
 
 import pytest
 
-from afl_lab import cli, engine, hermitian
+from afl_lab import cli, dl, engine, gf, hermitian
 from afl_lab.engine import GeometricResult, StratumRecord
 from afl_lab.forge import instance_from_spec
 
@@ -118,3 +120,34 @@ def test_fl_counting_identity_can_fail(side, owner, attr, mutate, monkeypatch, c
     for command in ("fl", "verify"):
         assert cli.main([command, "--q", "3", "--sig", spec]) == 1
         assert json.loads(capsys.readouterr().out)["verdict"] == "FAIL"
+
+
+def chain_of_v0_broken(monkeypatch):
+    # h(v_0, v_0) becomes nonzero, which fails the chain at every t >= 3
+    dot, calls = dl._dot, []
+
+    def mutant(x, y):
+        calls.append(1)
+        value = dot(x, y)
+        return value + gf.one(value.p, value.level) if len(calls) == 1 else value
+
+    monkeypatch.setattr(dl, "_dot", mutant)
+
+
+def orbit_not_transitive(monkeypatch):
+    monkeypatch.setattr(cli, "galois_orbit_check", lambda records: False)
+
+
+@pytest.mark.parametrize("mutate,count", [(chain_of_v0_broken, 0), (orbit_not_transitive, 3)],
+                         ids=["chain", "galois_orbit"])
+def test_each_dl_check_can_fail(mutate, count, monkeypatch, capsys):
+    argv = ["dl", "--q", "3", "--t", "3", "--seed", "1"]
+    monkeypatch.delenv("AFL_LAB_SEED", raising=False)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    mutate(monkeypatch)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1
+    data = json.loads(out)
+    assert data["count"] == count and data["galois_transitive"] is False
