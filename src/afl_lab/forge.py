@@ -24,7 +24,11 @@ random_coxeter_instance uses the field model instead: V = F_{q^{2n}} with
 basis 1, b, ..., b^{n-1}, the trace form h(x, y) = Tr(x y^{q^n}), g given by
 multiplication with a norm-one element s of F_{q^{2n}}, and tau = the q^n
 power map.  When s generates the field, the characteristic polynomial is
-irreducible and self-paired.
+irreducible and self-paired.  Everything but s and g depends on (q, n)
+alone: the power basis, the coordinate map, tau and the Gram matrix are
+built once per (q, n) per process (_coxeter_frame).  The draw of s, the
+generation test (the tau-orbit of s has length n), g and certify_instance
+run per seed, so every instance is still certified whole.
 
 The signature mini-language is "sp:<deg>:<exp>" / "cp:<deg>:<exp>", joined
 by commas; "coxeter:<n>" routes to the second builder.
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import chain
 
 from . import gf
@@ -492,16 +497,13 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
     )
 
 
-def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
-    """Certified instance from the norm-one torus of F_{q^{2n}} (n odd).
-
-    When GENERATOR_TRIES samples give no s generating F_{q^{2n}} over
-    F_{q^2}, ForgeError names the degree of the last witness.
-    """
-    gf.require_odd_prime(p, "q")
-    if n < 1 or n % 2 == 0:
-        raise InputError("the torus model needs odd n >= 1")
-    require_dim(n, "coxeter dimension")
+@lru_cache(maxsize=None)
+def _coxeter_frame(p: int, n: int):
+    """The seed-independent part of a Coxeter instance of F_{q^{2n}}:
+    (powers, to_coords, tau, space), the power basis 1, b, ..., b^(n-1),
+    the packed map of _coords, the matrix of the q^n-power map and the Gram
+    matrix of the trace form.  Callers validate (p, n) first, so only valid
+    keys enter the cache."""
     level = 2 * n
     b = gf.gen(p, level)
     emb_gen = gf.embed(gf.gen(p, 2), level)
@@ -523,16 +525,12 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
     # basis vector k goes to column k of binv
     to_coords = gf.packed_map(p, level, list(zip(*binv)))
 
-    def coords(z: FieldElem):
-        vec = gf.linear_apply(p, to_coords, z.coeffs)
-        return tuple(FieldElem(p, 2, vec[2 * k : 2 * k + 2]) for k in range(n))
-
     # tau is the q^n-power map, b^j -> (b^j)^(q^n)
     bq = b ** (p**n)
     tau_images = [gf.one(p, level)]
     for _ in range(1, n):
         tau_images.append(tau_images[-1] * bq)
-    tau = Matrix.from_rows(p, 2, [coords(img) for img in tau_images]).transpose()
+    tau = Matrix.from_rows(p, 2, [_coords(to_coords, img) for img in tau_images]).transpose()
     # h(b^i, b^j) = Tr(b^i tau(b^j)).  z -> (descend Tr(b^i z))_i is F_p-linear
     # and sends b^k to the traces of b^k, ..., b^(k+n-1): one packed map from
     # the 3n - 1 traces Tr(b^m), each descended (and so checked to lie in
@@ -544,39 +542,56 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
     to_gram = gf.packed_map(p, level, [tuple(chain.from_iterable(traces[k : k + n])) for k in range(level)])
     gram_cols = [gf.linear_apply(p, to_gram, img.coeffs) for img in tau_images]
     space = Matrix.from_rows(p, 2, [[FieldElem(p, 2, col[2 * i : 2 * i + 2]) for col in gram_cols] for i in range(n)])
+    return tuple(powers), to_coords, tau, space
 
+
+def _coords(to_coords, z: FieldElem) -> tuple:
+    """The F_{q^2}-coordinates of z in the power basis 1, b, ..., b^(n-1)."""
+    vec = gf.linear_apply(z.p, to_coords, z.coeffs)
+    return tuple(FieldElem(z.p, 2, vec[2 * k : 2 * k + 2]) for k in range(z.level // 2))
+
+
+def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
+    """Certified instance from the norm-one torus of F_{q^{2n}} (n odd).
+
+    The frame comes from _coxeter_frame, once per (q, n); the draw of s, g
+    and the certificate are per seed.  s generates F_{q^{2n}} over F_{q^2}
+    exactly when its tau-orbit has length n.  When GENERATOR_TRIES samples
+    give no such s, ForgeError names the degree of the last witness.
+    """
+    gf.require_odd_prime(p, "q")
+    if n < 1 or n % 2 == 0:
+        raise InputError("the torus model needs odd n >= 1")
+    require_dim(n, "coxeter dimension")
+    powers, to_coords, tau, space = _coxeter_frame(p, n)
     rng = random.Random(f"coxeter:{p}:{n}:{seed}")
     norm_exp = p**n - 1
-    attempts = GENERATOR_TRIES
-    witness = None
-    while attempts:
-        attempts -= 1
-        y = gf.random_elem(p, level, rng)
+    witness_degree = 0
+    for _ in range(GENERATOR_TRIES):
+        y = gf.random_elem(p, 2 * n, rng)
         if y.is_zero:
             continue
         s_elem = y**norm_exp
-        minp = _min_poly_over_quadratic(s_elem)
-        if minp is None or minp.degree != n:
-            witness = s_elem
+        witness_degree = len(gf.tau_orbit(s_elem))
+        if witness_degree != n:
             continue
-        g = Matrix.from_rows(p, 2, [coords(s_elem * bj) for bj in powers]).transpose()
+        g = Matrix.from_rows(p, 2, [_coords(to_coords, s_elem * bj) for bj in powers]).transpose()
+        fact = certify_instance(space, g, tau, seed)
+        if [(f.degree, a) for f, a in fact.factors] != [(n, 1)]:
+            raise AssertionError("charpoly of a generating s is not irreducible of degree n")
         return MinusculeInstance(
             p=p,
             space=space,
             g=g,
             tau=tau,
-            fact=certify_instance(space, g, tau, seed),
+            fact=fact,
             seed=seed,
             signature=(f"coxeter:{n}",),
-            )
+        )
     raise ForgeError(
         "exhausted attempts to find a generating norm-one element; "
-        f"last witness has minimal polynomial of degree {_witness_degree(witness)} < {n}"
+        f"last witness has minimal polynomial of degree {witness_degree} < {n}"
     )
-
-
-def _witness_degree(z):
-    return 0 if z is None else len(gf.tau_orbit(z))
 
 
 def instance_from_spec(spec: str, p: int, seed: int) -> MinusculeInstance:

@@ -228,6 +228,10 @@ def test_golden_sweep_hashes(sweep_reports):
          "632c5e322c202b5b2c19dd781918484cd5d6c2e7f3ac7e123a133cc58c9fa9ff"),
         (["dl", "--q", "17", "--t", "9", "--seed", "0"],
          "d718edcd943c5f5913ffadc8bcc25444112081101db6771dcef8264b86968f57"),
+        # the Coxeter builder above the table cap, where F_289 keeps no
+        # tables
+        (["gen", "--q", "17", "--coxeter", "--n", "9", "--seed", "0"],
+         "5b1bdf8a3ab992fb59db1117bf0e213822b21df5348eae181c38e90e55ab550d"),
     ],
 )
 def test_golden_command_hashes(argv, digest, capsys, monkeypatch):

@@ -22,7 +22,7 @@ from afl_lab.forge import (
 )
 from afl_lab.hermitian import is_isotropic
 from afl_lab.linalg import Matrix, null_basis
-from afl_lab.poly import Poly, is_irreducible, power_product, star
+from afl_lab.poly import FactoredPoly, Poly, is_irreducible, power_product, star
 from oracles import (
     coxeter_frame_by_entries,
     divisor_poly,
@@ -110,7 +110,11 @@ def test_block_samplers_give_up_after_generator_tries(sig, kind, degree, monkeyp
     assert 0 < len(calls) <= forge.GENERATOR_TRIES
 
 
-@pytest.mark.parametrize("walk", ["_min_poly_over_quadratic", "_witness_degree"])
+@pytest.mark.parametrize("walk", [
+    pytest.param(forge._min_poly_over_quadratic, id="_min_poly_over_quadratic"),
+    # the Coxeter sampler's witness degree is the length of this walk
+    pytest.param(gf.tau_orbit, id="_witness_degree"),
+])
 @pytest.mark.parametrize("level", [2, 6])
 def test_tau_orbit_walks_stop_after_d_steps(walk, level, monkeypatch):
     # a tau_frob that sends everything to one other element never returns
@@ -124,7 +128,7 @@ def test_tau_orbit_walks_stop_after_d_steps(walk, level, monkeypatch):
 
     monkeypatch.setattr(gf, "tau_frob", stuck)
     with pytest.raises(CrossCheckError, match=f"level-{level} element is not closed after {level // 2} steps"):
-        getattr(forge, walk)(z)
+        walk(z)
     assert len(images) == level // 2
 
 
@@ -245,18 +249,23 @@ def test_coxeter_gram_equals_the_definition(q, n, seed):
 COXETER_FRAMES = [(3, 1), (3, 3), (3, 9), (5, 7), (17, 5), (16381, 3)]
 
 
+def drawn_s(inst):
+    """The norm-one element a Coxeter instance drew: g e_0 = s, so column 0
+    of g holds its coordinates in the basis 1, b, ..., b^(n-1)."""
+    level = 2 * inst.n
+    b = gf.gen(inst.p, level)
+    s_elem = gf.zero(inst.p, level)
+    for i, row in enumerate(inst.g.rows):
+        s_elem = s_elem + gf.embed(row[0], level) * b**i
+    return s_elem
+
+
 @pytest.mark.parametrize("q,n", COXETER_FRAMES, ids=[f"q{q}-n{n}" for q, n in COXETER_FRAMES])
 def test_coxeter_frame_equals_the_entrywise_oracle(q, n):
-    # the packed coordinate and Gram maps against Python sums and n^2 traces;
-    # g e_0 = s, so column 0 of g holds the coordinates of the drawn s
+    # the packed coordinate and Gram maps against Python sums and n^2 traces
     for seed in (0, 1):
         inst = random_coxeter_instance(q, n, seed)
-        level = 2 * n
-        b = gf.gen(q, level)
-        s_elem = gf.zero(q, level)
-        for i, row in enumerate(inst.g.rows):
-            s_elem = s_elem + gf.embed(row[0], level) * b**i
-        assert coxeter_frame_by_entries(q, n, s_elem) == (inst.g, inst.tau, inst.space)
+        assert coxeter_frame_by_entries(q, n, drawn_s(inst)) == (inst.g, inst.tau, inst.space)
 
 
 def test_coxeter_rejects_even_n():
@@ -269,6 +278,52 @@ def test_coxeter_exhausted_attempts_names_the_witness_degree(monkeypatch):
     monkeypatch.setattr(gf, "random_elem", lambda p, level, rng: gf.one(p, level))
     with pytest.raises(ForgeError, match="exhausted attempts.*minimal polynomial of degree 1 < 3"):
         random_coxeter_instance(3, 3, 1)
+
+
+def test_coxeter_frame_is_shared_and_every_instance_certified(monkeypatch):
+    # two seeds at one (q, n) read one frame, and each instance still runs
+    # certify_instance once, on the shared space and tau
+    calls = []
+
+    def counted(gram, g, tau, seed):
+        calls.append((gram, tau, seed))
+        return certify_instance(gram, g, tau, seed)
+
+    monkeypatch.setattr(forge, "certify_instance", counted)
+    a = random_coxeter_instance(3, 5, 0)
+    b = random_coxeter_instance(3, 5, 1)
+    assert a.g != b.g
+    assert a.tau is b.tau and a.space is b.space
+    assert [(gram is a.space, tau is a.tau, seed) for gram, tau, seed in calls] == [(True, True, 0), (True, True, 1)]
+
+
+def test_interleaved_coxeter_frames_equal_the_entrywise_oracle():
+    # a cache keyed by q or by n alone would hand one (q, n) another's frame
+    for q, n in [(3, 9), (5, 9), (3, 7), (3, 9)]:
+        inst = random_coxeter_instance(q, n, 2)
+        assert coxeter_frame_by_entries(q, n, drawn_s(inst)) == (inst.g, inst.tau, inst.space)
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (3, forge.N_MAX + 2), (9, 3)], ids=["even-n", "above-n-max", "q-not-prime"])
+def test_invalid_coxeter_keys_never_enter_the_frame_cache(q, n):
+    before = forge._coxeter_frame.cache_info().currsize
+    with pytest.raises(InputError):
+        random_coxeter_instance(q, n, 0)
+    assert forge._coxeter_frame.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("factors", ["two-factors", "exponent-2"])
+def test_coxeter_certificate_must_be_one_simple_factor_of_degree_n(factors, monkeypatch):
+    # the builder checks the shape of the factorization it stores, as
+    # build_block_instance checks its signature
+    def forged(gram, g, tau, seed):
+        (f, _), = certify_instance(gram, g, tau, seed).factors
+        shape = ((f, 1), (f, 1)) if factors == "two-factors" else ((f, 2),)
+        return FactoredPoly(factors=shape, pairing=tuple(range(len(shape))))
+
+    monkeypatch.setattr(forge, "certify_instance", forged)
+    with pytest.raises(AssertionError, match="not irreducible of degree n"):
+        random_coxeter_instance(3, 5, 0)
 
 
 # ---------------------------------------------------------------------------

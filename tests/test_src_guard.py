@@ -108,7 +108,6 @@ UNCALLED = {
     "hermitian.is_isotropic": ALLOWED["is_isotropic"],
     "linalg.Matrix.is_zero": "oracle: read by is_isotropic only",
     "linalg.Lattice.__len__": "the benchmark tracer reads len() of the lattice",
-    "forge._witness_degree": "error only: names the last witness when the Coxeter sampler gives up",
     "poly.is_irreducible": "error only: tells reducible input from broken arithmetic when an eigenvalue orbit fails",
     "poly.Poly.zero": "a product with a zero operand (Poly.__mul__, Modulus.mul), which no command forms",
 }
