@@ -7,7 +7,8 @@ stay out of reports unless --timings (verify, sweep) asks for them.
 --pretty (gen, verify, sweep) appends a small human table after the JSON.
 
 Exit codes: 0 all identities hold, 1 an identity failed (a finding),
-2 bad input or a broken invariant.  AFL_LAB_SEED overrides --seed.
+2 bad input or a broken invariant.  Stdout depends only on argv and the
+--in file; no environment variable enters a report.
 """
 
 from __future__ import annotations
@@ -65,18 +66,18 @@ class SweepConfig(Record):
     _defaults = {"cross_check": True}
 
 
+def _report(inst, cross_check=True) -> tuple[str, dict]:
+    """The one verdict dispatch: the AFL verdict on odd n, the counting
+    identity on even n, as (kind, JSON payload)."""
+    if inst.n % 2:
+        return "afl", engine.afl_verdict(inst, cross_check=cross_check).to_json()
+    return "fl", engine.fl_report(inst)
+
+
 def _sweep_task(args) -> dict:
     q, spec, seed, cross_check = args
-    inst = instance_from_spec(spec, q, seed)
-    if inst.n % 2:
-        report = engine.afl_verdict(inst, cross_check=cross_check).to_json()
-        kind = "afl"
-    else:
-        report = engine.fl_report(inst)
-        kind = "fl"
-    report["kind"] = kind
-    report["q"] = q
-    report["spec"] = spec
+    kind, report = _report(instance_from_spec(spec, q, seed), cross_check)
+    report.update(kind=kind, q=q, spec=spec)
     return report
 
 
@@ -162,16 +163,6 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
 # subcommands
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("AFL_LAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError("AFL_LAB_SEED must be an integer") from exc
-    return args.seed
-
-
 def _load_instance(args):
     if getattr(args, "infile", None):
         with open(args.infile, "r", encoding="utf-8") as fh:
@@ -183,19 +174,19 @@ def _load_instance(args):
                 raise InputError(f"schema: not valid JSON ({exc})") from exc
         return parse_instance(data)
     if getattr(args, "sig", None):
-        return instance_from_spec(args.sig, args.q, _resolve_seed(args))
+        return instance_from_spec(args.sig, args.q, args.seed)
     raise InputError("provide --in FILE or --sig SPEC")
 
 
 def cmd_gen(args) -> int:
-    seed = _resolve_seed(args)
     if args.coxeter:
         require_dim(args.n, "--n")
-        inst = random_coxeter_instance(args.q, args.n, seed)
+        spec = f"coxeter:{args.n}"
+    elif args.sig:
+        spec = args.sig
     else:
-        if not args.sig:
-            raise InputError("gen needs --sig or --coxeter with --n")
-        inst = instance_from_spec(args.sig, args.q, seed)
+        raise InputError("gen needs --sig or --coxeter with --n")
+    inst = instance_from_spec(spec, args.q, args.seed)
     payload = serialize_instance(inst)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -213,15 +204,11 @@ def _pretty_instance(inst):
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    inst = _load_instance(args)
-    if inst.n % 2:
-        report = engine.afl_verdict(inst, cross_check=not args.no_cross_check)
-        payload = report.to_json()
-        checks = [(c.name, c.ok, c.detail) for c in report.checks]
+    kind, payload = _report(_load_instance(args), not args.no_cross_check)
+    if kind == "afl":
+        checks = [(c["name"], c["ok"], c["detail"]) for c in payload["checks"]]
     else:
-        payload = engine.fl_report(inst)
-        ok = payload["verdict"] == "PASS"
-        checks = [("counting_identity", ok, f"lhs={payload['lhs']} rhs={payload['rhs']}")]
+        checks = [("counting_identity", payload["verdict"] == "PASS", f"lhs={payload['lhs']} rhs={payload['rhs']}")]
     if args.timings:
         payload["timings"] = {"wall_s": round(time.perf_counter() - started, 6)}
     pretty = None
@@ -240,7 +227,7 @@ def cmd_sweep(args) -> int:
         qs=qs,
         max_dim=args.max_dim,
         count=args.count,
-        seed=_resolve_seed(args),
+        seed=args.seed,
         signatures=DEFAULT_SIGNATURES if args.signatures is None else tuple(args.signatures.split(";")),
         jobs=args.jobs,
         out=args.out,
@@ -272,19 +259,18 @@ def cmd_fl(args) -> int:
 
 
 def cmd_dl(args) -> int:
-    seed = _resolve_seed(args)
     if args.t > T_MAX:
         raise InputError(f"--t must be at most {T_MAX}, got {args.t}")
-    inst = random_coxeter_instance(args.q, args.t, seed)
-    records = dl_fixed_points(inst.space, inst.g, seed=seed)
-    transitive = bool(records) and galois_orbit_check(records)
+    inst = random_coxeter_instance(args.q, args.t, args.seed)
+    records = dl_fixed_points(inst.space, inst.g, seed=args.seed)
+    transitive = galois_orbit_check(records)
     payload = {
         "t": args.t,
         "q": args.q,
         "eigenvalue_orbit": [list(r.eigenvalue.coeffs) for r in records],
         "count": len(records),
         "galois_transitive": transitive,
-        "seed": seed,
+        "seed": args.seed,
     }
     _emit(payload)
     return 0 if len(records) == args.t and transitive else 1
@@ -306,7 +292,6 @@ def cmd_orbital(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    seed = _resolve_seed(args)
     checks = []
 
     def run(name, fn):
@@ -316,28 +301,29 @@ def cmd_selftest(args) -> int:
             ok, detail = False, str(exc)
         checks.append({"name": name, "ok": ok, "detail": detail})
 
-    def afl_case(spec, q):
+    def verdict_case(spec):
         def body():
-            rep = engine.afl_verdict(instance_from_spec(spec, q, seed))
-            return rep.verdict == "PASS", f"A={rep.analytic} G={rep.geometric.total}"
+            kind, rep = _report(instance_from_spec(spec, 3, args.seed))
+            detail = f"A={rep['A']} G={rep['G']}" if kind == "afl" else f"lhs={rep['lhs']} rhs={rep['rhs']}"
+            return rep["verdict"] == "PASS", detail
 
         return body
 
-    run("afl_dim1", afl_case("sp:1:1", 3))
-    run("afl_sp13", afl_case("sp:1:3", 3))
-    run("afl_empty", afl_case("sp:1:1,sp:1:1,sp:1:1", 3))
-    run("fl_cp11", lambda: (lambda l, r: (l == r, f"lhs={l} rhs={r}"))(*engine.fl_check(instance_from_spec("cp:1:1", 3, seed))))
+    run("afl_dim1", verdict_case("sp:1:1"))
+    run("afl_sp13", verdict_case("sp:1:3"))
+    run("afl_empty", verdict_case("sp:1:1,sp:1:1,sp:1:1"))
+    run("fl_cp11", verdict_case("cp:1:1"))
 
     def dl_case():
-        inst = random_coxeter_instance(3, 3, seed)
-        recs = dl_fixed_points(inst.space, inst.g, seed=seed)
+        inst = random_coxeter_instance(3, 3, args.seed)
+        recs = dl_fixed_points(inst.space, inst.g, seed=args.seed)
         return len(recs) == 3 and galois_orbit_check(recs), f"count={len(recs)}"
 
     run("dl_t3", dl_case)
 
     def determinism_case():
-        a = _dump(serialize_instance(instance_from_spec("cp:1:2,sp:1:1", 5, seed)))
-        b = _dump(serialize_instance(instance_from_spec("cp:1:2,sp:1:1", 5, seed)))
+        a = _dump(serialize_instance(instance_from_spec("cp:1:2,sp:1:1", 5, args.seed)))
+        b = _dump(serialize_instance(instance_from_spec("cp:1:2,sp:1:1", 5, args.seed)))
         return a == b, "same seed reproduces the same instance"
 
     run("determinism", determinism_case)

@@ -76,7 +76,7 @@ import random
 from . import gf
 from .errors import CrossCheckError, InputError, Record
 from .gf import dot as _dot
-from .linalg import Matrix, charpoly, krylov_rows, rref
+from .linalg import Matrix, charpoly, krylov_rows
 from .poly import SPLIT_TRIES, Modulus, Poly, is_irreducible, poly_gcd
 
 
@@ -169,6 +169,18 @@ def _eigenvalue_orbit(f: Poly, rng) -> list[gf.FieldElem]:
     return orbit
 
 
+def _canonical_row(vector) -> tuple[gf.FieldElem, ...] | None:
+    """vector over its first nonzero entry, the reduced echelon form of the
+    one row, or None for the zero vector; a leading 1 costs no inverse."""
+    lead = next((c for c in vector if not c.is_zero), None)
+    if lead is None:
+        return None
+    if lead == gf.one(lead.p, lead.level):
+        return tuple(vector)
+    inv = lead.inverse()
+    return tuple(c * inv for c in vector)
+
+
 def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[tuple[gf.FieldElem, ...]]:
     """The canonical eigenvector of each orbit member: one Krylov combination, then tau.
 
@@ -189,12 +201,9 @@ def _orbit_eigenvectors(s: Matrix, f: Poly, orbit: list[gf.FieldElem]) -> list[t
     # the Krylov vectors s^i e_1 at level 2; coordinate c of w = h(s) e_1 is
     # sum_i (s^i e_1)_c h_i
     krylov = krylov_rows(s, (gf.one(s.p, s.level),) + (gf.zero(s.p, s.level),) * (s.n - 1))
-    w = gf.embedded_apply(list(zip(*krylov)), h)
-    lead = next((c for c in w if not c.is_zero), None)
-    if lead is None:
+    vectors = [_canonical_row(gf.embedded_apply(list(zip(*krylov)), h))]
+    if vectors[0] is None:
         raise CrossCheckError("the Krylov combination of an irreducible characteristic polynomial vanishes")
-    inv = lead.inverse()
-    vectors = [tuple(c * inv for c in w)]
     for _ in orbit[1:]:
         vectors.append(tuple(gf.tau_frob(c) for c in vectors[-1]))
     for mu, v in zip(orbit, vectors):
@@ -243,19 +252,18 @@ def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
     return sorted(map(EigenlineRecord, orbit, vectors), key=lambda rec: gf.encode_int(rec.eigenvalue))
 
 
-def _line_key(vector) -> tuple:
-    # canonical projective representative: RREF of the single row
-    rows, _ = rref([list(vector)])
-    return tuple(c.coeffs for c in rows[0])
+def _line_key(vector) -> tuple | None:
+    # canonical projective representative, None for the zero vector
+    row = _canonical_row(vector)
+    return None if row is None else tuple(c.coeffs for c in row)
 
 
 def galois_orbit_check(records: list[EigenlineRecord]) -> bool:
-    """True iff the q^2-Frobenius permutes the recorded lines in one cycle."""
-    if not records:
-        raise InputError("no records to check")
+    """True iff the q^2-Frobenius permutes the recorded lines in one cycle;
+    False for no records, a zero vector or a repeated line."""
     keys = {_line_key(rec.vector): i for i, rec in enumerate(records)}
-    if len(keys) != len(records):
-        return False  # duplicated lines cannot form a permutation orbit
+    if not records or None in keys or len(keys) != len(records):
+        return False
     perm = []
     for rec in records:
         image = tuple(gf.tau_frob(c) for c in rec.vector)

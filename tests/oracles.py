@@ -413,6 +413,14 @@ def chains_per_record(gram: Matrix, vectors) -> list[tuple[gf.FieldElem, ...]]:
     return [tuple(gf.dot(v, gram_conj[(k + i) % t]) for i in range(d + 1)) for k, v in enumerate(vectors)]
 
 
+def line_key_by_rref(vector) -> tuple:
+    """The projective key of a nonzero vector: the coefficients of the
+    reduced echelon form of its one row, by rref.  The oracle for
+    dl._line_key, which divides by the first nonzero entry."""
+    rows, _ = rref([list(vector)])
+    return tuple(c.coeffs for c in rows[0])
+
+
 def non_residue(p, level):
     """A quadratic non-residue of F_{p^level}, the first by integer
     encoding from p on.  The encodings below p are the F_p elements,

@@ -235,6 +235,5 @@ def test_golden_sweep_hashes(sweep_reports):
     ],
 )
 def test_golden_command_hashes(argv, digest, capsys, monkeypatch):
-    monkeypatch.delenv("AFL_LAB_SEED", raising=False)
     assert main(argv) == 0
     assert _sha256(capsys.readouterr().out) == digest

@@ -14,11 +14,7 @@ from afl_lab.forge import N_MAX, instance_from_spec, serialize_instance
 from afl_lab.poly import DIVISOR_MAX
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("AFL_LAB_SEED", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "afl_lab", *args],
         capture_output=True,
@@ -288,7 +284,7 @@ def test_gen_coxeter_above_n_max_exits_2_before_building(excess, capsys, monkeyp
     def builder(*args):
         raise AssertionError("the builder must not run above the bound")
 
-    monkeypatch.setattr(cli, "random_coxeter_instance", builder)
+    monkeypatch.setattr(forge, "random_coxeter_instance", builder)
     assert main(["gen", "--q", "3", "--coxeter", "--n", str(N_MAX + excess)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError" and f"--n must be at most {N_MAX}" in err["message"]
@@ -301,7 +297,7 @@ def test_gen_coxeter_at_n_max_reaches_the_builder(monkeypatch):
         calls.append(args)
         raise BuilderReached  # stands in for the slow build at n = N_MAX
 
-    monkeypatch.setattr(cli, "random_coxeter_instance", builder)
+    monkeypatch.setattr(forge, "random_coxeter_instance", builder)
     with pytest.raises(BuilderReached):
         main(["gen", "--q", "3", "--coxeter", "--n", str(N_MAX)])
     assert calls == [(3, N_MAX, 0)]
@@ -359,7 +355,6 @@ def test_dl_exits_1_when_one_record_fails_the_chain(capsys, monkeypatch):
         value = dot(x, y)
         return value + gf.one(value.p, value.level) if len(calls) == 1 else value
 
-    monkeypatch.delenv("AFL_LAB_SEED", raising=False)
     monkeypatch.setattr(dl, "_dot", dot_breaking_the_first_chain)
     assert main(["dl", "--q", "3", "--t", "3", "--seed", "1"]) == 1
     out, err = capsys.readouterr()
@@ -369,7 +364,6 @@ def test_dl_exits_1_when_one_record_fails_the_chain(capsys, monkeypatch):
 
 
 def test_dl_exits_1_when_the_orbit_is_not_transitive(capsys, monkeypatch):
-    monkeypatch.delenv("AFL_LAB_SEED", raising=False)
     monkeypatch.setattr(cli, "galois_orbit_check", lambda records: False)
     assert main(["dl", "--q", "3", "--t", "3", "--seed", "1"]) == 1
     data = json.loads(capsys.readouterr().out)
@@ -484,10 +478,14 @@ def test_selftest_passes():
     assert json.loads(proc.stdout)["ok"] is True
 
 
-def test_env_seed_overrides_flag():
-    with_env = run_cli("gen", "--q", "3", "--sig", "sp:3:1", "--seed", "1", env_extra={"AFL_LAB_SEED": "7"})
-    explicit = run_cli("gen", "--q", "3", "--sig", "sp:3:1", "--seed", "7")
-    assert with_env.stdout == explicit.stdout
+def test_stdout_ignores_the_environment():
+    # stdout depends on argv alone: a seed in the environment changes nothing
+    argv = ("gen", "--q", "3", "--sig", "sp:3:1", "--seed", "1")
+    env = {k: v for k, v in os.environ.items() if k != "AFL_LAB_SEED"}
+    without = run_cli(*argv, env=env)
+    with_seed = run_cli(*argv, env={**env, "AFL_LAB_SEED": "7"})
+    assert without.returncode == with_seed.returncode == 0
+    assert with_seed.stdout == without.stdout
 
 
 def test_main_returns_int():

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import pytest
 
 from afl_lab import dl, gf
-from afl_lab.dl import dl_fixed_points, galois_orbit_check
+from afl_lab.dl import EigenlineRecord, dl_fixed_points, galois_orbit_check
 from afl_lab.errors import CrossCheckError, InputError
 from afl_lab.forge import build_block_instance, parse_signature, random_coxeter_instance
 from afl_lab.hermitian import validate_space
@@ -19,6 +19,7 @@ from oracles import (
     frobenius_table_by_division,
     kernel,
     kernel_of_poly,
+    line_key_by_rref,
     matrix_difference,
     non_residue,
     span,
@@ -536,6 +537,35 @@ def test_duplicated_record_fails_orbit_check():
     inst = coxeter(3, 3, 5)
     records = dl_fixed_points(inst.space, inst.g, seed=5)
     assert not galois_orbit_check(records + [records[0]])
+
+
+def test_no_records_fail_orbit_check():
+    assert galois_orbit_check([]) is False
+
+
+def test_zero_vector_fails_orbit_check():
+    zero_line = EigenlineRecord(gf.one(3, 6), (gf.zero(3, 6),) * 3)
+    assert galois_orbit_check([zero_line]) is False
+    inst = coxeter(3, 3, 5)
+    assert galois_orbit_check(dl_fixed_points(inst.space, inst.g, seed=5) + [zero_line]) is False
+
+
+@pytest.mark.parametrize("q", [3, 5, 17])
+@pytest.mark.parametrize("t", [1, 3, 5, 7, 9])
+def test_line_keys_equal_the_rref_oracle(q, t):
+    # every record and its tau-image has a leading 1; a scaled copy takes
+    # the inverse of its leading entry
+    inst = coxeter(q, t, 0)
+    records = dl_fixed_points(inst.space, inst.g, seed=0)
+    assert len(records) == t
+    rng = random.Random(f"line-keys:{q}:{t}")
+    for rec in records:
+        for v in (rec.vector, tuple(gf.tau_frob(c) for c in rec.vector)):
+            scale = gf.random_elem(q, 2 * t, rng)
+            while scale.is_zero:
+                scale = gf.random_elem(q, 2 * t, rng)
+            scaled = tuple(scale * c for c in v)
+            assert dl._line_key(v) == dl._line_key(scaled) == line_key_by_rref(v) == line_key_by_rref(scaled)
 
 
 @pytest.mark.slow

@@ -3,8 +3,9 @@ src/afl_lab is referenced from src, exported by __init__, or a named oracle
 on the allowlist below; every function and method runs under some command
 of a fixed CLI battery, or is on a second allowlist; every name a src
 module imports is read there; every kernel with a loop on gf's encodings
-is on a third allowlist, with the workload that pays for it; and every
-function that draws from a seeded rng is on a fourth, with its reason."""
+is on a third allowlist, with the workload that pays for it; every
+function that draws from a seeded rng is on a fourth, with its reason; and
+no src module reads the environment, so stdout is a function of argv."""
 
 import ast
 import json
@@ -188,6 +189,36 @@ def test_unused_import_guard_sees_a_leftover(tmp_path):
     leftover = tmp_path / "leftover.py"
     leftover.write_text("from .linalg import Matrix, kernel\n\n\ndef f(m: Matrix):\n    return m\n")
     assert unused_imports(tmp_path) == ["leftover.kernel"]
+
+
+# the process environment: a report is a function of argv and the --in file
+ENVIRONMENT = {"environ", "getenv", "putenv"}
+
+
+def environment_reads(src=SRC):
+    """module.name for every read of the environment in src, as a name, an
+    attribute or an import."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = read_names(tree) + Counter(
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+        )
+        found += [f"{path.stem}.{name}" for name in sorted(ENVIRONMENT) if read[name]]
+    return found
+
+
+def test_src_reads_no_environment():
+    assert environment_reads() == []
+
+
+def test_environment_guard_sees_a_reader(tmp_path):
+    (tmp_path / "seeds.py").write_text(
+        "import os\nfrom os import getenv as env\n\n\n"
+        "def seed(args):\n    os.putenv('S', '0')\n    return int(os.environ.get('S', args.seed))\n"
+    )
+    (tmp_path / "quiet.py").write_text("import os\n\n\ndef cpus():\n    return os.cpu_count()\n")
+    assert environment_reads(tmp_path) == ["seeds.environ", "seeds.getenv", "seeds.putenv"]
 
 
 # the value protocol: errors.Record defines it once, for every value type

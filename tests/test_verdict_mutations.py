@@ -142,7 +142,6 @@ def orbit_not_transitive(monkeypatch):
                          ids=["chain", "galois_orbit"])
 def test_each_dl_check_can_fail(mutate, count, monkeypatch, capsys):
     argv = ["dl", "--q", "3", "--t", "3", "--seed", "1"]
-    monkeypatch.delenv("AFL_LAB_SEED", raising=False)
     assert cli.main(argv) == 0
     capsys.readouterr()
     mutate(monkeypatch)
