@@ -164,28 +164,29 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
 
 
 def _load_instance(args):
-    if getattr(args, "infile", None):
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            # ValueError covers bad JSON, bytes that are not UTF-8 and integer
-            # literals past the int-to-str digit limit; RecursionError, nesting
-            try:
-                data = json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                raise InputError(f"schema: not valid JSON ({exc})") from exc
-        return parse_instance(data)
-    if getattr(args, "sig", None):
+    if (args.infile is None) == (args.sig is None):
+        raise InputError("give exactly one instance source: --in FILE or --sig SPEC")
+    if args.sig is not None:
         return instance_from_spec(args.sig, args.q, args.seed)
-    raise InputError("provide --in FILE or --sig SPEC")
+    with open(args.infile, "r", encoding="utf-8") as fh:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integer
+        # literals past the int-to-str digit limit; RecursionError, nesting
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"schema: not valid JSON ({exc})") from exc
+    return parse_instance(data)
 
 
 def cmd_gen(args) -> int:
+    # exactly one of --sig and --coxeter, and --n only with --coxeter
+    if args.coxeter == (args.sig is not None) or (args.n is not None and not args.coxeter):
+        raise InputError("gen needs --sig, or --coxeter with an optional --n, but not both")
+    spec = args.sig
     if args.coxeter:
-        require_dim(args.n, "--n")
-        spec = f"coxeter:{args.n}"
-    elif args.sig:
-        spec = args.sig
-    else:
-        raise InputError("gen needs --sig or --coxeter with --n")
+        n = 3 if args.n is None else args.n
+        require_dim(n, "--n")
+        spec = f"coxeter:{n}"
     inst = instance_from_spec(spec, args.q, args.seed)
     payload = serialize_instance(inst)
     if args.out:
@@ -349,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--pretty", action="store_true")
     p_gen.add_argument("--sig", help="signature, e.g. 'cp:1:2,sp:1:1'")
     p_gen.add_argument("--coxeter", action="store_true")
-    p_gen.add_argument("--n", type=int, default=3, help=f"dimension for --coxeter, at most {N_MAX}")
+    p_gen.add_argument("--n", type=int, help=f"dimension for --coxeter (default 3), at most {N_MAX}")
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_gen)
 

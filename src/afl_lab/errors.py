@@ -10,7 +10,11 @@ its own class, hashing, repr, pickling and deepcopy, all on the tuple of
 field values; assigning to or deleting a field raises AttributeError.
 Matrix and Poly, built in every kernel, write their slots from _setters in an
 __init__ of their own.  FieldElem interns the elements of a small field in
-__new__, its only constructor, and adds two slots that are not fields.
+__new__, its only constructor, and adds two slots that are not fields.  A
+derived slot (hermitian.AdaptedBasis.prefixes, forge.MinusculeInstance.fact)
+is not a field either: an __init__ that runs Record.__init__ first sets it,
+equality, hash, repr and pickle leave it out, and a pickle or deepcopy,
+which constructs from the fields, derives it again.
 """
 
 from operator import attrgetter

@@ -27,8 +27,8 @@ power map.  When s generates the field, the characteristic polynomial is
 irreducible and self-paired.  Everything but s and g depends on (q, n)
 alone: the power basis, the coordinate map, tau and the Gram matrix are
 built once per (q, n) per process (_coxeter_frame).  The draw of s, the
-generation test (the tau-orbit of s has length n), g and certify_instance
-run per seed, so every instance is still certified whole.
+generation test (the tau-orbit of s has length n), g and the instance, whose
+constructor certifies it, are per seed, so every instance is certified whole.
 
 The signature mini-language is "sp:<deg>:<exp>" / "cp:<deg>:<exp>", joined
 by commas; "coxeter:<n>" routes to the second builder.
@@ -119,10 +119,21 @@ def parse_spec(spec: str) -> int | tuple[BlockSpec, ...]:
 class MinusculeInstance(Record):
     """A certified instance: space is the Gram matrix G of the form
     h(x, y) = x^T G conj(y), g (a Matrix) is regular and unitary for h, tau
-    is the matrix S of the anti-involution x -> S conj(x), and fact is the
-    FactoredPoly of charpoly(g); signature holds block spec strings."""
+    is the matrix S of the anti-involution x -> S conj(x); signature holds
+    block spec strings.  The constructor certifies: fact, the FactoredPoly of
+    charpoly(g), is certify_instance(space, g, tau), a derived slot left out
+    of equality, hash, repr and pickle (a pickle or deepcopy certifies again)."""
 
-    __slots__ = _fields = ("p", "space", "g", "tau", "fact", "seed", "signature")
+    _fields = ("space", "g", "tau", "seed", "signature")
+    __slots__ = (*_fields, "fact")
+
+    def __init__(self, space: Matrix, g: Matrix, tau: Matrix, seed: int, signature: tuple[str, ...]):
+        Record.__init__(self, space, g, tau, seed, signature)
+        object.__setattr__(self, "fact", certify_instance(space, g, tau))
+
+    @property
+    def p(self) -> int:
+        return self.space.p
 
     @property
     def n(self) -> int:
@@ -446,20 +457,21 @@ def _solve_gram(g: Matrix, pairs, seed, label) -> Matrix:
 # builders
 
 
-def certify_instance(gram: Matrix, g: Matrix, tau: Matrix, seed: int) -> FactoredPoly:
+def certify_instance(gram: Matrix, g: Matrix, tau: Matrix) -> FactoredPoly:
     """Check every instance axiom and return the factorization of charpoly(g).
 
     Raises InvariantError naming the first broken axiom.  Regularity is
     decided exactly on that factorization, with one echelon form per
     repeated factor: a factor of multiplicity one cannot break it, so a
     squarefree characteristic polynomial costs none.  This is the one place
-    regularity is decided: the lattice only draws its cyclic vector.  Every
-    builder stores the factorization returned here, so serialized
-    certificates are never trusted and the invariant has a single source."""
+    regularity is decided: the lattice only draws its cyclic vector.  Its
+    one src caller is the MinusculeInstance constructor, so certificates are
+    never trusted from disk and the invariant has one source, which reads
+    (gram, g, tau) alone: no seed enters a unique factorization."""
     validate_space(gram)
     if not is_unitary(g, gram):
         raise InvariantError("g is not unitary for the hermitian form")
-    fact = factor(charpoly(g), seed)
+    fact = factor(charpoly(g))
     if not is_regular(g, fact.factors):
         raise InvariantError("g is not regular")
     validate_anti_involution(tau, gram, g)
@@ -478,23 +490,14 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
     polys = _resolve_polys(sig, p, rng)
     g, tau, pairs = _assemble_blocks(sig, polys)
     space = _solve_gram(g, pairs, seed, sig_string)
-    fact = certify_instance(space, g, tau, seed)
+    inst = MinusculeInstance(space, g, tau, seed, tuple(b.spec_string() for b in sig))
     expected = sorted(
         [(b.degree, b.exponent) for b in sig]
         + [(b.degree, b.exponent) for b in sig if b.kind == "cp"]
     )
-    got = sorted((f.degree, a) for f, a in fact.factors)
-    if expected != got:
+    if expected != sorted((f.degree, a) for f, a in inst.fact.factors):
         raise AssertionError("factorization does not match the requested signature")
-    return MinusculeInstance(
-        p=p,
-        space=space,
-        g=g,
-        tau=tau,
-        fact=fact,
-        seed=seed,
-        signature=tuple(b.spec_string() for b in sig),
-    )
+    return inst
 
 
 @lru_cache(maxsize=None)
@@ -576,18 +579,10 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
         if witness_degree != n:
             continue
         g = Matrix.from_rows(p, 2, [_coords(to_coords, s_elem * bj) for bj in powers]).transpose()
-        fact = certify_instance(space, g, tau, seed)
-        if [(f.degree, a) for f, a in fact.factors] != [(n, 1)]:
+        inst = MinusculeInstance(space, g, tau, seed, (f"coxeter:{n}",))
+        if [(f.degree, a) for f, a in inst.fact.factors] != [(n, 1)]:
             raise AssertionError("charpoly of a generating s is not irreducible of degree n")
-        return MinusculeInstance(
-            p=p,
-            space=space,
-            g=g,
-            tau=tau,
-            fact=fact,
-            seed=seed,
-            signature=(f"coxeter:{n}",),
-        )
+        return inst
     raise ForgeError(
         "exhausted attempts to find a generating norm-one element; "
         f"last witness has minimal polynomial of degree {witness_degree} < {n}"
@@ -670,12 +665,4 @@ def parse_instance(data: dict) -> MinusculeInstance:
     space = _matrix_from_json(p, data["gram"], n, "gram")
     g = _matrix_from_json(p, data["g"], n, "g")
     tau = _matrix_from_json(p, data["tau"], n, "tau")
-    return MinusculeInstance(
-        p=p,
-        space=space,
-        g=g,
-        tau=tau,
-        fact=certify_instance(space, g, tau, seed),
-        seed=seed,
-        signature=tuple(signature),
-    )
+    return MinusculeInstance(space, g, tau, seed, tuple(signature))

@@ -5,7 +5,8 @@ A Poly is a little-endian tuple of FieldElem coefficients, all at one level
 even levels inside the eigenline counter).  Factorization is the classical
 chain: squarefree decomposition (with p-th root extraction, we are in
 characteristic p), distinct-degree splitting, then equal-degree splitting by
-Cantor-Zassenhaus with an explicitly threaded seed so reports reproduce.
+Cantor-Zassenhaus, its rng keyed by the field alone: the factorization is
+unique and returned sorted, so no seed could change it.
 
 Over a tabled field (gf.TABLE_CAP) products, powers modulo a polynomial
 and gcds run on the coefficients' encodings through gf's int tables,
@@ -471,14 +472,14 @@ def is_irreducible(f: Poly) -> bool:
     return f.degree > 0 and _distinct_degree(f.monic()) == [(f.monic(), f.degree)]
 
 
-def plain_factor(f: Poly, seed) -> list[tuple[Poly, int]]:
+def plain_factor(f: Poly) -> list[tuple[Poly, int]]:
     """Complete factorization into monic irreducibles, canonically sorted.
 
     No star-pairing constraints: this is the route for polynomials that do
     not come from unitary elements."""
     if not f.is_monic or f.degree < 1:
         raise InputError("factorization requires a monic polynomial of positive degree")
-    rng = random.Random(f"factor:{f.p}:{f.level}:{seed}")
+    rng = random.Random(f"factor:{f.p}:{f.level}")
     found: dict[tuple, tuple[Poly, int]] = {}
     for g, mult in _squarefree(f):
         for h, d in _distinct_degree(g):
@@ -504,7 +505,7 @@ class FactoredPoly(Record):
         return [(i, j) for i, j in enumerate(self.pairing) if i < j]
 
 
-def factor(f: Poly, seed) -> FactoredPoly:
+def factor(f: Poly) -> FactoredPoly:
     """Factor a characteristic polynomial of a unitary element.
 
     On top of plain factorization this computes the star pairing and enforces
@@ -512,7 +513,7 @@ def factor(f: Poly, seed) -> FactoredPoly:
     same exponent, constant terms are nonzero, and self-paired factors have
     odd degree.
     """
-    flat = plain_factor(f, seed)
+    flat = plain_factor(f)
     polys = [g for g, _ in flat]
     mults = [m for _, m in flat]
     keys = {poly_key(g): i for i, g in enumerate(polys)}

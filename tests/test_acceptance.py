@@ -135,7 +135,7 @@ def test_criterion_6_oracle_equivalence():
         if not probe_is_regular(m):
             continue
         checked += 1
-        fact = plain_factor(charpoly(m), checked)
+        fact = plain_factor(charpoly(m))
         lattice = set(lattice_spans(checked_lattice(m, fact)).values())
         scanned = set(naive_subspace_scan(m))
         ok = ok and lattice == scanned
@@ -150,7 +150,7 @@ def test_criterion_6_oracle_equivalence():
         [z, z, lam, o],
         [z, z, z, lam],
     ])
-    fact = plain_factor(charpoly(j4), 0)
+    fact = plain_factor(charpoly(j4))
     lattice = set(lattice_spans(checked_lattice(j4, fact)).values())
     scanned = set(naive_subspace_scan(j4))
     ok = ok and lattice == scanned and len(lattice) == 5

@@ -184,6 +184,37 @@ def instance_json():
 
 
 @pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (["verify", "--in", "FILE", "--sig", "cp:1:1"], ("--in", "--sig")),
+        (["fl", "--in", "FILE", "--sig", "cp:1:1"], ("--in", "--sig")),
+        (["orbital", "--in", "FILE", "--sig", "sp:1:1"], ("--in", "--sig")),
+        (["gen", "--coxeter", "--sig", "sp:1:1"], ("--sig", "--coxeter")),
+        (["gen", "--sig", "sp:1:1", "--n", "5"], ("--sig", "--n")),
+        (["gen", "--coxeter", "--n", "3", "--sig", "sp:1:1"], ("--sig", "--coxeter", "--n")),
+        (["verify", "--in", "FILE", "--sig", ""], ("--in", "--sig")),
+        (["gen", "--coxeter", "--sig", ""], ("--sig", "--coxeter")),
+    ],
+    ids=["verify", "fl", "orbital", "gen-coxeter", "gen-n", "gen-coxeter-n", "verify-empty-sig", "gen-empty-sig"],
+)
+def test_conflicting_instance_sources_exit2(argv, flags, instance_json, tmp_path, capsys):
+    # each source alone is valid, so only the pair is refused; an empty
+    # --sig is given all the same
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_json))
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    err = json.loads(err)
+    assert err["error"] == "InputError" and all(flag in err["message"] for flag in flags)
+
+
+def test_gen_coxeter_alone_builds_n_3(capsys):
+    assert main(["gen", "--coxeter"]) == 0
+    assert json.loads(capsys.readouterr().out)["signature"] == ["coxeter:3"]
+
+
+@pytest.mark.parametrize(
     "key,value",
     [
         ("signature", 5),

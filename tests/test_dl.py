@@ -588,7 +588,7 @@ class ProbeDiagnosis:
     line_fixed: bool | None = None
 
 
-def semisimplicity_probe(gram: Matrix, s: Matrix, line: Subspace | None = None, seed=0) -> ProbeDiagnosis:
+def semisimplicity_probe(gram: Matrix, s: Matrix, line: Subspace | None = None) -> ProbeDiagnosis:
     """Classify s by the finiteness dichotomy of its fixed set.
 
     Non-semisimple elements have empty fixed sets, semisimple non-regular
@@ -603,7 +603,7 @@ def semisimplicity_probe(gram: Matrix, s: Matrix, line: Subspace | None = None, 
         image = [s.apply(r) for r in line.rows]
         line_fixed = span(line.ambient, image) == line
     if poly_gcd(mp, mp.derivative()).degree > 0:
-        rep = next(f for f, a in plain_factor(mp, seed) if a > 1)
+        rep = next(f for f, a in plain_factor(mp) if a > 1)
         return ProbeDiagnosis(
             "not_semisimple", "empty",
             f"minimal polynomial has the repeated factor of degree {rep.degree}; "
@@ -613,7 +613,7 @@ def semisimplicity_probe(gram: Matrix, s: Matrix, line: Subspace | None = None, 
     if mp != cp:
         witness = next(
             (f, kernel_of_poly(s, f).dim)
-            for f, _ in plain_factor(mp, seed)
+            for f, _ in plain_factor(mp)
             if kernel_of_poly(s, f).dim > f.degree
         )
         return ProbeDiagnosis(

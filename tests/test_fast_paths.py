@@ -140,7 +140,7 @@ def test_lattice_equals_kernels_of_divisors(spec, q, seed):
 
 def test_lattice_equals_kernels_on_jordan_and_random_regular():
     for m in regular_matrices():
-        assert_lattice_is_kernels(m, plain_factor(charpoly(m), 0))
+        assert_lattice_is_kernels(m, plain_factor(charpoly(m)))
 
 
 @pytest.mark.parametrize("spec,q,seed", GRID + COXETER + WIDE_Q + EVEN)

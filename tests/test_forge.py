@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from collections import Counter
 
@@ -10,6 +12,7 @@ from afl_lab.cli import DEFAULT_SIGNATURES
 from afl_lab.errors import CrossCheckError, ForgeError, InputError, InvariantError
 from afl_lab.forge import (
     BlockSpec,
+    MinusculeInstance,
     build_block_instance,
     certify_instance,
     instance_from_spec,
@@ -137,9 +140,13 @@ def test_rejects_impossible_random_type():
         build_block_instance((BlockSpec("sp", 2, 1),), 3, 0)
 
 
-@pytest.mark.parametrize("q,degree,sp,pairs", [
-    (3, 1, 4, 2), (3, 2, 0, 18), (3, 3, 8, 116), (5, 1, 6, 9), (5, 2, 0, 150),
-])
+# (q, degree, self-paired irreducibles, conjugate pairs) over F_{q^2}, each
+# checked by brute force below; the signature census predicts its refusals
+# from this table
+ENUMERATED_SUPPLY = [(3, 1, 4, 2), (3, 2, 0, 18), (3, 3, 8, 116), (5, 1, 6, 9), (5, 2, 0, 150)]
+
+
+@pytest.mark.parametrize("q,degree,sp,pairs", ENUMERATED_SUPPLY)
 def test_irreducible_supply_matches_enumeration(q, degree, sp, pairs):
     # brute force: every monic degree-d polynomial over F_{q^2} with a
     # nonzero constant term, sorted into self-paired and paired irreducibles
@@ -157,6 +164,28 @@ def test_irreducible_supply_matches_enumeration(q, degree, sp, pairs):
     assert (self_paired, paired // 2) == (sp, pairs)
     assert irreducible_supply(q, "sp", degree) == sp
     assert irreducible_supply(q, "cp", degree) == pairs
+
+
+# (q, odd degree, self-paired irreducibles) over F_{q^2}, where enumerating
+# every monic polynomial would be too slow
+ENUMERATED_SELF_PAIRED = [(5, 3, 40)]
+
+
+@pytest.mark.parametrize("q,degree,sp", ENUMERATED_SELF_PAIRED)
+def test_self_paired_supply_matches_enumeration(q, degree, sp):
+    # brute force over the star-fixed monic polynomials only: a_0 of norm
+    # one, a_1 .. a_{(d-1)/2} free, and a_{d-i} = conj(a_i) / conj(a_0)
+    elems = [gf.elem_from_encoding(q, 2, c) for c in range(q * q)]
+    norm_one = [c for c in elems if not c.is_zero and c * gf.conj(c) == gf.one(q, 2)]
+    count = 0
+    for a0 in norm_one:
+        for low in itertools.product(elems, repeat=degree // 2):
+            coeffs = [a0, *low]
+            coeffs += [gf.conj(c) * gf.conj(a0).inverse() for c in reversed(coeffs[1:])] + [gf.one(q, 2)]
+            f = Poly.from_elems(q, 2, coeffs)
+            assert star(f) == f
+            count += is_irreducible(f)
+    assert count == sp == irreducible_supply(q, "sp", degree)
 
 
 @pytest.mark.parametrize("sig,q,message", [
@@ -282,19 +311,21 @@ def test_coxeter_exhausted_attempts_names_the_witness_degree(monkeypatch):
 
 def test_coxeter_frame_is_shared_and_every_instance_certified(monkeypatch):
     # two seeds at one (q, n) read one frame, and each instance still runs
-    # certify_instance once, on the shared space and tau
+    # certify_instance once, on the shared space and tau and its own g
     calls = []
 
-    def counted(gram, g, tau, seed):
-        calls.append((gram, tau, seed))
-        return certify_instance(gram, g, tau, seed)
+    def counted(gram, g, tau):
+        calls.append((gram, g, tau))
+        return certify_instance(gram, g, tau)
 
     monkeypatch.setattr(forge, "certify_instance", counted)
     a = random_coxeter_instance(3, 5, 0)
     b = random_coxeter_instance(3, 5, 1)
-    assert a.g != b.g
+    assert a.g != b.g and a.fact != b.fact
     assert a.tau is b.tau and a.space is b.space
-    assert [(gram is a.space, tau is a.tau, seed) for gram, tau, seed in calls] == [(True, True, 0), (True, True, 1)]
+    assert [(gram is a.space, g, tau is a.tau) for gram, g, tau in calls] == [(True, a.g, True), (True, b.g, True)]
+    for inst in (a, b):
+        assert inst.fact == certify_instance(inst.space, inst.g, inst.tau)
 
 
 def test_interleaved_coxeter_frames_equal_the_entrywise_oracle():
@@ -316,8 +347,8 @@ def test_invalid_coxeter_keys_never_enter_the_frame_cache(q, n):
 def test_coxeter_certificate_must_be_one_simple_factor_of_degree_n(factors, monkeypatch):
     # the builder checks the shape of the factorization it stores, as
     # build_block_instance checks its signature
-    def forged(gram, g, tau, seed):
-        (f, _), = certify_instance(gram, g, tau, seed).factors
+    def forged(gram, g, tau):
+        (f, _), = certify_instance(gram, g, tau).factors
         shape = ((f, 1), (f, 1)) if factors == "two-factors" else ((f, 2),)
         return FactoredPoly(factors=shape, pairing=tuple(range(len(shape))))
 
@@ -576,7 +607,7 @@ def test_wrong_poly2_is_schema_error():
 def test_certify_passes_on_fresh_instances():
     for spec, q in [("sp:1:3", 3), ("coxeter:3", 3), ("cp:2:1,sp:1:1", 5)]:
         inst = instance_from_spec(spec, q, 3)
-        assert certify_instance(inst.space, inst.g, inst.tau, inst.seed) == inst.fact
+        assert certify_instance(inst.space, inst.g, inst.tau) == inst.fact
 
 
 def test_certify_rejects_unitary_non_scalar_non_regular_g():
@@ -586,7 +617,7 @@ def test_certify_rejects_unitary_non_scalar_non_regular_g():
     g = Matrix.from_rows(3, 2, [[one, z, z], [z, one, z], [z, z, -one]])
     ident = Matrix.identity(3, 2, 3)
     with pytest.raises(InvariantError, match="g is not regular"):
-        certify_instance(ident, g, ident, 0)
+        certify_instance(ident, g, ident)
 
 
 def test_parse_rejects_p_above_the_bound():
@@ -667,8 +698,28 @@ def test_every_certifier_check_can_fail(part, broken, axiom):
     bad = broken(inst.n)
     parts = {"gram": inst.space, "g": inst.g, "tau": inst.tau, part: bad}
     with pytest.raises(InvariantError, match=axiom):
-        certify_instance(parts["gram"], parts["g"], parts["tau"], inst.seed)
+        certify_instance(parts["gram"], parts["g"], parts["tau"])
+    with pytest.raises(InvariantError, match=axiom):  # no instance is built uncertified
+        MinusculeInstance(parts["gram"], parts["g"], parts["tau"], inst.seed, inst.signature)
     data = serialize_instance(inst)
     data[part] = bad.to_json()
     with pytest.raises(InvariantError, match=axiom):
         parse_instance(data)
+
+
+def test_the_certificate_reads_the_instance_alone():
+    # a serialized seed is untrusted and changes nothing of the certificate
+    inst = instance_from_spec("cp:1:2,sp:1:1", 5, 4)
+    data = serialize_instance(inst)
+    other = parse_instance(data | {"seed": inst.seed + 1})
+    assert other.fact == parse_instance(data).fact == inst.fact
+    assert other != inst and other.seed == inst.seed + 1
+
+
+def test_pickle_and_deepcopy_certify_again(monkeypatch):
+    inst = instance_from_spec("cp:1:1,sp:1:3", 3, 2)
+    calls = []
+    monkeypatch.setattr(forge, "certify_instance", lambda *parts: calls.append(parts) or certify_instance(*parts))
+    for back in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert back == inst and back.fact == inst.fact and back.fact is not inst.fact
+    assert len(calls) == 2

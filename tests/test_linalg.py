@@ -169,7 +169,7 @@ def probe_is_regular(m: Matrix, seed=0) -> bool:
 
 
 def exact_is_regular(m: Matrix) -> bool:
-    return is_regular(m, plain_factor(charpoly(m), 0))
+    return is_regular(m, plain_factor(charpoly(m)))
 
 
 def test_identity_2x2_not_regular():
@@ -269,7 +269,7 @@ def _jordan_shapes():
 @pytest.mark.parametrize("blocks,regular", _jordan_shapes())
 def test_is_regular_equals_definition_on_jordan_sums(blocks, regular):
     m = jordan_sum(blocks)
-    fact = plain_factor(charpoly(m), 0)
+    fact = plain_factor(charpoly(m))
     assert is_regular(m, fact) == regular_by_definition(m, fact) == regular
 
 
@@ -297,7 +297,7 @@ def test_is_regular_equals_definition_on_random_matrices(p, rng):
             b = random_matrix(p, 2, rng.randrange(1, 3), rng)
             c = b if k % 4 == 0 else random_matrix(p, 2, rng.randrange(1, 3), rng)
             m = random_conjugate(Matrix.block_diag([b, c]), rng)
-        fact = plain_factor(charpoly(m), 0)
+        fact = plain_factor(charpoly(m))
         verdicts.append(regular_by_definition(m, fact))
         assert is_regular(m, fact) == verdicts[-1]
     assert True in verdicts and False in verdicts
@@ -308,7 +308,7 @@ def test_is_regular_equals_definition_on_every_2x2_over_f9():
     derogatory = 0
     for a, b, c, d in itertools.product(elems, repeat=4):
         m = Matrix.from_rows(3, 2, [[a, b], [c, d]])
-        fact = plain_factor(charpoly(m), 0)
+        fact = plain_factor(charpoly(m))
         regular = is_regular(m, fact)
         assert regular == regular_by_definition(m, fact)
         derogatory += not regular
@@ -326,14 +326,14 @@ def test_squarefree_charpoly_costs_is_regular_no_eval_poly(monkeypatch):
     monkeypatch.setattr(Matrix, "eval_poly", counting)
     one, i = gf.one(3, 2), gf.gen(3, 2)
     m = jordan_sum([(one, 1), (i, 1), (i + one, 1)])
-    assert is_regular(m, plain_factor(charpoly(m), 0))
+    assert is_regular(m, plain_factor(charpoly(m)))
     f = _quadratic_irreducible(3)
     assert is_regular(Matrix.companion(f), [(f, 1)])
     inst = random_coxeter_instance(3, 5, 0)
     assert is_regular(inst.g, inst.fact.factors)
     assert calls == []
     m = jordan_sum([(one, 2), (i, 1), (i + one, 3)])
-    assert is_regular(m, plain_factor(charpoly(m), 0))
+    assert is_regular(m, plain_factor(charpoly(m)))
     assert sorted(f.degree for f in calls) == [1, 1]  # one per repeated factor
 
 
@@ -367,7 +367,7 @@ def test_kernel_dim_equals_divisor_degree_for_regular(rng):
         m = random_matrix(3, 2, 3, rng)
         if not probe_is_regular(m):
             continue
-        for f, a in plain_factor(charpoly(m), 0):
+        for f, a in plain_factor(charpoly(m)):
             for e in range(1, a + 1):
                 q = Poly.one(3, 2)
                 for _ in range(e):
@@ -443,7 +443,7 @@ def assert_lattice_equals_spans(m, fact):
 
 def test_invariant_subspaces_of_jordan_chain():
     j = jordan_block(3, 2, gf.gen(3, 2), 3)
-    subs = lattice_spans(checked_lattice(j, plain_factor(charpoly(j), 0)))
+    subs = lattice_spans(checked_lattice(j, plain_factor(charpoly(j))))
     dims = sorted(s.dim for s in subs.values())
     assert dims == [0, 1, 2, 3]
 
@@ -452,16 +452,16 @@ def test_invariant_subspaces_three_eigenvalues():
     one, i = gf.one(3, 2), gf.gen(3, 2)
     z = gf.zero(3, 2)
     m = Matrix.from_rows(3, 2, [[one, z, z], [z, i, z], [z, z, -i]])
-    subs = checked_lattice(m, plain_factor(charpoly(m), 0))
+    subs = checked_lattice(m, plain_factor(charpoly(m)))
     assert len(subs) == 8
 
 
 def test_invariant_subspaces_requires_regular():
     ident = Matrix.identity(3, 2, 2)
     with pytest.raises(InvariantError, match="q = 3, n = 2.*not regular"):
-        invariant_subspaces(ident, plain_factor(charpoly(ident), 0))
+        invariant_subspaces(ident, plain_factor(charpoly(ident)))
     with pytest.raises(InputError, match="not regular"):
-        lattice_by_chains(ident, plain_factor(charpoly(ident), 0))
+        lattice_by_chains(ident, plain_factor(charpoly(ident)))
 
 
 @pytest.mark.parametrize("diag", [(0, 0), (0, 0, 1)], ids=["identity_2x2", "diag_1_1_i"])
@@ -471,7 +471,7 @@ def test_lattice_decides_regularity_without_the_probe(diag, monkeypatch):
     z, entries = gf.zero(3, 2), [gf.one(3, 2), gf.gen(3, 2)]
     n = len(diag)
     m = Matrix.from_rows(3, 2, [[entries[d] if i == j else z for j in range(n)] for i, d in enumerate(diag)])
-    fact = plain_factor(charpoly(m), 0)
+    fact = plain_factor(charpoly(m))
     calls = []
 
     def probe(*args, **kwargs):
@@ -498,7 +498,7 @@ def _distinct_eigenvalues(p, k):
 def test_lattice_redraws_past_a_non_cyclic_vector(monkeypatch):
     # at (p, n) = (5, 5) the first two seeded draws are not cyclic
     m = _distinct_eigenvalues(5, 5)
-    fact = plain_factor(charpoly(m), 0)
+    fact = plain_factor(charpoly(m))
     ranks = []
 
     def counting(rows):
@@ -515,7 +515,7 @@ def test_lattice_redraws_past_a_non_cyclic_vector(monkeypatch):
 
 def test_lattice_draws_are_seeded_by_the_field_and_dimension():
     m = _distinct_eigenvalues(5, 5)
-    fact = plain_factor(charpoly(m), 0)
+    fact = plain_factor(charpoly(m))
     assert invariant_subspaces(m, fact) == invariant_subspaces(m, fact)
 
 
@@ -542,12 +542,12 @@ def test_lazy_lattice_equals_spans_on_jordan_and_random_regular(rng):
     ms = [jordan_block(3, 2, gf.gen(3, 2), 3)] + [random_matrix(3, 2, 3, rng) for _ in range(6)]
     for m in ms:
         if probe_is_regular(m):
-            assert_lattice_equals_spans(m, plain_factor(charpoly(m), 0))
+            assert_lattice_equals_spans(m, plain_factor(charpoly(m)))
 
 
 def test_lattice_is_read_only():
     m = jordan_block(3, 2, gf.gen(3, 2), 2)
-    lattice = checked_lattice(m, plain_factor(charpoly(m), 0))
+    lattice = checked_lattice(m, plain_factor(charpoly(m)))
     assert lattice.chains == ((0, 1, 2),) and len(lattice) == 3
     with pytest.raises(AttributeError):
         lattice.rows = ()
@@ -560,7 +560,7 @@ def test_divisibility_matches_inclusion(rng):
         m = random_matrix(3, 2, 3, rng)
         if not probe_is_regular(m):
             continue
-        subs = lattice_spans(checked_lattice(m, plain_factor(charpoly(m), 0)))
+        subs = lattice_spans(checked_lattice(m, plain_factor(charpoly(m))))
         vecs = list(subs)
         for a in vecs:
             for b in vecs:

@@ -79,7 +79,7 @@ def test_star_involution_and_multiplicativity(p, d1, d2, seed):
 def test_factor_cube_of_linear():
     one = gf.one(3, 2)
     f = Poly.x_minus(one) * Poly.x_minus(one) * Poly.x_minus(one)
-    fact = factor(f, 0)
+    fact = factor(f)
     assert [(g, a) for g, a in fact.factors] == [(Poly.x_minus(one), 3)]
     assert fact.pairing == (0,)
 
@@ -88,7 +88,7 @@ def test_factor_three_linears_with_swap():
     i = gf.gen(3, 2)
     c = gf.one(3, 2) + i
     f = Poly.x_minus(c) * Poly.x_minus(-c) * Poly.x_minus(i)
-    fact = factor(f, 0)
+    fact = factor(f)
     assert len(fact.factors) == 3
     selfs = fact.self_paired()
     pairs = fact.pairs()
@@ -101,7 +101,7 @@ def test_factor_three_linears_with_swap():
 def test_factor_quadratic_splits_into_plus_minus_i():
     f = poly_from_ints(3, 2, [[1, 0], [0, 0], [1, 0]])  # T^2 + 1
     i = gf.gen(3, 2)
-    fact = factor(f, 0)
+    fact = factor(f)
     assert {g for g, _ in fact.factors} == {Poly.x_minus(i), Poly.x_minus(-i)}
     assert all(a == 1 for _, a in fact.factors)
 
@@ -110,14 +110,14 @@ def test_factor_rejects_unpaired_input():
     # T - c alone has no star partner in its factor set
     c = gf.one(3, 2) + gf.gen(3, 2)
     with pytest.raises(InvariantError):
-        factor(Poly.x_minus(c), 0)
+        factor(Poly.x_minus(c))
 
 
 def test_factor_reconstructs_product(rng):
     for p in (3, 5):
         for _ in range(10):
             f = random_monic(p, 2, rng.randrange(1, 7), rng)
-            flat = plain_factor(f, 17)
+            flat = plain_factor(f)
             prod = Poly.one(p, 2)
             for g, a in flat:
                 assert is_irreducible(g)
@@ -128,7 +128,7 @@ def test_factor_reconstructs_product(rng):
 
 def test_factor_deterministic_given_seed(rng):
     f = random_monic(3, 2, 6, rng)
-    assert plain_factor(f, 5) == plain_factor(f, 5)
+    assert plain_factor(f) == plain_factor(f)
 
 
 def test_self_paired_factors_have_odd_degree(rng):
@@ -137,7 +137,7 @@ def test_self_paired_factors_have_odd_degree(rng):
     for p in (3, 5, 7):
         for _ in range(15):
             f = random_monic(p, 2, rng.randrange(2, 9), rng)
-            for g, _ in plain_factor(f, 3):
+            for g, _ in plain_factor(f):
                 if g.coeffs[0].is_zero:
                     continue
                 if star(g) == g:
@@ -175,7 +175,7 @@ def _fact_of(sig_polys):
     for g, a in sig_polys:
         for _ in range(a):
             prod = prod * g
-    return factor(prod, 0)
+    return factor(prod)
 
 
 def test_divisors_of_single_factor():
@@ -218,7 +218,7 @@ def test_divisors_of_three_distinct():
 def test_divisor_count_matches_formula(rng):
     for _ in range(5):
         f = random_monic(3, 2, rng.randrange(1, 6), rng)
-        flat = plain_factor(f, 2)
+        flat = plain_factor(f)
         expected = 1
         for _, a in flat:
             expected *= a + 1

@@ -38,7 +38,7 @@ FIELDS = {
     Lattice: ("rows", "chains"),
     AdaptedBasis: ("rows", "gram", "g", "chains"),
     BlockSpec: ("kind", "degree", "exponent"),
-    MinusculeInstance: ("p", "space", "g", "tau", "fact", "seed", "signature"),
+    MinusculeInstance: ("space", "g", "tau", "seed", "signature"),
     StratumRecord: ("exponents", "dim_w", "type", "quotient_charpoly", "fixed_count", "multiplicity", "dl_count"),
     GeometricResult: ("strata", "total", "nonempty"),
     Check: ("name", "ok", "detail"),

@@ -4,8 +4,10 @@ on the allowlist below; every function and method runs under some command
 of a fixed CLI battery, or is on a second allowlist; every name a src
 module imports is read there; every kernel with a loop on gf's encodings
 is on a third allowlist, with the workload that pays for it; every
-function that draws from a seeded rng is on a fourth, with its reason; and
-no src module reads the environment, so stdout is a function of argv."""
+function that draws from a seeded rng is on a fourth, with its reason;
+every function that constructs an rng is on a fifth, with what its key
+holds; and no src module reads the environment, so stdout is a function of
+argv."""
 
 import ast
 import json
@@ -342,6 +344,54 @@ def test_rng_guard_sees_a_new_caller(tmp_path):
         "from . import gf\n\n\ndef draw(p, rng):\n    return gf.elem(p, 2, [rng.randrange(p) for _ in 'ab'])\n"
     )
     assert sorted(callers("randrange", tmp_path)) == ["sampler.draw"]
+
+
+# module.qualname -> (whether its rng key reads a seed, what the key holds
+# and why).  A key without a seed says that no seed can change the result.
+RNG_KEYS = {
+    "forge.build_block_instance": (True, "(q, signature, seed): the block polynomials, so the seed picks the instance"),
+    "forge._gram_candidates": (True, "(q, signature, seed): the combinations of the Gram basis, drawn with the instance"),
+    "forge.random_coxeter_instance": (True, "(q, n, seed): the norm-one element s, so the seed picks the instance"),
+    "dl.dl_fixed_points": (True, "(q, t, seed): the trace-split tries; no record depends on them, but the "
+                                 "benchmark harness passes seed="),
+    "linalg._cyclic_krylov": (False, "(q, level, n): a cyclic vector; every one spans the same invariant subspaces"),
+    "poly.plain_factor": (False, "(q, level): the Cantor-Zassenhaus tries; the factorization is unique and sorted"),
+}
+
+
+def rng_keys(src=SRC):
+    """module.qualname -> one entry per random.Random it constructs: the
+    sorted names interpolated into its f-string key, or None for a key that
+    is not an f-string."""
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        for qualname, _, node in definitions(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                continue
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "Random":
+                    key = call.args[0] if len(call.args) == 1 and not call.keywords else None
+                    found.setdefault(f"{path.stem}.{qualname}", []).append(
+                        sorted({n for v in ast.walk(key) if isinstance(v, ast.FormattedValue) for n in read_names(v)})
+                        if isinstance(key, ast.JoinedStr) else None
+                    )
+    return found
+
+
+def test_every_rng_key_is_named():
+    keys = rng_keys()
+    assert sorted(keys) == sorted(callers("Random")) == sorted(RNG_KEYS)
+    for site, (reads_seed, _) in RNG_KEYS.items():
+        assert all(names is not None and ("seed" in names) == reads_seed for names in keys[site]), site
+
+
+def test_rng_key_guard_sees_a_new_caller(tmp_path):
+    (tmp_path / "draws.py").write_text(
+        "import random\nfrom random import Random\n\n\n"
+        "def keyed(f, seed):\n    return random.Random(f'draw:{f.p}:{seed}')\n\n\n"
+        "def bare(seed):\n    return Random(seed)\n"
+    )
+    assert rng_keys(tmp_path) == {"draws.bare": [None], "draws.keyed": [["f", "p", "seed"]]}
 
 
 def private_gf_reads(src=SRC):
