@@ -167,7 +167,9 @@ def _load_instance(args):
     if (args.infile is None) == (args.sig is None):
         raise InputError("give exactly one instance source: --in FILE or --sig SPEC")
     if args.sig is not None:
-        return instance_from_spec(args.sig, args.q, args.seed)
+        return instance_from_spec(args.sig, 3 if args.q is None else args.q, args.seed or 0)
+    if args.q is not None or args.seed is not None:
+        raise InputError("--q and --seed build a --sig instance; an --in file carries its own")
     with open(args.infile, "r", encoding="utf-8") as fh:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integer
         # literals past the int-to-str digit limit; RecursionError, nesting
@@ -354,10 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_gen)
 
+    def instance_source(p):
+        # None marks a flag as given, so that _load_instance refuses it beside --in
+        p.add_argument("--q", type=int, help="odd prime residue size for --sig (default 3)")
+        p.add_argument("--seed", type=int, help="seed for --sig (default 0)")
+        p.add_argument("--in", dest="infile", help="instance JSON file")
+        p.add_argument("--sig")
+
     p_verify = sub.add_parser("verify", help="verify the identities on one instance")
-    common(p_verify)
-    p_verify.add_argument("--in", dest="infile", help="instance JSON file")
-    p_verify.add_argument("--sig")
+    instance_source(p_verify)
     p_verify.add_argument("--no-cross-check", action="store_true")
     p_verify.add_argument("--pretty", action="store_true")
     p_verify.add_argument("--timings", action="store_true")
@@ -377,9 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fl = sub.add_parser("fl", help="even-dimensional counting identity")
-    common(p_fl)
-    p_fl.add_argument("--in", dest="infile")
-    p_fl.add_argument("--sig")
+    instance_source(p_fl)
     p_fl.set_defaults(func=cmd_fl)
 
     p_dl = sub.add_parser("dl", help="eigenline count for a Coxeter-torus element")
@@ -388,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dl.set_defaults(func=cmd_dl)
 
     p_orb = sub.add_parser("orbital", help="orbital polynomial of an instance")
-    common(p_orb)
-    p_orb.add_argument("--in", dest="infile")
-    p_orb.add_argument("--sig")
+    instance_source(p_orb)
     p_orb.add_argument("--ell", type=int, default=0, help="external ell(gamma) shift")
     p_orb.set_defaults(func=cmd_orbital)
 

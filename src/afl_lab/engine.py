@@ -15,10 +15,12 @@ is a hard error, not a finding.  The geometric walk and the even-dimensional
 counting identity each take the lattice once, from
 linalg.invariant_subspaces, as the chains of one basis read off a cyclic
 vector of g (regularity itself is certified by the forge, not here): every
-W and W-perp is a row mask of it and every subquotient a slice of H and g
-written in it (hermitian.adapted_basis), with H tested for full rank once
-per instance and no stratum tested again.  Both walk, and the analytic
-side reads, the divisor exponent vectors in lexicographic order.
+W and W-perp is a row mask of it, yielded for every divisor by its one
+enumerator (hermitian.AdaptedBasis.divisors), and every subquotient a slice
+of H and g written in it (hermitian.adapted_basis), with H tested for full
+rank once per instance and no stratum tested again.  Both walk the divisor
+exponent vectors in lexicographic order; the analytic side reads them in
+the same order from poly.divisor_exponents, apart from the walk.
 
 Support (whether the geometric side can be nonempty) has a closed-form
 criterion: a unique self-paired factor of odd exponent.  The engine never
@@ -152,7 +154,8 @@ class GeometricResult(Record):
 
 def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> GeometricResult:
     """Walk the vertex strata by divisor: isotropic g-invariant W, actual-Gram
-    isotropy, each W and W-perp a row mask of the adapted basis, W-perp/W a slice.
+    isotropy, each W and W-perp a row mask of the adapted basis, built once
+    by its divisors() enumerator, W-perp/W a slice.
 
     A stratum contributes type * multiplicity when the subquotient charpoly
     is irreducible (equivalently: equals one of the P_i).  With cross_check
@@ -165,10 +168,10 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
     strata = []
     total = 0
     basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
-    for vec in divisor_exponents(inst.fact.factors):
-        if not basis.isotropic(vec):
+    for vec, w, perp in basis.divisors():
+        if w & ~perp:
             continue
-        quotient_gram, quotient_m = induced_subquotient(basis, vec)
+        quotient_gram, quotient_m = induced_subquotient(basis, w, perp)
         t = quotient_gram.n  # dim W-perp - dim W = n - 2 dim W
         qcp = charpoly(quotient_m)
         a0 = exponent_of.get(poly_key(qcp))
@@ -243,7 +246,7 @@ def fl_check(inst: MinusculeInstance) -> tuple[int, int]:
         raise InputError("the counting identity lives on even dimensions")
     lhs = alternating_sum(inst)
     basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
-    rhs = sum(w == perp for w, perp in map(basis.masks, divisor_exponents(inst.fact.factors)))
+    rhs = sum(w == perp for _, w, perp in basis.divisors())
     return lhs, rhs
 
 

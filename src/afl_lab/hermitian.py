@@ -11,15 +11,19 @@ conjugates g to g^{-1}, anti-isometry) translate into the matrix identities
 validated here.
 
 The walk runs in the basis B of linalg.invariant_subspaces, in which every
-g-invariant subspace W and its W-perp are sets of rows, one bitmask each
-(AdaptedBasis.masks): only H = B G conj(B)^T and g written in B are formed
-here, once per instance, and H is tested for full rank once.  A stratum is
-a slice of both, with no rank test of its own: for H nondegenerate and W
-isotropic the radical of W-perp is W, so H is nondegenerate on the slice,
-the rows in W-perp but not in W (induced_subquotient).
+g-invariant subspace W and its W-perp are sets of rows, one bitmask each,
+and one enumerator of the chain prefix tables yields both for every divisor
+(AdaptedBasis.divisors): only H = B G conj(B)^T and g written in B are
+formed here, once per instance, and H is tested for full rank once.  A
+stratum is a slice of both, with no rank test of its own: for H
+nondegenerate and W isotropic the radical of W-perp is W, so H is
+nondegenerate on the slice, the rows in W-perp but not in W
+(induced_subquotient).
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import InputError, InvariantError, Record
 from .linalg import Lattice, Matrix, in_basis, rref
@@ -89,7 +93,9 @@ class AdaptedBasis(Record):
     vec[i] deg P_i rows of each chain i, and so is the g-invariant W-perp:
     the rows whose row of H vanishes on W, as B is a basis.  Isotropy and
     subquotients are thus row sets and slices of H and of g written in B; no
-    stratum computes a kernel or solves anything.
+    stratum computes a kernel or solves anything, and divisors() is the one
+    way to a member: its exponents come from the tables' own keys, so no
+    prefix can spill into the next chain.
 
     rows is B, gram the Matrix H, and column c of the Matrix g holds the
     B-coordinates of g B[c]; chains is the lattice's, one (offset, deg P_i,
@@ -115,32 +121,22 @@ class AdaptedBasis(Record):
             prefixes.append(table)
         object.__setattr__(self, "prefixes", tuple(prefixes))
 
-    def masks(self, vec) -> tuple[int, int]:
-        """W(vec) and W-perp as row bitmasks of B: W the OR of one chain
-        prefix per factor, W-perp the AND of the columns of H over W, with
-        InvariantError unless W-perp has n - dim W rows.  vec must hold one
-        exponent 0..a_i per chain, else InputError: a longer prefix would
-        spill into the next chain and name another divisor.  The range test
-        is the prefix tables' keys, so the walk pays no comparison for it."""
+    def divisors(self):
+        """Every divisor as (vec, W, W-perp), W and W-perp row bitmasks of B,
+        in the lexicographic order of poly.divisor_exponents (each table holds
+        its exponents 0..a_i in order): one prefix per chain, W the OR of
+        their row masks and W-perp the AND of their column masks, with
+        InvariantError unless W-perp has n - dim W rows."""
         n = self.gram.n
-        if len(vec) != len(self.prefixes):
-            raise InputError(f"an exponent vector of length {len(vec)} for {len(self.prefixes)} chains")
-        w, perp = 0, (1 << n) - 1
-        try:
-            for table, k in zip(self.prefixes, vec):
-                wk, pk = table[k]
+        for picks in itertools.product(*(table.items() for table in self.prefixes)):
+            vec, masks = zip(*picks)
+            w, perp = 0, (1 << n) - 1
+            for wk, pk in masks:
                 w |= wk
                 perp &= pk
-        except KeyError:
-            raise InputError(f"exponent {k} outside 0..{len(table) - 1}") from None
-        if perp.bit_count() != n - w.bit_count():
-            raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
-        return w, perp
-
-    def isotropic(self, vec) -> bool:
-        """W inside W-perp; is_isotropic is the definition."""
-        w, perp = self.masks(vec)
-        return not w & ~perp
+            if perp.bit_count() != n - w.bit_count():
+                raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
+            yield vec, w, perp
 
 
 def adapted_basis(lattice: Lattice, gram: Matrix, g: Matrix) -> AdaptedBasis:
@@ -156,11 +152,12 @@ def _slice(m: Matrix, idx) -> Matrix:
     return Matrix(m.p, m.level, tuple(tuple([m.rows[a][b] for b in idx]) for a in idx))
 
 
-def induced_subquotient(basis: AdaptedBasis, vec) -> tuple[Matrix, Matrix]:
-    """The Gram matrix of W-perp/W for W = W(vec) isotropic, with the
-    endomorphism g induces there: the slices of H and of g in B on the rows
-    in W-perp but not in W.  Its characteristic polynomial is the middle
-    factor of the filtration 0 < W < W-perp < V.
+def induced_subquotient(basis: AdaptedBasis, w: int, perp: int) -> tuple[Matrix, Matrix]:
+    """The Gram matrix of W-perp/W for W isotropic, with the endomorphism g
+    induces there: the slices of H and of g in B on the rows in W-perp but
+    not in W, w and perp as AdaptedBasis.divisors yields them.  Its
+    characteristic polynomial is the middle factor of the filtration
+    0 < W < W-perp < V.
 
     The slice is nondegenerate with no test of its own.  The mask count has
     certified that the rows W-perp span the complement, and H is
@@ -168,7 +165,6 @@ def induced_subquotient(basis: AdaptedBasis, vec) -> tuple[Matrix, Matrix]:
     W-perp cap W-perp-perp = W-perp cap W = W, so H is nondegenerate on every
     complement of W in W-perp, the span of the slice rows among them (L. C.
     Grove, Classical Groups and Geometric Algebra, AMS GSM 39, 2002)."""
-    w, perp = basis.masks(vec)
     if w & ~perp:
         raise InputError("subspace is not isotropic")
     r = [a for a in range(basis.gram.n) if (perp ^ w) >> a & 1]

@@ -11,7 +11,7 @@ unique and returned sorted, so no seed could change it.
 Over a tabled field (gf.TABLE_CAP) products, powers modulo a polynomial
 and gcds run on the coefficients' encodings through gf's int tables,
 converted once per call: powmod squares and reduces, and poly_gcd takes its
-remainders, without leaving the ints.  One long division (divmod, // and %)
+remainders, without leaving the ints.  One long division (divmod and //)
 runs its FieldElem loop on every field.  Above the cap a product is one
 packed integer product and Modulus reduces by folding.  poly_gcd runs
 Euclid on pseudo-remainders there (von zur Gathen-Gerhard, Modern Computer
@@ -161,9 +161,6 @@ class Poly(Record):
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
@@ -424,8 +421,7 @@ def _distinct_degree(f: Poly):
     # monic squarefree f -> list of (product of irreducibles of degree d, d)
     out = []
     q_size = f.p**f.level
-    x = Poly.x(f.p, f.level)
-    h = x % f
+    x = h = Poly.x(f.p, f.level)
     d = 0
     while f.degree > 2 * d:
         d += 1
@@ -434,7 +430,6 @@ def _distinct_degree(f: Poly):
         if g.degree > 0:
             out.append((g, d))
             f = (f // g).monic()
-            h = h % f
     if f.degree > 0:
         out.append((f, f.degree))
     return out

@@ -311,7 +311,7 @@ def inverse_t_powers_by_division(modulus: Poly):
     cols, cur = [], Poly.one(p, level)
     for _ in range(s):
         cols.append([cur.coeff(i) for i in range(s)])
-        cur = (cur * inv_t) % modulus
+        cur = divmod(cur * inv_t, modulus)[1]
     return cols
 
 
@@ -323,7 +323,7 @@ def is_irreducible_by_gcds(f: Poly) -> bool:
         return False
     q_size = f.p**f.level
     x = Poly.x(f.p, f.level)
-    h = x % f
+    h = divmod(x, f)[1]
     for _ in range(f.degree // 2):
         h = h.powmod(q_size, f)
         if poly_gcd(h - x, f).degree > 0:
@@ -332,11 +332,11 @@ def is_irreducible_by_gcds(f: Poly) -> bool:
 
 
 def gcd_by_division(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by Euclid's remainders, each one long division (a % b).
+    """Monic gcd by Euclid's remainders, each one long division (divmod).
     The oracle for poly.poly_gcd, which takes packed pseudo-remainders above
     the table cap."""
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, divmod(a, b)[1]
     return a.monic()
 
 
@@ -390,7 +390,7 @@ def frobenius_table_by_division(f: Poly) -> list[tuple[gf.FieldElem, ...]]:
     xp = Poly.x(p, level).powmod(p, f)
     powers = [Poly.one(p, level)]
     for _ in range(1, t):
-        powers.append((powers[-1] * xp) % f)
+        powers.append(divmod(powers[-1] * xp, f)[1])
     step = Matrix.from_rows(p, level, [[g.coeff(k) for g in powers] for k in range(t)])
     cur = Poly.x(p, level).coeffs + (gf.zero(p, level),) * (t - 2)
     columns = [cur]

@@ -194,8 +194,11 @@ def instance_json():
         (["gen", "--coxeter", "--n", "3", "--sig", "sp:1:1"], ("--sig", "--coxeter", "--n")),
         (["verify", "--in", "FILE", "--sig", ""], ("--in", "--sig")),
         (["gen", "--coxeter", "--sig", ""], ("--sig", "--coxeter")),
+        *[([command, "--in", "FILE", flag, value], (flag, "--in"))
+          for command in ("verify", "fl", "orbital") for flag, value in (("--q", "7"), ("--seed", "99"))],
     ],
-    ids=["verify", "fl", "orbital", "gen-coxeter", "gen-n", "gen-coxeter-n", "verify-empty-sig", "gen-empty-sig"],
+    ids=["verify", "fl", "orbital", "gen-coxeter", "gen-n", "gen-coxeter-n", "verify-empty-sig", "gen-empty-sig"]
+    + [f"{command}-in{flag}" for command in ("verify", "fl", "orbital") for flag in ("--q", "--seed")],
 )
 def test_conflicting_instance_sources_exit2(argv, flags, instance_json, tmp_path, capsys):
     # each source alone is valid, so only the pair is refused; an empty

@@ -302,7 +302,7 @@ def _roots_in_field(f: Poly, rng) -> list[gf.FieldElem]:
     p, level = f.p, f.level
     q_size = p**level
     x = Poly.x(p, level)
-    linear_part = poly_gcd(x.powmod(q_size, f) - (x % f), f)
+    linear_part = poly_gcd(x.powmod(q_size, f) - divmod(x, f)[1], f)
     roots = []
 
     def split(g: Poly):
@@ -374,7 +374,7 @@ def one_root_reducing_the_table(f: Poly, rng) -> gf.FieldElem:
             if 0 < h.degree < g.degree:
                 break
         g = min(h, (g // h).monic(), key=lambda k: k.degree)
-        xs = [x % g for x in xs]
+        xs = [divmod(x, g)[1] for x in xs]
     return -g.coeffs[0]
 
 

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from afl_lab import cli, engine
 from afl_lab.engine import (
     afl_support,
     afl_verdict,
@@ -17,7 +20,7 @@ from afl_lab.engine import (
     orbital_value_at_one,
     script_w,
 )
-from afl_lab.errors import InputError
+from afl_lab.errors import CrossCheckError, InputError
 from afl_lab.forge import MinusculeInstance, instance_from_spec
 from oracles import lattice_spans, script_w_direct, tau_map, transform_subspace
 from test_linalg import checked_lattice
@@ -165,6 +168,26 @@ def test_geometric_stratum_records_are_consistent():
             assert rec.dl_count == rec.fixed_count
 
 
+def test_a_recount_that_disagrees_is_a_hard_error(monkeypatch, capsys):
+    # the eigenline counter loses one record: exit 2, never a finding
+    spec, real = "cp:1:2,sp:1:1", engine.dl_fixed_points
+    monkeypatch.setattr(engine, "dl_fixed_points", lambda *args, **kwargs: real(*args, **kwargs)[1:])
+    with pytest.raises(CrossCheckError, match=r"eigenline count 0 disagrees with the formula count 1"):
+        geometric_count(inst_of(spec))
+    assert cli.main(["verify", "--q", "3", "--sig", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "CrossCheckError"
+
+
+def test_a_contributing_stratum_of_even_exponent_is_a_hard_error(monkeypatch):
+    # every slice reads as the pair factor of exponent 2
+    inst = inst_of("cp:1:2,sp:1:1")
+    even = next(f for f, a in inst.fact.factors if a == 2)
+    monkeypatch.setattr(engine, "charpoly", lambda m: even)
+    with pytest.raises(CrossCheckError, match="contributing stratum with even global exponent"):
+        geometric_count(inst, cross_check=False)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -299,6 +322,7 @@ def test_duality_matches_gram_complement():
     inst = inst_of("cp:1:1,sp:1:3", q=3, seed=5)
     subs, basis = walk_of(inst)
     duals = dict(duality_involution_orbits(inst))
+    masks = {vec: (w, perp) for vec, w, perp in basis.divisors()}
     for vec, dual in duals.items():
         assert orth_complement(subs[vec], inst.space) == subs[dual]
-        assert basis.masks(vec)[1] == basis.masks(dual)[0]
+        assert masks[vec][1] == masks[dual][0]

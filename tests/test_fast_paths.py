@@ -218,7 +218,7 @@ def test_adapted_isotropy_equals_definition(spec, q, seed):
     inst = instance(spec, q, seed)
     subs = spans(spec, q, seed)
     expected = {vec for vec, sub in subs.items() if is_isotropic(sub.rows, inst.space)}
-    assert {vec for vec in subs if walk(spec, q, seed).isotropic(vec)} == expected
+    assert {vec for vec, w, perp in walk(spec, q, seed).divisors() if not w & ~perp} == expected
     for sub in subs.values():
         pairs = itertools.product(sub.rows, repeat=2)
         pairwise = all(herm_product(inst.space, a, b).is_zero for a, b in pairs)
@@ -253,14 +253,15 @@ def test_slice_walk_equals_subquotient_by_definition(spec, q, seed):
     inst = instance(spec, q, seed)
     subs, basis = spans(spec, q, seed), walk(spec, q, seed)
     factors = {poly_key(f) for f, _ in inst.fact.factors}
-    for vec, sub in subs.items():
-        w, perp = (span(inst.n, [basis.rows[a] for a in mask_rows(mask)]) for mask in basis.masks(vec))
+    for vec, w_mask, perp_mask in basis.divisors():
+        sub = subs[vec]
+        w, perp = (span(inst.n, [basis.rows[a] for a in mask_rows(mask)]) for mask in (w_mask, perp_mask))
         assert w == sub == kernel_of_poly(inst.g, divisor_poly(inst.fact.factors, vec))
         assert perp == orth_complement(sub, inst.space)
-        if not basis.isotropic(vec):
+        if w_mask & ~perp_mask:
             continue
         slow_space, slow_m = subquotient_by_definition(sub, inst.space, inst.g)
-        fast_space, fast_m = induced_subquotient(basis, vec)
+        fast_space, fast_m = induced_subquotient(basis, w_mask, perp_mask)
         assert nondegenerate_space(fast_space) == fast_space
         assert fast_space.n == slow_space.n == inst.n - 2 * sub.dim
         assert charpoly(fast_m) == charpoly(slow_m)
@@ -293,10 +294,10 @@ def test_batched_quotient_equals_per_representative_solves(spec, q, seed):
     # solve per row
     inst, basis = instance(spec, q, seed), walk(spec, q, seed)
     zero = Subspace(inst.n, ())
-    for vec, sub in spans(spec, q, seed).items():
-        w, perp = basis.masks(vec)
-        row_sets = [[basis.rows[a] for a in mask_rows(w)], list(sub.rows)]
-        if basis.isotropic(vec):
+    subs = spans(spec, q, seed)
+    for vec, w, perp in basis.divisors():
+        row_sets = [[basis.rows[a] for a in mask_rows(w)], list(subs[vec].rows)]
+        if not w & ~perp:
             row_sets.append([basis.rows[a] for a in mask_rows(perp)])
         for rows in row_sets:
             if rows:

@@ -188,6 +188,20 @@ def test_self_paired_supply_matches_enumeration(q, degree, sp):
     assert count == sp == irreducible_supply(q, "sp", degree)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 31, 16381])
+def test_irreducible_supply_satisfies_gauss_identities(q):
+    # x^(Q^m) - x is the product of the monic irreducibles over F_Q of degree
+    # d | m, Q = q^2, and x^(q^m + 1) - 1 over the self-paired ones for odd m:
+    # this reaches mu at composite and square-divisible degrees, past the
+    # enumerated table
+    for m in range(1, 13):
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        supply = {d: (irreducible_supply(q, "cp", d), irreducible_supply(q, "sp", d)) for d in divisors}
+        assert sum(d * (2 * cp + sp + (d == 1)) for d, (cp, sp) in supply.items()) == q ** (2 * m), m
+        if m % 2:
+            assert sum(d * sp for d, (_, sp) in supply.items()) == q**m + 1, m
+
+
 @pytest.mark.parametrize("sig,q,message", [
     ("cp:1:1,cp:1:1,cp:1:1,sp:1:1", 3, "needs 3 cp blocks of degree 1, but F_9 has only 2"),
     ("sp:1:1,sp:1:1,sp:1:1,sp:1:1,sp:1:1", 3, "needs 5 sp blocks of degree 1, but F_9 has only 4"),

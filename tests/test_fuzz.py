@@ -206,6 +206,7 @@ def hostile_argv(draw):
 @given(hostile_argv())
 @example(["orbital", "--sig", "sp:1:1", "--ell", "-5"])  # a negative power of -1 once printed floats
 @example(["gen", "--coxeter", "--sig", "sp:1:1"])  # two instance sources once exited 0 with the Coxeter one
+@example(["fl", "--in", "EMPTY", "--seed", "99"])  # --seed beside --in once went unread
 def test_hostile_argv_keeps_the_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         empty = os.path.join(tmp, "empty.json")

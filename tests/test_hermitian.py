@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from afl_lab.hermitian import (
     validate_space,
 )
 from afl_lab.linalg import Matrix, charpoly, rref
-from afl_lab.poly import Poly, star
+from afl_lab.poly import Poly, divisor_exponents, star
 from conftest import random_matrix
 from oracles import (
     Subspace,
@@ -25,7 +26,6 @@ from oracles import (
     divisor_poly,
     kernel,
     kernel_of_poly,
-    lattice_exponents,
     lattice_spans,
     mask_rows,
     matrix_sum,
@@ -94,14 +94,17 @@ def perp_by_scan(basis, vec) -> tuple[int, ...]:
 
 
 def assert_mask_perp_equals_scan(basis):
-    """masks and isotropic against the chain prefixes and the row scan, on
-    every divisor."""
-    for vec in lattice_exponents(basis):
-        w, perp = basis.masks(vec)
-        wp = perp_by_scan(basis, vec)
+    """divisors() against the chain prefixes and the row scan, on every
+    divisor."""
+    for vec, w, perp in basis.divisors():
         assert mask_rows(w) == member_rows(basis, vec), vec
-        assert mask_rows(perp) == wp, vec
-        assert basis.isotropic(vec) == (set(mask_rows(w)) <= set(wp)), vec
+        assert mask_rows(perp) == perp_by_scan(basis, vec), vec
+
+
+def masks_of(basis) -> dict:
+    """W and W-perp of every divisor as row masks, by exponent vector, from
+    the one enumerator."""
+    return {vec: (w, perp) for vec, w, perp in basis.divisors()}
 
 
 def walk_of(inst):
@@ -293,7 +296,7 @@ def test_subquotient_of_zero_is_identity():
     assert induced == inst.g
     lattice, basis = walk_of(inst)
     zero = next(vec for vec in lattice if not any(vec))
-    sub_space, induced = induced_subquotient(basis, zero)
+    sub_space, induced = induced_subquotient(basis, *masks_of(basis)[zero])
     assert sub_space == basis.gram and induced == basis.g
     assert charpoly(induced) == charpoly(inst.g)
 
@@ -304,9 +307,9 @@ def test_subquotient_of_lagrangian_line_is_trivial():
     vec, eigenline = next((vec, s) for vec, s in lattice.items() if s.dim == 1)
     sub_space, induced = subquotient_by_definition(eigenline, inst.space, inst.g)
     assert sub_space.n == 0 and induced.n == 0
-    w, perp = basis.masks(vec)
+    w, perp = masks_of(basis)[vec]
     assert w == perp
-    sub_space, induced = induced_subquotient(basis, vec)
+    sub_space, induced = induced_subquotient(basis, w, perp)
     assert sub_space.n == 0 and induced.n == 0
 
 
@@ -318,7 +321,7 @@ def test_subquotient_dim3_pair_block():
     )
     for sub_space, induced in (
         subquotient_by_definition(pair_line, inst.space, inst.g),
-        induced_subquotient(basis, vec),
+        induced_subquotient(basis, *masks_of(basis)[vec]),
     ):
         assert sub_space.n == 1
         qcp = charpoly(induced)
@@ -334,7 +337,7 @@ def test_subquotient_rejects_non_isotropic():
     whole = max(lattice)
     assert lattice[whole] == full
     with pytest.raises(InputError, match="not isotropic"):
-        induced_subquotient(basis, whole)
+        induced_subquotient(basis, *masks_of(basis)[whole])
 
 
 def test_subquotient_rejects_isotropic_line_that_is_not_invariant():
@@ -356,50 +359,43 @@ def test_subquotient_rejects_invariant_subspace_that_is_not_isotropic():
     lattice, basis = walk_of(inst)
     bad = [vec for vec, s in lattice.items() if not is_isotropic(s.rows, inst.space)]
     assert any(0 < lattice[vec].dim < inst.n for vec in bad)
+    masks = masks_of(basis)
     for vec in bad:
-        assert not basis.isotropic(vec)
+        w, perp = masks[vec]
+        assert w & ~perp
         with pytest.raises(InputError, match="not isotropic"):
             subquotient_by_definition(lattice[vec], inst.space, inst.g)
         with pytest.raises(InputError, match="not isotropic"):
-            induced_subquotient(basis, vec)
+            induced_subquotient(basis, w, perp)
 
 
 def test_complement_count_check_rejects_a_degenerate_form():
     # with H zeroed every row vanishes on W, so the candidate complement has
     # n members instead of n - dim W
     inst = build_block_instance(parse_signature("cp:1:1,sp:1:1"), 3, 6)
-    lattice, basis = walk_of(inst)
+    basis = walk_of(inst)[1]
     zero = Matrix.from_rows(3, 2, [[gf.zero(3, 2)] * inst.n] * inst.n)
     broken = AdaptedBasis(basis.rows, zero, basis.g, basis.chains)  # columns from the zero H
-    line = next(vec for vec in lattice if sum(vec) == 1)
+    walk = broken.divisors()
+    # W = 0 has every row as its complement; the next divisor is a line
+    assert next(walk)[1:] == (0, (1 << inst.n) - 1)
     with pytest.raises(InvariantError, match="orthogonal complement"):
-        broken.masks(line)
-    with pytest.raises(InvariantError, match="orthogonal complement"):
-        induced_subquotient(broken, line)
+        next(walk)
 
 
-def five_lines():
-    """The adapted basis of five sp:1:1 blocks at q = 31: five chains of one
-    row each, a_i = 1."""
-    inst = build_block_instance(parse_signature(",".join(["sp:1:1"] * 5)), 31, 0)
-    return walk_of(inst)[1]
-
-
-def test_masks_refuse_an_exponent_outside_its_chain():
-    # (2, 0, 0, 0, 0) would take the first row of the second chain and name
-    # the divisor (1, 1, 0, 0, 0)
-    basis = five_lines()
-    assert basis.masks((1, 1, 0, 0, 0))[0] == 0b11
-    for vec in ((2, 0, 0, 0, 0), (0, 0, -1, 0, 0)):
-        with pytest.raises(InputError, match="outside 0..1"):
-            basis.masks(vec)
-
-
-def test_masks_refuse_an_exponent_vector_of_another_length():
-    basis = five_lines()
-    for vec in ((1,), (0,) * 6):
-        with pytest.raises(InputError, match=f"length {len(vec)} for 5 chains"):
-            basis.masks(vec)
+@pytest.mark.parametrize("sig,q", [
+    (",".join(["sp:1:1"] * 5), 31), ("cp:2:1,sp:1:1", 5), ("cp:1:2,cp:1:2,sp:1:3", 3),
+])
+def test_divisors_walk_every_exponent_vector_once_within_its_chains(sig, q):
+    # prod (a_i + 1) triples in divisor_exponents' order, and every W the
+    # union of its chains' prefixes: no prefix spills into the next chain
+    inst = build_block_instance(parse_signature(sig), q, 0)
+    basis = walk_of(inst)[1]
+    triples = list(basis.divisors())
+    assert len(triples) == math.prod(a + 1 for _, a in inst.fact.factors)
+    assert [vec for vec, _, _ in triples] == list(divisor_exponents(inst.fact.factors))
+    for vec, w, _ in triples:
+        assert mask_rows(w) == member_rows(basis, vec), vec
 
 
 def test_adapted_basis_rejects_a_degenerate_gram():
@@ -424,8 +420,8 @@ def test_subquotient_takes_no_echelon_form(monkeypatch):
         raise AssertionError("induced_subquotient must not test a slice for rank")
 
     monkeypatch.setattr(hermitian, "rref", no_rank_test)
-    strata = [vec for vec in lattice if basis.isotropic(vec)]
-    slices = [induced_subquotient(basis, vec)[0] for vec in strata]
+    strata = [(w, perp) for _, w, perp in basis.divisors() if not w & ~perp]
+    slices = [induced_subquotient(basis, w, perp)[0] for w, perp in strata]
     monkeypatch.undo()
     assert len(strata) > 2
     for space in slices:
@@ -441,9 +437,9 @@ def test_subquotient_rechecks_no_symmetry(monkeypatch):
         raise AssertionError("induced_subquotient must not re-validate a slice")
 
     monkeypatch.setattr(Matrix, "transpose", no_symmetry_check)
-    for vec in lattice:
-        if basis.isotropic(vec):
-            sub_space, _ = induced_subquotient(basis, vec)
+    for vec, w, perp in basis.divisors():
+        if not w & ~perp:
+            sub_space, _ = induced_subquotient(basis, w, perp)
             assert sub_space.n == inst.n - 2 * lattice[vec].dim
             assert nondegenerate_space(sub_space) == sub_space
 
@@ -453,9 +449,9 @@ def test_adapted_basis_spans_every_lattice_member():
         inst = build_block_instance(parse_signature(sig), q, seed)
         lattice, basis = walk_of(inst)
         assert basis.gram == gram_of_rows(inst.space, basis.rows)
-        for vec in lattice:
-            sub = span(inst.n, [basis.rows[a] for a in mask_rows(basis.masks(vec)[0])])
-            assert sub == kernel_of_poly(inst.g, divisor_poly(inst.fact.factors, vec))
+        for vec, w, _ in basis.divisors():
+            sub = span(inst.n, [basis.rows[a] for a in mask_rows(w)])
+            assert sub == lattice[vec] == kernel_of_poly(inst.g, divisor_poly(inst.fact.factors, vec))
 
 
 def full_quotient_matrix(m: Matrix, w: Subspace) -> Matrix:

@@ -113,6 +113,33 @@ def test_factor_rejects_unpaired_input():
         factor(Poly.x_minus(c))
 
 
+def test_factor_refuses_a_zero_constant_term():
+    zero, one = gf.zero(3, 2), gf.one(3, 2)
+    with pytest.raises(InvariantError, match="zero constant term"):
+        factor(Poly.x_minus(zero) * Poly.x_minus(one))
+
+
+def test_factor_refuses_exponents_that_differ_across_the_pairing():
+    # P star(P)^2 with P = T - c, c not of norm one, so star(P) != P
+    c = gf.one(3, 2) + gf.gen(3, 2)
+    assert c**4 != gf.one(3, 2)
+    p = Poly.x_minus(c)
+    with pytest.raises(InvariantError, match="exponents differ across the involution"):
+        factor(p * star(p) * star(p))
+
+
+def test_factor_refuses_a_self_paired_factor_of_even_degree(monkeypatch):
+    # no irreducible of even degree is self-paired, so star is made the identity
+    elems = [gf.elem_from_encoding(3, 2, c) for c in range(9)]
+    quadratic = next(
+        f for f in (Poly.from_elems(3, 2, [a, b, gf.one(3, 2)]) for a in elems[1:] for b in elems)
+        if is_irreducible(f)
+    )
+    monkeypatch.setattr(poly, "star", lambda f: f)
+    with pytest.raises(InvariantError, match="self-paired factor of even degree"):
+        factor(quadratic)
+
+
 def test_factor_reconstructs_product(rng):
     for p in (3, 5):
         for _ in range(10):
@@ -229,7 +256,7 @@ def test_gcd_is_monic(rng):
     f = random_monic(3, 2, 4, rng)
     g = random_monic(3, 2 , 3, rng)
     h = poly_gcd(f * g, g)
-    assert h.is_monic and h % g == Poly.zero(3, 2) or g % h == Poly.zero(3, 2)
+    assert h.is_monic and divmod(h, g)[1] == Poly.zero(3, 2) or divmod(g, h)[1] == Poly.zero(3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +277,11 @@ def schoolbook_product(f: Poly, g: Poly) -> Poly:
 
 def powmod_by_long_division(f: Poly, e: int, g: Poly) -> Poly:
     """Square and multiply, each step a schoolbook product and a long division."""
-    result, base = Poly.one(f.p, f.level), f % g
+    result, base = Poly.one(f.p, f.level), divmod(f, g)[1]
     while e:
         if e & 1:
-            result = schoolbook_product(result, base) % g
-        base = schoolbook_product(base, base) % g
+            result = divmod(schoolbook_product(result, base), g)[1]
+        base = divmod(schoolbook_product(base, base), g)[1]
         e >>= 1
     return result
 
@@ -296,7 +323,7 @@ def test_packed_gcd_equals_euclid_by_division(p, level):
         for x, y in ((a, b), (b, a)):
             h = poly_gcd(x, y)
             assert h == gcd_by_division(x, y)
-            assert h.is_zero if c.is_zero else h.is_monic and (h % c).is_zero  # c divides the gcd
+            assert h.is_zero if c.is_zero else h.is_monic and divmod(h, c)[1].is_zero  # c divides the gcd
     top = top_poly(p, level, 7)
     assert poly_gcd(top * top, top) == gcd_by_division(top * top, top) == top.monic()
 
@@ -360,13 +387,13 @@ def test_modulus_matches_long_division(p, level, degree):
     ring = Modulus(g)
     for length in (0, 1, degree, degree + 1, 2 * degree, 2 * degree + 1, 5 * degree + 3):
         f = random_poly(p, level, length, rng)
-        assert ring.reduce(f) == f % g
+        assert ring.reduce(f) == divmod(f, g)[1]
     for _ in range(6):
         a, b = (random_poly(p, level, degree, rng) for _ in "ab")
-        assert ring.mul(a, b) == schoolbook_product(a, b) % g
-        assert ring.mul(a, a) == schoolbook_product(a, a) % g
+        assert ring.mul(a, b) == divmod(schoolbook_product(a, b), g)[1]
+        assert ring.mul(a, a) == divmod(schoolbook_product(a, a), g)[1]
     top = top_poly(p, level, degree)
-    assert ring.mul(top, top) == schoolbook_product(top, top) % g
+    assert ring.mul(top, top) == divmod(schoolbook_product(top, top), g)[1]
     f = random_poly(p, level, 3 * degree, rng)
     for e in (0, 1, 2, 5, p, p * p + 3):
         assert f.powmod(e, g) == powmod_by_long_division(f, e, g)
@@ -380,7 +407,7 @@ def test_modulus_holds_the_worst_case_at_p_max(level, degree):
     # 2 degree - 1 products meet in the low blocks of a residue product
     p = gf.P_MAX
     g, a = top_poly(p, level, degree + 1, monic=True), top_poly(p, level, degree)
-    assert Modulus(g).mul(a, a) == schoolbook_product(a, a) % g
+    assert Modulus(g).mul(a, a) == divmod(schoolbook_product(a, a), g)[1]
 
 
 def test_modulus_needs_a_monic_modulus_of_positive_degree():

@@ -98,16 +98,16 @@ def test_each_verdict_check_can_fail(check, spec, attr, mutate, failing, monkeyp
     assert {c["name"] for c in out["checks"] if not c["ok"]} == failing
 
 
-def every_half_dimensional_divisor_is_lagrangian(masks):
-    def mutant(basis, vec):
-        w, perp = masks(basis, vec)
-        return w, w if 2 * w.bit_count() == basis.gram.n else perp
+def every_half_dimensional_divisor_is_lagrangian(divisors):
+    def mutant(basis):
+        for vec, w, perp in divisors(basis):
+            yield vec, w, w if 2 * w.bit_count() == basis.gram.n else perp
     return mutant
 
 
 @pytest.mark.parametrize("side,owner,attr,mutate", [
     ("lhs", engine, "alternating_sum", plus_one),
-    ("rhs", hermitian.AdaptedBasis, "masks", every_half_dimensional_divisor_is_lagrangian),
+    ("rhs", hermitian.AdaptedBasis, "divisors", every_half_dimensional_divisor_is_lagrangian),
 ])
 def test_fl_counting_identity_can_fail(side, owner, attr, mutate, monkeypatch, capsys):
     # sp:1:1,sp:1:1 has no invariant Lagrangian, but two invariant lines
