@@ -18,7 +18,9 @@ linalg.rref solves the system over F_p, and seeded samples of the solution
 space are drawn one at a time until one has full rank, from the basis the
 same elimination gives on all n^2 F_p coordinates of G.  Defining tau
 first and solving for h avoids the case analysis the opposite order would
-need.
+need.  The builder knows the factorization of charpoly(g), since it drew
+the block polynomials, so the instance is certified on that claim, checked
+rather than recomputed (poly.certify_factorization).
 
 random_coxeter_instance uses the field model instead: V = F_{q^{2n}} with
 basis 1, b, ..., b^{n-1}, the trace form h(x, y) = Tr(x y^{q^n}), g given by
@@ -28,7 +30,8 @@ irreducible and self-paired.  Everything but s and g depends on (q, n)
 alone: the power basis, the coordinate map, tau and the Gram matrix are
 built once per (q, n) per process (_coxeter_frame).  The draw of s, the
 generation test (the tau-orbit of s has length n), g and the instance, whose
-constructor certifies it, are per seed, so every instance is certified whole.
+constructor certifies it by factoring charpoly(g), are per seed, so every
+instance is certified whole.
 
 The signature mini-language is "sp:<deg>:<exp>" / "cp:<deg>:<exp>", joined
 by commas; "coxeter:<n>" routes to the second builder.
@@ -46,7 +49,7 @@ from .errors import ForgeError, InputError, InvariantError, Record
 from .gf import FieldElem
 from .hermitian import is_unitary, validate_anti_involution, validate_space
 from .linalg import Matrix, charpoly, is_regular, null_basis, rref
-from .poly import FactoredPoly, Poly, factor, poly_key, power_product, star
+from .poly import FactoredPoly, Poly, certify_factorization, factor, poly_key, power_product, star
 
 GRAM_TRIES = 64
 GENERATOR_TRIES = 64
@@ -121,15 +124,18 @@ class MinusculeInstance(Record):
     h(x, y) = x^T G conj(y), g (a Matrix) is regular and unitary for h, tau
     is the matrix S of the anti-involution x -> S conj(x); signature holds
     block spec strings.  The constructor certifies: fact, the FactoredPoly of
-    charpoly(g), is certify_instance(space, g, tau), a derived slot left out
-    of equality, hash, repr and pickle (a pickle or deepcopy certifies again)."""
+    charpoly(g), is certify_instance(space, g, tau, claim), a derived slot
+    left out of equality, hash, repr and pickle.  claim, a builder's
+    factorization of charpoly(g), is checked and not stored, so the
+    certificate is a function of (space, g, tau) alone, and a pickle or
+    deepcopy certifies again by factoring."""
 
     _fields = ("space", "g", "tau", "seed", "signature")
     __slots__ = (*_fields, "fact")
 
-    def __init__(self, space: Matrix, g: Matrix, tau: Matrix, seed: int, signature: tuple[str, ...]):
+    def __init__(self, space: Matrix, g: Matrix, tau: Matrix, seed: int, signature: tuple[str, ...], *, claim=None):
         Record.__init__(self, space, g, tau, seed, signature)
-        object.__setattr__(self, "fact", certify_instance(space, g, tau))
+        object.__setattr__(self, "fact", certify_instance(space, g, tau, claim=claim))
 
     @property
     def p(self) -> int:
@@ -457,8 +463,13 @@ def _solve_gram(g: Matrix, pairs, seed, label) -> Matrix:
 # builders
 
 
-def certify_instance(gram: Matrix, g: Matrix, tau: Matrix) -> FactoredPoly:
+def certify_instance(gram: Matrix, g: Matrix, tau: Matrix, claim=None) -> FactoredPoly:
     """Check every instance axiom and return the factorization of charpoly(g).
+
+    Without a claim the factorization is factor(charpoly(g)); with one, the
+    pairs (P, a) a builder drew, it is certify_factorization's check of the
+    claim, which by unique factorization is the same FactoredPoly or an
+    InvariantError: a false claim is refused, never trusted.
 
     Raises InvariantError naming the first broken axiom.  Regularity is
     decided exactly on that factorization, with one echelon form per
@@ -467,11 +478,13 @@ def certify_instance(gram: Matrix, g: Matrix, tau: Matrix) -> FactoredPoly:
     regularity is decided: the lattice only draws its cyclic vector.  Its
     one src caller is the MinusculeInstance constructor, so certificates are
     never trusted from disk and the invariant has one source, which reads
-    (gram, g, tau) alone: no seed enters a unique factorization."""
+    (gram, g, tau) alone: no seed enters a unique factorization, and a claim
+    can only agree with it or be refused."""
     validate_space(gram)
     if not is_unitary(g, gram):
         raise InvariantError("g is not unitary for the hermitian form")
-    fact = factor(charpoly(g))
+    chi = charpoly(g)
+    fact = factor(chi) if claim is None else certify_factorization(chi, claim)
     if not is_regular(g, fact.factors):
         raise InvariantError("g is not regular")
     validate_anti_involution(tau, gram, g)
@@ -490,7 +503,9 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
     polys = _resolve_polys(sig, p, rng)
     g, tau, pairs = _assemble_blocks(sig, polys)
     space = _solve_gram(g, pairs, seed, sig_string)
-    inst = MinusculeInstance(space, g, tau, seed, tuple(b.spec_string() for b in sig))
+    # the drawn block polynomials, with star(P) for the second block of a pair
+    claim = [(f, b.exponent) for b, fp in zip(sig, polys) for f in ((fp, star(fp)) if b.kind == "cp" else (fp,))]
+    inst = MinusculeInstance(space, g, tau, seed, tuple(b.spec_string() for b in sig), claim=claim)
     expected = sorted(
         [(b.degree, b.exponent) for b in sig]
         + [(b.degree, b.exponent) for b in sig if b.kind == "cp"]

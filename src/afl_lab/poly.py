@@ -23,7 +23,9 @@ every coefficient's field before they pack.
 The star operation sends P to conj(P(0))^{-1} T^deg conj(P)(1/T); its roots
 are the conjugate-inverses r^{-q} of the roots of P.  Factoring the
 characteristic polynomial of a unitary matrix therefore yields an involution
-on the irreducible factors, which factor() computes and validates.
+on the irreducible factors, which factor() computes and validates.  A
+factorization claimed by whoever built the polynomial is checked instead of
+recomputed (certify_factorization), and ends in the same pairing step.
 """
 
 from __future__ import annotations
@@ -423,7 +425,8 @@ def _distinct_degree(f: Poly):
     q_size = f.p**f.level
     x = h = Poly.x(f.p, f.level)
     d = 0
-    while f.degree > 2 * d:
+    # a factor of degree d needs 2d <= deg f; the rest is the tail
+    while f.degree >= 2 * (d + 1):
         d += 1
         h = h.powmod(q_size, f)
         g = poly_gcd(h - x, f)
@@ -500,20 +503,16 @@ class FactoredPoly(Record):
         return [(i, j) for i, j in enumerate(self.pairing) if i < j]
 
 
-def factor(f: Poly) -> FactoredPoly:
-    """Factor a characteristic polynomial of a unitary element.
-
-    On top of plain factorization this computes the star pairing and enforces
-    the constraints that make it one: every factor has a star partner with the
-    same exponent, constant terms are nonzero, and self-paired factors have
-    odd degree.
-    """
-    flat = plain_factor(f)
+def _star_paired(flat) -> FactoredPoly:
+    """The star pairing on a sorted factorization into distinct monic
+    irreducibles, with the constraints that make it one: constant terms are
+    nonzero, the factor set is closed under star, paired factors have equal
+    exponents, and self-paired factors have odd degree."""
     polys = [g for g, _ in flat]
     mults = [m for _, m in flat]
     keys = {poly_key(g): i for i, g in enumerate(polys)}
     pairing = []
-    for i, g in enumerate(polys):
+    for g in polys:
         if g.coeffs[0].is_zero:
             raise InvariantError("factor has zero constant term; the element is not invertible")
         j = keys.get(poly_key(star(g)))
@@ -525,10 +524,44 @@ def factor(f: Poly) -> FactoredPoly:
             raise InvariantError("star pairing inconsistent: exponents differ across the involution")
         if i == j and polys[i].degree % 2 == 0:
             raise InvariantError("self-paired factor of even degree")
-    fact = FactoredPoly(factors=tuple(flat), pairing=tuple(pairing))
+    return FactoredPoly(factors=tuple(flat), pairing=tuple(pairing))
+
+
+def factor(f: Poly) -> FactoredPoly:
+    """Factor a characteristic polynomial of a unitary element.
+
+    plain_factor, then the star pairing and its constraints (_star_paired).
+    This is the route for every polynomial whose factorization is not known
+    in advance: instances read from JSON and Coxeter instances.  A builder
+    that drew its factors passes them to certify_factorization instead, and
+    factor is the oracle that route is tested against."""
+    flat = plain_factor(f)
+    fact = _star_paired(flat)
     if power_product(flat) != f.monic():
         raise AssertionError("factorization does not reconstruct the input")
     return fact
+
+
+def certify_factorization(f: Poly, claim) -> FactoredPoly:
+    """Check a claimed factorization [(P, a), ...] of f and return it as
+    factor(f) would.
+
+    By unique factorization in F[T] the claim is the factorization once
+    every P is a monic irreducible (is_irreducible, the distinct-degree
+    split), every a >= 1, the P are pairwise distinct and prod P^a equals
+    monic(f); then the star pairing is checked as factor checks it.  A false
+    claim raises InvariantError: it is refused, never trusted."""
+    flat = sorted(claim, key=lambda pair: poly_key(pair[0]))
+    if len({poly_key(g) for g, _ in flat}) != len(flat):
+        raise InvariantError("claimed factorization repeats a factor")
+    for g, a in flat:
+        if not g.is_monic or g.degree < 1 or a < 1:
+            raise InvariantError("claimed factor is not a monic polynomial of positive degree and exponent")
+        if not is_irreducible(g):
+            raise InvariantError("claimed factor is not irreducible")
+    if not flat or power_product(flat) != f.monic():
+        raise InvariantError("claimed factorization does not multiply out to the polynomial")
+    return _star_paired(flat)
 
 
 def power_product(pairs) -> Poly:

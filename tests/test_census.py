@@ -87,6 +87,8 @@ def test_every_census_signature_passes_or_is_refused_as_predicted(q):
             assert "is not realizable" in str(exc), (spec, str(exc))
             refused.add(spec)
             continue
+        # the builder's certificate checks its claim; without one,
+        # certify_instance factors: the oracle for the claim route
         assert inst.n == dim and inst.fact == certify_instance(inst.space, inst.g, inst.tau)
         report = afl_verdict(inst).to_json() if dim % 2 else fl_report(inst)
         counts[dim % 2] += 1

@@ -24,8 +24,8 @@ from afl_lab.forge import (
     signature_dim,
 )
 from afl_lab.hermitian import is_isotropic
-from afl_lab.linalg import Matrix, null_basis
-from afl_lab.poly import FactoredPoly, Poly, is_irreducible, power_product, star
+from afl_lab.linalg import Matrix, charpoly, null_basis
+from afl_lab.poly import FactoredPoly, Poly, certify_factorization, factor, is_irreducible, power_product, star
 from oracles import (
     coxeter_frame_by_entries,
     divisor_poly,
@@ -325,10 +325,12 @@ def test_coxeter_exhausted_attempts_names_the_witness_degree(monkeypatch):
 
 def test_coxeter_frame_is_shared_and_every_instance_certified(monkeypatch):
     # two seeds at one (q, n) read one frame, and each instance still runs
-    # certify_instance once, on the shared space and tau and its own g
+    # certify_instance once, on the shared space and tau and its own g, with
+    # no claim: a Coxeter certificate is factored
     calls = []
 
-    def counted(gram, g, tau):
+    def counted(gram, g, tau, claim=None):
+        assert claim is None
         calls.append((gram, g, tau))
         return certify_instance(gram, g, tau)
 
@@ -361,8 +363,8 @@ def test_invalid_coxeter_keys_never_enter_the_frame_cache(q, n):
 def test_coxeter_certificate_must_be_one_simple_factor_of_degree_n(factors, monkeypatch):
     # the builder checks the shape of the factorization it stores, as
     # build_block_instance checks its signature
-    def forged(gram, g, tau):
-        (f, _), = certify_instance(gram, g, tau).factors
+    def forged(gram, g, tau, claim=None):
+        (f, _), = certify_instance(gram, g, tau, claim).factors
         shape = ((f, 1), (f, 1)) if factors == "two-factors" else ((f, 2),)
         return FactoredPoly(factors=shape, pairing=tuple(range(len(shape))))
 
@@ -730,10 +732,91 @@ def test_the_certificate_reads_the_instance_alone():
     assert other != inst and other.seed == inst.seed + 1
 
 
+def factor_forbidden(f):
+    raise AssertionError("factor called on a claimed factorization")
+
+
 def test_pickle_and_deepcopy_certify_again(monkeypatch):
+    # the builder's claim is checked and not stored: a copy certifies again
+    # by factoring, and the factored certificate equals the claimed one
+    monkeypatch.setattr(forge, "factor", factor_forbidden)
     inst = instance_from_spec("cp:1:1,sp:1:3", 3, 2)
-    calls = []
-    monkeypatch.setattr(forge, "certify_instance", lambda *parts: calls.append(parts) or certify_instance(*parts))
+    claims, factored = [], []
+    monkeypatch.setattr(forge, "factor", lambda f: factored.append(f) or factor(f))
+
+    def counted(gram, g, tau, claim=None):
+        claims.append(claim)
+        return certify_instance(gram, g, tau, claim)
+
+    monkeypatch.setattr(forge, "certify_instance", counted)
     for back in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
         assert back == inst and back.fact == inst.fact and back.fact is not inst.fact
-    assert len(calls) == 2
+    assert claims == [None, None] and len(factored) == 2
+    assert "claim" not in repr(inst) and "claim" not in MinusculeInstance.__slots__
+
+
+# ---------------------------------------------------------------------------
+# the claimed factorization of a block instance
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 17])
+def test_block_builds_never_factor_and_the_other_routes_factor_once(q, monkeypatch):
+    # the block builder certifies its claim; parse_instance and the Coxeter
+    # builder factor once per instance, and factor agrees with the claim
+    calls = []
+    monkeypatch.setattr(forge, "factor", lambda f: calls.append(f) or factor(f))
+    for seed in range(3):
+        for spec in DEFAULT_SIGNATURES:
+            inst = build_block_instance(parse_signature(spec), q, seed)
+            assert calls == []
+            assert inst.fact == factor(charpoly(inst.g)) == certify_instance(inst.space, inst.g, inst.tau)
+            calls.clear()
+            assert parse_instance(serialize_instance(inst)).fact == inst.fact
+            assert calls == [charpoly(inst.g)]
+            calls.clear()
+        cox = random_coxeter_instance(q, 5, seed)
+        assert calls == [charpoly(cox.g)]
+        calls.clear()
+
+
+def claimed_parts():
+    """A certified cp:1:1,sp:1:2 instance at q = 3 and its factors: a
+    conjugate pair of linears P, star(P) and a self-paired linear S of
+    exponent 2."""
+    inst = instance_from_spec("cp:1:1,sp:1:2", 3, 0)
+    (i, j), = inst.fact.pairs()
+    (k,) = inst.fact.self_paired()
+    return inst, inst.fact.factors[i][0], inst.fact.factors[j][0], inst.fact.factors[k][0]
+
+
+# name -> (the tampered claim from P, star(P), S; the refusal it meets)
+TAMPERED_CLAIMS = {
+    "two-linears-as-one-quadratic": (lambda p_, sp, s: [(p_ * sp, 1), (s, 2)], "claimed factor is not irreducible"),
+    "repeated-factor": (lambda p_, sp, s: [(p_, 1), (sp, 1), (s, 1), (s, 1)], "claimed factorization repeats a factor"),
+    "exponent-off-by-one": (lambda p_, sp, s: [(p_, 1), (sp, 1), (s, 3)], "does not multiply out to the polynomial"),
+    "non-monic": (lambda p_, sp, s: [(p_, 1), (sp, 1), (s.scale(gf.from_base(3, 2, 2)), 2)],
+                  "claimed factor is not a monic polynomial"),
+}
+
+
+@pytest.mark.parametrize("case", TAMPERED_CLAIMS)
+def test_every_claim_refusal_fires(case):
+    inst, *factors = claimed_parts()
+    tamper, message = TAMPERED_CLAIMS[case]
+    parts = (inst.space, inst.g, inst.tau)
+    assert certify_instance(*parts, list(inst.fact.factors)) == inst.fact
+    with pytest.raises(InvariantError, match=message):
+        certify_instance(*parts, tamper(*factors))
+    with pytest.raises(InvariantError, match=message):  # no instance is built on a false claim
+        MinusculeInstance(*parts, inst.seed, inst.signature, claim=tamper(*factors))
+
+
+def test_a_claim_with_unequal_exponents_across_a_pair_reaches_the_pairing_check():
+    # a unitary g never has P star(P)^2 as its charpoly, so the claim route
+    # is driven directly: the claim is true, and only the pairing refuses it
+    _, p_, star_p, _ = claimed_parts()
+    claim = [(p_, 1), (star_p, 2)]
+    f = power_product(claim)
+    for route in (lambda: certify_factorization(f, claim), lambda: factor(f)):
+        with pytest.raises(InvariantError, match="exponents differ across the involution"):
+            route()

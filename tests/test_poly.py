@@ -174,10 +174,10 @@ def test_self_paired_factors_have_odd_degree(rng):
 
 
 def test_is_irreducible_matches_rabins_test_on_every_small_monic():
-    # every monic of degree 1-4 over F_3 and 1-3 over F_9, squares and
-    # products of equal-degree factors included
+    # every monic of degree 1-4 over F_3 and over F_9, squares and products
+    # of equal-degree factors included, and samples of degree 1-6 over F_25
     checked = irreducible = 0
-    for p, level, max_degree in ((3, 1, 4), (3, 2, 3)):
+    for p, level, max_degree in ((3, 1, 4), (3, 2, 4)):
         field = [gf.elem_from_encoding(p, level, k) for k in range(p**level)]
         for degree in range(1, max_degree + 1):
             for low in itertools.product(field, repeat=degree):
@@ -187,9 +187,39 @@ def test_is_irreducible_matches_rabins_test_on_every_small_monic():
                 assert is_irreducible(f.scale(field[-1])) == expected
                 checked += 1
                 irreducible += expected
-    # 3 + 3 + 8 + 18 monic irreducibles over F_3, 9 + 36 + 240 over F_9
-    assert (checked, irreducible) == (939, 317)
+    # 3 + 3 + 8 + 18 monic irreducibles over F_3, 9 + 36 + 240 + 1620 over F_9
+    assert (checked, irreducible) == (7500, 1937)
     assert not is_irreducible(Poly.zero(3, 2)) and not is_irreducible(Poly.one(3, 2))
+    rng = random.Random(25)
+    hits = 0
+    for _ in range(300):
+        f = random_monic(5, 2, rng.randrange(1, 7), rng, nonzero_constant=False)
+        expected = is_irreducible_by_gcds(f)
+        assert is_irreducible(f) == expected, f
+        hits += expected
+    assert 50 < hits < 250
+
+
+def test_distinct_degree_stops_at_half_the_degree(monkeypatch):
+    # an irreducible of degree n takes n // 2 powmods, so a linear one takes
+    # none: no factor of degree d > n / 2 can split off
+    calls = []
+    powmod = Poly.powmod
+    monkeypatch.setattr(Poly, "powmod", lambda self, e, m: calls.append(m.degree) or powmod(self, e, m))
+    rng = random.Random(7)
+    for p in (3, 5):
+        for degree in range(1, 8):
+            f = random_monic(p, 2, degree, rng)
+            while not is_irreducible_by_gcds(f):
+                f = random_monic(p, 2, degree, rng)
+            calls.clear()
+            assert is_irreducible(f)
+            assert calls == [degree] * (degree // 2), (p, degree)
+    calls.clear()
+    for c in range(9):
+        f = x_minus_enc(3, c)
+        assert is_irreducible(f) and poly._distinct_degree(f) == [(f, 1)]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,6 @@ UNCALLED = {
     "hermitian.is_isotropic": ALLOWED["is_isotropic"],
     "linalg.Matrix.is_zero": "oracle: read by is_isotropic only",
     "linalg.Lattice.__len__": "the benchmark tracer reads len() of the lattice",
-    "poly.is_irreducible": "error only: tells reducible input from broken arithmetic when an eigenvalue orbit fails",
     "poly.Poly.zero": "a product with a zero operand (Poly.__mul__, Modulus.mul), which no command forms",
 }
 
@@ -126,7 +125,8 @@ def uncalled_by_battery(tmp_path):
         ["verify", "--q", "3", "--sig", "cp:1:2,sp:1:3", "--pretty", "--timings"],
         ["verify", "--q", "31", "--sig", "coxeter:5"],
         ["verify", "--q", "16381", "--sig", "cp:1:1,sp:1:3"],
-        ["gen", "--q", "5", "--sig", "cp:1:2,sp:1:1", "--out", str(stored), "--pretty"],
+        # exponent p: verify --in factors it through the p-th root
+        ["gen", "--q", "5", "--sig", "cp:1:2,sp:1:5", "--out", str(stored), "--pretty"],
         ["verify", "--in", str(stored)],
         ["gen", "--q", "3", "--coxeter", "--n", "5"],
         ["fl", "--q", "3", "--sig", "cp:1:2,cp:1:1"],
