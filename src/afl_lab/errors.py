@@ -86,7 +86,8 @@ class ForgeError(VerifierError):
 
 
 class CrossCheckError(VerifierError):
-    """Two independent computations of the same quantity disagreed.
+    """Two independent computations of the same quantity disagreed, or the
+    arithmetic failed a check of its own (a division, norm or scan).
 
     This never indicates bad input: it flags a bug in the code or in the
     formulas it implements, so callers must not swallow it.

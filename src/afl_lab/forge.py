@@ -30,8 +30,8 @@ irreducible and self-paired.  Everything but s and g depends on (q, n)
 alone: the power basis, the coordinate map, tau and the Gram matrix are
 built once per (q, n) per process (_coxeter_frame).  The draw of s, the
 generation test (the tau-orbit of s has length n), g and the instance, whose
-constructor certifies it by factoring charpoly(g), are per seed, so every
-instance is certified whole.
+constructor certifies it by factoring charpoly(g) and checks its signature,
+are per seed, so every instance is certified whole.
 
 The signature mini-language is "sp:<deg>:<exp>" / "cp:<deg>:<exp>", joined
 by commas; "coxeter:<n>" routes to the second builder.
@@ -45,7 +45,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import gf
-from .errors import ForgeError, InputError, InvariantError, Record
+from .errors import CrossCheckError, ForgeError, InputError, InvariantError, Record
 from .gf import FieldElem
 from .hermitian import is_unitary, validate_anti_involution, validate_space
 from .linalg import Matrix, charpoly, is_regular, null_basis, rref
@@ -87,13 +87,20 @@ def parse_signature(text: str) -> tuple[BlockSpec, ...]:
         fields = part.strip().split(":")
         if len(fields) != 3:
             raise InputError(f"bad signature block {part!r}; expected sp:<deg>:<exp> or cp:<deg>:<exp>")
-        try:
-            degree, exponent = int(fields[1]), int(fields[2])
-        except ValueError as exc:
-            raise InputError(f"bad signature block {part!r}") from exc
-        blocks.append(BlockSpec(fields[0], degree, exponent))
+        blocks.append(BlockSpec(fields[0], _spec_number(fields[1], part), _spec_number(fields[2], part)))
     require_dim(signature_dim(blocks), "signature dimension")
     return tuple(blocks)
+
+
+def _spec_number(text: str, block: str) -> int:
+    """A degree, exponent or n of a spec: ASCII digits only (int() also reads
+    signs, spaces, underscores and other scripts' digits), else InputError."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the int-to-str digit limit
+            pass
+    raise InputError(f"bad signature block {block!r}: {text!r} is not a number in ASCII digits")
 
 
 def signature_dim(sig) -> int:
@@ -110,10 +117,7 @@ def parse_spec(spec: str) -> int | tuple[BlockSpec, ...]:
     signature; malformed specs raise InputError."""
     spec = spec.strip()
     if spec.startswith("coxeter:"):
-        try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(f"bad coxeter spec {spec!r}") from exc
+        n = _spec_number(spec.split(":", 1)[1], spec)
         require_dim(n, "coxeter dimension")
         return n
     return parse_signature(spec)
@@ -128,14 +132,20 @@ class MinusculeInstance(Record):
     left out of equality, hash, repr and pickle.  claim, a builder's
     factorization of charpoly(g), is checked and not stored, so the
     certificate is a function of (space, g, tau) alone, and a pickle or
-    deepcopy certifies again by factoring."""
+    deepcopy certifies again by factoring.  The blocks signature names must
+    be the shape of fact, or InvariantError: it is never echoed unchecked."""
 
     _fields = ("space", "g", "tau", "seed", "signature")
     __slots__ = (*_fields, "fact")
 
     def __init__(self, space: Matrix, g: Matrix, tau: Matrix, seed: int, signature: tuple[str, ...], *, claim=None):
         Record.__init__(self, space, g, tau, seed, signature)
-        object.__setattr__(self, "fact", certify_instance(space, g, tau, claim=claim))
+        fact = certify_instance(space, g, tau, claim=claim)
+        # the shape of fact: one sp per self-paired factor, one cp per star pair
+        shape = [("sp" if i == j else "cp", *fact.factors[i]) for i, j in enumerate(fact.pairing) if i <= j]
+        if _named_shape(signature) != sorted((kind, f.degree, a) for kind, f, a in shape):
+            raise InvariantError("the signature does not name the factorization of charpoly(g)")
+        object.__setattr__(self, "fact", fact)
 
     @property
     def p(self) -> int:
@@ -144,6 +154,15 @@ class MinusculeInstance(Record):
     @property
     def n(self) -> int:
         return self.space.n
+
+
+def _named_shape(signature) -> list[tuple[str, int, int]]:
+    """The sorted (kind, degree, exponent) of the blocks the spec strings
+    name, read by parse_spec; coxeter:<n> names sp:<n>:1."""
+    shape = []
+    for parsed in map(parse_spec, signature):
+        shape += [("sp", parsed, 1)] if isinstance(parsed, int) else [(b.kind, b.degree, b.exponent) for b in parsed]
+    return sorted(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +524,7 @@ def build_block_instance(sig, p: int, seed: int) -> MinusculeInstance:
     space = _solve_gram(g, pairs, seed, sig_string)
     # the drawn block polynomials, with star(P) for the second block of a pair
     claim = [(f, b.exponent) for b, fp in zip(sig, polys) for f in ((fp, star(fp)) if b.kind == "cp" else (fp,))]
-    inst = MinusculeInstance(space, g, tau, seed, tuple(b.spec_string() for b in sig), claim=claim)
-    expected = sorted(
-        [(b.degree, b.exponent) for b in sig]
-        + [(b.degree, b.exponent) for b in sig if b.kind == "cp"]
-    )
-    if expected != sorted((f.degree, a) for f, a in inst.fact.factors):
-        raise AssertionError("factorization does not match the requested signature")
-    return inst
+    return MinusculeInstance(space, g, tau, seed, tuple(b.spec_string() for b in sig), claim=claim)
 
 
 @lru_cache(maxsize=None)
@@ -537,7 +549,7 @@ def _coxeter_frame(p: int, n: int):
     aug = [[cols[c][r] for c in range(level)] + [int(r == j) for j in range(level)] for r in range(level)]
     red, pivots = rref(_fp_rows(p, aug))
     if pivots != tuple(range(level)):
-        raise AssertionError("power basis failed to span the field")
+        raise CrossCheckError("power basis failed to span the field")
     binv = [[gf.encode_int(a) for a in row[level:]] for row in red]
     # z -> its coordinates in that basis, one packed F_p-linear map: power
     # basis vector k goes to column k of binv
@@ -594,10 +606,7 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
         if witness_degree != n:
             continue
         g = Matrix.from_rows(p, 2, [_coords(to_coords, s_elem * bj) for bj in powers]).transpose()
-        inst = MinusculeInstance(space, g, tau, seed, (f"coxeter:{n}",))
-        if [(f.degree, a) for f, a in inst.fact.factors] != [(n, 1)]:
-            raise AssertionError("charpoly of a generating s is not irreducible of degree n")
-        return inst
+        return MinusculeInstance(space, g, tau, seed, (f"coxeter:{n}",))
     raise ForgeError(
         "exhausted attempts to find a generating norm-one element; "
         f"last witness has minimal polynomial of degree {witness_degree} < {n}"

@@ -198,7 +198,7 @@ def defining_poly(p: int, degree: int) -> tuple[int, ...]:
         coeffs.append(1)
         if _is_irreducible_int(coeffs, p):
             return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise CrossCheckError("no irreducible polynomial found")  # unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def _norm_inverse(p, level, a):
         b = _frob_apply(p, level, 1, e)
     norm = _kronecker_mul(p, level, a, b)
     if not norm[0] or any(norm[1:]):
-        raise AssertionError("norm of a nonzero element is not a nonzero scalar")
+        raise CrossCheckError("norm of a nonzero element is not a nonzero scalar")
     inv = pow(norm[0], -1, p)
     return tuple(c * inv % p for c in b)
 
@@ -517,7 +517,7 @@ class _Tables:
             if len(powers) == q - 1:
                 break
         else:
-            raise AssertionError("no element of order q - 1: the product is broken")
+            raise CrossCheckError("no element of order q - 1: the product is broken")
         m = q - 1
         log = [0] * q
         for i, x in enumerate(powers):
@@ -737,15 +737,15 @@ def _embed_root(p, target_level):
         if d:
             break
     else:
-        raise AssertionError("every trace of a power of gen lies in F_p: the trace is broken")
+        raise CrossCheckError("every trace of a power of gen lies in F_p: the trace is broken")
     d2 = (d * d).coeffs
     if any(d2[1:]):
-        raise AssertionError("(w - w^q)^2 is not in F_p: the q-power map is broken")
+        raise CrossCheckError("(w - w^q)^2 is not in F_p: the q-power map is broken")
     b0, b1, _ = defining_poly(p, 2)
     disc = (b1 * b1 - 4 * b0) % p
     c = next((c for c in range(1, p) if c * c * d2[0] % p == disc), None)
     if c is None:
-        raise AssertionError("(w - w^q)^2 is a square of F_p: the q-power map is broken")
+        raise CrossCheckError("(w - w^q)^2 is a square of F_p: the q-power map is broken")
     half = (p + 1) // 2
     roots = []
     for k in (c, -c):
@@ -827,7 +827,7 @@ def descend(x: FieldElem) -> FieldElem:
     r = _embed_root(p, x.level)
     j = next((i for i in range(1, x.level) if r.coeffs[i]), None)
     if j is None:
-        raise AssertionError("embedded generator lies in the base field")
+        raise CrossCheckError("embedded generator lies in the base field")
     b = x.coeffs[j] * pow(r.coeffs[j], -1, p) % p
     a = (x.coeffs[0] - b * r.coeffs[0]) % p
     out = elem(p, 2, [a, b])

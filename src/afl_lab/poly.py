@@ -158,7 +158,7 @@ class Poly(Record):
             for j, bj in enumerate(other.coeffs):
                 rem[k + j] = rem[k + j] - c * bj
             if not rem[-1].is_zero:
-                raise AssertionError("long division left a leading term: the arithmetic is broken")
+                raise CrossCheckError("long division left a leading term: the arithmetic is broken")
         return (Poly.from_elems(self.p, self.level, q), Poly.from_elems(self.p, self.level, rem))
 
     def __floordiv__(self, other):
@@ -247,7 +247,7 @@ def _divmod_indexed(t, a, b):
             rem[j] = sub[rem[j]][mc[y]]
             j += 1
         if rem[-1]:
-            raise AssertionError("long division left a leading term: the arithmetic is broken")
+            raise CrossCheckError("long division left a leading term: the arithmetic is broken")
     return q, rem
 
 
@@ -351,7 +351,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             acc = lead_y * gf.pack_blocks(p, level, width, x) + (neg_lead_x * packed_y << (len(x) - len(y)) * bits)
             x = gf.fold_blocks(p, level, width, len(x), acc)
             if not x.pop().is_zero:
-                raise AssertionError("long division left a leading term: the arithmetic is broken")
+                raise CrossCheckError("long division left a leading term: the arithmetic is broken")
             while x and x[-1].is_zero:
                 x.pop()
         x, y = y, x
@@ -393,7 +393,7 @@ def _pth_root(f: Poly) -> Poly:
         if i % p == 0:
             out.append(c ** (p ** (f.level - 1)))
         elif not c.is_zero:
-            raise AssertionError("polynomial is not a p-th power")
+            raise CrossCheckError("polynomial is not a p-th power")
     return Poly.from_elems(f.p, f.level, out)
 
 
@@ -538,7 +538,7 @@ def factor(f: Poly) -> FactoredPoly:
     flat = plain_factor(f)
     fact = _star_paired(flat)
     if power_product(flat) != f.monic():
-        raise AssertionError("factorization does not reconstruct the input")
+        raise CrossCheckError("factorization does not reconstruct the input")
     return fact
 
 

@@ -267,6 +267,67 @@ def test_verify_rejects_an_alias_of_an_earlier_entry_exit2(alias, instance_json,
     assert err["error"] == "InputError" and "must be integers" in err["message"]
 
 
+def one_error_line(capsys):
+    """The error class of the one JSON line on stderr, with nothing on stdout."""
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "signature,error",
+    [
+        (["cp:1:1", "sp:3:1"], "InvariantError"),
+        (["cp:1:1", "sp:1:2"], "InvariantError"),
+        (["cp:1:1"], "InvariantError"),
+        (["cp:1:1", "sp:1:1", "sp:1:1"], "InvariantError"),
+        ([], "InvariantError"),
+        (["nonsense"], "InputError"),
+        # the degrees and exponents agree: only the kind tells them apart
+        (["sp:1:1,sp:1:1"], "InvariantError"),
+    ],
+    ids=["wrong-degree", "wrong-exponent", "missing-block", "extra-block", "empty", "nonsense", "kind"],
+)
+def test_verify_refuses_a_relabelled_signature_exit2(signature, error, instance_json, tmp_path, capsys):
+    # the gen file of cp:1:1,sp:1:1 certifies; only its label is changed
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(instance_json | {"signature": signature}))
+    assert main(["verify", "--in", str(path)]) == 2
+    assert one_error_line(capsys) == error
+
+
+def builder_forbidden(*args):
+    raise AssertionError("an instance was built from a malformed spec")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["sp:1_1:1", "sp: +1 :1", "sp:١:1", "coxeter:1_1", "coxeter: 3", "sp:1:" + "9" * 4301],
+    ids=["underscore", "sign-and-spaces", "arabic-indic-digit", "coxeter-underscore", "coxeter-space",
+         "past-int-digit-limit"],
+)
+def test_verify_refuses_a_spec_number_that_is_not_ascii_digits_exit2(spec, capsys, monkeypatch):
+    # int() would read the first five; the grammar reads ASCII digits only,
+    # and a number past int()'s digit limit is refused, not a traceback
+    monkeypatch.setattr(forge, "build_block_instance", builder_forbidden)
+    monkeypatch.setattr(forge, "random_coxeter_instance", builder_forbidden)
+    assert main(["verify", "--sig", spec]) == 2
+    assert one_error_line(capsys) == "InputError"
+
+
+def test_whitespace_around_whole_blocks_is_accepted():
+    assert forge.parse_signature(" sp:1:1, sp:1:3 ") == forge.parse_signature("sp:1:1,sp:1:3")
+    assert forge.parse_spec(" coxeter:3 ") == 3
+
+
+def test_a_broken_frobenius_exits_2_with_a_cross_check_error(capsys, monkeypatch):
+    # an internal arithmetic fault is a broken invariant, not a finding (1)
+    # and not a traceback: here the norm of the inverse leaves F_p
+    monkeypatch.setattr(gf, "_frob_apply", lambda p, level, power, a: a)
+    assert main(["verify", "--q", "17", "--sig", "cp:1:1,sp:1:1"]) == 2
+    assert one_error_line(capsys) == "CrossCheckError"
+
+
 # ---------------------------------------------------------------------------
 # fl / dl / orbital
 

@@ -361,15 +361,15 @@ def test_invalid_coxeter_keys_never_enter_the_frame_cache(q, n):
 
 @pytest.mark.parametrize("factors", ["two-factors", "exponent-2"])
 def test_coxeter_certificate_must_be_one_simple_factor_of_degree_n(factors, monkeypatch):
-    # the builder checks the shape of the factorization it stores, as
-    # build_block_instance checks its signature
+    # the constructor checks that "coxeter:5" names the shape of the
+    # factorization it stores, as it checks every signature
     def forged(gram, g, tau, claim=None):
         (f, _), = certify_instance(gram, g, tau, claim).factors
         shape = ((f, 1), (f, 1)) if factors == "two-factors" else ((f, 2),)
         return FactoredPoly(factors=shape, pairing=tuple(range(len(shape))))
 
     monkeypatch.setattr(forge, "certify_instance", forged)
-    with pytest.raises(AssertionError, match="not irreducible of degree n"):
+    with pytest.raises(InvariantError, match="does not name the factorization"):
         random_coxeter_instance(3, 5, 0)
 
 
@@ -721,6 +721,19 @@ def test_every_certifier_check_can_fail(part, broken, axiom):
     data[part] = bad.to_json()
     with pytest.raises(InvariantError, match=axiom):
         parse_instance(data)
+
+
+def test_a_signature_is_read_as_the_shape_of_the_factorization():
+    # coxeter:<n> names sp:<n>:1, and neither the order of the blocks nor
+    # how they are split into strings matters; a kind, degree or exponent does
+    cox = random_coxeter_instance(3, 5, 0)
+    assert parse_instance(serialize_instance(cox) | {"signature": ["sp:5:1"]}).fact == cox.fact
+    data = serialize_instance(instance_from_spec("cp:1:1,sp:1:1", 3, 3))
+    for label in (["sp:1:1", "cp:1:1"], ["sp:1:1,cp:1:1"]):
+        assert parse_instance(data | {"signature": label}).signature == tuple(label)
+    for label in (["cp:1:1,cp:1:1"], ["sp:1:1", "sp:1:1", "sp:1:1"], ["coxeter:3"]):
+        with pytest.raises(InvariantError, match="does not name the factorization"):
+            parse_instance(data | {"signature": label})
 
 
 def test_the_certificate_reads_the_instance_alone():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from afl_lab import gf
 from afl_lab.dl import T_MAX
-from afl_lab.errors import InputError
+from afl_lab.errors import CrossCheckError, InputError
 from afl_lab.forge import N_MAX
 from oracles import apply_by_embedding, embed_root_by_sqrt
 
@@ -389,7 +389,7 @@ def test_elems_is_the_only_table_of_elements(p, level):
 def test_table_build_ends_on_a_broken_product(monkeypatch):
     # a product that returns its left factor never brings the powers back to 1
     monkeypatch.setattr(gf, "_kronecker_mul", lambda p, level, a, b: a)
-    with pytest.raises(AssertionError, match="no element of order q - 1"):
+    with pytest.raises(CrossCheckError, match="no element of order q - 1"):
         gf._Tables(3, 2)
 
 
@@ -599,7 +599,7 @@ def test_norm_inverse_along_the_addition_chain_matches_euclid(p, level):
 def test_norm_inverse_rejects_a_norm_outside_fp(monkeypatch):
     # with the Frobenius broken to the identity, a b = gen^6 is no scalar
     monkeypatch.setattr(gf, "_frob_apply", lambda p, level, power, a: a)
-    with pytest.raises(AssertionError, match="not a nonzero scalar"):
+    with pytest.raises(CrossCheckError, match="not a nonzero scalar"):
         gf.gen(3, 6).inverse()
 
 
@@ -799,7 +799,7 @@ def test_embed_root_ends_on_broken_arithmetic(monkeypatch, frob, message):
     monkeypatch.setattr(gf, "frob_q", frob)
     gf._embed_root.cache_clear()
     try:
-        with pytest.raises(AssertionError, match=message):
+        with pytest.raises(CrossCheckError, match=message):
             gf._embed_root(5, 6)
     finally:
         gf._embed_root.cache_clear()

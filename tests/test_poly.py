@@ -384,9 +384,9 @@ def test_long_division_with_a_broken_inverse_stops(level, monkeypatch):
     x, one = gf.gen(3, level), gf.one(3, level)
     f, g = Poly.from_elems(3, level, [one, x, x]), Poly.from_elems(3, level, [one, x])
     if level == 2:
-        with pytest.raises(AssertionError, match="leading term"):
+        with pytest.raises(CrossCheckError, match="leading term"):
             poly_gcd(f, g)
-    with pytest.raises(AssertionError, match="leading term"):
+    with pytest.raises(CrossCheckError, match="leading term"):
         divmod(f, g)
 
 
@@ -405,7 +405,7 @@ def test_packed_gcd_with_a_broken_fold_stops(p, level, monkeypatch):
     f, g = Poly.from_elems(p, level, [one, x, x]), Poly.from_elems(p, level, [one, x])
     assert poly_gcd(f, g) == gcd_by_division(f, g)
     monkeypatch.setattr(gf, "fold_blocks", fold_leaving_the_top_block)
-    with pytest.raises(AssertionError, match="leading term"):
+    with pytest.raises(CrossCheckError, match="leading term"):
         poly_gcd(f, g)
 
 

@@ -6,8 +6,9 @@ module imports is read there; every kernel with a loop on gf's encodings
 is on a third allowlist, with the workload that pays for it; every
 function that draws from a seeded rng is on a fourth, with its reason;
 every function that constructs an rng is on a fifth, with what its key
-holds; and no src module reads the environment, so stdout is a function of
-argv."""
+holds; no src module reads the environment, so stdout is a function of
+argv; and every raise in src is bare or names a VerifierError subclass,
+ZeroDivisionError, or inside errors.Record TypeError or AttributeError."""
 
 import ast
 import json
@@ -423,3 +424,49 @@ def test_private_gf_guard_sees_a_reader(tmp_path):
         "def f(x):\n    return gf._norm_inverse(x), gf.embed(x, 4), gf.__name__, _dot, _kronecker_mul\n"
     )
     assert private_gf_reads(tmp_path) == ["reader._kronecker_mul", "reader._norm_inverse"]
+
+
+# the classes a src raise may name: the VerifierError subclasses, one
+# refusal path to exit 2, and ZeroDivisionError for a zero divisor; the
+# record protocol alone refuses a bad construction or a write to a field
+# with TypeError and AttributeError, as Python's own values do
+RAISED = {"InputError", "InvariantError", "ForgeError", "CrossCheckError", "ZeroDivisionError"}
+RAISED_BY_RECORD = {"TypeError", "AttributeError"}
+
+
+def raise_offenders(src=SRC):
+    """module:line and class of every raise in src that is neither a bare
+    re-raise nor of a class it may raise there."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        in_record = {
+            id(n) for qualname, _, node in definitions(tree)
+            if (path.stem, qualname) == ("errors", "Record") for n in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                if name not in RAISED | (RAISED_BY_RECORD if id(node) in in_record else set()):
+                    found.append(f"{path.stem}:{node.lineno} {name}")
+    return sorted(found)
+
+
+def test_src_raises_only_verifier_errors():
+    assert raise_offenders() == []
+
+
+def test_raise_guard_sees_a_stray_class(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class Record:\n    def __setattr__(self, name, value):\n        raise AttributeError(name)\n\n\n"
+        "class Other:\n    def __setattr__(self, name, value):\n        raise AttributeError(name)\n"
+    )
+    (tmp_path / "kernel.py").write_text(
+        "from . import errors\nfrom .errors import InputError\n\n\n"
+        "def f(x):\n    try:\n        return 1 / x\n    except ZeroDivisionError:\n        raise\n"
+        "    raise InputError('x') from None\n\n\n"
+        "def g(x):\n    if x:\n        raise AssertionError('broken')\n    raise ValueError\n\n\n"
+        "def h(x):\n    raise errors.CrossCheckError('broken')\n"
+    )
+    assert raise_offenders(tmp_path) == ["errors:8 AttributeError", "kernel:15 AssertionError", "kernel:16 ValueError"]
