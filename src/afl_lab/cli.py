@@ -1,4 +1,5 @@
-"""Command-line front end: gen, verify, sweep, fl, dl, orbital, selftest.
+"""Command-line front end: gen, verify, sweep, dl, orbital.  verify checks
+the AFL identity on odd n and the counting identity on even n.
 
 All machine output is JSON on stdout, rendered with sorted keys and fixed
 separators so identical (command, seed) pairs produce byte-identical bytes
@@ -254,13 +255,6 @@ def cmd_sweep(args) -> int:
     return 0 if not summary["fails"] else 1
 
 
-def cmd_fl(args) -> int:
-    inst = _load_instance(args)
-    payload = engine.fl_report(inst)
-    _emit(payload)
-    return 0 if payload["verdict"] == "PASS" else 1
-
-
 def cmd_dl(args) -> int:
     if args.t > T_MAX:
         raise InputError(f"--t must be at most {T_MAX}, got {args.t}")
@@ -294,47 +288,6 @@ def cmd_orbital(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    checks = []
-
-    def run(name, fn):
-        try:
-            ok, detail = fn()
-        except VerifierError as exc:
-            ok, detail = False, str(exc)
-        checks.append({"name": name, "ok": ok, "detail": detail})
-
-    def verdict_case(spec):
-        def body():
-            kind, rep = _report(instance_from_spec(spec, 3, args.seed))
-            detail = f"A={rep['A']} G={rep['G']}" if kind == "afl" else f"lhs={rep['lhs']} rhs={rep['rhs']}"
-            return rep["verdict"] == "PASS", detail
-
-        return body
-
-    run("afl_dim1", verdict_case("sp:1:1"))
-    run("afl_sp13", verdict_case("sp:1:3"))
-    run("afl_empty", verdict_case("sp:1:1,sp:1:1,sp:1:1"))
-    run("fl_cp11", verdict_case("cp:1:1"))
-
-    def dl_case():
-        inst = random_coxeter_instance(3, 3, args.seed)
-        recs = dl_fixed_points(inst.space, inst.g, seed=args.seed)
-        return len(recs) == 3 and galois_orbit_check(recs), f"count={len(recs)}"
-
-    run("dl_t3", dl_case)
-
-    def determinism_case():
-        a = _dump(serialize_instance(instance_from_spec("cp:1:2,sp:1:1", 5, args.seed)))
-        b = _dump(serialize_instance(instance_from_spec("cp:1:2,sp:1:1", 5, args.seed)))
-        return a == b, "same seed reproduces the same instance"
-
-    run("determinism", determinism_case)
-    ok = all(c["ok"] for c in checks)
-    _emit({"checks": checks, "ok": ok})
-    return 0 if ok else 1
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -342,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="afl-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_q=True):
-        if with_q:
-            p.add_argument("--q", type=int, default=3, help="odd prime residue size")
+    def common(p):
+        p.add_argument("--q", type=int, default=3, help="odd prime residue size")
         p.add_argument("--seed", type=int, default=0)
 
     p_gen = sub.add_parser("gen", help="generate a certified instance")
@@ -383,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--timings", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fl = sub.add_parser("fl", help="even-dimensional counting identity")
-    instance_source(p_fl)
-    p_fl.set_defaults(func=cmd_fl)
-
     p_dl = sub.add_parser("dl", help="eigenline count for a Coxeter-torus element")
     common(p_dl)
     p_dl.add_argument("--t", type=int, default=3, help=f"odd dimension, at most {T_MAX}")
@@ -396,10 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     instance_source(p_orb)
     p_orb.add_argument("--ell", type=int, default=0, help="external ell(gamma) shift")
     p_orb.set_defaults(func=cmd_orbital)
-
-    p_self = sub.add_parser("selftest", help="small fixed verification battery")
-    common(p_self, with_q=False)
-    p_self.set_defaults(func=cmd_selftest)
     return parser
 
 

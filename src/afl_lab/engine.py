@@ -72,22 +72,12 @@ def m_counts(sw, n: int) -> dict[int, int]:
 
 
 def _analytic(sw) -> int:
+    """A = -sum_W (-1)^{dim W} dim W over the g- and tau-stable subspaces."""
     return -sum((-1) ** d * d for _, d in sw)
 
 
 def _alternating(sw) -> int:
     return sum((-1) ** d for _, d in sw)
-
-
-def analytic_count(inst: MinusculeInstance) -> int:
-    """A = -sum_W (-1)^{dim W} dim W over the g- and tau-stable subspaces."""
-    if inst.n % 2 == 0:
-        raise InputError("the analytic count lives on odd dimensions")
-    return _analytic(script_w(inst))
-
-
-def alternating_sum(inst: MinusculeInstance) -> int:
-    return _alternating(script_w(inst))
 
 
 def afl_support(fact: FactoredPoly):
@@ -244,7 +234,7 @@ def fl_check(inst: MinusculeInstance) -> tuple[int, int]:
     subspaces against the number of invariant Lagrangians (W-perp = W)."""
     if inst.n % 2:
         raise InputError("the counting identity lives on even dimensions")
-    lhs = alternating_sum(inst)
+    lhs = _alternating(script_w(inst))
     basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
     rhs = sum(w == perp for _, w, perp in basis.divisors())
     return lhs, rhs

@@ -686,6 +686,11 @@ def parse_instance(data: dict) -> MinusculeInstance:
     signature = data["signature"]
     if not isinstance(signature, list) or not all(isinstance(s, str) for s in signature):
         raise InputError("schema: signature must be a list of strings")
+    for spec in signature:
+        try:
+            parse_spec(spec)
+        except InputError as exc:
+            raise InputError(f"schema: signature: {exc}") from exc
     space = _matrix_from_json(p, data["gram"], n, "gram")
     g = _matrix_from_json(p, data["g"], n, "g")
     tau = _matrix_from_json(p, data["tau"], n, "tau")

@@ -1,8 +1,11 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -150,15 +153,10 @@ def test_verify_even_dimension_pretty_appends_the_counting_identity(capsys):
     "argv",
     [
         ["gen", "--timings"],
-        ["fl", "--timings"],
         ["dl", "--timings"],
         ["orbital", "--timings"],
-        ["selftest", "--timings"],
-        ["fl", "--pretty"],
         ["dl", "--pretty"],
         ["orbital", "--pretty"],
-        ["selftest", "--pretty"],
-        ["selftest", "--q", "3"],
     ],
     ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
 )
@@ -187,7 +185,6 @@ def instance_json():
     "argv,flags",
     [
         (["verify", "--in", "FILE", "--sig", "cp:1:1"], ("--in", "--sig")),
-        (["fl", "--in", "FILE", "--sig", "cp:1:1"], ("--in", "--sig")),
         (["orbital", "--in", "FILE", "--sig", "sp:1:1"], ("--in", "--sig")),
         (["gen", "--coxeter", "--sig", "sp:1:1"], ("--sig", "--coxeter")),
         (["gen", "--sig", "sp:1:1", "--n", "5"], ("--sig", "--n")),
@@ -195,10 +192,10 @@ def instance_json():
         (["verify", "--in", "FILE", "--sig", ""], ("--in", "--sig")),
         (["gen", "--coxeter", "--sig", ""], ("--sig", "--coxeter")),
         *[([command, "--in", "FILE", flag, value], (flag, "--in"))
-          for command in ("verify", "fl", "orbital") for flag, value in (("--q", "7"), ("--seed", "99"))],
+          for command in ("verify", "orbital") for flag, value in (("--q", "7"), ("--seed", "99"))],
     ],
-    ids=["verify", "fl", "orbital", "gen-coxeter", "gen-n", "gen-coxeter-n", "verify-empty-sig", "gen-empty-sig"]
-    + [f"{command}-in{flag}" for command in ("verify", "fl", "orbital") for flag in ("--q", "--seed")],
+    ids=["verify", "orbital", "gen-coxeter", "gen-n", "gen-coxeter-n", "verify-empty-sig", "gen-empty-sig"]
+    + [f"{command}-in{flag}" for command in ("verify", "orbital") for flag in ("--q", "--seed")],
 )
 def test_conflicting_instance_sources_exit2(argv, flags, instance_json, tmp_path, capsys):
     # each source alone is valid, so only the pair is refused; an empty
@@ -296,6 +293,17 @@ def test_verify_refuses_a_relabelled_signature_exit2(signature, error, instance_
     assert one_error_line(capsys) == error
 
 
+def test_only_a_stored_signature_error_carries_the_schema_prefix(instance_json, tmp_path, capsys):
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(instance_json | {"signature": ["nonsense"]}))
+    assert main(["verify", "--in", str(path)]) == 2
+    from_file = json.loads(capsys.readouterr().err)["message"]
+    assert main(["verify", "--sig", "nonsense"]) == 2
+    from_argv = json.loads(capsys.readouterr().err)["message"]
+    assert from_argv == "bad signature block 'nonsense'; expected sp:<deg>:<exp> or cp:<deg>:<exp>"
+    assert from_file == f"schema: signature: {from_argv}"
+
+
 def builder_forbidden(*args):
     raise AssertionError("an instance was built from a malformed spec")
 
@@ -329,11 +337,11 @@ def test_a_broken_frobenius_exits_2_with_a_cross_check_error(capsys, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# fl / dl / orbital
+# counting identity / dl / orbital
 
 
-def test_fl_subcommand():
-    proc = run_cli("fl", "--q", "3", "--sig", "cp:1:1")
+def test_verify_even_n_prints_the_counting_identity():
+    proc = run_cli("verify", "--q", "3", "--sig", "cp:1:1")
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["lhs"] == data["rhs"] == 2
@@ -564,13 +572,17 @@ def test_run_sweep_rejects_empty_grid():
 
 
 # ---------------------------------------------------------------------------
-# selftest, env seed, entry point
+# removed commands, env seed, entry point
 
 
-def test_selftest_passes():
-    proc = run_cli("selftest")
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["ok"] is True
+@pytest.mark.parametrize("command", ["fl", "selftest"])
+def test_removed_commands_are_invalid_choices_exit2(command, capsys):
+    argv = [command] + (["--q", "3", "--sig", "cp:1:1"] if command == "fl" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"invalid choice: '{command}'" in err
 
 
 def test_stdout_ignores_the_environment():
@@ -584,4 +596,22 @@ def test_stdout_ignores_the_environment():
 
 
 def test_main_returns_int():
-    assert main(["selftest"]) == 0
+    assert main(["verify", "--q", "3", "--sig", "sp:1:1"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# README against the parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+NUMBER_WORDS = ["zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten"]
+
+
+def test_readme_lists_exactly_the_parsers_subcommands():
+    parser = cli.build_parser()
+    choices = set(next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices)
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", section, re.M | re.S).group(1)
+    assert {line.split()[1] for line in block.splitlines() if line.startswith("afl-lab ")} == choices
+    count = re.search(r"exposes\s+(\w+)\s+subcommands", section).group(1)
+    assert NUMBER_WORDS.index(count) == len(choices)

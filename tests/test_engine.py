@@ -6,8 +6,6 @@ from afl_lab import cli, engine
 from afl_lab.engine import (
     afl_support,
     afl_verdict,
-    alternating_sum,
-    analytic_count,
     closed_form_cardinality,
     closed_form_derivative_magnitude,
     fl_check,
@@ -90,20 +88,20 @@ def test_script_w_matches_direct_tau_stability(spec, q):
 
 
 def test_analytic_dim1():
-    assert analytic_count(inst_of("sp:1:1")) == 1
+    assert afl_verdict(inst_of("sp:1:1")).analytic == 1
 
 
 def test_analytic_self_paired_cube():
-    assert analytic_count(inst_of("sp:1:3")) == 2
+    assert afl_verdict(inst_of("sp:1:3")).analytic == 2
 
 
 def test_analytic_pair_plus_self():
-    assert analytic_count(inst_of("cp:1:1,sp:1:1")) == 2
+    assert afl_verdict(inst_of("cp:1:1,sp:1:1")).analytic == 2
 
 
 def test_analytic_rejects_even_dim():
-    with pytest.raises(InputError):
-        analytic_count(inst_of("cp:1:1"))
+    with pytest.raises(InputError, match="odd-dimensional"):
+        afl_verdict(inst_of("cp:1:1"))
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +229,14 @@ def test_orbital_dim1_shifted():
 @pytest.mark.parametrize("spec", ["sp:1:1", "sp:1:3", "cp:1:1,sp:1:1", "sp:1:1,sp:1:1,sp:1:1"])
 def test_orbital_vanishes_at_one_for_odd_dim(spec):
     inst = inst_of(spec)
+    analytic = afl_verdict(inst).analytic
     for ell in (0, 1, 2, -1, -5):
         coeffs = orbital_polynomial(inst, ell)
         deriv = orbital_derivative_at_one(coeffs)
         values = [*coeffs, *coeffs.values(), orbital_value_at_one(coeffs), deriv]
         assert all(type(v) is int for v in values), (ell, coeffs)  # no float from a negative power
         assert orbital_value_at_one(coeffs) == 0
-        assert (-1) ** (ell % 2 + 1) * deriv == analytic_count(inst)
+        assert (-1) ** (ell % 2 + 1) * deriv == analytic
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,7 @@ def test_verdict_json_schema():
 
 def test_alternating_sum_vanishes_odd():
     for spec in ("sp:1:1", "sp:1:3", "cp:1:1,sp:1:3"):
-        assert alternating_sum(inst_of(spec)) == 0
+        assert engine._alternating(script_w(inst_of(spec))) == 0
 
 
 def test_duality_sends_mi_to_mn_minus_i():

@@ -620,6 +620,32 @@ def test_wrong_poly2_is_schema_error():
         parse_instance(data)
 
 
+@pytest.mark.parametrize(
+    "signature,message",
+    [
+        (["nonsense"], "bad signature block 'nonsense'; expected sp:<deg>:<exp> or cp:<deg>:<exp>"),
+        (["cp:7:7", "nonsense"], f"signature dimension must be at most {forge.N_MAX}, got 98"),
+    ],
+    ids=["nonsense", "first-spec-over-the-bound"],
+)
+def test_parse_prefixes_a_bad_stored_signature_before_any_matrix(signature, message, monkeypatch):
+    data = serialize_instance(instance_from_spec("sp:1:3", 3, 8)) | {"signature": signature}
+
+    def matrix_formed(*_):
+        raise AssertionError("a matrix was built before the signature was read")
+
+    monkeypatch.setattr(forge, "_matrix_from_json", matrix_formed)
+    with pytest.raises(InputError) as exc:
+        parse_instance(data)
+    assert str(exc.value) == f"schema: signature: {message}"
+
+
+def test_parse_keeps_the_invariant_error_for_a_wellformed_wrong_label():
+    data = serialize_instance(instance_from_spec("sp:1:3", 3, 8)) | {"signature": ["sp:3:1"]}
+    with pytest.raises(InvariantError, match="does not name the factorization"):
+        parse_instance(data)
+
+
 def test_certify_passes_on_fresh_instances():
     for spec, q in [("sp:1:3", 3), ("coxeter:3", 3), ("cp:2:1,sp:1:1", 5)]:
         inst = instance_from_spec(spec, q, 3)
