@@ -5,22 +5,23 @@ subspaces stable under both g and tau,
 
     A = - sum_{W} (-1)^{dim W} dim W,
 
-enumerated through divisor exponent vectors fixed by the star pairing.  The
-geometric side walks every g-invariant totally isotropic W (isotropy decided
-by the actual Gram matrix, never inferred from the signature), forms the
-subquotient W-perp/W, and contributes type * (a+1)/2 exactly when the
-subquotient characteristic polynomial is irreducible; the per-stratum fixed
-count can be re-derived by the eigenline counter, and a disagreement there
-is a hard error, not a finding.  The geometric walk and the even-dimensional
-counting identity each take the lattice once, from
-linalg.invariant_subspaces, as the chains of one basis read off a cyclic
-vector of g (regularity itself is certified by the forge, not here): every
-W and W-perp is a row mask of it, yielded for every divisor by its one
-enumerator (hermitian.AdaptedBasis.divisors), and every subquotient a slice
-of H and g written in it (hermitian.adapted_basis), with H tested for full
-rank once per instance and no stratum tested again.  Both walk the divisor
-exponent vectors in lexicographic order; the analytic side reads them in
-the same order from poly.divisor_exponents, apart from the walk.
+read off the dimension counts |M_i| of that set, which script_w takes as the
+coefficients of one product over the star orbits of the factors, with no
+divisor enumerated.  The geometric side walks every g-invariant totally
+isotropic W (isotropy decided by the actual Gram matrix, never inferred
+from the signature), forms the subquotient W-perp/W, and contributes
+type * (a+1)/2 exactly when the subquotient characteristic polynomial is
+irreducible; the per-stratum fixed count can be re-derived by the eigenline
+counter, and a disagreement there is a hard error, not a finding.  The
+geometric walk and the even-dimensional counting identity each take the
+lattice once, from linalg.invariant_subspaces, as the chains of one basis
+read off a cyclic vector of g (regularity itself is certified by the forge,
+not here): every W and W-perp is a row mask of it, yielded for every
+isotropic divisor and no other by one depth-first walk
+(hermitian.AdaptedBasis.divisors), in lexicographic exponent order, and
+every subquotient a slice of H and g written in it
+(hermitian.adapted_basis), with H tested for full rank once per instance
+and no stratum tested again.
 
 Support (whether the geometric side can be nonempty) has a closed-form
 criterion: a unique self-paired factor of odd exponent.  The engine never
@@ -39,7 +40,7 @@ from .errors import CrossCheckError, InputError, Record
 from .forge import MinusculeInstance, serialize_instance
 from .hermitian import adapted_basis, induced_subquotient
 from .linalg import charpoly, invariant_subspaces
-from .poly import FactoredPoly, divisor_exponents, poly_key
+from .poly import FactoredPoly, poly_key
 
 SIGN_NOTE = (
     "sign convention pinned to sum(mult) = -sum((-1)^l l); the orbital derivative "
@@ -49,35 +50,33 @@ SIGN_NOTE = (
 ELL_NOTE = "ell_gamma is not derivable from the finite data; reports use ell_gamma = 0"
 
 
-def _degrees(fact: FactoredPoly) -> list[int]:
-    return [f.degree for f, _ in fact.factors]
+def script_w(inst: MinusculeInstance) -> tuple[int, ...]:
+    """The dimension counts |M_i|, i = 0..n, of the g- and tau-stable
+    subspaces, the divisors with m_{tau(i)} = m_i: the coefficients of the
+    product over the star orbits of sum_{k <= a} u^{k deg P} for a
+    self-paired factor P^a and sum_{k <= a} u^{2k deg P} for a pair
+    {P, star(P)}, each of exponent a."""
+    counts = [1]
+    for i, j in enumerate(inst.fact.pairing):
+        if j < i:
+            continue
+        f, a = inst.fact.factors[i]
+        step = f.degree if i == j else 2 * f.degree
+        out = [0] * (len(counts) + a * step)
+        for k in range(0, a * step + 1, step):
+            for d, c in enumerate(counts):
+                out[d + k] += c
+        counts = out
+    return tuple(counts)
 
 
-def script_w(inst: MinusculeInstance) -> tuple:
-    """The g- and tau-stable subspaces as pairs (vec, dim): the divisor
-    vectors fixed under the star pairing, i.e. m_{tau(i)} = m_i."""
-    degs = _degrees(inst.fact)
-    members = []
-    for vec in divisor_exponents(inst.fact.factors):
-        if all(vec[j] == vec[i] for i, j in enumerate(inst.fact.pairing)):
-            members.append((vec, sum(m * d for m, d in zip(vec, degs))))
-    return tuple(members)
-
-
-def m_counts(sw, n: int) -> dict[int, int]:
-    counts = {i: 0 for i in range(n + 1)}
-    for _, d in sw:
-        counts[d] += 1
-    return counts
-
-
-def _analytic(sw) -> int:
+def _analytic(counts) -> int:
     """A = -sum_W (-1)^{dim W} dim W over the g- and tau-stable subspaces."""
-    return -sum((-1) ** d * d for _, d in sw)
+    return -sum((-1) ** d * d * c for d, c in enumerate(counts))
 
 
-def _alternating(sw) -> int:
-    return sum((-1) ** d for _, d in sw)
+def _alternating(counts) -> int:
+    return sum((-1) ** d * c for d, c in enumerate(counts))
 
 
 def afl_support(fact: FactoredPoly):
@@ -143,9 +142,9 @@ class GeometricResult(Record):
 
 
 def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> GeometricResult:
-    """Walk the vertex strata by divisor: isotropic g-invariant W, actual-Gram
-    isotropy, each W and W-perp a row mask of the adapted basis, built once
-    by its divisors() enumerator, W-perp/W a slice.
+    """Walk the vertex strata by divisor: the isotropic g-invariant W,
+    actual-Gram isotropy, each W and W-perp a row mask of the adapted basis
+    as its divisors() walk yields them, W-perp/W a slice.
 
     A stratum contributes type * multiplicity when the subquotient charpoly
     is irreducible (equivalently: equals one of the P_i).  With cross_check
@@ -159,8 +158,6 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
     total = 0
     basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
     for vec, w, perp in basis.divisors():
-        if w & ~perp:
-            continue
         quotient_gram, quotient_m = induced_subquotient(basis, w, perp)
         t = quotient_gram.n  # dim W-perp - dim W = n - 2 dim W
         qcp = charpoly(quotient_m)
@@ -192,12 +189,12 @@ def orbital_polynomial(inst: MinusculeInstance, ell_gamma: int = 0) -> dict[int,
     The coefficient of u^{i + ell_gamma} is (-1)^{i + ell_gamma} |M_i| where
     |M_i| counts the stable subspaces of dimension i.
     """
-    return _orbital(m_counts(script_w(inst), inst.n), ell_gamma)
+    return _orbital(script_w(inst), ell_gamma)
 
 
-def _orbital(counts: dict[int, int], ell_gamma: int) -> dict[int, int]:
+def _orbital(counts, ell_gamma: int) -> dict[int, int]:
     coeffs: dict[int, int] = {}
-    for i, cnt in counts.items():
+    for i, cnt in enumerate(counts):
         if cnt:
             e = i + ell_gamma
             coeffs[e] = coeffs.get(e, 0) + (-1) ** (e % 2) * cnt
@@ -250,7 +247,8 @@ class Check(Record):
 
 class VerificationReport(Record):
     """support is "Finite" or "Empty"; the closed forms are None on empty
-    support; counts and orbital are dicts from dimension to count."""
+    support; counts is script_w's tuple of dimension counts and orbital a
+    dict from exponent to coefficient."""
 
     __slots__ = _fields = (
         "instance", "analytic", "geometric", "support", "closed_card", "closed_deriv",
@@ -273,7 +271,7 @@ class VerificationReport(Record):
             "closed_deriv": self.closed_deriv,
             "support": self.support,
             "strata": [rec.to_json() for rec in self.geometric.strata],
-            "m_counts": {str(k): v for k, v in self.counts.items() if v},
+            "m_counts": {str(k): v for k, v in enumerate(self.counts) if v},
             "alt_sum": self.alt_sum,
             "orbital": {
                 "ell_gamma": 0,
@@ -299,13 +297,12 @@ def afl_verdict(inst: MinusculeInstance, cross_check: bool = True) -> Verificati
     if inst.n % 2 == 0:
         raise InputError("verdicts are for odd-dimensional instances; use fl_check")
     fact = inst.fact
-    sw = script_w(inst)
-    a_count = _analytic(sw)
+    counts = script_w(inst)
+    a_count = _analytic(counts)
     geo = geometric_count(inst, cross_check=cross_check)
     i0 = afl_support(fact)
     support = "Finite" if i0 is not None else "Empty"
-    counts = m_counts(sw, inst.n)
-    alt = _alternating(sw)
+    alt = _alternating(counts)
     orb = _orbital(counts, 0)
 
     checks = [Check("analytic_equals_geometric", a_count == geo.total, f"A={a_count} G={geo.total}")]
@@ -332,7 +329,7 @@ def afl_verdict(inst: MinusculeInstance, cross_check: bool = True) -> Verificati
                             f"A={a_count} G={geo.total}"))
     checks.append(Check("alternating_sum_zero", alt == 0, f"sum (-1)^dim = {alt}"))
     checks.append(
-        Check("duality_m_counts", all(counts[i] == counts[inst.n - i] for i in counts),
+        Check("duality_m_counts", counts == counts[::-1],
               "dimension counts symmetric under i -> n-i")
     )
     checks.append(Check("orbital_vanishes_at_one", orbital_value_at_one(orb) == 0,

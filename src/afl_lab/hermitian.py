@@ -12,18 +12,16 @@ validated here.
 
 The walk runs in the basis B of linalg.invariant_subspaces, in which every
 g-invariant subspace W and its W-perp are sets of rows, one bitmask each,
-and one enumerator of the chain prefix tables yields both for every divisor
-(AdaptedBasis.divisors): only H = B G conj(B)^T and g written in B are
-formed here, once per instance, and H is tested for full rank once.  A
-stratum is a slice of both, with no rank test of its own: for H
-nondegenerate and W isotropic the radical of W-perp is W, so H is
-nondegenerate on the slice, the rows in W-perp but not in W
+and one depth-first walk of the chain prefix tables yields both for every
+isotropic divisor and no other (AdaptedBasis.divisors): only H = B G
+conj(B)^T and g written in B are formed here, once per instance, and H is
+tested for full rank once.  A stratum is a slice of both, with no rank test
+of its own: for H nondegenerate and W isotropic the radical of W-perp is W,
+so H is nondegenerate on the slice, the rows in W-perp but not in W
 (induced_subquotient).
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import InputError, InvariantError, Record
 from .linalg import Lattice, Matrix, in_basis, rref
@@ -94,8 +92,8 @@ class AdaptedBasis(Record):
     the rows whose row of H vanishes on W, as B is a basis.  Isotropy and
     subquotients are thus row sets and slices of H and of g written in B; no
     stratum computes a kernel or solves anything, and divisors() is the one
-    way to a member: its exponents come from the tables' own keys, so no
-    prefix can spill into the next chain.
+    way to an isotropic member: its exponents come from the tables' own
+    keys, so no prefix can spill into the next chain.
 
     rows is B, gram the Matrix H, and column c of the Matrix g holds the
     B-coordinates of g B[c]; chains is the lattice's, one (offset, deg P_i,
@@ -122,21 +120,27 @@ class AdaptedBasis(Record):
         object.__setattr__(self, "prefixes", tuple(prefixes))
 
     def divisors(self):
-        """Every divisor as (vec, W, W-perp), W and W-perp row bitmasks of B,
-        in the lexicographic order of poly.divisor_exponents (each table holds
-        its exponents 0..a_i in order): one prefix per chain, W the OR of
-        their row masks and W-perp the AND of their column masks, with
-        InvariantError unless W-perp has n - dim W rows."""
-        n = self.gram.n
-        for picks in itertools.product(*(table.items() for table in self.prefixes)):
-            vec, masks = zip(*picks)
-            w, perp = 0, (1 << n) - 1
-            for wk, pk in masks:
-                w |= wk
-                perp &= pk
-            if perp.bit_count() != n - w.bit_count():
-                raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
-            yield vec, w, perp
+        """Every isotropic divisor as (vec, W, W-perp), W and W-perp row
+        bitmasks of B, in lexicographic exponent order, with InvariantError
+        unless W-perp has n - dim W rows: a depth-first walk over the chains'
+        prefix tables (exponents 0..a_i in order), W the OR and W-perp the AND
+        of the masks so far.  A larger prefix only grows W and shrinks W-perp,
+        so a chain's loop ends at its first prefix with W not inside W-perp."""
+        n, tables = self.gram.n, self.prefixes
+
+        def walk(j, vec, w, perp):
+            if j == len(tables):
+                if perp.bit_count() != n - w.bit_count():
+                    raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
+                yield vec, w, perp
+                return
+            for k, (wk, pk) in tables[j].items():
+                wk, pk = w | wk, perp & pk
+                if wk & ~pk:
+                    break
+                yield from walk(j + 1, (*vec, k), wk, pk)
+
+        return walk(0, (), 0, (1 << n) - 1)
 
 
 def adapted_basis(lattice: Lattice, gram: Matrix, g: Matrix) -> AdaptedBasis:

@@ -35,7 +35,7 @@ import random
 
 from . import gf
 from .errors import InputError, InvariantError, Record
-from .poly import Poly, divisor_exponents
+from .poly import Poly
 
 # Draws of a cyclic vector before invariant_subspaces refuses M.  For a
 # regular M a uniform x is cyclic with probability prod (1 - Q^(-deg P_i))
@@ -45,6 +45,11 @@ from .poly import Poly, divisor_exponents
 # draws fail with probability about 1e-8; for any M, the ninth linear factor
 # T included, at least 0.22, and about 1e-7.
 CYCLIC_DRAWS = 64
+
+# Most divisors invariant_subspaces accepts: N_MAX bounds the dimension, not
+# the lattice (k distinct linear factors have 2^k divisors).  README gives
+# the timed runs behind it.
+DIVISOR_MAX = 2**17
 
 
 class Matrix(Record):
@@ -476,7 +481,9 @@ def invariant_subspaces(m: Matrix, pairs) -> Lattice:
     union of chain prefixes.  B is these coefficient rows times the Krylov
     rows x, Mx, ..., M^(n-1) x.
     """
-    divisor_exponents(pairs)  # bounds the divisors before any Krylov row is formed
+    count = math.prod(a + 1 for _, a in pairs)  # before any Krylov row is formed
+    if count > DIVISOR_MAX:
+        raise InputError(f"the invariant subspace lattice has {count} divisors, more than {DIVISOR_MAX}")
     p, level, n = m.p, m.level, m.n
     z, one = gf.zero(p, level), Poly.one(p, level)
     steps, chains = [], []

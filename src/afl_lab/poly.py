@@ -30,8 +30,6 @@ recomputed (certify_factorization), and ends in the same pairing step.
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 
 from . import gf
@@ -45,11 +43,6 @@ from .gf import FieldElem, encode_int
 # (odds (2/3)^64 < 1e-11) means broken arithmetic or a factor without roots
 # in its field.
 SPLIT_TRIES = 64
-
-# Most divisors divisor_exponents enumerates: N_MAX bounds the dimension, not
-# the lattice (k distinct linear factors have 2^k divisors).  README gives
-# the timed runs behind it.
-DIVISOR_MAX = 2**17
 
 
 class Poly(Record):
@@ -572,14 +565,3 @@ def power_product(pairs) -> Poly:
             out = out * f
     return out
 
-
-def divisor_exponents(pairs) -> itertools.product:
-    """All exponent vectors (m_1..m_l), 0 <= m_i <= a_i, in lexicographic
-    order, for the pairs (P_i, a_i) of a factorization, one at a time.
-
-    InputError at the call when there are more than DIVISOR_MAX of them."""
-    ranges = [range(a + 1) for _, a in pairs]
-    count = math.prod(len(r) for r in ranges)
-    if count > DIVISOR_MAX:
-        raise InputError(f"the invariant subspace lattice has {count} divisors, more than {DIVISOR_MAX}")
-    return itertools.product(*ranges)

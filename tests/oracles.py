@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from afl_lab import gf
-from afl_lab.errors import InputError
+from afl_lab.errors import InputError, InvariantError
 from afl_lab.linalg import Lattice, Matrix, invariant_subspaces, null_basis, rref
 from afl_lab.poly import Modulus, Poly, poly_gcd, power_product
 
@@ -192,6 +192,55 @@ def naive_subspace_scan(m: Matrix) -> list[Subspace]:
         if all(sub.contains(m.apply(r)) for r in sub.rows):
             out.append(sub)
     return out
+
+
+def divisor_exponents(pairs) -> itertools.product:
+    """All exponent vectors (m_1..m_l), 0 <= m_i <= a_i, in lexicographic
+    order, for the pairs (P_i, a_i) of a factorization, one at a time."""
+    return itertools.product(*(range(a + 1) for _, a in pairs))
+
+
+def every_divisor(basis):
+    """Every divisor of an adapted basis as (vec, W, W-perp), isotropic or
+    not, from the full product of its chains' prefix tables: one prefix per
+    chain, W the OR of their row masks and W-perp the AND of their column
+    masks, with InvariantError unless W-perp has n - dim W rows."""
+    n = basis.gram.n
+    for picks in itertools.product(*(table.items() for table in basis.prefixes)):
+        vec, masks = zip(*picks)
+        w, perp = 0, (1 << n) - 1
+        for wk, pk in masks:
+            w |= wk
+            perp &= pk
+        if perp.bit_count() != n - w.bit_count():
+            raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
+        yield vec, w, perp
+
+
+def divisors_by_filter(basis) -> list:
+    """The isotropic divisors, every_divisor filtered by W inside W-perp: the
+    oracle for the pruned walk AdaptedBasis.divisors, triple for triple."""
+    return [(vec, w, perp) for vec, w, perp in every_divisor(basis) if not w & ~perp]
+
+
+def stable_exponents(inst) -> tuple:
+    """The g- and tau-stable subspaces as pairs (vec, dim): every divisor
+    exponent vector fixed under the star pairing, m_{tau(i)} = m_i."""
+    degrees = [f.degree for f, _ in inst.fact.factors]
+    return tuple(
+        (vec, sum(m * d for m, d in zip(vec, degrees)))
+        for vec in divisor_exponents(inst.fact.factors)
+        if all(vec[j] == vec[i] for i, j in enumerate(inst.fact.pairing))
+    )
+
+
+def m_counts(members, n: int) -> tuple[int, ...]:
+    """The dimension counts |M_i|, i = 0..n, of pairs (vec, dim): the oracle
+    for engine.script_w, count for count."""
+    counts = [0] * (n + 1)
+    for _, d in members:
+        counts[d] += 1
+    return tuple(counts)
 
 
 def script_w_direct(inst) -> list[Subspace]:

@@ -3,7 +3,8 @@ enumerated from the spec grammar alone (never through forge), built at
 seed 0 over q = 3 and q = 5.  An odd n must give a passing AFL verdict, an
 even n a passing counting identity, and a signature is refused, with the
 realizability InputError, exactly when it needs more blocks of one kind and
-degree than the brute-force supply counts of test_forge allow."""
+degree than the brute-force supply counts of test_forge allow.  On every
+realized one the isotropic walk and script_w equal their oracles."""
 
 import itertools
 from collections import Counter
@@ -13,6 +14,7 @@ import pytest
 from afl_lab.engine import afl_verdict, fl_report
 from afl_lab.errors import InputError
 from afl_lab.forge import certify_instance, instance_from_spec
+from test_engine import assert_counting_routes_equal_oracles
 from test_forge import ENUMERATED_SELF_PAIRED, ENUMERATED_SUPPLY
 
 CENSUS_DIM = 7
@@ -97,3 +99,10 @@ def test_every_census_signature_passes_or_is_refused_as_predicted(q):
     assert failed == []
     assert refused == {spec for spec, _ in census(CENSUS_DIM) if predicted_refusal(spec, q)}
     assert counts[1] + counts[0] + len(refused) == 123
+
+
+@pytest.mark.parametrize("q", CENSUS_QS)
+def test_counting_routes_equal_oracles_on_the_census(q):
+    for spec, _ in census(CENSUS_DIM):
+        if not predicted_refusal(spec, q):
+            assert_counting_routes_equal_oracles(instance_from_spec(spec, q, 0))

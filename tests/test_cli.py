@@ -14,7 +14,7 @@ from afl_lab.cli import DEFAULT_SIGNATURES, SweepConfig, main, pool_size, run_sw
 from afl_lab.dl import T_MAX
 from afl_lab.errors import InputError
 from afl_lab.forge import N_MAX, instance_from_spec, serialize_instance
-from afl_lab.poly import DIVISOR_MAX
+from afl_lab.linalg import DIVISOR_MAX
 
 
 def run_cli(*args, env=None):

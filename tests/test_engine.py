@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -11,7 +12,6 @@ from afl_lab.engine import (
     fl_check,
     fl_report,
     geometric_count,
-    m_counts,
     orbital_derivative_at_one,
     orbital_polynomial,
     orbital_pretty,
@@ -20,7 +20,18 @@ from afl_lab.engine import (
 )
 from afl_lab.errors import CrossCheckError, InputError
 from afl_lab.forge import MinusculeInstance, instance_from_spec
-from oracles import lattice_spans, script_w_direct, tau_map, transform_subspace
+from afl_lab.hermitian import adapted_basis
+from afl_lab.linalg import invariant_subspaces
+from oracles import (
+    divisors_by_filter,
+    every_divisor,
+    lattice_spans,
+    m_counts,
+    script_w_direct,
+    stable_exponents,
+    tau_map,
+    transform_subspace,
+)
 from test_linalg import checked_lattice
 
 
@@ -33,7 +44,7 @@ def duality_involution_orbits(inst: MinusculeInstance) -> list[tuple[tuple[int, 
     pairs; it must send dimension i to n - i."""
     fact = inst.fact
     out = []
-    for vec, _ in script_w(inst):
+    for vec, _ in stable_exponents(inst):
         dual = tuple(a - vec[j] for (_, a), j in zip(fact.factors, fact.pairing))
         out.append((vec, dual))
     return out
@@ -44,18 +55,16 @@ def duality_involution_orbits(inst: MinusculeInstance) -> list[tuple[tuple[int, 
 
 
 def test_script_w_dim1():
-    sw = script_w(inst_of("sp:1:1"))
-    assert sorted(d for _, d in sw) == [0, 1]
+    assert script_w(inst_of("sp:1:1")) == (1, 1)
 
 
 def test_script_w_self_paired_cube():
-    sw = script_w(inst_of("sp:1:3"))
-    assert sorted(d for _, d in sw) == [0, 1, 2, 3]
+    assert script_w(inst_of("sp:1:3")) == (1, 1, 1, 1)
 
 
 def test_script_w_pair_plus_self():
-    sw = script_w(inst_of("cp:1:1,sp:1:1"))
-    assert sorted(d for _, d in sw) == [0, 1, 2, 3]
+    # (1 + u^2)(1 + u): the pair steps by twice its degree
+    assert script_w(inst_of("cp:1:1,sp:1:1")) == (1, 1, 1, 1)
 
 
 def test_script_w_counts_formula():
@@ -66,14 +75,15 @@ def test_script_w_counts_formula():
         expected *= fact.factors[i][1] + 1
     for i, _ in fact.pairs():
         expected *= fact.factors[i][1] + 1
-    assert len(script_w(inst)) == expected
+    assert sum(script_w(inst)) == expected
 
 
 @pytest.mark.parametrize("spec,q", [("sp:1:3", 3), ("cp:1:1,sp:1:1", 3), ("cp:1:2,sp:1:1", 5)])
 def test_script_w_matches_direct_tau_stability(spec, q):
     inst = inst_of(spec, q, 3)
     subs = lattice_spans(checked_lattice(inst.g, inst.fact.factors))
-    expected = {vec for vec, _ in script_w(inst)}
+    assert script_w(inst) == m_counts(stable_exponents(inst), inst.n)
+    expected = {vec for vec, _ in stable_exponents(inst)}
     via_tau = {
         vec
         for vec, sub in subs.items()
@@ -81,6 +91,57 @@ def test_script_w_matches_direct_tau_stability(spec, q):
     }
     assert expected == via_tau
     assert len(script_w_direct(inst)) == len(expected)
+
+
+def assert_counting_routes_equal_oracles(inst):
+    """The pruned walk against the filtered full product, triple for
+    triple, and the product of script_w against the counted vector
+    enumeration, count for count."""
+    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
+    assert list(basis.divisors()) == divisors_by_filter(basis)
+    assert script_w(inst) == m_counts(stable_exponents(inst), inst.n)
+
+
+class CountingTable(dict):
+    """A prefix table that records the exponent of every entry read from it."""
+
+    def __init__(self, table, reads):
+        super().__init__(table)
+        self.reads = reads
+
+    def __getitem__(self, k):
+        self.reads.append(k)
+        return super().__getitem__(k)
+
+    def items(self):
+        for k, v in super().items():
+            self.reads.append(k)
+            yield k, v
+
+
+@pytest.mark.parametrize("spec,q", [(spec, q) for q in (3, 5, 17) for spec in cli.DEFAULT_SIGNATURES])
+def test_counting_routes_equal_oracles_on_the_default_signatures(spec, q):
+    assert_counting_routes_equal_oracles(inst_of(spec, q))
+
+
+@pytest.mark.parametrize("blocks", [["sp:1:1"] * 17, ["cp:1:1"] * 8 + ["sp:1:1"], ["cp:1:2"] * 5 + ["sp:1:1"]],
+                         ids=["17sp", "8cp_sp", "5cp2_sp"])
+def test_counting_routes_equal_oracles_at_the_divisor_bound(blocks):
+    # README's three shapes at the bound: 2^17, 2^17 and 2 * 3^10 divisors
+    assert_counting_routes_equal_oracles(inst_of(",".join(blocks), q=31))
+
+
+def test_both_routes_at_the_divisor_bound_touch_only_what_they_count():
+    # 17 sp:1:1 at q = 31 has 2^17 divisors, the bound itself, and no
+    # isotropic line: the walk yields W = 0 alone, ending each chain's loop
+    # at its line, and script_w is the product (1 + u)^17
+    inst = inst_of(",".join(["sp:1:1"] * 17), q=31)
+    basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
+    reads = [[] for _ in basis.prefixes]
+    object.__setattr__(basis, "prefixes", tuple(map(CountingTable, basis.prefixes, reads)))
+    assert list(basis.divisors()) == [((0,) * 17, 0, (1 << 17) - 1)]
+    assert [len(r) <= 2 for r in reads] == [True] * 17
+    assert script_w(inst) == tuple(math.comb(17, i) for i in range(18))
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +367,10 @@ def test_alternating_sum_vanishes_odd():
 
 def test_duality_sends_mi_to_mn_minus_i():
     inst = inst_of("cp:1:2,sp:1:3")
-    counts = m_counts(script_w(inst), inst.n)
-    for i, c in counts.items():
+    counts = script_w(inst)
+    for i, c in enumerate(counts):
         assert c == counts[inst.n - i]
-    members = {vec for vec, _ in script_w(inst)}
+    members = {vec for vec, _ in stable_exponents(inst)}
     for vec, dual in duality_involution_orbits(inst):
         assert dual in members
 
@@ -321,7 +382,7 @@ def test_duality_matches_gram_complement():
     inst = inst_of("cp:1:1,sp:1:3", q=3, seed=5)
     subs, basis = walk_of(inst)
     duals = dict(duality_involution_orbits(inst))
-    masks = {vec: (w, perp) for vec, w, perp in basis.divisors()}
+    masks = {vec: (w, perp) for vec, w, perp in every_divisor(basis)}
     for vec, dual in duals.items():
         assert orth_complement(subs[vec], inst.space) == subs[dual]
         assert masks[vec][1] == masks[dual][0]

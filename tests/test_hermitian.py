@@ -18,12 +18,15 @@ from afl_lab.hermitian import (
     validate_space,
 )
 from afl_lab.linalg import Matrix, charpoly, rref
-from afl_lab.poly import Poly, divisor_exponents, star
+from afl_lab.poly import Poly, star
 from conftest import random_matrix
 from oracles import (
     Subspace,
     complete_basis,
+    divisor_exponents,
     divisor_poly,
+    divisors_by_filter,
+    every_divisor,
     kernel,
     kernel_of_poly,
     lattice_spans,
@@ -94,17 +97,18 @@ def perp_by_scan(basis, vec) -> tuple[int, ...]:
 
 
 def assert_mask_perp_equals_scan(basis):
-    """divisors() against the chain prefixes and the row scan, on every
-    divisor."""
-    for vec, w, perp in basis.divisors():
+    """The prefix tables against the chain prefixes and the row scan, on
+    every divisor, and the walk against the filtered full product."""
+    for vec, w, perp in every_divisor(basis):
         assert mask_rows(w) == member_rows(basis, vec), vec
         assert mask_rows(perp) == perp_by_scan(basis, vec), vec
+    assert list(basis.divisors()) == divisors_by_filter(basis)
 
 
 def masks_of(basis) -> dict:
-    """W and W-perp of every divisor as row masks, by exponent vector, from
-    the one enumerator."""
-    return {vec: (w, perp) for vec, w, perp in basis.divisors()}
+    """W and W-perp of every divisor, isotropic or not, as row masks, by
+    exponent vector, from the full product of the prefix tables."""
+    return {vec: (w, perp) for vec, w, perp in every_divisor(basis)}
 
 
 def walk_of(inst):
@@ -387,15 +391,17 @@ def test_complement_count_check_rejects_a_degenerate_form():
     (",".join(["sp:1:1"] * 5), 31), ("cp:2:1,sp:1:1", 5), ("cp:1:2,cp:1:2,sp:1:3", 3),
 ])
 def test_divisors_walk_every_exponent_vector_once_within_its_chains(sig, q):
-    # prod (a_i + 1) triples in divisor_exponents' order, and every W the
-    # union of its chains' prefixes: no prefix spills into the next chain
+    # the full product holds prod (a_i + 1) triples in divisor_exponents'
+    # order, and every W is the union of its chains' prefixes: no prefix
+    # spills into the next chain; the walk yields its isotropic ones
     inst = build_block_instance(parse_signature(sig), q, 0)
     basis = walk_of(inst)[1]
-    triples = list(basis.divisors())
+    triples = list(every_divisor(basis))
     assert len(triples) == math.prod(a + 1 for _, a in inst.fact.factors)
     assert [vec for vec, _, _ in triples] == list(divisor_exponents(inst.fact.factors))
     for vec, w, _ in triples:
         assert mask_rows(w) == member_rows(basis, vec), vec
+    assert list(basis.divisors()) == [t for t in triples if not t[1] & ~t[2]]
 
 
 def test_adapted_basis_rejects_a_degenerate_gram():
@@ -420,7 +426,7 @@ def test_subquotient_takes_no_echelon_form(monkeypatch):
         raise AssertionError("induced_subquotient must not test a slice for rank")
 
     monkeypatch.setattr(hermitian, "rref", no_rank_test)
-    strata = [(w, perp) for _, w, perp in basis.divisors() if not w & ~perp]
+    strata = [(w, perp) for _, w, perp in basis.divisors()]
     slices = [induced_subquotient(basis, w, perp)[0] for w, perp in strata]
     monkeypatch.undo()
     assert len(strata) > 2
@@ -438,10 +444,9 @@ def test_subquotient_rechecks_no_symmetry(monkeypatch):
 
     monkeypatch.setattr(Matrix, "transpose", no_symmetry_check)
     for vec, w, perp in basis.divisors():
-        if not w & ~perp:
-            sub_space, _ = induced_subquotient(basis, w, perp)
-            assert sub_space.n == inst.n - 2 * lattice[vec].dim
-            assert nondegenerate_space(sub_space) == sub_space
+        sub_space, _ = induced_subquotient(basis, w, perp)
+        assert sub_space.n == inst.n - 2 * lattice[vec].dim
+        assert nondegenerate_space(sub_space) == sub_space
 
 
 def test_adapted_basis_spans_every_lattice_member():
@@ -449,7 +454,7 @@ def test_adapted_basis_spans_every_lattice_member():
         inst = build_block_instance(parse_signature(sig), q, seed)
         lattice, basis = walk_of(inst)
         assert basis.gram == gram_of_rows(inst.space, basis.rows)
-        for vec, w, _ in basis.divisors():
+        for vec, w, _ in every_divisor(basis):
             sub = span(inst.n, [basis.rows[a] for a in mask_rows(w)])
             assert sub == lattice[vec] == kernel_of_poly(inst.g, divisor_poly(inst.fact.factors, vec))
 

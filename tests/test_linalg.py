@@ -7,11 +7,12 @@ from afl_lab import gf, linalg
 from afl_lab.errors import InputError, InvariantError
 from afl_lab.forge import random_coxeter_instance
 from afl_lab.linalg import Matrix, charpoly, invariant_subspaces, is_regular, krylov_rows, null_basis, rref
-from afl_lab.poly import Poly, divisor_exponents, is_irreducible, plain_factor, poly_gcd
+from afl_lab.poly import Poly, is_irreducible, plain_factor, poly_gcd
 from conftest import poly_from_ints, random_matrix, random_monic, tables_with
 from oracles import (
     Subspace,
     all_subspaces,
+    divisor_exponents,
     divisor_poly,
     kernel_of_poly,
     lattice_by_chains,

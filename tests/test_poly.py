@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afl_lab import dl, gf, poly
+from afl_lab import dl, gf, linalg, poly
 from afl_lab.errors import CrossCheckError, InputError, InvariantError
 from afl_lab.poly import (
     Modulus,
     Poly,
-    divisor_exponents,
     factor,
     is_irreducible,
     plain_factor,
@@ -19,7 +18,7 @@ from afl_lab.poly import (
     star,
 )
 from conftest import poly_from_ints, random_monic, tables_with
-from oracles import divisor_poly, gcd_by_division, is_irreducible_by_gcds
+from oracles import divisor_exponents, divisor_poly, gcd_by_division, is_irreducible_by_gcds
 
 
 def x_minus_enc(p, enc):
@@ -240,21 +239,38 @@ def test_divisors_of_single_factor():
     assert list(divisor_exponents(fact.factors)) == [(0,), (1,)]
 
 
+class MatrixNotRead(Exception):
+    pass
+
+
+class UnreadMatrix:
+    """Stands for M in invariant_subspaces: any read of it raises
+    MatrixNotRead, so a refusal before it is the divisor bound."""
+
+    def __getattr__(self, name):
+        raise MatrixNotRead(name)
+
+
 @pytest.mark.parametrize(
     "multiplicities",
-    [[1] * 18, [poly.DIVISOR_MAX, 1], [2] * 11],
+    [[1] * 18, [linalg.DIVISOR_MAX, 1], [2] * 11],
     ids=["2^18", "bound_times_2", "3^11"],
 )
 def test_divisors_above_the_bound_are_an_input_error(multiplicities):
-    # only the multiplicities are read; the count is known before enumerating
-    with pytest.raises(InputError, match=f"more than {poly.DIVISOR_MAX}"):
-        divisor_exponents([(None, a) for a in multiplicities])
+    # only the multiplicities are read; the count is known before M is
+    with pytest.raises(InputError, match=f"more than {linalg.DIVISOR_MAX}"):
+        linalg.invariant_subspaces(UnreadMatrix(), [(None, a) for a in multiplicities])
 
 
-@pytest.mark.parametrize("multiplicities", [[1] * 17, [poly.DIVISOR_MAX - 1]], ids=["2^17", "one_chain"])
+@pytest.mark.parametrize("multiplicities", [[1] * 17, [linalg.DIVISOR_MAX - 1]], ids=["2^17", "one_chain"])
 def test_divisors_at_the_bound_are_enumerated(multiplicities):
-    assert poly.DIVISOR_MAX == 2**17
-    assert len(list(divisor_exponents([(None, a) for a in multiplicities]))) == poly.DIVISOR_MAX
+    # the bound is inclusive: invariant_subspaces goes on to read M, and the
+    # full product has exactly the bound's divisors
+    assert linalg.DIVISOR_MAX == 2**17
+    pairs = [(None, a) for a in multiplicities]
+    with pytest.raises(MatrixNotRead):
+        linalg.invariant_subspaces(UnreadMatrix(), pairs)
+    assert len(list(divisor_exponents(pairs))) == linalg.DIVISOR_MAX
 
 
 def test_divisors_of_cube():

@@ -1,14 +1,15 @@
 """src holds no test-only code: every function, class and method defined in
 src/afl_lab is referenced from src, exported by __init__, or a named oracle
-on the allowlist below; every function and method runs under some command
-of a fixed CLI battery, or is on a second allowlist; every name a src
-module imports is read there; every kernel with a loop on gf's encodings
-is on a third allowlist, with the workload that pays for it; every
-function that draws from a seeded rng is on a fourth, with its reason;
-every function that constructs an rng is on a fifth, with what its key
-holds; no src module reads the environment, so stdout is a function of
-argv; and every raise in src is bare or names a VerifierError subclass,
-ZeroDivisionError, or inside errors.Record TypeError or AttributeError."""
+on the allowlist below; every function and method, nested functions
+included, runs under some command of a fixed CLI battery, or is on a second
+allowlist; every name a src module imports is read there; every kernel with
+a loop on gf's encodings is on a third allowlist, with the workload that
+pays for it; every function that draws from a seeded rng is on a fourth,
+with its reason; every function that constructs an rng is on a fifth, with
+what its key holds; no src module reads the environment, so stdout is a
+function of argv; and every raise in src is bare or names a VerifierError
+subclass, ZeroDivisionError, or inside errors.Record TypeError or
+AttributeError."""
 
 import ast
 import json
@@ -28,15 +29,16 @@ ALLOWED = {
 }
 
 
-def definitions(tree):
-    """(qualified name, name, node) of every function, class and method."""
+def definitions(tree, nested=False):
+    """(qualified name, name, node) of every function, class and method, and
+    with nested of every function defined inside a function."""
     out = []
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 out.append((prefix + child.name, child.name, child))
-                if isinstance(child, ast.ClassDef):
+                if nested or isinstance(child, ast.ClassDef):
                     visit(child, prefix + child.name + ".")
 
     visit(tree, "")
@@ -144,7 +146,7 @@ def uncalled_by_battery(tmp_path):
     called = {tuple(entry) for entry in result["called"]}
     found = set()
     for path in sorted(SRC.glob("*.py")):
-        for qualname, _, node in definitions(ast.parse(path.read_text(), str(path))):
+        for qualname, _, node in definitions(ast.parse(path.read_text(), str(path)), nested=True):
             # a decorated function's code starts at its first decorator
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             if not isinstance(node, ast.ClassDef) and (path.stem, first) not in called:

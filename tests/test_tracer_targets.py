@@ -12,7 +12,7 @@ import pytest
 
 from afl_lab import engine, gf, linalg
 from afl_lab.forge import instance_from_spec
-from afl_lab.poly import divisor_exponents
+from oracles import divisor_exponents
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 

@@ -47,13 +47,11 @@ def retype_contributing(geo):
 
 
 def lopsided_counts(fn):
-    # 1, 2, 1 more subspaces in dimensions 0, 1, 2: the orbital value and
-    # derivative at 1 do not move, only the symmetry i -> n - i breaks
-    def counts(sw, n):
-        out = dict(fn(sw, n))
-        for i, extra in ((0, 1), (1, 2), (2, 1)):
-            out[i] += extra
-        return out
+    # 1, 2, 1 more subspaces in dimensions 0, 1, 2: A, the alternating sum
+    # and the orbital value and derivative at 1 do not move, only the
+    # symmetry i -> n - i breaks
+    def counts(inst):
+        return tuple(c + extra for c, extra in zip(fn(inst), (1, 2, 1, *[0] * inst.n)))
 
     return counts
 
@@ -70,7 +68,7 @@ MUTATIONS = [
     ("vanishing_counts", EMPTY, "geometric_count", geometric(shift_total),
      {"vanishing_counts", "analytic_equals_geometric"}),
     ("alternating_sum_zero", FINITE, "_alternating", plus_one, {"alternating_sum_zero"}),
-    ("duality_m_counts", FINITE, "m_counts", lopsided_counts, {"duality_m_counts"}),
+    ("duality_m_counts", FINITE, "script_w", lopsided_counts, {"duality_m_counts"}),
     ("orbital_vanishes_at_one", FINITE, "orbital_value_at_one", plus_one, {"orbital_vanishes_at_one"}),
     ("orbital_derivative_matches", FINITE, "orbital_derivative_at_one", plus_one, {"orbital_derivative_matches"}),
 ]
@@ -98,16 +96,17 @@ def test_each_verdict_check_can_fail(check, spec, attr, mutate, failing, monkeyp
     assert {c["name"] for c in out["checks"] if not c["ok"]} == failing
 
 
-def every_half_dimensional_divisor_is_lagrangian(divisors):
+def every_yielded_divisor_is_lagrangian(divisors):
+    # the walk yields isotropic divisors only, W = 0 alone on sp:1:1,sp:1:1
     def mutant(basis):
-        for vec, w, perp in divisors(basis):
-            yield vec, w, w if 2 * w.bit_count() == basis.gram.n else perp
+        for vec, w, _ in divisors(basis):
+            yield vec, w, w
     return mutant
 
 
 @pytest.mark.parametrize("side,owner,attr,mutate", [
     ("lhs", engine, "_alternating", plus_one),
-    ("rhs", hermitian.AdaptedBasis, "divisors", every_half_dimensional_divisor_is_lagrangian),
+    ("rhs", hermitian.AdaptedBasis, "divisors", every_yielded_divisor_is_lagrangian),
 ])
 def test_fl_counting_identity_can_fail(side, owner, attr, mutate, monkeypatch, capsys):
     # sp:1:1,sp:1:1 has no invariant Lagrangian, but two invariant lines
@@ -116,7 +115,7 @@ def test_fl_counting_identity_can_fail(side, owner, attr, mutate, monkeypatch, c
     assert engine.fl_check(inst) == (0, 0)
     monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
     lhs, rhs = engine.fl_check(inst)
-    assert (lhs != 0, rhs != 0) == (side == "lhs", side == "rhs")
+    assert (lhs, rhs) == ((1, 0) if side == "lhs" else (0, 1))
     assert cli.main(["verify", "--q", "3", "--sig", spec]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "FAIL"
 
