@@ -29,9 +29,9 @@ from .forge import (
     parse_instance,
     parse_spec,
     random_coxeter_instance,
-    require_dim,
     serialize_instance,
     signature_dim,
+    spec_number,
 )
 
 DEFAULT_SIGNATURES = (
@@ -49,6 +49,9 @@ DEFAULT_SIGNATURES = (
 
 # Largest sweep count: every task and full report is held at once (README)
 COUNT_MAX = 10_000
+# Largest --in file: an instance at n = N_MAX and q = P_MAX takes 0.32 MB as
+# gen writes it and 2.6 MB as JSON indented by 8 (README)
+IN_BYTES_MAX = 4 << 20
 
 
 def _dump(obj) -> str:
@@ -100,9 +103,7 @@ def run_sweep(config: SweepConfig) -> tuple[dict, list[dict]]:
     grid = []
     for q in config.qs:
         for spec in config.signatures:
-            parsed = parse_spec(spec)
-            dim = parsed if isinstance(parsed, int) else signature_dim(parsed)
-            if dim <= config.max_dim:
+            if signature_dim(parse_spec(spec)) <= config.max_dim:
                 grid.append((q, spec))
     if not grid:
         raise InputError("no signatures satisfy the dimension guard")
@@ -171,26 +172,21 @@ def _load_instance(args):
         return instance_from_spec(args.sig, 3 if args.q is None else args.q, args.seed or 0)
     if args.q is not None or args.seed is not None:
         raise InputError("--q and --seed build a --sig instance; an --in file carries its own")
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        # ValueError covers bad JSON, bytes that are not UTF-8 and integer
-        # literals past the int-to-str digit limit; RecursionError, nesting
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise InputError(f"schema: not valid JSON ({exc})") from exc
+    with open(args.infile, "rb") as fh:
+        raw = fh.read(IN_BYTES_MAX + 1)
+    if len(raw) > IN_BYTES_MAX:
+        raise InputError(f"--in file is larger than {IN_BYTES_MAX} bytes")
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integer
+    # literals past the int-to-str digit limit; RecursionError, nesting
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"schema: not valid JSON ({exc})") from exc
     return parse_instance(data)
 
 
 def cmd_gen(args) -> int:
-    # exactly one of --sig and --coxeter, and --n only with --coxeter
-    if args.coxeter == (args.sig is not None) or (args.n is not None and not args.coxeter):
-        raise InputError("gen needs --sig, or --coxeter with an optional --n, but not both")
-    spec = args.sig
-    if args.coxeter:
-        n = 3 if args.n is None else args.n
-        require_dim(n, "--n")
-        spec = f"coxeter:{n}"
-    inst = instance_from_spec(spec, args.q, args.seed)
+    inst = instance_from_spec(args.sig, args.q, args.seed)
     payload = serialize_instance(inst)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -223,12 +219,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        qs = tuple(int(q) for q in args.q.split(","))
-    except ValueError as exc:
-        raise InputError(f"--q must be comma-joined integers, got {args.q!r}") from exc
     config = SweepConfig(
-        qs=qs,
+        qs=tuple(spec_number(q, "--q") for q in args.q.split(",")),
         max_dim=args.max_dim,
         count=args.count,
         seed=args.seed,
@@ -295,23 +287,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="afl-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def number(flag):
+        # every integer on argv is read like a spec number
+        return lambda text: spec_number(text, flag)
+
     def common(p):
-        p.add_argument("--q", type=int, default=3, help="odd prime residue size")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--q", type=number("--q"), default=3, help="odd prime residue size")
+        p.add_argument("--seed", type=number("--seed"), default=0)
 
     p_gen = sub.add_parser("gen", help="generate a certified instance")
     common(p_gen)
     p_gen.add_argument("--pretty", action="store_true")
-    p_gen.add_argument("--sig", help="signature, e.g. 'cp:1:2,sp:1:1'")
-    p_gen.add_argument("--coxeter", action="store_true")
-    p_gen.add_argument("--n", type=int, help=f"dimension for --coxeter (default 3), at most {N_MAX}")
+    p_gen.add_argument("--sig", required=True, help=f"spec, e.g. 'cp:1:2,sp:1:1' or 'coxeter:<n>', n at most {N_MAX}")
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_gen)
 
     def instance_source(p):
         # None marks a flag as given, so that _load_instance refuses it beside --in
-        p.add_argument("--q", type=int, help="odd prime residue size for --sig (default 3)")
-        p.add_argument("--seed", type=int, help="seed for --sig (default 0)")
+        p.add_argument("--q", type=number("--q"), help="odd prime residue size for --sig (default 3)")
+        p.add_argument("--seed", type=number("--seed"), help="seed for --sig (default 0)")
         p.add_argument("--in", dest="infile", help="instance JSON file")
         p.add_argument("--sig")
 
@@ -324,11 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="seeded sweep over a signature grid")
     p_sweep.add_argument("--q", default="3,5", help="comma-joined odd primes")
-    p_sweep.add_argument("--max-dim", type=int, default=9)
-    p_sweep.add_argument("--count", type=int, required=True, help=f"instances, at most {COUNT_MAX}")
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--max-dim", type=number("--max-dim"), default=9)
+    p_sweep.add_argument("--count", type=number("--count"), required=True, help=f"instances, at most {COUNT_MAX}")
+    p_sweep.add_argument("--seed", type=number("--seed"), default=0)
     p_sweep.add_argument("--signatures", help="semicolon-joined signature specs")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPUs and the tasks")
+    p_sweep.add_argument("--jobs", type=number("--jobs"), default=1, help="worker processes, at most the CPUs and the tasks")
     p_sweep.add_argument("--out", help="write full reports to this file")
     p_sweep.add_argument("--no-cross-check", action="store_true")
     p_sweep.add_argument("--pretty", action="store_true")
@@ -337,20 +331,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dl = sub.add_parser("dl", help="eigenline count for a Coxeter-torus element")
     common(p_dl)
-    p_dl.add_argument("--t", type=int, default=3, help=f"odd dimension, at most {T_MAX}")
+    p_dl.add_argument("--t", type=number("--t"), default=3, help=f"odd dimension, at most {T_MAX}")
     p_dl.set_defaults(func=cmd_dl)
 
     p_orb = sub.add_parser("orbital", help="orbital polynomial of an instance")
     instance_source(p_orb)
-    p_orb.add_argument("--ell", type=int, default=0, help="external ell(gamma) shift")
+    p_orb.add_argument("--ell", type=number("--ell"), default=0, help="external ell(gamma) shift")
     p_orb.set_defaults(func=cmd_orbital)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # a number argv refuses raises InputError while it is parsed
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except VerifierError as exc:
         print(_dump({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

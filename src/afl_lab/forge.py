@@ -34,7 +34,8 @@ constructor certifies it by factoring charpoly(g) and checks its signature,
 are per seed, so every instance is certified whole.
 
 The signature mini-language is "sp:<deg>:<exp>" / "cp:<deg>:<exp>", joined
-by commas; "coxeter:<n>" routes to the second builder.
+by commas; "coxeter:<n>" names the blocks sp:<n>:1 and routes to the second
+builder.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ from .poly import FactoredPoly, Poly, certify_factorization, factor, poly_key, p
 GRAM_TRIES = 64
 GENERATOR_TRIES = 64
 N_MAX = 81  # dimension bound; README gives the timed runs behind it
+# digit bound of spec_number: below 640, the lowest int-to-str limit CPython
+# can be set to, so every seed S + i a sweep derives from S still prints
+DIGITS_MAX = 600
 
 
 class BlockSpec(Record):
@@ -87,20 +91,21 @@ def parse_signature(text: str) -> tuple[BlockSpec, ...]:
         fields = part.strip().split(":")
         if len(fields) != 3:
             raise InputError(f"bad signature block {part!r}; expected sp:<deg>:<exp> or cp:<deg>:<exp>")
-        blocks.append(BlockSpec(fields[0], _spec_number(fields[1], part), _spec_number(fields[2], part)))
+        where = f"bad signature block {part!r}"
+        blocks.append(BlockSpec(fields[0], spec_number(fields[1], where), spec_number(fields[2], where)))
     require_dim(signature_dim(blocks), "signature dimension")
     return tuple(blocks)
 
 
-def _spec_number(text: str, block: str) -> int:
-    """A degree, exponent or n of a spec: ASCII digits only (int() also reads
-    signs, spaces, underscores and other scripts' digits), else InputError."""
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # past the int-to-str digit limit
-            pass
-    raise InputError(f"bad signature block {block!r}: {text!r} is not a number in ASCII digits")
+def spec_number(text: str, where: str) -> int:
+    """The one reader of an integer written as text, in a spec (a degree,
+    exponent or n) or on argv: an optional '-' and then at most DIGITS_MAX
+    ASCII digits, else InputError naming where.  int() also reads '+',
+    spaces, underscores and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if len(digits) <= DIGITS_MAX and digits.isascii() and digits.isdigit():
+        return int(text)
+    raise InputError(f"{where}: {text!r} is not an integer of at most {DIGITS_MAX} ASCII digits")
 
 
 def signature_dim(sig) -> int:
@@ -112,14 +117,14 @@ def require_dim(n: int, what: str) -> None:
         raise InputError(f"{what} must be at most {N_MAX}, got {n}")
 
 
-def parse_spec(spec: str) -> int | tuple[BlockSpec, ...]:
-    """'coxeter:<n>' parses to the dimension n, anything else to a block
-    signature; malformed specs raise InputError."""
+def parse_spec(spec: str) -> tuple[BlockSpec, ...]:
+    """The blocks a spec names: a comma-joined block signature, or
+    'coxeter:<n>', which names sp:<n>:1; malformed specs raise InputError."""
     spec = spec.strip()
     if spec.startswith("coxeter:"):
-        n = _spec_number(spec.split(":", 1)[1], spec)
+        n = spec_number(spec.split(":", 1)[1], f"bad signature block {spec!r}")
         require_dim(n, "coxeter dimension")
-        return n
+        return (BlockSpec("sp", n, 1),)
     return parse_signature(spec)
 
 
@@ -158,11 +163,8 @@ class MinusculeInstance(Record):
 
 def _named_shape(signature) -> list[tuple[str, int, int]]:
     """The sorted (kind, degree, exponent) of the blocks the spec strings
-    name, read by parse_spec; coxeter:<n> names sp:<n>:1."""
-    shape = []
-    for parsed in map(parse_spec, signature):
-        shape += [("sp", parsed, 1)] if isinstance(parsed, int) else [(b.kind, b.degree, b.exponent) for b in parsed]
-    return sorted(shape)
+    name, read by parse_spec."""
+    return sorted((b.kind, b.degree, b.exponent) for spec in signature for b in parse_spec(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +616,12 @@ def random_coxeter_instance(p: int, n: int, seed: int) -> MinusculeInstance:
 
 
 def instance_from_spec(spec: str, p: int, seed: int) -> MinusculeInstance:
-    """Dispatch 'coxeter:<n>' or a comma-joined block signature."""
-    parsed = parse_spec(spec)
-    if isinstance(parsed, int):
-        return random_coxeter_instance(p, parsed, seed)
-    return build_block_instance(parsed, p, seed)
+    """Build 'coxeter:<n>' in the torus model, and a block signature block
+    by block."""
+    blocks = parse_spec(spec)
+    if spec.strip().startswith("coxeter:"):
+        return random_coxeter_instance(p, blocks[0].degree, seed)
+    return build_block_instance(blocks, p, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_golden_sweep_hashes(sweep_reports):
     [
         (["dl", "--q", "3", "--t", "7", "--seed", "0"],
          "ead14de6be6de815a31c75d8e14ed0648084ce2ca97bbb4d09e8f9fba203d34b"),
-        (["gen", "--q", "3", "--coxeter", "--n", "5", "--seed", "1"],
+        (["gen", "--q", "3", "--sig", "coxeter:5", "--seed", "1"],
          "444ee1365db0f29fb1f8d498b7f188894abe1dc1bef93b7f1b5585c2eeb6cf66"),
         (["dl", "--q", "5", "--t", "7", "--seed", "0"],
          "ccbf1c6815bde64efa35227308a220aa5d29e61911c6bcba77ddb4f627a61bdd"),
@@ -230,7 +230,7 @@ def test_golden_sweep_hashes(sweep_reports):
          "d718edcd943c5f5913ffadc8bcc25444112081101db6771dcef8264b86968f57"),
         # the Coxeter builder above the table cap, where F_289 keeps no
         # tables
-        (["gen", "--q", "17", "--coxeter", "--n", "9", "--seed", "0"],
+        (["gen", "--q", "17", "--sig", "coxeter:9", "--seed", "0"],
          "5b1bdf8a3ab992fb59db1117bf0e213822b21df5348eae181c38e90e55ab550d"),
     ],
 )

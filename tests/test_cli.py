@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -39,7 +40,7 @@ def test_gen_signature():
 
 
 def test_gen_coxeter():
-    proc = run_cli("gen", "--coxeter", "--q", "3", "--n", "3")
+    proc = run_cli("gen", "--sig", "coxeter:3", "--q", "3")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 3
 
@@ -152,13 +153,13 @@ def test_verify_even_dimension_pretty_appends_the_counting_identity(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gen", "--timings"],
+        ["gen", "--sig", "sp:1:1", "--timings"],  # without --sig, gen stops at the missing source
         ["dl", "--timings"],
         ["orbital", "--timings"],
         ["dl", "--pretty"],
         ["orbital", "--pretty"],
     ],
-    ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+    ids=lambda argv: f"{argv[0]}_{argv[-1].lstrip('-')}",
 )
 def test_flags_a_subcommand_never_reads_exit2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -186,15 +187,11 @@ def instance_json():
     [
         (["verify", "--in", "FILE", "--sig", "cp:1:1"], ("--in", "--sig")),
         (["orbital", "--in", "FILE", "--sig", "sp:1:1"], ("--in", "--sig")),
-        (["gen", "--coxeter", "--sig", "sp:1:1"], ("--sig", "--coxeter")),
-        (["gen", "--sig", "sp:1:1", "--n", "5"], ("--sig", "--n")),
-        (["gen", "--coxeter", "--n", "3", "--sig", "sp:1:1"], ("--sig", "--coxeter", "--n")),
         (["verify", "--in", "FILE", "--sig", ""], ("--in", "--sig")),
-        (["gen", "--coxeter", "--sig", ""], ("--sig", "--coxeter")),
         *[([command, "--in", "FILE", flag, value], (flag, "--in"))
           for command in ("verify", "orbital") for flag, value in (("--q", "7"), ("--seed", "99"))],
     ],
-    ids=["verify", "orbital", "gen-coxeter", "gen-n", "gen-coxeter-n", "verify-empty-sig", "gen-empty-sig"]
+    ids=["verify", "orbital", "verify-empty-sig"]
     + [f"{command}-in{flag}" for command in ("verify", "orbital") for flag in ("--q", "--seed")],
 )
 def test_conflicting_instance_sources_exit2(argv, flags, instance_json, tmp_path, capsys):
@@ -209,9 +206,31 @@ def test_conflicting_instance_sources_exit2(argv, flags, instance_json, tmp_path
     assert err["error"] == "InputError" and all(flag in err["message"] for flag in flags)
 
 
-def test_gen_coxeter_alone_builds_n_3(capsys):
-    assert main(["gen", "--coxeter"]) == 0
-    assert json.loads(capsys.readouterr().out)["signature"] == ["coxeter:3"]
+@pytest.mark.parametrize("argv", [["gen", "--coxeter"], ["gen", "--n", "5"], ["gen"]], ids=["coxeter", "n", "none"])
+def test_gen_without_sig_exits_2(argv, capsys):
+    # --sig is the one instance source of gen
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "--sig" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        # `gen --coxeter --q 3 --n 5 --seed 2`, `--q 31 --n 5 --seed 2` and
+        # `gen --coxeter` (n = 3) printed these bytes before --sig took over
+        (["--q", "3", "--sig", "coxeter:5", "--seed", "2"],
+         "31508eab15761d1e3c6c30c3f95e9d2940729b02d77944c727bbd42660fbd9e2"),
+        (["--q", "31", "--sig", "coxeter:5", "--seed", "2"],
+         "415198fc3245286ef47cfebac011fdcd146e237f10b91947c4c41066c65762cd"),
+        (["--sig", "coxeter:3"], "1ece2a516200e983e82fb5fe76b35d80cafdf6fdd4498fae50cf3e6753c91e41"),
+    ],
+    ids=["q3-n5", "q31-n5", "default-n3"],
+)
+def test_gen_sig_coxeter_prints_what_gen_coxeter_printed(argv, digest, capsys):
+    assert main(["gen", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -323,9 +342,108 @@ def test_verify_refuses_a_spec_number_that_is_not_ascii_digits_exit2(spec, capsy
     assert one_error_line(capsys) == "InputError"
 
 
+# argv that builds a tiny instance or sweep without the flag under test
+BASE_ARGV = {
+    "gen": ["gen", "--sig", "sp:1:1"],
+    "verify": ["verify", "--sig", "sp:1:1"],
+    "orbital": ["orbital", "--sig", "sp:1:1"],
+    "sweep": ["sweep", "--count", "1", "--q", "3"],
+    "dl": ["dl"],
+}
+INT_FLAGS = [
+    ("gen", "--q"), ("gen", "--seed"), ("verify", "--q"), ("verify", "--seed"), ("orbital", "--q"),
+    ("orbital", "--seed"), ("orbital", "--ell"), ("sweep", "--max-dim"), ("sweep", "--count"),
+    ("sweep", "--seed"), ("sweep", "--jobs"), ("dl", "--q"), ("dl", "--seed"), ("dl", "--t"),
+]
+
+
+def test_int_flags_names_every_typed_flag():
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    typed = {
+        (command, action.option_strings[0])
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.type is not None
+    }
+    assert typed == set(INT_FLAGS)
+
+
+@pytest.mark.parametrize(
+    "value", ["1_7", "+3", "\uff13", "\u0663"], ids=["underscore", "plus", "fullwidth", "arabic-indic"]
+)
+@pytest.mark.parametrize("command,flag", INT_FLAGS + [("sweep", "--q")], ids=lambda x: x)
+def test_an_integer_flag_reads_ascii_digits_only_exit2(command, flag, value, capsys, monkeypatch):
+    # int() reads all four (as 17, 3, 3, 3); argv is read like a spec number
+    for name in ("instance_from_spec", "random_coxeter_instance", "run_sweep"):
+        monkeypatch.setattr(cli, name, builder_forbidden)
+    assert main(BASE_ARGV[command] + [flag, value]) == 2
+    assert one_error_line(capsys) == "InputError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--sig", "sp:1:1", "--seed", "-1"],
+        ["verify", "--sig", "sp:1:1", "--seed", "-1"],
+        ["orbital", "--sig", "sp:1:1", "--ell", "-5"],
+        ["sweep", "--count", "1", "--q", "3", "--seed", "-1"],
+        ["dl", "--seed", "-1"],
+    ],
+    ids=lambda argv: "_".join(argv[:1] + argv[-2:]),
+)
+def test_an_integer_flag_reads_a_leading_minus(argv, capsys):
+    assert main(argv) == 0
+    json.loads(capsys.readouterr().out.splitlines()[0])  # one JSON report
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_a_sweep_seed_prints_up_to_the_digit_bound(excess, capsys, monkeypatch):
+    # the seeds S + i of the tasks enter the rng key and the report as text,
+    # which CPython may refuse from 640 digits on
+    assert forge.DIGITS_MAX < sys.int_info.str_digits_check_threshold
+    seed = "9" * (forge.DIGITS_MAX + excess)
+    if excess:
+        monkeypatch.setattr(cli, "run_sweep", builder_forbidden)
+    code = main(["sweep", "--count", "2", "--q", "3", "--signatures", "sp:1:1", "--seed", seed])
+    if excess:
+        assert code == 2 and one_error_line(capsys) == "InputError"
+    else:
+        assert code == 0
+        assert [r["seed"] for r in json.loads(capsys.readouterr().out)["results"]] == [int(seed), int(seed) + 1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("command", ["verify", "orbital"])
+def test_an_endless_in_file_exits_2_at_the_bound(command, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "parse_instance", builder_forbidden)
+    assert main([command, "--in", "/dev/zero"]) == 2
+    assert one_error_line(capsys) == "InputError"
+
+
+def test_an_in_file_one_byte_over_the_bound_exits_2(instance_json, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_json))
+    monkeypatch.setattr(cli, "IN_BYTES_MAX", path.stat().st_size)
+    assert main(["verify", "--in", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "IN_BYTES_MAX", path.stat().st_size - 1)
+    monkeypatch.setattr(cli, "parse_instance", builder_forbidden)
+    assert main(["verify", "--in", str(path)]) == 2
+    assert one_error_line(capsys) == "InputError"
+
+
+def test_the_in_bound_holds_the_largest_valid_file():
+    # n = N_MAX at q = P_MAX, every residue of five digits, a seed at the
+    # int-to-str limit, indented by 8: the sizes the bound is set from
+    rows = [[[gf.P_MAX - 1] * 2] * N_MAX] * N_MAX
+    data = {"p": gf.P_MAX, "n": N_MAX, "field": {"poly2": list(gf.defining_poly(gf.P_MAX, 2))},
+            "gram": rows, "g": rows, "tau": rows, "seed": -int("9" * 4300), "signature": ["sp:1:1"] * N_MAX}
+    assert len(json.dumps(data, indent=8).encode()) <= cli.IN_BYTES_MAX
+
+
 def test_whitespace_around_whole_blocks_is_accepted():
     assert forge.parse_signature(" sp:1:1, sp:1:3 ") == forge.parse_signature("sp:1:1,sp:1:3")
-    assert forge.parse_spec(" coxeter:3 ") == 3
+    assert forge.parse_spec(" coxeter:3 ") == (forge.BlockSpec("sp", 3, 1),) == forge.parse_spec("sp:3:1")
 
 
 def test_a_broken_frobenius_exits_2_with_a_cross_check_error(capsys, monkeypatch):
@@ -388,9 +506,9 @@ def test_gen_coxeter_above_n_max_exits_2_before_building(excess, capsys, monkeyp
         raise AssertionError("the builder must not run above the bound")
 
     monkeypatch.setattr(forge, "random_coxeter_instance", builder)
-    assert main(["gen", "--q", "3", "--coxeter", "--n", str(N_MAX + excess)]) == 2
+    assert main(["gen", "--q", "3", "--sig", f"coxeter:{N_MAX + excess}"]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "InputError" and f"--n must be at most {N_MAX}" in err["message"]
+    assert err["error"] == "InputError" and f"coxeter dimension must be at most {N_MAX}" in err["message"]
 
 
 def test_gen_coxeter_at_n_max_reaches_the_builder(monkeypatch):
@@ -402,7 +520,7 @@ def test_gen_coxeter_at_n_max_reaches_the_builder(monkeypatch):
 
     monkeypatch.setattr(forge, "random_coxeter_instance", builder)
     with pytest.raises(BuilderReached):
-        main(["gen", "--q", "3", "--coxeter", "--n", str(N_MAX)])
+        main(["gen", "--q", "3", "--sig", f"coxeter:{N_MAX}"])
     assert calls == [(3, N_MAX, 0)]
 
 

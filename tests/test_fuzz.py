@@ -161,19 +161,19 @@ def test_damaged_instance_bytes_keep_the_exit_code_contract(base, position, inse
 # ---------------------------------------------------------------------------
 # hostile argv
 
-INTS = ["0", "1", "3", "-1", "-3", "x", "", "3.0", "1e3", str(10**40)]
-QS = ["3", "5", "7", "4", "1", "0", "-3", "9", "x", "", str(gf.P_MAX + 2), str(10**40)]
+# int() reads "1_7", "+3" and "\uff13" (fullwidth 3); argv reads ASCII digits only
+INTS = ["0", "1", "3", "-1", "-3", "x", "", "3.0", "1e3", str(10**40), "1_7", "+3", "\uff13"]
+QS = ["3", "5", "7", "4", "1", "0", "-3", "9", "x", "", str(gf.P_MAX + 2), str(10**40), "1_7", "+3", "\uff13"]
 SIGS = [
     "sp:1:1", "sp:1:3", "cp:1:1", "cp:1:1,sp:1:1", "cp:1:2,sp:1:1", "coxeter:3", "coxeter:4", "coxeter:-1",
     "sp:0:1", "sp:1:0", "zz:1:1", "sp:1", "sp:1:1:1", "sp:1:82", ":::", "", "sp:x:1",
 ]
 OUTS = ["OUT", "DIR", "MISSING/x.json"]  # placeholders for paths made per example
 FLAGS = {
-    "gen": {"--q": QS, "--seed": INTS, "--sig": SIGS, "--coxeter": None, "--pretty": None, "--out": OUTS,
-            "--n": ["1", "3", "5", "0", "2", "-1", "82", "x"]},
+    "gen": {"--q": QS, "--seed": INTS, "--sig": SIGS, "--pretty": None, "--out": OUTS},
     "verify": {"--q": QS, "--seed": INTS, "--sig": SIGS, "--in": ["DIR", "MISSING/x.json", "EMPTY"],
                "--no-cross-check": None, "--pretty": None, "--timings": None},
-    "sweep": {"--q": ["3", "3,5", "3,x", "", "4", "3,,5", "-3"], "--max-dim": ["1", "3", "0", "-1", "x"],
+    "sweep": {"--q": ["3", "3,5", "3,x", "", "4", "3,,5", "-3", "3,1_7", "+3"], "--max-dim": ["1", "3", "0", "-1", "x"],
               "--count": ["1", "2", "0", "-1", "x"], "--seed": INTS,
               "--signatures": ["sp:1:1", "sp:1:1;cp:1:1", "sp:1:3;zz", ";", ""],
               "--jobs": ["1", "0", "-1", "x"], "--out": OUTS[:2], "--no-cross-check": None, "--pretty": None,
@@ -204,6 +204,9 @@ def hostile_argv(draw):
 @given(hostile_argv())
 @example(["orbital", "--sig", "sp:1:1", "--ell", "-5"])  # a negative power of -1 once printed floats
 @example(["gen", "--coxeter", "--sig", "sp:1:1"])  # two instance sources once exited 0 with the Coxeter one
+@example(["verify", "--in", "/dev/zero"])  # an endless file was read until memory ran out
+# a seed past the int-to-str limit once raised ValueError from the rng key
+@example(["sweep", "--count", "2", "--q", "3", "--signatures", "sp:1:1", "--seed", "9" * 4300])
 @example(["verify", "--in", "EMPTY", "--seed", "99"])  # --seed beside --in once went unread
 def test_hostile_argv_keeps_the_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:

@@ -130,7 +130,7 @@ def uncalled_by_battery(tmp_path):
         # exponent p: verify --in factors it through the p-th root
         ["gen", "--q", "5", "--sig", "cp:1:2,sp:1:5", "--out", str(stored), "--pretty"],
         ["verify", "--in", str(stored)],
-        ["gen", "--q", "3", "--coxeter", "--n", "5"],
+        ["gen", "--q", "3", "--sig", "coxeter:5"],
         # a repeated factor on even n: the counting identity
         ["verify", "--q", "3", "--sig", "cp:1:2,cp:1:1"],
         ["verify", "--q", "3", "--sig", "cp:1:1", "--pretty"],
@@ -283,19 +283,22 @@ def test_table_layout_guard_sees_a_reader(tmp_path):
 
 # module.qualname -> the workload and measured cost that keep its loop on
 # encodings (gf.index_rows) beside its FieldElem loop: what the benchmark's
-# in-process rounds (min of 5 passes; sweep 120 tasks, lattice 8 verdicts,
-# dl 3 counts) lose with only that loop removed, as the median of 11
-# processes interleaved with the unchanged code, on a 2-vCPU host.  A
-# kernel not named here runs its FieldElem loop on every field.
+# in-process rounds (sweep 120 tasks, lattice 8 verdicts, dl 3 counts) lose
+# with only that loop removed, the median over 11 fresh processes of the
+# fastest of 5 passes against the fastest of 5 unchanged passes alternating
+# with them, on a shared 2-vCPU host where the unchanged passes spread by
+# (q3 - q1) / median = 16 %, 35 % and 24 % across processes.  Measured by
+# tests/encoded_costs.py.  A kernel not named here runs its FieldElem loop
+# on every field.
 ENCODED = {
-    "gf.dot": "dl +9 %, lattice +6 %, sweep +3 %",
-    "linalg.Matrix.__matmul__": "lattice +30 %, sweep +13 %, dl +9 %",
-    "linalg.rref": "sweep +9 %, lattice +8 %, dl +3 %",
-    "linalg.krylov_rows": "lattice +4 %, sweep +2 %, dl +1 %",
-    "linalg.charpoly": "lattice +17 %, sweep +6 %, dl +6 %",
-    "poly.Poly.__mul__": "sweep +9 %, lattice +7 %, dl +1 %",
-    "poly.Poly.powmod": "sweep +17 %, lattice +15 %, dl +12 %",
-    "poly.poly_gcd": "lattice +21 %, sweep +17 %, dl +11 %",
+    "gf.dot": "dl +12 %, lattice +5 %, sweep +3 %",
+    "linalg.Matrix.__matmul__": "lattice +44 %, sweep +25 %, dl +14 %",
+    "linalg.rref": "lattice +8 %, sweep +8 %, dl +2 %",
+    "linalg.krylov_rows": "lattice +6 %, sweep +3 %, dl +2 %",
+    "linalg.charpoly": "lattice +21 %, dl +8 %, sweep +5 %",
+    "poly.Poly.__mul__": "lattice +14 %, sweep +10 %, dl -1 %",
+    "poly.Poly.powmod": "lattice +14 %, dl +12 %, sweep +4 %",
+    "poly.poly_gcd": "lattice +20 %, dl +15 %, sweep +1 %",
 }
 
 
@@ -471,3 +474,50 @@ def test_raise_guard_sees_a_stray_class(tmp_path):
         "def h(x):\n    raise errors.CrossCheckError('broken')\n"
     )
     assert raise_offenders(tmp_path) == ["errors:8 AttributeError", "kernel:15 AssertionError", "kernel:16 ValueError"]
+
+
+# module.qualname -> why it calls int(): every integer written as text, in
+# a spec or on argv, goes through the reader, forge.spec_number, which takes
+# ASCII digits only (int() also reads "+3", "1_7" and other scripts' digits);
+# the other calls read no text
+INT_CALLS = {
+    "forge.spec_number": "the reader: an optional '-' and at most DIGITS_MAX ASCII digits",
+    "gf.elem": "reduces coefficients given as integers mod p",
+    "forge._coxeter_frame": "int(r == j): the identity block of the augmented matrix",
+}
+
+
+def int_reads(src=SRC):
+    """module.qualname of every src function that calls int() (a nested
+    function's calls count for its enclosing one), and module:line of every
+    int() call outside a function and of every type=int keyword."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        calls = {id(n): n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "int"}
+        for qualname, _, node in definitions(tree):
+            inside = [] if isinstance(node, ast.ClassDef) else [id(n) for n in ast.walk(node) if id(n) in calls]
+            if inside:
+                found.add(f"{path.stem}.{qualname}")
+            for key in inside:
+                del calls[key]
+        found |= {f"{path.stem}:{n.lineno}" for n in calls.values()}
+        found |= {
+            f"{path.stem}:{n.value.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.keyword) and n.arg == "type" and getattr(n.value, "id", None) == "int"
+        }
+    return found
+
+
+def test_every_int_call_is_the_reader_or_named():
+    assert sorted(int_reads()) == sorted(INT_CALLS)
+
+
+def test_int_guard_sees_a_new_reader(tmp_path):
+    (tmp_path / "flags.py").write_text(
+        "import argparse\n\n\ndef build(p):\n    p.add_argument('--k', type=int)\n\n\n"
+        "class Reader:\n    def read(self, text):\n        def inner():\n            return int(text)\n"
+        "        return inner()\n\n\nLIMIT = int('5')\n"
+    )
+    assert sorted(int_reads(tmp_path)) == ["flags.Reader.read", "flags:15", "flags:5"]
