@@ -228,7 +228,8 @@ def dl_fixed_points(gram: Matrix, s: Matrix, seed=0) -> list[EigenlineRecord]:
     if s.n != t:
         raise InputError("dimension mismatch")
     cp = charpoly(s)
-    rng = random.Random(f"dl:{gram.p}:{t}:{seed}")
+    # at t = 1 the root is read off cp with no draw, so no rng is built
+    rng = random.Random(f"dl:{gram.p}:{t}:{seed}") if t > 1 else None
     try:
         orbit = _eigenvalue_orbit(cp, rng)
     except CrossCheckError:

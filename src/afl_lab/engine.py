@@ -9,8 +9,8 @@ read off the dimension counts |M_i| of that set, which script_w takes as the
 coefficients of one product over the star orbits of the factors, with no
 divisor enumerated.  The geometric side walks every g-invariant totally
 isotropic W (isotropy decided by the actual Gram matrix, never inferred
-from the signature), forms the subquotient W-perp/W, and contributes
-type * (a+1)/2 exactly when the subquotient characteristic polynomial is
+from the signature), takes the characteristic polynomial of the
+subquotient W-perp/W, and contributes type * (a+1)/2 exactly when it is
 irreducible; the per-stratum fixed count can be re-derived by the eigenline
 counter, and a disagreement there is a hard error, not a finding.  The
 geometric walk and the even-dimensional counting identity each take the
@@ -18,10 +18,13 @@ lattice once, from linalg.invariant_subspaces, as the chains of one basis
 read off a cyclic vector of g (regularity itself is certified by the forge,
 not here): every W and W-perp is a row mask of it, yielded for every
 isotropic divisor and no other by one depth-first walk
-(hermitian.AdaptedBasis.divisors), in lexicographic exponent order, and
-every subquotient a slice of H and g written in it
-(hermitian.adapted_basis), with H tested for full rank once per instance
-and no stratum tested again.
+(hermitian.AdaptedBasis.divisors), in lexicographic exponent order.
+W-perp/W is then a union of whole chain steps, so its characteristic
+polynomial is a product of the chains' step polynomials, read off the
+diagonal blocks of g written in the basis (hermitian.adapted_basis) once
+per instance.  Only the eigenline recount forms a subquotient, a slice of
+H and g in that basis, with H tested for full rank once per instance and
+no stratum tested again.
 
 Support (whether the geometric side can be nonempty) has a closed-form
 criterion: a unique self-paired factor of odd exponent.  The engine never
@@ -39,8 +42,8 @@ from .dl import dl_fixed_points
 from .errors import CrossCheckError, InputError, Record
 from .forge import MinusculeInstance, serialize_instance
 from .hermitian import adapted_basis, induced_subquotient
-from .linalg import charpoly, invariant_subspaces
-from .poly import FactoredPoly, poly_key
+from .linalg import Matrix, charpoly, invariant_subspaces
+from .poly import FactoredPoly, Poly, poly_key
 
 SIGN_NOTE = (
     "sign convention pinned to sum(mult) = -sum((-1)^l l); the orbital derivative "
@@ -144,12 +147,18 @@ class GeometricResult(Record):
 def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> GeometricResult:
     """Walk the vertex strata by divisor: the isotropic g-invariant W,
     actual-Gram isotropy, each W and W-perp a row mask of the adapted basis
-    as its divisors() walk yields them, W-perp/W a slice.
+    as its divisors() walk yields them.
 
-    A stratum contributes type * multiplicity when the subquotient charpoly
-    is irreducible (equivalently: equals one of the P_i).  With cross_check
-    the eigenline counter recounts each contributing stratum, and any
-    disagreement raises CrossCheckError.
+    W-perp/W is the union of whole chain steps that W-perp adds to W, k_i
+    of them in chain i, and g in B is block upper triangular over the
+    steps, so its charpoly is the product of the step charpolys to the
+    k_i: each step charpoly is taken once per instance, by charpoly of
+    chain i's first diagonal step block of g in B, and each product once
+    per vector (k_i).  A stratum contributes type * multiplicity when that
+    charpoly is irreducible (equivalently: equals one of the P_i).  With
+    cross_check the eigenline counter recounts each contributing stratum on
+    its slice (induced_subquotient), and any disagreement raises
+    CrossCheckError.
     """
     if inst.n % 2 == 0:
         raise InputError("the geometric count lives on odd dimensions")
@@ -157,11 +166,29 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
     strata = []
     total = 0
     basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
+    g = basis.g
+    one = Poly.one(g.p, g.level)
+    chains = [
+        (((1 << a * d) - 1) << off, d,
+         charpoly(Matrix(g.p, g.level, tuple(r[off:off + d] for r in g.rows[off:off + d]))))
+        for off, d, a in basis.chains
+    ]
+    # (k_i) -> (the stratum charpoly, the exponent of that factor or None)
+    products = {(0,) * len(chains): (one, None)}
+
+    def product(steps):
+        # one product per new vector: a known vector's times one step, of
+        # the last chain with k_i > 0
+        if steps not in products:
+            i = max(j for j, k in enumerate(steps) if k)
+            qcp = product((*steps[:i], steps[i] - 1, *steps[i + 1:]))[0] * chains[i][2]
+            products[steps] = qcp, exponent_of.get(poly_key(qcp))
+        return products[steps]
+
     for vec, w, perp in basis.divisors():
-        quotient_gram, quotient_m = induced_subquotient(basis, w, perp)
-        t = quotient_gram.n  # dim W-perp - dim W = n - 2 dim W
-        qcp = charpoly(quotient_m)
-        a0 = exponent_of.get(poly_key(qcp))
+        rows = perp ^ w
+        t = rows.bit_count()  # dim W-perp - dim W = n - 2 dim W
+        qcp, a0 = product(tuple((rows & mask).bit_count() // d for mask, d, _ in chains))
         fixed, mult, dl_count = 0, None, None
         if a0 is not None:
             if a0 % 2 == 0:
@@ -169,7 +196,7 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
             fixed = t
             mult = (a0 + 1) // 2
             if cross_check:
-                dl_count = len(dl_fixed_points(quotient_gram, quotient_m, seed=inst.seed))
+                dl_count = len(dl_fixed_points(*induced_subquotient(basis, w, perp), seed=inst.seed))
                 if dl_count != fixed:
                     raise CrossCheckError(
                         f"eigenline count {dl_count} disagrees with the formula count {fixed}"

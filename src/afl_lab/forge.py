@@ -91,8 +91,9 @@ def parse_signature(text: str) -> tuple[BlockSpec, ...]:
         fields = part.strip().split(":")
         if len(fields) != 3:
             raise InputError(f"bad signature block {part!r}; expected sp:<deg>:<exp> or cp:<deg>:<exp>")
-        where = f"bad signature block {part!r}"
-        blocks.append(BlockSpec(fields[0], spec_number(fields[1], where), spec_number(fields[2], where)))
+        where = f"signature block {len(blocks) + 1}"
+        blocks.append(BlockSpec(fields[0], spec_number(fields[1], f"{where} degree"),
+                                spec_number(fields[2], f"{where} exponent")))
     require_dim(signature_dim(blocks), "signature dimension")
     return tuple(blocks)
 
@@ -100,12 +101,13 @@ def parse_signature(text: str) -> tuple[BlockSpec, ...]:
 def spec_number(text: str, where: str) -> int:
     """The one reader of an integer written as text, in a spec (a degree,
     exponent or n) or on argv: an optional '-' and then at most DIGITS_MAX
-    ASCII digits, else InputError naming where.  int() also reads '+',
-    spaces, underscores and other scripts' digits."""
+    ASCII digits, else InputError naming where and the text's length, not
+    the text, which may be long.  int() also reads '+', spaces, underscores
+    and other scripts' digits."""
     digits = text[1:] if text.startswith("-") else text
     if len(digits) <= DIGITS_MAX and digits.isascii() and digits.isdigit():
         return int(text)
-    raise InputError(f"{where}: {text!r} is not an integer of at most {DIGITS_MAX} ASCII digits")
+    raise InputError(f"{where}: a text of {len(text)} characters is not an integer of at most {DIGITS_MAX} ASCII digits")
 
 
 def signature_dim(sig) -> int:
@@ -122,7 +124,7 @@ def parse_spec(spec: str) -> tuple[BlockSpec, ...]:
     'coxeter:<n>', which names sp:<n>:1; malformed specs raise InputError."""
     spec = spec.strip()
     if spec.startswith("coxeter:"):
-        n = spec_number(spec.split(":", 1)[1], f"bad signature block {spec!r}")
+        n = spec_number(spec.split(":", 1)[1], "coxeter dimension")
         require_dim(n, "coxeter dimension")
         return (BlockSpec("sp", n, 1),)
     return parse_signature(spec)

@@ -15,10 +15,11 @@ g-invariant subspace W and its W-perp are sets of rows, one bitmask each,
 and one depth-first walk of the chain prefix tables yields both for every
 isotropic divisor and no other (AdaptedBasis.divisors): only H = B G
 conj(B)^T and g written in B are formed here, once per instance, and H is
-tested for full rank once.  A stratum is a slice of both, with no rank test
-of its own: for H nondegenerate and W isotropic the radical of W-perp is W,
-so H is nondegenerate on the slice, the rows in W-perp but not in W
-(induced_subquotient).
+tested for full rank once.  A stratum's subquotient is a slice of both,
+with no rank test of its own: for H nondegenerate and W isotropic the
+radical of W-perp is W, so H is nondegenerate on the slice, the rows in
+W-perp but not in W (induced_subquotient); the engine slices only the
+strata whose eigenlines it recounts.
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ even levels inside the eigenline counter).  Factorization is the classical
 chain: squarefree decomposition (with p-th root extraction, we are in
 characteristic p), distinct-degree splitting, then equal-degree splitting by
 Cantor-Zassenhaus, its rng keyed by the field alone: the factorization is
-unique and returned sorted, so no seed could change it.
+unique and returned sorted, so no seed could change it.  Over a tabled field
+the linear factors are found first, as roots, by evaluating at every
+element (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14), and the
+chain splits only the root-free cofactor.
 
 Over a tabled field (gf.TABLE_CAP) products, powers modulo a polynomial
 and gcds run on the coefficients' encodings through gf's int tables,
@@ -31,6 +34,7 @@ recomputed (certify_factorization), and ends in the same pairing step.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 from . import gf
 from .errors import CrossCheckError, InputError, InvariantError, Record
@@ -259,17 +263,26 @@ class Modulus:
         if not g.is_monic or g.degree < 1:
             raise InputError("a modulus must be monic of positive degree")
         p, level, d = g.p, g.level, g.degree
-        self.p, self.level, self.d = p, level, d
+        self.g, self.p, self.level, self.d = g, p, level, d
         self.width = gf.slot_width(p, level, 2 * d)
         self.bits = (2 * level - 1) * 8 * self.width  # one block
-        cur = [-c for c in g.coeffs[:-1]]  # x^d mod g
-        self.rows = [gf.pack_blocks(p, level, self.width, cur)]
+
+    @cached_property
+    def rows(self) -> list:
+        # built on first read: a residue that needs no folding (the trace
+        # split's power 1 at p = 3) reads none
+        p, level, d, width = self.p, self.level, self.d, self.width
+        cur = [-c for c in self.g.coeffs[:-1]]  # x^d mod g
+        rows = [gf.pack_blocks(p, level, width, cur)]
         for _ in range(1, d):
             # x^(m+1) mod g is x^m mod g moved up one block, its top block
             # folded back with rows[0]
-            shifted = (self.rows[-1] << self.bits) & ((1 << d * self.bits) - 1)
-            cur = self._fold_high(shifted, d, cur[-1:])
-            self.rows.append(gf.pack_blocks(p, level, self.width, cur))
+            acc = (rows[-1] << self.bits) & ((1 << d * self.bits) - 1)
+            if not cur[-1].is_zero:
+                acc += gf.pack_blocks(p, level, width, cur[-1:]) * rows[0]
+            cur = gf.fold_blocks(p, level, width, d, acc)
+            rows.append(gf.pack_blocks(p, level, width, cur))
+        return rows
 
     def _fold_high(self, acc: int, count: int, high) -> list:
         # acc + sum high[i] (x^(d+i) mod g), folded once per block
@@ -466,18 +479,46 @@ def is_irreducible(f: Poly) -> bool:
 def plain_factor(f: Poly) -> list[tuple[Poly, int]]:
     """Complete factorization into monic irreducibles, canonically sorted.
 
-    No star-pairing constraints: this is the route for polynomials that do
-    not come from unitary elements."""
+    Over a tabled field every root leaves first with its multiplicity, by
+    repeated synthetic division; the squarefree, distinct-degree and
+    Cantor-Zassenhaus steps see the root-free cofactor, and none runs when
+    it is constant.  No star-pairing constraints: this is the route for
+    polynomials that do not come from unitary elements."""
     if not f.is_monic or f.degree < 1:
         raise InputError("factorization requires a monic polynomial of positive degree")
-    rng = random.Random(f"factor:{f.p}:{f.level}")
     found: dict[tuple, tuple[Poly, int]] = {}
-    for g, mult in _squarefree(f):
-        for h, d in _distinct_degree(g):
-            for irr in _equal_degree(h, d, rng):
-                key = poly_key(irr)
-                prev, m0 = found.get(key, (irr, 0))
-                found[key] = (prev, m0 + mult)
+    enc = gf.index_rows(f.coeffs)
+    if enc is not None:
+        # over a tabled field every linear factor is a root: evaluate at
+        # each element in turn and divide it out (Horner's synthetic
+        # division on encodings) while it stays a root, so only the
+        # root-free cofactor is split below
+        t, (c,) = enc
+        add, mul = t.add, t.mul
+        for a in range(len(t.elems)):
+            if len(c) == 1:
+                break
+            ma, mult = mul[a], 0
+            while len(c) > 1:
+                acc, quo = 0, []
+                for x in reversed(c):
+                    acc = add[x][ma[acc]]
+                    quo.append(acc)
+                if quo.pop():  # the remainder f(a)
+                    break
+                c, mult = quo[::-1], mult + 1
+            if mult:
+                root = Poly.x_minus(t.elems[a])
+                found[poly_key(root)] = (root, mult)
+        f = _from_indexed(f.p, f.level, t, c)
+    if f.degree > 0:
+        rng = random.Random(f"factor:{f.p}:{f.level}")
+        for g, mult in _squarefree(f):
+            for h, d in _distinct_degree(g):
+                for irr in _equal_degree(h, d, rng):
+                    key = poly_key(irr)
+                    prev, m0 = found.get(key, (irr, 0))
+                    found[key] = (prev, m0 + mult)
     return [pair for _, pair in sorted(found.items())]
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from afl_lab import gf
 from afl_lab.errors import InputError, InvariantError
-from afl_lab.linalg import Lattice, Matrix, invariant_subspaces, null_basis, rref
+from afl_lab.hermitian import induced_subquotient
+from afl_lab.linalg import Lattice, Matrix, charpoly, invariant_subspaces, null_basis, rref
 from afl_lab.poly import Modulus, Poly, poly_gcd, power_product
 
 
@@ -215,6 +216,14 @@ def every_divisor(basis):
         if perp.bit_count() != n - w.bit_count():
             raise InvariantError("orthogonal complement is not spanned by adapted basis rows")
         yield vec, w, perp
+
+
+def stratum_charpoly_by_slice(basis, w: int, perp: int) -> Poly:
+    """The oracle of the step products of engine.geometric_count: the
+    Hessenberg charpoly of the slice of g in B on the rows of W-perp not in
+    W, which the walk formed for every stratum before it took the product
+    of the chains' step charpolys."""
+    return charpoly(induced_subquotient(basis, w, perp)[1])
 
 
 def divisors_by_filter(basis) -> list:

@@ -342,6 +342,18 @@ def test_verify_refuses_a_spec_number_that_is_not_ascii_digits_exit2(spec, capsy
     assert one_error_line(capsys) == "InputError"
 
 
+@pytest.mark.parametrize("argv,where,length", [
+    (["sweep", "--count", "2", "--q", "3", "--seed", "9" * 4300], "--seed", 4300),
+    (["verify", "--sig", "sp:1:" + "9" * 4301], "signature block 1 exponent", 4301),
+], ids=["sweep-seed", "spec-exponent"])
+def test_a_refused_number_is_named_with_its_length_not_echoed(argv, where, length, capsys):
+    # a 4,300-digit seed once came back whole, as a 4.4 KB stderr line
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and max(map(len, err.splitlines())) < 160
+    assert json.loads(err)["message"].startswith(f"{where}: a text of {length} characters")
+
+
 # argv that builds a tiny instance or sweep without the flag under test
 BASE_ARGV = {
     "gen": ["gen", "--sig", "sp:1:1"],

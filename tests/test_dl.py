@@ -61,6 +61,16 @@ def test_t1_single_line():
     assert len(chain) == 1 and not chain[0].is_zero
 
 
+def test_only_a_recount_that_draws_builds_its_rng(monkeypatch):
+    # t = 1 reads its root off the charpoly and draws nothing; t = 3 keys
+    # its rng as before, so every record is unchanged
+    one, three = coxeter(3, 1, 0), coxeter(3, 3, 0)
+    keys, real = [], random.Random
+    monkeypatch.setattr(dl.random, "Random", lambda key: keys.append(key) or real(key))
+    assert len(dl_fixed_points(one.space, one.g, seed=5)) == 1 and keys == []
+    assert len(dl_fixed_points(three.space, three.g, seed=5)) == 3 and keys == ["dl:3:3:5"]
+
+
 @pytest.mark.parametrize("q,t", [(3, 3), (3, 5), (5, 3)])
 def test_count_equals_dimension(q, t):
     inst = coxeter(q, t, 1)

@@ -11,6 +11,9 @@ tabled field the tower or the Gram solve uses, exhaustively on 1 x 1 and
 degree-1 inputs over F_9 and on seeded random inputs up to n = 9.  Matrix.conj, Matrix.apply and Poly.__divmod__
 have no encoded loop; eval_poly has none either, but its Horner products
 are those of @, so it is held against the all-element route as a whole.
+plain_factor strips the roots first on encodings; with index_rows
+answering None every factor goes through the splitting chain, the
+Cantor-Zassenhaus route, which is its oracle.
 """
 
 import itertools
@@ -19,10 +22,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from afl_lab import gf
+from afl_lab import gf, poly
 from afl_lab.errors import InputError
 from afl_lab.linalg import Matrix, charpoly, rref
-from afl_lab.poly import Poly, poly_gcd
+from afl_lab.poly import Poly, plain_factor, poly_gcd, power_product
+from conftest import random_monic
 from test_gf import TABLED, odd_primes
 from test_poly import powmod_by_long_division, schoolbook_product
 
@@ -149,6 +153,58 @@ def test_poly_kernels_on_encodings_match_the_element_loops(p, level):
                 assert f.powmod(e, g) == oracle(f.powmod, e, g) == oracle(powmod_by_long_division, f, e, g)
         assert poly_gcd(f * g, g) == oracle(poly_gcd, f * g, g)
         assert poly_gcd(f, g) == oracle(poly_gcd, f, g)
+
+
+# ---------------------------------------------------------------------------
+# plain_factor: the roots pass against the Cantor-Zassenhaus route
+
+
+def assert_roots_leave_first(f):
+    """plain_factor(f) equals the route without tables, and the splitting
+    chain's first call sees exactly the product of the nonlinear factors:
+    no root, and nothing at all when f splits into roots."""
+    seen, real = [], poly._squarefree
+
+    def spy(g):
+        seen.append(g)
+        return real(g)
+
+    poly._squarefree = spy
+    try:
+        fast = plain_factor(f)
+    finally:
+        poly._squarefree = real
+    assert fast == oracle(plain_factor, f)
+    assert power_product(fast) == f
+    cofactor = [(g, a) for g, a in fast if g.degree > 1]
+    assert seen[:1] == ([power_product(cofactor)] if cofactor else [])
+
+
+@pytest.mark.parametrize("p,level,max_degree", [(3, 2, 3), (5, 2, 2)], ids=["F9-deg3", "F25-deg2"])
+def test_every_small_monic_factors_as_without_tables(p, level, max_degree):
+    elems = field_elems(p, level)
+    for degree in range(1, max_degree + 1):
+        for low in itertools.product(elems, repeat=degree):
+            assert_roots_leave_first(Poly.from_elems(p, level, [*low, gf.one(p, level)]))
+
+
+@pytest.mark.parametrize("p,level", [(3, 1), (3, 4), (13, 2)], ids=["F3", "F81", "F169"])
+def test_seeded_products_factor_as_without_tables(p, level):
+    # repeated roots, multiplicities p and p + 1 (f' = 0 on a p-th power),
+    # root-free irreducibles of degree 2 and 3, some to the power p, and
+    # root-free cofactors alone
+    rng = random.Random(f"roots:{p}:{level}")
+    elems = field_elems(p, level)
+    for k in range(12):
+        factors = []
+        if k % 3:
+            factors += [(Poly.x_minus(a), rng.choice((1, 2, p, p + 1))) for a in rng.sample(elems, rng.randint(1, 3))]
+        if k % 3 != 1:
+            while len(factors) < (k % 3) + 2:
+                g = random_monic(p, level, rng.choice((2, 3)), rng, nonzero_constant=False)
+                if poly.is_irreducible(g) and g not in [h for h, _ in factors]:
+                    factors.append((g, rng.choice((1, 2, p))))
+        assert_roots_leave_first(power_product(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from oracles import (
     m_counts,
     script_w_direct,
     stable_exponents,
+    stratum_charpoly_by_slice,
     tau_map,
     transform_subspace,
 )
@@ -95,10 +96,19 @@ def test_script_w_matches_direct_tau_stability(spec, q):
 
 def assert_counting_routes_equal_oracles(inst):
     """The pruned walk against the filtered full product, triple for
-    triple, and the product of script_w against the counted vector
+    triple; on odd n each stratum's charpoly, the product of the chains'
+    step charpolys, against the Hessenberg charpoly of its slice, stratum
+    by stratum; and the product of script_w against the counted vector
     enumeration, count for count."""
     basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
-    assert list(basis.divisors()) == divisors_by_filter(basis)
+    divisors = list(basis.divisors())
+    assert divisors == divisors_by_filter(basis)
+    if inst.n % 2:
+        strata = geometric_count(inst, cross_check=False).strata
+        assert [r.exponents for r in strata] == [vec for vec, _, _ in divisors]
+        assert [r.quotient_charpoly for r in strata] == [
+            stratum_charpoly_by_slice(basis, w, perp) for _, w, perp in divisors
+        ]
     assert script_w(inst) == m_counts(stable_exponents(inst), inst.n)
 
 
@@ -119,7 +129,7 @@ class CountingTable(dict):
             yield k, v
 
 
-@pytest.mark.parametrize("spec,q", [(spec, q) for q in (3, 5, 17) for spec in cli.DEFAULT_SIGNATURES])
+@pytest.mark.parametrize("spec,q", [(spec, q) for q in (3, 5, 17, 31) for spec in cli.DEFAULT_SIGNATURES])
 def test_counting_routes_equal_oracles_on_the_default_signatures(spec, q):
     assert_counting_routes_equal_oracles(inst_of(spec, q))
 

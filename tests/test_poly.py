@@ -456,6 +456,16 @@ def test_modulus_holds_the_worst_case_at_p_max(level, degree):
     assert Modulus(g).mul(a, a) == divmod(schoolbook_product(a, a), g)[1]
 
 
+def test_modulus_builds_its_fold_rows_on_first_read():
+    # a residue raised to the power 1, as the trace split does at p = 3,
+    # needs no fold and builds no row; a square builds them once
+    rng = random.Random("modulus-rows")
+    g = random_monic(31, 2, 5, rng)
+    ring, f = Modulus(g), random_poly(31, 2, 5, rng)
+    assert ring.power(f, 1) == f and "rows" not in vars(ring)
+    assert ring.power(f, 2) == powmod_by_long_division(f, 2, g) and len(vars(ring)["rows"]) == 5
+
+
 def test_modulus_needs_a_monic_modulus_of_positive_degree():
     for g in (Poly.one(3, 6), Poly.from_elems(3, 6, [gf.one(3, 6), gf.gen(3, 6)])):
         with pytest.raises(InputError):

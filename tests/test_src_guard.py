@@ -127,8 +127,10 @@ def uncalled_by_battery(tmp_path):
         ["verify", "--q", "3", "--sig", "cp:1:2,sp:1:3", "--pretty", "--timings"],
         ["verify", "--q", "31", "--sig", "coxeter:5"],
         ["verify", "--q", "16381", "--sig", "cp:1:1,sp:1:3"],
-        # exponent p: verify --in factors it through the p-th root
-        ["gen", "--q", "5", "--sig", "cp:1:2,sp:1:5", "--out", str(stored), "--pretty"],
+        # verify --in factors: the roots leave first, then the quadratic
+        # factors of exponent p = 3 reach the p-th root and the quadratic
+        # pair of exponent 1 a Cantor-Zassenhaus draw
+        ["gen", "--q", "3", "--sig", "cp:2:3,cp:2:1,sp:1:1", "--out", str(stored), "--pretty"],
         ["verify", "--in", str(stored)],
         ["gen", "--q", "3", "--sig", "coxeter:5"],
         # a repeated factor on even n: the counting identity
@@ -287,18 +289,19 @@ def test_table_layout_guard_sees_a_reader(tmp_path):
 # with only that loop removed, the median over 11 fresh processes of the
 # fastest of 5 passes against the fastest of 5 unchanged passes alternating
 # with them, on a shared 2-vCPU host where the unchanged passes spread by
-# (q3 - q1) / median = 16 %, 35 % and 24 % across processes.  Measured by
+# (q3 - q1) / median = 30 %, 44 % and 42 % across processes.  Measured by
 # tests/encoded_costs.py.  A kernel not named here runs its FieldElem loop
 # on every field.
 ENCODED = {
-    "gf.dot": "dl +12 %, lattice +5 %, sweep +3 %",
-    "linalg.Matrix.__matmul__": "lattice +44 %, sweep +25 %, dl +14 %",
-    "linalg.rref": "lattice +8 %, sweep +8 %, dl +2 %",
-    "linalg.krylov_rows": "lattice +6 %, sweep +3 %, dl +2 %",
-    "linalg.charpoly": "lattice +21 %, dl +8 %, sweep +5 %",
-    "poly.Poly.__mul__": "lattice +14 %, sweep +10 %, dl -1 %",
-    "poly.Poly.powmod": "lattice +14 %, dl +12 %, sweep +4 %",
-    "poly.poly_gcd": "lattice +20 %, dl +15 %, sweep +1 %",
+    "gf.dot": "dl +14 %, lattice +8 %, sweep +0 %",
+    "linalg.Matrix.__matmul__": "lattice +55 %, sweep +19 %, dl +14 %",
+    "linalg.charpoly": "dl +9 %, sweep +7 %, lattice +5 %",
+    "linalg.krylov_rows": "lattice +8 %, dl +2 %, sweep +1 %",
+    "linalg.rref": "sweep +20 %, lattice +9 %, dl +1 %",
+    "poly.Poly.__mul__": "lattice +30 %, sweep +16 %, dl -1 %",
+    "poly.Poly.powmod": "dl +12 %, sweep +4 %, lattice -2 %",
+    "poly.plain_factor": "lattice +19 %, sweep +1 %, dl +0 %",
+    "poly.poly_gcd": "dl +16 %, sweep +3 %, lattice -2 %",
 }
 
 
