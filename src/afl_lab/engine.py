@@ -167,14 +167,13 @@ def geometric_count(inst: MinusculeInstance, cross_check: bool = True) -> Geomet
     total = 0
     basis = adapted_basis(invariant_subspaces(inst.g, inst.fact.factors), inst.space, inst.g)
     g = basis.g
-    one = Poly.one(g.p, g.level)
     chains = [
         (((1 << a * d) - 1) << off, d,
          charpoly(Matrix(g.p, g.level, tuple(r[off:off + d] for r in g.rows[off:off + d]))))
         for off, d, a in basis.chains
     ]
     # (k_i) -> (the stratum charpoly, the exponent of that factor or None)
-    products = {(0,) * len(chains): (one, None)}
+    products = {(0,) * len(chains): (Poly.one(g.p, g.level), None)}
 
     def product(steps):
         # one product per new vector: a known vector's times one step, of
