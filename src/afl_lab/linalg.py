@@ -31,7 +31,9 @@ cyclic vector is refused when the draws for one run out.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from itertools import accumulate
 
 from . import gf
 from .errors import InputError, InvariantError, Record
@@ -45,6 +47,8 @@ from .poly import Poly
 # draws fail with probability about 1e-8; for any M, the ninth linear factor
 # T included, at least 0.22, and about 1e-7.
 CYCLIC_DRAWS = 64
+# (p, level, n) -> (its seeded rng, the draws made from it so far)
+_CYCLIC_DRAWN: dict[tuple[int, int, int], tuple[random.Random, list]] = {}
 
 # Most divisors invariant_subspaces accepts: N_MAX bounds the dimension, not
 # the lattice (k distinct linear factors have 2^k divisors).  README gives
@@ -451,11 +455,17 @@ class Lattice(Record):
 
 
 def _cyclic_krylov(m: Matrix) -> tuple:
-    # the Krylov rows of the first seeded draw where they have full rank
+    # the Krylov rows of the first seeded draw where they have full rank;
+    # the draws read nothing of the matrix, so each is made once per
+    # (p, level, n), when first needed, and kept in _CYCLIC_DRAWN
     p, level, n = m.p, m.level, m.n
-    rng = random.Random(f"cyclic-vector:{p}:{level}:{n}")
-    for _ in range(CYCLIC_DRAWS):
-        krylov = krylov_rows(m, [gf.elem_from_encoding(p, level, rng.randrange(p**level)) for _ in range(n)])
+    if (p, level, n) not in _CYCLIC_DRAWN:
+        _CYCLIC_DRAWN[p, level, n] = random.Random(f"cyclic-vector:{p}:{level}:{n}"), []
+    rng, drawn = _CYCLIC_DRAWN[p, level, n]
+    for k in range(CYCLIC_DRAWS):
+        if k == len(drawn):
+            drawn.append(tuple(gf.elem_from_encoding(p, level, rng.randrange(p**level)) for _ in range(n)))
+        krylov = krylov_rows(m, drawn[k])
         if len(rref(krylov)[1]) == n:
             return krylov
     raise InvariantError(
@@ -486,10 +496,15 @@ def invariant_subspaces(m: Matrix, pairs) -> Lattice:
         raise InputError(f"the invariant subspace lattice has {count} divisors, more than {DIVISOR_MAX}")
     p, level, n = m.p, m.level, m.n
     z, one = gf.zero(p, level), Poly.one(p, level)
+    # cofactor i, chi / P_i^a_i, is the product of the prime powers before
+    # i times that of those after i: two running products serve every i
+    powers = [math.prod([f] * (a - 1), start=f) for f, a in pairs]
+    before = list(accumulate(powers[:-1], operator.mul, initial=one))
+    after = list(accumulate(reversed(powers[1:]), operator.mul, initial=one))[::-1]
     steps, chains = [], []
     for i, (f, a) in enumerate(pairs):
         chains.append((len(steps), f.degree, a))
-        quos = [math.prod((h for j, (h, b) in enumerate(pairs) if j != i for _ in range(b)), start=one)]
+        quos = [before[i] * after[i]]
         for _ in range(a - 1):
             quos.append(quos[-1] * f)
         for quo in reversed(quos):

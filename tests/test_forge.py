@@ -686,6 +686,61 @@ def test_parse_signature_bounds_the_dimension():
         parse_signature(f"cp:1:2,sp:1:{forge.N_MAX - 3}")
 
 
+class Small(int):
+    pass
+
+
+class Pair(list):
+    pass
+
+
+def entry_rule(entry, p):
+    """The schema rule for one matrix entry, entry by entry: the error it
+    names, or None for an entry parse_instance accepts."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        return "entries must be coefficient pairs"
+    if not all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c < p for c in entry):
+        return f"coefficients must be integers in [0, {p})"
+    return None
+
+
+@pytest.mark.parametrize("where", [(0, 0), (2, 1)], ids=["first", "last"])
+@pytest.mark.parametrize("entry", [
+    [True, 0], [0, False], [1.0, 0], [0, 2.0], [-1, 0], [0, 3], ["1", 0], [None, 0],
+    [1], [1, 0, 0], [], "10", 7, None, {"a": 1, "b": 2}, (1, 0),
+    "same-as-int-subclass", "same-as-list-subclass",
+])
+def test_parse_validates_every_entry_as_the_entry_rule_does(entry, where):
+    # the row-at-a-time check on types and extremes refuses what the rule
+    # refuses, with its message, and accepts int and list subclasses but no bool
+    data = serialize_instance(instance_from_spec("sp:1:3", 3, 8))
+    r, c = where
+    if entry == "same-as-int-subclass":
+        entry = [Small(x) for x in data["g"][r][c]]
+    elif entry == "same-as-list-subclass":
+        entry = Pair(data["g"][r][c])
+    expected = entry_rule(entry, 3)
+    tampered = copy.deepcopy(data)
+    tampered["g"][r][c] = entry
+    if expected is None:
+        assert parse_instance(tampered) == parse_instance(data)
+    else:
+        with pytest.raises(InputError) as exc:
+            parse_instance(tampered)
+        assert str(exc.value) == f"schema: g {expected}"
+
+
+def test_parse_names_the_first_bad_row_in_row_order():
+    data = serialize_instance(instance_from_spec("sp:1:3", 3, 8))
+    bad_entry, short_row = copy.deepcopy(data), copy.deepcopy(data)
+    bad_entry["g"][0][0], bad_entry["g"][1] = [0.5, 0], bad_entry["g"][1][:2]
+    short_row["g"][0], short_row["g"][1][0] = short_row["g"][0][:2], [0.5, 0]
+    with pytest.raises(InputError, match="coefficients must be integers"):
+        parse_instance(bad_entry)
+    with pytest.raises(InputError, match="g must be a 3x3 matrix"):
+        parse_instance(short_row)
+
+
 class NoMatrixFormed(Exception):
     pass
 
