@@ -58,9 +58,6 @@ N_MAX = 81  # dimension bound; README gives the timed runs behind it
 # digit bound of spec_number: below 640, the lowest int-to-str limit CPython
 # can be set to, so every seed S + i a sweep derives from S still prints
 DIGITS_MAX = 600
-# longest text from outside that an InputError quotes; a longer one is named
-# by its length
-QUOTE_MAX = 40
 
 
 class BlockSpec(Record):
@@ -72,7 +69,7 @@ class BlockSpec(Record):
 
     def __init__(self, kind: str, degree: int, exponent: int):
         if kind not in ("sp", "cp"):
-            raise InputError(f"unknown block kind {_quoted(kind)}")
+            raise InputError(f"unknown block kind {kind!r}")
         if degree < 1 or exponent < 1:
             raise InputError("signature degrees and exponents must be positive")
         if kind == "sp" and degree % 2 == 0:
@@ -88,16 +85,12 @@ class BlockSpec(Record):
         return f"{self.kind}:{self.degree}:{self.exponent}"
 
 
-def _quoted(text: str) -> str:
-    return repr(text) if len(text) <= QUOTE_MAX else f"of {len(text)} characters"
-
-
 def parse_signature(text: str) -> tuple[BlockSpec, ...]:
     blocks = []
     for part in text.split(","):
         fields = part.strip().split(":")
         if len(fields) != 3:
-            raise InputError(f"bad signature block {_quoted(part)}; expected sp:<deg>:<exp> or cp:<deg>:<exp>")
+            raise InputError(f"bad signature block {part!r}; expected sp:<deg>:<exp> or cp:<deg>:<exp>")
         where = f"signature block {len(blocks) + 1}"
         blocks.append(BlockSpec(fields[0], spec_number(fields[1], f"{where} degree"),
                                 spec_number(fields[2], f"{where} exponent")))
@@ -654,44 +647,24 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _all_of(values, cls) -> bool:
-    # isinstance(v, cls) for every v, decided once per distinct type; a bool
-    # is no int here
-    return all(issubclass(k, cls) and k is not bool for k in set(map(type, values)))
-
-
-def _is_matrix_of_pairs(p, data, n) -> bool:
-    # n lists of n lists of two integers in [0, p), decided on the distinct
-    # types and lengths and on the extremes of the coefficients
-    if not isinstance(data, list) or len(data) != n or not _all_of(data, list) or set(map(len, data)) != {n}:
-        return False
-    entries = list(chain.from_iterable(data))
-    if not _all_of(entries, list) or set(map(len, entries)) != {2}:
-        return False
-    coeffs = list(chain.from_iterable(entries))
-    return _all_of(coeffs, int) and min(coeffs) >= 0 and max(coeffs) < p
-
-
 def _matrix_from_json(p, data, n, name) -> Matrix:
     """Every entry is validated, and one element built per distinct pair.
 
-    The validation must come first: 1.0 and True equal the key 1.  A valid
-    matrix passes on its types, lengths and extremes at once; any other is
-    walked entry by entry, in row order, to name its first error."""
-    if not _is_matrix_of_pairs(p, data, n):
-        if not isinstance(data, list) or len(data) != n:
+    The validation must come first: 1.0 and True equal the key 1."""
+    if not isinstance(data, list) or len(data) != n:
+        raise InputError(f"schema: {name} must be a {n}x{n} matrix")
+    rows = []
+    for row in data:
+        if not isinstance(row, list) or len(row) != n:
             raise InputError(f"schema: {name} must be a {n}x{n} matrix")
-        for row in data:
-            if not isinstance(row, list) or len(row) != n:
-                raise InputError(f"schema: {name} must be a {n}x{n} matrix")
-            for entry in row:
-                if not isinstance(entry, list) or len(entry) != 2:
-                    raise InputError(f"schema: {name} entries must be coefficient pairs")
-                if not all(_is_int(c) and 0 <= c < p for c in entry):
-                    raise InputError(f"schema: {name} coefficients must be integers in [0, {p})")
-    rows = [list(map(tuple, row)) for row in data]
+        for entry in row:
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise InputError(f"schema: {name} entries must be coefficient pairs")
+            if not all(_is_int(c) and 0 <= c < p for c in entry):
+                raise InputError(f"schema: {name} coefficients must be integers in [0, {p})")
+        rows.append([tuple(entry) for entry in row])
     elems = {c: gf.FieldElem(p, 2, c) for c in set().union(*rows)}
-    return Matrix(p, 2, tuple(tuple(map(elems.__getitem__, r)) for r in rows))
+    return Matrix.from_rows(p, 2, [[elems[c] for c in r] for r in rows])
 
 
 def parse_instance(data: dict) -> MinusculeInstance:

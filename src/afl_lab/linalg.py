@@ -47,8 +47,6 @@ from .poly import Poly
 # draws fail with probability about 1e-8; for any M, the ninth linear factor
 # T included, at least 0.22, and about 1e-7.
 CYCLIC_DRAWS = 64
-# (p, level, n) -> (its seeded rng, the draws made from it so far)
-_CYCLIC_DRAWN: dict[tuple[int, int, int], tuple[random.Random, list]] = {}
 
 # Most divisors invariant_subspaces accepts: N_MAX bounds the dimension, not
 # the lattice (k distinct linear factors have 2^k divisors).  README gives
@@ -455,17 +453,11 @@ class Lattice(Record):
 
 
 def _cyclic_krylov(m: Matrix) -> tuple:
-    # the Krylov rows of the first seeded draw where they have full rank;
-    # the draws read nothing of the matrix, so each is made once per
-    # (p, level, n), when first needed, and kept in _CYCLIC_DRAWN
+    # the Krylov rows of the first seeded draw where they have full rank
     p, level, n = m.p, m.level, m.n
-    if (p, level, n) not in _CYCLIC_DRAWN:
-        _CYCLIC_DRAWN[p, level, n] = random.Random(f"cyclic-vector:{p}:{level}:{n}"), []
-    rng, drawn = _CYCLIC_DRAWN[p, level, n]
-    for k in range(CYCLIC_DRAWS):
-        if k == len(drawn):
-            drawn.append(tuple(gf.elem_from_encoding(p, level, rng.randrange(p**level)) for _ in range(n)))
-        krylov = krylov_rows(m, drawn[k])
+    rng = random.Random(f"cyclic-vector:{p}:{level}:{n}")
+    for _ in range(CYCLIC_DRAWS):
+        krylov = krylov_rows(m, [gf.elem_from_encoding(p, level, rng.randrange(p**level)) for _ in range(n)])
         if len(rref(krylov)[1]) == n:
             return krylov
     raise InvariantError(

@@ -277,17 +277,16 @@ class Modulus:
         for _ in range(1, d):
             # x^(m+1) mod g is x^m mod g moved up one block, its top block
             # folded back with rows[0]
-            acc = (rows[-1] << self.bits) & ((1 << d * self.bits) - 1)
-            if not cur[-1].is_zero:
-                acc += gf.pack_blocks(p, level, width, cur[-1:]) * rows[0]
-            cur = gf.fold_blocks(p, level, width, d, acc)
+            shifted = (rows[-1] << self.bits) & ((1 << d * self.bits) - 1)
+            cur = self._fold_high(shifted, d, cur[-1:], rows)
             rows.append(gf.pack_blocks(p, level, width, cur))
         return rows
 
-    def _fold_high(self, acc: int, count: int, high) -> list:
-        # acc + sum high[i] (x^(d+i) mod g), folded once per block
+    def _fold_high(self, acc: int, count: int, high, rows) -> list:
+        # acc + sum high[i] (x^(d+i) mod g), folded once per block, with
+        # rows[i] = x^(d+i) mod g
         p, level, width = self.p, self.level, self.width
-        for c, row in zip(high, self.rows):
+        for c, row in zip(high, rows):
             if not c.is_zero:
                 acc += gf.pack_blocks(p, level, width, (c,)) * row
         return gf.fold_blocks(p, level, width, count, acc)
@@ -301,7 +300,7 @@ class Modulus:
         while True:
             if len(coeffs) > d:
                 low = gf.pack_blocks(p, level, self.width, coeffs[:d])
-                coeffs = self._fold_high(low, d, coeffs[d:])
+                coeffs = self._fold_high(low, d, coeffs[d:], self.rows)
             if not rest:
                 return Poly.from_elems(p, level, coeffs)
             k = min(d, len(rest))
@@ -319,7 +318,7 @@ class Modulus:
             return Poly.from_elems(p, level, gf.fold_blocks(p, level, width, count, prod))
         cut = d * self.bits
         high = gf.fold_blocks(p, level, width, count - d, prod >> cut)
-        return Poly.from_elems(p, level, self._fold_high(prod & ((1 << cut) - 1), d, high))
+        return Poly.from_elems(p, level, self._fold_high(prod & ((1 << cut) - 1), d, high, self.rows))
 
     def power(self, f: Poly, e: int) -> Poly:
         """f^e mod g by squaring (gf.power)."""

@@ -354,18 +354,6 @@ def test_a_refused_number_is_named_with_its_length_not_echoed(argv, where, lengt
     assert json.loads(err)["message"].startswith(f"{where}: a text of {length} characters")
 
 
-@pytest.mark.parametrize("sig,message", [
-    ("x" * 3000, "bad signature block of 3000 characters; expected sp:<deg>:<exp> or cp:<deg>:<exp>"),
-    ("y" * 3000 + ":1:1", "unknown block kind of 3000 characters"),
-    ("yy:1:1", "unknown block kind 'yy'"),
-], ids=["block", "kind", "short-kind"])
-def test_a_refused_signature_text_is_quoted_only_when_short(sig, message, capsys):
-    # a 3,000-character block once came back whole, as a 3.1 KB stderr line
-    assert main(["verify", "--sig", sig]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and json.loads(err)["message"] == message
-
-
 # argv that builds a tiny instance or sweep without the flag under test
 BASE_ARGV = {
     "gen": ["gen", "--sig", "sp:1:1"],

@@ -711,8 +711,8 @@ def entry_rule(entry, p):
     "same-as-int-subclass", "same-as-list-subclass",
 ])
 def test_parse_validates_every_entry_as_the_entry_rule_does(entry, where):
-    # the row-at-a-time check on types and extremes refuses what the rule
-    # refuses, with its message, and accepts int and list subclasses but no bool
+    # the schema refuses what the rule refuses, with its message, and
+    # accepts int and list subclasses but no bool
     data = serialize_instance(instance_from_spec("sp:1:3", 3, 8))
     r, c = where
     if entry == "same-as-int-subclass":

@@ -465,24 +465,6 @@ def test_invariant_subspaces_requires_regular():
         lattice_by_chains(ident, plain_factor(charpoly(ident)))
 
 
-def test_each_cyclic_draw_is_made_once_when_first_needed(monkeypatch):
-    # the draws depend on (p, level, n) alone: a matrix of a shape seen
-    # before draws only past what was drawn, the draws are the seeded ones
-    # in order, and each lattice is still the division route's
-    insts = [random_coxeter_instance(3, 5, seed) for seed in (1, 2, 1)]
-    draws, real = [], random.Random.randrange
-    monkeypatch.setattr(random.Random, "randrange", lambda self, *a: draws.append(a) or real(self, *a))
-    monkeypatch.setattr(linalg, "_CYCLIC_DRAWN", {})
-    counts = []
-    for inst in insts:
-        checked_lattice(inst.g, inst.fact.factors)
-        counts.append(len(draws))
-    drawn = linalg._CYCLIC_DRAWN[3, 2, 5][1]
-    assert counts[-1] == counts[-2] == 5 * len(drawn) >= counts[0] > 0
-    rng = random.Random("cyclic-vector:3:2:5")
-    assert drawn == [tuple(gf.elem_from_encoding(3, 2, rng.randrange(9)) for _ in range(5)) for _ in drawn]
-
-
 @pytest.mark.parametrize("diag", [(0, 0), (0, 0, 1)], ids=["identity_2x2", "diag_1_1_i"])
 def test_lattice_decides_regularity_without_the_probe(diag, monkeypatch):
     # no draw of a cyclic vector succeeds on a non-cyclic matrix, and the

@@ -114,7 +114,6 @@ UNCALLED = {
     "linalg.Matrix.is_zero": "oracle: read by is_isotropic only",
     "linalg.Lattice.__len__": "the benchmark tracer reads len() of the lattice",
     "poly.Poly.zero": "a product with a zero operand (Poly.__mul__, Modulus.mul), which no command forms",
-    "forge._quoted": "error path: names a refused signature text, and every battery command succeeds",
 }
 
 
